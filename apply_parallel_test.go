@@ -42,10 +42,10 @@ func TestApplyParallelSingleWorkerMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(workerSeed(simB.seed, 0)))
+	rng := rand.New(rand.NewSource(trace.DispatchSeed(simB.seed, 0)))
 	serial := make([]Result, len(ops))
 	for i, op := range ops {
-		serial[i] = toResult(simB.cluster.ApplyWith(rng, op.record()))
+		serial[i] = ToResult(simB.cluster.ApplyWith(rng, op.Record()))
 	}
 
 	for i := range parallel {
@@ -200,13 +200,13 @@ func TestApplyParallelEdgeCases(t *testing.T) {
 
 // TestApplyParallelRecordKinds pins the Op→trace.Record mapping.
 func TestApplyParallelRecordKinds(t *testing.T) {
-	if (Op{Kind: OpCreate}).record().Op != trace.OpCreate {
+	if (Op{Kind: OpCreate}).Record().Op != trace.OpCreate {
 		t.Error("OpCreate mapping")
 	}
-	if (Op{Kind: OpDelete}).record().Op != trace.OpDelete {
+	if (Op{Kind: OpDelete}).Record().Op != trace.OpDelete {
 		t.Error("OpDelete mapping")
 	}
-	if (Op{Kind: OpLookup}).record().Op != trace.OpStat {
+	if (Op{Kind: OpLookup}).Record().Op != trace.OpStat {
 		t.Error("OpLookup mapping")
 	}
 }

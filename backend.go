@@ -118,8 +118,9 @@ type Op struct {
 	At time.Duration
 }
 
-// record converts a facade Op to the trace record the engines dispatch.
-func (op Op) record() trace.Record {
+// Record converts a facade Op to the trace record the engines dispatch — the
+// inverse of TraceOp.
+func (op Op) Record() trace.Record {
 	rec := trace.Record{Path: op.Path, At: op.At}
 	switch op.Kind {
 	case OpCreate:
@@ -130,12 +131,6 @@ func (op Op) record() trace.Record {
 		rec.Op = trace.OpStat
 	}
 	return rec
-}
-
-// workerSeed derives a deterministic per-worker RNG seed; the shared
-// derivation lives in trace.DispatchSeed so every parallel driver agrees.
-func workerSeed(seed int64, worker int) int64 {
-	return trace.DispatchSeed(seed, worker)
 }
 
 // LookupParallel resolves every path against the backend using the given
@@ -194,67 +189,10 @@ func ApplyParallel(ctx context.Context, b Backend, ops []Op, workers int) ([]Res
 	return results, nil
 }
 
-// ApplyParallelBatched is ApplyParallel with each worker dispatching its
-// chunk in batchSize vectors through the backend's BatchApplier instead of
-// op by op. The chunking, per-worker RNG seeds and within-chunk op order are
-// identical to ApplyParallel's, so the determinism contract carries over; a
-// backend without batch support (or batchSize ≤ 1) falls back to the per-op
-// path.
-func ApplyParallelBatched(ctx context.Context, b Backend, ops []Op, workers, batchSize int) ([]Result, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	ba, ok := b.(BatchApplier)
-	if !ok || batchSize <= 1 {
-		return ApplyParallel(ctx, b, ops, workers)
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-	results := make([]Result, len(ops))
-	errs := make([]error, workers)
-	chunk := (len(ops) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(ops) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(b.Seed(), w)))
-			for at := lo; at < hi; at += batchSize {
-				end := at + batchSize
-				if end > hi {
-					end = hi
-				}
-				res, err := ba.ApplyBatch(ctx, rng, ops[at:end])
-				if err != nil {
-					errs[w] = fmt.Errorf("worker %d, batch at op %d: %w", w, at, err)
-					return
-				}
-				copy(results[at:end], res)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // fanOut chunks n items over workers goroutines, handing each worker its
-// own deterministically seeded RNG; worker 0's chunk starts at item 0, so a
-// one-worker fan-out is the serial loop.
+// own RNG seeded trace.DispatchSeed(seed, w) — the derivation every parallel
+// driver shares; worker 0's chunk starts at item 0, so a one-worker fan-out
+// is the serial loop.
 func fanOut(n, workers int, seed int64, do func(rng *rand.Rand, i int) error) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -277,7 +215,7 @@ func fanOut(n, workers int, seed int64, do func(rng *rand.Rand, i int) error) er
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(seed, w)))
+			rng := rand.New(rand.NewSource(trace.DispatchSeed(seed, w)))
 			for i := lo; i < hi; i++ {
 				if err := do(rng, i); err != nil {
 					errs[w] = fmt.Errorf("worker %d: %w", w, err)

@@ -17,8 +17,9 @@
 //
 // -replay drives a mixed lookup:create:delete workload through the unified
 // backend API: creates and deletes are real RPCs that update the origin
-// daemon's filter and ship XOR-delta replica updates over the wire — the
-// same replay engine cmd/ghbabench runs against the simulation.
+// daemon's filter and ship XOR-delta replica updates over the wire, through
+// the same replay engine (experiments.ReplayParallel) that serves the
+// simulation.
 package main
 
 import (
@@ -122,7 +123,7 @@ func runReplay(ctx context.Context, cluster *ghba.Prototype, files, ops, workers
 		cluster.FileCount(), ops, mix, workers)
 
 	before := cluster.LevelCounts()
-	stats, err := experiments.ReplayParallelBatched(ctx, cluster, tcfg, ops, workers, rpcBatch)
+	stats, err := experiments.ReplayParallel(ctx, cluster, tcfg, ops, workers, rpcBatch)
 	exitIf(err)
 	after := cluster.LevelCounts()
 

@@ -281,16 +281,18 @@ func (s *Simulation) HomeOf(path string) int { return s.cluster.HomeOf(path) }
 // do. The context is accepted for interface parity and ignored: the
 // simulation never blocks on I/O.
 func (s *Simulation) Lookup(_ context.Context, path string) (Result, error) {
-	return toResult(s.cluster.Lookup(path, -1)), nil
+	return ToResult(s.cluster.Lookup(path, -1)), nil
 }
 
 // LookupWith is Lookup with the entry drawn from the caller's RNG — the
 // hook the parallel drivers build their determinism contract on.
 func (s *Simulation) LookupWith(_ context.Context, rng *rand.Rand, path string) (Result, error) {
-	return toResult(s.cluster.LookupWith(rng, path, -1)), nil
+	return ToResult(s.cluster.LookupWith(rng, path, -1)), nil
 }
 
-func toResult(res core.LookupResult) Result {
+// ToResult converts a scheme-level result (the simulator's and the HBA
+// baseline's) to the facade's.
+func ToResult(res core.LookupResult) Result {
 	return Result{
 		Path:    res.Path,
 		Home:    res.Home,
@@ -303,7 +305,7 @@ func toResult(res core.LookupResult) Result {
 // Apply dispatches one mixed-workload operation with randomness drawn from
 // the simulation's internal RNG.
 func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
-	return toResult(s.cluster.Apply(op.record())), nil
+	return ToResult(s.cluster.Apply(op.Record())), nil
 }
 
 // ApplyWith is Apply with a caller-supplied RNG: a delete's Result reports
@@ -311,7 +313,7 @@ func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
 // Level 0, and a create of an existing path degenerates to a lookup entered
 // at the drawn server.
 func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result, error) {
-	return toResult(s.cluster.ApplyWith(rng, op.record())), nil
+	return ToResult(s.cluster.ApplyWith(rng, op.Record())), nil
 }
 
 // ApplyBatch dispatches ops serially with rng. The simulation has no wire
@@ -320,7 +322,7 @@ func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result
 func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]Result, error) {
 	out := make([]Result, len(ops))
 	for i, op := range ops {
-		out[i] = toResult(s.cluster.ApplyWith(rng, op.record()))
+		out[i] = ToResult(s.cluster.ApplyWith(rng, op.Record()))
 	}
 	return out, nil
 }
@@ -330,7 +332,7 @@ func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]
 func (s *Simulation) LookupBatch(_ context.Context, rng *rand.Rand, paths []string) ([]Result, error) {
 	out := make([]Result, len(paths))
 	for i, p := range paths {
-		out[i] = toResult(s.cluster.LookupWith(rng, p, -1))
+		out[i] = ToResult(s.cluster.LookupWith(rng, p, -1))
 	}
 	return out, nil
 }

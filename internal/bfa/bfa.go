@@ -91,7 +91,8 @@ func (c *Cluster) Lookup(path string, entry int) bloomarray.Result {
 	if arr == nil {
 		return bloomarray.Result{}
 	}
-	return arr.QueryString(path)
+	d := bloom.NewDigestString(path)
+	return arr.QueryDigest(&d, nil)
 }
 
 // HomeOf returns the ground-truth home (-1 when absent).

@@ -43,7 +43,7 @@ func (r Result) Unique() (int, bool) {
 
 // InsertSorted inserts v into ascending xs unless present, preserving order
 // and uniqueness — the shared primitive for folding an MDS ID into a sorted
-// hit list (mds.QueryL2's own-ID insert, core's L3 hit union) without
+// hit list (mds.QueryL2Digest's own-ID insert, core's L3 hit union) without
 // re-sorting.
 //
 //ghbavet:hotpath
@@ -188,18 +188,6 @@ func (a *Array) IDs() []int {
 		ids[i] = e.id
 	}
 	return ids
-}
-
-// Query checks key against every filter and returns all positive responders.
-func (a *Array) Query(key []byte) Result {
-	d := bloom.NewDigest(key)
-	return a.QueryDigest(&d, nil)
-}
-
-// QueryString checks a string key against every filter.
-func (a *Array) QueryString(key string) Result {
-	d := bloom.NewDigestString(key)
-	return a.QueryDigest(&d, nil)
 }
 
 // QueryDigest checks a pre-hashed key against every filter: one atomic

@@ -7,6 +7,12 @@ import (
 	"ghba/internal/bloom"
 )
 
+// digestOf hashes a string key for the arrays' digest-form probes.
+func digestOf(key string) *bloom.Digest {
+	d := bloom.NewDigestString(key)
+	return &d
+}
+
 func filterWith(t *testing.T, keys ...string) *bloom.Filter {
 	t.Helper()
 	f, err := bloom.NewForCapacity(1024, 16)
@@ -96,12 +102,12 @@ func TestArrayQueryUniqueHit(t *testing.T) {
 	a.Put(1, filterWith(t, "/d/alpha"))
 	a.Put(2, filterWith(t, "/d/beta"))
 	a.Put(3, filterWith(t, "/d/gamma"))
-	r := a.QueryString("/d/beta")
+	r := a.QueryDigest(digestOf("/d/beta"), nil)
 	id, ok := r.Unique()
 	if !ok || id != 2 {
 		t.Errorf("Query(/d/beta) = %v, want unique hit on 2", r.Hits)
 	}
-	if !a.QueryString("/d/nothere").Miss() {
+	if !a.QueryDigest(digestOf("/d/nothere"), nil).Miss() {
 		t.Error("absent key did not miss")
 	}
 }
@@ -110,7 +116,7 @@ func TestArrayQueryMultipleHits(t *testing.T) {
 	a := NewArray()
 	a.Put(1, filterWith(t, "shared"))
 	a.Put(2, filterWith(t, "shared"))
-	r := a.QueryString("shared")
+	r := a.QueryDigest(digestOf("shared"), nil)
 	if !r.Multiple() {
 		t.Errorf("Query(shared) = %v, want multiple", r.Hits)
 	}

@@ -33,7 +33,7 @@ func benchArray(b *testing.B) (*Array, []string) {
 
 // BenchmarkArrayQuery compares the hash-once probe against the seed
 // implementation's cost model on a 16-replica array. The "perprobe-rehash"
-// case replicates what Array.QueryString did before the digest pipeline:
+// case replicates what the array query did before the digest pipeline:
 // one []byte conversion per query, a full key hash plus k mod reductions
 // per filter, a fresh hits slice, and a per-query sort. The "digest" case
 // is the shipped path: hash once, k positions once, 16×k word loads, hits
@@ -67,16 +67,6 @@ func BenchmarkArrayQuery(b *testing.B) {
 			r := a.QueryDigest(&d, buf)
 			buf = r.Hits
 			if len(r.Hits) == 0 {
-				b.Fatal("populated key missed")
-			}
-		}
-	})
-
-	b.Run("query-string", func(b *testing.B) {
-		// The compatibility entry point, now digest-backed internally.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if a.QueryString(paths[i%len(paths)]).Miss() {
 				b.Fatal("populated key missed")
 			}
 		}

@@ -12,7 +12,8 @@ import (
 
 // TestArrayQueryDigestEquivalence is the array-level property test: for
 // random replica sets and random keys, QueryDigest with a reused buffer must
-// return exactly the hits Query does, in the same (ascending) order.
+// return exactly the hits a fresh digest and a nil buffer do, in the same
+// (ascending) order.
 func TestArrayQueryDigestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -37,7 +38,7 @@ func TestArrayQueryDigestEquivalence(t *testing.T) {
 			if i%5 == 0 {
 				p = "/absent/" + strconv.Itoa(i)
 			}
-			want := a.QueryString(p)
+			want := a.QueryDigest(digestOf(p), nil)
 			d := bloom.NewDigestString(p)
 			got := a.QueryDigest(&d, buf)
 			buf = got.Hits
@@ -72,7 +73,7 @@ func TestLRUQueryDigestEquivalence(t *testing.T) {
 		if i%4 == 0 {
 			p = "/lru/absent" + strconv.Itoa(i)
 		}
-		want := l.QueryString(p)
+		want := l.QueryDigest(digestOf(p), nil)
 		d := bloom.NewDigestString(p)
 		got := l.QueryDigest(&d, buf)
 		buf = got.Hits
@@ -82,9 +83,9 @@ func TestLRUQueryDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestObserveDigestMatchesObserve checks that the digest-based Observe path
-// leaves the array in exactly the state the key-based path would: same hits
-// for every key, same rotation points.
+// TestObserveDigestMatchesObserve checks that observing through a string
+// digest leaves the array in exactly the state the byte-key digest would:
+// same hits for every key, same rotation points.
 func TestObserveDigestMatchesObserve(t *testing.T) {
 	byKey, err := NewLRUArray(16, 16)
 	if err != nil {
@@ -98,13 +99,14 @@ func TestObserveDigestMatchesObserve(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p := "/obs/f" + strconv.Itoa(rng.Intn(100))
 		home := rng.Intn(5)
-		byKey.ObserveString(p, home)
+		dk := bloom.NewDigest([]byte(p))
+		byKey.ObserveDigest(&dk, home)
 		d := bloom.NewDigestString(p)
 		byDigest.ObserveDigest(&d, home)
 	}
 	for i := 0; i < 100; i++ {
 		p := "/obs/f" + strconv.Itoa(i)
-		a, b := byKey.QueryString(p), byDigest.QueryString(p)
+		a, b := byKey.QueryDigest(digestOf(p), nil), byDigest.QueryDigest(digestOf(p), nil)
 		if !slices.Equal(a.Hits, b.Hits) {
 			t.Fatalf("path %s: key-observed=%v digest-observed=%v", p, a.Hits, b.Hits)
 		}
@@ -191,7 +193,7 @@ func TestArraySliceStorage(t *testing.T) {
 		t.Fatalf("Len=%d, want %d", a.Len(), len(live))
 	}
 	for id := range live {
-		r := a.QueryString("/slice/" + strconv.Itoa(id))
+		r := a.QueryDigest(digestOf("/slice/"+strconv.Itoa(id)), nil)
 		if !slices.Contains(r.Hits, id) {
 			t.Errorf("replica %d missing from its own query: %v", id, r.Hits)
 		}

@@ -95,21 +95,9 @@ func (l *LRUArray) publishLocked(mutate func(map[int]*agingFilter)) {
 	l.entries.Store(&next)
 }
 
-// Observe records that key was confirmed to live at homeMDS, rotating that
-// MDS's generations if the active filter is full.
-func (l *LRUArray) Observe(key []byte, homeMDS int) {
-	d := bloom.NewDigest(key)
-	l.ObserveDigest(&d, homeMDS)
-}
-
-// ObserveString records a string key.
-func (l *LRUArray) ObserveString(key string, homeMDS int) {
-	d := bloom.NewDigestString(key)
-	l.ObserveDigest(&d, homeMDS)
-}
-
-// ObserveDigest records a pre-hashed confirmed (key → homeMDS) mapping. The
-// key is hashed exactly once: the lock-free fast path and the write-path
+// ObserveDigest records a pre-hashed confirmed (key → homeMDS) mapping,
+// rotating that MDS's generations if the active filter is full. The key is
+// hashed exactly once: the lock-free fast path and the write-path
 // insert both consume the caller's digest.
 //
 // The hot case — re-observing a key already in the current generation — is
@@ -151,21 +139,10 @@ func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 	}
 }
 
-// Query returns every MDS whose recent-file window may contain key, with the
-// same unique-hit contract as Array.Query.
-func (l *LRUArray) Query(key []byte) Result {
-	d := bloom.NewDigest(key)
-	return l.QueryDigest(&d, nil)
-}
-
-// QueryString checks a string key.
-func (l *LRUArray) QueryString(key string) Result {
-	d := bloom.NewDigestString(key)
-	return l.QueryDigest(&d, nil)
-}
-
-// QueryDigest checks a pre-hashed key against every entry of the current
-// snapshot, appending hits into buf (which may be nil). Both generations of
+// QueryDigest returns every MDS whose recent-file window may contain the
+// pre-hashed key, with the same unique-hit contract as Array.QueryDigest: it
+// checks every entry of the current snapshot, appending hits into buf (which
+// may be nil). Both generations of
 // an entry share the digest's cached probe positions, so each entry costs at
 // most 2k word loads; with a reused buffer the query neither allocates nor
 // locks.

@@ -19,13 +19,13 @@ func TestLRUObserveQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveString("/a/file1", 3)
-	l.ObserveString("/a/file2", 5)
-	r := l.QueryString("/a/file1")
+	l.ObserveDigest(digestOf("/a/file1"), 3)
+	l.ObserveDigest(digestOf("/a/file2"), 5)
+	r := l.QueryDigest(digestOf("/a/file1"), nil)
 	if id, ok := r.Unique(); !ok || id != 3 {
 		t.Errorf("Query(file1) = %v, want unique 3", r.Hits)
 	}
-	if !l.QueryString("/a/unseen").Miss() {
+	if !l.QueryDigest(digestOf("/a/unseen"), nil).Miss() {
 		t.Error("unseen key hit the LRU array")
 	}
 	if l.Entries() != 2 {
@@ -41,18 +41,18 @@ func TestLRUAgingKeepsRecentDropsOld(t *testing.T) {
 	}
 	// Fill more than two generations for MDS 1.
 	for i := 0; i < 3*capacity; i++ {
-		l.ObserveString("old"+strconv.Itoa(i), 1)
+		l.ObserveDigest(digestOf("old"+strconv.Itoa(i)), 1)
 	}
 	// The most recent insertion must always be present.
 	last := "old" + strconv.Itoa(3*capacity-1)
-	if l.QueryString(last).Miss() {
+	if l.QueryDigest(digestOf(last), nil).Miss() {
 		t.Error("most recent observation evicted")
 	}
 	// The very first insertions (older than two generations) must be gone,
 	// modulo Bloom false positives; check a batch and require most missing.
 	evicted := 0
 	for i := 0; i < capacity; i++ {
-		if l.QueryString("old" + strconv.Itoa(i)).Miss() {
+		if l.QueryDigest(digestOf("old"+strconv.Itoa(i)), nil).Miss() {
 			evicted++
 		}
 	}
@@ -68,11 +68,11 @@ func TestLRUSlidingWindowRetainsPreviousGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < capacity+5; i++ { // rotate once, 5 into new generation
-		l.ObserveString("w"+strconv.Itoa(i), 2)
+		l.ObserveDigest(digestOf("w"+strconv.Itoa(i)), 2)
 	}
 	// Keys from the immediately previous generation are still queryable.
 	for i := capacity - 5; i < capacity; i++ {
-		if l.QueryString("w" + strconv.Itoa(i)).Miss() {
+		if l.QueryDigest(digestOf("w"+strconv.Itoa(i)), nil).Miss() {
 			t.Errorf("previous-generation key w%d already evicted", i)
 		}
 	}
@@ -83,9 +83,9 @@ func TestLRUForget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveString("f", 4)
+	l.ObserveDigest(digestOf("f"), 4)
 	l.Forget(4)
-	if !l.QueryString("f").Miss() {
+	if !l.QueryDigest(digestOf("f"), nil).Miss() {
 		t.Error("Forget left entry queryable")
 	}
 	if l.Entries() != 0 {
@@ -98,10 +98,10 @@ func TestLRUReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ObserveString("a", 1)
-	l.ObserveString("b", 2)
+	l.ObserveDigest(digestOf("a"), 1)
+	l.ObserveDigest(digestOf("b"), 2)
 	l.Reset()
-	if l.Entries() != 0 || !l.QueryString("a").Miss() {
+	if l.Entries() != 0 || !l.QueryDigest(digestOf("a"), nil).Miss() {
 		t.Error("Reset did not clear entries")
 	}
 }
@@ -113,9 +113,9 @@ func TestLRUMultipleHitsAcrossMDSs(t *testing.T) {
 	}
 	// Same file observed at two different homes (stale + fresh): both hit,
 	// which must escalate rather than answer.
-	l.ObserveString("moved", 1)
-	l.ObserveString("moved", 2)
-	r := l.QueryString("moved")
+	l.ObserveDigest(digestOf("moved"), 1)
+	l.ObserveDigest(digestOf("moved"), 2)
+	r := l.QueryDigest(digestOf("moved"), nil)
 	if !r.Multiple() {
 		t.Errorf("expected multiple hits, got %v", r.Hits)
 	}
@@ -129,9 +129,9 @@ func TestLRUSizeBytesGrowsWithEntries(t *testing.T) {
 	if l.SizeBytes() != 0 {
 		t.Error("empty LRU array non-zero size")
 	}
-	l.ObserveString("x", 1)
+	l.ObserveDigest(digestOf("x"), 1)
 	s1 := l.SizeBytes()
-	l.ObserveString("y", 2)
+	l.ObserveDigest(digestOf("y"), 2)
 	if l.SizeBytes() <= s1 {
 		t.Error("size did not grow with second MDS entry")
 	}

@@ -69,7 +69,7 @@ type coreSys struct{ c *core.Cluster }
 func (s coreSys) Name() string { return s.c.Name() }
 
 func (s coreSys) ApplyWith(_ context.Context, rng *rand.Rand, op ghba.Op) (ghba.Result, error) {
-	return fromCore(s.c.ApplyWith(rng, recordOf(op))), nil
+	return ghba.ToResult(s.c.ApplyWith(rng, op.Record())), nil
 }
 
 func (s coreSys) CreateAll(_ context.Context, paths []string) error {
@@ -87,7 +87,7 @@ type hbaSys struct{ c *hba.Cluster }
 func (s hbaSys) Name() string { return s.c.Name() }
 
 func (s hbaSys) ApplyWith(_ context.Context, rng *rand.Rand, op ghba.Op) (ghba.Result, error) {
-	return fromCore(s.c.ApplyWith(rng, recordOf(op))), nil
+	return ghba.ToResult(s.c.ApplyWith(rng, op.Record())), nil
 }
 
 func (s hbaSys) CreateAll(_ context.Context, paths []string) error {
@@ -105,32 +105,6 @@ func (s hbaSys) LevelCounts() [5]uint64 {
 	return out
 }
 
-// recordOf converts a facade op back to the trace record the raw engines
-// dispatch (the At offset drives the simulated open-loop queue model).
-func recordOf(op ghba.Op) trace.Record {
-	rec := trace.Record{Path: op.Path, At: op.At}
-	switch op.Kind {
-	case ghba.OpCreate:
-		rec.Op = trace.OpCreate
-	case ghba.OpDelete:
-		rec.Op = trace.OpDelete
-	default:
-		rec.Op = trace.OpStat
-	}
-	return rec
-}
-
-// fromCore converts a scheme-level result to the facade's.
-func fromCore(res core.LookupResult) ghba.Result {
-	return ghba.Result{
-		Path:    res.Path,
-		Home:    res.Home,
-		Found:   res.Found,
-		Level:   res.Level,
-		Latency: res.Latency,
-	}
-}
-
 // pathIter adapts a path slice to the raw engines' streaming populate.
 func pathIter(paths []string) func(fn func(string) bool) {
 	return func(fn func(string) bool) {
@@ -144,7 +118,7 @@ func pathIter(paths []string) func(fn func(string) bool) {
 
 // replayRNG builds worker w's record-dispatch RNG for a replay over a trace
 // seeded with seed; trace.DispatchSeed is the shared derivation (the
-// facade's worker pools use it too), and the serial engine is worker 0.
+// facade's fanOut uses it too), and the serial engine is worker 0.
 func replayRNG(seed int64, worker int) *rand.Rand {
 	return rand.New(rand.NewSource(trace.DispatchSeed(seed, worker)))
 }
@@ -216,6 +190,57 @@ type ReplayStats struct {
 	OpsPerSec float64
 }
 
+// startLanes is the one parallel lane loop of this package: it splits the
+// trace cfg describes n ways (see trace.SplitGenerators) and launches one
+// goroutine per lane, handing lane w its generator, its RNG seeded
+// trace.DispatchSeed(cfg.Seed, w) and its share of totalOps. It returns once
+// the lanes are running; the caller waits on the group.
+func startLanes(cfg trace.Config, totalOps, workers int, run func(w, n int, rng *rand.Rand, gen *trace.Generator)) (*sync.WaitGroup, error) {
+	gens, err := trace.SplitGenerators(cfg, workers)
+	if err != nil {
+		return nil, err
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		n := totalOps / workers
+		if w < totalOps%workers {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(w, n int) {
+			defer wg.Done()
+			run(w, n, replayRNG(cfg.Seed, w), gens[w])
+		}(w, n)
+	}
+	return &wg, nil
+}
+
+// laneStats is one replay lane's tally, folded into ReplayStats at the join.
+type laneStats struct {
+	sum                            float64
+	lookups                        int
+	creates, deletes, deleteMisses int
+	err                            error
+}
+
+// count classifies one dispatched record by its result.
+func (ls *laneStats) count(rec trace.Record, res ghba.Result) {
+	switch {
+	case res.Level > 0:
+		ls.sum += float64(res.Latency)
+		ls.lookups++
+	case rec.Op == trace.OpCreate:
+		ls.creates++
+	case res.Found:
+		ls.deletes++
+	default:
+		ls.deleteMisses++
+	}
+}
+
 // ReplayParallel replays totalOps records against sys across the given
 // number of worker goroutines. The workload is an n-way split of the trace
 // described by cfg (see trace.SplitGenerators): every worker owns one lane
@@ -226,182 +251,64 @@ type ReplayStats struct {
 // coalesced replica ships are flushed before returning, so the system is
 // quiescent when the stats come back.
 //
+// With batchSize > 1 and a sys that is a BatchSystem, each worker dispatches
+// its lane in batchSize vectors — many trace records per wire round, so a
+// networked backend amortizes syscalls, frame headers and digests across
+// the vector; otherwise it dispatches op by op. Lane assignment, per-worker
+// RNG seeds and within-lane record order are the same either way.
+//
 // The system must support concurrent ApplyWith (both ghba backends do; the
 // serial HBA baseline does not).
-func ReplayParallel(ctx context.Context, sys System, cfg trace.Config, totalOps, workers int) (ReplayStats, error) {
+func ReplayParallel(ctx context.Context, sys System, cfg trace.Config, totalOps, workers, batchSize int) (ReplayStats, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > totalOps && totalOps > 0 {
 		workers = totalOps
 	}
-	gens, err := trace.SplitGenerators(cfg, workers)
-	if err != nil {
-		return ReplayStats{}, err
+	bs, ok := sys.(BatchSystem)
+	vector := ok && batchSize > 1
+	if !vector {
+		batchSize = 1
 	}
 
-	type laneStats struct {
-		sum                            float64
-		lookups                        int
-		creates, deletes, deleteMisses int
-		err                            error
-	}
 	lanes := make([]laneStats, workers)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		n := totalOps / workers
-		if w < totalOps%workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := replayRNG(cfg.Seed, w)
-			gen := gens[w]
-			ls := &lanes[w]
-			for i := 0; i < n; i++ {
+	wg, err := startLanes(cfg, totalOps, workers, func(w, n int, rng *rand.Rand, gen *trace.Generator) {
+		ls := &lanes[w]
+		recs := make([]trace.Record, 0, batchSize)
+		ops := make([]ghba.Op, 0, batchSize)
+		var one [1]ghba.Result
+		for done := 0; done < n; done += len(recs) {
+			recs, ops = recs[:0], ops[:0]
+			for len(recs) < batchSize && done+len(recs) < n {
 				rec := gen.Next()
-				res, err := sys.ApplyWith(ctx, rng, ghba.TraceOp(rec))
-				if err != nil {
-					ls.err = fmt.Errorf("worker %d, op %d (%s %q): %w", w, i, rec.Op, rec.Path, err)
-					return
-				}
-				switch {
-				case res.Level > 0:
-					ls.sum += float64(res.Latency)
-					ls.lookups++
-				case rec.Op == trace.OpCreate:
-					ls.creates++
-				case res.Found:
-					ls.deletes++
-				default:
-					ls.deleteMisses++
-				}
+				recs = append(recs, rec)
+				ops = append(ops, ghba.TraceOp(rec))
 			}
-		}(w, n)
+			results := one[:]
+			var err error
+			if vector {
+				results, err = bs.ApplyBatch(ctx, rng, ops)
+			} else {
+				one[0], err = sys.ApplyWith(ctx, rng, ops[0])
+			}
+			if err != nil {
+				ls.err = fmt.Errorf("worker %d, %d op(s) from op %d (%s %q): %w", w, len(recs), done, recs[0].Op, recs[0].Path, err)
+				return
+			}
+			for i, res := range results {
+				ls.count(recs[i], res)
+			}
+		}
+	})
+	if err != nil {
+		return ReplayStats{}, err
 	}
 	wg.Wait()
 	// Lane errors carry the per-op root cause (worker, op, path); surface
 	// them ahead of a flush failure, which against a dead daemon is
 	// usually just the same fault seen twice.
-	for i := range lanes {
-		if err := lanes[i].err; err != nil {
-			if ferr := sys.Flush(ctx); ferr != nil {
-				err = errors.Join(err, fmt.Errorf("experiments: flushing after replay: %w", ferr))
-			}
-			return ReplayStats{Ops: totalOps, Workers: workers}, err
-		}
-	}
-	if err := sys.Flush(ctx); err != nil {
-		return ReplayStats{}, fmt.Errorf("experiments: flushing after replay: %w", err)
-	}
-	elapsed := time.Since(start)
-
-	stats := ReplayStats{Ops: totalOps, Workers: workers, Elapsed: elapsed}
-	var sum float64
-	for i := range lanes {
-		ls := &lanes[i]
-		sum += ls.sum
-		stats.Lookups += ls.lookups
-		stats.Creates += ls.creates
-		stats.Deletes += ls.deletes
-		stats.DeleteMisses += ls.deleteMisses
-	}
-	if stats.Lookups > 0 {
-		stats.MeanLookupLatency = time.Duration(sum / float64(stats.Lookups))
-	}
-	if elapsed > 0 {
-		stats.OpsPerSec = float64(totalOps) / elapsed.Seconds()
-	}
-	return stats, nil
-}
-
-// ReplayParallelBatched is ReplayParallel with each worker dispatching its
-// lane in batchSize vectors through the system's BatchSystem surface: many
-// trace records per wire round, so a networked backend amortizes syscalls,
-// frame headers and digests across the vector. Lane assignment, per-worker
-// RNG seeds and within-lane record order are identical to ReplayParallel's.
-// A system without batch support (or batchSize ≤ 1) falls back to the
-// per-op engine.
-func ReplayParallelBatched(ctx context.Context, sys System, cfg trace.Config, totalOps, workers, batchSize int) (ReplayStats, error) {
-	bs, ok := sys.(BatchSystem)
-	if !ok || batchSize <= 1 {
-		return ReplayParallel(ctx, sys, cfg, totalOps, workers)
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > totalOps && totalOps > 0 {
-		workers = totalOps
-	}
-	gens, err := trace.SplitGenerators(cfg, workers)
-	if err != nil {
-		return ReplayStats{}, err
-	}
-
-	type laneStats struct {
-		sum                            float64
-		lookups                        int
-		creates, deletes, deleteMisses int
-		err                            error
-	}
-	lanes := make([]laneStats, workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		n := totalOps / workers
-		if w < totalOps%workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := replayRNG(cfg.Seed, w)
-			gen := gens[w]
-			ls := &lanes[w]
-			recs := make([]trace.Record, 0, batchSize)
-			ops := make([]ghba.Op, 0, batchSize)
-			for done := 0; done < n; {
-				size := batchSize
-				if n-done < size {
-					size = n - done
-				}
-				recs, ops = recs[:0], ops[:0]
-				for i := 0; i < size; i++ {
-					rec := gen.Next()
-					recs = append(recs, rec)
-					ops = append(ops, ghba.TraceOp(rec))
-				}
-				results, err := bs.ApplyBatch(ctx, rng, ops)
-				if err != nil {
-					ls.err = fmt.Errorf("worker %d, batch at op %d: %w", w, done, err)
-					return
-				}
-				for i, res := range results {
-					switch {
-					case res.Level > 0:
-						ls.sum += float64(res.Latency)
-						ls.lookups++
-					case recs[i].Op == trace.OpCreate:
-						ls.creates++
-					case res.Found:
-						ls.deletes++
-					default:
-						ls.deleteMisses++
-					}
-				}
-				done += size
-			}
-		}(w, n)
-	}
-	wg.Wait()
 	for i := range lanes {
 		if err := lanes[i].err; err != nil {
 			if ferr := sys.Flush(ctx); ferr != nil {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ghba"
 	"ghba/internal/core"
 	"ghba/internal/simnet"
 	"ghba/internal/trace"
@@ -87,7 +88,9 @@ func fingerprintCluster(c *core.Cluster, tcfg trace.Config, createdSpan uint64) 
 // same mean lookup latency. The final fingerprint is also pinned as a
 // constant so any silent drift of the mutation pipeline — RNG draw order,
 // ship scheduling, delete semantics — fails loudly even if it drifts the
-// same way on both sides.
+// same way on both sides. The batched subtests pin the other half of the
+// one lane loop: dispatching the lane in 64-op vectors homes every file
+// where op-by-op dispatch does, on both backends.
 func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 	tcfg := replayTestTraceConfig()
 	const ops = 6_000
@@ -103,7 +106,7 @@ func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 	}
 
 	parallel := newReplayTestCluster(t, tcfg)
-	stats, err := ReplayParallel(context.Background(), coreSys{parallel}, tcfg, ops, 1)
+	stats, err := ReplayParallel(context.Background(), coreSys{parallel}, tcfg, ops, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +147,72 @@ func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 	if fpSerial != wantFP {
 		t.Errorf("pinned replay fingerprint drifted: got %d, want %d", fpSerial, wantFP)
 	}
+
+	fcfg := ghba.Config{NumMDS: 6, MaxGroupSize: 3, ExpectedFilesPerMDS: 2_000, Seed: tcfg.Seed}
+	backends := []struct {
+		name  string
+		build func(t *testing.T) homedBackend
+	}{
+		{"batched/sim", func(t *testing.T) homedBackend {
+			sim, err := ghba.New(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		}},
+		{"batched/tcp", func(t *testing.T) homedBackend {
+			if testing.Short() {
+				t.Skip("loopback TCP daemons are not short")
+			}
+			tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{Config: fcfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tcp.Close() })
+			return tcp
+		}},
+	}
+	for _, tc := range backends {
+		t.Run(tc.name, func(t *testing.T) {
+			const ops = 2_000
+			replay := func(batchSize int) (homedBackend, ReplayStats) {
+				b := tc.build(t)
+				if err := PopulateFromGenerator(b, gen); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := ReplayParallel(context.Background(), b, tcfg, ops, 1, batchSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b, stats
+			}
+			perOp, ps := replay(1)
+			batched, bs := replay(64)
+			for sub := 0; sub < tcfg.TIF; sub++ {
+				for f := uint64(0); f < tcfg.FilesPerSubtrace+ops; f++ {
+					p := trace.PathFor(sub, f)
+					if hp, hb := perOp.HomeOf(p), batched.HomeOf(p); hp != hb {
+						t.Fatalf("%s homed at %d per op, %d batched", p, hp, hb)
+					}
+				}
+			}
+			if perOp.FileCount() != batched.FileCount() {
+				t.Errorf("file counts diverged: %d vs %d", perOp.FileCount(), batched.FileCount())
+			}
+			if ps.Lookups != bs.Lookups || ps.Creates != bs.Creates ||
+				ps.Deletes != bs.Deletes || ps.DeleteMisses != bs.DeleteMisses {
+				t.Errorf("record classification diverged: per-op %+v, batched %+v", ps, bs)
+			}
+		})
+	}
+}
+
+// homedBackend is a BatchSystem that also exposes ground truth, as both ghba
+// backends do.
+type homedBackend interface {
+	BatchSystem
+	HomeOf(path string) int
+	FileCount() int
 }
 
 // TestReplayParallelManyWorkersProperties checks what must hold in every
@@ -157,7 +226,7 @@ func TestReplayParallelManyWorkersProperties(t *testing.T) {
 
 	cluster := newReplayTestCluster(t, tcfg)
 	initial := cluster.FileCount()
-	stats, err := ReplayParallel(context.Background(), coreSys{cluster}, tcfg, ops, workers)
+	stats, err := ReplayParallel(context.Background(), coreSys{cluster}, tcfg, ops, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -196,12 +195,6 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		DeadAfter:    4,
 	})
 
-	gens, err := trace.SplitGenerators(tcfg, cfg.Workers)
-	if err != nil {
-		det.Stop()
-		return res, err
-	}
-
 	// Workload: each worker owns one lane of the split trace and tolerates
 	// per-op errors — the point is to keep the cluster under load across
 	// crash windows. Every dispatched path is recorded for the sweep.
@@ -209,31 +202,21 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		dispatched atomic.Int64
 		opErrors   atomic.Int64
 		lanePaths  = make([][]string, cfg.Workers)
-		wg         sync.WaitGroup
 	)
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		n := cfg.Ops / cfg.Workers
-		if w < cfg.Ops%cfg.Workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			rng := replayRNG(cfg.Seed, w)
-			lane := gens[w]
-			for i := 0; i < n; i++ {
-				rec := lane.Next()
-				lanePaths[w] = append(lanePaths[w], rec.Path)
-				if _, err := cluster.ApplyWith(context.Background(), rng, rec); err != nil {
-					opErrors.Add(1)
-				}
-				dispatched.Add(1)
+	wg, err := startLanes(tcfg, cfg.Ops, cfg.Workers, func(w, n int, rng *rand.Rand, lane *trace.Generator) {
+		for i := 0; i < n; i++ {
+			rec := lane.Next()
+			lanePaths[w] = append(lanePaths[w], rec.Path)
+			if _, err := cluster.ApplyWith(context.Background(), rng, rec); err != nil {
+				opErrors.Add(1)
 			}
-		}(w, n)
+			dispatched.Add(1)
+		}
+	})
+	if err != nil {
+		det.Stop()
+		return res, err
 	}
 
 	// Chaos: strike points are spread across the workload by dispatch

@@ -64,50 +64,3 @@ func TestSoakRequiresDurability(t *testing.T) {
 		t.Fatal("soak with unknown mode did not error")
 	}
 }
-
-// TestRecoveryBenchSmall runs a miniature recovery bench end to end: the
-// recovery-time series must show the snapshot cadence bounding the replayed
-// tail, and the restart-latency phase must complete with sane percentiles.
-func TestRecoveryBenchSmall(t *testing.T) {
-	cfg := RecoveryBenchConfig{
-		LogLens:        []int{200, 800},
-		SnapshotEverys: []int{100},
-		N:              3,
-		M:              2,
-		Files:          300,
-		Lookups:        2_000,
-		Workers:        2,
-		DataDir:        t.TempDir(),
-		Seed:           1,
-	}
-	res, err := RecoveryBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatRecoveryBench(res))
-	if len(res.Points) != 3 {
-		t.Fatalf("got %d recovery points, want 3", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.SnapshotEvery < 0 && p.Replayed != p.LogRecords {
-			t.Errorf("compaction off: replayed %d of %d logged records", p.Replayed, p.LogRecords)
-		}
-		if p.Files != p.LogRecords {
-			t.Errorf("recovered %d files from %d logged creates", p.Files, p.LogRecords)
-		}
-		if p.Recovery <= 0 {
-			t.Errorf("non-positive recovery time for point %+v", p)
-		}
-	}
-	// The compacted point replays at most one cadence worth of tail.
-	last := res.Points[len(res.Points)-1]
-	if last.SnapshotEvery >= 0 && last.Replayed > last.SnapshotEvery {
-		t.Errorf("snapshot cadence %d did not bound replay (%d records)", last.SnapshotEvery, last.Replayed)
-	}
-	if res.Lookups != cfg.Lookups {
-		t.Errorf("timed %d lookups, want %d", res.Lookups, cfg.Lookups)
-	}
-	if res.SteadyP99 < res.SteadyP50 || res.SteadyP50 <= 0 {
-		t.Errorf("implausible steady percentiles: p50 %v, p99 %v", res.SteadyP50, res.SteadyP99)
-	}
-}

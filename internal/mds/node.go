@@ -183,15 +183,11 @@ func (n *Node) DeleteFile(path string) bool {
 // verify" behind a positive L4 answer; the caller charges the disk cost).
 func (n *Node) HasFile(path string) bool { return n.store.Has(path) }
 
-// LocalPositive reports whether the local filter answers positively — the
-// memory-speed part of an L4 check. A negative is definitive (no false
-// negatives for undeleted files); a positive requires verification. Lock-free.
-func (n *Node) LocalPositive(path string) bool {
-	return n.local.Load().ContainsString(path)
-}
-
-// LocalPositiveDigest is LocalPositive for a pre-hashed path: k word loads
-// against the published filter, no lock, no hashing.
+// LocalPositiveDigest reports whether the local filter answers positively for
+// a pre-hashed path — the memory-speed part of an L4 check. A negative is
+// definitive (no false negatives for undeleted files); a positive requires
+// verification. k word loads against the published filter, no lock, no
+// hashing.
 //
 //ghbavet:hotpath
 func (n *Node) LocalPositiveDigest(d *bloom.Digest) bool {
@@ -301,28 +297,17 @@ func (n *Node) DropReplica(origin int) *bloom.Filter {
 // ReplicaCount returns how many remote replicas this node stores.
 func (n *Node) ReplicaCount() int { return n.replicas.Len() }
 
-// QueryL1 runs the L1 check: the LRU array.
-func (n *Node) QueryL1(path string) bloomarray.Result {
-	return n.lru.QueryString(path)
-}
-
-// QueryL1Digest is QueryL1 for a pre-hashed path, appending hits into buf
-// (which may be nil).
+// QueryL1Digest runs the L1 check — the LRU array — for a pre-hashed path,
+// appending hits into buf (which may be nil).
 func (n *Node) QueryL1Digest(d *bloom.Digest, buf []int) bloomarray.Result {
 	return n.lru.QueryDigest(d, buf)
 }
 
-// QueryL2 runs the L2 check: the replica array plus the node's own filter
-// (the node is knowledgeable about its own files at memory speed). The
-// node's own ID participates like any replica.
-func (n *Node) QueryL2(path string) bloomarray.Result {
-	d := bloom.NewDigestString(path)
-	return n.QueryL2Digest(&d, nil)
-}
-
-// QueryL2Digest is QueryL2 for a pre-hashed path: the path is hashed zero
-// times here — the segment array probe and the own-filter probe both replay
-// the digest's cached bit positions. Hits are appended into buf (which may
+// QueryL2Digest runs the L2 check for a pre-hashed path: the replica array
+// plus the node's own filter (the node is knowledgeable about its own files
+// at memory speed), whose ID participates like any replica. The path is
+// hashed zero times here — the segment array probe and the own-filter probe
+// both replay the digest's cached bit positions. Hits are appended into buf (which may
 // be nil) and returned in ascending order. The whole check is lock-free:
 // one COW-snapshot scan plus one published-pointer probe.
 //
@@ -335,12 +320,8 @@ func (n *Node) QueryL2Digest(d *bloom.Digest, buf []int) bloomarray.Result {
 	return r
 }
 
-// ObserveHit feeds a confirmed (path → home) mapping into the L1 array.
-func (n *Node) ObserveHit(path string, home int) {
-	n.lru.ObserveString(path, home)
-}
-
-// ObserveHitDigest feeds a pre-hashed confirmed mapping into the L1 array.
+// ObserveHitDigest feeds a pre-hashed confirmed (path → home) mapping into
+// the L1 array.
 func (n *Node) ObserveHitDigest(d *bloom.Digest, home int) {
 	n.lru.ObserveDigest(d, home)
 }

@@ -8,6 +8,12 @@ import (
 	"ghba/internal/metastore"
 )
 
+// digestOf hashes a path for the node's digest-form probes.
+func digestOf(path string) *bloom.Digest {
+	d := bloom.NewDigestString(path)
+	return &d
+}
+
 func newTestNode(t *testing.T, id int) *Node {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -36,7 +42,7 @@ func TestNewNodeValidation(t *testing.T) {
 func TestAddDeleteFile(t *testing.T) {
 	n := newTestNode(t, 1)
 	n.AddFile("/a")
-	if !n.HasFile("/a") || !n.LocalPositive("/a") {
+	if !n.HasFile("/a") || !n.LocalPositiveDigest(digestOf("/a")) {
 		t.Error("added file not visible")
 	}
 	if n.FileCount() != 1 {
@@ -64,7 +70,7 @@ func TestAddFileMeta(t *testing.T) {
 	if !ok || md.Size != 42 {
 		t.Error("metadata not stored")
 	}
-	if !n.LocalPositive("/m") {
+	if !n.LocalPositiveDigest(digestOf("/m")) {
 		t.Error("filter not updated by AddFileMeta")
 	}
 }
@@ -85,14 +91,14 @@ func TestRebuildClearsStaleBits(t *testing.T) {
 		t.Error("rebuild did not reset delete counter")
 	}
 	for i := 0; i < 100; i++ {
-		if !n.LocalPositive("/keep" + strconv.Itoa(i)) {
+		if !n.LocalPositiveDigest(digestOf("/keep" + strconv.Itoa(i))) {
 			t.Fatalf("rebuild lost kept file %d", i)
 		}
 	}
 	// Most dropped files must now answer negatively (allow Bloom FPs).
 	stale := 0
 	for i := 0; i < 100; i++ {
-		if n.LocalPositive("/drop" + strconv.Itoa(i)) {
+		if n.LocalPositiveDigest(digestOf("/drop" + strconv.Itoa(i))) {
 			stale++
 		}
 	}
@@ -141,7 +147,7 @@ func TestReplicaManagement(t *testing.T) {
 	if n.ReplicaCount() != 1 {
 		t.Errorf("ReplicaCount = %d", n.ReplicaCount())
 	}
-	r := n.QueryL2("/remote/file")
+	r := n.QueryL2Digest(digestOf("/remote/file"), nil)
 	if id, ok := r.Unique(); !ok || id != 7 {
 		t.Errorf("QueryL2 = %v, want unique 7", r.Hits)
 	}
@@ -159,7 +165,7 @@ func TestReplicaManagement(t *testing.T) {
 func TestQueryL2IncludesSelf(t *testing.T) {
 	n := newTestNode(t, 5)
 	n.AddFile("/mine")
-	r := n.QueryL2("/mine")
+	r := n.QueryL2Digest(digestOf("/mine"), nil)
 	if id, ok := r.Unique(); !ok || id != 5 {
 		t.Errorf("QueryL2 for own file = %v, want unique 5", r.Hits)
 	}
@@ -174,7 +180,7 @@ func TestQueryL2SelfAndReplicaMultiHit(t *testing.T) {
 	}
 	f.AddString("/dup")
 	n.InstallReplica(2, f)
-	r := n.QueryL2("/dup")
+	r := n.QueryL2Digest(digestOf("/dup"), nil)
 	if !r.Multiple() {
 		t.Fatalf("QueryL2 = %v, want multiple", r.Hits)
 	}
@@ -185,11 +191,11 @@ func TestQueryL2SelfAndReplicaMultiHit(t *testing.T) {
 
 func TestL1ObserveAndQuery(t *testing.T) {
 	n := newTestNode(t, 1)
-	if !n.QueryL1("/f").Miss() {
+	if !n.QueryL1Digest(digestOf("/f"), nil).Miss() {
 		t.Error("cold L1 hit")
 	}
-	n.ObserveHit("/f", 9)
-	if id, ok := n.QueryL1("/f").Unique(); !ok || id != 9 {
+	n.ObserveHitDigest(digestOf("/f"), 9)
+	if id, ok := n.QueryL1Digest(digestOf("/f"), nil).Unique(); !ok || id != 9 {
 		t.Error("L1 did not learn observation")
 	}
 }

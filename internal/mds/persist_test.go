@@ -57,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if back.HasFile("/f/10") {
 		t.Fatal("deleted file resurrected")
 	}
-	if !back.LocalPositive("/f/11") {
+	if !back.LocalPositiveDigest(digestOf("/f/11")) {
 		t.Fatal("restored filter lost a live path")
 	}
 	// Drift tracking must survive: shipped == local at snapshot time.

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ghba/internal/bloomarray"
 	"ghba/internal/trace"
 )
 
@@ -344,6 +345,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	var msgs atomic.Int64
 	results := make([]LookupResult, len(paths))
 	resolved := make([]bool, len(paths))
+	ids := c.snapshotIDs()
 
 	// Entry leg: L1 + L2 hits for every path, one RPC per distinct entry.
 	byEntry := make(map[int][]int)
@@ -405,12 +407,11 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	candsL2 := make(map[int]int)
 	var pairs []verifyPair
 	for i := range paths {
-		if len(l1[i]) == 1 {
-			candsL1[i] = l1[i][0]
-			pairs = append(pairs, verifyPair{idx: i, daemon: l1[i][0]})
+		if id, ok := candidate(ids, l1[i]); ok {
+			candsL1[i] = id
+			pairs = append(pairs, verifyPair{idx: i, daemon: id})
 		}
-		if len(l2[i]) == 1 {
-			id := l2[i][0]
+		if id, ok := candidate(ids, l2[i]); ok {
 			if prev, had := candsL1[i]; had && prev == id {
 				continue
 			}
@@ -440,17 +441,12 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// already had its chance above, exactly as in the serial path.
 	if c.opts.Mode == ModeGHBA {
 		byTarget := make(map[int][]int)
-		unions := make([]map[int]struct{}, len(paths))
+		unions := make([][]int, len(paths))
 		for i := range paths {
 			if resolved[i] {
 				continue
 			}
-			members := c.groupMembers(entries[i])
-			if members == nil {
-				continue
-			}
-			unions[i] = make(map[int]struct{})
-			for _, m := range members {
+			for _, m := range c.groupMembers(entries[i]) {
 				if m == entries[i] {
 					continue
 				}
@@ -482,7 +478,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 				mu.Lock()
 				for k, i := range idxs {
 					for _, h := range hits[k] {
-						unions[i][h] = struct{}{}
+						unions[i] = bloomarray.InsertSorted(unions[i], h)
 					}
 				}
 				mu.Unlock()
@@ -498,17 +494,13 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		candsL3 := make(map[int]int)
 		var pairs3 []verifyPair
 		for i := range paths {
-			if resolved[i] || len(unions[i]) != 1 {
+			if resolved[i] {
 				continue
 			}
-			// unions[i] holds exactly one daemon here; extract it before
-			// appending so pairs3 never accumulates in map-iteration order.
-			var h int
-			for sole := range unions[i] {
-				h = sole
+			if h, ok := candidate(ids, unions[i]); ok {
+				candsL3[i] = h
+				pairs3 = append(pairs3, verifyPair{idx: i, daemon: h})
 			}
-			candsL3[i] = h
-			pairs3 = append(pairs3, verifyPair{idx: i, daemon: h})
 		}
 		ans3, err := c.verifyPairs(ctx, paths, pairs3, &msgs)
 		if err != nil {

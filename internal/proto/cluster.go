@@ -6,17 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"ghba/internal/bloomarray"
 	"ghba/internal/mds"
 	"ghba/internal/metrics"
 	"ghba/internal/rpcnet"
 	"ghba/internal/shipq"
-	"ghba/internal/trace"
 	"ghba/internal/wal"
 )
 
@@ -509,6 +508,18 @@ func (c *Cluster) snapshotIDs() []int {
 	return c.index.Load().ids
 }
 
+// candidate returns the daemon one level's hit set nominates for verify: the
+// sole hit, provided it is still a live member. Failover leaves traces of a
+// removed daemon in L1 generations and replica bits until caches age out, and
+// a verify sent to a dead member would fail the lookup — so both walks, the
+// serial lookup and the batched lookupVector, pick their candidates here.
+func candidate(live, hits []int) (int, bool) {
+	if len(hits) != 1 || !memberOf(live, hits[0]) {
+		return -1, false
+	}
+	return hits[0], true
+}
+
 // memberOf reports whether id is in a sorted membership snapshot.
 func memberOf(ids []int, id int) bool {
 	i := sort.SearchInts(ids, id)
@@ -768,7 +779,7 @@ type LookupResult struct {
 // Lookup resolves path through real RPCs, starting at a random entry MDS
 // drawn from the cluster's own RNG. Safe for concurrent use, though
 // concurrent callers contend on that RNG — parallel drivers should prefer
-// LookupParallel or LookupWith with per-worker RNGs.
+// LookupWith with per-worker RNGs.
 func (c *Cluster) Lookup(ctx context.Context, path string) (LookupResult, error) {
 	ids := c.snapshotIDs()
 	c.rngMu.Lock()
@@ -803,62 +814,6 @@ func (c *Cluster) LookupVia(ctx context.Context, path string, entry int) (Lookup
 		}
 	}
 	return res, nil
-}
-
-// workerSeed derives a deterministic per-worker RNG seed; the shared
-// derivation lives in trace.DispatchSeed so every parallel driver — the
-// facade's backend pools, the replay engine, this one — agrees on it.
-func workerSeed(seed int64, worker int) int64 {
-	return trace.DispatchSeed(seed, worker)
-}
-
-// LookupParallel resolves every path over real sockets using the given
-// number of worker goroutines and returns the results in path order. Each
-// worker enters the hierarchy at daemons drawn from its own seeded RNG, so
-// entry sequences are deterministic for a fixed (seed, paths, workers)
-// triple, and a single-worker run issues exactly the RPCs a serial
-// LookupWith loop would with worker 0's RNG. workers < 1 selects
-// GOMAXPROCS. The first error stops that worker's chunk; other workers
-// finish theirs, and all errors are joined.
-func (c *Cluster) LookupParallel(ctx context.Context, paths []string, workers int) ([]LookupResult, error) {
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	results := make([]LookupResult, len(paths))
-	errs := make([]error, workers)
-	chunk := (len(paths) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(paths) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(paths) {
-			hi = len(paths)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(c.opts.Seed, w)))
-			for i := lo; i < hi; i++ {
-				res, err := c.LookupWith(ctx, rng, paths[i])
-				if err != nil {
-					errs[w] = fmt.Errorf("worker %d, lookup %q: %w", w, paths[i], err)
-					return
-				}
-				results[i] = res
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return results, errors.Join(errs...)
 }
 
 // observe queues one L1 learning record and multicasts the batch to every
@@ -912,9 +867,6 @@ func (c *Cluster) observeMany(ctx context.Context, obs []observation) error {
 }
 
 func (c *Cluster) lookup(ctx context.Context, path string, entry int, ctr *atomic.Int64) (LookupResult, error) {
-	// Failover leaves traces of a removed daemon in L1 generations and
-	// replica bits until caches age out; a verify against a dead member
-	// would fail the lookup, so hits are filtered against live membership.
 	ids := c.snapshotIDs()
 	// Entry query: L1 + L2 in one RPC.
 	resp, err := c.call(ctx, entry, opQueryEntry, []byte(path), ctr)
@@ -930,18 +882,18 @@ func (c *Cluster) lookup(ctx context.Context, path string, entry int, ctr *atomi
 		return LookupResult{}, err
 	}
 
-	if len(l1Hits) == 1 && memberOf(ids, l1Hits[0]) {
-		if ok, err := c.verify(ctx, l1Hits[0], path, ctr); err != nil {
+	if home, ok := candidate(ids, l1Hits); ok {
+		if ok, err := c.verify(ctx, home, path, ctr); err != nil {
 			return LookupResult{}, err
 		} else if ok {
-			return LookupResult{Home: l1Hits[0], Found: true, Level: 1}, nil
+			return LookupResult{Home: home, Found: true, Level: 1}, nil
 		}
 	}
-	if len(l2Hits) == 1 && memberOf(ids, l2Hits[0]) {
-		if ok, err := c.verify(ctx, l2Hits[0], path, ctr); err != nil {
+	if home, ok := candidate(ids, l2Hits); ok {
+		if ok, err := c.verify(ctx, home, path, ctr); err != nil {
 			return LookupResult{}, err
 		} else if ok {
-			return LookupResult{Home: l2Hits[0], Found: true, Level: 2}, nil
+			return LookupResult{Home: home, Found: true, Level: 2}, nil
 		}
 	}
 
@@ -955,17 +907,11 @@ func (c *Cluster) lookup(ctx context.Context, path string, entry int, ctr *atomi
 			if err != nil {
 				return LookupResult{}, err
 			}
-			if len(hits) == 1 {
-				var home int
-				for h := range hits {
-					home = h
-				}
-				if memberOf(ids, home) {
-					if ok, err := c.verify(ctx, home, path, ctr); err != nil {
-						return LookupResult{}, err
-					} else if ok {
-						return LookupResult{Home: home, Found: true, Level: 3}, nil
-					}
+			if home, ok := candidate(ids, hits); ok {
+				if ok, err := c.verify(ctx, home, path, ctr); err != nil {
+					return LookupResult{}, err
+				} else if ok {
+					return LookupResult{Home: home, Found: true, Level: 3}, nil
 				}
 			}
 		}
@@ -992,7 +938,7 @@ func (c *Cluster) verify(ctx context.Context, id int, path string, ctr *atomic.I
 
 // multicastQuery fans a query out to members (minus the entry) in parallel
 // and returns the union of their hits.
-func (c *Cluster) multicastQuery(ctx context.Context, members []int, entry int, msgType uint8, path string, ctr *atomic.Int64) (map[int]struct{}, error) {
+func (c *Cluster) multicastQuery(ctx context.Context, members []int, entry int, msgType uint8, path string, ctr *atomic.Int64) ([]int, error) {
 	type answer struct {
 		hits []int
 		err  error
@@ -1017,13 +963,13 @@ func (c *Cluster) multicastQuery(ctx context.Context, members []int, entry int, 
 	}
 	wg.Wait()
 	close(answers)
-	union := make(map[int]struct{})
+	var union []int
 	for a := range answers {
 		if a.err != nil {
 			return nil, a.err
 		}
 		for _, h := range a.hits {
-			union[h] = struct{}{}
+			union = bloomarray.InsertSorted(union, h)
 		}
 	}
 	return union, nil

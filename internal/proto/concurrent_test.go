@@ -10,66 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ghba/internal/trace"
 )
-
-// TestLookupParallelSingleWorkerMatchesSerial pins the prototype's
-// reproducibility contract: a single-worker parallel run issues exactly the
-// serial Lookup path's RPC sequence, driven by worker 0's RNG. Two
-// identically built clusters — one through LookupParallel(batch, 1), one
-// serially through LookupWith with the same derived RNG — must agree on
-// every home, level, and per-lookup message count. (Latency is wall-clock
-// over real sockets, so it is the one field excluded.)
-func TestLookupParallelSingleWorkerMatchesSerial(t *testing.T) {
-	a := startPopulated(t, 6, 3, ModeGHBA, 200)
-	b := startPopulated(t, 6, 3, ModeGHBA, 200)
-	batch := make([]string, 150)
-	for i := range batch {
-		batch[i] = "/p/f" + strconv.Itoa((i*7)%200)
-	}
-
-	parallel, err := a.LookupParallel(context.Background(), batch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(workerSeed(b.opts.Seed, 0)))
-	for i, p := range batch {
-		serial, err := b.LookupWith(context.Background(), rng, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := parallel[i], serial
-		got.Latency, want.Latency = 0, 0
-		if got != want {
-			t.Fatalf("lookup %d (%s) diverged: parallel %+v, serial %+v", i, p, got, want)
-		}
-	}
-}
-
-// TestLookupParallelManyWorkers checks correctness (not determinism) under
-// real concurrency: every result present, found, and matching ground truth.
-func TestLookupParallelManyWorkers(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 300)
-	batch := make([]string, 400)
-	for i := range batch {
-		batch[i] = "/p/f" + strconv.Itoa(i%300)
-	}
-	results, err := c.LookupParallel(context.Background(), batch, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(batch) {
-		t.Fatalf("got %d results for %d paths", len(results), len(batch))
-	}
-	for i, res := range results {
-		if !res.Found || res.Home != c.HomeOf(batch[i]) {
-			t.Fatalf("lookup %d (%s) = %+v (truth %d)", i, batch[i], res, c.HomeOf(batch[i]))
-		}
-		if res.Messages < 1 {
-			t.Fatalf("lookup %d counted %d messages", i, res.Messages)
-		}
-	}
-}
 
 // TestParallelLookupsDuringAddMDSChurn is the race stress test: parallel
 // lookup workers run flat out while a writer goroutine grows the cluster,
@@ -98,7 +41,7 @@ func TestParallelLookupsDuringAddMDSChurn(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(99, w)))
+			rng := rand.New(rand.NewSource(trace.DispatchSeed(99, w)))
 			for i := 0; i < 60; i++ {
 				path := "/p/f" + strconv.Itoa((w*97+i)%300)
 				res, err := c.LookupWith(context.Background(), rng, path)

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"ghba/internal/rpcnet"
+	"ghba/internal/trace"
 )
 
 // durableOptions is testOptions plus a WAL directory and a retry policy —
@@ -184,6 +186,71 @@ func TestFailMDSRemovesDaemon(t *testing.T) {
 				t.Fatal("failing an already-removed daemon succeeded")
 			}
 		})
+	}
+}
+
+// TestLookupBatchAfterFailover pins that the vector walk filters hits against
+// live membership exactly as the serial walk does: after a failover the L1
+// generations and replica bits still name the dead daemon for the files it
+// homed, and a verify sent there would fail the whole vector. ObserveBatch=1
+// plus a full sweep makes every survivor's L1 remember every home first.
+func TestLookupBatchAfterFailover(t *testing.T) {
+	opts := testOptions(4, 2, ModeGHBA)
+	opts.ObserveBatch = 1
+	c, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	paths := make([]string, 150)
+	for i := range paths {
+		paths[i] = "/p/f" + strconv.Itoa(i)
+	}
+	c.Populate(paths)
+	verifySweep(t, c, paths)
+	victim := c.MDSIDs()[0]
+	if _, err := c.FailMDS(context.Background(), victim); err != nil {
+		t.Fatalf("FailMDS: %v", err)
+	}
+	verifySweep(t, c, paths)
+
+	check := func(what string, path string, res LookupResult) {
+		t.Helper()
+		if want := c.HomeOf(path); want < 0 && res.Found {
+			t.Errorf("%s %s: found at %d, ground truth says gone", what, path, res.Home)
+		} else if want >= 0 && (!res.Found || res.Home != want) {
+			t.Errorf("%s %s = %+v, ground truth home %d", what, path, res, want)
+		}
+	}
+	ctx := context.Background()
+	results, err := c.LookupBatch(ctx, rand.New(rand.NewSource(5)), paths)
+	if err != nil {
+		t.Fatalf("LookupBatch after failover: %v", err)
+	}
+	for i, res := range results {
+		check("lookup", paths[i], res)
+	}
+
+	// A mixed vector: every old path opened (survivors found, the victim's
+	// files gone), with creates and deletes of fresh paths interleaved.
+	var recs []trace.Record
+	for i, p := range paths {
+		recs = append(recs, trace.Record{Op: trace.OpStat, Path: p})
+		if i%10 == 0 {
+			recs = append(recs, trace.Record{Op: trace.OpCreate, Path: "/after/f" + strconv.Itoa(i)})
+		}
+		if i%30 == 29 {
+			recs = append(recs, trace.Record{Op: trace.OpDelete, Path: "/after/f" + strconv.Itoa(i-9)})
+		}
+	}
+	applied, err := c.ApplyBatch(ctx, rand.New(rand.NewSource(6)), recs)
+	if err != nil {
+		t.Fatalf("ApplyBatch after failover: %v", err)
+	}
+	for i, rec := range recs {
+		if rec.Op == trace.OpStat {
+			check("apply", rec.Path, applied[i])
+		}
 	}
 }
 

@@ -203,7 +203,7 @@ func TestConcurrentMutationsAndLookups(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(workerSeed(7, w)))
+			rng := rand.New(rand.NewSource(trace.DispatchSeed(7, w)))
 			for i := 0; i < 50; i++ {
 				var rec trace.Record
 				switch i % 3 {

@@ -6,7 +6,27 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"ghba/internal/trace"
 )
+
+// populateParallel bulk-loads files paths into b and returns a lookup batch
+// cycling through them.
+func populateParallel(t testing.TB, b Backend, files, lookups int) []string {
+	t.Helper()
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = "/par/f" + strconv.Itoa(i)
+	}
+	if err := b.CreateAll(context.Background(), paths); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]string, lookups)
+	for i := range batch {
+		batch[i] = paths[i%files]
+	}
+	return batch
+}
 
 // newParallelSim builds a populated simulation plus a lookup batch cycling
 // through its namespace.
@@ -16,86 +36,121 @@ func newParallelSim(t testing.TB, files, lookups int) (*Simulation, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := make([]string, files)
-	for i := range paths {
-		paths[i] = "/par/f" + strconv.Itoa(i)
-	}
-	if err := sim.CreateAll(context.Background(), paths); err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]string, lookups)
-	for i := range batch {
-		batch[i] = paths[i%files]
-	}
-	return sim, batch
+	return sim, populateParallel(t, sim, files, lookups)
+}
+
+// homedBackend is a Backend that also exposes ground truth, as both shipped
+// backends do.
+type homedBackend interface {
+	Backend
+	HomeOf(path string) int
+}
+
+// parallelBackends is the matrix the LookupParallel contract tests run
+// over: the simulation, and real loopback daemons (smaller, as every lookup
+// there is several socket round trips).
+var parallelBackends = []struct {
+	name           string
+	files, lookups int
+	build          func(t *testing.T, files, lookups int) (homedBackend, []string)
+}{
+	{"sim", 500, 4_000, func(t *testing.T, files, lookups int) (homedBackend, []string) {
+		return newParallelSim(t, files, lookups)
+	}},
+	{"tcp", 200, 600, func(t *testing.T, files, lookups int) (homedBackend, []string) {
+		if testing.Short() {
+			t.Skip("loopback TCP daemons are not short")
+		}
+		tcp, err := StartPrototype(PrototypeConfig{
+			Config: Config{NumMDS: 6, MaxGroupSize: 3, ExpectedFilesPerMDS: 2_000, Seed: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tcp.Close() })
+		return tcp, populateParallel(t, tcp, files, lookups)
+	}},
 }
 
 // TestLookupParallelSingleWorkerMatchesSerial pins the reproducibility
-// contract: a single-worker parallel run is exactly the serial engine driven
-// by worker 0's RNG. Two identically built simulations — one driven through
-// LookupParallel(batch, 1), one serially through the core read path with the
-// same derived RNG — must agree on every home, level, and latency, and on
-// the aggregate tally fractions.
+// contract on both backends: a single-worker parallel run is exactly the
+// serial engine driven by worker 0's RNG. Two identically built backends —
+// one driven through LookupParallel(batch, 1), one serially through
+// LookupWith with the same derived RNG — must agree on every home and level
+// and on the per-level tallies; the simulation, whose latencies are
+// simulated rather than wall clock, on every latency too.
 func TestLookupParallelSingleWorkerMatchesSerial(t *testing.T) {
-	simA, batch := newParallelSim(t, 500, 1_500)
-	simB, _ := newParallelSim(t, 500, 1_500)
+	for _, tc := range parallelBackends {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			a, batch := tc.build(t, tc.files, tc.lookups)
+			b, _ := tc.build(t, tc.files, tc.lookups)
+			simA, simulated := a.(*Simulation)
 
-	parallel, err := LookupParallel(context.Background(), simA, batch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(workerSeed(simB.seed, 0)))
-	serial := make([]Result, len(batch))
-	for i, p := range batch {
-		serial[i] = toResult(simB.cluster.LookupWith(rng, p, -1))
-	}
-
-	for i := range parallel {
-		if parallel[i] != serial[i] {
-			t.Fatalf("lookup %d diverged: parallel %+v, serial %+v",
-				i, parallel[i], serial[i])
-		}
-	}
-	fa, fb := simA.LevelFractions(), simB.LevelFractions()
-	if fa != fb {
-		t.Errorf("tally fractions diverged: %v vs %v", fa, fb)
-	}
-	if simA.MeanLatency() != simB.MeanLatency() {
-		t.Errorf("mean latency diverged: %v vs %v", simA.MeanLatency(), simB.MeanLatency())
+			parallel, err := LookupParallel(ctx, a, batch, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(trace.DispatchSeed(b.Seed(), 0)))
+			for i, p := range batch {
+				serial, err := b.LookupWith(ctx, rng, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := parallel[i]
+				if !simulated {
+					got.Latency, serial.Latency = 0, 0
+				}
+				if got != serial {
+					t.Fatalf("lookup %d diverged: parallel %+v, serial %+v", i, got, serial)
+				}
+			}
+			if ca, cb := a.LevelCounts(), b.LevelCounts(); ca != cb {
+				t.Errorf("level tallies diverged: %v vs %v", ca, cb)
+			}
+			if simulated {
+				if la, lb := simA.MeanLatency(), b.(*Simulation).MeanLatency(); la != lb {
+					t.Errorf("mean latency diverged: %v vs %v", la, lb)
+				}
+			}
+		})
 	}
 }
 
 // TestLookupParallelManyWorkers checks the parallel engine's correctness
-// properties that hold regardless of interleaving: every existing file is
-// found at its ground-truth home, results line up with their input paths,
-// and the tallies account for every lookup.
+// properties that hold regardless of interleaving, in process and over real
+// sockets: every existing file is found at its ground-truth home, results
+// line up with their input paths, and the tallies account for every lookup.
 func TestLookupParallelManyWorkers(t *testing.T) {
-	sim, batch := newParallelSim(t, 500, 4_000)
-	results, err := LookupParallel(context.Background(), sim, batch, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(batch) {
-		t.Fatalf("got %d results for %d paths", len(results), len(batch))
-	}
-	for i, res := range results {
-		if res.Path != batch[i] {
-			t.Fatalf("result %d is for %q, want %q", i, res.Path, batch[i])
-		}
-		if !res.Found {
-			t.Fatalf("existing file %s not found", res.Path)
-		}
-		if truth := sim.cluster.HomeOf(res.Path); res.Home != truth {
-			t.Fatalf("%s resolved to %d, truth %d", res.Path, res.Home, truth)
-		}
-	}
-	var sum float64
-	for l := 1; l <= 4; l++ {
-		sum += sim.LevelFractions()[l]
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Errorf("level fractions sum to %f", sum)
+	for _, tc := range parallelBackends {
+		t.Run(tc.name, func(t *testing.T) {
+			b, batch := tc.build(t, tc.files, tc.lookups)
+			results, err := LookupParallel(context.Background(), b, batch, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(batch) {
+				t.Fatalf("got %d results for %d paths", len(results), len(batch))
+			}
+			for i, res := range results {
+				if res.Path != batch[i] {
+					t.Fatalf("result %d is for %q, want %q", i, res.Path, batch[i])
+				}
+				if !res.Found {
+					t.Fatalf("existing file %s not found", res.Path)
+				}
+				if truth := b.HomeOf(res.Path); res.Home != truth {
+					t.Fatalf("%s resolved to %d, truth %d", res.Path, res.Home, truth)
+				}
+			}
+			var tallied uint64
+			for _, n := range b.LevelCounts() {
+				tallied += n
+			}
+			if tallied != uint64(len(batch)) {
+				t.Errorf("level tallies account for %d of %d lookups", tallied, len(batch))
+			}
+		})
 	}
 }
 

@@ -170,7 +170,7 @@ func (p *Prototype) LookupWith(ctx context.Context, rng *rand.Rand, path string)
 // home's filter crosses the threshold), deletes unlink, lookups walk the
 // hierarchy.
 func (p *Prototype) Apply(ctx context.Context, op Op) (Result, error) {
-	res, err := p.cluster.Apply(ctx, op.record())
+	res, err := p.cluster.Apply(ctx, op.Record())
 	if err != nil {
 		return Result{}, err
 	}
@@ -181,7 +181,7 @@ func (p *Prototype) Apply(ctx context.Context, op Op) (Result, error) {
 // the simulation's exactly, so a fixed-seed trace replays onto identical
 // homes on either backend.
 func (p *Prototype) ApplyWith(ctx context.Context, rng *rand.Rand, op Op) (Result, error) {
-	res, err := p.cluster.ApplyWith(ctx, rng, op.record())
+	res, err := p.cluster.ApplyWith(ctx, rng, op.Record())
 	if err != nil {
 		return Result{}, err
 	}
@@ -196,7 +196,7 @@ func (p *Prototype) ApplyWith(ctx context.Context, rng *rand.Rand, op Op) (Resul
 func (p *Prototype) ApplyBatch(ctx context.Context, rng *rand.Rand, ops []Op) ([]Result, error) {
 	recs := make([]trace.Record, len(ops))
 	for i, op := range ops {
-		recs[i] = op.record()
+		recs[i] = op.Record()
 	}
 	res, err := p.cluster.ApplyBatch(ctx, rng, recs)
 	if err != nil {
