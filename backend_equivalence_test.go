@@ -45,6 +45,15 @@ func TestCrossBackendEquivalenceBlocked(t *testing.T) {
 	runCrossBackendEquivalence(t, cfg)
 }
 
+// TestCrossBackendEquivalenceHBA pins sim ≡ TCP for the baseline too: with
+// groups of one both backends mirror every filter on every server, skip L3,
+// and ship every update system-wide.
+func TestCrossBackendEquivalenceHBA(t *testing.T) {
+	cfg := equivalenceConfig()
+	cfg.MaxGroupSize = 1
+	runCrossBackendEquivalence(t, cfg)
+}
+
 func runCrossBackendEquivalence(t *testing.T, cfg ghba.Config) {
 	if testing.Short() {
 		t.Skip("loopback TCP replay is not short")

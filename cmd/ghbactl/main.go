@@ -4,7 +4,7 @@
 // and message statistics.
 //
 //	ghbactl -n 20 -m 7 -files 10000 -ops 2000
-//	ghbactl -mode hba -n 20 -add 5
+//	ghbactl -m 1 -n 20 -add 5                     # the HBA baseline: groups of one
 //	ghbactl -throughput -workers 8 -ops 5000
 //	ghbactl -replay -mix 70:20:10 -workers 4 -ops 5000
 //	ghbactl -replay -rpcbatch 256 -ops 5000        # vectorized batch RPCs
@@ -37,8 +37,7 @@ import (
 func main() {
 	var (
 		n          = flag.Int("n", 12, "number of MDS daemons")
-		m          = flag.Int("m", 4, "max group size (G-HBA mode)")
-		mode       = flag.String("mode", "ghba", "scheme: ghba or hba")
+		m          = flag.Int("m", 4, "max group size (1 = the HBA baseline: every daemon mirrors every other)")
 		files      = flag.Int("files", 5_000, "namespace size")
 		ops        = flag.Int("ops", 1_000, "operations to issue")
 		adds       = flag.Int("add", 0, "MDS insertions to perform after the lookups")
@@ -66,7 +65,6 @@ func main() {
 			ShipBatch:           *shipBatch,
 			Seed:                *seed,
 		},
-		Mode:                 *mode,
 		ResidentReplicaLimit: *resid,
 		DiskPenalty:          *penalty,
 		CallTimeout:          *timeout,
@@ -74,8 +72,12 @@ func main() {
 	})
 	exitIf(err)
 	defer cluster.Close()
+	scheme := "G-HBA"
+	if *m == 1 {
+		scheme = "HBA"
+	}
 	fmt.Printf("ghbactl: %s cluster of %d daemons up (%s transport)\n",
-		cluster.Cluster().Mode(), cluster.NumMDS(), cluster.Transport())
+		scheme, cluster.NumMDS(), cluster.Transport())
 
 	if *replay {
 		runReplay(ctx, cluster, *files, *ops, *workers, *rpcBatch, *mix, *seed)

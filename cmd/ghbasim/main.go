@@ -1,9 +1,10 @@
 // Command ghbasim replays an intensified synthetic workload against a
-// simulated G-HBA cluster (optionally against the HBA baseline) and prints
-// hit-rate, latency and message statistics.
+// simulated G-HBA cluster — or, with -m 1, against the HBA baseline, which is
+// the same engine with groups of one — and prints hit-rate, latency and
+// message statistics.
 //
 //	ghbasim -trace HP -n 60 -m 7 -tif 4 -ops 100000
-//	ghbasim -trace RES -n 100 -scheme hba -mem-mb 500
+//	ghbasim -trace RES -n 100 -m 1 -mem-mb 500
 package main
 
 import (
@@ -16,7 +17,6 @@ import (
 	"ghba/internal/analysis"
 	"ghba/internal/core"
 	"ghba/internal/experiments"
-	"ghba/internal/hba"
 	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
@@ -24,9 +24,8 @@ import (
 func main() {
 	var (
 		traceName = flag.String("trace", "HP", "workload profile: HP, RES or INS")
-		scheme    = flag.String("scheme", "ghba", "scheme: ghba or hba")
 		n         = flag.Int("n", 30, "number of metadata servers")
-		m         = flag.Int("m", 0, "max group size (0 = paper optimum for n)")
+		m         = flag.Int("m", 0, "max group size (0 = paper optimum for n, 1 = the HBA baseline)")
 		tif       = flag.Int("tif", 2, "trace intensifying factor")
 		files     = flag.Uint64("files", 10_000, "files per sub-trace")
 		ops       = flag.Int("ops", 50_000, "operations to replay")
@@ -62,24 +61,9 @@ func main() {
 	cfg.VirtualReplicaBytes = *virtMB << 20
 	cfg.Seed = *seed
 
-	var (
-		sys   experiments.System
-		stats func()
-	)
-	switch *scheme {
-	case "ghba":
-		c, err := core.New(cfg)
-		exitIf(err)
-		sys = experiments.CoreSystem(c)
-		stats = func() { printGHBAStats(c) }
-	case "hba":
-		c, err := hba.New(cfg)
-		exitIf(err)
-		sys = experiments.HBASystem(c)
-		stats = func() { printHBAStats(c) }
-	default:
-		exitIf(fmt.Errorf("unknown scheme %q", *scheme))
-	}
+	c, err := core.New(cfg)
+	exitIf(err)
+	sys := experiments.CoreSystem(c)
 
 	fmt.Printf("scheme=%s trace=%s N=%d M=%d TIF=%d files=%d ops=%d mem=%dMB\n",
 		sys.Name(), profile.Name, *n, *m, *tif, gen.InitialFileCount(), *ops, *memMB)
@@ -96,10 +80,10 @@ func main() {
 		fmt.Printf("  after %8d ops: mean latency %v\n", p.Ops, p.MeanLatency.Round(time.Microsecond))
 	}
 	fmt.Println()
-	stats()
+	printStats(c)
 }
 
-func printGHBAStats(c *core.Cluster) {
+func printStats(c *core.Cluster) {
 	t := c.Tally()
 	fmt.Printf("levels: L1=%.1f%% L2=%.1f%% L3=%.1f%% L4=%.1f%%\n",
 		100*t.Fraction(1), 100*t.Fraction(2), 100*t.Fraction(3), 100*t.Fraction(4))
@@ -107,16 +91,6 @@ func printGHBAStats(c *core.Cluster) {
 	f := c.MeanFootprint()
 	fmt.Printf("mean footprint/MDS: local=%dB replicas=%dB lru=%dB idbfa=%dB\n",
 		f.LocalFilterBytes, f.ReplicaBytes, f.LRUBytes, f.IDBFABytes)
-}
-
-func printHBAStats(c *hba.Cluster) {
-	t := c.Tally()
-	fmt.Printf("levels: L1=%.1f%% L2=%.1f%% multicast=%.1f%%\n",
-		100*t.Fraction(1), 100*t.Fraction(2), 100*t.Fraction(4))
-	fmt.Printf("messages=%v\n", c.Messages().Snapshot())
-	f := c.Footprint(0)
-	fmt.Printf("footprint/MDS: local=%dB replicas=%dB lru=%dB\n",
-		f.LocalFilterBytes, f.ReplicaBytes, f.LRUBytes)
 }
 
 func exitIf(err error) {

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"ghba/internal/core"
-	"ghba/internal/hba"
 	"ghba/internal/simnet"
 )
 
@@ -92,12 +91,14 @@ func TestLookupEquivalenceGHBA(t *testing.T) {
 	}
 }
 
-// TestLookupEquivalenceHBA pins the same outcome for the HBA baseline, whose
-// global array is the densest consumer of the digest path.
+// TestLookupEquivalenceHBA pins the same outcome for the HBA baseline —
+// groups of one — whose global array is the densest consumer of the digest
+// path. The constants were captured from the separate HBA simulator this
+// engine replaced.
 func TestLookupEquivalenceHBA(t *testing.T) {
-	cfg := core.DefaultConfig(24, 6)
+	cfg := core.DefaultConfig(24, 1)
 	cfg.Seed = 42
-	cl, err := hba.New(cfg)
+	cl, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

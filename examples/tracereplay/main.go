@@ -16,7 +16,6 @@ import (
 
 	"ghba/internal/core"
 	"ghba/internal/experiments"
-	"ghba/internal/hba"
 	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
@@ -32,7 +31,8 @@ func main() {
 	fmt.Printf("workload: %s ×TIF=2, %d MDSs, %dMB RAM per MDS\n\n",
 		profile.Name, n, memMB)
 
-	for _, scheme := range []string{"HBA", "G-HBA"} {
+	// The HBA baseline is the same engine with groups of one.
+	for _, groupSize := range []int{1, m} {
 		gen, err := trace.NewGenerator(trace.Config{
 			Profile:          profile,
 			TIF:              2,
@@ -44,7 +44,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		cfg := core.DefaultConfig(n, m)
+		cfg := core.DefaultConfig(n, groupSize)
 		cfg.Node = mds.Config{
 			ExpectedFiles:  gen.InitialFileCount()/n*2 + 16,
 			BitsPerFile:    16,
@@ -56,20 +56,11 @@ func main() {
 		cfg.CacheHitRate = 0.9
 		cfg.Seed = 1
 
-		var sys experiments.System
-		if scheme == "HBA" {
-			c, err := hba.New(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sys = experiments.HBASystem(c)
-		} else {
-			c, err := core.New(cfg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sys = experiments.CoreSystem(c)
+		c, err := core.New(cfg)
+		if err != nil {
+			log.Fatal(err)
 		}
+		sys := experiments.CoreSystem(c)
 
 		if err := experiments.PopulateFromGenerator(sys, gen); err != nil {
 			log.Fatal(err)
@@ -78,7 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-6s", scheme)
+		fmt.Printf("%-6s", sys.Name())
 		for _, p := range points {
 			fmt.Printf("  %6dops→%-10v", p.Ops, p.MeanLatency.Round(10*time.Microsecond))
 		}

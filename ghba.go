@@ -35,7 +35,8 @@ type Config struct {
 	// NumMDS is the number of metadata servers (the paper's N).
 	NumMDS int
 	// MaxGroupSize is the maximum servers per group (the paper's M). Zero
-	// selects the paper's recommended optimum for NumMDS.
+	// selects the paper's recommended optimum for NumMDS; 1 is the HBA
+	// baseline, where every server mirrors every other.
 	MaxGroupSize int
 	// ExpectedFilesPerMDS sizes each server's Bloom filter. Zero defaults
 	// to 50 000.

@@ -68,9 +68,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := StartPrototype(PrototypeConfig{Config: Config{NumMDS: 2, ShipBatch: -5}}); err == nil {
 		t.Error("StartPrototype accepted negative ShipBatch")
 	}
-	if _, err := StartPrototype(PrototypeConfig{Config: Config{NumMDS: 2}, Mode: "bogus"}); err == nil {
-		t.Error("StartPrototype accepted unknown mode")
-	}
 	// A budget that fits at least one filter is accepted.
 	if _, err := New(Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000, MemoryBudgetBytes: 1 << 20}); err != nil {
 		t.Errorf("valid budget rejected: %v", err)

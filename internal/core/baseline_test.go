@@ -1,58 +1,37 @@
-package hba
+package core
+
+// The HBA baseline — every MDS mirrors every other one — is this engine
+// with groups of one: θ = N−1 replicas per server, nobody to ask at L3, the
+// same L4. These cases pin the baseline's behaviour at MaxGroupSize = 1.
 
 import (
 	"strconv"
 	"testing"
 
-	"ghba/internal/core"
-	"ghba/internal/mds"
+	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
 
-func smallConfig(n int) core.Config {
-	cfg := core.DefaultConfig(n, 1) // group size unused by HBA
-	cfg.Node = mds.Config{
-		ExpectedFiles:  2_000,
-		BitsPerFile:    16,
-		LRUCapacity:    256,
-		LRUBitsPerFile: 16,
+func TestHBAIsGroupsOfOne(t *testing.T) {
+	c := newPopulated(t, 8, 1, 100)
+	if c.Name() != "HBA" {
+		t.Errorf("Name = %q", c.Name())
 	}
-	return cfg
-}
-
-func newPopulated(t *testing.T, n, files int) *Cluster {
-	t.Helper()
-	c, err := New(smallConfig(n))
-	if err != nil {
-		t.Fatal(err)
+	if c.NumGroups() != 8 {
+		t.Errorf("NumGroups = %d, want one per MDS", c.NumGroups())
 	}
-	c.Populate(func(fn func(string) bool) {
-		for i := 0; i < files; i++ {
-			if !fn("/f" + strconv.Itoa(i)) {
-				return
-			}
-		}
-	})
-	return c
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(smallConfig(0)); err == nil {
-		t.Error("NumMDS 0 accepted")
-	}
-}
-
-func TestEveryNodeHoldsAllReplicas(t *testing.T) {
-	c := newPopulated(t, 8, 100)
 	for _, id := range c.MDSIDs() {
 		if rc := c.Node(id).ReplicaCount(); rc != 7 {
 			t.Errorf("MDS %d holds %d replicas, want 7 (N−1)", id, rc)
 		}
 	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }
 
-func TestLookupFindsEveryFile(t *testing.T) {
-	c := newPopulated(t, 8, 300)
+func TestHBALookupFindsEveryFile(t *testing.T) {
+	c := newPopulated(t, 8, 1, 300)
 	for i := 0; i < 300; i++ {
 		path := "/f" + strconv.Itoa(i)
 		res := c.Lookup(path, c.RandomMDS())
@@ -65,28 +44,31 @@ func TestLookupFindsEveryFile(t *testing.T) {
 	}
 }
 
-func TestLookupResolvesLocallyWhenFresh(t *testing.T) {
+func TestHBALookupResolvesLocallyWhenFresh(t *testing.T) {
 	// With fresh replicas, HBA should answer almost everything at L1/L2 —
-	// that is its whole selling point.
-	c := newPopulated(t, 10, 400)
+	// that is its whole selling point — and never at the group level.
+	c := newPopulated(t, 10, 1, 400)
 	for i := 0; i < 400; i++ {
 		c.Lookup("/f"+strconv.Itoa(i), c.RandomMDS())
 	}
 	if frac := c.Tally().CumulativeFraction(2); frac < 0.95 {
 		t.Errorf("only %.2f of lookups served locally, want ≥0.95", frac)
 	}
+	if l3 := c.Tally().Count(3); l3 != 0 {
+		t.Errorf("%d lookups served at L3; a group of one has no groupmates", l3)
+	}
 }
 
-func TestLookupMissing(t *testing.T) {
-	c := newPopulated(t, 4, 50)
+func TestHBALookupMissing(t *testing.T) {
+	c := newPopulated(t, 4, 1, 50)
 	res := c.Lookup("/ghost", c.RandomMDS())
 	if res.Found || res.Level != 4 {
 		t.Errorf("missing lookup = %+v", res)
 	}
 }
 
-func TestCreateDeleteAndUpdatePropagation(t *testing.T) {
-	cfg := smallConfig(6)
+func TestHBACreateDeleteAndUpdatePropagation(t *testing.T) {
+	cfg := smallConfig(6, 1)
 	cfg.UpdateThresholdBits = 1 << 30 // manual pushes
 	c, err := New(cfg)
 	if err != nil {
@@ -97,17 +79,20 @@ func TestCreateDeleteAndUpdatePropagation(t *testing.T) {
 	if c.HomeOf("/new") != home {
 		t.Error("create lost home")
 	}
-	d := c.PushUpdate(home)
-	if d <= 0 {
+	before := c.Messages().Get(simnet.MsgReplicaUpdate)
+	if d := c.PushUpdate(home); d <= 0 {
 		t.Error("push latency not positive")
 	}
-	// Every other node's replica of home must now contain the file.
+	// The system-wide update: one message per other server, and every
+	// other node's replica of home must now contain the file.
+	if sent := c.Messages().Get(simnet.MsgReplicaUpdate) - before; sent != 5 {
+		t.Errorf("push sent %d replica updates, want N−1 = 5", sent)
+	}
 	for _, id := range c.MDSIDs() {
 		if id == home {
 			continue
 		}
-		f := c.Node(id).Replicas().Get(home)
-		if !f.ContainsString("/new") {
+		if f := c.Node(id).Replicas().Get(home); !f.ContainsString("/new") {
 			t.Errorf("MDS %d replica of %d stale after push", id, home)
 		}
 	}
@@ -116,20 +101,26 @@ func TestCreateDeleteAndUpdatePropagation(t *testing.T) {
 	}
 }
 
-func TestAddMDSCostIsLinear(t *testing.T) {
-	c := newPopulated(t, 10, 100)
-	id, migrated, messages := c.AddMDS()
+func TestHBAAddMDSCostIsLinear(t *testing.T) {
+	c := newPopulated(t, 10, 1, 100)
+	id, rep, err := c.AddMDS()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if id != 10 {
 		t.Errorf("id = %d", id)
 	}
-	if migrated != 10 {
-		t.Errorf("migrated = %d, want N=10 (all replicas to newcomer)", migrated)
+	if got := c.Node(id).ReplicaCount(); got != 10 {
+		t.Errorf("newcomer holds %d replicas, want N=10 (all of them)", got)
 	}
-	if messages < 2*10 {
-		t.Errorf("messages = %d, want ≥ 2N", messages)
+	if rep.Messages < 2*10 {
+		t.Errorf("messages = %d, want ≥ 2N", rep.Messages)
 	}
 	if c.NumMDS() != 11 {
 		t.Errorf("NumMDS = %d", c.NumMDS())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 	// Newcomer can serve lookups.
 	if res := c.Lookup("/f5", id); !res.Found {
@@ -137,8 +128,8 @@ func TestAddMDSCostIsLinear(t *testing.T) {
 	}
 }
 
-func TestQueuingAccumulates(t *testing.T) {
-	c := newPopulated(t, 4, 100)
+func TestHBAQueuingAccumulates(t *testing.T) {
+	c := newPopulated(t, 4, 1, 100)
 	entry := c.MDSIDs()[0]
 	r1 := c.LookupAt("/f1", entry, 0)
 	r2 := c.LookupAt("/f2", entry, 0)
@@ -148,11 +139,11 @@ func TestQueuingAccumulates(t *testing.T) {
 	c.ResetQueues()
 }
 
-func TestMemoryPressureSlowsHBA(t *testing.T) {
+func TestHBAMemoryPressureSlowsLookups(t *testing.T) {
 	// Same cluster, two budgets: constrained memory must produce strictly
 	// slower array probes — the effect behind Figs 8–10.
 	mk := func(budget uint64) *Cluster {
-		cfg := smallConfig(8)
+		cfg := smallConfig(8, 1)
 		cfg.MemoryBudgetBytes = budget
 		cfg.VirtualReplicaBytes = 8 << 20 // 8 MB per replica at paper scale
 		cfg.CacheHitRate = 0.5
@@ -182,24 +173,24 @@ func TestMemoryPressureSlowsHBA(t *testing.T) {
 	}
 }
 
-func TestApplyDispatch(t *testing.T) {
-	c := newPopulated(t, 4, 50)
-	res := c.Apply(traceRecord("/f1", 's'))
+func TestHBAApplyDispatch(t *testing.T) {
+	c := newPopulated(t, 4, 1, 50)
+	res := c.Apply(trace.Record{Op: trace.OpStat, Path: "/f1"})
 	if !res.Found {
 		t.Error("stat record not found")
 	}
-	res = c.Apply(traceRecord("/brandnew", 'c'))
+	res = c.Apply(trace.Record{Op: trace.OpCreate, Path: "/brandnew"})
 	if !res.Found || c.HomeOf("/brandnew") < 0 {
 		t.Error("create record failed")
 	}
-	c.Apply(traceRecord("/brandnew", 'd'))
+	c.Apply(trace.Record{Op: trace.OpDelete, Path: "/brandnew"})
 	if c.HomeOf("/brandnew") != -1 {
 		t.Error("delete record failed")
 	}
 }
 
-func TestFootprint(t *testing.T) {
-	c := newPopulated(t, 5, 50)
+func TestHBAFootprint(t *testing.T) {
+	c := newPopulated(t, 5, 1, 50)
 	f := c.Footprint(0)
 	if f.ReplicaBytes == 0 || f.LocalFilterBytes == 0 {
 		t.Errorf("footprint = %+v", f)
@@ -207,20 +198,4 @@ func TestFootprint(t *testing.T) {
 	if c.Footprint(99).Total() != 0 {
 		t.Error("unknown footprint non-zero")
 	}
-	if c.Name() != "HBA" {
-		t.Errorf("Name = %q", c.Name())
-	}
-}
-
-// traceRecord builds a minimal record for dispatch tests: 's' stat,
-// 'c' create, 'd' delete.
-func traceRecord(path string, kind byte) trace.Record {
-	op := trace.OpStat
-	switch kind {
-	case 'c':
-		op = trace.OpCreate
-	case 'd':
-		op = trace.OpDelete
-	}
-	return trace.Record{Op: op, Path: path}
 }

@@ -291,8 +291,14 @@ func (c *Cluster) sortedGroupsLocked() []*group.Group {
 	return out
 }
 
-// Name identifies the scheme in experiment output.
-func (c *Cluster) Name() string { return "G-HBA" }
+// Name identifies the scheme in experiment output. Groups of one are the
+// HBA baseline: every server mirrors every other and L3 has nobody to ask.
+func (c *Cluster) Name() string {
+	if c.cfg.MaxGroupSize == 1 {
+		return "HBA"
+	}
+	return "G-HBA"
+}
 
 // NumMDS returns the current number of metadata servers.
 func (c *Cluster) NumMDS() int {

@@ -8,7 +8,6 @@ import (
 
 	"ghba/internal/analysis"
 	"ghba/internal/core"
-	"ghba/internal/hba"
 	"ghba/internal/trace"
 )
 
@@ -97,7 +96,8 @@ func (s LatencySeries) Final() time.Duration {
 func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 	var out []LatencySeries
 	for _, memMB := range cfg.MemBudgetsMB {
-		for _, scheme := range []string{"HBA", "G-HBA"} {
+		// HBA is the same engine with groups of one.
+		for _, m := range []int{1, cfg.M} {
 			gen, err := trace.NewGenerator(trace.Config{
 				Profile:          cfg.Profile,
 				TIF:              cfg.TIF,
@@ -108,26 +108,16 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			ccfg := clusterConfig(cfg.N, cfg.M, gen)
+			ccfg := clusterConfig(cfg.N, m, gen)
 			ccfg.MemoryBudgetBytes = memMB << 20
 			ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
 			ccfg.Seed = cfg.Seed
 
-			var sys System
-			switch scheme {
-			case "HBA":
-				c, err := hba.New(ccfg)
-				if err != nil {
-					return nil, err
-				}
-				sys = hbaSys{c}
-			default:
-				c, err := core.New(ccfg)
-				if err != nil {
-					return nil, err
-				}
-				sys = coreSys{c}
+			c, err := core.New(ccfg)
+			if err != nil {
+				return nil, err
 			}
+			sys := coreSys{c}
 			if err := PopulateFromGenerator(sys, gen); err != nil {
 				return nil, err
 			}
@@ -140,7 +130,7 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, LatencySeries{Scheme: scheme, MemBudgetMB: memMB, Points: points})
+			out = append(out, LatencySeries{Scheme: c.Name(), MemBudgetMB: memMB, Points: points})
 		}
 	}
 	return out, nil
@@ -220,7 +210,8 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	hbaCluster, err := hba.New(ccfg)
+	ccfg.MaxGroupSize = 1 // HBA: groups of one
+	hbaCluster, err := core.New(ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +227,7 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := PopulateFromGenerator(hbaSys{hbaCluster}, gen2); err != nil {
+	if err := PopulateFromGenerator(coreSys{hbaCluster}, gen2); err != nil {
 		return nil, err
 	}
 

@@ -9,7 +9,6 @@ import (
 	"ghba/internal/bfa"
 	"ghba/internal/core"
 	"ghba/internal/hashplace"
-	"ghba/internal/hba"
 	"ghba/internal/trace"
 )
 
@@ -34,15 +33,21 @@ func Fig11(ns []int, seed int64) ([]Fig11Row, error) {
 	for _, n := range ns {
 		m := analysis.PaperOptimalM(n)
 
-		// HBA: the newcomer receives all N existing replicas.
-		hbaCfg := core.DefaultConfig(n, m)
+		// HBA (groups of one): the newcomer receives all N existing
+		// replicas. Counted at the newcomer, because the join report also
+		// books the newcomer's own filter going to its ex-groupmate.
+		hbaCfg := core.DefaultConfig(n, 1)
 		hbaCfg.Node.ExpectedFiles = 1_000
 		hbaCfg.Seed = seed
-		hc, err := hba.New(hbaCfg)
+		hc, err := core.New(hbaCfg)
 		if err != nil {
 			return nil, err
 		}
-		_, hbaMigrated, _ := hc.AddMDS()
+		newcomer, _, err := hc.AddMDS()
+		if err != nil {
+			return nil, err
+		}
+		hbaMigrated := hc.Node(newcomer).ReplicaCount()
 
 		// Hash placement: one group of M′ members holding N−M′ origins;
 		// adding a member re-hashes the group.
@@ -234,15 +239,19 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		hc, err := hba.New(ccfg)
+		ccfg.MaxGroupSize = 1 // HBA: groups of one
+		hc, err := core.New(ccfg)
 		if err != nil {
 			return nil, err
 		}
 		populateN(coreSys{gc}, totalFiles)
-		populateN(hbaSys{hc}, totalFiles)
+		populateN(coreSys{hc}, totalFiles)
 
 		gf := gc.MeanFootprint()
 		hf := hc.Footprint(0)
+		// HBA has no replica-location array: with every replica on every
+		// server there is nothing to locate.
+		hf.IDBFABytes = 0
 		rows = append(rows, Table5Row{
 			N:        n,
 			BFA8:     1,

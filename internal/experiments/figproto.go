@@ -65,8 +65,9 @@ func protoNodeConfig(files, n int) mds.Config {
 // schemes under concurrent load, over real TCP sockets.
 func Fig14(cfg Fig14Config) ([]LatencySeries, error) {
 	var out []LatencySeries
-	for _, mode := range []proto.Mode{proto.ModeHBA, proto.ModeGHBA} {
-		series, err := fig14Run(cfg, mode)
+	// HBA is the same prototype with groups of one.
+	for _, m := range []int{1, cfg.M} {
+		series, err := fig14Run(cfg, m)
 		if err != nil {
 			return nil, err
 		}
@@ -75,11 +76,10 @@ func Fig14(cfg Fig14Config) ([]LatencySeries, error) {
 	return out, nil
 }
 
-func fig14Run(cfg Fig14Config, mode proto.Mode) (LatencySeries, error) {
+func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
 	cluster, err := proto.Start(proto.Options{
 		N:                    cfg.N,
-		M:                    cfg.M,
-		Mode:                 mode,
+		M:                    m,
 		Node:                 protoNodeConfig(cfg.Files, cfg.N),
 		ResidentReplicaLimit: cfg.ResidentReplicaLimit,
 		DiskPenalty:          cfg.DiskPenalty,
@@ -154,7 +154,16 @@ func fig14Run(cfg Fig14Config, mode proto.Mode) (LatencySeries, error) {
 	if count > 0 && (len(points) == 0 || points[len(points)-1].Ops != count) {
 		points = append(points, Checkpoint{Ops: count, MeanLatency: time.Duration(sum / float64(count))})
 	}
-	return LatencySeries{Scheme: mode.String(), Points: points}, nil
+	return LatencySeries{Scheme: schemeName(m), Points: points}, nil
+}
+
+// schemeName labels a prototype run by its group size: groups of one are the
+// HBA baseline (core.Cluster.Name draws the same line for the simulator).
+func schemeName(m int) string {
+	if m == 1 {
+		return "HBA"
+	}
+	return "G-HBA"
 }
 
 // FormatFig14 renders the prototype latency series.
@@ -180,12 +189,12 @@ type Fig15Row struct {
 // every RPC.
 func Fig15(startN, m, adds int, seed int64) ([]Fig15Row, error) {
 	nodeCfg := protoNodeConfig(2_000, startN)
-	hbaCluster, err := proto.Start(proto.Options{N: startN, Mode: proto.ModeHBA, Node: nodeCfg, Seed: seed})
+	hbaCluster, err := proto.Start(proto.Options{N: startN, M: 1, Node: nodeCfg, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
 	defer hbaCluster.Close()
-	ghbaCluster, err := proto.Start(proto.Options{N: startN, M: m, Mode: proto.ModeGHBA, Node: nodeCfg, Seed: seed})
+	ghbaCluster, err := proto.Start(proto.Options{N: startN, M: m, Node: nodeCfg, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

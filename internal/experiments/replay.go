@@ -23,15 +23,15 @@ import (
 
 	"ghba"
 	"ghba/internal/core"
-	"ghba/internal/hba"
 	"ghba/internal/trace"
 )
 
 // System is the slice of the ghba.Backend contract the replay drivers
 // dispatch against — every Backend (the simulation facade, the TCP
 // prototype) satisfies it structurally, so one replay engine serves both
-// transports. The raw scheme engines the figure drivers build directly
-// (core.Cluster, hba.Cluster) are adapted through coreSys/hbaSys.
+// transports. The raw scheme engine the figure drivers build directly
+// (core.Cluster; the HBA baseline is the same engine with groups of one) is
+// adapted through coreSys.
 type System interface {
 	Name() string
 	// ApplyWith dispatches one record with the caller's RNG, which is what
@@ -48,7 +48,7 @@ type System interface {
 
 // BatchSystem is the optional vectorized dispatch surface — the replay
 // layer's mirror of ghba.BatchApplier. Both ghba backends satisfy it; the
-// raw scheme adapters do not, and fall back to per-op dispatch.
+// raw scheme adapter does not, and falls back to per-op dispatch.
 type BatchSystem interface {
 	System
 	// ApplyBatch dispatches ops as one batch with the caller's RNG. The RNG
@@ -57,12 +57,9 @@ type BatchSystem interface {
 	ApplyBatch(ctx context.Context, rng *rand.Rand, ops []ghba.Op) ([]ghba.Result, error)
 }
 
-// CoreSystem adapts a raw G-HBA scheme engine to the System contract, for
+// CoreSystem adapts a raw scheme engine to the System contract, for
 // drivers that tune core.Config fields the facade does not expose.
 func CoreSystem(c *core.Cluster) System { return coreSys{c} }
-
-// HBASystem adapts the HBA baseline engine to the System contract.
-func HBASystem(c *hba.Cluster) System { return hbaSys{c} }
 
 type coreSys struct{ c *core.Cluster }
 
@@ -80,30 +77,6 @@ func (s coreSys) CreateAll(_ context.Context, paths []string) error {
 func (s coreSys) Flush(context.Context) error { s.c.Flush(); return nil }
 
 func (s coreSys) LevelCounts() [5]uint64 { return levelCounts(s.c) }
-
-// hbaSys adapts the HBA baseline engine.
-type hbaSys struct{ c *hba.Cluster }
-
-func (s hbaSys) Name() string { return s.c.Name() }
-
-func (s hbaSys) ApplyWith(_ context.Context, rng *rand.Rand, op ghba.Op) (ghba.Result, error) {
-	return ghba.ToResult(s.c.ApplyWith(rng, op.Record())), nil
-}
-
-func (s hbaSys) CreateAll(_ context.Context, paths []string) error {
-	s.c.Populate(pathIter(paths))
-	return nil
-}
-
-func (s hbaSys) Flush(context.Context) error { return nil }
-
-func (s hbaSys) LevelCounts() [5]uint64 {
-	var out [5]uint64
-	for l := 1; l <= 4; l++ {
-		out[l] = s.c.Tally().Count(l)
-	}
-	return out
-}
 
 // pathIter adapts a path slice to the raw engines' streaming populate.
 func pathIter(paths []string) func(fn func(string) bool) {

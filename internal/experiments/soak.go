@@ -22,10 +22,8 @@ import (
 // fixed-seed verification sweep checks every path the run ever touched
 // against the coordinator's ground truth.
 type SoakConfig struct {
-	// N is the daemon count, M the G-HBA group size.
+	// N is the daemon count, M the group size (1 is the HBA baseline).
 	N, M int
-	// Mode selects the scheme: "ghba" (default) or "hba".
-	Mode string
 	// Files is the initial namespace size.
 	Files int
 	// Ops is the total workload operation count across all workers.
@@ -138,14 +136,6 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	if cfg.N < 2 {
 		return SoakResult{}, fmt.Errorf("experiments: soak needs N ≥ 2 (a kill must leave survivors), got %d", cfg.N)
 	}
-	mode := proto.ModeGHBA
-	switch cfg.Mode {
-	case "", "ghba":
-	case "hba":
-		mode = proto.ModeHBA
-	default:
-		return SoakResult{}, fmt.Errorf("experiments: unknown soak mode %q", cfg.Mode)
-	}
 	profile, err := trace.MixProfile(cfg.Mix[0], cfg.Mix[1], cfg.Mix[2])
 	if err != nil {
 		return SoakResult{}, err
@@ -161,7 +151,6 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	cluster, err := proto.Start(proto.Options{
 		N:             cfg.N,
 		M:             cfg.M,
-		Mode:          mode,
 		Node:          protoNodeConfig(cfg.Files*2, cfg.N),
 		Seed:          cfg.Seed,
 		DataDir:       cfg.DataDir,
@@ -308,12 +297,8 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 // FormatSoak renders the soak report like the figure banners.
 func FormatSoak(r SoakResult) string {
 	var b strings.Builder
-	mode := r.Config.Mode
-	if mode == "" {
-		mode = "ghba"
-	}
-	fmt.Fprintf(&b, "Kill/restart soak — mode=%s N=%d M=%d files=%d ops=%d workers=%d kills=%d wal-sync=%s seed=%d\n",
-		mode, r.Config.N, r.Config.M, r.Config.Files, r.Config.Ops,
+	fmt.Fprintf(&b, "Kill/restart soak — %s N=%d M=%d files=%d ops=%d workers=%d kills=%d wal-sync=%s seed=%d\n",
+		schemeName(r.Config.M), r.Config.N, r.Config.M, r.Config.Files, r.Config.Ops,
 		r.Config.Workers, r.Config.Kills, orDefault(r.Config.WALSync, "always"), r.Config.Seed)
 	fmt.Fprintf(&b, "  workload       %d ops in %v (%d failed during crash windows)\n",
 		r.Ops, r.Elapsed.Round(time.Millisecond), r.OpErrors)

@@ -60,7 +60,4 @@ func TestSoakRequiresDurability(t *testing.T) {
 	if _, err := Soak(SoakConfig{N: 1, DataDir: t.TempDir()}); err == nil {
 		t.Fatal("soak without survivors did not error")
 	}
-	if _, err := Soak(SoakConfig{N: 4, Mode: "nope", DataDir: t.TempDir()}); err == nil {
-		t.Fatal("soak with unknown mode did not error")
-	}
 }

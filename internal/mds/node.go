@@ -6,7 +6,7 @@
 //
 // A Node answers the "what do you know locally" half of every query level;
 // the routing between nodes — multicasts, forwards, verification — belongs
-// to the scheme layers (internal/core, internal/hba) that own the topology.
+// to the scheme layer (internal/core) that owns the topology.
 package mds
 
 import (

@@ -354,41 +354,18 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	}
 	l1 := make([][]int, len(paths))
 	l2 := make([][]int, len(paths))
-	{
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var errs []error
-		for e, idxs := range byEntry {
-			wg.Add(1)
-			go func(e int, idxs []int) {
-				defer wg.Done()
-				sub := make([]string, len(idxs))
-				for k, i := range idxs {
-					sub[k] = paths[i]
-				}
-				resp, err := c.call(ctx, e, opLookupBatch, encodePaths(sub), &msgs)
-				var hits [][]int
-				if err == nil {
-					hits, err = decodeHitsVec(resp, 2*len(idxs))
-				}
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("proto: lookup batch at MDS %d: %w", e, err))
-					mu.Unlock()
-					return
-				}
-				for k, i := range idxs {
-					l1[i], l2[i] = hits[2*k], hits[2*k+1]
-				}
-			}(e, idxs)
+	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, byEntry, &msgs, func(_ int, idxs []int, resp []byte) error {
+		hits, err := decodeHitsVec(resp, 2*len(idxs))
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		if len(errs) > 0 {
-			// Goroutines appended under map-iteration fan-out; order the join
-			// deterministically so error text is seed-stable.
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return nil, errors.Join(errs...)
+		for k, i := range idxs {
+			l1[i], l2[i] = hits[2*k], hits[2*k+1]
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	finish := func(i, home, level int) {
@@ -433,83 +410,59 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		}
 	}
 
-	// L3 (G-HBA only): one scatter-gather round over the unresolved paths'
-	// group members, grouped by target daemon — daemon m answers for every
-	// pending path whose entry shares m's group, so the round costs one RPC
-	// per distinct groupmate instead of one per entry × groupmate. The
-	// union covers the groupmates' arrays only — each path's own entry
-	// already had its chance above, exactly as in the serial path.
-	if c.opts.Mode == ModeGHBA {
-		byTarget := make(map[int][]int)
-		unions := make([][]int, len(paths))
-		for i := range paths {
-			if resolved[i] {
+	// L3: one scatter-gather round over the unresolved paths' group members,
+	// grouped by target daemon — daemon m answers for every pending path
+	// whose entry shares m's group, so the round costs one RPC per distinct
+	// groupmate instead of one per entry × groupmate (and none at all when
+	// groups are of one). The union covers the groupmates' arrays only —
+	// each path's own entry already had its chance above, exactly as in the
+	// serial path.
+	byTarget := make(map[int][]int)
+	unions := make([][]int, len(paths))
+	for i := range paths {
+		if resolved[i] {
+			continue
+		}
+		for _, m := range c.groupMembers(entries[i]) {
+			if m == entries[i] {
 				continue
 			}
-			for _, m := range c.groupMembers(entries[i]) {
-				if m == entries[i] {
-					continue
-				}
-				byTarget[m] = append(byTarget[m], i)
-			}
+			byTarget[m] = append(byTarget[m], i)
 		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var errs []error
-		for m, idxs := range byTarget {
-			wg.Add(1)
-			go func(m int, idxs []int) {
-				defer wg.Done()
-				sub := make([]string, len(idxs))
-				for k, i := range idxs {
-					sub[k] = paths[i]
-				}
-				resp, err := c.call(ctx, m, opQueryMemberBatch, encodePaths(sub), &msgs)
-				var hits [][]int
-				if err == nil {
-					hits, err = decodeHitsVec(resp, len(idxs))
-				}
-				if err != nil {
-					mu.Lock()
-					errs = append(errs, fmt.Errorf("proto: member batch at MDS %d: %w", m, err))
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				for k, i := range idxs {
-					for _, h := range hits[k] {
-						unions[i] = bloomarray.InsertSorted(unions[i], h)
-					}
-				}
-				mu.Unlock()
-			}(m, idxs)
-		}
-		wg.Wait()
-		if len(errs) > 0 {
-			// Goroutines appended under map-iteration fan-out; order the join
-			// deterministically so error text is seed-stable.
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return nil, errors.Join(errs...)
-		}
-		candsL3 := make(map[int]int)
-		var pairs3 []verifyPair
-		for i := range paths {
-			if resolved[i] {
-				continue
-			}
-			if h, ok := candidate(ids, unions[i]); ok {
-				candsL3[i] = h
-				pairs3 = append(pairs3, verifyPair{idx: i, daemon: h})
-			}
-		}
-		ans3, err := c.verifyPairs(ctx, paths, pairs3, &msgs)
+	}
+	err = c.scatter(ctx, opQueryMemberBatch, "member batch", paths, byTarget, &msgs, func(_ int, idxs []int, resp []byte) error {
+		hits, err := decodeHitsVec(resp, len(idxs))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for i, d := range candsL3 {
-			if ans3[verifyPair{idx: i, daemon: d}] {
-				finish(i, d, 3)
+		for k, i := range idxs {
+			for _, h := range hits[k] {
+				unions[i] = bloomarray.InsertSorted(unions[i], h)
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	candsL3 := make(map[int]int)
+	var pairs3 []verifyPair
+	for i := range paths {
+		if resolved[i] {
+			continue
+		}
+		if h, ok := candidate(ids, unions[i]); ok {
+			candsL3[i] = h
+			pairs3 = append(pairs3, verifyPair{idx: i, daemon: h})
+		}
+	}
+	ans3, err := c.verifyPairs(ctx, paths, pairs3, &msgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range candsL3 {
+		if ans3[verifyPair{idx: i, daemon: d}] {
+			finish(i, d, 3)
 		}
 	}
 
@@ -569,12 +522,37 @@ func (c *Cluster) verifyPairs(ctx context.Context, paths []string, pairs []verif
 	for _, p := range pairs {
 		byDaemon[p.daemon] = append(byDaemon[p.daemon], p.idx)
 	}
+	for _, idxs := range byDaemon {
+		sort.Ints(idxs)
+	}
 	answers := make(map[verifyPair]bool, len(pairs))
+	err := c.scatter(ctx, opVerifyBatch, "verify batch", paths, byDaemon, ctr, func(d int, idxs []int, resp []byte) error {
+		bs, err := decodeBools(resp, len(idxs))
+		if err != nil {
+			return err
+		}
+		for k, i := range idxs {
+			answers[verifyPair{idx: i, daemon: d}] = bs[k]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return answers, nil
+}
+
+// scatter is the read path's one fan-out: every daemon in byDaemon receives,
+// in parallel, one op RPC carrying the paths its index list selects, and
+// decode folds each response into the caller's state. decode runs under the
+// gather's mutex, so it may write shared maps and slices freely. Failures
+// are labelled per daemon and joined in sorted order — goroutines finish in
+// any order, error text must be seed-stable.
+func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []string, byDaemon map[int][]int, ctr *atomic.Int64, decode func(daemon int, idxs []int, resp []byte) error) error {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var errs []error
 	for d, idxs := range byDaemon {
-		sort.Ints(idxs)
 		wg.Add(1)
 		go func(d int, idxs []int) {
 			defer wg.Done()
@@ -582,30 +560,20 @@ func (c *Cluster) verifyPairs(ctx context.Context, paths []string, pairs []verif
 			for k, i := range idxs {
 				sub[k] = paths[i]
 			}
-			resp, err := c.call(ctx, d, opVerifyBatch, encodePaths(sub), ctr)
-			var bs []bool
-			if err == nil {
-				bs, err = decodeBools(resp, len(idxs))
-			}
+			resp, err := c.call(ctx, d, op, encodePaths(sub), ctr)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				errs = append(errs, fmt.Errorf("proto: verify batch at MDS %d: %w", d, err))
-				return
+			if err == nil {
+				err = decode(d, idxs, resp)
 			}
-			for k, i := range idxs {
-				answers[verifyPair{idx: i, daemon: d}] = bs[k]
+			if err != nil {
+				errs = append(errs, fmt.Errorf("proto: %s at MDS %d: %w", label, d, err))
 			}
 		}(d, idxs)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		// Goroutines appended under map-iteration fan-out; order the join
-		// deterministically so error text is seed-stable.
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return nil, errors.Join(errs...)
-	}
-	return answers, nil
+	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
+	return errors.Join(errs...)
 }
 
 // hasLocalVector is the batched L4 round: every daemon receives the whole

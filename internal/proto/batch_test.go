@@ -38,7 +38,7 @@ func mixedRecords(existing, n int) []trace.Record {
 }
 
 func TestLookupBatchFindsEveryFile(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 200)
+	c := startPopulated(t, 6, 3, 200)
 	paths := make([]string, 0, 60)
 	for i := 0; i < 50; i++ {
 		paths = append(paths, "/p/f"+strconv.Itoa(i*3%200))
@@ -74,8 +74,8 @@ func TestLookupBatchFindsEveryFile(t *testing.T) {
 // every file exactly where a serial ApplyWith loop with an equal RNG does,
 // and every per-record outcome (home, existence) matches.
 func TestApplyBatchMatchesSerialReplay(t *testing.T) {
-	serial := startPopulated(t, 6, 3, ModeGHBA, 100)
-	batched := startPopulated(t, 6, 3, ModeGHBA, 100)
+	serial := startPopulated(t, 6, 3, 100)
+	batched := startPopulated(t, 6, 3, 100)
 	recs := mixedRecords(100, 300)
 
 	ctx := context.Background()
@@ -116,7 +116,7 @@ func TestApplyBatchMatchesSerialReplay(t *testing.T) {
 // TestApplyBatchOverClassicTransport pins that the batch RPCs are legal
 // over the classic call-per-connection protocol too.
 func TestApplyBatchOverClassicTransport(t *testing.T) {
-	opts := testOptions(4, 2, ModeGHBA)
+	opts := testOptions(4, 2)
 	opts.Transport = TransportClassic
 	c, err := Start(opts)
 	if err != nil {
@@ -144,19 +144,19 @@ func TestApplyBatchOverClassicTransport(t *testing.T) {
 }
 
 func TestTransportValidationAndDefault(t *testing.T) {
-	opts := testOptions(2, 2, ModeGHBA)
+	opts := testOptions(2, 2)
 	opts.Transport = "carrier-pigeon"
 	if _, err := Start(opts); err == nil {
 		t.Error("unknown transport accepted")
 	}
-	c := startPopulated(t, 2, 2, ModeGHBA, 10)
+	c := startPopulated(t, 2, 2, 10)
 	if c.Transport() != TransportMux {
 		t.Errorf("default transport = %q, want %q", c.Transport(), TransportMux)
 	}
 }
 
 func TestRPCCountsPerOpcode(t *testing.T) {
-	c := startPopulated(t, 4, 2, ModeGHBA, 50)
+	c := startPopulated(t, 4, 2, 50)
 	c.ResetRPCCounts()
 	c.ResetMessages()
 	rng := rand.New(rand.NewSource(1))

@@ -19,29 +19,6 @@ import (
 	"ghba/internal/wal"
 )
 
-// Mode selects the scheme the prototype runs.
-type Mode int
-
-// Prototype modes.
-const (
-	// ModeGHBA runs grouped servers with segment arrays (θ replicas each).
-	ModeGHBA Mode = iota + 1
-	// ModeHBA runs the baseline: every server mirrors every other.
-	ModeHBA
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeGHBA:
-		return "G-HBA"
-	case ModeHBA:
-		return "HBA"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // DefaultCallTimeout is the per-RPC deadline applied when Options leaves
 // CallTimeout zero: long enough for megabyte filter ships on loopback,
 // short enough that a hung daemon fails a lookup instead of wedging the
@@ -65,11 +42,10 @@ const (
 type Options struct {
 	// N is the number of MDS daemons.
 	N int
-	// M is the maximum group size (G-HBA mode; the paper's prototype uses
-	// M=7 on its 60-node cluster).
+	// M is the maximum group size (the paper's prototype uses M=7 on its
+	// 60-node cluster). 1 is the HBA baseline: groups of one, so every
+	// daemon mirrors every other and L3 has nobody to ask.
 	M int
-	// Mode selects G-HBA or HBA.
-	Mode Mode
 	// Node sizes each daemon's filter structures.
 	Node mds.Config
 	// ResidentReplicaLimit is how many replicas fit in one daemon's RAM;
@@ -132,11 +108,8 @@ func (o *Options) validate() error {
 	if o.N < 1 {
 		return fmt.Errorf("proto: N must be ≥ 1, got %d", o.N)
 	}
-	if o.Mode == ModeGHBA && o.M < 1 {
-		return fmt.Errorf("proto: M must be ≥ 1 in G-HBA mode, got %d", o.M)
-	}
-	if o.Mode != ModeGHBA && o.Mode != ModeHBA {
-		return fmt.Errorf("proto: unknown mode %d", int(o.Mode))
+	if o.M < 1 {
+		return fmt.Errorf("proto: M must be ≥ 1, got %d", o.M)
 	}
 	if o.Transport != "" && o.Transport != TransportMux && o.Transport != TransportClassic {
 		return fmt.Errorf("proto: unknown transport %q", o.Transport)
@@ -176,7 +149,7 @@ type Cluster struct {
 
 	mu       sync.RWMutex
 	servers  map[int]*NodeServer
-	groups   map[int][]int       // group index → member IDs (G-HBA)
+	groups   map[int][]int       // group index → member IDs
 	holders  map[int]map[int]int // group index → origin → holding member
 	ids      []int               // sorted member IDs; rebuilt on mutation, never mutated in place
 	groupIdx map[int]int         // member ID → group index; rebuilt with ids
@@ -358,27 +331,25 @@ func Start(opts Options) (*Cluster, error) {
 		c.servers[i] = ns
 		c.conns.register(i, ns.Addr())
 	}
-	// Group layout (G-HBA) or flat (HBA). The partition matches the
-	// simulator's: ⌈N/M⌉ groups with sizes as even as possible, so a sim
-	// and a prototype built from the same (N, M) agree on membership.
-	if opts.Mode == ModeGHBA {
-		numGroups := (opts.N + opts.M - 1) / opts.M
-		base := opts.N / numGroups
-		extra := opts.N % numGroups
-		next := 0
-		for gi := 0; gi < numGroups; gi++ {
-			size := base
-			if gi < extra {
-				size++
-			}
-			members := make([]int, 0, size)
-			for id := next; id < next+size; id++ {
-				members = append(members, id)
-			}
-			next += size
-			c.groups[gi] = members
-			c.holders[gi] = make(map[int]int)
+	// The partition matches the simulator's: ⌈N/M⌉ groups with sizes as even
+	// as possible, so a sim and a prototype built from the same (N, M) agree
+	// on membership.
+	numGroups := (opts.N + opts.M - 1) / opts.M
+	base := opts.N / numGroups
+	extra := opts.N % numGroups
+	next := 0
+	for gi := 0; gi < numGroups; gi++ {
+		size := base
+		if gi < extra {
+			size++
 		}
+		members := make([]int, 0, size)
+		for id := next; id < next+size; id++ {
+			members = append(members, id)
+		}
+		next += size
+		c.groups[gi] = members
+		c.holders[gi] = make(map[int]int)
 	}
 	c.rebuildIndexLocked()
 	c.seedReplicas()
@@ -471,32 +442,20 @@ func (c *Cluster) rebuildIndexLocked() {
 // placement the simulator's lightest-member rule produces on a fresh
 // cluster.
 func (c *Cluster) seedReplicas() {
-	switch c.opts.Mode {
-	case ModeHBA:
-		for origin, src := range c.servers {
-			snap := src.ShipDirect()
-			for id, dst := range c.servers {
-				if id != origin {
-					dst.InstallReplicaDirect(origin, snap.Clone())
-				}
-			}
+	for gi, members := range c.groups {
+		inGroup := make(map[int]bool, len(members))
+		for _, id := range members {
+			inGroup[id] = true
 		}
-	case ModeGHBA:
-		for gi, members := range c.groups {
-			inGroup := make(map[int]bool, len(members))
-			for _, id := range members {
-				inGroup[id] = true
+		slot := 0
+		for _, origin := range c.ids {
+			if inGroup[origin] {
+				continue
 			}
-			slot := 0
-			for _, origin := range c.ids {
-				if inGroup[origin] {
-					continue
-				}
-				target := members[slot%len(members)]
-				slot++
-				c.servers[target].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
-				c.holders[gi][origin] = target
-			}
+			target := members[slot%len(members)]
+			slot++
+			c.servers[target].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
+			c.holders[gi][origin] = target
 		}
 	}
 }
@@ -526,8 +485,8 @@ func memberOf(ids []int, id int) bool {
 	return i < len(ids) && ids[i] == id
 }
 
-// groupMembers returns the sorted members of the group containing id
-// (G-HBA), or nil — read lock-free from the published membership snapshot.
+// groupMembers returns the sorted members of the group containing id, or
+// nil — read lock-free from the published membership snapshot.
 // The slice is immutable and shared; callers must not modify it.
 func (c *Cluster) groupMembers(id int) []int {
 	return c.index.Load().members[id]
@@ -551,9 +510,6 @@ func (c *Cluster) FileCount() int {
 	defer c.homesMu.Unlock()
 	return len(c.homes)
 }
-
-// Mode returns the running scheme.
-func (c *Cluster) Mode() Mode { return c.opts.Mode }
 
 // Seed returns the seed the cluster's own RNG was built from.
 func (c *Cluster) Seed() int64 { return c.opts.Seed }
@@ -729,21 +685,9 @@ func (c *Cluster) Populate(paths []string) {
 // refreshReplicas re-ships every filter to its current holders (direct).
 // Callers must hold c.mu exclusively.
 func (c *Cluster) refreshReplicas() {
-	switch c.opts.Mode {
-	case ModeHBA:
-		for origin, src := range c.servers {
-			snap := src.ShipDirect()
-			for id, dst := range c.servers {
-				if id != origin {
-					dst.InstallReplicaDirect(origin, snap.Clone())
-				}
-			}
-		}
-	case ModeGHBA:
-		for gi := range c.groups {
-			for origin, holder := range c.holders[gi] {
-				c.servers[holder].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
-			}
+	for gi := range c.groups {
+		for origin, holder := range c.holders[gi] {
+			c.servers[holder].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
 		}
 	}
 	// Everything just shipped; nothing is left to coalesce.
@@ -897,22 +841,20 @@ func (c *Cluster) lookup(ctx context.Context, path string, entry int, ctr *atomi
 		}
 	}
 
-	// L3 (G-HBA only): parallel multicast to the entry's groupmates. The
-	// union covers the groupmates' arrays only — the entry's own L2 hits
-	// already had their chance above, and folding them back in would
-	// resolve at L3 what the simulator sends to L4.
-	if c.opts.Mode == ModeGHBA {
-		if members := c.groupMembers(entry); members != nil {
-			hits, err := c.multicastQuery(ctx, members, entry, opQueryMember, path, ctr)
-			if err != nil {
+	// L3: parallel multicast to the entry's groupmates (none in a group of
+	// one). The union covers the groupmates' arrays only — the entry's own
+	// L2 hits already had their chance above, and folding them back in
+	// would resolve at L3 what the simulator sends to L4.
+	if members := c.groupMembers(entry); members != nil {
+		hits, err := c.multicastQuery(ctx, members, entry, opQueryMember, path, ctr)
+		if err != nil {
+			return LookupResult{}, err
+		}
+		if home, ok := candidate(ids, hits); ok {
+			if ok, err := c.verify(ctx, home, path, ctr); err != nil {
 				return LookupResult{}, err
-			}
-			if home, ok := candidate(ids, hits); ok {
-				if ok, err := c.verify(ctx, home, path, ctr); err != nil {
-					return LookupResult{}, err
-				} else if ok {
-					return LookupResult{Home: home, Found: true, Level: 3}, nil
-				}
+			} else if ok {
+				return LookupResult{Home: home, Found: true, Level: 3}, nil
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // exercising the read/write split on membership state, the connection
 // pools, and registration-after-reconfiguration. Run under -race.
 func TestParallelLookupsDuringAddMDSChurn(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 300)
+	c := startPopulated(t, 6, 3, 300)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 5)
@@ -85,8 +85,8 @@ func TestParallelLookupsDuringAddMDSChurn(t *testing.T) {
 func TestAddMDSDeterministicReplicaOffload(t *testing.T) {
 	// 7 servers, M=4 → groups of 4 and 3; the join lands in the second
 	// with replica offload.
-	a := startPopulated(t, 7, 4, ModeGHBA, 100)
-	b := startPopulated(t, 7, 4, ModeGHBA, 100)
+	a := startPopulated(t, 7, 4, 100)
+	b := startPopulated(t, 7, 4, 100)
 	_, aMsgs, err := a.AddMDS(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestAddMDSDeterministicReplicaOffload(t *testing.T) {
 // holder entry — otherwise later lookups would multicast to an unknown MDS
 // and Populate would panic on the missing server.
 func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
-	c := startPopulated(t, 7, 4, ModeGHBA, 100)
+	c := startPopulated(t, 7, 4, 100)
 	// Groups are {0,1,2,3} and {4,5,6}; the join lands in the second,
 	// whose member 4 must offload replicas to the newcomer. Kill 4 so
 	// that opDropReplica fails.
@@ -159,7 +159,7 @@ func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
 // reaches every other daemon (their next lookups answer at L1) and the
 // failure is reported rather than silently dropping the batch.
 func TestObserveBatchSurvivesDeadDaemon(t *testing.T) {
-	c := startPopulated(t, 4, 2, ModeGHBA, 80)
+	c := startPopulated(t, 4, 2, 80)
 	// Pick a path homed anywhere but daemon 3, and kill daemon 3. Groups
 	// are {0,1} and {2,3}, so lookups entering at 0 never consult 3
 	// before resolving at L2/L3.

@@ -19,7 +19,7 @@ type FailoverReport struct {
 	// RestartMDS when the cluster runs with a DataDir).
 	FilesLost int
 	// GroupDissolved reports the dead daemon was its group's last member,
-	// so the group itself disappeared (G-HBA only).
+	// so the group itself disappeared.
 	GroupDissolved bool
 	// Messages is the number of RPCs the reconfiguration cost.
 	Messages int
@@ -61,19 +61,7 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.conns.unregister(id)
 	c.ships.Forget(id)
 
-	switch c.opts.Mode {
-	case ModeHBA:
-		// Every survivor mirrors every daemon, so every survivor drops its
-		// replica of the dead one.
-		for _, other := range c.ids {
-			if other == id {
-				continue
-			}
-			_, _ = c.call(ctx, other, opDropReplica, encodeOriginPayload(id, nil), &msgs)
-		}
-	case ModeGHBA:
-		c.failGHBALocked(ctx, id, &msgs, &rep)
-	}
+	c.failGHBALocked(ctx, id, &msgs, &rep)
 	c.rebuildIndexLocked()
 
 	c.homesMu.Lock()
@@ -131,12 +119,7 @@ func (c *Cluster) failGHBALocked(ctx context.Context, id int, msgs *atomic.Int64
 			}
 		}
 	}
-	gis := make([]int, 0, len(c.groups))
-	for g := range c.groups {
-		gis = append(gis, g)
-	}
-	sort.Ints(gis)
-	for _, g := range gis {
+	for _, g := range sortedKeys(c.groups) {
 		if g == gi {
 			continue
 		}
@@ -223,13 +206,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	} else {
 		rep.Rejoined = true
 		groupsBak, holdersBak := copyGroups(c.groups), copyHolders(c.holders)
-		switch c.opts.Mode {
-		case ModeHBA:
-			err = c.addHBA(ctx, id, &msgs)
-		case ModeGHBA:
-			err = c.addGHBALocked(ctx, id, &msgs)
-		}
-		if err != nil {
+		if err := c.addGHBALocked(ctx, id, &msgs); err != nil {
 			c.groups, c.holders = groupsBak, holdersBak
 			ns.Close()
 			c.conns.unregister(id)
@@ -258,53 +235,27 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 // crash). Best-effort, like the failover RPCs: a miss degrades lookups to
 // L4, never corrupts them.
 func (c *Cluster) rewireLocked(ctx context.Context, id int, msgs *atomic.Int64) {
-	switch c.opts.Mode {
-	case ModeHBA:
-		for _, other := range c.ids {
-			if other == id {
+	gi := c.groupOfLocked(id)
+	if gi >= 0 {
+		for _, origin := range sortedKeys(c.holders[gi]) {
+			if c.holders[gi][origin] != id {
 				continue
 			}
-			if snap, err := c.call(ctx, other, opShipFilter, nil, msgs); err == nil {
-				_, _ = c.call(ctx, id, opInstallReplica, encodeOriginPayload(other, snap), msgs)
+			if snap, err := c.call(ctx, origin, opShipFilter, nil, msgs); err == nil {
+				_, _ = c.call(ctx, id, opInstallReplica, encodeOriginPayload(origin, snap), msgs)
 			}
 		}
-		snap, err := c.call(ctx, id, opShipFilter, nil, msgs)
-		if err != nil {
-			return
+	}
+	snap, err := c.call(ctx, id, opShipFilter, nil, msgs)
+	if err != nil {
+		return
+	}
+	for _, g := range sortedKeys(c.groups) {
+		if g == gi {
+			continue
 		}
-		for _, other := range c.ids {
-			if other != id {
-				_, _ = c.call(ctx, other, opInstallReplica, encodeOriginPayload(id, snap), msgs)
-			}
-		}
-	case ModeGHBA:
-		gi := c.groupOfLocked(id)
-		if gi >= 0 {
-			for _, origin := range sortedKeys(c.holders[gi]) {
-				if c.holders[gi][origin] != id {
-					continue
-				}
-				if snap, err := c.call(ctx, origin, opShipFilter, nil, msgs); err == nil {
-					_, _ = c.call(ctx, id, opInstallReplica, encodeOriginPayload(origin, snap), msgs)
-				}
-			}
-		}
-		snap, err := c.call(ctx, id, opShipFilter, nil, msgs)
-		if err != nil {
-			return
-		}
-		gis := make([]int, 0, len(c.groups))
-		for g := range c.groups {
-			gis = append(gis, g)
-		}
-		sort.Ints(gis)
-		for _, g := range gis {
-			if g == gi {
-				continue
-			}
-			if holder, ok := c.holders[g][id]; ok {
-				_, _ = c.call(ctx, holder, opInstallReplica, encodeOriginPayload(id, snap), msgs)
-			}
+		if holder, ok := c.holders[g][id]; ok {
+			_, _ = c.call(ctx, holder, opInstallReplica, encodeOriginPayload(id, snap), msgs)
 		}
 	}
 }

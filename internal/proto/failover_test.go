@@ -15,9 +15,9 @@ import (
 
 // durableOptions is testOptions plus a WAL directory and a retry policy —
 // the configuration every crash/recovery test runs under.
-func durableOptions(t *testing.T, n, m int, mode Mode) Options {
+func durableOptions(t *testing.T, n, m int) Options {
 	t.Helper()
-	o := testOptions(n, m, mode)
+	o := testOptions(n, m)
 	o.DataDir = t.TempDir()
 	o.SnapshotEvery = 50
 	o.Retry = rpcnet.RetryPolicy{Attempts: 4, Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
@@ -60,7 +60,7 @@ func verifySweep(t *testing.T, c *Cluster, paths []string) {
 }
 
 func TestHeartbeat(t *testing.T) {
-	c := startPopulated(t, 4, 2, ModeGHBA, 50)
+	c := startPopulated(t, 4, 2, 50)
 	for _, id := range c.MDSIDs() {
 		info, err := c.Heartbeat(context.Background(), id)
 		if err != nil {
@@ -89,7 +89,7 @@ func TestHeartbeat(t *testing.T) {
 }
 
 func TestStartRefusesDirtyDataDir(t *testing.T) {
-	opts := durableOptions(t, 3, 2, ModeGHBA)
+	opts := durableOptions(t, 3, 2)
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestStartRefusesDirtyDataDir(t *testing.T) {
 }
 
 func TestStartRejectsBadWALSync(t *testing.T) {
-	opts := testOptions(2, 2, ModeGHBA)
+	opts := testOptions(2, 2)
 	opts.WALSync = "sometimes"
 	if _, err := Start(opts); err == nil {
 		t.Fatal("unknown WAL sync policy accepted")
@@ -112,9 +112,9 @@ func TestStartRejectsBadWALSync(t *testing.T) {
 }
 
 func TestKillRestartInPlace(t *testing.T) {
-	for _, mode := range []Mode{ModeGHBA, ModeHBA} {
-		t.Run(mode.String(), func(t *testing.T) {
-			c, err := Start(durableOptions(t, 4, 2, mode))
+	for _, m := range []int{2, 1} {
+		t.Run("M="+strconv.Itoa(m), func(t *testing.T) {
+			c, err := Start(durableOptions(t, 4, m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,9 +149,9 @@ func TestKillRestartInPlace(t *testing.T) {
 }
 
 func TestFailMDSRemovesDaemon(t *testing.T) {
-	for _, mode := range []Mode{ModeGHBA, ModeHBA} {
-		t.Run(mode.String(), func(t *testing.T) {
-			c := startPopulated(t, 5, 2, mode, 200)
+	for _, m := range []int{2, 1} {
+		t.Run("M="+strconv.Itoa(m), func(t *testing.T) {
+			c := startPopulated(t, 5, m, 200)
 			victim := c.MDSIDs()[2]
 			lostTruth := 0
 			for i := 0; i < 200; i++ {
@@ -195,7 +195,7 @@ func TestFailMDSRemovesDaemon(t *testing.T) {
 // homed, and a verify sent there would fail the whole vector. ObserveBatch=1
 // plus a full sweep makes every survivor's L1 remember every home first.
 func TestLookupBatchAfterFailover(t *testing.T) {
-	opts := testOptions(4, 2, ModeGHBA)
+	opts := testOptions(4, 2)
 	opts.ObserveBatch = 1
 	c, err := Start(opts)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestLookupBatchAfterFailover(t *testing.T) {
 }
 
 func TestFailMDSRefusesLastDaemon(t *testing.T) {
-	c, err := Start(testOptions(1, 1, ModeGHBA))
+	c, err := Start(testOptions(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,45 +265,52 @@ func TestFailMDSRefusesLastDaemon(t *testing.T) {
 	}
 }
 
+// At M = 1 the failed daemon's group dissolves and the rejoin is a split, so
+// the case also covers group-index reuse after a dissolved group.
 func TestRestartAfterFailoverReclaimsFiles(t *testing.T) {
-	c, err := Start(durableOptions(t, 4, 2, ModeGHBA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	paths := createFiles(t, c, 150)
+	for _, m := range []int{2, 1} {
+		t.Run("M="+strconv.Itoa(m), func(t *testing.T) {
+			c, err := Start(durableOptions(t, 4, m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			paths := createFiles(t, c, 150)
 
-	victim := c.MDSIDs()[0]
-	rep, err := c.FailMDS(context.Background(), victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FilesLost == 0 {
-		t.Skip("victim homed no files under this seed; nothing to reclaim")
-	}
-	rr, err := c.RestartMDS(context.Background(), victim)
-	if err != nil {
-		t.Fatalf("restart after failover: %v", err)
-	}
-	if !rr.Rejoined {
-		t.Fatal("post-failover restart did not rejoin")
-	}
-	if rr.FilesReclaimed != rep.FilesLost {
-		t.Fatalf("reclaimed %d files, failover lost %d", rr.FilesReclaimed, rep.FilesLost)
-	}
-	if c.NumMDS() != 4 {
-		t.Fatalf("membership = %d after rejoin", c.NumMDS())
-	}
-	verifySweep(t, c, paths)
-	for _, p := range paths {
-		if c.HomeOf(p) < 0 {
-			t.Fatalf("%s still missing from ground truth after reclaim", p)
-		}
+			victim := c.MDSIDs()[0]
+			rep, err := c.FailMDS(context.Background(), victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FilesLost == 0 {
+				t.Skip("victim homed no files under this seed; nothing to reclaim")
+			}
+			rr, err := c.RestartMDS(context.Background(), victim)
+			if err != nil {
+				t.Fatalf("restart after failover: %v", err)
+			}
+			if !rr.Rejoined {
+				t.Fatal("post-failover restart did not rejoin")
+			}
+			if rr.FilesReclaimed != rep.FilesLost {
+				t.Fatalf("reclaimed %d files, failover lost %d", rr.FilesReclaimed, rep.FilesLost)
+			}
+			if c.NumMDS() != 4 {
+				t.Fatalf("membership = %d after rejoin", c.NumMDS())
+			}
+			checkPlacement(t, c)
+			verifySweep(t, c, paths)
+			for _, p := range paths {
+				if c.HomeOf(p) < 0 {
+					t.Fatalf("%s still missing from ground truth after reclaim", p)
+				}
+			}
+		})
 	}
 }
 
 func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
-	c, err := Start(durableOptions(t, 3, 3, ModeGHBA))
+	c, err := Start(durableOptions(t, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +350,7 @@ func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
 }
 
 func TestDetectorDrivesFailover(t *testing.T) {
-	c, err := Start(durableOptions(t, 4, 2, ModeGHBA))
+	c, err := Start(durableOptions(t, 4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +409,7 @@ func TestDetectorDrivesFailover(t *testing.T) {
 }
 
 func TestDetectorStopIdempotent(t *testing.T) {
-	c := startPopulated(t, 2, 2, ModeGHBA, 10)
+	c := startPopulated(t, 2, 2, 10)
 	d := c.StartDetector(DetectorOptions{Interval: 10 * time.Millisecond})
 	d.Stop()
 	d.Stop()
@@ -423,7 +430,7 @@ func TestHealthString(t *testing.T) {
 // cross SnapshotEvery and checks the heartbeat's WAL counter resets —
 // compaction happened inside the request path.
 func TestWALSnapshotCadence(t *testing.T) {
-	opts := durableOptions(t, 1, 1, ModeGHBA)
+	opts := durableOptions(t, 1, 1)
 	opts.SnapshotEvery = 25
 	c, err := Start(opts)
 	if err != nil {

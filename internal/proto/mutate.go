@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -211,8 +210,8 @@ func (c *Cluster) shipBatch(ctx context.Context, origins []int) error {
 
 // shipOrigin fetches origin's current filter snapshot over RPC (the daemon
 // records it as last-shipped, resetting its XOR-delta drift) and installs
-// it at the one replica holder in every other group (G-HBA) or at every
-// other daemon (HBA). Ships of the same origin serialize on a striped lock
+// it at the one replica holder in every other group — every other daemon
+// when groups are of one. Ships of the same origin serialize on a striped lock
 // so a racing pair cannot install an older snapshot over a newer one while
 // the origin's drift tracking already counts against the newer. Unknown
 // origins (retired between enqueue and drain) are ignored.
@@ -228,26 +227,10 @@ func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 		return nil
 	}
 	var targets []int
-	switch c.opts.Mode {
-	case ModeHBA:
-		for _, id := range c.ids {
-			if id != origin {
-				targets = append(targets, id)
-			}
-		}
-	case ModeGHBA:
-		ownGroup := c.groupIdx[origin]
-		gis := make([]int, 0, len(c.groups))
-		for gi := range c.groups {
-			if gi != ownGroup {
-				gis = append(gis, gi)
-			}
-		}
-		sort.Ints(gis)
-		for _, gi := range gis {
-			if holder, ok := c.holders[gi][origin]; ok {
-				targets = append(targets, holder)
-			}
+	ownGroup := c.groupIdx[origin]
+	for _, gi := range sortedKeys(c.groups) {
+		if holder, ok := c.holders[gi][origin]; ok && gi != ownGroup {
+			targets = append(targets, holder)
 		}
 	}
 	c.mu.RUnlock()

@@ -15,7 +15,7 @@ import (
 // them, and ground truth stays consistent throughout.
 func TestCreateDeleteOverRealSockets(t *testing.T) {
 	ctx := context.Background()
-	c := startPopulated(t, 6, 3, ModeGHBA, 100)
+	c := startPopulated(t, 6, 3, 100)
 
 	created := make(map[string]int)
 	for i := 0; i < 60; i++ {
@@ -70,7 +70,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 // replicas then serve the new files at L2/L3 from other groups' entries.
 func TestCreateShipsReplicaUpdates(t *testing.T) {
 	ctx := context.Background()
-	opts := testOptions(6, 3, ModeGHBA)
+	opts := testOptions(6, 3)
 	opts.ShipBatch = 1
 	c, err := Start(opts)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestCreateShipsReplicaUpdates(t *testing.T) {
 // drains them.
 func TestShipBatchCoalesces(t *testing.T) {
 	ctx := context.Background()
-	opts := testOptions(6, 3, ModeGHBA)
+	opts := testOptions(6, 3)
 	opts.ShipBatch = 1 << 20
 	c, err := Start(opts)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestShipBatchCoalesces(t *testing.T) {
 // to lookups, deletes report the pre-delete home, absent deletes miss.
 func TestApplyWithMixedWorkload(t *testing.T) {
 	ctx := context.Background()
-	c := startPopulated(t, 6, 3, ModeGHBA, 100)
+	c := startPopulated(t, 6, 3, 100)
 	rng := rand.New(rand.NewSource(1))
 
 	res, err := c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpCreate, Path: "/mix/a"})
@@ -184,7 +184,7 @@ func TestApplyWithMixedWorkload(t *testing.T) {
 // real sockets while ships coalesce. Run under -race.
 func TestConcurrentMutationsAndLookups(t *testing.T) {
 	ctx := context.Background()
-	opts := testOptions(6, 3, ModeGHBA)
+	opts := testOptions(6, 3)
 	opts.ShipBatch = 8
 	c, err := Start(opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package proto
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -11,11 +12,12 @@ import (
 	"ghba/internal/mds"
 )
 
-func testOptions(n, m int, mode Mode) Options {
+// testOptions sizes an n-daemon cluster with groups of at most m; m = 1 is
+// the HBA baseline.
+func testOptions(n, m int) Options {
 	return Options{
-		N:    n,
-		M:    m,
-		Mode: mode,
+		N: n,
+		M: m,
 		Node: mds.Config{
 			ExpectedFiles:  2_000,
 			BitsPerFile:    16,
@@ -26,9 +28,9 @@ func testOptions(n, m int, mode Mode) Options {
 	}
 }
 
-func startPopulated(t *testing.T, n, m int, mode Mode, files int) *Cluster {
+func startPopulated(t *testing.T, n, m, files int) *Cluster {
 	t.Helper()
-	c, err := Start(testOptions(n, m, mode))
+	c, err := Start(testOptions(n, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,28 +44,16 @@ func startPopulated(t *testing.T, n, m int, mode Mode, files int) *Cluster {
 }
 
 func TestStartValidation(t *testing.T) {
-	if _, err := Start(Options{N: 0, M: 3, Mode: ModeGHBA}); err == nil {
+	if _, err := Start(Options{N: 0, M: 3}); err == nil {
 		t.Error("N=0 accepted")
 	}
-	if _, err := Start(Options{N: 3, M: 0, Mode: ModeGHBA}); err == nil {
-		t.Error("M=0 accepted in G-HBA mode")
-	}
-	if _, err := Start(Options{N: 3, Mode: Mode(9)}); err == nil {
-		t.Error("unknown mode accepted")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeGHBA.String() != "G-HBA" || ModeHBA.String() != "HBA" {
-		t.Error("mode names wrong")
-	}
-	if Mode(9).String() == "" {
-		t.Error("unknown mode empty string")
+	if _, err := Start(Options{N: 3, M: 0}); err == nil {
+		t.Error("M=0 accepted")
 	}
 }
 
 func TestGHBALookupOverRealSockets(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 200)
+	c := startPopulated(t, 6, 3, 200)
 	for i := 0; i < 100; i++ {
 		path := "/p/f" + strconv.Itoa(i)
 		res, err := c.Lookup(context.Background(), path)
@@ -80,7 +70,7 @@ func TestGHBALookupOverRealSockets(t *testing.T) {
 }
 
 func TestHBALookupOverRealSockets(t *testing.T) {
-	c := startPopulated(t, 6, 0, ModeHBA, 200)
+	c := startPopulated(t, 6, 1, 200)
 	for i := 0; i < 100; i++ {
 		path := "/p/f" + strconv.Itoa(i)
 		res, err := c.Lookup(context.Background(), path)
@@ -94,20 +84,20 @@ func TestHBALookupOverRealSockets(t *testing.T) {
 }
 
 func TestLookupMissingFile(t *testing.T) {
-	for _, mode := range []Mode{ModeGHBA, ModeHBA} {
-		c := startPopulated(t, 4, 2, mode, 50)
+	for _, m := range []int{2, 1} {
+		c := startPopulated(t, 4, m, 50)
 		res, err := c.Lookup(context.Background(), "/ghost")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Found || res.Level != 4 {
-			t.Errorf("%v: ghost = %+v", mode, res)
+			t.Errorf("M=%d: ghost = %+v", m, res)
 		}
 	}
 }
 
 func TestL1LearningAfterBatchFlush(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 200)
+	c := startPopulated(t, 6, 3, 200)
 	const hot = "/p/f7"
 	// Drive enough confirmed lookups to flush the observation batch; the
 	// hot path is among them, so every daemon's LRU array learns it.
@@ -130,7 +120,7 @@ func TestL1LearningAfterBatchFlush(t *testing.T) {
 }
 
 func TestConcurrentLookups(t *testing.T) {
-	c := startPopulated(t, 6, 3, ModeGHBA, 300)
+	c := startPopulated(t, 6, 3, 300)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -163,7 +153,7 @@ func TestConcurrentLookups(t *testing.T) {
 // message per other group.
 func TestAddMDSMessageCounts(t *testing.T) {
 	const n = 12
-	hba := startPopulated(t, n, 0, ModeHBA, 100)
+	hba := startPopulated(t, n, 1, 100)
 	_, hbaMsgs, err := hba.AddMDS(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +162,7 @@ func TestAddMDSMessageCounts(t *testing.T) {
 		t.Errorf("HBA join = %d messages, want ≥ 2N = %d", hbaMsgs, 2*n)
 	}
 
-	ghba := startPopulated(t, n, 4, ModeGHBA, 100) // groups of 4, full → split
+	ghba := startPopulated(t, n, 4, 100) // groups of 4, full → split
 	_, ghbaMsgs, err := ghba.AddMDS(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +174,7 @@ func TestAddMDSMessageCounts(t *testing.T) {
 
 func TestAddMDSJoinThenLookup(t *testing.T) {
 	// 7 servers, M=4 → groups 4+3, room in the second.
-	c := startPopulated(t, 7, 4, ModeGHBA, 200)
+	c := startPopulated(t, 7, 4, 200)
 	id, msgs, err := c.AddMDS(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +199,7 @@ func TestAddMDSJoinThenLookup(t *testing.T) {
 }
 
 func TestAddMDSSplitThenLookup(t *testing.T) {
-	c := startPopulated(t, 4, 2, ModeGHBA, 150)
+	c := startPopulated(t, 4, 2, 150)
 	if _, _, err := c.AddMDS(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +215,92 @@ func TestAddMDSSplitThenLookup(t *testing.T) {
 	}
 }
 
+// checkPlacement asserts the global-mirror-image invariant on the daemons
+// themselves, not just on the coordinator's books: in every group, every
+// outside origin's replica sits on exactly one member, and that member is
+// the recorded holder. An extra copy is an orphan no ship refreshes and no
+// failover drops.
+func checkPlacement(t *testing.T, c *Cluster) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, gi := range sortedKeys(c.groups) {
+		members := c.groups[gi]
+		inGroup := make(map[int]bool, len(members))
+		for _, m := range members {
+			inGroup[m] = true
+		}
+		for _, origin := range c.ids {
+			if inGroup[origin] {
+				continue
+			}
+			var have []int
+			for _, m := range members {
+				if c.servers[m].node.Replicas().Has(origin) {
+					have = append(have, m)
+				}
+			}
+			holder, recorded := c.holders[gi][origin]
+			if !recorded || len(have) != 1 || have[0] != holder {
+				t.Errorf("group %d %v: replica of MDS %d sits on %v, recorded holder %d (recorded: %v)",
+					gi, members, origin, have, holder, recorded)
+			}
+		}
+	}
+}
+
+// TestSplitKeepsOneReplicaPerGroup pins the split path's placement: the
+// split exchange already hands the newcomer's filter to the victim group, so
+// the distribution that follows must not install it there a second time.
+// M = 1 is the HBA baseline, where every join is a split.
+func TestSplitKeepsOneReplicaPerGroup(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{6, 3}, {4, 2}, {5, 1}} {
+		c := startPopulated(t, tc.n, tc.m, 60)
+		checkPlacement(t, c)
+		for k := 0; k < 3; k++ {
+			if _, _, err := c.AddMDS(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			checkPlacement(t, c)
+		}
+		if t.Failed() {
+			t.Fatalf("N=%d M=%d: placement invariant broken", tc.n, tc.m)
+		}
+	}
+}
+
+// TestAddMDSSeriesIsSeedStable pins that reconfiguration is a pure function
+// of the seed: two clusters built alike cost the same messages join for
+// join. Ten joins at N=8, M=4 pass through a tie between equally small
+// groups, which is where map iteration order used to pick the group — a coin
+// flip per cluster, hence the repeats.
+func TestAddMDSSeriesIsSeedStable(t *testing.T) {
+	series := func() []int {
+		c := startPopulated(t, 8, 4, 40)
+		out := make([]int, 10)
+		for k := range out {
+			_, msgs, err := c.AddMDS(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k] = msgs
+		}
+		return out
+	}
+	want := series()
+	for run := 0; run < 7; run++ {
+		if got := series(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("same seed, different join costs:\n  %v\n  %v", want, got)
+		}
+	}
+}
+
 // TestDiskPenaltySlowsOverloadedNodes verifies the prototype's memory-
 // pressure emulation: HBA daemons holding more replicas than fit in RAM
 // serve queries measurably slower than unconstrained ones.
 func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
-	fast := startPopulated(t, 6, 0, ModeHBA, 100)
-	slowOpts := testOptions(6, 0, ModeHBA)
+	fast := startPopulated(t, 6, 1, 100)
+	slowOpts := testOptions(6, 1)
 	slowOpts.ResidentReplicaLimit = 1
 	slowOpts.DiskPenalty = 2 * time.Millisecond
 	slow, err := Start(slowOpts)
@@ -264,7 +334,7 @@ func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
 }
 
 func TestMessagesCounterAndReset(t *testing.T) {
-	c := startPopulated(t, 4, 2, ModeGHBA, 50)
+	c := startPopulated(t, 4, 2, 50)
 	if _, err := c.Lookup(context.Background(), "/p/f1"); err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,12 @@ import (
 // reconfiguration over real RPCs and returning the new ID and the number of
 // messages the operation cost — the quantity Fig 15 charts per scheme.
 //
-// HBA: the newcomer fetches a replica from every existing server and every
-// server receives the newcomer's filter — 2N messages.
-//
-// G-HBA: the newcomer joins a group with room (offload migrations + IDBFA
+// The newcomer joins a group with room (offload migrations + IDBFA
 // multicast) or splits a full group (replica-copy exchange), then its filter
-// goes to one member of each other group.
+// goes to one member of each other group. With groups of one — the HBA
+// baseline — every join is a split: the newcomer fetches a replica from every
+// existing server and every server receives the newcomer's filter, O(N)
+// messages.
 //
 // AddMDS is an exclusive writer: it holds the membership write lock for the
 // whole reconfiguration, so concurrent lookups either ran against the old
@@ -44,13 +44,7 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	groupsBak, holdersBak := copyGroups(c.groups), copyHolders(c.holders)
-	switch c.opts.Mode {
-	case ModeHBA:
-		err = c.addHBA(ctx, id, &msgs)
-	case ModeGHBA:
-		err = c.addGHBALocked(ctx, id, &msgs)
-	}
-	if err != nil {
+	if err := c.addGHBALocked(ctx, id, &msgs); err != nil {
 		// Roll the coordinator's bookkeeping back to the pre-join state so
 		// no group or holder entry references the abandoned daemon (a
 		// lookup hitting such an entry would fail with "unknown MDS", and
@@ -66,32 +60,6 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, int, error) {
 	c.servers[id] = ns
 	c.rebuildIndexLocked()
 	return id, int(msgs.Load()), nil
-}
-
-// addHBA: full replica exchange with every existing server. The newcomer is
-// not yet in c.ids, so "every existing server" is simply the cached list.
-func (c *Cluster) addHBA(ctx context.Context, id int, msgs *atomic.Int64) error {
-	for _, other := range c.ids {
-		// Fetch the peer's filter and install it on the newcomer.
-		snap, err := c.call(ctx, other, opShipFilter, nil, msgs)
-		if err != nil {
-			return err
-		}
-		if _, err := c.call(ctx, id, opInstallReplica, encodeOriginPayload(other, snap), msgs); err != nil {
-			return err
-		}
-	}
-	// Distribute the newcomer's filter to everyone.
-	snap, err := c.call(ctx, id, opShipFilter, nil, msgs)
-	if err != nil {
-		return err
-	}
-	for _, other := range c.ids {
-		if _, err := c.call(ctx, other, opInstallReplica, encodeOriginPayload(id, snap), msgs); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // addGHBALocked: join-with-room or split, then replica distribution.
@@ -112,13 +80,14 @@ func (c *Cluster) addGHBALocked(ctx context.Context, id int, msgs *atomic.Int64)
 	if err != nil {
 		return err
 	}
-	gis := make([]int, 0, len(c.groups))
-	for gi := range c.groups {
-		gis = append(gis, gi)
-	}
-	sort.Ints(gis)
-	for _, gi := range gis {
+	for _, gi := range sortedKeys(c.groups) {
 		if gi == ownGroup || len(c.groups[gi]) == 0 {
+			continue
+		}
+		if _, held := c.holders[gi][id]; held {
+			// The split exchange already copied the newcomer's replica to
+			// its sibling group; a second install would land on whichever
+			// member is lightest now and orphan the first copy.
 			continue
 		}
 		target := c.lightestMember(gi)
@@ -144,11 +113,15 @@ func (c *Cluster) groupOfLocked(id int) int {
 	return -1
 }
 
+// pickGroupWithRoom returns the smallest group below M members, or -1 when
+// every group is full. Ties go to the lowest group index: which group a
+// newcomer joins decides the whole message flow, so map iteration order must
+// not pick it.
 func (c *Cluster) pickGroupWithRoom() int {
 	best, bestSize := -1, c.opts.M
-	for gi, members := range c.groups {
-		if len(members) < bestSize {
-			best, bestSize = gi, len(members)
+	for _, gi := range sortedKeys(c.groups) {
+		if size := len(c.groups[gi]); size < bestSize {
+			best, bestSize = gi, size
 		}
 	}
 	return best
@@ -220,19 +193,16 @@ func (c *Cluster) joinGroup(ctx context.Context, gi, id int, msgs *atomic.Int64)
 // joining the second, with replica-copy exchange so both halves keep a
 // global mirror image.
 func (c *Cluster) splitGroup(ctx context.Context, id int, msgs *atomic.Int64) error {
-	// Deterministic victim: lowest group index.
-	victim := -1
-	for gi := range c.groups {
-		if victim < 0 || gi < victim {
-			victim = gi
-		}
-	}
+	// Deterministic victim: lowest group index. The new group takes the
+	// next index above every live one — failover deletes dissolved groups,
+	// so the count of groups may name an index still in use.
+	gis := sortedKeys(c.groups)
+	victim, newGi := gis[0], gis[len(gis)-1]+1
 	members := c.groups[victim]
 	move := len(members) / 2
 	moving := append([]int(nil), members[len(members)-move:]...)
 	staying := append([]int(nil), members[:len(members)-move]...)
 
-	newGi := len(c.groups)
 	c.groups[victim] = staying
 	c.groups[newGi] = append(moving, id)
 	c.holders[newGi] = make(map[int]int)
@@ -308,7 +278,7 @@ func (c *Cluster) splitGroup(ctx context.Context, id int, msgs *atomic.Int64) er
 }
 
 // sortedKeys returns a map's keys in ascending order.
-func sortedKeys(m map[int]int) []int {
+func sortedKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -17,8 +17,11 @@
 //     leaks Go's randomized map order into homes, tallies, and wire
 //     payloads. Engines must sort such slices (or iterate a pre-sorted
 //     snapshot like core's ids cache) before the data flows anywhere.
+//     The same leak in scalar form: a smallest/largest scan over a map
+//     that keeps the first key to win a comparison hands every tie to
+//     map order, unless the comparison falls back to the key itself.
 //
-// The analyzer fires only inside the engine packages (core, hba, mds,
+// The analyzer fires only inside the engine packages (core, mds,
 // bloom, bloomarray, group, trace, proto, bfa) — drivers and cmd/ binaries
 // may use wall-clock seeds deliberately. Suppress a deliberate
 // nondeterminism with //ghbavet:ignore <reason>.
@@ -37,7 +40,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "detrand",
-	Doc:      "forbid global math/rand, clock seeding, and unsorted map-order results in engine packages",
+	Doc:      "forbid global math/rand, clock seeding, and map-order-dependent results in engine packages",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -47,7 +50,6 @@ var Analyzer = &analysis.Analyzer{
 // (config, seed, trace).
 var enginePackages = map[string]bool{
 	"core":       true,
-	"hba":        true,
 	"mds":        true,
 	"bloom":      true,
 	"bloomarray": true,
@@ -169,6 +171,7 @@ func checkMapOrder(pass *analysis.Pass, rep *vetutil.Reporter, fd *ast.FuncDecl)
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
+		checkFirstWins(pass, rep, rng)
 		// Find s = append(s, ...) in the body where s is an identifier
 		// declared outside the range statement.
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
@@ -201,6 +204,62 @@ func checkMapOrder(pass *analysis.Pass, rep *vetutil.Reporter, fd *ast.FuncDecl)
 			rep.Reportf(p.pos, "%s collects map-iteration results; map order is randomized — sort %s before it flows into homes, tallies, or the wire", p.name, p.name)
 		}
 	}
+}
+
+// checkFirstWins flags a best-so-far scan over a map: an if inside the
+// range body whose condition orders two values and whose body stores the
+// range key. Equal candidates then resolve to whichever the randomized
+// iteration reaches first. A condition that also orders the key itself
+// (a tie-break, or a plain smallest-key scan) is deterministic and passes.
+func checkFirstWins(pass *analysis.Pass, rep *vetutil.Reporter, rng *ast.RangeStmt) {
+	keyIdent, isIdent := rng.Key.(*ast.Ident)
+	if !isIdent || keyIdent.Name == "_" {
+		return
+	}
+	key := pass.TypesInfo.ObjectOf(keyIdent)
+	mentionsKey := func(n ast.Node) bool {
+		found := false
+		ast.Inspect(n, func(m ast.Node) bool {
+			if id, isIdent := m.(*ast.Ident); isIdent && pass.TypesInfo.ObjectOf(id) == key {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		ifStmt, isIf := n.(*ast.IfStmt)
+		if !isIf {
+			return true
+		}
+		ordered, keyed := false, false
+		ast.Inspect(ifStmt.Cond, func(m ast.Node) bool {
+			if bin, isBin := m.(*ast.BinaryExpr); isBin {
+				switch bin.Op {
+				case token.LSS, token.GTR, token.LEQ, token.GEQ:
+					ordered = true
+					keyed = keyed || mentionsKey(bin)
+				}
+			}
+			return true
+		})
+		if !ordered || keyed {
+			return true
+		}
+		for _, stmt := range ifStmt.Body.List {
+			assign, isAssign := stmt.(*ast.AssignStmt)
+			if !isAssign || assign.Tok != token.ASSIGN {
+				continue
+			}
+			for _, rhs := range assign.Rhs {
+				if mentionsKey(rhs) {
+					rep.Reportf(assign.Pos(), "%s is kept by a first-wins comparison inside a map range; ties fall to randomized map order — range over sorted keys, or break ties on %s", keyIdent.Name, keyIdent.Name)
+					return true
+				}
+			}
+		}
+		return true
+	})
 }
 
 // sortedLater reports whether name is passed to a sort.* or slices.Sort*

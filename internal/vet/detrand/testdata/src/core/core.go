@@ -99,6 +99,40 @@ func (c *cluster) scratchPerIteration() int {
 	return total
 }
 
+// A smallest-value scan that keeps the first winner: equal sizes resolve to
+// whichever group the map happens to yield first.
+func smallestGroup(groups map[int][]int, limit int) int {
+	best, bestSize := -1, limit
+	for gi, members := range groups {
+		if len(members) < bestSize {
+			best, bestSize = gi, len(members) // want `gi is kept by a first-wins comparison inside a map range`
+		}
+	}
+	return best
+}
+
+// Breaking ties on the key makes the same scan a pure function of the map.
+func smallestGroupTieBroken(groups map[int][]int, limit int) int {
+	best, bestSize := -1, limit
+	for gi, members := range groups {
+		if len(members) < bestSize || (len(members) == bestSize && gi < best) {
+			best, bestSize = gi, len(members)
+		}
+	}
+	return best
+}
+
+// Ordering the keys themselves has no ties to lose.
+func lowestKey(groups map[int][]int) int {
+	lowest := -1
+	for gi := range groups {
+		if lowest < 0 || gi < lowest {
+			lowest = gi
+		}
+	}
+	return lowest
+}
+
 // Deliberate nondeterminism stays possible, with a visible paper trail.
 func jitter() int {
 	//ghbavet:ignore demo-only backoff jitter, never replayed

@@ -2,7 +2,6 @@ package ghba
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -16,8 +15,6 @@ import (
 type PrototypeConfig struct {
 	Config
 
-	// Mode selects the scheme: "ghba" (default) or the "hba" baseline.
-	Mode string
 	// ResidentReplicaLimit is how many replicas fit in one daemon's RAM;
 	// holdings beyond it pay DiskPenalty per query. Zero disables.
 	ResidentReplicaLimit int
@@ -78,18 +75,9 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	mode := proto.ModeGHBA
-	switch cfg.Mode {
-	case "", "ghba":
-	case "hba":
-		mode = proto.ModeHBA
-	default:
-		return nil, &ConfigError{Field: "Mode", Reason: fmt.Sprintf("want %q or %q, got %q", "ghba", "hba", cfg.Mode)}
-	}
 	cluster, err := proto.Start(proto.Options{
 		N:                    cfg.NumMDS,
 		M:                    cfg.groupSize(),
-		Mode:                 mode,
 		Node:                 cfg.nodeConfig(),
 		ResidentReplicaLimit: cfg.ResidentReplicaLimit,
 		DiskPenalty:          cfg.DiskPenalty,
