@@ -14,7 +14,8 @@ import "sync/atomic"
 // A Digest is mutable scratch state (the position cache re-materializes when
 // the probed geometry changes) and must not be shared between goroutines;
 // each lookup computes its own. The zero value is not meaningful; construct
-// digests with NewDigest or NewDigestString.
+// digests with NewDigest or NewDigestString, or re-key a pooled one in place
+// with ResetString.
 type Digest struct {
 	h1, h2 uint64
 
@@ -48,12 +49,27 @@ func NewDigestString(key string) Digest {
 	return Digest{h1: h1, h2: h2}
 }
 
-// positions returns the k probe positions for geometry (m, k, layout),
-// materializing and caching them on first use. Returns nil when k exceeds
-// the cache bound; callers then derive indices per probe.
+// ResetString re-keys d in place to NewDigestString(key): the base hashes
+// are replaced and the cached geometry invalidated (no geometry has k = 0),
+// so the next probe re-materializes its positions. A pooled digest is reset
+// this way instead of being assigned a fresh value, which would copy the
+// whole position cache.
 //
 //ghbavet:hotpath
-func (d *Digest) positions(m uint64, k uint32, layout Layout) []uint64 {
+func (d *Digest) ResetString(key string) {
+	d.h1, d.h2 = hashPairString(key)
+	d.k = 0
+}
+
+// Positions returns the k probe positions for geometry (m, k, layout),
+// materializing and caching them on first use. Returns nil when k exceeds
+// the cache bound; callers then derive each index with PositionAt. It is
+// exported for containers that probe their own bit storage at a filter
+// geometry (bloomarray's bit-sliced L1) and must agree with Filter bit for
+// bit; the returned slice aliases the digest and is read-only.
+//
+//ghbavet:hotpath
+func (d *Digest) Positions(m uint64, k uint32, layout Layout) []uint64 {
 	if k > digestMaxK {
 		return nil
 	}
@@ -72,6 +88,13 @@ func (d *Digest) positions(m uint64, k uint32, layout Layout) []uint64 {
 	return d.pos[:k]
 }
 
+// PositionAt derives the i-th probe position for an m-bit vector of the
+// given layout without touching the cache: the path for k beyond the cache
+// bound, where Positions returns nil.
+func (d *Digest) PositionAt(i uint32, m uint64, layout Layout) uint64 {
+	return layoutIndexAt(d.h1, d.h2, i, m, layout)
+}
+
 // ContainsDigest reports whether the digested key may be in the set. It is
 // bit-for-bit equivalent to Contains on the same key: k word loads against
 // the cached probe positions, no hashing, no allocation. Like Contains it is
@@ -79,7 +102,7 @@ func (d *Digest) positions(m uint64, k uint32, layout Layout) []uint64 {
 //
 //ghbavet:hotpath
 func (f *Filter) ContainsDigest(d *Digest) bool {
-	if pos := d.positions(f.m, f.k, f.layout); pos != nil {
+	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
 		for _, bit := range pos {
 			if atomic.LoadUint64(&f.words[bit/wordBits])&(1<<(bit%wordBits)) == 0 {
 				return false
@@ -94,7 +117,7 @@ func (f *Filter) ContainsDigest(d *Digest) bool {
 //
 //ghbavet:hotpath
 func (f *Filter) AddDigest(d *Digest) {
-	if pos := d.positions(f.m, f.k, f.layout); pos != nil {
+	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
 		for _, bit := range pos {
 			atomic.OrUint64(&f.words[bit/wordBits], 1<<(bit%wordBits))
 		}
@@ -107,7 +130,7 @@ func (f *Filter) AddDigest(d *Digest) {
 // ContainsDigest reports whether the digested key may be in the counting
 // filter, equivalent to Contains on the same key.
 func (c *CountingFilter) ContainsDigest(d *Digest) bool {
-	if pos := d.positions(c.m, c.k, LayoutClassic); pos != nil {
+	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
 		for _, idx := range pos {
 			if c.counters[idx] == 0 {
 				return false
@@ -120,7 +143,7 @@ func (c *CountingFilter) ContainsDigest(d *Digest) bool {
 
 // AddDigest inserts the digested key, equivalent to Add on the same key.
 func (c *CountingFilter) AddDigest(d *Digest) {
-	if pos := d.positions(c.m, c.k, LayoutClassic); pos != nil {
+	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
 		for _, idx := range pos {
 			if c.counters[idx] < counterMax {
 				c.counters[idx]++
@@ -135,7 +158,7 @@ func (c *CountingFilter) AddDigest(d *Digest) {
 // RemoveDigest deletes one occurrence of the digested key, equivalent to
 // Remove on the same key (with the same corruption caveat).
 func (c *CountingFilter) RemoveDigest(d *Digest) {
-	if pos := d.positions(c.m, c.k, LayoutClassic); pos != nil {
+	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
 		for _, idx := range pos {
 			if c.counters[idx] > 0 && c.counters[idx] < counterMax {
 				c.counters[idx]--

@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -97,6 +98,44 @@ func TestDigestGeometrySwitch(t *testing.T) {
 			}
 			if got, want := big.ContainsDigest(&d), big.Contains(key); got != want {
 				t.Fatalf("big geometry: ContainsDigest=%v Contains=%v for %q", got, want, key)
+			}
+		}
+	}
+}
+
+// TestDigestResetString checks the in-place re-key of a pooled digest: one
+// digest carried from key to key — its position cache warm for the very
+// geometry probed next, the case a missed invalidation would get wrong — must
+// probe exactly like a fresh digest of each key, on the cached path, on the
+// per-probe path beyond the cache bound, and through a filter.
+func TestDigestResetString(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pooled Digest
+	for trial := 0; trial < 200; trial++ {
+		m := uint64(512 * (1 + rng.Intn(64)))
+		k := uint32(1 + rng.Intn(40)) // crosses digestMaxK
+		layout := Layout(trial % 2)
+		f, err := NewLayout(m, k, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			key := string(randKey(rng))
+			if i%2 == 0 {
+				f.AddString(key)
+			}
+			pooled.ResetString(key)
+			fresh := NewDigestString(key)
+			if got, want := pooled.Positions(m, k, layout), fresh.Positions(m, k, layout); !slices.Equal(got, want) {
+				t.Fatalf("m=%d k=%d %v key=%q: reset digest probes %v, fresh %v", m, k, layout, key, got, want)
+			}
+			for j := uint32(0); j < k; j++ {
+				if got, want := pooled.PositionAt(j, m, layout), f.indexOf(fresh.h1, fresh.h2, j); got != want {
+					t.Fatalf("m=%d k=%d %v key=%q: PositionAt(%d)=%d, filter probes %d", m, k, layout, key, j, got, want)
+				}
+			}
+			if got, want := f.ContainsDigest(&pooled), f.ContainsString(key); got != want {
+				t.Fatalf("m=%d k=%d %v key=%q: reset ContainsDigest=%v ContainsString=%v", m, k, layout, key, got, want)
 			}
 		}
 	}

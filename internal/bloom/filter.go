@@ -97,8 +97,23 @@ func New(m uint64, k uint32) (*Filter, error) {
 // LayoutBlocked, m is rounded up to a whole number of 512-bit blocks so
 // every block is full-sized.
 func NewLayout(m uint64, k uint32, layout Layout) (*Filter, error) {
+	m, err := layoutBits(m, k, layout)
+	if err != nil {
+		return nil, err
+	}
+	return &Filter{
+		m:      m,
+		k:      k,
+		layout: layout,
+		words:  make([]uint64, (m+wordBits-1)/wordBits),
+	}, nil
+}
+
+// layoutBits validates a geometry and returns the vector length a filter of
+// that layout actually gets: m itself, or m rounded up to whole blocks.
+func layoutBits(m uint64, k uint32, layout Layout) (uint64, error) {
 	if m == 0 || k == 0 {
-		return nil, fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
+		return 0, fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
 	}
 	switch layout {
 	case LayoutClassic:
@@ -107,14 +122,9 @@ func NewLayout(m uint64, k uint32, layout Layout) (*Filter, error) {
 			m += blockBits - r
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown layout %d", ErrInvalidGeometry, uint8(layout))
+		return 0, fmt.Errorf("%w: unknown layout %d", ErrInvalidGeometry, uint8(layout))
 	}
-	return &Filter{
-		m:      m,
-		k:      k,
-		layout: layout,
-		words:  make([]uint64, (m+wordBits-1)/wordBits),
-	}, nil
+	return m, nil
 }
 
 // NewForCapacity creates a classic-layout filter sized for n items at the
@@ -128,11 +138,23 @@ func NewForCapacity(n uint64, bitsPerItem float64) (*Filter, error) {
 
 // NewForCapacityLayout is NewForCapacity with an explicit bit layout.
 func NewForCapacityLayout(n uint64, bitsPerItem float64, layout Layout) (*Filter, error) {
-	if n == 0 || bitsPerItem <= 0 {
-		return nil, fmt.Errorf("%w: n=%d bits/item=%f", ErrInvalidGeometry, n, bitsPerItem)
+	m, k, err := CapacityGeometry(n, bitsPerItem, layout)
+	if err != nil {
+		return nil, err
 	}
-	m := uint64(math.Ceil(float64(n) * bitsPerItem))
-	return NewLayout(m, OptimalK(bitsPerItem), layout)
+	return NewLayout(m, k, layout)
+}
+
+// CapacityGeometry returns the (m, k) of the filter NewForCapacityLayout
+// builds for n items at bitsPerItem, for containers that keep same-geometry
+// bit storage of their own (see Digest.Positions).
+func CapacityGeometry(n uint64, bitsPerItem float64, layout Layout) (m uint64, k uint32, err error) {
+	if n == 0 || bitsPerItem <= 0 {
+		return 0, 0, fmt.Errorf("%w: n=%d bits/item=%f", ErrInvalidGeometry, n, bitsPerItem)
+	}
+	k = OptimalK(bitsPerItem)
+	m, err = layoutBits(uint64(math.Ceil(float64(n)*bitsPerItem)), k, layout)
+	return m, k, err
 }
 
 // OptimalK returns the hash count minimizing the false-positive rate for the
@@ -162,10 +184,7 @@ func (f *Filter) Count() uint64 { return atomic.LoadUint64(&f.n) }
 
 // indexOf returns the i-th probe position under the filter's layout.
 func (f *Filter) indexOf(h1, h2 uint64, i uint32) uint64 {
-	if f.layout == LayoutBlocked {
-		return blockedIndexAt(h1, h2, i, f.m)
-	}
-	return indexAt(h1, h2, i, f.m)
+	return layoutIndexAt(h1, h2, i, f.m, f.layout)
 }
 
 // Add inserts key into the filter.

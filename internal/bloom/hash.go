@@ -63,6 +63,15 @@ func indexAt(h1, h2 uint64, i uint32, m uint64) uint64 {
 	return (h1 + uint64(i)*h2) % m
 }
 
+// layoutIndexAt returns the i-th probe position for the (h1, h2) pair in an
+// m-bit table of the given layout.
+func layoutIndexAt(h1, h2 uint64, i uint32, m uint64, layout Layout) uint64 {
+	if layout == LayoutBlocked {
+		return blockedIndexAt(h1, h2, i, m)
+	}
+	return indexAt(h1, h2, i, m)
+}
+
 // blockedIndexAt returns the i-th probe position for the (h1, h2) pair in a
 // cache-line-blocked table of m bits (m a multiple of blockBits): h1 selects
 // one 512-bit block and every probe lands inside it, so a whole k-probe query

@@ -6,7 +6,7 @@
 //     filter responds positively; zero or multiple hits escalate the lookup
 //     to the next level of the hierarchy.
 //   - LRUArray (lru.go): the L1 structure capturing temporal locality with
-//     per-MDS aging filters.
+//     per-MDS aging filters, stored bit-sliced so one query tests them all.
 //   - IDBFA (idbfa.go): the counting-filter array each MDS keeps to locate
 //     which group member currently stores which Bloom-filter replica.
 package bloomarray

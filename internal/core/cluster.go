@@ -21,14 +21,19 @@ import (
 //
 // Concurrency model: the read path is lock-free, the write path is locked.
 //
-// Lookups (Lookup, LookupWith, LookupAt) acquire no locks at all: they load
+// Lookups (Lookup, LookupWith, LookupAt) take no lock to read: they load
 // the current epoch — an immutable topology snapshot published through an
 // atomic pointer — and walk the four-level hierarchy against it. Filter
-// probes along the way are word-wise atomic, and the replica/LRU arrays
-// publish copy-on-write snapshots of their own, so a lookup races nothing.
+// probes along the way are word-wise atomic; the replica arrays publish
+// copy-on-write snapshots of their own; and the L1 array publishes its
+// bit-sliced slab and lane assignment the same way — a rotation or Forget
+// copies, only key inserts OR bits into the published slab, atomically, so a
+// probe racing one can at worst miss that key (see bloomarray.LRUArray) —
+// so a lookup races nothing.
 // The only shared mutable state a lookup touches is internally synchronized
-// observability (tallies, latency stats, message counts, the L1 learning
-// write) and, in queued mode, the queue-model map under queueMu.
+// observability (tallies, message counts, the latency stats — a mutex each,
+// taken twice per lookup — and the L1 learning write, which locks only for a
+// key L1 has not seen) and, in queued mode, the queue-model map under queueMu.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
 // topology lock. Mutations (Create, Delete, Apply, ApplyWith) and replica

@@ -31,14 +31,14 @@ var scratchPool = sync.Pool{
 	},
 }
 
-// putScratch returns scratch to the pool with the digest zeroed: pooled
-// objects live indefinitely, and a populated digest would carry the last
-// lookup's hash state (and retain whatever its cache references grow to hold)
-// across unrelated requests. The hit buffers keep their capacity — that reuse
-// is the point of the pool — but the digest is per-path state, not scratch
-// capacity.
+// putScratch returns scratch to the pool with the digest re-keyed to the
+// empty path: pooled objects live indefinitely, and a populated digest would
+// carry the last lookup's hash state across unrelated requests. The reset is
+// in place — assigning a fresh Digest would copy its whole position cache.
+// The hit buffers keep their capacity — that reuse is the point of the pool
+// — but the digest is per-path state, not scratch capacity.
 func putScratch(s *lookupScratch) {
-	s.digest = bloom.Digest{}
+	s.digest.ResetString("")
 	scratchPool.Put(s)
 }
 
@@ -118,8 +118,8 @@ func (c *Cluster) remoteWork(id int, arrival, work time.Duration, queued bool) t
 // (pure service latency). It updates the per-level tallies, latency
 // statistics, and the entry node's L1 array.
 //
-// Lookup is the lock-free read path: it loads the current epoch and acquires
-// no locks, so any number of goroutines may call it concurrently, also
+// Lookup is the lock-free read path: it loads the current epoch and takes no
+// lock to read it, so any number of goroutines may call it concurrently, also
 // concurrently with reconfiguration (which publishes a new epoch; in-flight
 // lookups finish against the one they loaded). An unknown entry falls back
 // to a random MDS drawn from the cluster's internal RNG; hot parallel loops
@@ -159,10 +159,10 @@ func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) Lookup
 }
 
 // lookupEpoch walks the four-level hierarchy against one topology snapshot,
-// with zero lock acquisitions on the critical path. The hot path mutates
-// nothing except internally synchronized state — the observability
-// structures, the word-wise-atomic filters probed along the way, and (in
-// queued mode) the queue-model map under queueMu. The entry must exist in e.
+// reading everything lock-free. The hot path mutates nothing except
+// internally synchronized state — the observability structures (the latency
+// accumulators lock), the L1 learning write, and (in queued mode) the
+// queue-model map under queueMu. The entry must exist in e.
 //
 //ghbavet:hotpath
 func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Duration, queued bool) LookupResult {
@@ -173,8 +173,8 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	// this digest instead of re-hashing the path.
 	s := scratchPool.Get().(*lookupScratch)
 	defer putScratch(s)
-	s.digest = bloom.NewDigestString(path)
 	d := &s.digest
+	d.ResetString(path)
 
 	latency := c.cfg.Cost.ClientRTT
 	var server time.Duration
@@ -202,10 +202,12 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 			// The home MDS records the access in its LRU filter, whose
 			// replica every server consults at L1. The digest carries the
 			// hash into the learning write too. The steady-state re-observe
-			// path inside is lock- and allocation-free; only a first
-			// observation or a generation rotation allocates, which the
-			// flow-insensitive hot-path check cannot distinguish.
-			//ghbavet:ignore L1 learning allocates only on new-entry/rotation, amortized away in steady state
+			// path inside is lock- and allocation-free and a new key is
+			// inserted in place; only a home's first observation or a
+			// generation rotation (one slab copy per capacity inserts)
+			// allocates, which the flow-insensitive hot-path check cannot
+			// distinguish.
+			//ghbavet:ignore L1 learning allocates only on new-home/rotation, amortized away in steady state
 			c.lru.ObserveDigest(d, res.Home)
 		}
 		return res

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -81,21 +82,22 @@ func TestLookupAfterFailoverBooksNoGhostUnicasts(t *testing.T) {
 
 // Regression: lookupScratch returned to the pool with a populated digest
 // carried the previous path's hash state into unrelated requests. putScratch
-// must zero the digest while keeping the hit buffers' capacity (the reuse
-// the pool exists for).
-func TestPutScratchZeroesDigest(t *testing.T) {
+// must re-key the digest (in place — it no longer pays for a struct copy)
+// while keeping the hit buffers' capacity (the reuse the pool exists for).
+func TestPutScratchResetsDigest(t *testing.T) {
 	s := &lookupScratch{
 		hits:  make([]int, 3, 16),
 		mhits: make([]int, 2, 16),
 		set:   make([]int, 1, 16),
 	}
+	const m, k = 1 << 20, 11
 	s.digest = bloom.NewDigestString("/leaked/path")
-	if s.digest == (bloom.Digest{}) {
-		t.Fatal("test digest is indistinguishable from zero")
-	}
+	leaked := slices.Clone(s.digest.Positions(m, k, bloom.LayoutClassic)) // warm the cache
 	putScratch(s)
-	if s.digest != (bloom.Digest{}) {
-		t.Error("putScratch left the digest populated")
+	empty := bloom.NewDigestString("")
+	got := s.digest.Positions(m, k, bloom.LayoutClassic)
+	if slices.Equal(got, leaked) || !slices.Equal(got, empty.Positions(m, k, bloom.LayoutClassic)) {
+		t.Error("putScratch left the digest keyed to the previous path")
 	}
 	if cap(s.hits) != 16 || cap(s.mhits) != 16 || cap(s.set) != 16 {
 		t.Error("putScratch dropped hit-buffer capacity")

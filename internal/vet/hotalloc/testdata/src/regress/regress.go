@@ -41,7 +41,8 @@ func writeFrameFixed(w io.Writer, payload []byte) error {
 }
 
 // observe models bloomarray.(*LRUArray).ObserveDigest: the re-observe fast
-// path is allocation-free, but a first observation publishes a fresh entry.
+// path is allocation-free (and so is inserting a new key), but a home's first
+// observation — like a generation rotation — publishes a fresh state.
 // The flow-insensitive analyzer cannot separate the two, so the whole
 // function carries an allocation fact.
 func observe(m map[int]*int, key int) {
