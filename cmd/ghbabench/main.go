@@ -6,15 +6,17 @@
 //	ghbabench -table 5
 //	ghbabench -all
 //
-// Output is the textual equivalent of the paper's chart: the same series,
-// ready to diff against EXPERIMENTS.md. Performance numbers come from the
-// repo's one harness instead: bash bench/run.sh --workload <name>, see
-// bench/README.md.
+// Output is the textual equivalent of the paper's chart: the same series, a
+// pure function of -seed (Fig 14's wall-clock cells excepted). Performance
+// numbers come from the repo's one harness instead: bash bench/run.sh
+// --workload <name>, see bench/README.md.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ghba/internal/analysis"
@@ -22,37 +24,70 @@ import (
 	"ghba/internal/trace"
 )
 
-func main() {
-	var (
-		fig    = flag.Int("fig", 0, "figure number to regenerate (6–15)")
-		table  = flag.Int("table", 0, "table number to regenerate (3, 4 or 5)")
-		all    = flag.Bool("all", false, "regenerate every figure and table")
-		ops    = flag.Int("ops", 0, "override the operation count (0 = driver default)")
-		n      = flag.Int("n", 0, "override the MDS count where applicable (0 = default)")
-		seed   = flag.Int64("seed", 1, "simulation seed")
-		protoN = flag.Int("proto-n", 20, "prototype daemon count (figs 14–15)")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	fig, table     int
+	all            bool
+	ops, n, protoN int
+	seed           int64
+}
 
-	if !*all && *fig == 0 && *table == 0 {
-		flag.Usage()
+// parseFlags parses args and rejects a selection that names no experiment:
+// the paper has Figs 6–15 and Tables 3–5, and asking for anything else used
+// to print nothing and exit 0. Usage and errors go to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("ghbabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&o.fig, "fig", 0, "figure number to regenerate (6–15)")
+	fs.IntVar(&o.table, "table", 0, "table number to regenerate (3, 4 or 5)")
+	fs.BoolVar(&o.all, "all", false, "regenerate every figure and table")
+	fs.IntVar(&o.ops, "ops", 0, "override the operation count (0 = driver default)")
+	fs.IntVar(&o.n, "n", 0, "override the MDS count where applicable (0 = default)")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&o.protoN, "proto-n", 20, "prototype daemon count (figs 14–15)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	switch {
+	case o.fig != 0 && (o.fig < 6 || o.fig > 15):
+		err = fmt.Errorf("no figure %d: -fig takes 6–15", o.fig)
+	case o.table != 0 && (o.table < 3 || o.table > 5):
+		err = fmt.Errorf("no table %d: -table takes 3, 4 or 5", o.table)
+	case !o.all && o.fig == 0 && o.table == 0:
+		err = errors.New("nothing selected: pass -fig, -table or -all")
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ghbabench:", err)
+		fs.Usage()
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	run := func(figNo int) bool { return *all || *fig == figNo }
-	runTable := func(tableNo int) bool { return *all || *table == tableNo }
+	run := func(figNo int) bool { return o.all || o.fig == figNo }
+	runTable := func(tableNo int) bool { return o.all || o.table == tableNo }
 
 	if runTable(3) || runTable(4) {
-		out, err := experiments.Tables34(20_000, *seed)
+		out, err := experiments.Tables34(20_000, o.seed)
 		exitIf(err)
 		fmt.Println(out)
 	}
 	if run(6) {
-		for _, nn := range pick(*n, []int{30, 100}) {
+		for _, nn := range pick(o.n, []int{30, 100}) {
 			for _, p := range trace.Profiles() {
 				cfg := experiments.DefaultFig6Config(p, nn)
-				cfg.Seed = *seed
-				if *ops > 0 {
-					cfg.Ops = *ops
+				cfg.Seed = o.seed
+				if o.ops > 0 {
+					cfg.Ops = o.ops
 				}
 				rows, err := experiments.Fig6(cfg)
 				exitIf(err)
@@ -63,9 +98,9 @@ func main() {
 	if run(7) {
 		for _, p := range trace.Profiles() {
 			cfg := experiments.DefaultFig7Config(p)
-			cfg.Seed = *seed
-			if *ops > 0 {
-				cfg.Ops = *ops
+			cfg.Seed = o.seed
+			if o.ops > 0 {
+				cfg.Ops = o.ops
 			}
 			rows, err := experiments.Fig7(cfg)
 			exitIf(err)
@@ -77,30 +112,30 @@ func main() {
 			continue
 		}
 		cfg := experiments.DefaultLatencyFigConfig(figNo)
-		cfg.Seed = *seed
-		if *ops > 0 {
-			cfg.Ops = *ops
-			cfg.Interval = *ops / 6
+		cfg.Seed = o.seed
+		if o.ops > 0 {
+			cfg.Ops = o.ops
+			cfg.Interval = o.ops / 6
 		}
-		if *n > 0 {
-			cfg.N = *n
-			cfg.M = analysis.PaperOptimalM(*n)
+		if o.n > 0 {
+			cfg.N = o.n
+			cfg.M = analysis.PaperOptimalM(o.n)
 		}
 		series, err := experiments.LatencyFig(cfg)
 		exitIf(err)
 		fmt.Println(experiments.FormatLatencyFig(cfg, series))
 	}
 	if run(11) {
-		rows, err := experiments.Fig11([]int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, *seed)
+		rows, err := experiments.Fig11([]int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, o.seed)
 		exitIf(err)
 		fmt.Println(experiments.FormatFig11(rows))
 	}
 	if run(12) {
 		var rows []experiments.Fig12Row
-		for _, nn := range pick(*n, []int{30, 100}) {
+		for _, nn := range pick(o.n, []int{30, 100}) {
 			for _, p := range trace.Profiles() {
 				cfg := experiments.DefaultFig12Config(p, nn)
-				cfg.Seed = *seed
+				cfg.Seed = o.seed
 				r, err := experiments.Fig12(cfg)
 				exitIf(err)
 				rows = append(rows, r...)
@@ -110,9 +145,9 @@ func main() {
 	}
 	if run(13) {
 		cfg := experiments.DefaultFig13Config()
-		cfg.Seed = *seed
-		if *ops > 0 {
-			cfg.Ops = *ops
+		cfg.Seed = o.seed
+		if o.ops > 0 {
+			cfg.Ops = o.ops
 		}
 		rows, err := experiments.Fig13(cfg)
 		exitIf(err)
@@ -120,11 +155,11 @@ func main() {
 	}
 	if run(14) {
 		cfg := experiments.DefaultFig14Config()
-		cfg.N = *protoN
-		cfg.Seed = *seed
-		if *ops > 0 {
-			cfg.Ops = *ops
-			cfg.Interval = *ops / 4
+		cfg.N = o.protoN
+		cfg.Seed = o.seed
+		if o.ops > 0 {
+			cfg.Ops = o.ops
+			cfg.Interval = o.ops / 4
 		}
 		series, err := experiments.Fig14(cfg)
 		exitIf(err)
@@ -132,12 +167,12 @@ func main() {
 	}
 	if run(15) {
 		m := 7
-		rows, err := experiments.Fig15(*protoN, m, 10, *seed)
+		rows, err := experiments.Fig15(o.protoN, m, 10, o.seed)
 		exitIf(err)
-		fmt.Println(experiments.FormatFig15(*protoN, m, rows))
+		fmt.Println(experiments.FormatFig15(o.protoN, m, rows))
 	}
 	if runTable(5) {
-		rows, err := experiments.Table5([]int{20, 40, 60, 80, 100}, 2_000, *seed)
+		rows, err := experiments.Table5([]int{20, 40, 60, 80, 100}, 2_000, o.seed)
 		exitIf(err)
 		fmt.Println(experiments.FormatTable5(rows))
 	}

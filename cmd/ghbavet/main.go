@@ -1,21 +1,12 @@
 // Command ghbavet runs the repo's custom static-analysis suite (see
 // internal/vet): lockcheck, detrand, ctxflow, wireguard, lockorder,
-// snapcheck, and hotalloc.
+// snapcheck, and hotalloc. It has the two entry points CI uses:
 //
-// Two modes share one binary:
-//
-//   - Vet tool: `go vet -vettool=$(which ghbavet) ./...` — go vet drives
-//     the analyzers package by package over the unitchecker protocol.
-//   - Standalone: `go run ./cmd/ghbavet ./...` — the binary re-executes
-//     `go vet -vettool=<self>` on the given patterns, so the two modes
-//     cannot drift apart.
-//
-// Driver subcommands (must come first):
-//
-//	ghbavet -list                 print the analyzer roster
-//	ghbavet -checks a,b [pkgs]    run only the named analyzers
-//	ghbavet -lockgraph            print the repo lock graph as DOT and
-//	                              fail if it has a cycle
+//	go vet -vettool=$(which ghbavet) ./...   go vet drives the analyzers
+//	                                         package by package over the
+//	                                         unitchecker protocol
+//	ghbavet -lockgraph                       print the repo lock graph as
+//	                                         DOT; fail if it has a cycle
 //
 // Exit status is non-zero when any analyzer reports a finding.
 package main
@@ -24,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -37,85 +27,12 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// Driver subcommands are recognized only in the leading position:
-	// go vet never puts them there, so the unitchecker dispatch below
-	// stays unambiguous.
-	if len(args) > 0 {
-		switch {
-		case args[0] == "-list":
-			for _, a := range vet.Analyzers {
-				fmt.Printf("%-10s %s\n", a.Name, firstLine(a.Doc))
-			}
-			return
-		case args[0] == "-lockgraph":
-			os.Exit(runLockGraph())
-		case args[0] == "-checks" || strings.HasPrefix(args[0], "-checks="):
-			var val string
-			rest := args[1:]
-			if v, ok := strings.CutPrefix(args[0], "-checks="); ok {
-				val = v
-			} else {
-				if len(rest) == 0 {
-					fmt.Fprintln(os.Stderr, "ghbavet: -checks needs a comma-separated analyzer list")
-					os.Exit(2)
-				}
-				val, rest = rest[0], rest[1:]
-			}
-			os.Setenv(vet.ChecksEnv, val)
-			if _, unknown := vet.Selected(); len(unknown) > 0 {
-				fmt.Fprintf(os.Stderr, "ghbavet: unknown analyzers %s (see ghbavet -list)\n", strings.Join(unknown, ", "))
-				os.Exit(2)
-			}
-			runGoVet(rest) // env carries the subset into the vettool child
-			return
-		}
+	// go vet never passes -lockgraph, so everything else — its -V=full and
+	// -flags probes, the per-package <unit>.cfg runs — is unitchecker's.
+	if len(os.Args) > 1 && os.Args[1] == "-lockgraph" {
+		os.Exit(runLockGraph())
 	}
-
-	// go vet drives the tool with flags only: `-V=full` for the version
-	// fingerprint, `-flags` to enumerate analyzer flags, then
-	// `-flag... <unit>.cfg` per package. A human passes package patterns.
-	// Anything flag-shaped therefore belongs to unitchecker — routing it
-	// to the re-exec path instead would recurse through go vet forever.
-	for _, arg := range args {
-		if strings.HasPrefix(arg, "-") || strings.HasSuffix(arg, ".cfg") {
-			selected, _ := vet.Selected() // parent validated any subset
-			unitchecker.Main(selected...) // exits
-		}
-	}
-	runGoVet(args)
-}
-
-func runGoVet(args []string) {
-	self, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ghbavet: locating own binary: %v\n", err)
-		os.Exit(2)
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, args...)...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			os.Exit(exit.ExitCode())
-		}
-		fmt.Fprintf(os.Stderr, "ghbavet: running go vet: %v\n", err)
-		os.Exit(2)
-	}
-	os.Exit(0)
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	unitchecker.Main(vet.Analyzers...) // exits
 }
 
 // runLockGraph loads the engine packages in one process, runs lockorder
@@ -167,7 +84,9 @@ func runLockGraph() int {
 	fmt.Println("\trankdir=LR;")
 	fmt.Println("\tnode [shape=box, fontname=\"monospace\"];")
 	for _, e := range edges {
-		fmt.Printf("\t%q -> %q [label=%q];\n", e.From, e.To, e.Pos)
+		// Labelled by the acquiring function, not file:line, so the
+		// committed DOT changes only when the graph does.
+		fmt.Printf("\t%q -> %q [label=%q];\n", e.From, e.To, e.In)
 	}
 	fmt.Println("}")
 

@@ -1,6 +1,6 @@
 // Command mdsd runs one prototype metadata-server daemon: an MDS node
 // behind the rpcnet TCP protocol, the building block of the Section 5
-// prototype. Point ghbactl at its address to issue queries.
+// prototype (ghba.StartPrototype runs N of these servers in one process).
 //
 // One listener serves both wire protocols: connections opening with the
 // "GMX1" magic speak the multiplexed framed protocol (request-ID-tagged
@@ -62,7 +62,7 @@ func run() int {
 	cfg := mds.Config{
 		ExpectedFiles:  *files,
 		BitsPerFile:    *bits,
-		LRUCapacity:    *files / 16,
+		LRUCapacity:    mds.LRUCapacityFor(*files),
 		LRUBitsPerFile: *bits,
 	}
 	opts := proto.NodeServerOptions{

@@ -45,7 +45,7 @@ type Config struct {
 	// G-HBA's memory savings afford (Section 2.3).
 	BitsPerFile float64
 	// LRUCapacity is the per-home-MDS generation size of the L1 LRU array.
-	// Zero derives ExpectedFilesPerMDS/16 (minimum 64).
+	// Zero derives it from ExpectedFilesPerMDS (mds.LRUCapacityFor).
 	LRUCapacity uint64
 	// MemoryBudgetBytes caps each server's replica memory; zero means
 	// unlimited. See internal/memmodel for the spill model.
@@ -125,8 +125,6 @@ func (c Config) validate() error {
 const (
 	defaultFilesPerMDS = 50_000
 	defaultBitsPerFile = 16.0
-	minLRUCapacity     = 64
-	lruCapacityDivisor = 16
 )
 
 // nodeConfig derives the per-server filter sizing both backends share.
@@ -141,10 +139,7 @@ func (c Config) nodeConfig() mds.Config {
 	}
 	lruCap := c.LRUCapacity
 	if lruCap == 0 {
-		lruCap = files / lruCapacityDivisor
-		if lruCap < minLRUCapacity {
-			lruCap = minLRUCapacity
-		}
+		lruCap = mds.LRUCapacityFor(files)
 	}
 	layout := bloom.LayoutClassic
 	if c.BlockedFilters {
@@ -212,7 +207,15 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{cluster: cluster, seed: cfg.Seed}, nil
+	return SimulationOver(cluster, cfg.Seed), nil
+}
+
+// SimulationOver wraps an already-built scheme engine in the Backend
+// surface, for drivers that tune core.Config fields Config does not expose
+// (the figure drivers' memory accounting, staleness and ablation knobs).
+// seed is the base of the parallel drivers' per-worker RNG derivation.
+func SimulationOver(cluster *core.Cluster, seed int64) *Simulation {
+	return &Simulation{cluster: cluster, seed: seed}
 }
 
 // RecommendedGroupSize returns the group size the paper recommends for a
@@ -282,18 +285,17 @@ func (s *Simulation) HomeOf(path string) int { return s.cluster.HomeOf(path) }
 // do. The context is accepted for interface parity and ignored: the
 // simulation never blocks on I/O.
 func (s *Simulation) Lookup(_ context.Context, path string) (Result, error) {
-	return ToResult(s.cluster.Lookup(path, -1)), nil
+	return toResult(s.cluster.Lookup(path, -1)), nil
 }
 
 // LookupWith is Lookup with the entry drawn from the caller's RNG — the
 // hook the parallel drivers build their determinism contract on.
 func (s *Simulation) LookupWith(_ context.Context, rng *rand.Rand, path string) (Result, error) {
-	return ToResult(s.cluster.LookupWith(rng, path, -1)), nil
+	return toResult(s.cluster.LookupWith(rng, path, -1)), nil
 }
 
-// ToResult converts a scheme-level result (the simulator's and the HBA
-// baseline's) to the facade's.
-func ToResult(res core.LookupResult) Result {
+// toResult converts a scheme-level result to the facade's.
+func toResult(res core.LookupResult) Result {
 	return Result{
 		Path:    res.Path,
 		Home:    res.Home,
@@ -306,7 +308,7 @@ func ToResult(res core.LookupResult) Result {
 // Apply dispatches one mixed-workload operation with randomness drawn from
 // the simulation's internal RNG.
 func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
-	return ToResult(s.cluster.Apply(op.Record())), nil
+	return toResult(s.cluster.Apply(op.Record())), nil
 }
 
 // ApplyWith is Apply with a caller-supplied RNG: a delete's Result reports
@@ -314,7 +316,7 @@ func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
 // Level 0, and a create of an existing path degenerates to a lookup entered
 // at the drawn server.
 func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result, error) {
-	return ToResult(s.cluster.ApplyWith(rng, op.Record())), nil
+	return toResult(s.cluster.ApplyWith(rng, op.Record())), nil
 }
 
 // ApplyBatch dispatches ops serially with rng. The simulation has no wire
@@ -323,7 +325,7 @@ func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result
 func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]Result, error) {
 	out := make([]Result, len(ops))
 	for i, op := range ops {
-		out[i] = ToResult(s.cluster.ApplyWith(rng, op.Record()))
+		out[i] = toResult(s.cluster.ApplyWith(rng, op.Record()))
 	}
 	return out, nil
 }
@@ -333,7 +335,7 @@ func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]
 func (s *Simulation) LookupBatch(_ context.Context, rng *rand.Rand, paths []string) ([]Result, error) {
 	out := make([]Result, len(paths))
 	for i, p := range paths {
-		out[i] = ToResult(s.cluster.LookupWith(rng, p, -1))
+		out[i] = toResult(s.cluster.LookupWith(rng, p, -1))
 	}
 	return out, nil
 }
@@ -402,11 +404,6 @@ func (s *Simulation) LevelCounts() [5]uint64 {
 // XOR-delta ship path has sent.
 func (s *Simulation) ReplicaUpdates() uint64 {
 	return s.cluster.Messages().Get(simnet.MsgReplicaUpdate)
-}
-
-// MeanLatency returns the average simulated lookup latency so far.
-func (s *Simulation) MeanLatency() time.Duration {
-	return s.cluster.OverallLatency().Mean()
 }
 
 // CheckInvariants verifies the global-mirror-image invariant across all

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"strconv"
 	"testing"
+	"time"
+
+	"ghba/internal/mds"
 )
 
 func newSim(t *testing.T, n int) *Simulation {
@@ -107,6 +110,7 @@ func TestLifecycle(t *testing.T) {
 	if s.FileCount() != 300 {
 		t.Fatalf("FileCount = %d", s.FileCount())
 	}
+	var total time.Duration
 	for _, p := range paths {
 		res := lk(t, s, p)
 		if !res.Found {
@@ -115,6 +119,7 @@ func TestLifecycle(t *testing.T) {
 		if res.Level < 1 || res.Level > 4 || res.Latency <= 0 {
 			t.Fatalf("implausible result %+v", res)
 		}
+		total += res.Latency
 	}
 	if !s.Exists(paths[0]) || s.Exists("/nope") {
 		t.Error("Exists wrong")
@@ -125,13 +130,51 @@ func TestLifecycle(t *testing.T) {
 	if res := lk(t, s, "/nope"); res.Found || res.Home != -1 {
 		t.Error("missing file found")
 	}
-	if s.MeanLatency() <= 0 {
+	if total/time.Duration(len(paths)) <= 0 {
 		t.Error("no latency recorded")
 	}
 	fr := s.LevelFractions()
 	sum := fr[1] + fr[2] + fr[3] + fr[4]
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("level fractions sum %f", sum)
+	}
+}
+
+// TestNodeConfigForBenchmarkWorkloads pins the per-server sizing the facade
+// derives for the five bench/ workloads' configs (bench/workloads.go): the L1
+// rule now lives in mds.LRUCapacityFor, and moving it must not move them.
+func TestNodeConfigForBenchmarkWorkloads(t *testing.T) {
+	sim := Config{NumMDS: 30, ExpectedFilesPerMDS: 8_000, LRUCapacity: 256, Seed: 1}
+	simMixed := sim
+	simMixed.ShipBatch = 64
+	tcp := Config{NumMDS: 12, MaxGroupSize: 6, ExpectedFilesPerMDS: 16_000, LRUCapacity: 256, ShipBatch: 64, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want mds.Config
+	}{
+		{"sim_lookup_uniform", sim, mds.Config{ExpectedFiles: 8_000, BitsPerFile: 16, LRUCapacity: 256, LRUBitsPerFile: 16}},
+		{"sim_lookup_zipf", sim, mds.Config{ExpectedFiles: 8_000, BitsPerFile: 16, LRUCapacity: 256, LRUBitsPerFile: 16}},
+		{"sim_mixed", simMixed, mds.Config{ExpectedFiles: 8_000, BitsPerFile: 16, LRUCapacity: 256, LRUBitsPerFile: 16}},
+		{"tcp_mixed_perop", tcp, mds.Config{ExpectedFiles: 16_000, BitsPerFile: 16, LRUCapacity: 256, LRUBitsPerFile: 16}},
+		{"tcp_mixed_batch", tcp, mds.Config{ExpectedFiles: 16_000, BitsPerFile: 16, LRUCapacity: 256, LRUBitsPerFile: 16}},
+	} {
+		if got := tc.cfg.nodeConfig(); got != tc.want {
+			t.Errorf("%s: nodeConfig = %+v, want %+v", tc.name, got, tc.want)
+		}
+		// With LRUCapacity left to the rule, the same configs derive files/16.
+		derived := tc.cfg
+		derived.LRUCapacity = 0
+		if got, want := derived.nodeConfig().LRUCapacity, tc.cfg.ExpectedFilesPerMDS/16; got != want {
+			t.Errorf("%s: derived LRUCapacity = %d, want %d", tc.name, got, want)
+		}
+	}
+	// The floor and the defaults, as before the hoist.
+	if got := (Config{NumMDS: 4, ExpectedFilesPerMDS: 100}).nodeConfig().LRUCapacity; got != 64 {
+		t.Errorf("floor: LRUCapacity = %d, want 64", got)
+	}
+	if got := (Config{NumMDS: 4}).nodeConfig(); got != (mds.Config{ExpectedFiles: 50_000, BitsPerFile: 16, LRUCapacity: 3_125, LRUBitsPerFile: 16}) {
+		t.Errorf("defaults: nodeConfig = %+v", got)
 	}
 }
 

@@ -31,9 +31,9 @@ import (
 // probe racing one can at worst miss that key (see bloomarray.LRUArray) —
 // so a lookup races nothing.
 // The only shared mutable state a lookup touches is internally synchronized
-// observability (tallies, message counts, the latency stats — a mutex each,
-// taken twice per lookup — and the L1 learning write, which locks only for a
-// key L1 has not seen) and, in queued mode, the queue-model map under queueMu.
+// observability (atomic tallies, the mutex-guarded message counter), the L1
+// learning write, which locks only for a key L1 has not seen, and, in queued
+// mode, the queue-model map under queueMu.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
 // topology lock. Mutations (Create, Delete, Apply, ApplyWith) and replica
@@ -112,10 +112,6 @@ type Cluster struct {
 
 	msgs  *simnet.Counter
 	tally metrics.LevelTally
-	// perLevel tracks the latency of queries served at each level, feeding
-	// the D_LRU, D_L2, D_group, D_net terms of Equation 4.
-	perLevel [5]metrics.LatencyStats
-	overall  metrics.LatencyStats
 
 	// queue holds each MDS's next-free time for the open-loop queuing
 	// model used by the latency-versus-load experiments. queueMu guards it
@@ -365,17 +361,6 @@ func (c *Cluster) Messages() *simnet.Counter { return c.msgs }
 // Tally exposes the per-level hit counts (Fig 13); safe to read while
 // lookups run.
 func (c *Cluster) Tally() *metrics.LevelTally { return &c.tally }
-
-// LevelLatency returns latency statistics for queries served at one level.
-func (c *Cluster) LevelLatency(level int) *metrics.LatencyStats {
-	if level < 1 || level > 4 {
-		return &metrics.LatencyStats{}
-	}
-	return &c.perLevel[level]
-}
-
-// OverallLatency returns latency statistics across all lookups.
-func (c *Cluster) OverallLatency() *metrics.LatencyStats { return &c.overall }
 
 // HomeOf returns the ground-truth home of a path (-1 when absent).
 func (c *Cluster) HomeOf(path string) int {

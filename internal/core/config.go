@@ -59,7 +59,7 @@ type Config struct {
 	RebuildDeleteThreshold uint64
 	// DisableL1 skips the LRU array level entirely — the ablation that
 	// quantifies how much of G-HBA's hit rate comes from exploiting
-	// temporal locality (DESIGN.md, ablation 2).
+	// temporal locality.
 	DisableL1 bool
 	// Seed drives home-MDS placement and entry-point selection.
 	Seed int64

@@ -115,8 +115,7 @@ func (c *Cluster) remoteWork(id int, arrival, work time.Duration, queued bool) t
 
 // Lookup resolves the home MDS of path starting at the entry MDS, walking
 // the four-level critical path of Section 2.3, without queueing effects
-// (pure service latency). It updates the per-level tallies, latency
-// statistics, and the entry node's L1 array.
+// (pure service latency). It updates the per-level tallies and the L1 array.
 //
 // Lookup is the lock-free read path: it loads the current epoch and takes no
 // lock to read it, so any number of goroutines may call it concurrently, also
@@ -160,9 +159,9 @@ func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) Lookup
 
 // lookupEpoch walks the four-level hierarchy against one topology snapshot,
 // reading everything lock-free. The hot path mutates nothing except
-// internally synchronized state — the observability structures (the latency
-// accumulators lock), the L1 learning write, and (in queued mode) the
-// queue-model map under queueMu. The entry must exist in e.
+// internally synchronized state — the tallies and message counter, the L1
+// learning write, and (in queued mode) the queue-model map under queueMu. The
+// entry must exist in e.
 //
 //ghbavet:hotpath
 func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Duration, queued bool) LookupResult {
@@ -196,8 +195,6 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 		res.Latency = latency
 		res.ServerTime = server
 		c.tally.Record(res.Level)
-		c.perLevel[res.Level].Observe(latency)
-		c.overall.Observe(latency)
 		if res.Found {
 			// The home MDS records the access in its LRU filter, whose
 			// replica every server consults at L1. The digest carries the

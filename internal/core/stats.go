@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // MemoryFootprint describes one MDS's filter memory, the raw data behind
 // Table 5's relative overhead comparison.
 type MemoryFootprint struct {
@@ -64,30 +62,5 @@ func (c *Cluster) MeanFootprint() MemoryFootprint {
 		ReplicaBytes:     sum.ReplicaBytes / n,
 		LRUBytes:         sum.LRUBytes / n,
 		IDBFABytes:       sum.IDBFABytes / n,
-	}
-}
-
-// MeasuredRates exposes the observed multi-level behaviour in the terms of
-// Equation 4: unique-hit rates and mean latencies at L1 and L2, and the mean
-// latencies of group- and system-level resolution.
-type MeasuredRates struct {
-	PLRU   float64       // share of queries served at L1
-	PL2    float64       // share of queries served at L2
-	DLRU   time.Duration // mean latency of L1-served queries
-	DL2    time.Duration // mean latency of L2-served queries
-	DGroup time.Duration // mean latency of L3-served queries
-	DNet   time.Duration // mean latency of L4-served queries
-}
-
-// Rates summarizes the cluster's observed per-level behaviour. Levels with
-// no samples report zero latency.
-func (c *Cluster) Rates() MeasuredRates {
-	return MeasuredRates{
-		PLRU:   c.tally.Fraction(1),
-		PL2:    c.tally.Fraction(2),
-		DLRU:   c.perLevel[1].Mean(),
-		DL2:    c.perLevel[2].Mean(),
-		DGroup: c.perLevel[3].Mean(),
-		DNet:   c.perLevel[4].Mean(),
 	}
 }

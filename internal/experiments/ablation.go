@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"ghba"
 	"ghba/internal/core"
-	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
 
@@ -19,10 +19,9 @@ type AblationL1Row struct {
 	GroupShare  float64 // fraction served within the group (≤L3)
 }
 
-// AblationL1 quantifies design choice 2 of DESIGN.md: how much of G-HBA's
-// performance comes from the replicated LRU arrays exploiting temporal
-// locality. Without L1, every lookup starts at the segment array and far
-// more queries multicast.
+// AblationL1 quantifies how much of G-HBA's performance comes from the
+// replicated LRU arrays exploiting temporal locality. Without L1, every
+// lookup starts at the segment array and far more queries multicast.
 func AblationL1(n, m, ops int, seed int64) ([]AblationL1Row, error) {
 	rows := make([]AblationL1Row, 0, 2)
 	for _, enabled := range []bool{true, false} {
@@ -42,10 +41,11 @@ func AblationL1(n, m, ops int, seed int64) ([]AblationL1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+		sim := ghba.SimulationOver(cluster, seed)
+		if err := PopulateFromGenerator(sim, gen); err != nil {
 			return nil, err
 		}
-		points, err := Replay(context.Background(), coreSys{cluster}, gen, ops, ops)
+		points, err := Replay(context.Background(), sim, gen, ops, ops)
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +80,11 @@ type AblationUpdateRow struct {
 	L4Share        float64 // staleness symptom: queries escaping to L4
 }
 
-// AblationUpdateThreshold quantifies design choice 3 of DESIGN.md: the
-// XOR-delta ship threshold trades replica-update traffic against staleness.
-// A low threshold pushes updates eagerly (more messages, fewer stale
-// replicas); a high threshold batches aggressively and lets recently created
-// files fall through to the global multicast.
+// AblationUpdateThreshold quantifies what the XOR-delta ship threshold
+// trades: replica-update traffic against staleness. A low threshold pushes
+// updates eagerly (more messages, fewer stale replicas); a high threshold
+// batches aggressively and lets recently created files fall through to the
+// global multicast.
 func AblationUpdateThreshold(n, m, ops int, thresholds []uint64, seed int64) ([]AblationUpdateRow, error) {
 	rows := make([]AblationUpdateRow, 0, len(thresholds))
 	for _, th := range thresholds {
@@ -104,16 +104,17 @@ func AblationUpdateThreshold(n, m, ops int, thresholds []uint64, seed int64) ([]
 		if err != nil {
 			return nil, err
 		}
-		if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+		sim := ghba.SimulationOver(cluster, seed)
+		if err := PopulateFromGenerator(sim, gen); err != nil {
 			return nil, err
 		}
-		if _, err := Replay(context.Background(), coreSys{cluster}, gen, ops, ops); err != nil {
+		if _, err := Replay(context.Background(), sim, gen, ops, ops); err != nil {
 			return nil, err
 		}
 		rows = append(rows, AblationUpdateRow{
 			ThresholdBits:  th,
-			UpdateMessages: cluster.Messages().Get(simnet.MsgReplicaUpdate),
-			L4Share:        cluster.Tally().Fraction(4),
+			UpdateMessages: sim.ReplicaUpdates(),
+			L4Share:        sim.LevelFractions()[4],
 		})
 	}
 	return rows, nil

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"ghba"
+	"ghba/internal/core"
 	"ghba/internal/trace"
 )
 
@@ -363,15 +365,16 @@ func TestReplayCheckpoints(t *testing.T) {
 	}
 }
 
-func newTestSystem(t *testing.T, gen *trace.Generator) System {
+func newTestSystem(t *testing.T, gen *trace.Generator) ghba.Backend {
 	t.Helper()
 	ccfg := clusterConfig(6, 3, gen)
-	cluster, err := newCoreCluster(ccfg)
+	cluster, err := core.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+	sim := ghba.SimulationOver(cluster, ccfg.Seed)
+	if err := PopulateFromGenerator(sim, gen); err != nil {
 		t.Fatal(err)
 	}
-	return coreSys{cluster}
+	return sim
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"ghba"
 	"ghba/internal/analysis"
 	"ghba/internal/core"
 	"ghba/internal/mds"
@@ -119,10 +120,11 @@ func fig6Run(cfg Fig6Config, m int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+	sim := ghba.SimulationOver(cluster, ccfg.Seed)
+	if err := PopulateFromGenerator(sim, gen); err != nil {
 		return 0, err
 	}
-	points, err := Replay(context.Background(), coreSys{cluster}, gen, cfg.Ops, cfg.Ops)
+	points, err := Replay(context.Background(), sim, gen, cfg.Ops, cfg.Ops)
 	if err != nil {
 		return 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"ghba"
 	"ghba/internal/analysis"
 	"ghba/internal/core"
 	"ghba/internal/trace"
@@ -117,7 +118,7 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 			if err != nil {
 				return nil, err
 			}
-			sys := coreSys{c}
+			sys := ghba.SimulationOver(c, ccfg.Seed)
 			if err := PopulateFromGenerator(sys, gen); err != nil {
 				return nil, err
 			}
@@ -215,7 +216,7 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := PopulateFromGenerator(coreSys{ghbaCluster}, gen); err != nil {
+	if err := PopulateFromGenerator(ghba.SimulationOver(ghbaCluster, ccfg.Seed), gen); err != nil {
 		return nil, err
 	}
 	gen2, err := trace.NewGenerator(trace.Config{
@@ -227,7 +228,7 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := PopulateFromGenerator(coreSys{hbaCluster}, gen2); err != nil {
+	if err := PopulateFromGenerator(ghba.SimulationOver(hbaCluster, ccfg.Seed), gen2); err != nil {
 		return nil, err
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ghba"
 	"ghba/internal/analysis"
 	"ghba/internal/bfa"
 	"ghba/internal/core"
@@ -169,20 +170,15 @@ func Fig13(cfg Fig13Config) ([]Fig13Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+		sim := ghba.SimulationOver(cluster, ccfg.Seed)
+		if err := PopulateFromGenerator(sim, gen); err != nil {
 			return nil, err
 		}
-		if _, err := Replay(context.Background(), coreSys{cluster}, gen, cfg.Ops, cfg.Ops); err != nil {
+		if _, err := Replay(context.Background(), sim, gen, cfg.Ops, cfg.Ops); err != nil {
 			return nil, err
 		}
-		t := cluster.Tally()
-		rows = append(rows, Fig13Row{
-			N:  n,
-			L1: t.Fraction(1),
-			L2: t.Fraction(2),
-			L3: t.Fraction(3),
-			L4: t.Fraction(4),
-		})
+		fr := sim.LevelFractions()
+		rows = append(rows, Fig13Row{N: n, L1: fr[1], L2: fr[2], L3: fr[3], L4: fr[4]})
 	}
 	return rows, nil
 }
@@ -244,8 +240,8 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		populateN(coreSys{gc}, totalFiles)
-		populateN(coreSys{hc}, totalFiles)
+		populateN(ghba.SimulationOver(gc, seed), totalFiles)
+		populateN(ghba.SimulationOver(hc, seed), totalFiles)
 
 		gf := gc.MeanFootprint()
 		hf := hc.Footprint(0)
@@ -264,8 +260,8 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 	return rows, nil
 }
 
-// populateN fills a system with count synthetic paths.
-func populateN(sys System, count uint64) {
+// populateN fills a backend with count synthetic paths.
+func populateN(sys ghba.Backend, count uint64) {
 	paths := make([]string, count)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/t5/f%d", i)

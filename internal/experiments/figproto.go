@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"ghba"
 	"ghba/internal/mds"
 	"ghba/internal/proto"
-	"ghba/internal/trace"
 )
 
 // Fig14Config parameterizes the prototype latency study. The paper runs 60
@@ -77,82 +77,71 @@ func Fig14(cfg Fig14Config) ([]LatencySeries, error) {
 }
 
 func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
-	cluster, err := proto.Start(proto.Options{
-		N:                    cfg.N,
-		M:                    m,
-		Node:                 protoNodeConfig(cfg.Files, cfg.N),
+	node := protoNodeConfig(cfg.Files, cfg.N)
+	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{
+		Config: ghba.Config{
+			NumMDS:              cfg.N,
+			MaxGroupSize:        m,
+			ExpectedFilesPerMDS: node.ExpectedFiles,
+			LRUCapacity:         node.LRUCapacity,
+			Seed:                cfg.Seed,
+		},
 		ResidentReplicaLimit: cfg.ResidentReplicaLimit,
 		DiskPenalty:          cfg.DiskPenalty,
-		Seed:                 cfg.Seed,
 	})
 	if err != nil {
 		return LatencySeries{}, err
 	}
-	defer cluster.Close()
+	defer tcp.Close()
 
+	ctx := context.Background()
 	paths := make([]string, cfg.Files)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/hp/sub%d/f%d", i%4, i)
 	}
-	cluster.Populate(paths)
+	if err := tcp.CreateAll(ctx, paths); err != nil {
+		return LatencySeries{}, err
+	}
 
-	gen, err := trace.NewGenerator(trace.Config{
-		Profile: trace.HP(),
-		TIF:     1,
-		Seed:    cfg.Seed,
-	})
+	// Concurrent clients issue lookups over the shared path population with
+	// the skew the HP workload exhibits (repeat-heavy). LookupParallel hands
+	// worker w the w-th contiguous chunk of the batch, so the chunks are laid
+	// out one client after another.
+	perWorker := cfg.Ops / cfg.Workers
+	batch := make([]string, 0, perWorker*cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			// Zipf-ish reuse: favor low indices.
+			idx := (i * (w + 7)) % len(paths)
+			if i%3 != 0 {
+				idx %= 1 + len(paths)/10
+			}
+			batch = append(batch, paths[idx])
+		}
+	}
+	results, err := ghba.LookupParallel(ctx, tcp, batch, cfg.Workers)
 	if err != nil {
 		return LatencySeries{}, err
 	}
-	_ = gen // HP profile drives the access pattern below via Zipf-like reuse
 
-	// Concurrent workers issue lookups over the shared path population,
-	// with the skew the HP workload exhibits (repeat-heavy).
-	type sample struct {
-		latency time.Duration
-		err     error
-	}
-	samples := make(chan sample, cfg.Ops)
-	perWorker := cfg.Ops / cfg.Workers
-	done := make(chan struct{})
-	for w := 0; w < cfg.Workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < perWorker; i++ {
-				// Zipf-ish reuse: favor low indices.
-				idx := (i * (w + 7)) % len(paths)
-				if i%3 != 0 {
-					idx %= 1 + len(paths)/10
-				}
-				res, err := cluster.Lookup(context.Background(), paths[idx])
-				samples <- sample{latency: res.Latency, err: err}
-			}
-		}(w)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		<-done
-	}
-	close(samples)
-
+	// Fold the clients' i-th lookups together, the order they ran in.
 	var (
-		points  []Checkpoint
-		sum     float64
-		count   int
-		nextCkp = cfg.Interval
+		points   []Checkpoint
+		sum      float64
+		count    int
+		interval = cfg.Interval
 	)
-	for s := range samples {
-		if s.err != nil {
-			return LatencySeries{}, s.err
-		}
-		sum += float64(s.latency)
-		count++
-		if count >= nextCkp {
-			points = append(points, Checkpoint{Ops: count, MeanLatency: time.Duration(sum / float64(count))})
-			nextCkp += cfg.Interval
-		}
+	if interval <= 0 {
+		interval = len(results)
 	}
-	if count > 0 && (len(points) == 0 || points[len(points)-1].Ops != count) {
-		points = append(points, Checkpoint{Ops: count, MeanLatency: time.Duration(sum / float64(count))})
+	for i := 0; i < perWorker; i++ {
+		for w := 0; w < cfg.Workers; w++ {
+			sum += float64(results[w*perWorker+i].Latency)
+			count++
+			if count%interval == 0 || count == len(results) {
+				points = append(points, Checkpoint{Ops: count, MeanLatency: time.Duration(sum / float64(count))})
+			}
+		}
 	}
 	return LatencySeries{Scheme: schemeName(m), Points: points}, nil
 }

@@ -2,13 +2,16 @@
 // paper's evaluation (Section 4 simulation, Section 5 prototype). Each
 // driver builds the systems it compares, generates the workload, runs the
 // measurement, and returns printable rows mirroring the paper's series.
-// cmd/ghbabench and bench_test.go are thin wrappers around these drivers.
+// cmd/ghbabench is a thin wrapper around these drivers.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator with
 // synthetic traces, not a 2007 Linux cluster); the reproduced quantity is
 // the relative behaviour — who wins, by roughly what factor, and where
-// curves cross. EXPERIMENTS.md records paper-versus-measured for each
-// experiment.
+// curves cross.
+//
+// Every replay dispatches against ghba.Backend. A driver that tunes
+// core.Config fields the facade does not expose builds the cluster itself
+// and wraps it with ghba.SimulationOver.
 package experiments
 
 import (
@@ -22,72 +25,8 @@ import (
 	"time"
 
 	"ghba"
-	"ghba/internal/core"
 	"ghba/internal/trace"
 )
-
-// System is the slice of the ghba.Backend contract the replay drivers
-// dispatch against — every Backend (the simulation facade, the TCP
-// prototype) satisfies it structurally, so one replay engine serves both
-// transports. The raw scheme engine the figure drivers build directly
-// (core.Cluster; the HBA baseline is the same engine with groups of one) is
-// adapted through coreSys.
-type System interface {
-	Name() string
-	// ApplyWith dispatches one record with the caller's RNG, which is what
-	// makes replay runs reproducible independent of the system's own
-	// randomness consumption.
-	ApplyWith(ctx context.Context, rng *rand.Rand, op ghba.Op) (ghba.Result, error)
-	// CreateAll bulk-loads the initial namespace.
-	CreateAll(ctx context.Context, paths []string) error
-	// Flush drains any coalesced replica ships at a quiescent point.
-	Flush(ctx context.Context) error
-	// LevelCounts snapshots the per-level lookup tallies.
-	LevelCounts() [5]uint64
-}
-
-// BatchSystem is the optional vectorized dispatch surface — the replay
-// layer's mirror of ghba.BatchApplier. Both ghba backends satisfy it; the
-// raw scheme adapter does not, and falls back to per-op dispatch.
-type BatchSystem interface {
-	System
-	// ApplyBatch dispatches ops as one batch with the caller's RNG. The RNG
-	// draw pattern matches a serial ApplyWith loop over the same ops, so
-	// fixed-seed replays are identical whichever path dispatches them.
-	ApplyBatch(ctx context.Context, rng *rand.Rand, ops []ghba.Op) ([]ghba.Result, error)
-}
-
-// CoreSystem adapts a raw scheme engine to the System contract, for
-// drivers that tune core.Config fields the facade does not expose.
-func CoreSystem(c *core.Cluster) System { return coreSys{c} }
-
-type coreSys struct{ c *core.Cluster }
-
-func (s coreSys) Name() string { return s.c.Name() }
-
-func (s coreSys) ApplyWith(_ context.Context, rng *rand.Rand, op ghba.Op) (ghba.Result, error) {
-	return ghba.ToResult(s.c.ApplyWith(rng, op.Record())), nil
-}
-
-func (s coreSys) CreateAll(_ context.Context, paths []string) error {
-	s.c.Populate(pathIter(paths))
-	return nil
-}
-
-func (s coreSys) Flush(context.Context) error { s.c.Flush(); return nil }
-
-func (s coreSys) LevelCounts() [5]uint64 { return levelCounts(s.c) }
-
-// pathIter adapts a path slice to the raw engines' streaming populate.
-func pathIter(paths []string) func(fn func(string) bool) {
-	return func(fn func(string) bool) {
-		for _, p := range paths {
-			if !fn(p) {
-				return
-			}
-		}
-	}
-}
 
 // replayRNG builds worker w's record-dispatch RNG for a replay over a trace
 // seeded with seed; trace.DispatchSeed is the shared derivation (the
@@ -110,7 +49,7 @@ type Checkpoint struct {
 // metadata lookup operations. Entry points are drawn from an RNG derived
 // from the generator's seed, so a serial replay is exactly the one-worker
 // instance of ReplayParallel.
-func Replay(ctx context.Context, sys System, gen *trace.Generator, totalOps, interval int) ([]Checkpoint, error) {
+func Replay(ctx context.Context, sys ghba.Backend, gen *trace.Generator, totalOps, interval int) ([]Checkpoint, error) {
 	if interval <= 0 {
 		interval = totalOps
 	}
@@ -157,10 +96,8 @@ type ReplayStats struct {
 	// on one-worker runs; multi-worker lanes interleave their simulated
 	// clocks and inflate queue waits.
 	MeanLookupLatency time.Duration
-	// Elapsed is the wall-clock time of the replay; OpsPerSec the
-	// wall-clock dispatch throughput.
-	Elapsed   time.Duration
-	OpsPerSec float64
+	// Elapsed is the wall-clock time of the replay.
+	Elapsed time.Duration
 }
 
 // startLanes is the one parallel lane loop of this package: it splits the
@@ -224,22 +161,20 @@ func (ls *laneStats) count(rec trace.Record, res ghba.Result) {
 // coalesced replica ships are flushed before returning, so the system is
 // quiescent when the stats come back.
 //
-// With batchSize > 1 and a sys that is a BatchSystem, each worker dispatches
-// its lane in batchSize vectors — many trace records per wire round, so a
-// networked backend amortizes syscalls, frame headers and digests across
-// the vector; otherwise it dispatches op by op. Lane assignment, per-worker
-// RNG seeds and within-lane record order are the same either way.
-//
-// The system must support concurrent ApplyWith (both ghba backends do; the
-// serial HBA baseline does not).
-func ReplayParallel(ctx context.Context, sys System, cfg trace.Config, totalOps, workers, batchSize int) (ReplayStats, error) {
+// With batchSize > 1 and a sys that is a ghba.BatchApplier, each worker
+// dispatches its lane in batchSize vectors — many trace records per wire
+// round, so a networked backend amortizes syscalls, frame headers and
+// digests across the vector; otherwise it dispatches op by op. Lane
+// assignment, per-worker RNG seeds and within-lane record order are the same
+// either way.
+func ReplayParallel(ctx context.Context, sys ghba.Backend, cfg trace.Config, totalOps, workers, batchSize int) (ReplayStats, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > totalOps && totalOps > 0 {
 		workers = totalOps
 	}
-	bs, ok := sys.(BatchSystem)
+	bs, ok := sys.(ghba.BatchApplier)
 	vector := ok && batchSize > 1
 	if !vector {
 		batchSize = 1
@@ -308,15 +243,12 @@ func ReplayParallel(ctx context.Context, sys System, cfg trace.Config, totalOps,
 	if stats.Lookups > 0 {
 		stats.MeanLookupLatency = time.Duration(sum / float64(stats.Lookups))
 	}
-	if elapsed > 0 {
-		stats.OpsPerSec = float64(totalOps) / elapsed.Seconds()
-	}
 	return stats, nil
 }
 
 // PopulateFromGenerator pre-creates the generator's initial namespace on a
-// system ("all MDSs are initially populated randomly").
-func PopulateFromGenerator(sys System, gen *trace.Generator) error {
+// backend ("all MDSs are initially populated randomly").
+func PopulateFromGenerator(sys ghba.Backend, gen *trace.Generator) error {
 	var paths []string
 	gen.EachInitialPath(func(p string) bool {
 		paths = append(paths, p)
@@ -335,19 +267,4 @@ func formatSeries(points []Checkpoint) string {
 		fmt.Fprintf(&b, "%d→%v", p.Ops, p.MeanLatency.Round(10*time.Microsecond))
 	}
 	return b.String()
-}
-
-// levelCounts snapshots a core cluster's per-level tallies.
-func levelCounts(c *core.Cluster) [5]uint64 {
-	var out [5]uint64
-	for l := 1; l <= 4; l++ {
-		out[l] = c.Tally().Count(l)
-	}
-	return out
-}
-
-// newCoreCluster wraps core.New so tests inside the package can build a
-// System without importing core on their own.
-func newCoreCluster(cfg core.Config) (*core.Cluster, error) {
-	return core.New(cfg)
 }

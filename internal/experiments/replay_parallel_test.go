@@ -33,11 +33,11 @@ func newReplayTestCluster(t *testing.T, tcfg trace.Config) *core.Cluster {
 	}
 	ccfg := clusterConfig(12, 4, gen)
 	ccfg.Seed = tcfg.Seed
-	cluster, err := newCoreCluster(ccfg)
+	cluster, err := core.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PopulateFromGenerator(coreSys{cluster}, gen); err != nil {
+	if err := PopulateFromGenerator(ghba.SimulationOver(cluster, tcfg.Seed), gen); err != nil {
 		t.Fatal(err)
 	}
 	return cluster
@@ -100,13 +100,13 @@ func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := Replay(context.Background(), coreSys{serial}, gen, ops, ops)
+	points, err := Replay(context.Background(), ghba.SimulationOver(serial, tcfg.Seed), gen, ops, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parallel := newReplayTestCluster(t, tcfg)
-	stats, err := ReplayParallel(context.Background(), coreSys{parallel}, tcfg, ops, 1, 1)
+	stats, err := ReplayParallel(context.Background(), ghba.SimulationOver(parallel, tcfg.Seed), tcfg, ops, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +207,12 @@ func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 	}
 }
 
-// homedBackend is a BatchSystem that also exposes ground truth, as both ghba
-// backends do.
+// homedBackend is a batch-capable Backend that also exposes ground truth, as
+// both ghba backends do.
 type homedBackend interface {
-	BatchSystem
+	ghba.Backend
+	ghba.BatchApplier
 	HomeOf(path string) int
-	FileCount() int
 }
 
 // TestReplayParallelManyWorkersProperties checks what must hold in every
@@ -226,7 +226,7 @@ func TestReplayParallelManyWorkersProperties(t *testing.T) {
 
 	cluster := newReplayTestCluster(t, tcfg)
 	initial := cluster.FileCount()
-	stats, err := ReplayParallel(context.Background(), coreSys{cluster}, tcfg, ops, workers, 1)
+	stats, err := ReplayParallel(context.Background(), ghba.SimulationOver(cluster, tcfg.Seed), tcfg, ops, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,3 +209,21 @@ func TestNodeAccessors(t *testing.T) {
 		t.Error("nil accessor")
 	}
 }
+
+// TestLRUCapacityFor pins the one L1 sizing rule (files/16, floor 64) and
+// that every capacity it yields builds a node — cmd/mdsd used to divide
+// without the floor and refuse to start below 16 files.
+func TestLRUCapacityFor(t *testing.T) {
+	for _, tc := range []struct{ files, want uint64 }{
+		{1, 64}, {15, 64}, {1023, 64}, {1024, 64}, {1040, 65}, {50_000, 3_125},
+	} {
+		got := LRUCapacityFor(tc.files)
+		if got != tc.want {
+			t.Errorf("LRUCapacityFor(%d) = %d, want %d", tc.files, got, tc.want)
+		}
+		cfg := Config{ExpectedFiles: tc.files, BitsPerFile: 16, LRUCapacity: got, LRUBitsPerFile: 16}
+		if _, err := NewNode(0, cfg); err != nil {
+			t.Errorf("files=%d: NewNode: %v", tc.files, err)
+		}
+	}
+}

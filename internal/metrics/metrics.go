@@ -1,134 +1,17 @@
-// Package metrics provides the small statistical toolkit the experiment
-// harness reports with: streaming mean/min/max (Welford), fixed-boundary
-// latency histograms with percentile estimation, and per-level hit-rate
-// tallies for the four-level query hierarchy.
+// Package metrics provides the engine's two counting structures:
+// fixed-boundary latency histograms with percentile estimation, and per-level
+// hit-rate tallies for the four-level query hierarchy.
 //
-// LatencyStats and LevelTally are safe for concurrent use so the parallel
-// lookup engine can record observations from many workers; Histogram remains
-// single-writer (it is only fed from serial experiment drivers).
+// LevelTally is safe for concurrent use so the parallel lookup engine can
+// record from many workers; Histogram is single-writer.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// LatencyStats accumulates durations with O(1) memory. All methods are safe
-// for concurrent use; the zero value is ready.
-type LatencyStats struct {
-	mu    sync.Mutex
-	count uint64
-	mean  float64 // nanoseconds
-	m2    float64
-	min   float64
-	max   float64
-}
-
-// Observe adds one sample.
-func (s *LatencyStats) Observe(d time.Duration) {
-	x := float64(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count++
-	if s.count == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.count)
-	s.m2 += delta * (x - s.mean)
-}
-
-// snapshot returns a consistent copy of the accumulator fields.
-func (s *LatencyStats) snapshot() (count uint64, mean, m2, min, max float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count, s.mean, s.m2, s.min, s.max
-}
-
-// Count returns the number of samples.
-func (s *LatencyStats) Count() uint64 {
-	n, _, _, _, _ := s.snapshot()
-	return n
-}
-
-// Mean returns the average duration (zero when empty).
-func (s *LatencyStats) Mean() time.Duration {
-	_, mean, _, _, _ := s.snapshot()
-	return time.Duration(mean)
-}
-
-// Min returns the smallest sample (zero when empty).
-func (s *LatencyStats) Min() time.Duration {
-	n, _, _, min, _ := s.snapshot()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(min)
-}
-
-// Max returns the largest sample (zero when empty).
-func (s *LatencyStats) Max() time.Duration {
-	n, _, _, _, max := s.snapshot()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(max)
-}
-
-// StdDev returns the sample standard deviation (zero for <2 samples).
-func (s *LatencyStats) StdDev() time.Duration {
-	n, _, m2, _, _ := s.snapshot()
-	if n < 2 {
-		return 0
-	}
-	return time.Duration(math.Sqrt(m2 / float64(n-1)))
-}
-
-// Merge folds other into s, as if all of other's samples had been observed
-// on s (Chan et al. parallel-variance combination). other is read under its
-// own lock, so per-worker shards can merge into a shared total concurrently.
-func (s *LatencyStats) Merge(other *LatencyStats) {
-	n2u, mean2, m22, min2, max2 := other.snapshot()
-	if n2u == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		s.count, s.mean, s.m2, s.min, s.max = n2u, mean2, m22, min2, max2
-		return
-	}
-	n1, n2 := float64(s.count), float64(n2u)
-	delta := mean2 - s.mean
-	total := n1 + n2
-	s.mean += delta * n2 / total
-	s.m2 += m22 + delta*delta*n1*n2/total
-	s.count += n2u
-	if min2 < s.min {
-		s.min = min2
-	}
-	if max2 > s.max {
-		s.max = max2
-	}
-}
-
-// String formats mean/min/max compactly.
-func (s *LatencyStats) String() string {
-	return fmt.Sprintf("n=%d mean=%v min=%v max=%v",
-		s.Count(), s.Mean().Round(time.Microsecond),
-		s.Min().Round(time.Microsecond), s.Max().Round(time.Microsecond))
-}
 
 // Histogram is a fixed-boundary latency histogram supporting percentile
 // estimation by linear interpolation within buckets.

@@ -1,79 +1,10 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestLatencyStatsEmpty(t *testing.T) {
-	var s LatencyStats
-	if s.Count() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.StdDev() != 0 {
-		t.Error("empty stats not all zero")
-	}
-}
-
-func TestLatencyStatsBasic(t *testing.T) {
-	var s LatencyStats
-	for _, d := range []time.Duration{10, 20, 30} {
-		s.Observe(d * time.Millisecond)
-	}
-	if s.Count() != 3 {
-		t.Errorf("Count = %d", s.Count())
-	}
-	if s.Mean() != 20*time.Millisecond {
-		t.Errorf("Mean = %v, want 20ms", s.Mean())
-	}
-	if s.Min() != 10*time.Millisecond || s.Max() != 30*time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	// Sample stddev of {10,20,30} ms = 10 ms.
-	if got := s.StdDev(); math.Abs(float64(got-10*time.Millisecond)) > float64(time.Microsecond) {
-		t.Errorf("StdDev = %v, want 10ms", got)
-	}
-}
-
-func TestLatencyStatsMerge(t *testing.T) {
-	var a, b, all LatencyStats
-	samples := []time.Duration{1, 5, 9, 13, 2, 8}
-	for i, d := range samples {
-		v := d * time.Millisecond
-		all.Observe(v)
-		if i < 3 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), all.Count())
-	}
-	if a.Mean() != all.Mean() {
-		t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(float64(a.StdDev()-all.StdDev())) > float64(time.Microsecond) {
-		t.Errorf("merged stddev %v, want %v", a.StdDev(), all.StdDev())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Errorf("merged min/max %v/%v, want %v/%v", a.Min(), a.Max(), all.Min(), all.Max())
-	}
-}
-
-func TestLatencyStatsMergeEmptySides(t *testing.T) {
-	var a, b LatencyStats
-	b.Observe(time.Second)
-	a.Merge(&b) // empty receiver
-	if a.Count() != 1 || a.Mean() != time.Second {
-		t.Error("merge into empty failed")
-	}
-	var c LatencyStats
-	a.Merge(&c) // empty argument
-	if a.Count() != 1 {
-		t.Error("merge of empty changed stats")
-	}
-}
 
 func TestHistogramValidation(t *testing.T) {
 	if _, err := NewHistogram(nil); err == nil {
@@ -193,16 +124,7 @@ func TestLevelTallyEmpty(t *testing.T) {
 	}
 }
 
-func TestLatencyStatsString(t *testing.T) {
-	var s LatencyStats
-	s.Observe(time.Millisecond)
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
 func TestConcurrentObserveAndRecord(t *testing.T) {
-	var s LatencyStats
 	var lt LevelTally
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
@@ -211,40 +133,12 @@ func TestConcurrentObserveAndRecord(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				s.Observe(time.Duration(i+1) * time.Microsecond)
 				lt.Record(1 + (i+w)%4)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s.Count() != workers*perWorker {
-		t.Errorf("concurrent count = %d, want %d", s.Count(), workers*perWorker)
-	}
 	if lt.Total() != workers*perWorker {
 		t.Errorf("concurrent tally = %d, want %d", lt.Total(), workers*perWorker)
-	}
-}
-
-func TestConcurrentShardMerge(t *testing.T) {
-	var total LatencyStats
-	const workers, perWorker = 4, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var shard LatencyStats
-			for i := 0; i < perWorker; i++ {
-				shard.Observe(time.Millisecond)
-			}
-			total.Merge(&shard)
-		}()
-	}
-	wg.Wait()
-	if total.Count() != workers*perWorker {
-		t.Errorf("merged count = %d, want %d", total.Count(), workers*perWorker)
-	}
-	if total.Mean() != time.Millisecond {
-		t.Errorf("merged mean = %v", total.Mean())
 	}
 }

@@ -33,8 +33,8 @@ const (
 	// instead of serializing them.
 	TransportMux = "mux"
 	// TransportClassic is the original call-per-connection protocol behind a
-	// per-daemon pool — kept selectable so the wire bench can measure the
-	// pre-mux path live.
+	// per-daemon pool — kept selectable so the benchmark's rpcnet rung can
+	// measure the pre-mux path live.
 	TransportClassic = "classic"
 )
 
@@ -530,8 +530,8 @@ func (c *Cluster) Messages() uint64 { return c.messages.Load() }
 func (c *Cluster) ResetMessages() { c.messages.Store(0) }
 
 // RPCCounts returns the cumulative RPCs issued per message type, keyed by
-// wire name — the per-opcode evidence behind the wire bench's
-// RPCs-per-operation numbers. Types never issued are omitted.
+// wire name — the per-opcode evidence behind the benchmark's
+// proto.rpcs_per_op.* metrics. Types never issued are omitted.
 func (c *Cluster) RPCCounts() map[string]uint64 {
 	out := make(map[string]uint64)
 	for op := range c.rpcByOp {

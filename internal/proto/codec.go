@@ -50,8 +50,8 @@ const (
 	opHeartbeat // (empty) → id uint32 | files uint64 | walRecords uint64
 )
 
-// opNames labels each RPC type for the per-op counters the wire bench
-// reports; index = opcode.
+// opNames labels each RPC type for the per-op counters (Cluster.RPCCounts);
+// index = opcode.
 var opNames = [...]string{
 	opQueryEntry:       "query_entry",
 	opQueryMember:      "query_member",

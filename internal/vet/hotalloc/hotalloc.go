@@ -1,6 +1,6 @@
 // Package hotalloc defines an analyzer that turns the digest pipeline's
-// zero-allocation claim — pinned at runtime by BenchmarkDigestLookup —
-// into a compile-time contract.
+// zero-allocation claim — measured at runtime as the benchmark's
+// ghba.allocs_per_op — into a compile-time contract.
 //
 // A function tagged with a `//ghbavet:hotpath` doc comment must be
 // transitively free of allocating constructs:

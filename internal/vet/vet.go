@@ -23,14 +23,10 @@
 //   - hotalloc: functions tagged //ghbavet:hotpath must be transitively
 //     allocation-free; allocation evidence propagates through facts
 //
-// Run them via cmd/ghbavet: `go run ./cmd/ghbavet ./...` or
-// `go vet -vettool=$(which ghbavet) ./...`.
+// Run them via cmd/ghbavet: `go vet -vettool=$(which ghbavet) ./...`.
 package vet
 
 import (
-	"os"
-	"strings"
-
 	"golang.org/x/tools/go/analysis"
 
 	"ghba/internal/vet/ctxflow"
@@ -51,38 +47,4 @@ var Analyzers = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	snapcheck.Analyzer,
 	hotalloc.Analyzer,
-}
-
-// ChecksEnv names the environment variable through which `ghbavet
-// -checks a,b` narrows the roster: the standalone driver sets it before
-// re-executing go vet, and the unitchecker child reads it back, so both
-// sides of the re-exec agree on the subset.
-const ChecksEnv = "GHBAVET_CHECKS"
-
-// Selected returns the roster filtered by ChecksEnv; an empty or unset
-// variable selects everything. Unknown names are reported in the second
-// return so the caller can reject typos before go vet fans out.
-func Selected() ([]*analysis.Analyzer, []string) {
-	val := strings.TrimSpace(os.Getenv(ChecksEnv))
-	if val == "" {
-		return Analyzers, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(Analyzers))
-	for _, a := range Analyzers {
-		byName[a.Name] = a
-	}
-	var picked []*analysis.Analyzer
-	var unknown []string
-	for _, name := range strings.Split(val, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if a, ok := byName[name]; ok {
-			picked = append(picked, a)
-		} else {
-			unknown = append(unknown, name)
-		}
-	}
-	return picked, unknown
 }

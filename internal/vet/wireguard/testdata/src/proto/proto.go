@@ -6,7 +6,7 @@ const (
 	opPing uint8 = iota + 1
 	opQuery
 	opHalf         // want `opcode opHalf is not registered in the opNames table` `opcode opHalf has no server dispatch case` `opcode opHalf is never sent by any client path`
-	opNameless     // want `opcode opNameless is not registered in the opNames table; its RPC counter and wire-bench label will read op_4`
+	opNameless     // want `opcode opNameless is not registered in the opNames table; its RPC counter will read op_4`
 	opUnsent       // want `opcode opUnsent is never sent by any client path`
 	opUndispatched // want `opcode opUndispatched has no server dispatch case`
 )

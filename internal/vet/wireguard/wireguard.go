@@ -6,8 +6,8 @@
 // the client sends it, and the daemon answers "unknown message type" at
 // runtime. For each constant named op* the analyzer requires:
 //
-//  1. an entry in the opNames table (the per-opcode RPC counters and the
-//     wire bench's evidence are indexed by it),
+//  1. an entry in the opNames table (the per-opcode RPC counters are
+//     indexed by it),
 //  2. a case clause in a server dispatch switch (the daemon must answer),
 //  3. a client-side reference outside the table and the dispatch — an
 //     opcode nobody sends is dead weight or a symptom of a half-rename,
@@ -137,7 +137,7 @@ func run(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		if !use.inNamesTable {
-			rep.Reportf(id.Pos(), "opcode %s is not registered in the opNames table; its RPC counter and wire-bench label will read op_%d", id.Name, constValue(c))
+			rep.Reportf(id.Pos(), "opcode %s is not registered in the opNames table; its RPC counter will read op_%d", id.Name, constValue(c))
 		}
 		if !use.inDispatch {
 			rep.Reportf(id.Pos(), "opcode %s has no server dispatch case; daemons will answer it with an unknown-message error", id.Name)

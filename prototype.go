@@ -211,9 +211,6 @@ func (p *Prototype) LookupBatch(ctx context.Context, rng *rand.Rand, paths []str
 	return out, nil
 }
 
-// Transport returns the wire protocol in use ("mux" or "classic").
-func (p *Prototype) Transport() string { return p.cluster.Transport() }
-
 // CreateAll bulk-loads paths directly into the daemons (unmeasured) and
 // refreshes every replica, like the simulation's populate path.
 func (p *Prototype) CreateAll(_ context.Context, paths []string) error {
