@@ -46,6 +46,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-mix", "0:0:0"}, "empty mix"},
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
+		{[]string{"-backend", "tcp", "-transport", "bogus"}, "invalid config: Transport"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			out, err := exec.Command(toolBinary, tc.args...).CombinedOutput()

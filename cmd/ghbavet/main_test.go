@@ -1,12 +1,15 @@
 package main_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ghba/internal/vet"
 )
 
 // The dispatch rule in main is load-bearing: everything but a leading
@@ -56,5 +59,86 @@ func TestFlagsRoutesToUnitchecker(t *testing.T) {
 	}
 	if !strings.HasPrefix(strings.TrimSpace(string(out)), "[") {
 		t.Errorf("-flags: want JSON flag array, got:\n%s", out)
+	}
+}
+
+// TestAnalyzersFireUnderGoVet is the negative control for the way CI invokes
+// the suite. go vet hands a package that has in-package tests to the vet
+// tool once, as its test variant, and the analyzers' own tests (vettest)
+// load fixtures as plain packages — so a rule that skips test variants can
+// pass every unit test and never run in CI. Here each analyzer's
+// single-package fixture is laid into a throw-away stdlib-only module with
+// an in-package _test.go beside it, and `go vet -vettool` over that module
+// must produce a diagnostic from every analyzer.
+func TestAnalyzersFireUnderGoVet(t *testing.T) {
+	fixtures := map[string]string{ // analyzer → fixture under its testdata/src
+		"lockcheck": "a",
+		"detrand":   "core",
+		"ctxflow":   "proto",
+		"lockorder": "lockorder1",
+		"snapcheck": "snapcheck1",
+		"hotalloc":  "hotalloc1",
+	}
+	if len(fixtures) != len(vet.Analyzers) {
+		t.Fatalf("%d fixtures for %d analyzers: give the new analyzer one here", len(fixtures), len(vet.Analyzers))
+	}
+	mod := t.TempDir()
+	if err := os.WriteFile(filepath.Join(mod, "go.mod"), []byte("module vetfixture\n\ngo 1.24\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for analyzer, fixture := range fixtures {
+		src := filepath.Join("..", "..", "internal", "vet", analyzer, "testdata", "src", fixture)
+		dst := filepath.Join(mod, analyzer)
+		if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		// Every fixture's package is named after its directory.
+		test := "package " + fixture + "\n\nimport \"testing\"\n\nfunc TestNothing(t *testing.T) {}\n"
+		if err := os.WriteFile(filepath.Join(dst, "fixture_test.go"), []byte(test), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cmd := exec.Command("go", "vet", "-json", "-vettool="+toolBinary, "./...")
+	cmd.Dir = mod
+	// The module needs nothing but the standard library; make sure it cannot
+	// reach for the repo's vendor tree, a workspace or the network.
+	cmd.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off", "GOPROXY=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go vet -json: %v\n%s", err, out)
+	}
+
+	// -json prints, per package, a "# pkg" banner and one object
+	// {package: {analyzer: [diagnostics]}}.
+	var objects strings.Builder
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			objects.WriteString(line + "\n")
+		}
+	}
+	fired := make(map[string]bool)
+	dec := json.NewDecoder(strings.NewReader(objects.String()))
+	for dec.More() {
+		var byPkg map[string]map[string]json.RawMessage
+		if err := dec.Decode(&byPkg); err != nil {
+			t.Fatalf("decoding go vet -json output: %v\n%s", err, out)
+		}
+		for _, byAnalyzer := range byPkg {
+			for analyzer, diags := range byAnalyzer {
+				var list []json.RawMessage // an analyzer error is an object, not a list
+				if json.Unmarshal(diags, &list) == nil && len(list) > 0 {
+					fired[analyzer] = true
+				}
+			}
+		}
+	}
+	for _, a := range vet.Analyzers {
+		if !fired[a.Name] {
+			t.Errorf("%s reported nothing on its own fixture when run the way CI runs it", a.Name)
+		}
+	}
+	if t.Failed() {
+		t.Logf("go vet output:\n%s", out)
 	}
 }

@@ -212,7 +212,7 @@ func New(cfg Config) (*Simulation, error) {
 
 // SimulationOver wraps an already-built scheme engine in the Backend
 // surface, for drivers that tune core.Config fields Config does not expose
-// (the figure drivers' memory accounting, staleness and ablation knobs).
+// (the figure drivers' memory accounting and staleness knobs).
 // seed is the base of the parallel drivers' per-worker RNG derivation.
 func SimulationOver(cluster *core.Cluster, seed int64) *Simulation {
 	return &Simulation{cluster: cluster, seed: seed}
@@ -254,10 +254,6 @@ func (s *Simulation) NumGroups() int { return s.cluster.NumGroups() }
 // FileCount returns the number of files in the namespace.
 func (s *Simulation) FileCount() int { return s.cluster.FileCount() }
 
-// Create homes a new file at a uniformly chosen server and returns its home
-// MDS ID. Creating an existing path re-homes it; use Exists to guard.
-func (s *Simulation) Create(path string) int { return s.cluster.Create(path) }
-
 // CreateAll bulk-loads paths and synchronizes all replicas afterwards —
 // much faster than per-file updates for initial population.
 func (s *Simulation) CreateAll(_ context.Context, paths []string) error {
@@ -270,12 +266,6 @@ func (s *Simulation) CreateAll(_ context.Context, paths []string) error {
 	})
 	return nil
 }
-
-// Delete removes a file, reporting whether it existed.
-func (s *Simulation) Delete(path string) bool { return s.cluster.Delete(path) }
-
-// Exists reports whether path is in the namespace (ground truth).
-func (s *Simulation) Exists(path string) bool { return s.cluster.HomeOf(path) >= 0 }
 
 // HomeOf returns path's ground-truth home MDS (-1 when absent).
 func (s *Simulation) HomeOf(path string) int { return s.cluster.HomeOf(path) }
@@ -407,7 +397,9 @@ func (s *Simulation) ReplicaUpdates() uint64 {
 }
 
 // CheckInvariants verifies the global-mirror-image invariant across all
-// groups; nil means every group independently covers the whole system.
+// groups and that the servers' stores hold exactly the files ground truth
+// homes; nil means every group independently covers the whole system and no
+// file sits in a store its home entry does not name.
 func (s *Simulation) CheckInvariants() error { return s.cluster.CheckInvariants() }
 
 // TraceOp converts a trace operation type to the facade's Op kind; replay

@@ -29,6 +29,16 @@ func lk(t *testing.T, s *Simulation, path string) Result {
 	return res
 }
 
+// ap applies one operation, failing the test on error.
+func ap(t *testing.T, s *Simulation, op Op) Result {
+	t.Helper()
+	res, err := s.Apply(context.Background(), op)
+	if err != nil {
+		t.Fatalf("apply %+v: %v", op, err)
+	}
+	return res
+}
+
 func createAll(t *testing.T, s *Simulation, paths []string) {
 	t.Helper()
 	if err := s.CreateAll(context.Background(), paths); err != nil {
@@ -77,6 +87,47 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestStartPrototypeValidation is TestNewValidation for the fields only the
+// TCP backend has: each is rejected as a *ConfigError naming it, before any
+// daemon starts.
+func TestStartPrototypeValidation(t *testing.T) {
+	base := Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000}
+	cases := []struct {
+		name  string
+		cfg   PrototypeConfig
+		field string
+	}{
+		{"shared half", PrototypeConfig{Config: Config{NumMDS: 0}}, "NumMDS"},
+		{"unknown transport", PrototypeConfig{Config: base, Transport: "bogus"}, "Transport"},
+		{"unknown WAL sync policy", PrototypeConfig{Config: base, WALSync: "sometimes"}, "WALSync"},
+		{"negative retry attempts", PrototypeConfig{Config: base, RetryAttempts: -1}, "RetryAttempts"},
+	}
+	for _, tc := range cases {
+		p, err := StartPrototype(tc.cfg)
+		if err == nil {
+			p.Close()
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		var cerr *ConfigError
+		if !errors.As(err, &cerr) {
+			t.Errorf("%s: error %v is not a *ConfigError", tc.name, err)
+			continue
+		}
+		if cerr.Field != tc.field {
+			t.Errorf("%s: rejected field %q, want %q", tc.name, cerr.Field, tc.field)
+		}
+	}
+	for _, transport := range []string{"", "mux", "classic"} {
+		p, err := StartPrototype(PrototypeConfig{Config: base, Transport: transport, WALSync: "never"})
+		if err != nil {
+			t.Errorf("transport %q rejected: %v", transport, err)
+			continue
+		}
+		p.Close()
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	s := newSim(t, 12)
 	if s.NumMDS() != 12 {
@@ -121,10 +172,10 @@ func TestLifecycle(t *testing.T) {
 		}
 		total += res.Latency
 	}
-	if !s.Exists(paths[0]) || s.Exists("/nope") {
+	if s.HomeOf(paths[0]) < 0 || s.HomeOf("/nope") >= 0 {
 		t.Error("Exists wrong")
 	}
-	if !s.Delete(paths[0]) || s.Delete(paths[0]) {
+	if del := (Op{Kind: OpDelete, Path: paths[0]}); !ap(t, s, del).Found || ap(t, s, del).Found {
 		t.Error("Delete semantics wrong")
 	}
 	if res := lk(t, s, "/nope"); res.Found || res.Home != -1 {
@@ -180,8 +231,8 @@ func TestNodeConfigForBenchmarkWorkloads(t *testing.T) {
 
 func TestCreateSingle(t *testing.T) {
 	s := newSim(t, 4)
-	home := s.Create("/one")
-	if home < 0 || !s.Exists("/one") {
+	home := ap(t, s, Op{Kind: OpCreate, Path: "/one"}).Home
+	if home < 0 || s.HomeOf("/one") < 0 {
 		t.Error("Create failed")
 	}
 	res := lk(t, s, "/one")

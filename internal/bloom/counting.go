@@ -121,32 +121,11 @@ func (c *CountingFilter) containsPair(h1, h2 uint64) bool {
 	return true
 }
 
-// Clear resets all counters.
-func (c *CountingFilter) Clear() {
-	for i := range c.counters {
-		c.counters[i] = 0
-	}
-	c.n = 0
-}
-
 // Clone returns a deep copy.
 func (c *CountingFilter) Clone() *CountingFilter {
 	cc := make([]uint8, len(c.counters))
 	copy(cc, c.counters)
 	return &CountingFilter{m: c.m, k: c.k, n: c.n, counters: cc}
-}
-
-// ToFilter flattens the counting filter into a standard filter with the same
-// geometry: a bit is set wherever the counter is non-zero. This is how an
-// updated ID filter is serialized for multicast to the rest of a group.
-func (c *CountingFilter) ToFilter() *Filter {
-	f := &Filter{m: c.m, k: c.k, n: c.n, words: make([]uint64, (c.m+wordBits-1)/wordBits)}
-	for i, v := range c.counters {
-		if v > 0 {
-			f.words[uint64(i)/wordBits] |= 1 << (uint64(i) % wordBits)
-		}
-	}
-	return f
 }
 
 // SizeBytes returns the in-memory size of the counter array in bytes.

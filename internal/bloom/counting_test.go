@@ -127,15 +127,6 @@ func TestCountingSaturation(t *testing.T) {
 	}
 }
 
-func TestCountingClear(t *testing.T) {
-	c := mustNewCounting(t, 512, 4)
-	c.AddString("a")
-	c.Clear()
-	if c.ContainsString("a") || c.Count() != 0 {
-		t.Error("Clear did not reset filter")
-	}
-}
-
 func TestCountingClone(t *testing.T) {
 	c := mustNewCounting(t, 512, 4)
 	c.AddString("a")
@@ -146,26 +137,6 @@ func TestCountingClone(t *testing.T) {
 	}
 	if !d.ContainsString("a") {
 		t.Error("clone lost original key")
-	}
-}
-
-func TestCountingToFilter(t *testing.T) {
-	c := mustNewCounting(t, 2048, 4)
-	keys := []string{"p", "q", "r"}
-	for _, k := range keys {
-		c.AddString(k)
-	}
-	f := c.ToFilter()
-	if f.M() != c.M() || f.K() != c.K() {
-		t.Fatalf("ToFilter geometry (%d,%d), want (%d,%d)", f.M(), f.K(), c.M(), c.K())
-	}
-	for _, k := range keys {
-		if !f.ContainsString(k) {
-			t.Errorf("flattened filter missing %q", k)
-		}
-	}
-	if f.Count() != c.Count() {
-		t.Errorf("flattened count %d, want %d", f.Count(), c.Count())
 	}
 }
 

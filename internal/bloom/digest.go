@@ -140,34 +140,3 @@ func (c *CountingFilter) ContainsDigest(d *Digest) bool {
 	}
 	return c.containsPair(d.h1, d.h2)
 }
-
-// AddDigest inserts the digested key, equivalent to Add on the same key.
-func (c *CountingFilter) AddDigest(d *Digest) {
-	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
-		for _, idx := range pos {
-			if c.counters[idx] < counterMax {
-				c.counters[idx]++
-			}
-		}
-		c.n++
-		return
-	}
-	c.addPair(d.h1, d.h2)
-}
-
-// RemoveDigest deletes one occurrence of the digested key, equivalent to
-// Remove on the same key (with the same corruption caveat).
-func (c *CountingFilter) RemoveDigest(d *Digest) {
-	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
-		for _, idx := range pos {
-			if c.counters[idx] > 0 && c.counters[idx] < counterMax {
-				c.counters[idx]--
-			}
-		}
-		if c.n > 0 {
-			c.n--
-		}
-		return
-	}
-	c.removePair(d.h1, d.h2)
-}

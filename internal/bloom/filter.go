@@ -1,12 +1,12 @@
 // Package bloom implements the Bloom filter machinery that underpins G-HBA:
 // standard bit-vector filters, counting filters that support deletion, the
-// set-algebraic operations of Section 3.4 of the paper (union, intersection,
-// XOR), and the false-positive analysis of Equation 1.
+// XOR delta of Section 3.4 of the paper, and the false-positive analysis of
+// Equation 1.
 //
 // All filters in one deployment must be created with identical geometry
 // (m bits, k hash functions, bit layout) so that their bit vectors are
-// directly comparable and replicable across metadata servers; the algebraic
-// operations enforce this and fail loudly on mismatch.
+// directly comparable and replicable across metadata servers; XorBits
+// enforces this and fails loudly on mismatch.
 //
 // Two bit layouts are supported. LayoutClassic spreads the k probe positions
 // across the whole vector — the textbook arrangement, and the wire/snapshot
@@ -29,7 +29,7 @@ import (
 // Common errors returned by filter operations.
 var (
 	// ErrGeometryMismatch is returned when two filters with different bit
-	// lengths, hash counts or layouts are combined.
+	// lengths, hash counts or layouts are compared.
 	ErrGeometryMismatch = errors.New("bloom: filter geometry mismatch")
 	// ErrInvalidGeometry is returned when a filter is created with a
 	// non-positive size or hash count.
@@ -70,7 +70,7 @@ const blockBits = 512
 // The zero value is not usable; construct filters with New, NewLayout or
 // NewForCapacity.
 //
-// Concurrency: mutation (Add, Clear, Union, CopyFrom, …) requires external
+// Concurrency: mutation (Add, AddDigest, UnmarshalBinary) requires external
 // serialization at the layer that owns the filter — the MDS layer in this
 // repository serializes writers behind per-node locks. Membership probes
 // (Contains, ContainsDigest) are safe to run lock-free concurrently with a
@@ -82,7 +82,7 @@ const blockBits = 512
 type Filter struct {
 	m      uint64 // number of bits
 	k      uint32 // number of hash functions
-	n      uint64 // number of Add calls since creation/clear (approximate set size); atomic
+	n      uint64 // number of Add calls since creation (approximate set size); atomic
 	layout Layout
 	words  []uint64
 }
@@ -176,10 +176,9 @@ func (f *Filter) K() uint32 { return f.k }
 // Layout returns the filter's bit layout.
 func (f *Filter) Layout() Layout { return f.layout }
 
-// Count returns the number of insertions since creation or the last Clear.
-// It over-counts re-insertions of the same key and is used only for load
-// accounting, never for membership decisions. After Union or Intersect it is
-// the clamped estimate those operations document.
+// Count returns the number of insertions since creation. It over-counts
+// re-insertions of the same key and is used only for load accounting, never
+// for membership decisions.
 func (f *Filter) Count() uint64 { return atomic.LoadUint64(&f.n) }
 
 // indexOf returns the i-th probe position under the filter's layout.
@@ -232,14 +231,6 @@ func (f *Filter) containsPair(h1, h2 uint64) bool {
 	return true
 }
 
-// Clear resets the filter to empty.
-func (f *Filter) Clear() {
-	for i := range f.words {
-		atomic.StoreUint64(&f.words[i], 0)
-	}
-	atomic.StoreUint64(&f.n, 0)
-}
-
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {
 	w := make([]uint64, len(f.words))
@@ -256,43 +247,9 @@ func (f *Filter) PopCount() uint64 {
 	return c
 }
 
-// FillRatio returns the fraction of bits set, the quantity that determines
-// the observed false-positive rate.
-func (f *Filter) FillRatio() float64 {
-	return float64(f.PopCount()) / float64(f.m)
-}
-
 // SizeBytes returns the in-memory size of the bit vector in bytes. This is
 // the unit the memory model (internal/memmodel) budgets against.
 func (f *Filter) SizeBytes() uint64 { return uint64(len(f.words)) * 8 }
-
-// EstimatedFPR returns the expected false-positive probability given the
-// current fill ratio: p = fill^k.
-func (f *Filter) EstimatedFPR() float64 {
-	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// EstimatedCount returns the Swamidass–Baldi cardinality estimate for the
-// filter's current bit vector,
-//
-//	n̂ = −(m/k) · ln(1 − X/m),
-//
-// where X is the number of set bits. Unlike Count, which tallies Add calls,
-// the estimate is derived purely from the vector, so it stays meaningful
-// after set-algebraic operations where insertion counts cannot be combined
-// exactly. A saturated filter (every bit set) carries no cardinality
-// information and estimates the maximum uint64.
-func (f *Filter) EstimatedCount() uint64 {
-	fill := f.FillRatio()
-	if fill >= 1 {
-		return math.MaxUint64
-	}
-	est := -(float64(f.m) / float64(f.k)) * math.Log(1-fill)
-	if est < 0 {
-		return 0
-	}
-	return uint64(math.Round(est))
-}
 
 // Equal reports whether two filters have identical geometry and bit vectors.
 func (f *Filter) Equal(g *Filter) bool {
@@ -307,7 +264,7 @@ func (f *Filter) Equal(g *Filter) bool {
 	return true
 }
 
-// sameGeometry verifies that g can be combined with f.
+// sameGeometry verifies that g can be compared with f.
 func (f *Filter) sameGeometry(g *Filter) error {
 	if f.m != g.m || f.k != g.k || f.layout != g.layout {
 		return fmt.Errorf("%w: (m=%d,k=%d,%v) vs (m=%d,k=%d,%v)",
@@ -319,63 +276,6 @@ func (f *Filter) sameGeometry(g *Filter) error {
 // setCount overwrites the insertion counter. Writers are externally
 // serialized; the atomic store keeps lock-free Count readers race-clean.
 func (f *Filter) setCount(n uint64) { atomic.StoreUint64(&f.n, n) }
-
-// clampCount bounds an estimate into [lo, hi] (a union's true cardinality
-// lies between the larger input and the sum of the inputs; an
-// intersection's below the smaller input).
-func clampCount(est, lo, hi uint64) uint64 {
-	if est < lo {
-		return lo
-	}
-	if est > hi {
-		return hi
-	}
-	return est
-}
-
-// Union replaces f with BF(A∪B) by ORing the bit vectors (Property 1 of the
-// paper). The resulting filter represents the union exactly: it answers
-// positively for every member of either set, with a false-positive rate no
-// lower than either input's.
-//
-// The insertion counter cannot be combined exactly — summing the inputs
-// would double-count members present in both sets — so it is reset to the
-// Swamidass–Baldi estimate of the merged vector (see EstimatedCount),
-// clamped to the feasible range [max(n_A, n_B), n_A + n_B]. The counter
-// feeds load accounting and ship/rebuild heuristics only, never membership
-// answers.
-func (f *Filter) Union(g *Filter) error {
-	if err := f.sameGeometry(g); err != nil {
-		return err
-	}
-	fn, gn := f.Count(), g.Count()
-	for i, w := range g.words {
-		atomic.StoreUint64(&f.words[i], f.words[i]|w)
-	}
-	f.setCount(clampCount(f.EstimatedCount(), max(fn, gn), fn+gn))
-	return nil
-}
-
-// Intersect replaces f with the AND of the bit vectors. Per Property 2 of the
-// paper this is a superset approximation of BF(A∩B): every member of A∩B
-// still answers positively, but the false-positive rate exceeds that of a
-// filter built directly from A∩B.
-//
-// The insertion counter is reset to the Swamidass–Baldi estimate of the
-// intersected vector, clamped to [0, min(n_A, n_B)] — the true intersection
-// can be empty and can never exceed the smaller input. Taking min alone (the
-// previous behaviour) overstates heavily disjoint intersections.
-func (f *Filter) Intersect(g *Filter) error {
-	if err := f.sameGeometry(g); err != nil {
-		return err
-	}
-	fn, gn := f.Count(), g.Count()
-	for i, w := range g.words {
-		atomic.StoreUint64(&f.words[i], f.words[i]&w)
-	}
-	f.setCount(clampCount(f.EstimatedCount(), 0, min(fn, gn)))
-	return nil
-}
 
 // XorBits returns the Hamming distance between the two bit vectors. G-HBA
 // uses this (Section 3.4) to decide when a remote replica is stale enough to
@@ -390,32 +290,4 @@ func (f *Filter) XorBits(g *Filter) (uint64, error) {
 		c += uint64(bits.OnesCount64(f.words[i] ^ w))
 	}
 	return c, nil
-}
-
-// Xor returns a new filter whose bit vector is the XOR of the inputs,
-// representing BF(A⊕B) = BF(A−B) ∪ BF(B−A) per Property 3 when both inputs
-// share bits and hash functions.
-func (f *Filter) Xor(g *Filter) (*Filter, error) {
-	if err := f.sameGeometry(g); err != nil {
-		return nil, err
-	}
-	out := &Filter{m: f.m, k: f.k, layout: f.layout, words: make([]uint64, len(f.words))}
-	for i := range f.words {
-		out.words[i] = f.words[i] ^ g.words[i]
-	}
-	return out, nil
-}
-
-// CopyFrom overwrites f's bit vector and count with g's. It is the in-place
-// replica-refresh primitive: an MDS receiving a full-filter update applies it
-// without reallocating.
-func (f *Filter) CopyFrom(g *Filter) error {
-	if err := f.sameGeometry(g); err != nil {
-		return err
-	}
-	for i, w := range g.words {
-		atomic.StoreUint64(&f.words[i], w)
-	}
-	f.setCount(g.Count())
-	return nil
 }

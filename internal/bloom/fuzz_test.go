@@ -37,7 +37,7 @@ func FuzzFilterMarshal(f *testing.F) {
 	// Truncated header and truncated body.
 	f.Add(big[:5])
 	f.Add(big[:len(big)-3])
-	// Wrong magic (a counting-filter header on filter bytes).
+	// Wrong magic (0xB1F1, the retired counting-filter tag).
 	wrongMagic := bytes.Clone(big)
 	binary.BigEndian.PutUint16(wrongMagic[0:2], 0xB1F1)
 	f.Add(wrongMagic)

@@ -9,22 +9,21 @@ import (
 // Binary wire format shared by the simulator checkpoints and the prototype
 // RPC layer. Layout (big endian):
 //
-//	magic  uint16  — 0xB1F0 classic Filter, 0xB1F2 blocked Filter,
-//	                 0xB1F1 CountingFilter
+//	magic  uint16  — 0xB1F0 classic Filter, 0xB1F2 blocked Filter
 //	m      uint64
 //	k      uint32
 //	n      uint64
-//	body   — Filter: ⌈m/64⌉ uint64 words; CountingFilter: m uint8 counters
+//	body   — ⌈m/64⌉ uint64 words
 //
 // The magic number doubles as the geometry tag for the bit layout: a classic
 // filter round-trips byte-for-byte as it always has (0xB1F0), while a
 // blocked filter announces itself with 0xB1F2 so a decoder that predates the
 // blocked layout rejects it loudly instead of probing the vector with the
-// wrong position function. Counting filters are classic-only.
+// wrong position function. Counting filters (the IDBFA) never cross a wire
+// or a snapshot and have no encoding.
 
 const (
 	magicFilter        uint16 = 0xB1F0
-	magicCounting      uint16 = 0xB1F1
 	magicBlockedFilter uint16 = 0xB1F2
 	headerLen                 = 2 + 8 + 4 + 8
 
@@ -43,8 +42,6 @@ const (
 var (
 	_ encoding.BinaryMarshaler   = (*Filter)(nil)
 	_ encoding.BinaryUnmarshaler = (*Filter)(nil)
-	_ encoding.BinaryMarshaler   = (*CountingFilter)(nil)
-	_ encoding.BinaryUnmarshaler = (*CountingFilter)(nil)
 )
 
 // wireMagic returns the magic announcing the filter's layout on the wire.
@@ -121,32 +118,5 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	}
 	f.m, f.k, f.layout, f.words = m, k, layout, words
 	f.setCount(n)
-	return nil
-}
-
-// MarshalBinary encodes the counting filter in the wire format above.
-func (c *CountingFilter) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, headerLen+len(c.counters))
-	putHeader(buf, magicCounting, c.m, c.k, c.n)
-	copy(buf[headerLen:], c.counters)
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a counting filter previously encoded with
-// MarshalBinary.
-func (c *CountingFilter) UnmarshalBinary(data []byte) error {
-	magic, m, k, n, err := parseHeader(data)
-	if err != nil {
-		return err
-	}
-	if magic != magicCounting {
-		return fmt.Errorf("bloom: bad magic 0x%04x (want 0x%04x)", magic, magicCounting)
-	}
-	if uint64(len(data)-headerLen) != m {
-		return fmt.Errorf("bloom: body length %d, want %d", len(data)-headerLen, m)
-	}
-	counters := make([]uint8, m)
-	copy(counters, data[headerLen:])
-	c.m, c.k, c.n, c.counters = m, k, n, counters
 	return nil
 }

@@ -19,16 +19,6 @@ func FalsePositiveRate(m, n uint64, k uint32) float64 {
 	return math.Pow(1-math.Exp(-float64(k)*float64(n)/float64(m)), float64(k))
 }
 
-// OptimalFalsePositiveRate returns f0, the minimum achievable false-positive
-// rate at ratio bitsPerItem = m/n when k = (m/n)·ln 2, which the paper
-// approximates as 0.6185^(m/n).
-func OptimalFalsePositiveRate(bitsPerItem float64) float64 {
-	if bitsPerItem <= 0 {
-		return 1
-	}
-	return math.Pow(optimalBase, bitsPerItem)
-}
-
 // SegmentFalsePositive evaluates Equation 1 of the paper: the probability
 // that a segment Bloom filter array holding theta replicas returns a unique
 // but wrong hit,
@@ -41,7 +31,7 @@ func SegmentFalsePositive(theta int, bitsPerItem float64) float64 {
 	if theta <= 0 {
 		return 0
 	}
-	f0 := OptimalFalsePositiveRate(bitsPerItem)
+	f0 := math.Pow(optimalBase, bitsPerItem)
 	return float64(theta) * f0 * math.Pow(1-f0, float64(theta-1))
 }
 

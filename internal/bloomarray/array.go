@@ -12,7 +12,6 @@
 package bloomarray
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,18 +218,6 @@ func (a *Array) SizeBytes() uint64 {
 	return total
 }
 
-// Clone returns a deep copy of the array (each filter is cloned).
-func (a *Array) Clone() *Array {
-	entries := a.snapshot()
-	next := make([]entry, len(entries))
-	for i, e := range entries {
-		next[i] = entry{id: e.id, f: e.f.Clone()}
-	}
-	c := &Array{}
-	c.entries.Store(&next)
-	return c
-}
-
 // PopRandom removes and returns count replicas in deterministic ascending-ID
 // order, used when a group member offloads replicas to a newly joined MDS.
 // The paper offloads "randomly"; a deterministic order preserves the same
@@ -254,29 +241,4 @@ func (a *Array) PopRandom(count int) map[int]*bloom.Filter {
 	copy(next, entries[count:])
 	a.entries.Store(&next)
 	return out
-}
-
-// MergeFrom moves every replica of src into a, failing on duplicate IDs so
-// that the "each replica resides exclusively on one MDS" invariant is caught
-// at the point of violation. Merging only happens during reconfiguration,
-// which holds the cluster-exclusive lock, so the fixed a-then-src lock order
-// cannot deadlock against a concurrent merge of the reverse pair.
-func (a *Array) MergeFrom(src *Array) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	merged := a.snapshot()
-	srcEntries := src.snapshot()
-	for _, e := range srcEntries {
-		if _, ok := search(merged, e.id); ok {
-			return fmt.Errorf("bloomarray: duplicate replica for MDS %d during merge", e.id)
-		}
-	}
-	for _, e := range srcEntries {
-		merged = insertEntry(merged, e.id, e.f)
-	}
-	a.entries.Store(&merged)
-	src.entries.Store(&[]entry{})
-	return nil
 }

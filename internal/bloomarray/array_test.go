@@ -152,16 +152,6 @@ func TestArraySizeBytes(t *testing.T) {
 	}
 }
 
-func TestArrayCloneDeep(t *testing.T) {
-	a := NewArray()
-	a.Put(1, filterWith(t, "orig"))
-	c := a.Clone()
-	c.Get(1).AddString("mutant")
-	if a.Get(1).ContainsString("mutant") && a.Get(1).Count() > 1 {
-		t.Error("clone shares filter with original")
-	}
-}
-
 func TestArrayPopRandom(t *testing.T) {
 	a := NewArray()
 	for i := 0; i < 10; i++ {
@@ -183,29 +173,5 @@ func TestArrayPopRandom(t *testing.T) {
 	rest := a.PopRandom(100)
 	if len(rest) != 6 || a.Len() != 0 {
 		t.Errorf("PopRandom(100) returned %d, array has %d", len(rest), a.Len())
-	}
-}
-
-func TestArrayMergeFrom(t *testing.T) {
-	dst := NewArray()
-	dst.Put(1, filterWith(t))
-	src := NewArray()
-	src.Put(2, filterWith(t))
-	src.Put(3, filterWith(t))
-	if err := dst.MergeFrom(src); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != 3 || src.Len() != 0 {
-		t.Errorf("after merge dst=%d src=%d, want 3, 0", dst.Len(), src.Len())
-	}
-}
-
-func TestArrayMergeFromDuplicate(t *testing.T) {
-	dst := NewArray()
-	dst.Put(1, filterWith(t))
-	src := NewArray()
-	src.Put(1, filterWith(t))
-	if err := dst.MergeFrom(src); err == nil {
-		t.Error("merge with duplicate ID succeeded, want error")
 	}
 }

@@ -43,7 +43,7 @@ import (
 // would clear or move bits builds a private copy of the slab and publishes a
 // successor state instead: a rotation (the lane's active column moves to the
 // aged one), Forget (the lane's columns are cleared and the lane freed),
-// lane-word growth (a 33rd, 65th… home) and Reset. A new home that finds a
+// and lane-word growth (a 33rd, 65th… home). A new home that finds a
 // free lane publishes a successor that shares the slab. Queries and the
 // Observe fast path load the state and read words atomically — no lock,
 // ever. A reader therefore sees every rotation whole or not at all; one
@@ -295,13 +295,6 @@ func (l *LRUArray) Forget(mdsID int) {
 	next.lanes = maps.Clone(s.lanes)
 	delete(next.lanes, mdsID)
 	l.state.Store(next)
-}
-
-// Reset clears every entry.
-func (l *LRUArray) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.state.Store(&lruState{})
 }
 
 // Entries returns the number of MDSs currently tracked.

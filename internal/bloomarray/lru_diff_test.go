@@ -98,11 +98,6 @@ func (p *lruPair) forget(home int) {
 	delete(p.ref.entries, home)
 }
 
-func (p *lruPair) reset() {
-	p.got.Reset()
-	clear(p.ref.entries)
-}
-
 // checkQuery requires equal hit lists for key, through a reused buffer.
 func (p *lruPair) checkQuery(step int, key string) {
 	p.t.Helper()
@@ -125,7 +120,7 @@ func (p *lruPair) checkAccounting(step int) {
 }
 
 // TestLRUMatchesFilterPairs is the differential test of the bit-sliced
-// layout: a seeded Observe/Query/Forget/Reset sequence must leave the array
+// layout: a seeded Observe/Query/Forget sequence must leave the array
 // and per-home pairs of plain filters with equal hit lists, Entries and
 // SizeBytes at every step. The home counts straddle the lane-word growth
 // points (a 33rd and a 65th home), forgotten homes come back (lane reuse),
@@ -181,12 +176,10 @@ func runLRUDifferential(t *testing.T, capacity uint64, bitsPerItem float64, layo
 		case op < 960:
 			i := rng.Intn(keys + keys/4) // the top fifth was never observed
 			p.checkQuery(step, key(i))
-		case op < 995:
+		default:
 			// Forget a tracked home, an untracked one, or an ID that never
 			// existed.
 			p.forget(7 + rng.Intn(3*homes+2))
-		default:
-			p.reset()
 		}
 		p.checkAccounting(step)
 	}
@@ -219,7 +212,7 @@ func TestLRUForgetDoesNotResurrect(t *testing.T) {
 }
 
 // TestLRUIdleArrayOwnsNoSlab pins the lazy allocation heap_mb relies on: an
-// array that never observed — or was Reset — holds no slab.
+// array that never observed holds no slab.
 func TestLRUIdleArrayOwnsNoSlab(t *testing.T) {
 	l, err := NewLRUArray(256, 16)
 	if err != nil {
@@ -231,10 +224,6 @@ func TestLRUIdleArrayOwnsNoSlab(t *testing.T) {
 	l.ObserveDigest(digestOf("/x"), 1)
 	if got, want := len(l.state.Load().words), 256*16; got != want {
 		t.Errorf("slab holds %d words after one home, want %d", got, want)
-	}
-	l.Reset()
-	if s := l.state.Load(); s.words != nil {
-		t.Error("Reset kept the slab")
 	}
 }
 

@@ -93,19 +93,6 @@ func TestLRUForget(t *testing.T) {
 	}
 }
 
-func TestLRUReset(t *testing.T) {
-	l, err := NewLRUArray(10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.ObserveDigest(digestOf("a"), 1)
-	l.ObserveDigest(digestOf("b"), 2)
-	l.Reset()
-	if l.Entries() != 0 || !l.QueryDigest(digestOf("a"), nil).Miss() {
-		t.Error("Reset did not clear entries")
-	}
-}
-
 func TestLRUMultipleHitsAcrossMDSs(t *testing.T) {
 	l, err := NewLRUArray(10, 16)
 	if err != nil {

@@ -121,4 +121,5 @@ func TestApplyParallelChurnStress(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no surviving files to check")
 	}
+	checkNamespace(t, c)
 }

@@ -36,12 +36,12 @@ import (
 // mode, the queue-model map under queueMu.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
-// topology lock. Mutations (Create, Delete, Apply, ApplyWith) and replica
-// shipping (PushUpdate, Flush) hold mu as readers and synchronize through
+// topology lock. Mutations (Apply, ApplyWith) and replica shipping
+// (PushUpdate, Flush) hold mu as readers and synchronize through
 // finer-grained structures — the sharded homes map, per-node locks, ship
-// stripes. Reconfiguration — Populate, SyncAllReplicas, AddMDS, RemoveMDS,
-// FailMDS — takes mu exclusively because it rewrites the node/group maps the
-// writer paths navigate by, and republishes the epoch before releasing it. A
+// stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
+// exclusively because it rewrites the node/group maps the writer paths
+// navigate by, and republishes the epoch before releasing it. A
 // lookup that loaded the previous epoch completes against that consistent
 // older topology, which is indistinguishable from it having run just before
 // the reconfiguration committed.
@@ -341,13 +341,6 @@ func (c *Cluster) groupOfLocked(id int) *group.Group {
 	return c.groups[gid]
 }
 
-// GroupOf returns the group containing the MDS, or nil.
-func (c *Cluster) GroupOf(id int) *group.Group {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.groupOfLocked(id)
-}
-
 // Groups returns the groups in ascending ID order.
 func (c *Cluster) Groups() []*group.Group {
 	c.mu.RLock()
@@ -416,23 +409,20 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	each(func(path string) bool {
-		home := c.randomMDSLocked()
-		c.nodes[home].AddFile(path)
-		c.homes.put(path, home)
+		// A path the namespace already holds keeps its home (the draw is
+		// spent either way): homing it again would leave it in the old
+		// home's store as well, for a stale verify to confirm.
+		node := c.nodes[c.randomMDSLocked()]
+		c.homes.putIfAbsentThen(path, node.ID(), func() { node.AddFile(path) })
 		return true
 	})
 	c.syncAllReplicasLocked()
 }
 
-// SyncAllReplicas refreshes every group's replica of every external MDS,
-// bringing the whole system to a consistent snapshot. Used after bulk
-// population; incremental updates flow through the XOR-delta path.
-func (c *Cluster) SyncAllReplicas() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncAllReplicasLocked()
-}
-
+// syncAllReplicasLocked refreshes every group's replica of every external
+// MDS, bringing the whole system to a consistent snapshot after bulk
+// population; incremental updates flow through the XOR-delta path. Requires
+// the write lock.
 func (c *Cluster) syncAllReplicasLocked() {
 	groups := c.sortedGroupsLocked()
 	for _, id := range c.ids {
@@ -453,11 +443,16 @@ func (c *Cluster) syncAllReplicasLocked() {
 }
 
 // CheckInvariants verifies the global-mirror-image invariant for every
-// group. Tests and the simulator's self-checks call this after
+// group, and the namespace half of the guarantee: the servers' stores hold
+// exactly as many files as ground truth knows — a file left behind in a
+// store its home map entry no longer names (the wrong-home answer a stale
+// verify would confirm) breaks the sum. It takes the topology lock
+// exclusively; mutations hold it shared, so the count is exact even beside
+// running workers. Tests and the simulator's self-checks call this after
 // reconfigurations.
 func (c *Cluster) CheckInvariants() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, g := range c.sortedGroupsLocked() {
 		if err := g.CoverageError(c.ids); err != nil {
 			return err
@@ -466,10 +461,15 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("core: group %d has %d members > M=%d", g.ID(), g.Size(), c.cfg.MaxGroupSize)
 		}
 	}
-	for id := range c.nodes {
+	stored := 0
+	for id, node := range c.nodes {
 		if c.groupOfLocked(id) == nil {
 			return fmt.Errorf("core: MDS %d belongs to no group", id)
 		}
+		stored += node.FileCount()
+	}
+	if files := c.homes.len(); stored != files {
+		return fmt.Errorf("core: servers store %d files, ground truth homes %d", stored, files)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ghba/internal/mds"
+	"ghba/internal/trace"
 )
 
 // smallConfig returns a fast configuration for tests.
@@ -34,6 +35,28 @@ func newPopulated(t *testing.T, n, m, files int) *Cluster {
 		}
 	})
 	return c
+}
+
+// checkNamespace is the full sweep behind CheckInvariants' file count: every
+// ground-truth path is in its home's store and in no other server's.
+func checkNamespace(t *testing.T, c *Cluster) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.homes.shards {
+		for path, home := range c.homes.shards[i].m {
+			if node := c.nodes[home]; node == nil || !node.HasFile(path) {
+				t.Errorf("%s is homed at MDS %d, whose store does not hold it", path, home)
+			}
+		}
+	}
+	for id, node := range c.nodes {
+		for _, path := range node.Store().Paths() {
+			if home, ok := c.homes.get(path); !ok || home != id {
+				t.Errorf("MDS %d stores %s, which ground truth homes at %d (known: %v)", id, path, home, ok)
+			}
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -186,14 +209,14 @@ func TestLevelTallyAccumulates(t *testing.T) {
 		t.Errorf("results with a latency = %d", timed)
 	}
 	// With locality from repeats, a decent share must be served below L4.
-	if c.Tally().CumulativeFraction(3) < 0.5 {
-		t.Errorf("only %.2f served within groups", c.Tally().CumulativeFraction(3))
+	if within := 1 - c.Tally().Fraction(4); within < 0.5 {
+		t.Errorf("only %.2f served within groups", within)
 	}
 }
 
 func TestCreateDeleteLifecycle(t *testing.T) {
 	c := newPopulated(t, 6, 3, 100)
-	home := c.Create("/new/file")
+	home := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/new/file"}).Home
 	if c.HomeOf("/new/file") != home {
 		t.Error("create did not record home")
 	}
@@ -201,10 +224,10 @@ func TestCreateDeleteLifecycle(t *testing.T) {
 	if !res.Found || res.Home != home {
 		t.Errorf("created file lookup = %+v", res)
 	}
-	if !c.Delete("/new/file") {
+	if !c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
 		t.Error("delete returned false")
 	}
-	if c.Delete("/new/file") {
+	if c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
 		t.Error("double delete returned true")
 	}
 	res = c.Lookup("/new/file", c.RandomMDS())
@@ -230,7 +253,7 @@ func TestCreatedFilesFoundDespiteStaleReplicas(t *testing.T) {
 		}
 	})
 	for i := 0; i < 50; i++ {
-		c.Create("/fresh" + strconv.Itoa(i))
+		c.Apply(trace.Record{Op: trace.OpCreate, Path: "/fresh" + strconv.Itoa(i)})
 	}
 	for i := 0; i < 50; i++ {
 		path := "/fresh" + strconv.Itoa(i)
@@ -249,7 +272,7 @@ func TestPushUpdateRefreshesReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
-	origin := c.Create("/pushed/file")
+	origin := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/pushed/file"}).Home
 	d := c.PushUpdate(origin)
 	if d <= 0 {
 		t.Error("push latency not positive")

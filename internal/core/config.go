@@ -45,7 +45,9 @@ type Config struct {
 	CacheHitRate float64
 	// UpdateThresholdBits is the XOR-delta staleness threshold: a home MDS
 	// pushes a replica update once its local filter drifted this many bits
-	// from the last shipped snapshot.
+	// from the last shipped snapshot. DefaultConfig sets the threshold the
+	// prototype's daemons run at (mds.DefaultUpdateThresholdBits); the
+	// staleness figures override it.
 	UpdateThresholdBits uint64
 	// ShipBatch is the number of XOR-delta threshold crossings the
 	// coalescing ship queue absorbs before draining. 0 or 1 ships at every
@@ -54,13 +56,6 @@ type Config struct {
 	// shipping its filter once per drain; pending updates also drain on
 	// Flush, so a quiescent point always sees fresh replicas.
 	ShipBatch int
-	// RebuildDeleteThreshold triggers a local-filter rebuild after this
-	// many deletions (clearing stale bits).
-	RebuildDeleteThreshold uint64
-	// DisableL1 skips the LRU array level entirely — the ablation that
-	// quantifies how much of G-HBA's hit rate comes from exploiting
-	// temporal locality.
-	DisableL1 bool
 	// Seed drives home-MDS placement and entry-point selection.
 	Seed int64
 }
@@ -69,16 +64,15 @@ type Config struct {
 // experiments' defaults: N MDSs in groups of at most m.
 func DefaultConfig(numMDS, maxGroupSize int) Config {
 	return Config{
-		NumMDS:                 numMDS,
-		MaxGroupSize:           maxGroupSize,
-		Node:                   mds.DefaultConfig(),
-		Cost:                   simnet.DefaultCostModel(),
-		MemoryBudgetBytes:      0, // unlimited
-		VirtualReplicaBytes:    0, // actual sizes
-		CacheHitRate:           0.5,
-		UpdateThresholdBits:    64,
-		RebuildDeleteThreshold: 10_000,
-		Seed:                   1,
+		NumMDS:              numMDS,
+		MaxGroupSize:        maxGroupSize,
+		Node:                mds.DefaultConfig(),
+		Cost:                simnet.DefaultCostModel(),
+		MemoryBudgetBytes:   0, // unlimited
+		VirtualReplicaBytes: 0, // actual sizes
+		CacheHitRate:        0.5,
+		UpdateThresholdBits: mds.DefaultUpdateThresholdBits,
+		Seed:                1,
 	}
 }
 

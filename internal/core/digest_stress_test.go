@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"ghba/internal/trace"
 )
 
 // TestDigestLookupParallelStress hammers the hash-once read path — pooled
@@ -32,8 +34,8 @@ func TestDigestLookupParallelStress(t *testing.T) {
 			default:
 			}
 			p := "/churn" + strconv.Itoa(i%100)
-			c.Create(p)
-			c.Delete(p)
+			c.Apply(trace.Record{Op: trace.OpCreate, Path: p})
+			c.Apply(trace.Record{Op: trace.OpDelete, Path: p})
 		}
 	}()
 

@@ -3,6 +3,8 @@ package core
 import (
 	"strconv"
 	"testing"
+
+	"ghba/internal/trace"
 )
 
 func TestFailMDSDegradedButConsistent(t *testing.T) {
@@ -80,7 +82,7 @@ func TestFailMDSThenRecreateFiles(t *testing.T) {
 	// Clients recreate lost files; they land on survivors and resolve.
 	for i := 0; i < 50; i++ {
 		path := "/recreated/f" + strconv.Itoa(i)
-		home := c.Create(path)
+		home := c.Apply(trace.Record{Op: trace.OpCreate, Path: path}).Home
 		if home == victim {
 			t.Fatal("file created at dead MDS")
 		}
@@ -92,6 +94,7 @@ func TestFailMDSThenRecreateFiles(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	checkNamespace(t, c)
 }
 
 func TestCascadingFailures(t *testing.T) {

@@ -51,9 +51,10 @@ func (h *homeShards) get(path string) (int, bool) {
 }
 
 // put records path's home, overwriting any previous mapping. Callers on the
-// concurrent write path must instead use putThen so the paired node update
-// cannot interleave with a racing delete; plain put is for contexts already
-// serialized by the cluster-exclusive lock (Populate, reconfiguration).
+// concurrent write path must instead use putIfAbsentThen so the paired node
+// update cannot interleave with a racing delete; plain put is for the
+// re-homing a retiring server's files go through, serialized by the
+// cluster-exclusive lock.
 func (h *homeShards) put(path string, home int) {
 	s := h.shard(path)
 	s.mu.Lock()
@@ -61,25 +62,15 @@ func (h *homeShards) put(path string, home int) {
 	s.mu.Unlock()
 }
 
-// putThen records path's home and runs then() while still holding the shard
-// lock. The callback is where the caller updates the home node's store and
-// filter: keeping it inside the critical section makes (map entry, node
-// state) move together, so a concurrent delete of the same path — which
-// takes the same shard lock through removeThen — can never observe the map
-// entry without the node state or vice versa.
-func (h *homeShards) putThen(path string, home int, then func()) {
-	s := h.shard(path)
-	s.mu.Lock()
-	s.m[path] = home
-	then()
-	s.mu.Unlock()
-}
-
 // putIfAbsentThen atomically claims path for home and, on success, runs
-// then() while still holding the shard lock (see putThen for why). When the
-// path already has a home it returns that home and false without calling
-// then. This is the linearization point of a create: two workers racing on
-// the same path cannot both claim it.
+// then() while still holding the shard lock. The callback is where the
+// caller updates the home node's store and filter: keeping it inside the
+// critical section makes (map entry, node state) move together, so a
+// concurrent delete of the same path — which takes the same shard lock
+// through removeThen — can never observe the map entry without the node
+// state or vice versa. When the path already has a home it returns that home
+// and false without calling then. This is the linearization point of a
+// create: two workers racing on the same path cannot both claim it.
 func (h *homeShards) putIfAbsentThen(path string, home int, then func()) (int, bool) {
 	s := h.shard(path)
 	s.mu.Lock()

@@ -114,36 +114,6 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDisableL1SkipsLevel verifies the ablation switch.
-func TestDisableL1SkipsLevel(t *testing.T) {
-	cfg := smallConfig(6, 3)
-	cfg.DisableL1 = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Populate(func(fn func(string) bool) {
-		for i := 0; i < 100; i++ {
-			if !fn("/nl1/f" + strconv.Itoa(i)) {
-				return
-			}
-		}
-	})
-	for i := 0; i < 300; i++ {
-		path := "/nl1/f" + strconv.Itoa(i%100)
-		res := c.Lookup(path, c.RandomMDS())
-		if !res.Found {
-			t.Fatalf("lookup failed with L1 disabled: %s", path)
-		}
-		if res.Level == 1 {
-			t.Fatal("query served at L1 despite DisableL1")
-		}
-	}
-	if c.Tally().Count(1) != 0 {
-		t.Error("L1 tally non-zero with L1 disabled")
-	}
-}
-
 // TestPerLevelLatencyOrdering checks that deeper levels cost more on
 // average — the premise of the hierarchy.
 func TestPerLevelLatencyOrdering(t *testing.T) {

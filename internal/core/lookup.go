@@ -211,21 +211,19 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	}
 
 	// L1: the replicated LRU Bloom filter array.
-	if !c.cfg.DisableL1 {
-		l1Cost := c.l1ProbeCost()
-		latency += l1Cost
-		server += l1Cost
-		r := c.lru.QueryDigest(d, s.hits)
-		s.hits = r.Hits
-		if home, ok := r.Unique(); ok {
-			ok2, cost := c.verify(e, home, path)
-			latency += cost
-			if ok2 {
-				return finish(LookupResult{Home: home, Found: true, Level: 1})
-			}
-			// Stale or false L1 hit: fall through to L2 having paid the
-			// penalty.
+	l1Cost := c.l1ProbeCost()
+	latency += l1Cost
+	server += l1Cost
+	r := c.lru.QueryDigest(d, s.hits)
+	s.hits = r.Hits
+	if home, ok := r.Unique(); ok {
+		ok2, cost := c.verify(e, home, path)
+		latency += cost
+		if ok2 {
+			return finish(LookupResult{Home: home, Found: true, Level: 1})
 		}
+		// Stale or false L1 hit: fall through to L2 having paid the
+		// penalty.
 	}
 
 	// L2: the local segment Bloom filter array.

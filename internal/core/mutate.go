@@ -28,31 +28,6 @@ func (l lockedRand) Intn(n int) int {
 	return v
 }
 
-// Create homes a new file at a uniformly chosen MDS and, when the home's
-// filter has drifted past the XOR-delta threshold, feeds the coalescing
-// ship queue (which drains inline once its batch fills). Returns the home
-// MDS ID. Creating an existing path re-homes it; use HomeOf to guard.
-//
-// Create holds the topology read lock: creates on different MDSes proceed
-// in parallel, serializing only per shard of the homes map and per node.
-func (c *Cluster) Create(path string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.createWithLocked(lockedRand{c}, path)
-}
-
-// createWithLocked is Create with a caller-supplied randomness source. Requires
-// c.mu (read suffices). The map entry and the node update commit together
-// under the path's shard lock, so a racing delete of the same path can
-// never strand the file in a node store that ground truth no longer knows.
-func (c *Cluster) createWithLocked(r intner, path string) int {
-	home := c.ids[r.Intn(len(c.ids))]
-	node := c.nodes[home]
-	c.homes.putThen(path, home, func() { node.AddFile(path) })
-	c.noteMutationLocked(home)
-	return home
-}
-
 // noteMutationLocked checks origin's XOR-delta drift and, past the threshold,
 // marks it dirty in the ship queue, draining inline when the batch fills.
 // Requires c.mu (read suffices).
@@ -71,20 +46,11 @@ func (c *Cluster) shipBatchLocked(origins []int) {
 	}
 }
 
-// Delete removes a file from its home. The home's filter goes stale until
-// its rebuild threshold triggers; deletions also count toward the XOR delta
-// once a rebuild regenerates the filter. Reports whether the file existed.
-func (c *Cluster) Delete(path string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, existed := c.deleteInnerLocked(path)
-	return existed
-}
-
 // deleteInnerLocked removes path, returning its pre-delete home (-1 when absent)
 // and whether it existed. Requires c.mu (read suffices). The unlink runs
-// under the path's shard lock, paired with createWithLocked/applyRecord, so
-// create and delete of one path fully serialize.
+// under the path's shard lock, paired with applyRecord's claim-and-install,
+// so create and delete of one path fully serialize. The home's filter goes
+// stale until its rebuild threshold triggers.
 func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	var node *mds.Node
 	home, ok := c.homes.removeThen(path, func(home int) {
@@ -96,7 +62,7 @@ func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	if !ok {
 		return -1, false
 	}
-	if node != nil && node.RebuildIfStale(c.cfg.RebuildDeleteThreshold) {
+	if node != nil && node.RebuildIfStale(mds.RebuildDeleteThreshold) {
 		// The rebuild changed the filter wholesale; ship the fresh
 		// snapshot through the coalescing queue.
 		c.shipBatchLocked(c.ships.Note(home))

@@ -85,7 +85,7 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 	homes := make(map[int][]string)
 	for i := 0; i < 40; i++ {
 		p := "/coal/f" + strconv.Itoa(i)
-		home := c.Create(p)
+		home := c.Apply(trace.Record{Op: trace.OpCreate, Path: p}).Home
 		homes[home] = append(homes[home], p)
 	}
 	if c.PendingShips() == 0 {
@@ -129,9 +129,9 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
 
-	first := c.Create("/auto/f0")
+	first := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/auto/f0"}).Home
 	for i := 1; i < 4; i++ {
-		c.Create("/auto/f" + strconv.Itoa(i))
+		c.Apply(trace.Record{Op: trace.OpCreate, Path: "/auto/f" + strconv.Itoa(i)})
 	}
 	// Four crossings have happened; the fourth drained the queue.
 	for _, g := range c.Groups() {
@@ -144,4 +144,47 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 			t.Fatalf("group %d replica of %d stale after batch drain", g.ID(), first)
 		}
 	}
+}
+
+// TestRecreateKeepsOriginalHome pins the one create there is: OpCreate on a
+// path that already exists is an open, never a re-homing — wherever the
+// create's draw lands, the path stays in its original home's store and in no
+// other, and lookups keep answering that home. Bulk-loading a path twice
+// leaves it where it was, too.
+func TestRecreateKeepsOriginalHome(t *testing.T) {
+	c := newPopulated(t, 8, 4, 200)
+	homes := make(map[string]int)
+	for i := 0; i < 100; i++ {
+		path := "/f" + strconv.Itoa(i)
+		homes[path] = c.HomeOf(path)
+	}
+	for i := 0; i < 50; i++ {
+		path := "/f" + strconv.Itoa(i)
+		res := c.Apply(trace.Record{Op: trace.OpCreate, Path: path})
+		if !res.Found || res.Home != homes[path] || res.Level == 0 {
+			t.Fatalf("re-create of %s = %+v, want an open answering home %d", path, res, homes[path])
+		}
+	}
+	c.Populate(func(fn func(string) bool) {
+		for i := 50; i < 100; i++ {
+			if !fn("/f" + strconv.Itoa(i)) {
+				return
+			}
+		}
+	})
+	for path, home := range homes {
+		if got := c.HomeOf(path); got != home {
+			t.Fatalf("%s moved from MDS %d to %d", path, home, got)
+		}
+		if res := c.Lookup(path, c.RandomMDS()); !res.Found || res.Home != home {
+			t.Fatalf("lookup of %s = %+v, want home %d", path, res, home)
+		}
+	}
+	if got := c.FileCount(); got != 200 {
+		t.Errorf("FileCount = %d, want 200", got)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkNamespace(t, c)
 }

@@ -235,10 +235,9 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	var ghbaSum, hbaSum time.Duration
 	for i := 0; i < cfg.Updates; i++ {
 		path := fmt.Sprintf("/updates/batch%d", i)
-		gHome := ghbaCluster.Create(path)
-		ghbaSum += ghbaCluster.PushUpdate(gHome)
-		hHome := hbaCluster.Create(path)
-		hbaSum += hbaCluster.PushUpdate(hHome)
+		create := trace.Record{Op: trace.OpCreate, Path: path}
+		ghbaSum += ghbaCluster.PushUpdate(ghbaCluster.Apply(create).Home)
+		hbaSum += hbaCluster.PushUpdate(hbaCluster.Apply(create).Home)
 	}
 	n := time.Duration(cfg.Updates)
 	return []Fig12Row{

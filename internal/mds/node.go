@@ -74,7 +74,7 @@ func (c Config) validate() error {
 // Concurrency model: the sharded cluster write path mutates different nodes
 // from different goroutines while lookup workers probe them, so each node
 // carries its own lock — but only for writers. The query path is lock-free:
-// the local filter is published through an atomic pointer (Rebuild swaps in
+// the local filter is published through an atomic pointer (a rebuild swaps in
 // a freshly built filter rather than clearing in place, so readers never
 // observe a half-rebuilt filter), in-place inserts synchronize word-wise
 // inside bloom.Filter, and the LRU and replica arrays publish copy-on-write
@@ -102,7 +102,7 @@ type Node struct {
 	lastShipped *bloom.Filter
 
 	// deletesSinceRebuild counts deletions whose bits are still set in the
-	// local filter; Rebuild clears them.
+	// local filter; a rebuild clears them.
 	deletesSinceRebuild uint64
 }
 
@@ -150,7 +150,7 @@ func (n *Node) IDBFA() *bloomarray.IDBFA { return n.idbfa }
 // LocalFilter returns the currently published filter over locally homed
 // files. Callers must not mutate it; use AddFile/DeleteFile. Probing it is
 // safe at any time (filter reads are word-wise atomic), but the pointer is a
-// snapshot: a concurrent Rebuild publishes a replacement, after which the
+// snapshot: a concurrent rebuild publishes a replacement, after which the
 // returned filter no longer receives inserts.
 func (n *Node) LocalFilter() *bloom.Filter { return n.local.Load() }
 
@@ -166,17 +166,9 @@ func (n *Node) AddFile(path string) {
 	n.mu.Unlock()
 }
 
-// AddFileMeta homes a file with full attributes.
-func (n *Node) AddFileMeta(md metastore.Metadata) {
-	n.store.Put(md)
-	n.mu.Lock()
-	n.local.Load().AddString(md.Path)
-	n.mu.Unlock()
-}
-
 // DeleteFile removes a file from this node. The local Bloom filter cannot
-// unset bits, so the filter goes stale until Rebuild; the store answer stays
-// authoritative. Reports whether the file was homed here.
+// unset bits, so the filter goes stale until RebuildIfStale fires; the store
+// answer stays authoritative. Reports whether the file was homed here.
 func (n *Node) DeleteFile(path string) bool {
 	ok := n.store.Delete(path)
 	if ok {
@@ -210,19 +202,12 @@ func (n *Node) DeletesSinceRebuild() uint64 {
 	return n.deletesSinceRebuild
 }
 
-// Rebuild regenerates the local filter from the store, clearing stale bits
-// left by deletions. The caller charges the appropriate cost.
-func (n *Node) Rebuild() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rebuildLocked()
-}
-
-// rebuildLocked builds a fresh filter from the store and publishes it with a
-// pointer swap. Building aside (rather than Clear + re-add in place) keeps
-// the rebuild invisible to lock-free readers: they probe either the old
-// filter (stale bits and all) or the complete new one, never a transiently
-// empty vector that would produce false negatives. Requires n.mu.
+// rebuildLocked regenerates the local filter from the store, clearing the
+// stale bits deletions left, and publishes it with a pointer swap. Building
+// aside (rather than clearing and re-adding in place) keeps the rebuild
+// invisible to lock-free readers: they probe either the old filter (stale
+// bits and all) or the complete new one, never a transiently empty vector
+// that would produce false negatives. Requires n.mu.
 func (n *Node) rebuildLocked() {
 	fresh, err := bloom.NewForCapacityLayout(n.cfg.ExpectedFiles, n.cfg.BitsPerFile, n.cfg.Layout)
 	if err != nil {
@@ -237,6 +222,19 @@ func (n *Node) rebuildLocked() {
 	n.local.Store(fresh)
 	n.deletesSinceRebuild = 0
 }
+
+// The protocol thresholds both backends run at. The simulator's engine and
+// the prototype's daemons must agree on them for a fixed-seed trace to ship
+// and rebuild at the same operations on either (the sim ≡ TCP equivalence
+// tests depend on it), so they are written once, here.
+const (
+	// DefaultUpdateThresholdBits is the XOR-delta staleness threshold handed
+	// to NeedsShip: a home ships its filter once it drifted this many bits
+	// from the last shipped snapshot.
+	DefaultUpdateThresholdBits uint64 = 64
+	// RebuildDeleteThreshold is the deletion count handed to RebuildIfStale.
+	RebuildDeleteThreshold uint64 = 10_000
+)
 
 // RebuildIfStale rebuilds the local filter when at least threshold deletions
 // have accumulated since the last rebuild, reporting whether it did. The

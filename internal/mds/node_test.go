@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ghba/internal/bloom"
-	"ghba/internal/metastore"
 )
 
 // digestOf hashes a path for the node's digest-form probes.
@@ -63,18 +62,6 @@ func TestAddDeleteFile(t *testing.T) {
 	}
 }
 
-func TestAddFileMeta(t *testing.T) {
-	n := newTestNode(t, 1)
-	n.AddFileMeta(metastore.Metadata{Path: "/m", Size: 42})
-	md, ok := n.Store().Get("/m")
-	if !ok || md.Size != 42 {
-		t.Error("metadata not stored")
-	}
-	if !n.LocalPositiveDigest(digestOf("/m")) {
-		t.Error("filter not updated by AddFileMeta")
-	}
-}
-
 func TestRebuildClearsStaleBits(t *testing.T) {
 	n := newTestNode(t, 1)
 	for i := 0; i < 100; i++ {
@@ -86,7 +73,12 @@ func TestRebuildClearsStaleBits(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		n.DeleteFile("/drop" + strconv.Itoa(i))
 	}
-	n.Rebuild()
+	if n.RebuildIfStale(101) {
+		t.Fatal("rebuilt below the deletion threshold")
+	}
+	if !n.RebuildIfStale(100) {
+		t.Fatal("no rebuild at the deletion threshold")
+	}
 	if n.DeletesSinceRebuild() != 0 {
 		t.Error("rebuild did not reset delete counter")
 	}

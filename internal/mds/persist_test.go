@@ -19,7 +19,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.AddFileMeta(metastore.Metadata{Path: "/full", Size: 42, Mode: 0o755, UID: 7, GID: 8, MTime: time.Unix(100, 200)})
+	n.AddFile("/full")
+	n.Store().Put(metastore.Metadata{Path: "/full", Size: 42, Mode: 0o755, UID: 7, GID: 8, MTime: time.Unix(100, 200)})
 	for i := 0; i < 50; i++ {
 		n.AddFile(fmt.Sprintf("/f/%d", i))
 	}

@@ -140,30 +140,10 @@ func (t *LevelTally) Fraction(level int) float64 {
 	return float64(t.counts[level].Load()) / float64(total)
 }
 
-// CumulativeFraction returns the share of queries served at or below level.
-func (t *LevelTally) CumulativeFraction(level int) float64 {
-	total := t.Total()
-	if total == 0 {
-		return 0
-	}
-	var sum uint64
-	for l := 1; l <= level && l <= 4; l++ {
-		sum += t.counts[l].Load()
-	}
-	return float64(sum) / float64(total)
-}
-
 // Count returns raw hits at one level.
 func (t *LevelTally) Count(level int) uint64 {
 	if level < 1 || level > 4 {
 		return 0
 	}
 	return t.counts[level].Load()
-}
-
-// Reset zeroes all level counters.
-func (t *LevelTally) Reset() {
-	for l := range t.counts {
-		t.counts[l].Store(0)
-	}
 }

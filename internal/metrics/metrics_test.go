@@ -106,12 +106,6 @@ func TestLevelTally(t *testing.T) {
 	if lt.Fraction(1) != 0.70 || lt.Fraction(4) != 0.03 {
 		t.Errorf("fractions = %v, %v", lt.Fraction(1), lt.Fraction(4))
 	}
-	if lt.CumulativeFraction(2) != 0.90 {
-		t.Errorf("cum(2) = %v, want 0.90", lt.CumulativeFraction(2))
-	}
-	if lt.CumulativeFraction(4) != 1.0 {
-		t.Errorf("cum(4) = %v, want 1.0", lt.CumulativeFraction(4))
-	}
 	if lt.Count(3) != 7 || lt.Count(9) != 0 {
 		t.Error("Count wrong")
 	}
@@ -119,7 +113,7 @@ func TestLevelTally(t *testing.T) {
 
 func TestLevelTallyEmpty(t *testing.T) {
 	var lt LevelTally
-	if lt.Fraction(1) != 0 || lt.CumulativeFraction(4) != 0 {
+	if lt.Fraction(1) != 0 || lt.Fraction(4) != 0 {
 		t.Error("empty tally fractions non-zero")
 	}
 }

@@ -58,15 +58,6 @@ type Options struct {
 	// CallTimeout is the per-RPC deadline. Zero selects
 	// DefaultCallTimeout; negative disables deadlines entirely.
 	CallTimeout time.Duration
-	// UpdateThresholdBits is the XOR-delta staleness threshold: a daemon
-	// whose local filter drifted this many bits from the last shipped
-	// snapshot reports a crossing on its create response, feeding the
-	// coordinator's coalescing ship queue. Zero selects the simulator's
-	// default of 64.
-	UpdateThresholdBits uint64
-	// RebuildDeleteThreshold triggers a daemon-local filter rebuild after
-	// this many deletions. Zero selects the simulator's default of 10 000.
-	RebuildDeleteThreshold uint64
 	// ShipBatch is the coalescing ship queue's drain batch: threshold
 	// crossings absorbed before dirty origins' replicas ship over the
 	// wire. 0 or 1 ships at every crossing (the paper's protocol).
@@ -90,9 +81,6 @@ type Options struct {
 	// WALSync selects the fsync policy for daemon WALs: "always" (default),
 	// "interval" or "never". See wal.ParseSyncPolicy.
 	WALSync string
-	// WALSyncInterval bounds the data-loss window under WALSync "interval".
-	// Zero selects the wal package default (100ms).
-	WALSyncInterval time.Duration
 	// SnapshotEvery is the WAL record count between snapshot compactions at
 	// each daemon. Zero selects 4096; negative disables automatic
 	// compaction.
@@ -124,7 +112,7 @@ func (o *Options) validate() error {
 // Options.validate vetted WALSync, so the parse cannot fail here.
 func (o *Options) walOptions() wal.Options {
 	pol, _ := wal.ParseSyncPolicy(o.WALSync)
-	return wal.Options{Sync: pol, SyncEvery: o.WALSyncInterval}
+	return wal.Options{Sync: pol}
 }
 
 // walDir is the WAL directory of one daemon under DataDir.
@@ -286,10 +274,8 @@ func (cs *connSet) closeAll() {
 // nodeServerOptions maps cluster options onto one daemon's.
 func (o *Options) nodeServerOptions() NodeServerOptions {
 	return NodeServerOptions{
-		ResidentReplicaLimit:   o.ResidentReplicaLimit,
-		DiskPenalty:            o.DiskPenalty,
-		UpdateThresholdBits:    o.UpdateThresholdBits,
-		RebuildDeleteThreshold: o.RebuildDeleteThreshold,
+		ResidentReplicaLimit: o.ResidentReplicaLimit,
+		DiskPenalty:          o.DiskPenalty,
 	}
 }
 
@@ -511,9 +497,6 @@ func (c *Cluster) FileCount() int {
 	return len(c.homes)
 }
 
-// Seed returns the seed the cluster's own RNG was built from.
-func (c *Cluster) Seed() int64 { return c.opts.Seed }
-
 // Transport returns the wire protocol in use (TransportMux or
 // TransportClassic).
 func (c *Cluster) Transport() string {
@@ -553,9 +536,6 @@ func (c *Cluster) ResetRPCCounts() {
 // XOR-delta ship path has sent — the traffic the coalescing queue
 // amortizes (initial seeding is direct and uncounted).
 func (c *Cluster) ReplicaUpdates() uint64 { return c.replicaShips.Load() }
-
-// Tally exposes the per-level hit counters.
-func (c *Cluster) Tally() *metrics.LevelTally { return &c.tally }
 
 // LevelCounts returns the cumulative number of lookups served at each level
 // (indices 1–4; index 0 unused).
@@ -624,7 +604,7 @@ func (w countedCaller) CallContext(ctx context.Context, msgType uint8, payload [
 func isIdempotent(op uint8) bool {
 	switch op {
 	case opQueryEntry, opQueryMember, opVerify, opHasLocal, opShipFilter,
-		opObserve, opObserveBatch, opPing, opHeartbeat,
+		opObserveBatch, opPing, opHeartbeat,
 		opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch:
 		return true
 	}
@@ -664,6 +644,11 @@ func (c *Cluster) Populate(paths []string) {
 	c.homesMu.Lock()
 	for _, p := range paths {
 		home := ids[c.rng.Intn(len(ids))]
+		// A path the namespace already holds keeps its home (the draw is
+		// spent either way), as in core.Populate.
+		if _, ok := c.homes[p]; ok {
+			continue
+		}
 		c.servers[home].AddFileDirect(p)
 		c.homes[p] = home
 	}

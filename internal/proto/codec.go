@@ -22,11 +22,9 @@ const (
 	opQueryMember                     // path → L2 hits (group multicast leg)
 	opVerify                          // path → 1/0 authoritative answer
 	opHasLocal                        // path → 1/0 local-filter + store check (L4 leg)
-	opAddFile                         // path → ack
 	opInstallReplica                  // origin + filter → ack
 	opDropReplica                     // origin → filter bytes
 	opShipFilter                      // (empty) → origin's current filter
-	opObserve                         // home + path → ack (L1 learning)
 	opObserveBatch                    // batched L1 observations → ack
 	opPing                            // membership/IDBFA-update stand-in → ack
 	opCreateFile                      // path → 1 byte: filter crossed the XOR-delta ship threshold
@@ -57,11 +55,9 @@ var opNames = [...]string{
 	opQueryMember:      "query_member",
 	opVerify:           "verify",
 	opHasLocal:         "has_local",
-	opAddFile:          "add_file",
 	opInstallReplica:   "install_replica",
 	opDropReplica:      "drop_replica",
 	opShipFilter:       "ship_filter",
-	opObserve:          "observe",
 	opObserveBatch:     "observe_batch",
 	opPing:             "ping",
 	opCreateFile:       "create_file",

@@ -30,7 +30,7 @@ func createFiles(t *testing.T, c *Cluster, count int) []string {
 	paths := make([]string, count)
 	for i := range paths {
 		paths[i] = "/wal/f" + strconv.Itoa(i)
-		if _, err := c.Create(context.Background(), paths[i]); err != nil {
+		if _, err := createFile(context.Background(), c, paths[i]); err != nil {
 			t.Fatalf("create %s: %v", paths[i], err)
 		}
 	}
@@ -330,7 +330,7 @@ func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
 	recreated := 0
 	for _, p := range paths {
 		if c.HomeOf(p) < 0 {
-			if _, err := c.Create(context.Background(), p); err != nil {
+			if _, err := createFile(context.Background(), c, p); err != nil {
 				t.Fatal(err)
 			}
 			recreated++
@@ -439,7 +439,7 @@ func TestWALSnapshotCadence(t *testing.T) {
 	t.Cleanup(c.Close)
 	maxSeen := uint64(0)
 	for i := 0; i < 120; i++ {
-		if _, err := c.Create(context.Background(), "/cadence/"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(context.Background(), c, "/cadence/"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 		info, err := c.Heartbeat(context.Background(), 0)

@@ -30,43 +30,6 @@ func (l lockedRand) Intn(n int) int {
 	return v
 }
 
-// Create homes a new file at an RNG-chosen daemon over RPC and feeds the
-// coalescing ship queue when the home's filter crosses the XOR-delta
-// threshold. Returns the home MDS ID. Creating an existing path re-homes
-// it; use HomeOf to guard (Apply's create has the degenerate-open
-// semantics instead).
-func (c *Cluster) Create(ctx context.Context, path string) (int, error) {
-	ids := c.snapshotIDs()
-	home := ids[lockedRand{c}.Intn(len(ids))]
-	c.homesMu.Lock()
-	prev, existed := c.homes[path]
-	c.homes[path] = home
-	c.homesMu.Unlock()
-	crossed, err := c.createAt(ctx, home, path, nil)
-	if err != nil {
-		// The daemon never homed the file; withdraw the claim (restoring
-		// any re-homed predecessor) so ground truth does not drift from
-		// daemon state.
-		c.homesMu.Lock()
-		if existed {
-			c.homes[path] = prev
-		} else {
-			delete(c.homes, path)
-		}
-		c.homesMu.Unlock()
-		return -1, err
-	}
-	if crossed {
-		// The create itself succeeded; a ship failure (say, a replica
-		// holder dying mid-failover) leaves a stale replica that lookups
-		// tolerate — it must not withdraw the claim of a homed file.
-		if err := c.shipBatch(ctx, c.ships.Note(home)); err != nil {
-			return home, err
-		}
-	}
-	return home, nil
-}
-
 // createAt sends the create RPC to the chosen home, reporting whether the
 // home's filter crossed the XOR-delta ship threshold. Callers route a
 // crossing into the ship queue once the homes-map claim is settled: a ship
@@ -77,15 +40,6 @@ func (c *Cluster) createAt(ctx context.Context, home int, path string, ctr *atom
 		return false, err
 	}
 	return decodeCreateResp(resp)
-}
-
-// Delete removes a file from its home over RPC, reporting whether it
-// existed. The home's filter goes stale until its rebuild threshold
-// triggers; a rebuild replaces the filter wholesale and ships through the
-// coalescing queue.
-func (c *Cluster) Delete(ctx context.Context, path string) (bool, error) {
-	_, existed, err := c.deleteInner(ctx, path, nil)
-	return existed, err
 }
 
 // deleteInner removes path, returning its pre-delete home (-1 when absent)
@@ -167,7 +121,10 @@ func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (
 			return LookupResult{}, fmt.Errorf("proto: create %q at MDS %d: %w", rec.Path, id, err)
 		}
 		if crossed {
-			// The file is homed whatever the ship fans out to; see Create.
+			// The create itself succeeded; a ship failure (say, a replica
+			// holder dying mid-failover) leaves a stale replica that
+			// lookups tolerate — it must not withdraw the claim of a homed
+			// file.
 			if err := c.shipBatch(ctx, c.ships.Note(id)); err != nil {
 				return LookupResult{}, fmt.Errorf("proto: create %q at MDS %d: %w", rec.Path, id, err)
 			}

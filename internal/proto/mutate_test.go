@@ -20,7 +20,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 	created := make(map[string]int)
 	for i := 0; i < 60; i++ {
 		path := "/new/f" + strconv.Itoa(i)
-		home, err := c.Create(ctx, path)
+		home, err := createFile(ctx, c, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 		}
 	}
 	for path := range created {
-		existed, err := c.Delete(ctx, path)
+		existed, err := deleteFile(ctx, c, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 			t.Fatalf("delete of %s reported missing", path)
 		}
 	}
-	if existed, err := c.Delete(ctx, "/new/f0"); err != nil || existed {
+	if existed, err := deleteFile(ctx, c, "/new/f0"); err != nil || existed {
 		t.Fatalf("double delete = (%v, %v)", existed, err)
 	}
 	// Deleted files are authoritatively gone even though the home's filter
@@ -81,7 +81,7 @@ func TestCreateShipsReplicaUpdates(t *testing.T) {
 	// ~17 bits set per create at 16 bits/file sizing crosses the 64-bit
 	// default threshold within a handful of creates per daemon.
 	for i := 0; i < 120; i++ {
-		if _, err := c.Create(ctx, "/ship/f"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(ctx, c, "/ship/f"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestShipBatchCoalesces(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	for i := 0; i < 120; i++ {
-		if _, err := c.Create(ctx, "/coal/f"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(ctx, c, "/coal/f"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,4 +232,51 @@ func TestConcurrentMutationsAndLookups(t *testing.T) {
 	if c.PendingShips() != 0 {
 		t.Error("pending ships after flush")
 	}
+	checkFileCounts(t, c)
+}
+
+// TestRecreateKeepsOriginalHome is core's test of the same name over real
+// sockets: OpCreate on an existing path is an open, never a re-homing, and
+// bulk-loading a path twice leaves it where it was — every path stays in its
+// original home's store and in no other daemon's.
+func TestRecreateKeepsOriginalHome(t *testing.T) {
+	ctx := context.Background()
+	c := startPopulated(t, 6, 3, 200)
+	homes := make(map[string]int)
+	var again []string
+	for i := 0; i < 100; i++ {
+		path := "/p/f" + strconv.Itoa(i)
+		homes[path] = c.HomeOf(path)
+		if i >= 50 {
+			again = append(again, path)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		path := "/p/f" + strconv.Itoa(i)
+		res, err := c.Apply(ctx, trace.Record{Op: trace.OpCreate, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found || res.Home != homes[path] || res.Level == 0 {
+			t.Fatalf("re-create of %s = %+v, want an open answering home %d", path, res, homes[path])
+		}
+	}
+	c.Populate(again)
+	for path, home := range homes {
+		if got := c.HomeOf(path); got != home {
+			t.Fatalf("%s moved from MDS %d to %d", path, home, got)
+		}
+		if res, err := c.Lookup(ctx, path); err != nil || !res.Found || res.Home != home {
+			t.Fatalf("lookup of %s = (%+v, %v), want home %d", path, res, err, home)
+		}
+		for id, ns := range c.servers {
+			if has := ns.node.HasFile(path); has != (id == home) {
+				t.Fatalf("MDS %d holds %s: %v, home is MDS %d", id, path, has, home)
+			}
+		}
+	}
+	if got := c.FileCount(); got != 200 {
+		t.Errorf("FileCount = %d, want 200", got)
+	}
+	checkFileCounts(t, c)
 }

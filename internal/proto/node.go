@@ -34,12 +34,6 @@ type NodeServer struct {
 	residentLimit int
 	diskPenalty   time.Duration
 
-	// updateThresholdBits and rebuildDeleteThreshold mirror the simulator's
-	// core.Config knobs: the XOR-delta drift that marks the local filter
-	// dirty for shipping, and the deletion count that triggers a rebuild.
-	updateThresholdBits    uint64
-	rebuildDeleteThreshold uint64
-
 	// wal, when non-nil, makes the daemon durable: every mutating RPC
 	// appends its records before applying them (write-ahead), and every
 	// snapshotEvery records the log compacts into a snapshot. Guarded by mu
@@ -57,14 +51,6 @@ type NodeServerOptions struct {
 	// DiskPenalty is the emulated disk cost per query against an over-RAM
 	// replica array.
 	DiskPenalty time.Duration
-	// UpdateThresholdBits is the XOR-delta staleness threshold an
-	// opCreateFile response reports against. Zero selects the simulator's
-	// default of 64 bits.
-	UpdateThresholdBits uint64
-	// RebuildDeleteThreshold is the deletion count that triggers a
-	// local-filter rebuild inside opDeleteFile. Zero selects the
-	// simulator's default of 10 000.
-	RebuildDeleteThreshold uint64
 	// WAL, when non-nil, is the daemon's open write-ahead log (typically
 	// the one mds.Recover handed back). Mutating RPCs append to it before
 	// applying; Shutdown compacts and closes it.
@@ -78,12 +64,6 @@ type NodeServerOptions struct {
 // StartNode launches a daemon for the given node on addr ("127.0.0.1:0"
 // for tests).
 func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer, error) {
-	if opts.UpdateThresholdBits == 0 {
-		opts.UpdateThresholdBits = 64
-	}
-	if opts.RebuildDeleteThreshold == 0 {
-		opts.RebuildDeleteThreshold = 10_000
-	}
 	snapEvery := uint64(0)
 	if opts.WAL != nil {
 		switch {
@@ -94,14 +74,12 @@ func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer
 		}
 	}
 	ns := &NodeServer{
-		id:                     node.ID(),
-		node:                   node,
-		residentLimit:          opts.ResidentReplicaLimit,
-		diskPenalty:            opts.DiskPenalty,
-		updateThresholdBits:    opts.UpdateThresholdBits,
-		rebuildDeleteThreshold: opts.RebuildDeleteThreshold,
-		wal:                    opts.WAL,
-		snapshotEvery:          snapEvery,
+		id:            node.ID(),
+		node:          node,
+		residentLimit: opts.ResidentReplicaLimit,
+		diskPenalty:   opts.DiskPenalty,
+		wal:           opts.WAL,
+		snapshotEvery: snapEvery,
 	}
 	srv, err := rpcnet.Serve(addr, ns.handle)
 	if err != nil {
@@ -110,9 +88,6 @@ func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer
 	ns.srv = srv
 	return ns, nil
 }
-
-// ID returns the MDS identifier.
-func (ns *NodeServer) ID() int { return ns.id }
 
 // Addr returns the daemon's listen address.
 func (ns *NodeServer) Addr() string { return ns.srv.Addr() }
@@ -197,13 +172,6 @@ func (ns *NodeServer) maybeCompactLocked() error {
 	return ns.snapshotLocked()
 }
 
-// ReplicaCount returns the replicas currently held (for planning joins).
-func (ns *NodeServer) ReplicaCount() int {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.node.ReplicaCount()
-}
-
 // AddFileDirect homes a file without the RPC path; used for bulk population
 // before measurement starts.
 func (ns *NodeServer) AddFileDirect(path string) {
@@ -286,13 +254,6 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		// Positive filter answer → authoritative store check ("disk").
 		return boolByte(ns.node.HasFile(string(payload))), nil
 
-	case opAddFile:
-		if err := ns.logMutation(wal.Record{Op: wal.OpCreate, Path: string(payload)}); err != nil {
-			return nil, err
-		}
-		ns.node.AddFile(string(payload))
-		return nil, ns.maybeCompactLocked()
-
 	case opCreateFile:
 		// The mutation and the threshold check happen in one request, so
 		// the coordinator learns whether to feed the ship queue without a
@@ -304,7 +265,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		if err := ns.maybeCompactLocked(); err != nil {
 			return nil, err
 		}
-		return boolByte(ns.node.NeedsShip(ns.updateThresholdBits)), nil
+		return boolByte(ns.node.NeedsShip(mds.DefaultUpdateThresholdBits)), nil
 
 	case opDeleteFile:
 		// Logged before the existence answer is known: replaying a delete
@@ -315,7 +276,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		existed := ns.node.DeleteFile(string(payload))
 		rebuilt := false
 		if existed {
-			rebuilt = ns.node.RebuildIfStale(ns.rebuildDeleteThreshold)
+			rebuilt = ns.node.RebuildIfStale(mds.RebuildDeleteThreshold)
 		}
 		resp := []byte{0, 0}
 		if existed {
@@ -351,15 +312,6 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 
 	case opShipFilter:
 		return ns.node.Ship().MarshalBinary()
-
-	case opObserve:
-		home, body, err := decodeOriginPayload(payload)
-		if err != nil {
-			return nil, err
-		}
-		d := bloom.NewDigest(body)
-		ns.node.ObserveHitDigest(&d, home)
-		return nil, nil
 
 	case opObserveBatch:
 		obs, err := decodeObservations(payload)
@@ -453,7 +405,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		// One threshold answer for the whole batch: the coordinator's ship
 		// queue coalesces by origin anyway, so per-path flags would collapse
 		// to the same single Note.
-		return boolByte(ns.node.NeedsShip(ns.updateThresholdBits)), nil
+		return boolByte(ns.node.NeedsShip(mds.DefaultUpdateThresholdBits)), nil
 
 	case opDeleteBatch:
 		paths, err := decodePaths(payload)
@@ -468,7 +420,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		for i, p := range paths {
 			if ns.node.DeleteFile(p) {
 				resp[i] = 1
-				if ns.node.RebuildIfStale(ns.rebuildDeleteThreshold) {
+				if ns.node.RebuildIfStale(mds.RebuildDeleteThreshold) {
 					rebuilt = true
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ghba/internal/mds"
+	"ghba/internal/trace"
 )
 
 // testOptions sizes an n-daemon cluster with groups of at most m; m = 1 is
@@ -41,6 +42,38 @@ func startPopulated(t *testing.T, n, m, files int) *Cluster {
 	}
 	c.Populate(paths)
 	return c
+}
+
+// createFile and deleteFile issue one create or delete the way every driver
+// does — through Apply — and unpack the result the tests assert on: the
+// create's home, whether the deleted path existed.
+func createFile(ctx context.Context, c *Cluster, path string) (int, error) {
+	res, err := c.Apply(ctx, trace.Record{Op: trace.OpCreate, Path: path})
+	return res.Home, err
+}
+
+func deleteFile(ctx context.Context, c *Cluster, path string) (bool, error) {
+	res, err := c.Apply(ctx, trace.Record{Op: trace.OpDelete, Path: path})
+	return res.Found, err
+}
+
+// checkFileCounts asserts the namespace half of the guarantee at a quiescent
+// point: the daemons' own file counts, asked over the wire, sum to the
+// ground-truth count — a file left in a store its home entry no longer names
+// breaks the sum.
+func checkFileCounts(t *testing.T, c *Cluster) {
+	t.Helper()
+	stored := 0
+	for _, id := range c.MDSIDs() {
+		info, err := c.Heartbeat(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += int(info.Files)
+	}
+	if files := c.FileCount(); stored != files {
+		t.Errorf("daemons store %d files, ground truth homes %d", stored, files)
+	}
 }
 
 func TestStartValidation(t *testing.T) {

@@ -505,9 +505,6 @@ func NewMuxClient(addr string, opts MuxOptions) *MuxClient {
 	return &MuxClient{addr: addr, opts: opts}
 }
 
-// Addr returns the server address the client dials.
-func (c *MuxClient) Addr() string { return c.addr }
-
 // current returns the live connection, dialing a fresh one if the previous
 // was poisoned. Dials serialize on the client mutex so one daemon restart
 // costs one redial, not a thundering herd.

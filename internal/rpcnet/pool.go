@@ -48,9 +48,6 @@ func NewPool(addr string, opts PoolOptions) *Pool {
 	return &Pool{addr: addr, opts: opts}
 }
 
-// Addr returns the server address the pool dials.
-func (p *Pool) Addr() string { return p.addr }
-
 // Call checks out a connection, performs one RPC, and returns the
 // connection to the pool. Application errors (*RemoteError) leave the
 // connection reusable; transport errors discard it.

@@ -20,7 +20,7 @@
 // edges to everything the callee may transitively acquire, using the
 // exported facts for out-of-package callees; function-literal arguments
 // are walked with the callee's published callback-held set added, so an
-// edge like homeShard.mu→Node.mu materializes at the putThen call site.
+// edge like homeShard.mu→Node.mu materializes at the removeThen call site.
 //
 // Edges are exported both as object facts on the type that owns the
 // source lock (those re-export transitively) and as a package fact

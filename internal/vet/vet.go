@@ -1,6 +1,6 @@
 // Package vet assembles ghbavet — the repo's custom go/analysis suite.
 //
-// Four syntactic analyzers mechanically enforce per-package conventions
+// Three syntactic analyzers mechanically enforce per-package conventions
 // the concurrency, determinism, and RPC work rests on:
 //
 //   - lockcheck: the *Locked suffix contract (callers hold mu; helpers
@@ -9,8 +9,6 @@
 //     *rand.Rand values; no clock seeding; no map-order-dependent output
 //   - ctxflow: context.Context threads through every RPC path; no dropped
 //     cancellation below the API boundary
-//   - wireguard: every proto opcode is fully wired — names table,
-//     dispatch case, sender, round-trip test
 //
 // Three fact-based analyzers see across package boundaries:
 //
@@ -35,7 +33,6 @@ import (
 	"ghba/internal/vet/lockcheck"
 	"ghba/internal/vet/lockorder"
 	"ghba/internal/vet/snapcheck"
-	"ghba/internal/vet/wireguard"
 )
 
 // Analyzers is the full ghbavet suite, in the order findings print.
@@ -43,7 +40,6 @@ var Analyzers = []*analysis.Analyzer{
 	lockcheck.Analyzer,
 	detrand.Analyzer,
 	ctxflow.Analyzer,
-	wireguard.Analyzer,
 	lockorder.Analyzer,
 	snapcheck.Analyzer,
 	hotalloc.Analyzer,

@@ -286,16 +286,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Seq returns the open segment's sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
 // RecordsSinceSnapshot returns how many records the log holds beyond the
 // last snapshot — the owner's compaction cadence signal.
 func (l *Log) RecordsSinceSnapshot() uint64 {
@@ -339,16 +329,6 @@ func (l *Log) Append(recs ...Record) error {
 		}
 	}
 	return nil
-}
-
-// Sync flushes the open segment to stable storage regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: log closed")
-	}
-	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {

@@ -2,12 +2,14 @@ package ghba
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"time"
 
 	"ghba/internal/proto"
 	"ghba/internal/rpcnet"
 	"ghba/internal/trace"
+	"ghba/internal/wal"
 )
 
 // PrototypeConfig describes a TCP-backed deployment: the shared Config plus
@@ -42,9 +44,6 @@ type PrototypeConfig struct {
 	// WALSync selects the daemons' fsync policy: "always" (default),
 	// "interval" or "never". Only meaningful with DataDir.
 	WALSync string
-	// WALSyncInterval bounds the data-loss window under WALSync
-	// "interval". Zero selects the library default (100ms).
-	WALSyncInterval time.Duration
 	// SnapshotEvery is the WAL record count between snapshot compactions
 	// at each daemon. Zero selects 4096; negative disables automatic
 	// compaction. Only meaningful with DataDir.
@@ -56,9 +55,27 @@ type PrototypeConfig struct {
 	// connection reset.
 	RetryAttempts int
 	// RetryBackoff is the first retry delay (doubling per attempt, capped
-	// at RetryMaxBackoff). Zeros select the library defaults.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
+	// at one second). Zero selects the library default.
+	RetryBackoff time.Duration
+}
+
+// validate is Config.validate plus the prototype-only fields, so a bad
+// transport name or fsync policy is a *ConfigError like every other rejected
+// field instead of an untyped error from the layer below.
+func (c PrototypeConfig) validate() error {
+	if err := c.Config.validate(); err != nil {
+		return err
+	}
+	if c.Transport != "" && c.Transport != proto.TransportMux && c.Transport != proto.TransportClassic {
+		return &ConfigError{Field: "Transport", Reason: fmt.Sprintf("must be %q or %q, got %q", proto.TransportMux, proto.TransportClassic, c.Transport)}
+	}
+	if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
+		return &ConfigError{Field: "WALSync", Reason: err.Error()}
+	}
+	if c.RetryAttempts < 0 {
+		return &ConfigError{Field: "RetryAttempts", Reason: fmt.Sprintf("must be ≥ 0, got %d", c.RetryAttempts)}
+	}
+	return nil
 }
 
 // Prototype is the TCP Backend: N real MDS daemons on loopback ports (the
@@ -88,12 +105,10 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 		Transport:            cfg.Transport,
 		DataDir:              cfg.DataDir,
 		WALSync:              cfg.WALSync,
-		WALSyncInterval:      cfg.WALSyncInterval,
 		SnapshotEvery:        cfg.SnapshotEvery,
 		Retry: rpcnet.RetryPolicy{
-			Attempts:   cfg.RetryAttempts,
-			Backoff:    cfg.RetryBackoff,
-			MaxBackoff: cfg.RetryMaxBackoff,
+			Attempts: cfg.RetryAttempts,
+			Backoff:  cfg.RetryBackoff,
 		},
 	})
 	if err != nil {

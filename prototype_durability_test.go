@@ -68,6 +68,19 @@ func TestPrototypeKillRestart(t *testing.T) {
 				path, res.Found, res.Home, p.HomeOf(path))
 		}
 	}
+	// The namespace half of the guarantee: what the daemons store — the
+	// recovered one included — sums to what ground truth homes.
+	stored := 0
+	for _, id := range p.MDSIDs() {
+		info, err := p.Cluster().Heartbeat(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += int(info.Files)
+	}
+	if stored != p.FileCount() {
+		t.Errorf("daemons store %d files after restart, ground truth homes %d", stored, p.FileCount())
+	}
 }
 
 // TestPrototypeFailMDS pins the Reconfigurer contract the facade now
