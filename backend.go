@@ -69,7 +69,8 @@ type Backend interface {
 // networked transport amortize syscalls, frame headers and digest work
 // across the vector. Both shipped backends implement it — the simulation as
 // a serial loop (it has no wire rounds to amortize), the prototype through
-// the batch RPCs (LookupBatch/ApplyBatch in internal/proto).
+// the batch RPCs (ApplyBatch in internal/proto). Lookups ride it as OpLookup
+// ops.
 type BatchApplier interface {
 	// ApplyBatch dispatches ops as one batch with the caller's RNG,
 	// returning per-op results in input order. The RNG draw pattern matches
@@ -77,9 +78,6 @@ type BatchApplier interface {
 	// lookup, none per delete — so fixed-seed runs home every file
 	// identically whichever path dispatches them.
 	ApplyBatch(ctx context.Context, rng *rand.Rand, ops []Op) ([]Result, error)
-	// LookupBatch resolves a vector of paths as one batch, drawing each
-	// path's entry from the caller's RNG in path order.
-	LookupBatch(ctx context.Context, rng *rand.Rand, paths []string) ([]Result, error)
 }
 
 // Reconfigurer is the dynamic-membership half of the backend contract.

@@ -62,7 +62,7 @@ func run() error {
 		ops       = flag.Int("ops", 1_000, "operations to replay")
 		mix       = flag.String("mix", "70:20:10", "workload: a profile (HP, RES, INS) or a lookup:create:delete ratio")
 		workers   = flag.Int("workers", 8, "parallel replay workers")
-		rpcBatch  = flag.Int("rpcbatch", 1, "ops per ApplyBatch vector (1 = one call per op)")
+		rpcBatch  = flag.Int("rpcbatch", 1, "ops per ApplyBatch vector (1 = a vector of one)")
 		shipBatch = flag.Int("shipbatch", 1, "ship-queue drain batch (1 = ship at every threshold crossing)")
 		adds      = flag.Int("add", 0, "MDS insertions to perform after the sweep")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -81,6 +81,9 @@ func run() error {
 	}
 	if *ops < 1 {
 		return rejectf("ops", "must be ≥ 1, got %d", *ops)
+	}
+	if *rpcBatch < 1 {
+		return rejectf("rpcbatch", "must be ≥ 1, got %d", *rpcBatch)
 	}
 	if *files < traceTIF {
 		return rejectf("files", "must be ≥ %d, got %d", traceTIF, *files)
@@ -139,7 +142,7 @@ func run() error {
 		return fmt.Errorf("populating: %w", err)
 	}
 	fmt.Printf("ghbactl: %s backend, %d MDS, %d files; replaying %d ops (mix %s, %d workers, vectors of %d)\n",
-		b.Name(), b.NumMDS(), b.FileCount(), *ops, *mix, *workers, max(*rpcBatch, 1))
+		b.Name(), b.NumMDS(), b.FileCount(), *ops, *mix, *workers, *rpcBatch)
 
 	before := b.LevelCounts()
 	stats, err := experiments.ReplayParallel(ctx, b, tcfg, *ops, *workers, *rpcBatch)

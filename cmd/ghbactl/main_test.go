@@ -47,6 +47,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
 		{[]string{"-backend", "tcp", "-transport", "bogus"}, "invalid config: Transport"},
+		{[]string{"-rpcbatch", "0"}, "invalid config: -rpcbatch"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			out, err := exec.Command(toolBinary, tc.args...).CombinedOutput()

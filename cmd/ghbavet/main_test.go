@@ -74,7 +74,6 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 	fixtures := map[string]string{ // analyzer → fixture under its testdata/src
 		"lockcheck": "a",
 		"detrand":   "core",
-		"ctxflow":   "proto",
 		"lockorder": "lockorder1",
 		"snapcheck": "snapcheck1",
 		"hotalloc":  "hotalloc1",

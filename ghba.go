@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ghba/internal/analysis"
 	"ghba/internal/bloom"
 	"ghba/internal/core"
 	"ghba/internal/mds"
@@ -220,24 +221,7 @@ func SimulationOver(cluster *core.Cluster, seed int64) *Simulation {
 
 // RecommendedGroupSize returns the group size the paper recommends for a
 // system of n servers (Fig 7; roughly √n over the studied range).
-func RecommendedGroupSize(n int) int {
-	switch {
-	case n <= 10:
-		return 3
-	case n <= 30:
-		return 6
-	case n <= 60:
-		return 7
-	case n <= 80:
-		return 8
-	case n <= 100:
-		return 9
-	case n <= 150:
-		return 11
-	default:
-		return 13
-	}
-}
+func RecommendedGroupSize(n int) int { return analysis.PaperOptimalM(n) }
 
 // Name identifies the backend in banners and bench records.
 func (s *Simulation) Name() string { return "sim" }
@@ -316,16 +300,6 @@ func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]
 	out := make([]Result, len(ops))
 	for i, op := range ops {
 		out[i] = toResult(s.cluster.ApplyWith(rng, op.Record()))
-	}
-	return out, nil
-}
-
-// LookupBatch resolves paths serially with rng, one entry draw per path in
-// path order — the simulation twin of the prototype's batched lookup.
-func (s *Simulation) LookupBatch(_ context.Context, rng *rand.Rand, paths []string) ([]Result, error) {
-	out := make([]Result, len(paths))
-	for i, p := range paths {
-		out[i] = toResult(s.cluster.LookupWith(rng, p, -1))
 	}
 	return out, nil
 }

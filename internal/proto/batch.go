@@ -14,26 +14,14 @@ import (
 	"ghba/internal/trace"
 )
 
-// This file implements the batch RPC paths: the coordinator carries a whole
-// vector of operations per wire round, so syscalls, frame headers, digest
-// computation and daemon lock acquisitions amortize across the vector. The
-// semantics mirror the serial per-op paths exactly — same level resolution,
-// same homes-map linearization, same RNG draw pattern (one draw per create
-// or lookup in op order, none per delete) — so a fixed-seed trace replays
-// onto the same homes whichever path drives it.
-
-// LookupBatch resolves a vector of paths through the batch RPCs, drawing
-// each path's entry MDS from rng in path order. Results align with paths;
-// Latency and Messages on each result are amortized shares of the whole
-// vector's cost (homes, existence and levels are exact per path).
-func (c *Cluster) LookupBatch(ctx context.Context, rng *rand.Rand, paths []string) ([]LookupResult, error) {
-	ids := c.snapshotIDs()
-	entries := make([]int, len(paths))
-	for i := range paths {
-		entries[i] = ids[rng.Intn(len(ids))]
-	}
-	return c.lookupVector(ctx, paths, entries)
-}
+// This file is the coordinator's one way onto the wire for namespace
+// operations: every lookup, create and delete travels as a vector — a whole
+// ApplyBatch window, or a vector of one for Lookup/Apply — so syscalls, frame
+// headers, digest computation and daemon lock acquisitions amortize across
+// whatever the caller hands over. The draw pattern is fixed (one RNG draw per
+// create or lookup in op order, none per delete) and the homes-map claim is
+// the linearization point, so a fixed-seed trace replays onto the same homes
+// at every vector length.
 
 // ApplyBatch dispatches a vector of trace records through the batch RPCs.
 // RNG draws happen in op order (one per create or open, none per delete).
@@ -47,7 +35,7 @@ func (c *Cluster) LookupBatch(ctx context.Context, rng *rand.Rand, paths []strin
 // delete of that path) land exactly as a serial Apply loop would place
 // them. A mixed window thus collapses into a handful of maximal vectors
 // instead of one run per kind change. Per-op homes and existence results
-// are identical to the serial path's; lookup levels can differ when a
+// are identical to a serial Apply loop's; lookup levels can differ when a
 // reordered unrelated mutation shifts a filter's false-positive pattern.
 // Results align with recs.
 func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.Record) ([]LookupResult, error) {
@@ -55,11 +43,13 @@ func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.R
 		return nil, nil
 	}
 	results := make([]LookupResult, len(recs))
-	// Pass 1: the draws, in op order, before any RPC — the serial draw
-	// pattern, so a fixed seed homes every file identically.
+	// Pass 1: the draws, in op order, before any RPC, so a fixed seed homes
+	// every file identically however the window is cut into vectors.
 	ids := c.snapshotIDs()
+	paths := make([]string, len(recs))
 	draws := make([]int, len(recs))
 	for i, rec := range recs {
+		paths[i] = rec.Path
 		if rec.Op != trace.OpDelete {
 			draws[i] = ids[rng.Intn(len(ids))]
 		}
@@ -99,17 +89,17 @@ func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.R
 	// Pass 3: execute the waves in order.
 	for _, wv := range waves {
 		if len(wv.creates) > 0 {
-			if err := c.createRun(ctx, recs, draws, wv.creates, results); err != nil {
+			if err := c.createRun(ctx, paths, draws, wv.creates, results); err != nil {
 				return nil, err
 			}
 		}
 		if len(wv.deletes) > 0 {
-			if err := c.deleteRun(ctx, recs, wv.deletes, results); err != nil {
+			if err := c.deleteRun(ctx, paths, wv.deletes, results); err != nil {
 				return nil, err
 			}
 		}
 		if len(wv.lookups) > 0 {
-			if err := c.lookupRun(ctx, recs, draws, wv.lookups, results); err != nil {
+			if err := c.lookupRun(ctx, paths, draws, wv.lookups, results); err != nil {
 				return nil, err
 			}
 		}
@@ -128,187 +118,191 @@ func runKind(op trace.OpType) trace.OpType {
 	}
 }
 
-// createRun executes one vector of creates (idxs index into recs, in op
-// order): homes-map claims resolve in op order (the linearization point, as
-// in the serial path), fresh creates group into one opCreateBatch per home
-// daemon, and creates of existing paths degenerate to opens — run as a
-// lookup vector after the creates land, so an open of a path created
-// earlier in the same vector finds it.
-func (c *Cluster) createRun(ctx context.Context, recs []trace.Record, draws []int, idxs []int, out []LookupResult) error {
-	byHome := make(map[int][]int)
+// leg is one daemon's share of a fan-out round: slots index the round's path
+// slice, naming the paths the daemon is asked about and where each answer
+// goes.
+type leg struct {
+	daemon int
+	slots  []int
+}
+
+// addLeg files slot under daemon's leg, opening the leg on first use. Legs
+// stay in first-use order, so a round's RPCs, answers and joined errors are
+// seed-stable. The scan is linear in the daemons a round touches — at most
+// the cluster size, against a network round trip per leg.
+func addLeg(legs []leg, daemon, slot int) []leg {
+	for k := range legs {
+		if legs[k].daemon == daemon {
+			legs[k].slots = append(legs[k].slots, slot)
+			return legs
+		}
+	}
+	return append(legs, leg{daemon: daemon, slots: []int{slot}})
+}
+
+// payload encodes the leg's request: the path vector its slots select.
+func (l leg) payload(paths []string) []byte {
+	return encodePaths(pick(paths, l.slots))
+}
+
+// pick gathers paths[i] for each i in idxs, in order.
+func pick(paths []string, idxs []int) []string {
+	sub := make([]string, len(idxs))
+	for k, i := range idxs {
+		sub[k] = paths[i]
+	}
+	return sub
+}
+
+// fanOut runs run(0) … run(n-1) concurrently and returns once all have: the
+// last on the calling goroutine, the others on goroutines of their own. A
+// round with a single leg — every round of a one-path walk that has one
+// candidate — therefore starts no goroutine and parks nobody.
+func fanOut(n int, run func(k int)) {
+	if n > 1 {
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		for k := 0; k < n-1; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				run(k)
+			}(k)
+		}
+	}
+	if n > 0 {
+		run(n - 1)
+	}
+}
+
+// createRun executes one vector of creates (idxs index into paths, in op
+// order): homes-map claims resolve in op order (the linearization point, so
+// two workers racing on one path cannot both home it), fresh creates group
+// into one opCreateBatch per home daemon, and creates of existing paths
+// degenerate to opens entering at their draw — run as a lookup vector after
+// the creates land, so an open of a path created earlier in the same vector
+// finds it.
+func (c *Cluster) createRun(ctx context.Context, paths []string, draws []int, idxs []int, out []LookupResult) error {
+	var legs []leg
 	var opens []int
 	c.homesMu.Lock()
 	for _, i := range idxs {
-		if _, exists := c.homes[recs[i].Path]; exists {
+		if _, exists := c.homes[paths[i]]; exists {
 			opens = append(opens, i)
 			continue
 		}
-		c.homes[recs[i].Path] = draws[i]
-		byHome[draws[i]] = append(byHome[draws[i]], i)
+		c.homes[paths[i]] = draws[i]
+		legs = addLeg(legs, draws[i], i)
 	}
 	c.homesMu.Unlock()
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	var crossedHomes []int
-	for home, idxs := range byHome {
-		wg.Add(1)
-		go func(home int, idxs []int) {
-			defer wg.Done()
-			sub := make([]string, len(idxs))
-			for k, i := range idxs {
-				sub[k] = recs[i].Path
-			}
-			resp, err := c.call(ctx, home, opCreateBatch, encodePaths(sub), nil)
-			var crossed bool
-			if err == nil {
-				crossed, err = decodeCreateResp(resp)
-			}
-			if err != nil {
-				// The daemon never homed these files; withdraw the claims so
-				// ground truth does not drift from daemon state.
-				c.homesMu.Lock()
-				for _, i := range idxs {
-					delete(c.homes, recs[i].Path)
-				}
-				c.homesMu.Unlock()
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("proto: create batch at MDS %d: %w", home, err))
-				mu.Unlock()
-				return
-			}
-			if crossed {
-				mu.Lock()
-				crossedHomes = append(crossedHomes, home)
-				mu.Unlock()
-			}
-		}(home, idxs)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		// Goroutines appended under map-iteration fan-out; order the join
-		// deterministically so error text is seed-stable.
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return errors.Join(errs...)
-	}
-	perLat := amortized(time.Since(start), len(idxs)-len(opens))
-	for home, idxs := range byHome {
-		for _, i := range idxs {
-			out[i] = LookupResult{Home: home, Found: true, Level: 0, Latency: perLat}
+	crossed := make([]bool, len(legs))
+	errs := make([]error, len(legs))
+	fanOut(len(legs), func(k int) {
+		l := legs[k]
+		resp, err := c.call(ctx, l.daemon, opCreateBatch, l.payload(paths), nil)
+		if err == nil {
+			crossed[k], err = decodeCreateResp(resp)
 		}
-	}
-	// Threshold crossings feed the coalescing ship queue in ascending home
-	// order — the order the serial loop's drains preserve.
-	sort.Ints(crossedHomes)
-	for _, home := range crossedHomes {
-		if err := c.shipBatch(ctx, c.ships.Note(home)); err != nil {
-			return err
+		if err != nil {
+			// The daemon never homed these files; withdraw the claims so
+			// ground truth does not drift from daemon state.
+			c.homesMu.Lock()
+			for _, i := range l.slots {
+				delete(c.homes, paths[i])
+			}
+			c.homesMu.Unlock()
+			errs[k] = fmt.Errorf("proto: create batch at MDS %d: %w", l.daemon, err)
 		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	// The creates themselves succeeded; a ship failure (say, a replica holder
+	// dying mid-failover) leaves a stale replica that lookups tolerate, so it
+	// is reported but never withdraws the claim of a homed file.
+	if err := c.settle(ctx, legs, crossed, time.Since(start), out); err != nil {
+		return err
 	}
 	if len(opens) > 0 {
-		paths := make([]string, len(opens))
-		entries := make([]int, len(opens))
-		for k, i := range opens {
-			paths[k] = recs[i].Path
-			entries[k] = draws[i]
-		}
-		res, err := c.lookupVector(ctx, paths, entries)
-		if err != nil {
-			return err
-		}
-		for k, i := range opens {
-			out[i] = res[k]
-		}
+		return c.lookupRun(ctx, paths, draws, opens, out)
 	}
 	return nil
 }
 
-// deleteRun executes one vector of deletes: claims removed in op order, one
-// opDeleteBatch per home daemon, rebuilds routed into the ship queue.
-func (c *Cluster) deleteRun(ctx context.Context, recs []trace.Record, idxs []int, out []LookupResult) error {
-	byHome := make(map[int][]int)
+// deleteRun executes one vector of deletes: claims removed in op order (the
+// linearization point), one opDeleteBatch per home daemon, rebuilds routed
+// into the ship queue. A delete of an absent path — including a second
+// delete of one path within the vector, whose claim the first already
+// removed — reports not-found without touching the wire.
+func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out []LookupResult) error {
+	var legs []leg
 	c.homesMu.Lock()
 	for _, i := range idxs {
-		home, ok := c.homes[recs[i].Path]
+		home, ok := c.homes[paths[i]]
 		if !ok {
-			// A second delete of the same path within the vector misses here
-			// too: the first removal already claimed it.
 			out[i] = LookupResult{Home: -1, Found: false, Level: 0}
 			continue
 		}
-		delete(c.homes, recs[i].Path)
-		byHome[home] = append(byHome[home], i)
+		delete(c.homes, paths[i])
+		legs = addLeg(legs, home, i)
 	}
 	c.homesMu.Unlock()
-	if len(byHome) == 0 {
-		return nil
-	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	var rebuiltHomes []int
-	total := 0
-	for _, idxs := range byHome {
-		total += len(idxs)
-	}
-	for home, idxs := range byHome {
-		wg.Add(1)
-		go func(home int, idxs []int) {
-			defer wg.Done()
-			sub := make([]string, len(idxs))
-			for k, i := range idxs {
-				sub[k] = recs[i].Path
-			}
-			resp, err := c.call(ctx, home, opDeleteBatch, encodePaths(sub), nil)
-			if err != nil {
-				// The daemon may still hold the files; restore the claims so
-				// ground truth stays consistent (a racing create of the same
-				// path has priority and keeps its new home).
-				c.homesMu.Lock()
-				for _, i := range idxs {
-					if _, reclaimed := c.homes[recs[i].Path]; !reclaimed {
-						c.homes[recs[i].Path] = home
-					}
+	rebuilt := make([]bool, len(legs))
+	errs := make([]error, len(legs))
+	fanOut(len(legs), func(k int) {
+		l := legs[k]
+		resp, err := c.call(ctx, l.daemon, opDeleteBatch, l.payload(paths), nil)
+		if err != nil {
+			// The daemon may still hold the files; restore the claims so
+			// ground truth stays consistent (a racing create of the same
+			// path has priority and keeps its new home).
+			c.homesMu.Lock()
+			for _, i := range l.slots {
+				if _, reclaimed := c.homes[paths[i]]; !reclaimed {
+					c.homes[paths[i]] = l.daemon
 				}
-				c.homesMu.Unlock()
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("proto: delete batch at MDS %d: %w", home, err))
-				mu.Unlock()
-				return
 			}
-			if len(resp) != len(idxs)+1 {
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("proto: delete batch response wants %d bytes, got %d", len(idxs)+1, len(resp)))
-				mu.Unlock()
-				return
-			}
-			if resp[len(idxs)] == 1 {
-				mu.Lock()
-				rebuiltHomes = append(rebuiltHomes, home)
-				mu.Unlock()
-			}
-		}(home, idxs)
+			c.homesMu.Unlock()
+		} else {
+			rebuilt[k], err = decodeDeleteBatchResp(resp, len(l.slots))
+		}
+		if err != nil {
+			errs[k] = fmt.Errorf("proto: delete batch at MDS %d: %w", l.daemon, err)
+		}
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		// Goroutines appended under map-iteration fan-out; order the join
-		// deterministically so error text is seed-stable.
-		sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-		return errors.Join(errs...)
+	return c.settle(ctx, legs, rebuilt, time.Since(start), out)
+}
+
+// settle closes a mutation round whose legs all landed: every record reports
+// its leg's daemon as home and an equal share of the round's wall time, and
+// the daemons whose batch flagged a ship (a threshold crossing, a filter
+// rebuild) feed the coalescing ship queue in ascending order — the order a
+// serial loop's drains preserve.
+func (c *Cluster) settle(ctx context.Context, legs []leg, shipDue []bool, elapsed time.Duration, out []LookupResult) error {
+	landed := 0
+	for _, l := range legs {
+		landed += len(l.slots)
 	}
-	perLat := amortized(time.Since(start), total)
-	for home, idxs := range byHome {
-		for _, i := range idxs {
-			out[i] = LookupResult{Home: home, Found: true, Level: 0, Latency: perLat}
+	perLat := amortized(elapsed, landed)
+	var origins []int
+	for k, l := range legs {
+		for _, i := range l.slots {
+			out[i] = LookupResult{Home: l.daemon, Found: true, Level: 0, Latency: perLat}
+		}
+		if shipDue[k] {
+			origins = append(origins, l.daemon)
 		}
 	}
-	sort.Ints(rebuiltHomes)
-	for _, home := range rebuiltHomes {
-		if err := c.shipBatch(ctx, c.ships.Note(home)); err != nil {
+	sort.Ints(origins)
+	for _, origin := range origins {
+		if err := c.shipBatch(ctx, c.ships.Note(origin)); err != nil {
 			return err
 		}
 	}
@@ -316,14 +310,12 @@ func (c *Cluster) deleteRun(ctx context.Context, recs []trace.Record, idxs []int
 }
 
 // lookupRun resolves one vector of reads with the pre-drawn entries.
-func (c *Cluster) lookupRun(ctx context.Context, recs []trace.Record, draws []int, idxs []int, out []LookupResult) error {
-	paths := make([]string, len(idxs))
+func (c *Cluster) lookupRun(ctx context.Context, paths []string, draws []int, idxs []int, out []LookupResult) error {
 	entries := make([]int, len(idxs))
 	for k, i := range idxs {
-		paths[k] = recs[i].Path
 		entries[k] = draws[i]
 	}
-	res, err := c.lookupVector(ctx, paths, entries)
+	res, err := c.lookupVector(ctx, pick(paths, idxs), entries)
 	if err != nil {
 		return err
 	}
@@ -333,34 +325,53 @@ func (c *Cluster) lookupRun(ctx context.Context, recs []trace.Record, draws []in
 	return nil
 }
 
-// lookupVector resolves paths[i] entering at entries[i], batching every
-// level of the hierarchy: one opLookupBatch per distinct entry daemon,
+// lookupVector is the prototype's one walk of the paper's hierarchy: it
+// resolves paths[i] entering at entries[i], every level a fan-out round —
+// one opLookupBatch per distinct entry daemon (L1 + L2 hits),
 // opVerifyBatch per candidate daemon, one opQueryMemberBatch per groupmate
 // (L3), and one opHasLocalBatch scatter-gather across all daemons (L4).
+// One membership snapshot serves the whole walk, so every level filters
+// hits against, and fans out over, the same topology.
 func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []int) ([]LookupResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
 	}
 	start := time.Now()
 	var msgs atomic.Int64
+	snap := c.index.Load()
+	// A result's Level stays 0 until a level of the hierarchy answers for it.
 	results := make([]LookupResult, len(paths))
-	resolved := make([]bool, len(paths))
-	ids := c.snapshotIDs()
 
-	// Entry leg: L1 + L2 hits for every path, one RPC per distinct entry.
-	byEntry := make(map[int][]int)
-	for i, e := range entries {
-		byEntry[e] = append(byEntry[e], i)
-	}
-	l1 := make([][]int, len(paths))
-	l2 := make([][]int, len(paths))
-	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, byEntry, &msgs, func(_ int, idxs []int, resp []byte) error {
-		hits, err := decodeHitsVec(resp, 2*len(idxs))
+	// confirm store-verifies one round's candidates and resolves each path
+	// at its first confirmed probe. Probes are filed in path order, L1
+	// before L2, so first-wins is the level order.
+	confirm := func(probes []probe) error {
+		ok, err := c.verifyProbes(ctx, paths, probes, &msgs)
 		if err != nil {
 			return err
 		}
-		for k, i := range idxs {
-			l1[i], l2[i] = hits[2*k], hits[2*k+1]
+		for p, pr := range probes {
+			if ok[p] && results[pr.idx].Level == 0 {
+				results[pr.idx] = LookupResult{Home: pr.daemon, Found: true, Level: pr.level}
+			}
+		}
+		return nil
+	}
+
+	// Entry leg: L1 + L2 hits for every path, one RPC per distinct entry.
+	var legs []leg
+	for i, e := range entries {
+		legs = addLeg(legs, e, i)
+	}
+	l1 := make([][]int, len(paths))
+	l2 := make([][]int, len(paths))
+	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, legs, &msgs, func(l leg, resp []byte) error {
+		lists, err := decodeHitsVec(resp, 2*len(l.slots))
+		if err != nil {
+			return err
+		}
+		for k, i := range l.slots {
+			l1[i], l2[i] = lists[2*k], lists[2*k+1]
 		}
 		return nil
 	})
@@ -368,46 +379,25 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		return nil, err
 	}
 
-	finish := func(i, home, level int) {
-		results[i] = LookupResult{Home: home, Found: true, Level: level}
-		resolved[i] = true
-	}
-
 	// L1 + L2 verification in one speculative round: every unique L1 hit
 	// and every distinct unique L2 hit verify together, and resolution
-	// applies the serial order (L1 first, then L2), so homes and levels
-	// match the one-level-at-a-time walk without paying two round trips. A
-	// path whose L2 candidate equals its L1 candidate skips the duplicate:
-	// the opVerify answer is an authoritative store check, so asking the
-	// same daemon twice cannot change it.
-	candsL1 := make(map[int]int)
-	candsL2 := make(map[int]int)
-	var pairs []verifyPair
+	// applies the level order, so homes and levels match a
+	// one-level-at-a-time walk without paying two round trips. A path whose
+	// L2 candidate equals its L1 candidate skips the duplicate: the verify
+	// answer is an authoritative store check, so asking the same daemon
+	// twice cannot change it.
+	var probes []probe
 	for i := range paths {
-		if id, ok := candidate(ids, l1[i]); ok {
-			candsL1[i] = id
-			pairs = append(pairs, verifyPair{idx: i, daemon: id})
+		c1, ok1 := candidate(snap.ids, l1[i])
+		if ok1 {
+			probes = append(probes, probe{idx: i, daemon: c1, level: 1})
 		}
-		if id, ok := candidate(ids, l2[i]); ok {
-			if prev, had := candsL1[i]; had && prev == id {
-				continue
-			}
-			candsL2[i] = id
-			pairs = append(pairs, verifyPair{idx: i, daemon: id})
+		if c2, ok := candidate(snap.ids, l2[i]); ok && !(ok1 && c2 == c1) {
+			probes = append(probes, probe{idx: i, daemon: c2, level: 2})
 		}
 	}
-	ans, err := c.verifyPairs(ctx, paths, pairs, &msgs)
-	if err != nil {
+	if err := confirm(probes); err != nil {
 		return nil, err
-	}
-	for i := range paths {
-		if d, ok := candsL1[i]; ok && ans[verifyPair{idx: i, daemon: d}] {
-			finish(i, d, 1)
-			continue
-		}
-		if d, ok := candsL2[i]; ok && ans[verifyPair{idx: i, daemon: d}] {
-			finish(i, d, 2)
-		}
 	}
 
 	// L3: one scatter-gather round over the unresolved paths' group members,
@@ -415,76 +405,64 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// whose entry shares m's group, so the round costs one RPC per distinct
 	// groupmate instead of one per entry × groupmate (and none at all when
 	// groups are of one). The union covers the groupmates' arrays only —
-	// each path's own entry already had its chance above, exactly as in the
-	// serial path.
-	byTarget := make(map[int][]int)
-	unions := make([][]int, len(paths))
+	// each path's own entry already had its chance above, and folding its L2
+	// hits back in would resolve at L3 what the simulator sends to L4.
+	legs = nil
 	for i := range paths {
-		if resolved[i] {
+		if results[i].Level != 0 {
 			continue
 		}
-		for _, m := range c.groupMembers(entries[i]) {
-			if m == entries[i] {
+		for _, m := range snap.members[entries[i]] {
+			if m != entries[i] {
+				legs = addLeg(legs, m, i)
+			}
+		}
+	}
+	if len(legs) > 0 {
+		unions := make([][]int, len(paths))
+		err = c.scatter(ctx, opQueryMemberBatch, "member batch", paths, legs, &msgs, func(l leg, resp []byte) error {
+			lists, err := decodeHitsVec(resp, len(l.slots))
+			if err != nil {
+				return err
+			}
+			for k, i := range l.slots {
+				for _, h := range lists[k] {
+					unions[i] = bloomarray.InsertSorted(unions[i], h)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		probes = probes[:0]
+		for i := range paths {
+			if results[i].Level != 0 {
 				continue
 			}
-			byTarget[m] = append(byTarget[m], i)
-		}
-	}
-	err = c.scatter(ctx, opQueryMemberBatch, "member batch", paths, byTarget, &msgs, func(_ int, idxs []int, resp []byte) error {
-		hits, err := decodeHitsVec(resp, len(idxs))
-		if err != nil {
-			return err
-		}
-		for k, i := range idxs {
-			for _, h := range hits[k] {
-				unions[i] = bloomarray.InsertSorted(unions[i], h)
+			if h, ok := candidate(snap.ids, unions[i]); ok {
+				probes = append(probes, probe{idx: i, daemon: h, level: 3})
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	candsL3 := make(map[int]int)
-	var pairs3 []verifyPair
-	for i := range paths {
-		if resolved[i] {
-			continue
-		}
-		if h, ok := candidate(ids, unions[i]); ok {
-			candsL3[i] = h
-			pairs3 = append(pairs3, verifyPair{idx: i, daemon: h})
-		}
-	}
-	ans3, err := c.verifyPairs(ctx, paths, pairs3, &msgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, d := range candsL3 {
-		if ans3[verifyPair{idx: i, daemon: d}] {
-			finish(i, d, 3)
+		if err := confirm(probes); err != nil {
+			return nil, err
 		}
 	}
 
 	// L4: one global scatter-gather round for everything still unresolved.
 	var rem []int
 	for i := range paths {
-		if !resolved[i] {
+		if results[i].Level == 0 {
 			rem = append(rem, i)
 		}
 	}
 	if len(rem) > 0 {
-		sub := make([]string, len(rem))
-		for k, i := range rem {
-			sub[k] = paths[i]
-		}
-		homes, err := c.hasLocalVector(ctx, sub, &msgs)
+		homes, err := c.hasLocalVector(ctx, snap.ids, pick(paths, rem), &msgs)
 		if err != nil {
 			return nil, err
 		}
 		for k, i := range rem {
 			results[i] = LookupResult{Home: homes[k], Found: homes[k] >= 0, Level: 4}
-			resolved[i] = true
 		}
 	}
 
@@ -494,7 +472,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// batch instead of one per ObserveBatch lookups.
 	perLat := amortized(time.Since(start), len(paths))
 	perMsg := int(msgs.Load()) / len(paths)
-	var obs []observation
+	obs := make([]observation, 0, len(paths))
 	for i := range results {
 		results[i].Latency = perLat
 		results[i].Messages = perMsg
@@ -503,86 +481,80 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 			obs = append(obs, observation{home: results[i].Home, path: paths[i]})
 		}
 	}
-	return results, c.observeMany(ctx, obs)
+	return results, c.observeMany(ctx, snap.ids, obs)
 }
 
-// verifyPair is one (path index, candidate daemon) verification probe.
-type verifyPair struct {
-	idx, daemon int
+// probe is one store verification: path idx, nominated for daemon by the
+// given level of the hierarchy.
+type probe struct {
+	idx, daemon, level int
 }
 
-// verifyPairs issues one opVerifyBatch per distinct candidate daemon for
+// verifyProbes issues one opVerifyBatch per distinct candidate daemon for
 // the probe set — a path may carry probes at several daemons in the same
 // round — and returns the authoritative answer per probe.
-func (c *Cluster) verifyPairs(ctx context.Context, paths []string, pairs []verifyPair, ctr *atomic.Int64) (map[verifyPair]bool, error) {
-	if len(pairs) == 0 {
-		return nil, nil
+func (c *Cluster) verifyProbes(ctx context.Context, paths []string, probes []probe, ctr *atomic.Int64) ([]bool, error) {
+	var legs []leg
+	asked := make([]string, len(probes)) // the round's path slice: one slot per probe
+	for p, pr := range probes {
+		legs = addLeg(legs, pr.daemon, p)
+		asked[p] = paths[pr.idx]
 	}
-	byDaemon := make(map[int][]int)
-	for _, p := range pairs {
-		byDaemon[p.daemon] = append(byDaemon[p.daemon], p.idx)
-	}
-	for _, idxs := range byDaemon {
-		sort.Ints(idxs)
-	}
-	answers := make(map[verifyPair]bool, len(pairs))
-	err := c.scatter(ctx, opVerifyBatch, "verify batch", paths, byDaemon, ctr, func(d int, idxs []int, resp []byte) error {
-		bs, err := decodeBools(resp, len(idxs))
+	ok := make([]bool, len(probes))
+	err := c.scatter(ctx, opVerifyBatch, "verify batch", asked, legs, ctr, func(l leg, resp []byte) error {
+		answers, err := decodeBools(resp, len(l.slots))
 		if err != nil {
 			return err
 		}
-		for k, i := range idxs {
-			answers[verifyPair{idx: i, daemon: d}] = bs[k]
+		for k, p := range l.slots {
+			ok[p] = answers[k]
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return answers, nil
+	return ok, err
 }
 
-// scatter is the read path's one fan-out: every daemon in byDaemon receives,
-// in parallel, one op RPC carrying the paths its index list selects, and
-// decode folds each response into the caller's state. decode runs under the
-// gather's mutex, so it may write shared maps and slices freely. Failures
-// are labelled per daemon and joined in sorted order — goroutines finish in
-// any order, error text must be seed-stable.
-func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []string, byDaemon map[int][]int, ctr *atomic.Int64, decode func(daemon int, idxs []int, resp []byte) error) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var errs []error
-	for d, idxs := range byDaemon {
-		wg.Add(1)
-		go func(d int, idxs []int) {
-			defer wg.Done()
-			sub := make([]string, len(idxs))
-			for k, i := range idxs {
-				sub[k] = paths[i]
-			}
-			resp, err := c.call(ctx, d, op, encodePaths(sub), ctr)
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				err = decode(d, idxs, resp)
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("proto: %s at MDS %d: %w", label, d, err))
-			}
-		}(d, idxs)
+// scatter is the read path's one fan-out: every leg's daemon receives, in
+// parallel, one op RPC carrying the paths its slots select, and once all have
+// answered decode folds each response into the caller's state, leg by leg on
+// the calling goroutine — so it may write shared slices freely. Failures are
+// labelled per daemon and joined in leg order.
+func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []string, legs []leg, ctr *atomic.Int64, decode func(l leg, resp []byte) error) error {
+	if len(legs) == 0 {
+		return nil
 	}
-	wg.Wait()
-	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
+	type answer struct {
+		resp []byte
+		err  error
+	}
+	answers := make([]answer, len(legs))
+	fanOut(len(legs), func(k int) {
+		a := &answers[k]
+		a.resp, a.err = c.call(ctx, legs[k].daemon, op, legs[k].payload(paths), ctr)
+	})
+	var errs []error
+	for k, l := range legs {
+		err := answers[k].err
+		if err == nil {
+			err = decode(l, answers[k].resp)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("proto: %s at MDS %d: %w", label, l.daemon, err))
+		}
+	}
 	return errors.Join(errs...)
 }
 
-// hasLocalVector is the batched L4 round: every daemon receives the whole
+// hasLocalVector is the L4 round: every daemon in ids receives the whole
 // remaining vector, and homes[i] is the daemon that authoritatively homes
 // paths[i] (-1 when none does). On the mux transport the gather cancels the
-// remaining probes once every path has found its home — only the true home
-// answers positive, so the first positive per path is decisive.
-func (c *Cluster) hasLocalVector(ctx context.Context, paths []string, ctr *atomic.Int64) ([]int, error) {
-	ids := c.snapshotIDs()
+// remaining probes once every path has found its home — a positive is a
+// store check, not a filter guess, so only the true home answers one and the
+// first positive per path is decisive. An abandoned mux call is discarded by
+// request ID without harming the shared connection; the classic transport
+// poisons a cancelled pooled connection, so there the gather runs to
+// completion instead.
+func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string, ctr *atomic.Int64) ([]int, error) {
 	payload := encodePaths(paths)
 	searchCtx := ctx
 	cancelRest := func() {}
@@ -598,43 +570,33 @@ func (c *Cluster) hasLocalVector(ctx context.Context, paths []string, ctr *atomi
 	}
 	unresolved := len(paths)
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(ids))
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			resp, err := c.call(searchCtx, id, opHasLocalBatch, payload, ctr)
-			var answers []bool
-			if err == nil {
-				answers, err = decodeBools(resp, len(paths))
+	errs := make([]error, len(ids))
+	fanOut(len(ids), func(k int) {
+		resp, err := c.call(searchCtx, ids[k], opHasLocalBatch, payload, ctr)
+		var answers []bool
+		if err == nil {
+			answers, err = decodeBools(resp, len(paths))
+		}
+		if err != nil {
+			errs[k] = fmt.Errorf("proto: has-local batch at MDS %d: %w", ids[k], err)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for i, has := range answers {
+			if has && homes[i] == -1 {
+				homes[i] = ids[k]
+				unresolved--
 			}
-			if err != nil {
-				errCh <- fmt.Errorf("proto: has-local batch at MDS %d: %w", id, err)
-				return
-			}
-			mu.Lock()
-			for i, has := range answers {
-				if has && homes[i] == -1 {
-					homes[i] = id
-					unresolved--
-				}
-			}
-			if unresolved == 0 {
-				cancelRest()
-			}
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
-	close(errCh)
-	mu.Lock()
-	done := unresolved == 0
-	mu.Unlock()
-	for err := range errCh {
+		}
+		if unresolved == 0 {
+			cancelRest()
+		}
+	})
+	for _, err := range errs {
 		// Probes the winner cancelled are expected, not failures — but only
 		// when the cancellation was ours, not the caller's.
-		if done && errors.Is(err, context.Canceled) && ctx.Err() == nil {
+		if err == nil || unresolved == 0 && errors.Is(err, context.Canceled) && ctx.Err() == nil {
 			continue
 		}
 		return nil, err

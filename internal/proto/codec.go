@@ -8,7 +8,10 @@
 // The coordinator (Cluster) drives the multi-level query on behalf of the
 // entry MDS — the same messages a server-driven implementation would send,
 // issued from the client side for simplicity — and tracks replica placement
-// the way member IDBFAs do in the simulator.
+// the way member IDBFAs do in the simulator. It has one walk (lookupVector)
+// and one sender per mutation kind (createRun, deleteRun), all over path
+// vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
+// whole window.
 package proto
 
 import (
@@ -16,30 +19,24 @@ import (
 	"fmt"
 )
 
-// RPC message types.
+// RPC message types. Every namespace operation travels as a path vector —
+// one frame carries however many paths the coordinator has for that daemon in
+// the round, a vector of one for a single Lookup or Apply — so syscalls, frame
+// headers and digest computation amortize across the vector, and each
+// question has exactly one wire form. Nothing durable stores an opcode (WAL
+// records carry wal.Op*), so the numbering is free to stay dense.
 const (
-	opQueryEntry     uint8 = iota + 1 // path → L1 hits + L2 hits
-	opQueryMember                     // path → L2 hits (group multicast leg)
-	opVerify                          // path → 1/0 authoritative answer
-	opHasLocal                        // path → 1/0 local-filter + store check (L4 leg)
-	opInstallReplica                  // origin + filter → ack
-	opDropReplica                     // origin → filter bytes
-	opShipFilter                      // (empty) → origin's current filter
-	opObserveBatch                    // batched L1 observations → ack
-	opPing                            // membership/IDBFA-update stand-in → ack
-	opCreateFile                      // path → 1 byte: filter crossed the XOR-delta ship threshold
-	opDeleteFile                      // path → 2 bytes: existed, local filter rebuilt
-
-	// Batch RPCs: one frame carries a vector of paths, amortizing syscalls,
-	// frame headers and digest computation across the whole vector. They
-	// ride the mux transport's pipelining, but are legal (if pointless) over
-	// the classic protocol too.
-	opLookupBatch      // paths → per path: L1 hits + L2 hits (entry leg)
-	opQueryMemberBatch // paths → per path: L2 hits (group multicast leg)
-	opVerifyBatch      // paths → per path: 1/0 authoritative answer
-	opHasLocalBatch    // paths → per path: 1/0 local-filter + store check
-	opCreateBatch      // paths → 1 byte: filter crossed the ship threshold after the batch
-	opDeleteBatch      // paths → per path existed byte, then 1 rebuilt byte
+	opInstallReplica   uint8 = iota + 1 // origin + filter → ack
+	opDropReplica                       // origin → filter bytes
+	opShipFilter                        // (empty) → origin's current filter
+	opObserveBatch                      // batched L1 observations → ack
+	opPing                              // membership/IDBFA-update stand-in → ack
+	opLookupBatch                       // paths → per path: L1 hits + L2 hits (entry leg)
+	opQueryMemberBatch                  // paths → per path: L2 hits (group multicast leg)
+	opVerifyBatch                       // paths → per path: 1/0 authoritative answer
+	opHasLocalBatch                     // paths → per path: 1/0 local-filter + store check (L4 leg)
+	opCreateBatch                       // paths → 1 byte: filter crossed the XOR-delta ship threshold after the batch
+	opDeleteBatch                       // paths → per path existed byte, then 1 rebuilt byte
 
 	// opHeartbeat is the failure detector's liveness probe. Unlike opPing
 	// (the reconfiguration protocol's IDBFA-update stand-in) the response
@@ -51,17 +48,11 @@ const (
 // opNames labels each RPC type for the per-op counters (Cluster.RPCCounts);
 // index = opcode.
 var opNames = [...]string{
-	opQueryEntry:       "query_entry",
-	opQueryMember:      "query_member",
-	opVerify:           "verify",
-	opHasLocal:         "has_local",
 	opInstallReplica:   "install_replica",
 	opDropReplica:      "drop_replica",
 	opShipFilter:       "ship_filter",
 	opObserveBatch:     "observe_batch",
 	opPing:             "ping",
-	opCreateFile:       "create_file",
-	opDeleteFile:       "delete_file",
 	opLookupBatch:      "lookup_batch",
 	opQueryMemberBatch: "query_member_batch",
 	opVerifyBatch:      "verify_batch",
@@ -126,8 +117,8 @@ func decodePaths(data []byte) ([]string, error) {
 	return out, nil
 }
 
-// decodeHitsVec parses n consecutive hit lists (the lookup/member batch
-// response bodies).
+// decodeHitsVec parses exactly n consecutive hit lists (the lookup/member
+// batch response bodies).
 func decodeHitsVec(data []byte, n int) ([][]int, error) {
 	out := make([][]int, n)
 	var err error
@@ -135,6 +126,9 @@ func decodeHitsVec(data []byte, n int) ([][]int, error) {
 		if out[i], data, err = decodeHits(data); err != nil {
 			return nil, fmt.Errorf("proto: hit list %d: %w", i, err)
 		}
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("proto: %d bytes after %d hit lists", len(data), n)
 	}
 	return out, nil
 }
@@ -162,7 +156,7 @@ func decodeBools(data []byte, n int) ([]bool, error) {
 	return out, nil
 }
 
-// decodeCreateResp parses an opCreateFile response: whether the origin's
+// decodeCreateResp parses an opCreateBatch response: whether the origin's
 // filter drifted past the XOR-delta threshold and should ship.
 func decodeCreateResp(data []byte) (crossed bool, err error) {
 	if len(data) != 1 {
@@ -171,14 +165,15 @@ func decodeCreateResp(data []byte) (crossed bool, err error) {
 	return data[0] == 1, nil
 }
 
-// decodeDeleteResp parses an opDeleteFile response: whether the file was
-// homed at the daemon, and whether the deletion triggered a local-filter
-// rebuild (which replaces the filter wholesale and must ship).
-func decodeDeleteResp(data []byte) (existed, rebuilt bool, err error) {
-	if len(data) != 2 {
-		return false, false, fmt.Errorf("proto: delete response wants 2 bytes, got %d", len(data))
+// decodeDeleteBatchResp parses an opDeleteBatch response for n paths: one
+// existed byte per path (the coordinator's homes map already settled
+// existence, so they go unread), then whether a deletion triggered a
+// local-filter rebuild (which replaces the filter wholesale and must ship).
+func decodeDeleteBatchResp(data []byte, n int) (rebuilt bool, err error) {
+	if len(data) != n+1 {
+		return false, fmt.Errorf("proto: delete batch response wants %d bytes, got %d", n+1, len(data))
 	}
-	return data[0] == 1, data[1] == 1, nil
+	return data[n] == 1, nil
 }
 
 // HeartbeatInfo is the health report an opHeartbeat response carries.
@@ -313,9 +308,4 @@ func boolByte(b bool) []byte {
 		return []byte{1}
 	}
 	return []byte{0}
-}
-
-// byteBool decodes a boolean answer.
-func byteBool(data []byte) bool {
-	return len(data) == 1 && data[0] == 1
 }

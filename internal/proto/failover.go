@@ -216,13 +216,12 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	}
 	c.rebuildIndexLocked()
 
-	conflicts := c.reconcileHomesLocked(id, ns, &rep)
-	for _, p := range conflicts {
-		// Another daemon homed the path while this one was down; the
-		// recovered copy loses. The delete goes through the RPC path so it
+	if conflicts := c.reconcileHomesLocked(id, ns, &rep); len(conflicts) > 0 {
+		// Another daemon homed these paths while this one was down; the
+		// recovered copies lose. The delete goes through the RPC path so it
 		// is WAL-logged like any other mutation.
-		_, _ = c.call(ctx, id, opDeleteFile, []byte(p), &msgs)
-		rep.FilesDropped++
+		_, _ = c.call(ctx, id, opDeleteBatch, encodePaths(conflicts), &msgs)
+		rep.FilesDropped = len(conflicts)
 	}
 	rep.Messages = int(msgs.Load())
 	return rep, nil

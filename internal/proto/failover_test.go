@@ -223,9 +223,9 @@ func TestLookupBatchAfterFailover(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	results, err := c.LookupBatch(ctx, rand.New(rand.NewSource(5)), paths)
+	results, err := c.ApplyBatch(ctx, rand.New(rand.NewSource(5)), statRecords(paths))
 	if err != nil {
-		t.Fatalf("LookupBatch after failover: %v", err)
+		t.Fatalf("lookup vector after failover: %v", err)
 	}
 	for i, res := range results {
 		check("lookup", paths[i], res)

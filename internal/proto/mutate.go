@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"ghba/internal/trace"
 )
@@ -30,55 +28,6 @@ func (l lockedRand) Intn(n int) int {
 	return v
 }
 
-// createAt sends the create RPC to the chosen home, reporting whether the
-// home's filter crossed the XOR-delta ship threshold. Callers route a
-// crossing into the ship queue once the homes-map claim is settled: a ship
-// failure must never be mistaken for a failed create.
-func (c *Cluster) createAt(ctx context.Context, home int, path string, ctr *atomic.Int64) (bool, error) {
-	resp, err := c.call(ctx, home, opCreateFile, []byte(path), ctr)
-	if err != nil {
-		return false, err
-	}
-	return decodeCreateResp(resp)
-}
-
-// deleteInner removes path, returning its pre-delete home (-1 when absent)
-// and whether it existed. The homes-map removal is the linearization point,
-// mirroring core's shard-locked delete.
-func (c *Cluster) deleteInner(ctx context.Context, path string, ctr *atomic.Int64) (int, bool, error) {
-	c.homesMu.Lock()
-	home, ok := c.homes[path]
-	if ok {
-		delete(c.homes, path)
-	}
-	c.homesMu.Unlock()
-	if !ok {
-		return -1, false, nil
-	}
-	resp, err := c.call(ctx, home, opDeleteFile, []byte(path), ctr)
-	if err != nil {
-		// The daemon may still hold the file; restore the claim so ground
-		// truth stays consistent with daemon state (a racing create of the
-		// same path has priority and keeps its new home).
-		c.homesMu.Lock()
-		if _, reclaimed := c.homes[path]; !reclaimed {
-			c.homes[path] = home
-		}
-		c.homesMu.Unlock()
-		return home, true, err
-	}
-	_, rebuilt, err := decodeDeleteResp(resp)
-	if err != nil {
-		return home, true, err
-	}
-	if rebuilt {
-		if err := c.shipBatch(ctx, c.ships.Note(home)); err != nil {
-			return home, true, err
-		}
-	}
-	return home, true, nil
-}
-
 // Apply dispatches one trace record against the prototype: mutations create
 // or delete files over RPC, reads perform lookups. Entry points and home
 // placements are drawn from the cluster's internal RNG.
@@ -94,53 +43,26 @@ func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Recor
 	return c.applyRecord(ctx, rng, rec)
 }
 
+// applyRecord is a window of one: the same single draw ApplyBatch makes per
+// record, then the record's run over its one index — a lone record has no
+// cross-kind dependency for waves to order.
 func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (LookupResult, error) {
+	draw := 0
+	if rec.Op != trace.OpDelete {
+		ids := c.snapshotIDs()
+		draw = ids[r.Intn(len(ids))]
+	}
+	out := make([]LookupResult, 1)
+	var err error
 	switch rec.Op {
 	case trace.OpCreate:
-		// One draw either way: it becomes the home of a fresh path, or the
-		// entry point when creating an existing path degenerates to an
-		// open. The homes-map claim is the atomic linearization point, so
-		// two workers racing on the same path cannot both home it.
-		ids := c.snapshotIDs()
-		id := ids[r.Intn(len(ids))]
-		c.homesMu.Lock()
-		if _, exists := c.homes[rec.Path]; exists {
-			c.homesMu.Unlock()
-			return c.LookupVia(ctx, rec.Path, id)
-		}
-		c.homes[rec.Path] = id
-		c.homesMu.Unlock()
-		start := time.Now()
-		crossed, err := c.createAt(ctx, id, rec.Path, nil)
-		if err != nil {
-			// The daemon never homed the file; withdraw the claim so
-			// ground truth does not drift from daemon state.
-			c.homesMu.Lock()
-			delete(c.homes, rec.Path)
-			c.homesMu.Unlock()
-			return LookupResult{}, fmt.Errorf("proto: create %q at MDS %d: %w", rec.Path, id, err)
-		}
-		if crossed {
-			// The create itself succeeded; a ship failure (say, a replica
-			// holder dying mid-failover) leaves a stale replica that
-			// lookups tolerate — it must not withdraw the claim of a homed
-			// file.
-			if err := c.shipBatch(ctx, c.ships.Note(id)); err != nil {
-				return LookupResult{}, fmt.Errorf("proto: create %q at MDS %d: %w", rec.Path, id, err)
-			}
-		}
-		return LookupResult{Home: id, Found: true, Level: 0, Latency: time.Since(start)}, nil
+		err = c.createRun(ctx, []string{rec.Path}, []int{draw}, []int{0}, out)
 	case trace.OpDelete:
-		start := time.Now()
-		home, existed, err := c.deleteInner(ctx, rec.Path, nil)
-		if err != nil {
-			return LookupResult{}, fmt.Errorf("proto: delete %q: %w", rec.Path, err)
-		}
-		return LookupResult{Home: home, Found: existed, Level: 0, Latency: time.Since(start)}, nil
+		err = c.deleteRun(ctx, []string{rec.Path}, []int{0}, out)
 	default:
-		ids := c.snapshotIDs()
-		return c.LookupVia(ctx, rec.Path, ids[r.Intn(len(ids))])
+		return c.LookupVia(ctx, rec.Path, draw)
 	}
+	return out[0], err
 }
 
 // Flush drains the coalescing ship queue: every daemon whose filter crossed

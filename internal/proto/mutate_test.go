@@ -280,3 +280,122 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	}
 	checkFileCounts(t, c)
 }
+
+// TestMutationFailureKeepsGroundTruth pins the claim-rollback paths: with one
+// daemon crashed in place, a create drawn to it fails and withdraws its
+// homes-map claim, a delete of a file it homes fails and restores the claim,
+// and the creates and deletes that land on live daemons in the same script go
+// through — whether the script is dispatched record by record or as vectors.
+func TestMutationFailureKeepsGroundTruth(t *testing.T) {
+	const files, perStep, seed = 80, 24, 11
+	// A dispatcher applies one step of the script and returns the errors it
+	// saw: one per record, or a single one for the step as a whole.
+	dispatchers := []struct {
+		name  string
+		apply func(ctx context.Context, c *Cluster, rng *rand.Rand, recs []trace.Record) []error
+	}{
+		{"ApplyWith", func(ctx context.Context, c *Cluster, rng *rand.Rand, recs []trace.Record) []error {
+			errs := make([]error, len(recs))
+			for i, rec := range recs {
+				_, errs[i] = c.ApplyWith(ctx, rng, rec)
+			}
+			return errs
+		}},
+		{"ApplyBatch", func(ctx context.Context, c *Cluster, rng *rand.Rand, recs []trace.Record) []error {
+			_, err := c.ApplyBatch(ctx, rng, recs)
+			return []error{err}
+		}},
+	}
+	for _, d := range dispatchers {
+		t.Run(d.name, func(t *testing.T) {
+			ctx := context.Background()
+			c := startPopulated(t, 4, 2, files)
+			ids := c.MDSIDs()
+			victim := ids[1]
+			if err := c.KillMDS(victim); err != nil {
+				t.Fatal(err)
+			}
+
+			// The script: a step of creates, then a step of deletes. target[i]
+			// is the daemon recs[i] must reach — a create's draw (replayed from
+			// a twin RNG), a delete's current home — and landed is where ground
+			// truth holds the path once the record has gone through.
+			type step struct {
+				what   string
+				recs   []trace.Record
+				target []int
+				landed func(target int) int
+				delta  int // FileCount change per record that lands
+			}
+			creates := step{what: "create", landed: func(target int) int { return target }, delta: +1}
+			deletes := step{what: "delete", landed: func(int) int { return -1 }, delta: -1}
+			twin := rand.New(rand.NewSource(seed))
+			for i := 0; i < perStep; i++ {
+				creates.recs = append(creates.recs, trace.Record{Op: trace.OpCreate, Path: "/new/f" + strconv.Itoa(i)})
+				creates.target = append(creates.target, ids[twin.Intn(len(ids))])
+				path := "/p/f" + strconv.Itoa(i)
+				deletes.recs = append(deletes.recs, trace.Record{Op: trace.OpDelete, Path: path})
+				deletes.target = append(deletes.target, c.HomeOf(path))
+			}
+
+			rng := rand.New(rand.NewSource(seed))
+			for _, s := range []step{creates, deletes} {
+				live := 0
+				for _, target := range s.target {
+					if target != victim {
+						live++
+					}
+				}
+				if live == 0 || live == len(s.recs) {
+					t.Fatalf("%s step: %d of %d records reach live daemons; the script needs both kinds", s.what, live, len(s.recs))
+				}
+				before := make([]int, len(s.recs))
+				for i, rec := range s.recs {
+					before[i] = c.HomeOf(rec.Path)
+				}
+				count := c.FileCount()
+				errs := d.apply(ctx, c, rng, s.recs)
+				if len(errs) == 1 && errs[0] == nil {
+					t.Errorf("%s vector with a leg at dead MDS %d reported no error", s.what, victim)
+				}
+				for i, rec := range s.recs {
+					dead := s.target[i] == victim
+					if len(errs) > 1 && (errs[i] != nil) != dead {
+						t.Errorf("%s %s at MDS %d (dead: %v): err = %v", s.what, rec.Path, s.target[i], dead, errs[i])
+					}
+					want := s.landed(s.target[i])
+					if dead {
+						want = before[i] // rolled back
+					}
+					if got := c.HomeOf(rec.Path); got != want {
+						t.Errorf("after %s of %s at MDS %d (dead: %v): HomeOf = %d, want %d", s.what, rec.Path, s.target[i], dead, got, want)
+					}
+				}
+				if got, want := c.FileCount(), count+s.delta*live; got != want {
+					t.Errorf("after the %s step: FileCount = %d, want %d (only the %d records at live homes count)", s.what, got, want, live)
+				}
+			}
+
+			// The live daemons store exactly what ground truth credits them.
+			homed := make(map[int]uint64)
+			for i := 0; i < files; i++ {
+				homed[c.HomeOf("/p/f"+strconv.Itoa(i))]++
+			}
+			for _, rec := range creates.recs {
+				homed[c.HomeOf(rec.Path)]++
+			}
+			for _, id := range ids {
+				if id == victim {
+					continue
+				}
+				info, err := c.Heartbeat(ctx, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Files != homed[id] {
+					t.Errorf("MDS %d stores %d files, ground truth homes %d there", id, info.Files, homed[id])
+				}
+			}
+		})
+	}
+}

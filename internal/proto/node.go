@@ -224,69 +224,6 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	switch msgType {
-	case opQueryEntry:
-		// Hash the path once for the whole request: L1 generations and
-		// every L2 replica replay the digest's probe positions.
-		d := bloom.NewDigest(payload)
-		l1 := ns.node.QueryL1Digest(&d, ns.qbuf)
-		out := encodeHits(l1.Hits)
-		ns.qbuf = l1.Hits
-		ns.spilledSleep()
-		l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-		ns.qbuf = l2.Hits
-		return append(out, encodeHits(l2.Hits)...), nil
-
-	case opQueryMember:
-		d := bloom.NewDigest(payload)
-		ns.spilledSleep()
-		l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-		ns.qbuf = l2.Hits
-		return encodeHits(l2.Hits), nil
-
-	case opVerify:
-		return boolByte(ns.node.HasFile(string(payload))), nil
-
-	case opHasLocal:
-		d := bloom.NewDigest(payload)
-		if !ns.node.LocalPositiveDigest(&d) {
-			return boolByte(false), nil
-		}
-		// Positive filter answer → authoritative store check ("disk").
-		return boolByte(ns.node.HasFile(string(payload))), nil
-
-	case opCreateFile:
-		// The mutation and the threshold check happen in one request, so
-		// the coordinator learns whether to feed the ship queue without a
-		// second round trip — the networked twin of core.noteMutationLocked.
-		if err := ns.logMutation(wal.Record{Op: wal.OpCreate, Path: string(payload)}); err != nil {
-			return nil, err
-		}
-		ns.node.AddFile(string(payload))
-		if err := ns.maybeCompactLocked(); err != nil {
-			return nil, err
-		}
-		return boolByte(ns.node.NeedsShip(mds.DefaultUpdateThresholdBits)), nil
-
-	case opDeleteFile:
-		// Logged before the existence answer is known: replaying a delete
-		// of an absent path is a no-op, so the record is harmless either way.
-		if err := ns.logMutation(wal.Record{Op: wal.OpDelete, Path: string(payload)}); err != nil {
-			return nil, err
-		}
-		existed := ns.node.DeleteFile(string(payload))
-		rebuilt := false
-		if existed {
-			rebuilt = ns.node.RebuildIfStale(mds.RebuildDeleteThreshold)
-		}
-		resp := []byte{0, 0}
-		if existed {
-			resp[0] = 1
-		}
-		if rebuilt {
-			resp[1] = 1
-		}
-		return resp, ns.maybeCompactLocked()
-
 	case opInstallReplica:
 		origin, body, err := decodeOriginPayload(payload)
 		if err != nil {
@@ -328,9 +265,11 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		return nil, nil
 
 	case opLookupBatch:
-		// The entry leg of a batched lookup: one digest per path, L1 and L2
-		// hits for the whole vector in one response — the per-frame costs
-		// (syscall, header, lock) amortize across the batch.
+		// The entry leg of a lookup: each path is hashed once — its L1
+		// generations and every L2 replica replay the digest's probe
+		// positions — and the L1 and L2 hits of the whole vector travel in one
+		// response, so the per-frame costs (syscall, header, lock) amortize
+		// across it.
 		paths, err := decodePaths(payload)
 		if err != nil {
 			return nil, err
@@ -382,6 +321,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		answers := make([]bool, len(paths))
 		for i, p := range paths {
 			d := bloom.NewDigestString(p)
+			// Positive filter answer → authoritative store check ("disk").
 			if ns.node.LocalPositiveDigest(&d) {
 				answers[i] = ns.node.HasFile(p)
 			}
@@ -402,9 +342,11 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		if err := ns.maybeCompactLocked(); err != nil {
 			return nil, err
 		}
-		// One threshold answer for the whole batch: the coordinator's ship
-		// queue coalesces by origin anyway, so per-path flags would collapse
-		// to the same single Note.
+		// The mutation and the threshold check happen in one request, so the
+		// coordinator learns whether to feed the ship queue without a second
+		// round trip — the networked twin of core.noteMutationLocked. One
+		// answer serves the whole batch: the ship queue coalesces by origin
+		// anyway, so per-path flags would collapse to the same single Note.
 		return boolByte(ns.node.NeedsShip(mds.DefaultUpdateThresholdBits)), nil
 
 	case opDeleteBatch:
@@ -412,6 +354,8 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Logged before the existence answers are known: replaying a delete
+		// of an absent path is a no-op, so the record is harmless either way.
 		if err := ns.logMutation(walRecords(wal.OpDelete, paths)...); err != nil {
 			return nil, err
 		}

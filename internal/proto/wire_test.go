@@ -62,13 +62,6 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("bools: got %v, want %v", got, answers)
 		}
 	}
-	boolTrip := func(t *testing.T) {
-		for _, b := range []bool{true, false} {
-			if byteBool(boolByte(b)) != b {
-				t.Fatalf("bool %v did not round-trip", b)
-			}
-		}
-	}
 	originTrip := func(t *testing.T, origin int, body []byte) {
 		gotOrigin, gotBody, err := decodeOriginPayload(encodeOriginPayload(origin, body))
 		if err != nil {
@@ -83,16 +76,6 @@ func TestWireRoundTrip(t *testing.T) {
 		op   uint8
 		trip func(t *testing.T)
 	}{
-		{opQueryEntry, func(t *testing.T) {
-			// Request is the raw path; response is two hit lists (L1, L2)
-			// back to back.
-			hitsTrip(t, [][]int{sampleHits[2], sampleHits[1]})
-		}},
-		{opQueryMember, func(t *testing.T) {
-			hitsTrip(t, [][]int{sampleHits[2]})
-		}},
-		{opVerify, boolTrip},
-		{opHasLocal, boolTrip},
 		{opInstallReplica, func(t *testing.T) {
 			originTrip(t, 7, []byte{0xde, 0xad, 0xbe, 0xef})
 		}},
@@ -117,31 +100,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{opPing, func(t *testing.T) {
 			// Empty request, empty ack: the round trip is the frame itself,
 			// covered by rpcnet's FuzzFrameRoundTrip.
-		}},
-		{opCreateFile, func(t *testing.T) {
-			for _, crossed := range []bool{true, false} {
-				got, err := decodeCreateResp(boolByte(crossed))
-				if err != nil {
-					t.Fatalf("decodeCreateResp: %v", err)
-				}
-				if got != crossed {
-					t.Fatalf("crossed %v did not round-trip", crossed)
-				}
-			}
-		}},
-		{opDeleteFile, func(t *testing.T) {
-			for _, existed := range []bool{true, false} {
-				for _, rebuilt := range []bool{true, false} {
-					resp := append(boolByte(existed), boolByte(rebuilt)...)
-					gotExisted, gotRebuilt, err := decodeDeleteResp(resp)
-					if err != nil {
-						t.Fatalf("decodeDeleteResp: %v", err)
-					}
-					if gotExisted != existed || gotRebuilt != rebuilt {
-						t.Fatalf("delete resp (%v, %v) decoded as (%v, %v)", existed, rebuilt, gotExisted, gotRebuilt)
-					}
-				}
-			}
 		}},
 		{opLookupBatch, func(t *testing.T) {
 			paths := pathsTrip(t)
@@ -170,20 +128,29 @@ func TestWireRoundTrip(t *testing.T) {
 		}},
 		{opCreateBatch, func(t *testing.T) {
 			pathsTrip(t)
-			if crossed, err := decodeCreateResp(boolByte(true)); err != nil || !crossed {
-				t.Fatalf("batch create resp: got (%v, %v)", crossed, err)
+			for _, crossed := range []bool{true, false} {
+				got, err := decodeCreateResp(boolByte(crossed))
+				if err != nil {
+					t.Fatalf("decodeCreateResp: %v", err)
+				}
+				if got != crossed {
+					t.Fatalf("crossed %v did not round-trip", crossed)
+				}
 			}
 		}},
 		{opDeleteBatch, func(t *testing.T) {
 			paths := pathsTrip(t)
 			// Response: one existed byte per path, then one rebuilt byte.
-			resp := make([]byte, len(paths)+1)
-			resp[0], resp[len(paths)] = 1, 1
-			if len(resp) != len(paths)+1 {
-				t.Fatalf("delete batch resp wants %d bytes, got %d", len(paths)+1, len(resp))
-			}
-			if resp[0] != 1 || resp[1] != 0 || resp[len(paths)] != 1 {
-				t.Fatal("delete batch existed/rebuilt bytes misplaced")
+			for _, rebuilt := range []bool{true, false} {
+				resp := append(make([]byte, len(paths)), boolByte(rebuilt)...)
+				resp[0] = 1
+				got, err := decodeDeleteBatchResp(resp, len(paths))
+				if err != nil {
+					t.Fatalf("decodeDeleteBatchResp: %v", err)
+				}
+				if got != rebuilt {
+					t.Fatalf("rebuilt %v did not round-trip", rebuilt)
+				}
 			}
 		}},
 		{opHeartbeat, func(t *testing.T) {
@@ -234,7 +201,6 @@ func TestWireRoundTrip(t *testing.T) {
 // request. An opcode added to opNames without a case in handle (or without a
 // request here) fails it.
 func TestEveryOpcodeDispatches(t *testing.T) {
-	path := []byte("/p")
 	paths := encodePaths([]string{"/p"})
 	replica, err := bloom.NewForCapacity(2_000, 16)
 	if err != nil {
@@ -245,17 +211,11 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	requests := map[uint8][]byte{
-		opQueryEntry:       path,
-		opQueryMember:      path,
-		opVerify:           path,
-		opHasLocal:         path,
 		opInstallReplica:   encodeOriginPayload(1, wire),
 		opDropReplica:      encodeOriginPayload(1, nil),
 		opShipFilter:       nil,
 		opObserveBatch:     encodeObservations([]observation{{home: 1, path: "/p"}}),
 		opPing:             nil,
-		opCreateFile:       path,
-		opDeleteFile:       path,
 		opLookupBatch:      paths,
 		opQueryMemberBatch: paths,
 		opVerifyBatch:      paths,
@@ -284,10 +244,11 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 }
 
 // TestEveryOpcodeIsSent pins the coordinator half: one scripted scenario —
-// the per-op and the vector mutation paths, lookups that resolve at every
-// level, a join, a split, a failover and a heartbeat — after which every
-// opcode in opNames has crossed the wire at least once. An opcode nothing
-// sends is a dispatch arm, a codec and a wire-format row kept for no caller.
+// mutations and lookups that resolve at every level, dispatched one record
+// at a time and as one vector, a join, a split, a failover and a heartbeat —
+// after which every opcode in opNames has crossed the wire at least once. An
+// opcode nothing sends is a dispatch arm, a codec and a wire-format row kept
+// for no caller.
 func TestEveryOpcodeIsSent(t *testing.T) {
 	ctx := context.Background()
 	opts := testOptions(5, 3)
@@ -386,6 +347,45 @@ func FuzzPathVectorRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, paths) {
 			t.Fatalf("vector changed across re-encode: %q != %q", again, paths)
+		}
+	})
+}
+
+// FuzzBatchResponses drives the four response decoders that sit under every
+// TCP operation — hit lists, bool vectors, the create and the delete batch
+// answers — with arbitrary bytes for an arbitrary expected count: none may
+// panic, and none may accept a body whose length disagrees with n.
+func FuzzBatchResponses(f *testing.F) {
+	oneList := encodeHits([]int{3})
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{}, uint8(1))
+	f.Add(oneList, uint8(1))
+	f.Add(oneList[:len(oneList)-1], uint8(1)) // one byte short
+	f.Add(append(oneList[:6:6], 0), uint8(1)) // one byte long
+	f.Add([]byte{0xff, 0xff}, uint8(1))       // a hit count of 0xFFFF with no hits behind it
+	f.Add([]byte{0xff, 0xff, 0, 0}, uint8(2)) // … and as the first of two lists
+	f.Add([]byte{1, 0, 1}, uint8(3))          // a bool vector; a delete batch answer for two
+	f.Add([]byte{1}, uint8(0))                // a create answer; a delete batch answer for none
+	f.Add([]byte{0, 0}, uint8(0))             // one byte long for either
+	f.Fuzz(func(t *testing.T, data []byte, count uint8) {
+		n := int(count)
+		if lists, err := decodeHitsVec(data, n); err == nil {
+			size := 0
+			for _, hits := range lists {
+				size += 2 + 4*len(hits)
+			}
+			if len(lists) != n || size != len(data) {
+				t.Fatalf("decodeHitsVec accepted %d bytes as %d lists spanning %d bytes, want %d lists", len(data), len(lists), size, n)
+			}
+		}
+		if bs, err := decodeBools(data, n); (err == nil) != (len(data) == n) || err == nil && len(bs) != n {
+			t.Fatalf("decodeBools(%d bytes, n=%d) = %d answers, %v", len(data), n, len(bs), err)
+		}
+		if _, err := decodeCreateResp(data); (err == nil) != (len(data) == 1) {
+			t.Fatalf("decodeCreateResp(%d bytes): %v", len(data), err)
+		}
+		if _, err := decodeDeleteBatchResp(data, n); (err == nil) != (len(data) == n+1) {
+			t.Fatalf("decodeDeleteBatchResp(%d bytes, n=%d): %v", len(data), n, err)
 		}
 	})
 }

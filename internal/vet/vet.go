@@ -1,14 +1,12 @@
 // Package vet assembles ghbavet — the repo's custom go/analysis suite.
 //
-// Three syntactic analyzers mechanically enforce per-package conventions
-// the concurrency, determinism, and RPC work rests on:
+// Two syntactic analyzers mechanically enforce per-package conventions
+// the concurrency and determinism work rests on:
 //
 //   - lockcheck: the *Locked suffix contract (callers hold mu; helpers
 //     never re-acquire it; defer pairing; no double-RLock)
 //   - detrand: engines draw randomness only from caller-supplied
 //     *rand.Rand values; no clock seeding; no map-order-dependent output
-//   - ctxflow: context.Context threads through every RPC path; no dropped
-//     cancellation below the API boundary
 //
 // Three fact-based analyzers see across package boundaries:
 //
@@ -27,7 +25,6 @@ package vet
 import (
 	"golang.org/x/tools/go/analysis"
 
-	"ghba/internal/vet/ctxflow"
 	"ghba/internal/vet/detrand"
 	"ghba/internal/vet/hotalloc"
 	"ghba/internal/vet/lockcheck"
@@ -39,7 +36,6 @@ import (
 var Analyzers = []*analysis.Analyzer{
 	lockcheck.Analyzer,
 	detrand.Analyzer,
-	ctxflow.Analyzer,
 	lockorder.Analyzer,
 	snapcheck.Analyzer,
 	hotalloc.Analyzer,

@@ -212,20 +212,6 @@ func (p *Prototype) ApplyBatch(ctx context.Context, rng *rand.Rand, ops []Op) ([
 	return out, nil
 }
 
-// LookupBatch resolves a vector of paths through the batch RPCs, drawing
-// each path's entry from rng in path order.
-func (p *Prototype) LookupBatch(ctx context.Context, rng *rand.Rand, paths []string) ([]Result, error) {
-	res, err := p.cluster.LookupBatch(ctx, rng, paths)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = protoResult(paths[i], r)
-	}
-	return out, nil
-}
-
 // CreateAll bulk-loads paths directly into the daemons (unmeasured) and
 // refreshes every replica, like the simulation's populate path.
 func (p *Prototype) CreateAll(_ context.Context, paths []string) error {
