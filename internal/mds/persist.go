@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"ghba/internal/bloom"
 	"ghba/internal/metastore"
@@ -26,13 +25,10 @@ import (
 //	nextIno uint64  metastore inode counter
 //	count   uint32  file records, each:
 //	  pathLen uint16 | path | size uint64 | mode uint32 | uid uint32 |
-//	  gid uint32 | mtime int64 unix-nanos (MinInt64 = zero time) | ino uint64
+//	  gid uint32 | mtime int64 unix-nanos (metastore.MTimeZero = zero time) | ino uint64
 const (
 	snapshotMagic   uint32 = 0x6D645331
 	snapshotVersion uint8  = 1
-	// mtimeZero marks a zero time.Time, whose UnixNano is otherwise
-	// undefined.
-	mtimeZero int64 = math.MinInt64
 )
 
 // ErrBadSnapshot marks a snapshot blob that fails structural validation.
@@ -84,11 +80,7 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, md.Mode)
 		buf = binary.BigEndian.AppendUint32(buf, md.UID)
 		buf = binary.BigEndian.AppendUint32(buf, md.GID)
-		mt := mtimeZero
-		if !md.MTime.IsZero() {
-			mt = md.MTime.UnixNano()
-		}
-		buf = binary.BigEndian.AppendUint64(buf, uint64(mt))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(metastore.MTimeNanos(md.MTime)))
 		buf = binary.BigEndian.AppendUint64(buf, md.InodeID)
 	}
 	return buf, nil
@@ -127,9 +119,7 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 		md.Mode = r.u32()
 		md.UID = r.u32()
 		md.GID = r.u32()
-		if mt := int64(r.u64()); mt != mtimeZero {
-			md.MTime = time.Unix(0, mt)
-		}
+		md.MTime = metastore.MTimeFromNanos(int64(r.u64()))
 		md.InodeID = r.u64()
 		files = append(files, md)
 	}

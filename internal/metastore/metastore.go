@@ -7,6 +7,7 @@
 package metastore
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -30,31 +31,73 @@ type Metadata struct {
 	InodeID uint64
 }
 
+// MTimeZero is the MTimeNanos encoding of the zero time.Time, whose UnixNano
+// is otherwise undefined.
+const MTimeZero int64 = math.MinInt64
+
+// MTimeNanos encodes a modification time as Unix nanoseconds, the form the
+// store keeps in memory and the node snapshot keeps on disk.
+func MTimeNanos(t time.Time) int64 {
+	if t.IsZero() {
+		return MTimeZero
+	}
+	return t.UnixNano()
+}
+
+// MTimeFromNanos inverts MTimeNanos.
+func MTimeFromNanos(ns int64) time.Time {
+	if ns == MTimeZero {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
+// record is what the store keeps per file: Metadata without the path (the
+// map key already holds it) and with the time flattened to nanoseconds —
+// 40 bytes a map slot instead of 72, which is most of a loaded server's heap.
+type record struct {
+	size  uint64
+	mtime int64 // MTimeNanos
+	ino   uint64
+	mode  uint32
+	uid   uint32
+	gid   uint32
+}
+
+func recordOf(md Metadata) record {
+	return record{size: md.Size, mtime: MTimeNanos(md.MTime), ino: md.InodeID, mode: md.Mode, uid: md.UID, gid: md.GID}
+}
+
+func (r record) metadata(path string) Metadata {
+	return Metadata{Path: path, Size: r.size, Mode: r.mode, UID: r.uid, GID: r.gid, MTime: MTimeFromNanos(r.mtime), InodeID: r.ino}
+}
+
 // Store holds the metadata of all files homed at one MDS. It is safe for
 // concurrent use; the prototype serves RPCs against it from many goroutines.
 type Store struct {
 	mu      sync.RWMutex
-	files   map[string]Metadata
+	files   map[string]record
 	nextIno uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{files: make(map[string]Metadata)}
+	return &Store{files: make(map[string]record)}
 }
 
 // Put inserts or replaces metadata for md.Path, assigning an inode number on
 // first insertion.
 func (s *Store) Put(md Metadata) {
+	rec := recordOf(md)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.files[md.Path]; ok {
-		md.InodeID = old.InodeID
+		rec.ino = old.ino
 	} else {
 		s.nextIno++
-		md.InodeID = s.nextIno
+		rec.ino = s.nextIno
 	}
-	s.files[md.Path] = md
+	s.files[md.Path] = rec
 }
 
 // PutPath inserts a minimal record for path; convenience for trace replay
@@ -67,8 +110,11 @@ func (s *Store) PutPath(path string) {
 func (s *Store) Get(path string) (Metadata, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	md, ok := s.files[path]
-	return md, ok
+	rec, ok := s.files[path]
+	if !ok {
+		return Metadata{}, false
+	}
+	return rec.metadata(path), true
 }
 
 // Has reports whether path is homed here.
@@ -113,8 +159,8 @@ func (s *Store) Paths() []string {
 func (s *Store) Range(fn func(Metadata) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, md := range s.files {
-		if !fn(md) {
+	for path, rec := range s.files {
+		if !fn(rec.metadata(path)) {
 			return
 		}
 	}
@@ -135,8 +181,8 @@ func (s *Store) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	files := make([]Metadata, 0, len(s.files))
-	for _, md := range s.files {
-		files = append(files, md)
+	for path, rec := range s.files {
+		files = append(files, rec.metadata(path))
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
 	return Snapshot{NextIno: s.nextIno, Files: files}
@@ -149,10 +195,10 @@ func (s *Store) Snapshot() Snapshot {
 func (s *Store) Restore(snap Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.files = make(map[string]Metadata, len(snap.Files))
+	s.files = make(map[string]record, len(snap.Files))
 	s.nextIno = snap.NextIno
 	for _, md := range snap.Files {
-		s.files[md.Path] = md
+		s.files[md.Path] = recordOf(md)
 		if md.InodeID > s.nextIno {
 			s.nextIno = md.InodeID
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestPutGet(t *testing.T) {
@@ -22,6 +23,53 @@ func TestPutGet(t *testing.T) {
 	if got.InodeID == 0 {
 		t.Error("inode not assigned")
 	}
+}
+
+// TestRecordRoundTrip pins the in-memory record: it stays five words (the
+// path lives in the map key only), and every Metadata field — a zero MTime
+// included — comes back from Get, Range and Snapshot as it went in.
+func TestRecordRoundTrip(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 40 {
+		t.Errorf("record is %d bytes, want 40", got)
+	}
+	s := NewStore()
+	in := []Metadata{
+		{Path: "/timed", Size: 1 << 40, Mode: 0o755, UID: 10, GID: 20, MTime: time.Unix(1e9, 7)},
+		{Path: "/untimed", Size: 3, Mode: 0o600, UID: 1, GID: 2},
+	}
+	for i, md := range in {
+		s.Put(md)
+		in[i].InodeID = uint64(i + 1)
+	}
+	check := func(via string, got Metadata) {
+		t.Helper()
+		want := in[0]
+		if got.Path == in[1].Path {
+			want = in[1]
+		}
+		if !got.MTime.Equal(want.MTime) || got.MTime.IsZero() != want.MTime.IsZero() {
+			t.Errorf("%s %s: MTime %v, want %v", via, got.Path, got.MTime, want.MTime)
+		}
+		got.MTime, want.MTime = time.Time{}, time.Time{}
+		if got != want {
+			t.Errorf("%s: %+v, want %+v", via, got, want)
+		}
+	}
+	for _, md := range in {
+		got, ok := s.Get(md.Path)
+		if !ok {
+			t.Fatalf("Get(%s) missed", md.Path)
+		}
+		check("Get", got)
+	}
+	s.Range(func(md Metadata) bool { check("Range", md); return true })
+	snap := s.Snapshot()
+	for _, md := range snap.Files {
+		check("Snapshot", md)
+	}
+	back := NewStore()
+	back.Restore(snap)
+	back.Range(func(md Metadata) bool { check("Restore", md); return true })
 }
 
 func TestInodeStableAcrossUpdates(t *testing.T) {
