@@ -113,18 +113,22 @@ func (f *Filter) ContainsDigest(d *Digest) bool {
 	return f.containsPair(d.h1, d.h2)
 }
 
-// AddDigest inserts the digested key, equivalent to Add on the same key.
+// AddDigest inserts the digested key, equivalent to Add on the same key
+// (the count of bits turned on included).
 //
 //ghbavet:hotpath
-func (f *Filter) AddDigest(d *Digest) {
+func (f *Filter) AddDigest(d *Digest) int {
 	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
+		fresh := 0
 		for _, bit := range pos {
-			atomic.OrUint64(&f.words[bit/wordBits], 1<<(bit%wordBits))
+			if f.setBit(bit) {
+				fresh++
+			}
 		}
 		atomic.AddUint64(&f.n, 1)
-		return
+		return fresh
 	}
-	f.addPair(d.h1, d.h2)
+	return f.addPair(d.h1, d.h2, nil)
 }
 
 // ContainsDigest reports whether the digested key may be in the counting

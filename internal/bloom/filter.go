@@ -186,24 +186,65 @@ func (f *Filter) indexOf(h1, h2 uint64, i uint32) uint64 {
 	return layoutIndexAt(h1, h2, i, f.m, f.layout)
 }
 
-// Add inserts key into the filter.
-func (f *Filter) Add(key []byte) {
+// Add inserts key into the filter and reports how many bits that turned on
+// (0 when every probe position was already set).
+func (f *Filter) Add(key []byte) int {
 	h1, h2 := hashPair(key)
-	f.addPair(h1, h2)
+	return f.addPair(h1, h2, nil)
 }
 
-// AddString inserts a string key without copying it to a byte slice.
-func (f *Filter) AddString(key string) {
+// AddString inserts a string key without copying it to a byte slice,
+// reporting like Add.
+func (f *Filter) AddString(key string) int {
 	h1, h2 := hashPairString(key)
-	f.addPair(h1, h2)
+	return f.addPair(h1, h2, nil)
 }
 
-func (f *Filter) addPair(h1, h2 uint64) {
+// AddStringXor inserts a string key and reports by how much that moved
+// f.XorBits(ref): +1 for every bit turned on that ref lacks, −1 for every one
+// ref already has. An owner that adds the reports up tracks its distance to
+// ref in O(k) per insert instead of re-scanning both vectors. ref must not
+// be written concurrently.
+func (f *Filter) AddStringXor(key string, ref *Filter) (int, error) {
+	if err := f.sameGeometry(ref); err != nil {
+		return 0, err
+	}
+	h1, h2 := hashPairString(key)
+	return f.addPair(h1, h2, ref), nil
+}
+
+// addPair sets the k probe bits of a hash pair and returns the signed count
+// of bits it turned on: one that ref (same geometry, may be nil) already has
+// counts −1, any other +1.
+func (f *Filter) addPair(h1, h2 uint64, ref *Filter) int {
+	moved := 0
 	for i := uint32(0); i < f.k; i++ {
 		bit := f.indexOf(h1, h2, i)
-		atomic.OrUint64(&f.words[bit/wordBits], 1<<(bit%wordBits))
+		if !f.setBit(bit) {
+			continue
+		}
+		if ref != nil && ref.words[bit/wordBits]&(1<<(bit%wordBits)) != 0 {
+			moved--
+		} else {
+			moved++
+		}
 	}
 	atomic.AddUint64(&f.n, 1)
+	return moved
+}
+
+// setBit turns one bit on and reports whether it was off. Writers are
+// serialized, so a load tells what the OR will find and a bit already set
+// skips the locked instruction. (It also keeps the value-returning
+// atomic.OrUint64 out of these loops: go1.24.0 lowers it on amd64 to a
+// CMPXCHG loop whose scratch register overwrites a live local.)
+func (f *Filter) setBit(bit uint64) bool {
+	w, mask := &f.words[bit/wordBits], uint64(1)<<(bit%wordBits)
+	if atomic.LoadUint64(w)&mask != 0 {
+		return false
+	}
+	atomic.OrUint64(w, mask)
+	return true
 }
 
 // Contains reports whether key may be in the set. False positives occur with

@@ -1,8 +1,10 @@
 package bloom
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -261,5 +263,66 @@ func TestUniqueHitProbability(t *testing.T) {
 	want := math.Pow(0.99, 10)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("UniqueHitProbability(11, 0.01) = %g, want %g", got, want)
+	}
+}
+
+// TestAddReportsBitsTurnedOn pins what the O(k) staleness counter in mds
+// rests on: every add reports exactly the bits it turned on (PopCount after
+// minus before — repeated keys, colliding probes and the k > digestMaxK
+// fallback included), and AddStringXor reports exactly how far the add moved
+// XorBits against a reference that holds bits the filter lacks.
+func TestAddReportsBitsTurnedOn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, layout := range []Layout{LayoutClassic, LayoutBlocked} {
+		for _, k := range []uint32{3, 11, digestMaxK + 3} {
+			f, err := NewLayout(2048, k, layout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := NewLayout(2048, k, layout)
+			for i := 0; i < 40; i++ {
+				ref.AddString("ref-" + strconv.Itoa(i))
+			}
+			for i := 0; i < 600; i++ {
+				key := "key-" + strconv.Itoa(rng.Intn(300)) // repeats are common
+				if i%5 == 0 {
+					key = "ref-" + strconv.Itoa(rng.Intn(40)) // bits ref already has
+				}
+				before := f.PopCount()
+				xorBefore, _ := f.XorBits(ref)
+				var got int
+				var via string
+				switch i % 4 {
+				case 0:
+					via, got = "Add", f.Add([]byte(key))
+				case 1:
+					via, got = "AddString", f.AddString(key)
+				case 2:
+					d := NewDigestString(key)
+					via, got = "AddDigest", f.AddDigest(&d)
+				default:
+					via = "AddStringXor"
+					moved, err := f.AddStringXor(key, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					xorAfter, _ := f.XorBits(ref)
+					if want := int(xorAfter) - int(xorBefore); moved != want {
+						t.Fatalf("%v k=%d add %d: AddStringXor reported %+d, XorBits moved %+d", layout, k, i, moved, want)
+					}
+					continue
+				}
+				if want := int(f.PopCount() - before); got != want {
+					t.Fatalf("%v k=%d add %d: %s reported %d bits, PopCount grew by %d", layout, k, i, via, got, want)
+				}
+			}
+		}
+	}
+	small, _ := New(64, 3)
+	if _, err := small.AddStringXor("x", mustNew(t, 128, 3)); !errors.Is(err, ErrGeometryMismatch) {
+		t.Fatalf("AddStringXor across geometries: err = %v", err)
+	}
+	if small.PopCount() != 0 {
+		t.Fatal("a refused AddStringXor still set bits")
 	}
 }

@@ -33,7 +33,8 @@ import (
 // The only shared mutable state a lookup touches is internally synchronized
 // observability (atomic tallies, the mutex-guarded message counter), the L1
 // learning write, which locks only for a key L1 has not seen, and, in queued
-// mode, the queue-model map under queueMu.
+// mode, the queue model's next-free slots under queueMu — one critical section
+// per multicast round, never held across a filter probe.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
 // topology lock. Mutations (Apply, ApplyWith) and replica shipping
@@ -113,12 +114,14 @@ type Cluster struct {
 	msgs  *simnet.Counter
 	tally metrics.LevelTally
 
-	// queue holds each MDS's next-free time for the open-loop queuing
-	// model used by the latency-versus-load experiments. queueMu guards it
-	// so queued lookups (LookupAt, Apply) can run under the topology read
-	// lock alongside other workers.
+	// queue holds each MDS's next-free time, indexed by MDS ID, for the
+	// open-loop queuing model used by the latency-versus-load experiments.
+	// queueMu guards it so queued lookups (LookupAt, Apply) can run under
+	// the topology read lock alongside other workers. IDs are never reused,
+	// so publishEpochLocked keeps it nextMDSID long and the lookup walk
+	// indexes it without growing it.
 	queueMu sync.Mutex
-	queue   map[int]time.Duration
+	queue   []time.Duration
 
 	nextMDSID   int
 	nextGroupID int
@@ -146,7 +149,6 @@ func New(cfg Config) (*Cluster, error) {
 		mem:     cfg.memoryModel(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		msgs:    simnet.NewCounter(),
-		queue:   make(map[int]time.Duration),
 	}
 
 	for i := 0; i < cfg.NumMDS; i++ {
@@ -260,6 +262,13 @@ func (c *Cluster) currentEpoch() *epoch {
 // publishes it. Requires the write lock; every reconfiguration calls it
 // after the node/group maps reach their new consistent state.
 func (c *Cluster) publishEpochLocked() {
+	// A slot for every ID this epoch can name, before any lookup can load
+	// it; lookups still walking an older epoch only name smaller IDs.
+	c.queueMu.Lock()
+	if grow := c.nextMDSID - len(c.queue); grow > 0 {
+		c.queue = append(c.queue, make([]time.Duration, grow)...)
+	}
+	c.queueMu.Unlock()
 	e := &epoch{
 		ids:     append([]int(nil), c.ids...),
 		nodes:   make(map[int]*mds.Node, len(c.nodes)),

@@ -92,25 +92,16 @@ func (c *Cluster) verify(e *epoch, candidate int, path string) (bool, time.Durat
 	return node.HasFile(path), cost
 }
 
-// remoteWork charges work units to a remote MDS. In queued mode the work
-// lands on the server's queue and the caller observes that server's response
-// time (wait + service); otherwise only the service time is returned. This
-// is how group and global multicasts consume capacity across the system —
-// the effect that makes very large groups counterproductive. Queue state
-// carries its own mutex; each read-modify-write of a server's next-free time
-// is atomic under queueMu.
-func (c *Cluster) remoteWork(id int, arrival, work time.Duration, queued bool) time.Duration {
-	if !queued {
-		return work
-	}
-	c.queueMu.Lock()
-	start := arrival
-	if next := c.queue[id]; next > start {
-		start = next
-	}
+// occupy books work on server id's queue for a request that arrived at
+// arrival and returns the response time the caller observes (wait +
+// service). This is how group and global multicasts consume capacity across
+// the system — the effect that makes very large groups counterproductive.
+// The caller holds queueMu; a multicast round books all its targets in one
+// critical section.
+func (c *Cluster) occupy(id int, arrival, work time.Duration) time.Duration {
+	start := max(arrival, c.queue[id])
 	c.queue[id] = start + work
-	c.queueMu.Unlock()
-	return (start - arrival) + work
+	return start - arrival + work
 }
 
 // Lookup resolves the home MDS of path starting at the entry MDS, walking
@@ -160,8 +151,8 @@ func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) Lookup
 // lookupEpoch walks the four-level hierarchy against one topology snapshot,
 // reading everything lock-free. The hot path mutates nothing except
 // internally synchronized state — the tallies and message counter, the L1
-// learning write, and (in queued mode) the queue-model map under queueMu. The
-// entry must exist in e.
+// learning write, and (in queued mode) the queue model's next-free slots, one
+// queueMu critical section per multicast round. The entry must exist in e.
 //
 //ghbavet:hotpath
 func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Duration, queued bool) LookupResult {
@@ -183,13 +174,8 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 			// The entry server processes this request after draining its
 			// queue; the wait precedes everything the client observes.
 			c.queueMu.Lock()
-			start := arrival
-			if next := c.queue[entry]; next > start {
-				start = next
-			}
-			c.queue[entry] = start + server
+			latency += c.occupy(entry, arrival, server) - server
 			c.queueMu.Unlock()
-			latency += start - arrival
 		}
 		res.Path = path
 		res.Latency = latency
@@ -260,16 +246,30 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	fanoutCPU := time.Duration(len(members)-1) * c.cfg.Cost.MsgProc
 	latency += fanoutCPU
 	server += fanoutCPU
+	// Book the round on the members' queues first, in one critical section,
+	// so the lock is never held across a filter probe.
 	var slowest time.Duration
-	set := s.set[:0]
+	if queued {
+		c.queueMu.Lock()
+	}
 	for _, id := range members {
 		if id == entry {
 			// Entry already probed its own array at L2.
 			continue
 		}
-		resp := c.remoteWork(id, arrival, c.cfg.Cost.MsgProc+c.segmentProbeCost(e, id), queued)
-		if resp > slowest {
-			slowest = resp
+		resp := c.cfg.Cost.MsgProc + c.segmentProbeCost(e, id)
+		if queued {
+			resp = c.occupy(id, arrival, resp)
+		}
+		slowest = max(slowest, resp)
+	}
+	if queued {
+		c.queueMu.Unlock()
+	}
+	set := s.set[:0]
+	for _, id := range members {
+		if id == entry {
+			continue
 		}
 		rm := e.nodes[id].QueryL2Digest(d, s.mhits)
 		s.mhits = rm.Hits
@@ -299,14 +299,21 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	latency += l4CPU
 	server += l4CPU
 	var slowestL4 time.Duration
+	if queued {
+		c.queueMu.Lock()
+	}
 	for _, id := range e.ids {
 		if id == entry {
 			continue
 		}
-		resp := c.remoteWork(id, arrival, c.cfg.Cost.MsgProc+c.cfg.Cost.MemProbe, queued)
-		if resp > slowestL4 {
-			slowestL4 = resp
+		resp := c.cfg.Cost.MsgProc + c.cfg.Cost.MemProbe
+		if queued {
+			resp = c.occupy(id, arrival, resp)
 		}
+		slowestL4 = max(slowestL4, resp)
+	}
+	if queued {
+		c.queueMu.Unlock()
 	}
 	latency += slowestL4 + c.cfg.Cost.MemProbe
 	if home, ok := c.homes.get(path); ok {
@@ -325,5 +332,5 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 func (c *Cluster) ResetQueues() {
 	c.queueMu.Lock()
 	defer c.queueMu.Unlock()
-	c.queue = make(map[int]time.Duration)
+	clear(c.queue)
 }

@@ -97,18 +97,22 @@ func (g *Group) Leave(id int) (Report, error) {
 	}
 	delete(g.members, id)
 
-	// Migrate the departing member's replicas to the lightest survivors.
-	for origin, f := range node.Replicas().PopRandom(node.ReplicaCount()) {
-		g.revokeAll(id, origin)
-		target := g.lightestMember()
-		if target == nil {
-			// Last member leaving: replicas evaporate with the group.
-			continue
+	// Migrate the departing member's replicas to the lightest survivors,
+	// popped one at a time like Join does: ranging over a map of several
+	// would hand them out in a different order every run.
+	for node.ReplicaCount() > 0 {
+		for origin, f := range node.Replicas().PopRandom(1) {
+			g.revokeAll(id, origin)
+			target := g.lightestMember()
+			if target == nil {
+				// Last member leaving: replicas evaporate with the group.
+				continue
+			}
+			target.InstallReplica(origin, f)
+			g.grantAll(target.ID(), origin)
+			rep.ReplicasMigrated++
+			rep.Messages++
 		}
-		target.InstallReplica(origin, f)
-		g.grantAll(target.ID(), origin)
-		rep.ReplicasMigrated++
-		rep.Messages++
 	}
 
 	// Remove the departed member's ID filter from every survivor's IDBFA.

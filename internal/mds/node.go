@@ -79,10 +79,11 @@ func (c Config) validate() error {
 // observe a half-rebuilt filter), in-place inserts synchronize word-wise
 // inside bloom.Filter, and the LRU and replica arrays publish copy-on-write
 // snapshots. mu serializes the mutators of the local filter and guards the
-// last-shipped snapshot and the deletion counter — the state the
-// create/delete/ship protocol reads and writes. The store synchronizes
-// internally; the IDBFA is only mutated during reconfiguration, which the
-// cluster layer serializes exclusively against all node traffic.
+// last-shipped snapshot, the distance between the two and the deletion
+// counter — the state the create/delete/ship protocol reads and writes. The
+// store synchronizes internally; the IDBFA is only mutated during
+// reconfiguration, which the cluster layer serializes exclusively against all
+// node traffic.
 type Node struct {
 	id  int
 	cfg Config
@@ -100,6 +101,12 @@ type Node struct {
 	// distributed to remote replica holders; the XOR delta against it
 	// drives the update protocol.
 	lastShipped *bloom.Filter
+
+	// delta is the Hamming distance between the local filter and
+	// lastShipped, kept exact in O(k) per create: AddFile adds what its
+	// insert moved, Ship zeroes it, and only a wholesale filter replacement
+	// (rebuild, snapshot load) re-scans the vectors.
+	delta uint64
 
 	// deletesSinceRebuild counts deletions whose bits are still set in the
 	// local filter; a rebuild clears them.
@@ -162,8 +169,21 @@ func (n *Node) FileCount() int { return n.store.Len() }
 func (n *Node) AddFile(path string) {
 	n.store.PutPath(path)
 	n.mu.Lock()
-	n.local.Load().AddString(path)
-	n.mu.Unlock()
+	defer n.mu.Unlock()
+	moved, err := n.local.Load().AddStringXor(path, n.lastShipped)
+	if err != nil {
+		panic(geometryDiverged(err))
+	}
+	// moved is negative only for bits lastShipped still has from before a
+	// rebuild cleared them, each of which delta already counts.
+	n.delta = uint64(int64(n.delta) + int64(moved))
+}
+
+// geometryDiverged words the panic for a local/lastShipped geometry mismatch:
+// both are created from one Config and a snapshot of another geometry is
+// refused at load, so reaching it is internal corruption.
+func geometryDiverged(err error) string {
+	return fmt.Sprintf("mds: local/lastShipped geometry diverged: %v", err)
 }
 
 // DeleteFile removes a file from this node. The local Bloom filter cannot
@@ -221,6 +241,10 @@ func (n *Node) rebuildLocked() {
 	})
 	n.local.Store(fresh)
 	n.deletesSinceRebuild = 0
+	// The filter was replaced wholesale: re-scan for the distance.
+	if n.delta, err = fresh.XorBits(n.lastShipped); err != nil {
+		panic(geometryDiverged(err))
+	}
 }
 
 // The protocol thresholds both backends run at. The simulator's engine and
@@ -257,25 +281,13 @@ func (n *Node) RebuildIfStale(threshold uint64) bool {
 func (n *Node) DeltaBits() uint64 {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.deltaBitsLocked()
-}
-
-func (n *Node) deltaBitsLocked() uint64 {
-	d, err := n.local.Load().XorBits(n.lastShipped)
-	if err != nil {
-		// local and lastShipped are created from the same geometry and
-		// only ever replaced together; a mismatch is internal corruption.
-		panic(fmt.Sprintf("mds: local/lastShipped geometry diverged: %v", err))
-	}
-	return d
+	return n.delta
 }
 
 // NeedsShip reports whether the local filter drifted at least thresholdBits
 // from the last shipped snapshot.
 func (n *Node) NeedsShip(thresholdBits uint64) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.deltaBitsLocked() >= thresholdBits
+	return n.DeltaBits() >= thresholdBits
 }
 
 // Ship returns a snapshot of the local filter and records it as the last
@@ -287,6 +299,7 @@ func (n *Node) Ship() *bloom.Filter {
 	defer n.mu.Unlock()
 	snap := n.local.Load().Clone()
 	n.lastShipped = snap
+	n.delta = 0
 	return snap
 }
 

@@ -88,7 +88,8 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 
 // UnmarshalSnapshot replaces the node's store, local filter, shipped
 // snapshot and deletion counter with the snapshot's state. The node must be
-// quiescent (freshly constructed, before serving).
+// quiescent (freshly constructed, before serving). A snapshot whose filters
+// are not of the node's configured geometry is ErrBadSnapshot.
 func (n *Node) UnmarshalSnapshot(data []byte) error {
 	r := snapReader{data: data}
 	if r.u32() != snapshotMagic {
@@ -130,10 +131,23 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.data)-r.off)
 	}
 
+	// A data dir written under another filter sizing decodes fine but cannot
+	// serve: the next rebuild would build a configured-geometry filter beside
+	// a shipped one of the snapshot's. XorBits names both geometries when it
+	// refuses a pair, and the second scan is the distance the node tracks.
+	if _, err := local.XorBits(n.local.Load()); err != nil {
+		return fmt.Errorf("%w: local filter vs this node's configuration: %v", ErrBadSnapshot, err)
+	}
+	delta, err := local.XorBits(&shipped)
+	if err != nil {
+		return fmt.Errorf("%w: local vs shipped filter: %v", ErrBadSnapshot, err)
+	}
+
 	n.store.Restore(metastore.Snapshot{NextIno: nextIno, Files: files})
 	n.mu.Lock()
 	n.local.Store(&local)
 	n.lastShipped = &shipped
+	n.delta = delta
 	n.deletesSinceRebuild = deletes
 	n.mu.Unlock()
 	return nil

@@ -1,6 +1,8 @@
 package mds
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -82,6 +84,85 @@ func TestSnapshotRejectsWrongID(t *testing.T) {
 	other, _ := NewNode(2, testConfig())
 	if err := other.UnmarshalSnapshot(blob); err == nil {
 		t.Fatal("snapshot for MDS 1 loaded into MDS 2")
+	}
+}
+
+// TestSnapshotRejectsOtherGeometry is the regression test for a data dir
+// restarted under another filter sizing: the snapshot used to load, and the
+// first rebuild afterwards panicked comparing a configured-geometry local
+// filter with the snapshot's shipped one. Both mismatch kinds are refused at
+// load, Recover surfaces the refusal as a start-up error, and the refusing
+// node is left untouched and healthy through a rebuild.
+func TestSnapshotRejectsOtherGeometry(t *testing.T) {
+	small, big := testConfig(), testConfig()
+	big.ExpectedFiles = 4 * small.ExpectedFiles
+
+	dir := t.TempDir()
+	n, l, _, err := Recover(1, small, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddFile("/a")
+	blob, err := n.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Kind 2: the local filter matches the node, the shipped one does not —
+	// splice the big node's shipped filter behind the small node's local one.
+	other, _ := NewNode(1, big)
+	otherBlob, err := other.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const filtersAt = 4 + 1 + 4 + 8 // magic, version, id, deletes
+	localEnd := func(b []byte) int { return filtersAt + 4 + int(binary.BigEndian.Uint32(b[filtersAt:])) }
+	shippedEnd := func(b []byte) int { e := localEnd(b); return e + 4 + int(binary.BigEndian.Uint32(b[e:])) }
+	spliced := append([]byte{}, blob[:localEnd(blob)]...)
+	spliced = append(spliced, otherBlob[localEnd(otherBlob):shippedEnd(otherBlob)]...)
+	spliced = append(spliced, blob[shippedEnd(blob):]...)
+
+	for name, tc := range map[string]struct {
+		cfg  Config
+		blob []byte
+	}{
+		"snapshot of another sizing": {big, blob},
+		"shipped differs from local": {small, spliced},
+	} {
+		m, _ := NewNode(1, tc.cfg)
+		m.AddFile("/kept")
+		err := m.UnmarshalSnapshot(tc.blob)
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "m=8000") || !strings.Contains(err.Error(), "m=32000") {
+			t.Fatalf("%s: err = %v, want ErrBadSnapshot naming both geometries", name, err)
+		}
+		// Refused before anything was replaced: the node still serves, ships
+		// and rebuilds on its own geometry.
+		if !m.HasFile("/kept") || m.HasFile("/a") {
+			t.Fatalf("%s: refused snapshot changed the store", name)
+		}
+		m.DeleteFile("/kept")
+		if !m.RebuildIfStale(1) || m.NeedsShip(1<<20) {
+			t.Fatalf("%s: rebuild after a refused snapshot misbehaved", name)
+		}
+		m.Ship()
+	}
+
+	if _, _, _, err := Recover(1, big, dir, wal.Options{}); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("Recover under another sizing: err = %v, want ErrBadSnapshot", err)
+	}
+	back, l2, _, err := Recover(1, small, dir, wal.Options{})
+	if err != nil {
+		t.Fatalf("Recover under the original sizing: %v", err)
+	}
+	defer l2.Close()
+	if !back.HasFile("/a") {
+		t.Fatal("original sizing lost /a")
 	}
 }
 
