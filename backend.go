@@ -86,7 +86,9 @@ type BatchApplier interface {
 // returns ErrUnsupported for graceful RemoveMDS.
 type Reconfigurer interface {
 	// AddMDS grows the cluster by one server, returning the new ID and the
-	// number of Bloom-filter replicas migrated (messages, on the wire).
+	// number of Bloom-filter replicas migrated. Both backends execute the
+	// plan of one planner (internal/group), so from equal layouts they
+	// report the same number.
 	AddMDS(ctx context.Context) (id, replicasMigrated int, err error)
 	// RemoveMDS retires a server gracefully.
 	RemoveMDS(ctx context.Context, id int) error

@@ -11,6 +11,7 @@ package ghba_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"ghba"
@@ -159,4 +160,152 @@ func runCrossBackendEquivalence(t *testing.T, cfg ghba.Config) {
 		t.Errorf("replica-update counts diverged: sim %d vs tcp %d",
 			sim.ReplicaUpdates(), tcp.ReplicaUpdates())
 	}
+}
+
+// TestCrossBackendReconfigEquivalence extends the contract above across
+// membership changes. Both backends execute the plans of one planner
+// (internal/group), so from mirrored configurations the same schedule — two
+// joins with room, a split, a failover, a join — must leave the same groups
+// and the same replica holders after every step and report the same number of
+// migrated replicas, and the 300 mixed operations replayed between steps must
+// home and find every path identically. Serving levels are compared and
+// printed, not asserted: a TCP newcomer boots with an empty L1 array and
+// learns only from the observations multicast after it joined, while the
+// simulator models L1 as one shared, promptly replicated array.
+func TestCrossBackendReconfigEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback TCP replay is not short")
+	}
+	ctx := context.Background()
+	cfg := equivalenceConfig()
+	cfg.NumMDS, cfg.MaxGroupSize = 10, 4 // 4+3+3: two joins have room, the third splits
+	sim, err := ghba.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{Config: cfg, ObserveBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+
+	gen, err := trace.NewGenerator(trace.Config{
+		Profile:          trace.MustMixProfile(60, 25, 15),
+		TIF:              2,
+		FilesPerSubtrace: 400,
+		Seed:             11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	gen.EachInitialPath(func(p string) bool {
+		paths = append(paths, p)
+		return true
+	})
+	if err := sim.CreateAll(ctx, paths); err != nil {
+		t.Fatal(err)
+	}
+	if err := tcp.CreateAll(ctx, paths); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		id, n int // the new MDS and replicas migrated; or the failed MDS and files lost
+		err   error
+	}
+	add := func(r ghba.Reconfigurer) outcome {
+		id, migrated, err := r.AddMDS(ctx)
+		return outcome{id, migrated, err}
+	}
+	fail := func(r ghba.Reconfigurer) outcome {
+		lost, err := r.FailMDS(ctx, 2)
+		return outcome{2, lost, err}
+	}
+	steps := []struct {
+		name string
+		do   func(ghba.Reconfigurer) outcome
+	}{{"add (join)", add}, {"add (join)", add}, {"add (split)", add}, {"fail 2", fail}, {"add", add}}
+
+	replay := func(step string) {
+		ops := make([]ghba.Op, 300)
+		for i := range ops {
+			ops[i] = ghba.TraceOp(gen.Next())
+			paths = append(paths, ops[i].Path)
+		}
+		// One worker: both backends dispatch the ops in order with the
+		// identically derived worker-0 RNG.
+		sres, err := ghba.ApplyParallel(ctx, sim, ops, 1)
+		if err != nil {
+			t.Fatalf("after %s: sim replay: %v", step, err)
+		}
+		tres, err := ghba.ApplyParallel(ctx, tcp, ops, 1)
+		if err != nil {
+			t.Fatalf("after %s: tcp replay: %v", step, err)
+		}
+		for i := range ops {
+			if s, p := sres[i], tres[i]; s.Home != p.Home || s.Found != p.Found {
+				t.Fatalf("after %s, op %d (%v %q): sim (home=%d found=%v) vs tcp (home=%d found=%v)",
+					step, i, ops[i].Kind, ops[i].Path, s.Home, s.Found, p.Home, p.Found)
+			}
+		}
+	}
+
+	replay("populate")
+	groups := len(sim.Layout().Groups())
+	for _, step := range steps {
+		s, p := step.do(sim), step.do(tcp)
+		if s.err != nil || p.err != nil {
+			t.Fatalf("%s: sim %v, tcp %v", step.name, s.err, p.err)
+		}
+		if s != p {
+			t.Errorf("%s: sim reports MDS %d and %d, tcp MDS %d and %d", step.name, s.id, s.n, p.id, p.n)
+		}
+		sl, pl := fmt.Sprint(sim.Layout().Groups()), fmt.Sprint(tcp.Layout().Groups())
+		if sl != pl {
+			t.Fatalf("%s: layouts diverged:\n  sim %s\n  tcp %s", step.name, sl, pl)
+		}
+		if was := groups; step.name == "add (split)" && len(sim.Layout().Groups()) != was+1 {
+			t.Errorf("%s: %d groups, want %d", step.name, len(sim.Layout().Groups()), was+1)
+		}
+		groups = len(sim.Layout().Groups())
+		replay(step.name)
+	}
+
+	// Ground truth agrees path by path, and every path either resolves to it
+	// or is gone on both: nothing lost, nothing at a wrong home.
+	lost, wrong := 0, 0
+	for _, b := range []interface {
+		ghba.Backend
+		HomeOf(path string) int
+	}{sim, tcp} {
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ghba.LookupParallel(ctx, b, paths, 1)
+		if err != nil {
+			t.Fatalf("%s: sweep: %v", b.Name(), err)
+		}
+		for i, r := range res {
+			switch home := b.HomeOf(paths[i]); {
+			case home >= 0 && !r.Found:
+				lost++
+			case r.Found && r.Home != home:
+				wrong++
+			}
+		}
+	}
+	if lost != 0 || wrong != 0 {
+		t.Errorf("closing sweep: %d lost, %d wrong-home", lost, wrong)
+	}
+	if sim.FileCount() != tcp.FileCount() {
+		t.Errorf("file counts diverged: sim %d vs tcp %d", sim.FileCount(), tcp.FileCount())
+	}
+	for _, p := range paths {
+		if sh, th := sim.HomeOf(p), tcp.HomeOf(p); sh != th {
+			t.Fatalf("ground truth for %q diverged: sim home %d vs tcp home %d", p, sh, th)
+		}
+	}
+	sl, tl := sim.LevelCounts(), tcp.LevelCounts()
+	t.Logf("level tallies (L1..L4): sim %v, tcp %v", sl[1:], tl[1:])
 }

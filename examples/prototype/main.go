@@ -109,12 +109,12 @@ func run(ctx context.Context, b ghba.Backend) {
 	}
 	fmt.Printf("%s: after 200 creates and 100 deletes: %d files\n", b.Name(), b.FileCount())
 
-	// The Fig 15 measurement: what one MDS insertion costs.
+	// The Fig 11 measurement: how many replicas one MDS insertion moves.
 	if r, ok := b.(ghba.Reconfigurer); ok {
-		id, msgs, err := r.AddMDS(ctx)
+		id, migrated, err := r.AddMDS(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: adding MDS %d cost %d messages\n", b.Name(), id, msgs)
+		fmt.Printf("%s: adding MDS %d migrated %d replicas\n", b.Name(), id, migrated)
 	}
 }

@@ -217,28 +217,3 @@ func (a *Array) SizeBytes() uint64 {
 	}
 	return total
 }
-
-// PopRandom removes and returns count replicas in deterministic ascending-ID
-// order, used when a group member offloads replicas to a newly joined MDS.
-// The paper offloads "randomly"; a deterministic order preserves the same
-// balance property while keeping simulations reproducible. It returns fewer
-// than count entries when the array is smaller.
-func (a *Array) PopRandom(count int) map[int]*bloom.Filter {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	entries := a.snapshot()
-	if count < 0 {
-		count = 0
-	}
-	if count > len(entries) {
-		count = len(entries)
-	}
-	out := make(map[int]*bloom.Filter, count)
-	for _, e := range entries[:count] {
-		out[e.id] = e.f
-	}
-	next := make([]entry, len(entries)-count)
-	copy(next, entries[count:])
-	a.entries.Store(&next)
-	return out
-}

@@ -1,7 +1,6 @@
 package bloomarray
 
 import (
-	"strconv"
 	"testing"
 
 	"ghba/internal/bloom"
@@ -149,29 +148,5 @@ func TestArraySizeBytes(t *testing.T) {
 	a.Put(2, filterWith(t))
 	if a.SizeBytes() != 2*f.SizeBytes() {
 		t.Errorf("SizeBytes = %d, want %d", a.SizeBytes(), 2*f.SizeBytes())
-	}
-}
-
-func TestArrayPopRandom(t *testing.T) {
-	a := NewArray()
-	for i := 0; i < 10; i++ {
-		a.Put(i, filterWith(t, strconv.Itoa(i)))
-	}
-	popped := a.PopRandom(4)
-	if len(popped) != 4 {
-		t.Fatalf("popped %d replicas, want 4", len(popped))
-	}
-	if a.Len() != 6 {
-		t.Errorf("array left with %d replicas, want 6", a.Len())
-	}
-	for id := range popped {
-		if a.Has(id) {
-			t.Errorf("popped replica %d still present", id)
-		}
-	}
-	// Popping more than available returns what exists.
-	rest := a.PopRandom(100)
-	if len(rest) != 6 || a.Len() != 0 {
-		t.Errorf("PopRandom(100) returned %d, array has %d", len(rest), a.Len())
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,8 @@ import (
 // (PushUpdate, Flush) hold mu as readers and synchronize through
 // finer-grained structures — the sharded homes map, per-node locks, ship
 // stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
-// exclusively because it rewrites the node/group maps the writer paths
-// navigate by, and republishes the epoch before releasing it. A
+// exclusively because it rewrites the node map and the layout the writer
+// paths navigate by, and republishes the epoch before releasing it. A
 // lookup that loaded the previous epoch completes against that consistent
 // older topology, which is indistinguishable from it having run just before
 // the reconfiguration committed.
@@ -56,13 +57,14 @@ import (
 type Cluster struct {
 	cfg Config
 
-	// mu guards the topology: nodes, groups, groupOf, ids, and the
-	// nextMDSID/nextGroupID counters.
+	// mu guards the topology: nodes, layout, ids and nextMDSID.
 	mu sync.RWMutex
 
-	nodes   map[int]*mds.Node
-	groups  map[int]*group.Group
-	groupOf map[int]int // MDS ID → group ID
+	nodes map[int]*mds.Node
+	// layout is the group layer — who is grouped with whom, who holds which
+	// replica. Reconfiguration replaces it with the successor internal/group
+	// plans; the nodes' replica arrays and IDBFAs are kept equal to it.
+	layout group.Layout
 
 	// ids caches the sorted MDS IDs so the hot path does not rebuild and
 	// sort the slice on every random entry draw. Maintained on every
@@ -123,8 +125,7 @@ type Cluster struct {
 	queueMu sync.Mutex
 	queue   []time.Duration
 
-	nextMDSID   int
-	nextGroupID int
+	nextMDSID int
 }
 
 // New builds a cluster with cfg.NumMDS servers partitioned into groups of at
@@ -139,16 +140,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("core: sizing LRU array: %w", err)
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		nodes:   make(map[int]*mds.Node),
-		groups:  make(map[int]*group.Group),
-		groupOf: make(map[int]int),
-		homes:   newHomeShards(),
-		ships:   shipq.New(cfg.ShipBatch),
-		lru:     lru,
-		mem:     cfg.memoryModel(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		msgs:    simnet.NewCounter(),
+		cfg:    cfg,
+		nodes:  make(map[int]*mds.Node),
+		layout: group.NewLayout(cfg.NumMDS, cfg.MaxGroupSize),
+		homes:  newHomeShards(),
+		ships:  shipq.New(cfg.ShipBatch),
+		lru:    lru,
+		mem:    cfg.memoryModel(),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		msgs:   simnet.NewCounter(),
 	}
 
 	for i := 0; i < cfg.NumMDS; i++ {
@@ -161,66 +161,16 @@ func New(cfg Config) (*Cluster, error) {
 	c.nextMDSID = cfg.NumMDS
 	c.refreshIDsLocked()
 
-	// Partition into ⌈N/M⌉ groups with sizes as even as possible (no group
-	// exceeds M, none is left as a tiny tail).
-	numGroups := (cfg.NumMDS + cfg.MaxGroupSize - 1) / cfg.MaxGroupSize
-	base := cfg.NumMDS / numGroups
-	extra := cfg.NumMDS % numGroups
-	next := 0
-	for gi := 0; gi < numGroups; gi++ {
-		g := group.New(c.nextGroupID)
-		c.nextGroupID++
-		size := base
-		if gi < extra {
-			size++
-		}
-		memberIDs := make([]int, 0, size)
-		for id := next; id < next+size; id++ {
-			memberIDs = append(memberIDs, id)
-		}
-		next += size
-		if err := seedGroup(g, c.nodes, memberIDs); err != nil {
-			return nil, err
-		}
-		c.groups[g.ID()] = g
-		for _, id := range memberIDs {
-			c.groupOf[id] = g.ID()
+	// Every group mirrors every outside MDS: each holder starts with its
+	// origin's (empty) last-shipped snapshot.
+	for _, g := range c.layout.Groups() {
+		for _, r := range g.Replicas {
+			c.nodes[r.Holder].InstallReplica(r.Origin, c.nodes[r.Origin].Shipped())
 		}
 	}
-
-	// Distribute replicas: every group mirrors every external MDS.
-	// Iterate in ID order so replica placement is deterministic; each
-	// origin ships one immutable snapshot shared by all its holders.
-	groups := c.sortedGroupsLocked()
-	for _, id := range c.ids {
-		snap := c.nodes[id].Ship()
-		for _, g := range groups {
-			if g.HasMember(id) {
-				continue
-			}
-			if _, err := g.InstallReplica(id, snap); err != nil {
-				return nil, fmt.Errorf("core: seeding replicas: %w", err)
-			}
-		}
-	}
+	c.rebuildIDBFAsLocked()
 	c.publishEpochLocked()
 	return c, nil
-}
-
-// seedGroup registers members in a fresh group, wiring their IDBFAs. It
-// reaches into the group via Join-free initialization: members are added
-// directly because no replicas exist yet.
-func seedGroup(g *group.Group, nodes map[int]*mds.Node, memberIDs []int) error {
-	for _, id := range memberIDs {
-		node := nodes[id]
-		if node == nil {
-			return fmt.Errorf("core: unknown MDS %d", id)
-		}
-		if _, err := g.Join(node, len(memberIDs)); err != nil {
-			return fmt.Errorf("core: seeding group %d with MDS %d: %w", g.ID(), id, err)
-		}
-	}
-	return nil
 }
 
 // refreshIDsLocked rebuilds the sorted MDS ID cache after a membership
@@ -277,28 +227,12 @@ func (c *Cluster) publishEpochLocked() {
 	for id, n := range c.nodes {
 		e.nodes[id] = n
 	}
-	for _, g := range c.sortedGroupsLocked() {
-		ms := g.Members()
-		for _, id := range ms {
-			e.members[id] = ms
+	for _, g := range c.layout.Groups() {
+		for _, id := range g.Members {
+			e.members[id] = g.Members
 		}
 	}
 	c.epoch.Store(e)
-}
-
-// sortedGroupsLocked returns groups in ascending ID order for determinism.
-// Requires c.mu (read suffices).
-func (c *Cluster) sortedGroupsLocked() []*group.Group {
-	ids := make([]int, 0, len(c.groups))
-	for id := range c.groups {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*group.Group, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.groups[id])
-	}
-	return out
 }
 
 // Name identifies the scheme in experiment output. Groups of one are the
@@ -321,7 +255,7 @@ func (c *Cluster) NumMDS() int {
 func (c *Cluster) NumGroups() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.groups)
+	return len(c.layout.Groups())
 }
 
 // MDSIDs returns all server IDs in ascending order. The returned slice is
@@ -341,20 +275,11 @@ func (c *Cluster) Node(id int) *mds.Node {
 	return c.nodes[id]
 }
 
-// groupOfLocked returns the group containing the MDS, or nil. Requires c.mu.
-func (c *Cluster) groupOfLocked(id int) *group.Group {
-	gid, ok := c.groupOf[id]
-	if !ok {
-		return nil
-	}
-	return c.groups[gid]
-}
-
-// Groups returns the groups in ascending ID order.
-func (c *Cluster) Groups() []*group.Group {
+// Layout returns the current group layout, an immutable value.
+func (c *Cluster) Layout() group.Layout {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.sortedGroupsLocked()
+	return c.layout
 }
 
 // Messages exposes the message counter (internally synchronized).
@@ -428,53 +353,56 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 	c.syncAllReplicasLocked()
 }
 
-// syncAllReplicasLocked refreshes every group's replica of every external
-// MDS, bringing the whole system to a consistent snapshot after bulk
-// population; incremental updates flow through the XOR-delta path. Requires
-// the write lock.
+// syncAllReplicasLocked ships every MDS's filter to all its holders, bringing
+// the whole system to a consistent snapshot after bulk population;
+// incremental updates flow through the XOR-delta path. Bulk loading is not
+// update traffic, so the messages are not booked. Requires the write lock.
 func (c *Cluster) syncAllReplicasLocked() {
-	groups := c.sortedGroupsLocked()
 	for _, id := range c.ids {
-		snap := c.nodes[id].Ship()
-		for _, g := range groups {
-			if g.HasMember(id) {
-				continue
-			}
-			if _, err := g.UpdateReplica(id, snap); err != nil {
-				// The replica must exist by construction; a failure is an
-				// invariant violation worth surfacing immediately.
-				panic(fmt.Sprintf("core: sync replica of %d in group %d: %v", id, g.ID(), err))
-			}
-		}
+		c.shipOriginLocked(id)
 	}
 	// Everything just shipped; nothing is left to coalesce.
 	c.ships.Drain()
 }
 
 // CheckInvariants verifies the global-mirror-image invariant for every
-// group, and the namespace half of the guarantee: the servers' stores hold
-// exactly as many files as ground truth knows — a file left behind in a
-// store its home map entry no longer names (the wrong-home answer a stale
-// verify would confirm) breaks the sum. It takes the topology lock
-// exclusively; mutations hold it shared, so the count is exact even beside
-// running workers. Tests and the simulator's self-checks call this after
-// reconfigurations.
+// group, on the books (group.Layout.Check) and on the servers: each member's
+// replica array holds exactly what the layout records, every replica is bit
+// for bit what its origin last shipped, and each member's IDBFA locates
+// every replica at its holder. It also checks the namespace half of the
+// guarantee: the servers' stores hold exactly as many files as ground truth
+// knows — a file left behind in a store its home map entry no longer names
+// (the wrong-home answer a stale verify would confirm) breaks the sum. It
+// takes the topology lock exclusively; mutations and ships hold it shared, so
+// the check is exact even beside running workers. Tests and the simulator's
+// self-checks call this after reconfigurations.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, g := range c.sortedGroupsLocked() {
-		if err := g.CoverageError(c.ids); err != nil {
-			return err
+	if err := c.layout.Check(c.ids); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for _, g := range c.layout.Groups() {
+		for _, m := range g.Members {
+			node := c.nodes[m]
+			if held := g.HeldBy(m); !slices.Equal(node.Replicas().IDs(), held) {
+				return fmt.Errorf("core: MDS %d stores replicas of %v, the layout records %v", m, node.Replicas().IDs(), held)
+			}
+			for _, r := range g.Replicas {
+				if !slices.Contains(node.IDBFA().Locate(r.Origin), r.Holder) {
+					return fmt.Errorf("core: MDS %d's IDBFA does not locate the replica of %d at %d", m, r.Origin, r.Holder)
+				}
+			}
 		}
-		if g.Size() > c.cfg.MaxGroupSize {
-			return fmt.Errorf("core: group %d has %d members > M=%d", g.ID(), g.Size(), c.cfg.MaxGroupSize)
+		for _, r := range g.Replicas {
+			drift, err := c.nodes[r.Holder].Replicas().Get(r.Origin).XorBits(c.nodes[r.Origin].Shipped())
+			if err != nil || drift != 0 {
+				return fmt.Errorf("core: MDS %d's replica of %d is %d bits from what %d last shipped (%v)", r.Holder, r.Origin, drift, r.Origin, err)
+			}
 		}
 	}
 	stored := 0
-	for id, node := range c.nodes {
-		if c.groupOfLocked(id) == nil {
-			return fmt.Errorf("core: MDS %d belongs to no group", id)
-		}
+	for _, node := range c.nodes {
 		stored += node.FileCount()
 	}
 	if files := c.homes.len(); stored != files {

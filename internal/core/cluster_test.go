@@ -100,9 +100,9 @@ func TestGroupReplicaCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range c.Groups() {
+	for _, g := range c.Layout().Groups() {
 		total := 0
-		for _, id := range g.Members() {
+		for _, id := range g.Members {
 			rc := c.Node(id).ReplicaCount()
 			total += rc
 			if rc < 1 || rc > 3 {
@@ -110,7 +110,7 @@ func TestGroupReplicaCounts(t *testing.T) {
 			}
 		}
 		if total != 8 {
-			t.Errorf("group %d holds %d replicas, want 8", g.ID(), total)
+			t.Errorf("group %d holds %d replicas, want 8", g.ID, total)
 		}
 	}
 }
@@ -278,17 +278,17 @@ func TestPushUpdateRefreshesReplicas(t *testing.T) {
 		t.Error("push latency not positive")
 	}
 	// Every other group's replica of origin must now contain the file.
-	for _, g := range c.Groups() {
-		if g.HasMember(origin) {
+	for _, g := range c.Layout().Groups() {
+		if g.ID == c.Layout().GroupOf(origin).ID {
 			continue
 		}
-		holder := g.HolderOf(origin)
-		if holder < 0 {
-			t.Fatalf("group %d lost replica of %d", g.ID(), origin)
+		holder, ok := g.Holder(origin)
+		if !ok {
+			t.Fatalf("group %d lost replica of %d", g.ID, origin)
 		}
 		f := c.Node(holder).Replicas().Get(origin)
 		if !f.ContainsString("/pushed/file") {
-			t.Errorf("group %d replica stale after push", g.ID())
+			t.Errorf("group %d replica stale after push", g.ID)
 		}
 	}
 }

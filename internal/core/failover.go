@@ -22,97 +22,32 @@ type FailoverReport struct {
 // FailMDS simulates the crash-failure path of Section 4.5: heart-beats
 // detect the failure, the dead server's Bloom filters are removed everywhere
 // (reducing false positives), its group re-fetches the replicas it was
-// holding from their origin MDSs, and groups merge if the survivors fit
-// within M. Unlike RemoveMDS, nothing is migrated *from* the dead node — its
-// replica holdings and the metadata it homed are simply gone, and lookups
-// for its files return not-found until the files are recreated.
+// holding — each survivor receiving what the origin last shipped — and groups
+// merge if the survivors fit within M. Unlike RemoveMDS, nothing is migrated
+// *from* the dead node — its replica holdings and the metadata it homed are
+// simply gone, and lookups for its files return not-found until the files
+// are recreated.
 func (c *Cluster) FailMDS(id int) (FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.publishEpochLocked()
-	var rep FailoverReport
-	node, ok := c.nodes[id]
-	if !ok {
-		return rep, fmt.Errorf("core: unknown MDS %d", id)
+	if _, ok := c.nodes[id]; !ok {
+		return FailoverReport{}, fmt.Errorf("core: unknown MDS %d", id)
 	}
 	if len(c.nodes) == 1 {
-		return rep, fmt.Errorf("core: refusing to fail the last MDS")
+		return FailoverReport{}, fmt.Errorf("core: refusing to fail the last MDS")
 	}
-	g := c.groupOfLocked(id)
-
-	// The replicas the dead member held are lost; note their origins
-	// before tearing the member down.
-	lostOrigins := node.Replicas().IDs()
-
-	// Heart-beat detection: one message per surviving groupmate.
-	rep.Messages += g.Size() - 1
-
-	// Remove the member without migration: drop it from the group and
-	// scrub its ID filter from survivors' IDBFAs.
-	if _, err := c.dropDeadMember(g, id); err != nil {
-		return rep, err
+	next, plan := c.layout.Fail(id)
+	c.retireLocked(id)
+	c.applyPlanLocked(next, plan)
+	rep := FailoverReport{
+		ReplicasRefetched: plan.Count(group.Fetch),
+		// Files homed at the dead server are unavailable: degraded
+		// coverage, not wrong answers. Ground truth forgets them so
+		// lookups miss.
+		FilesLost: c.homes.scrub(id),
+		Messages:  plan.Report().Messages,
 	}
-	delete(c.groupOf, id)
-	delete(c.nodes, id)
-	c.ships.Forget(id)
-	c.refreshIDsLocked()
-	if g.Size() == 0 {
-		delete(c.groups, g.ID())
-	}
-
-	// The dead server's own filter replicas are removed from every other
-	// group ("the corresponding Bloom filters are removed from the other
-	// MDSs to reduce the number of false positives").
-	for _, other := range c.sortedGroupsLocked() {
-		r := other.RemoveOrigin(id)
-		rep.Messages += r.Messages
-	}
-
-	// Survivors re-fetch the lost replicas from their origins so the
-	// group's global mirror image is restored.
-	if g.Size() > 0 {
-		for _, origin := range lostOrigins {
-			src := c.nodes[origin]
-			if src == nil || g.HasMember(origin) {
-				continue
-			}
-			r, err := g.InstallReplica(origin, src.Ship())
-			if err != nil {
-				return rep, fmt.Errorf("core: re-fetching replica of %d: %w", origin, err)
-			}
-			rep.ReplicasRefetched++
-			rep.Messages += r.Messages
-		}
-	}
-
-	// Files homed at the dead server are unavailable: degraded coverage,
-	// not wrong answers. Ground truth forgets them so lookups miss.
-	rep.FilesLost = c.homes.scrub(id)
-	c.lru.Forget(id)
-
-	// Groups merge if the shrink allows it, as after a graceful departure.
-	mergeRep := c.mergeWherePossibleLocked()
-	rep.Messages += mergeRep.Messages
-
+	c.publishEpochLocked()
 	c.msgs.Add(simnet.MsgMembership, uint64(rep.Messages))
 	return rep, nil
-}
-
-// dropDeadMember removes a crashed member from its group without migrating
-// anything from it (its state is unreachable).
-func (c *Cluster) dropDeadMember(g *group.Group, id int) (struct{}, error) {
-	// Leave would migrate the dead node's replicas; instead, surgically
-	// clear its replica array first so Leave has nothing to move, which
-	// models the state being lost with the machine.
-	node := g.Member(id)
-	if node == nil {
-		return struct{}{}, fmt.Errorf("core: MDS %d not in group %d", id, g.ID())
-	}
-	for _, origin := range node.Replicas().IDs() {
-		node.DropReplica(origin)
-	}
-	if _, err := g.Leave(id); err != nil {
-		return struct{}{}, fmt.Errorf("core: removing dead member: %w", err)
-	}
-	return struct{}{}, nil
 }

@@ -122,3 +122,51 @@ func TestCascadingFailures(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicaDriftStaysBounded pins what a reconfiguration fetch installs:
+// the snapshot the origin last shipped, not a fresh one. A fresh Ship for one
+// new holder's benefit zeroes the origin's drift counter while every other
+// group keeps the older snapshot, so until the origin's next full ship their
+// replicas drift past the threshold unnoticed (108–110 bits against 64 before
+// the fix). 400 creates, one split or one failover, 800 more creates: after
+// no create may a replica be further from its origin's filter than the ship
+// threshold.
+func TestReplicaDriftStaysBounded(t *testing.T) {
+	for name, reconfigure := range map[string]func(c *Cluster) error{
+		"split": func(c *Cluster) error { _, _, err := c.AddMDS(); return err },
+		"fail":  func(c *Cluster) error { _, err := c.FailMDS(5); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(smallConfig(12, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var worst uint64
+			create := func(from, to int) {
+				for i := from; i < to; i++ {
+					c.Apply(trace.Record{Op: trace.OpCreate, Path: "/drift/f" + strconv.Itoa(i)})
+					for _, g := range c.Layout().Groups() {
+						for _, r := range g.Replicas {
+							drift, err := c.Node(r.Origin).LocalFilter().XorBits(c.Node(r.Holder).Replicas().Get(r.Origin))
+							if err != nil {
+								t.Fatal(err)
+							}
+							worst = max(worst, drift)
+						}
+					}
+				}
+			}
+			create(0, 400)
+			if err := reconfigure(c); err != nil {
+				t.Fatal(err)
+			}
+			create(400, 1200)
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if worst == 0 || worst > c.cfg.UpdateThresholdBits {
+				t.Errorf("worst replica drift %d bits, want within (0, %d]", worst, c.cfg.UpdateThresholdBits)
+			}
+		})
+	}
+}

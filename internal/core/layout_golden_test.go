@@ -86,16 +86,10 @@ func applyStep(t *testing.T, c *Cluster, step string) string {
 // dumpLayout writes one line per group: its ID, its members, and every
 // replica it holds as origin@holder in ascending origin order.
 func dumpLayout(b *bytes.Buffer, c *Cluster) {
-	for _, g := range c.Groups() {
-		holderOf := make(map[int]int)
-		for _, m := range g.Members() {
-			for _, origin := range g.Member(m).Replicas().IDs() {
-				holderOf[origin] = m
-			}
-		}
-		fmt.Fprintf(b, "  g%d %v", g.ID(), g.Members())
-		for _, origin := range g.ReplicaOrigins() {
-			fmt.Fprintf(b, " %d@%d", origin, holderOf[origin])
+	for _, g := range c.Layout().Groups() {
+		fmt.Fprintf(b, "  g%d %v", g.ID, g.Members)
+		for _, r := range g.Replicas {
+			fmt.Fprintf(b, " %d@%d", r.Origin, r.Holder)
 		}
 		b.WriteByte('\n')
 	}
@@ -160,9 +154,9 @@ func TestLayoutSchedules(t *testing.T) {
 // lastMemberGroup reports whether some group of a multi-group cluster is down
 // to one member.
 func lastMemberGroup(c *Cluster) bool {
-	groups := c.Groups()
+	groups := c.Layout().Groups()
 	for _, g := range groups {
-		if len(groups) > 1 && g.Size() == 1 {
+		if len(groups) > 1 && len(g.Members) == 1 {
 			return true
 		}
 	}

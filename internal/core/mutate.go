@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ghba/internal/mds"
@@ -42,8 +43,16 @@ func (c *Cluster) noteMutationLocked(origin int) {
 // Requires c.mu (read suffices).
 func (c *Cluster) shipBatchLocked(origins []int) {
 	for _, origin := range origins {
-		c.shipOriginLocked(origin)
+		c.updateLocked(origin)
 	}
+}
+
+// updateLocked ships origin as an XOR-delta update: shipOriginLocked with the
+// messages booked. Returns the update latency. Requires c.mu (read suffices).
+func (c *Cluster) updateLocked(origin int) time.Duration {
+	msgs, latency := c.shipOriginLocked(origin)
+	c.msgs.Add(simnet.MsgReplicaUpdate, uint64(msgs))
+	return latency
 }
 
 // deleteInnerLocked removes path, returning its pre-delete home (-1 when absent)
@@ -80,7 +89,7 @@ func (c *Cluster) PushUpdate(origin int) time.Duration {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.ships.Forget(origin)
-	return c.shipOriginLocked(origin)
+	return c.updateLocked(origin)
 }
 
 // Flush drains the coalescing ship queue, bringing every dirty origin's
@@ -98,57 +107,56 @@ func (c *Cluster) Flush() {
 func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
 
 // shipOriginLocked distributes origin's current filter snapshot to the one
-// replica holder in every other group. Requires c.mu (read or write): group
-// membership must be stable, while the holder arrays and the origin's
-// snapshot state synchronize on their own locks, so concurrent shippers on
-// different origins proceed in parallel. Ships of the *same* origin
-// serialize on a striped lock — without it, two racing shippers could
-// install an older snapshot over a newer one at some holder while the
+// replica holder in every other group — the cluster's only caller of
+// mds.Node.Ship. It returns the messages the multicast cost and its latency;
+// the caller books the messages (an XOR-delta update) or does not (bulk
+// population, a newcomer's distribution, which its join's Report prices).
+// Requires c.mu (read or write): the layout must be stable, while the holder
+// arrays and the origin's snapshot state synchronize on their own locks, so
+// concurrent shippers on different origins proceed in parallel. Ships of the
+// *same* origin serialize on a striped lock — without it, two racing shippers
+// could install an older snapshot over a newer one at some holder while the
 // origin's staleness tracking already counts drift against the newer,
 // silently loosening the XOR-delta bound. Unknown origins (retired between
 // enqueue and drain) are ignored.
-func (c *Cluster) shipOriginLocked(origin int) time.Duration {
+func (c *Cluster) shipOriginLocked(origin int) (msgs int, latency time.Duration) {
 	node := c.nodes[origin]
 	if node == nil {
-		return 0
+		return 0, 0
 	}
 	stripe := &c.shipStripes[uint(origin)%uint(len(c.shipStripes))]
 	stripe.Lock()
 	defer stripe.Unlock()
 	snap := node.Ship()
-	ownGroup := c.groupOf[origin]
 	targets := 0
 	var slowestApply time.Duration
-	for _, g := range c.sortedGroupsLocked() {
-		if g.ID() == ownGroup {
-			continue
+	for _, g := range c.layout.Groups() {
+		holder, ok := g.Holder(origin)
+		if !ok {
+			continue // origin's own group
 		}
-		rep, err := g.UpdateReplica(origin, snap)
-		if err != nil {
-			// Every other group must mirror this origin; failure means the
-			// coverage invariant broke.
-			panic(fmt.Sprintf("core: pushing update of %d to group %d: %v", origin, g.ID(), err))
+		// The update is routed the way the protocol routes it, by a
+		// member's IDBFA: candidates are probed in order, one message each,
+		// and a falsely identified member drops the request (the paper's
+		// light false-positive penalty).
+		probed := slices.Index(c.nodes[g.Members[0]].IDBFA().Locate(origin), holder) + 1
+		if probed == 0 {
+			panic(fmt.Sprintf("core: group %d's IDBFA does not locate the replica of %d at %d", g.ID, origin, holder))
 		}
-		c.msgs.Add(simnet.MsgReplicaUpdate, uint64(rep.Messages))
+		msgs += probed
+		c.nodes[holder].InstallReplica(origin, snap)
 		targets++
 		// Applying the update costs one probe-equivalent write at the
 		// holder; spilled replicas pay a disk write.
-		holder := g.HolderOf(origin)
-		apply := c.applyCostLocked(holder)
-		if apply > slowestApply {
-			slowestApply = apply
-		}
+		slowestApply = max(slowestApply, c.applyCostLocked(holder))
 	}
-	return c.cfg.Cost.Multicast(targets) + slowestApply
+	return msgs, c.cfg.Cost.Multicast(targets) + slowestApply
 }
 
 // applyCostLocked returns the cost of rewriting one replica at the holder: a
 // memory write when the holder's replica set is resident, a disk write for
 // the spilled fraction. Requires c.mu.
 func (c *Cluster) applyCostLocked(holder int) time.Duration {
-	if holder < 0 {
-		return 0
-	}
 	node := c.nodes[holder]
 	total := node.ReplicaCount() + 1
 	perReplica := c.replicaBytes(node.LocalFilter().SizeBytes())

@@ -98,18 +98,18 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 		t.Fatalf("flush left %d origins pending", got)
 	}
 	for origin, paths := range homes {
-		for _, g := range c.Groups() {
-			if g.HasMember(origin) {
+		for _, g := range c.Layout().Groups() {
+			if g.ID == c.Layout().GroupOf(origin).ID {
 				continue
 			}
-			holder := g.HolderOf(origin)
-			if holder < 0 {
-				t.Fatalf("group %d lost replica of %d", g.ID(), origin)
+			holder, ok := g.Holder(origin)
+			if !ok {
+				t.Fatalf("group %d lost replica of %d", g.ID, origin)
 			}
 			rep := c.Node(holder).Replicas().Get(origin)
 			for _, p := range paths {
 				if !rep.ContainsString(p) {
-					t.Fatalf("group %d replica of %d stale after flush: missing %s", g.ID(), origin, p)
+					t.Fatalf("group %d replica of %d stale after flush: missing %s", g.ID, origin, p)
 				}
 			}
 		}
@@ -134,14 +134,14 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 		c.Apply(trace.Record{Op: trace.OpCreate, Path: "/auto/f" + strconv.Itoa(i)})
 	}
 	// Four crossings have happened; the fourth drained the queue.
-	for _, g := range c.Groups() {
-		if g.HasMember(first) {
+	for _, g := range c.Layout().Groups() {
+		if g.ID == c.Layout().GroupOf(first).ID {
 			continue
 		}
-		holder := g.HolderOf(first)
+		holder, _ := g.Holder(first)
 		rep := c.Node(holder).Replicas().Get(first)
 		if !rep.ContainsString("/auto/f0") {
-			t.Fatalf("group %d replica of %d stale after batch drain", g.ID(), first)
+			t.Fatalf("group %d replica of %d stale after batch drain", g.ID, first)
 		}
 	}
 }

@@ -8,195 +8,136 @@ import (
 	"ghba/internal/simnet"
 )
 
+// Reconfiguration is planned by internal/group — which group a newcomer
+// joins, which replicas move where, when groups split and merge — and
+// executed here on the in-memory nodes. Each operation below asks the layout
+// for its successor and the Plan that leads there, runs the plan, and
+// republishes the epoch before the topology lock is released.
+
+// applyPlanLocked performs plan's moves on the nodes and commits next as the
+// cluster's layout, then rewrites every member's IDBFA from it (the paper's
+// "multicast ID Bloom Filter Array" step). Every node a move names must
+// still be in c.nodes, and every member of next already. Requires the write
+// lock.
+func (c *Cluster) applyPlanLocked(next group.Layout, plan group.Plan) {
+	for _, mv := range plan.Moves {
+		switch mv.Kind {
+		case group.Migrate:
+			c.nodes[mv.To].InstallReplica(mv.Origin, c.nodes[mv.From].DropReplica(mv.Origin))
+		case group.Fetch:
+			c.nodes[mv.To].InstallReplica(mv.Origin, c.nodes[mv.Origin].Shipped())
+		case group.Drop:
+			c.nodes[mv.From].DropReplica(mv.Origin)
+		}
+	}
+	c.layout = next
+	c.rebuildIDBFAsLocked()
+}
+
+// rebuildIDBFAsLocked makes every member's IDBFA say what the layout says:
+// one ID filter per groupmate, recording the origins whose replicas that
+// groupmate holds. Requires the write lock.
+func (c *Cluster) rebuildIDBFAsLocked() {
+	for _, g := range c.layout.Groups() {
+		for _, m := range g.Members {
+			a := c.nodes[m].IDBFA()
+			for _, old := range a.Members() {
+				a.RemoveMember(old)
+			}
+			// AddMember fails only for a member already present and Grant
+			// only for one absent; the reset above and the layout's own
+			// invariant (every holder is a member) exclude both.
+			for _, id := range g.Members {
+				if err := a.AddMember(id); err != nil {
+					panic(fmt.Sprintf("core: group %d: IDBFA of MDS %d: %v", g.ID, m, err))
+				}
+			}
+			for _, r := range g.Replicas {
+				if err := a.Grant(r.Holder, r.Origin); err != nil {
+					panic(fmt.Sprintf("core: group %d: IDBFA of MDS %d: %v", g.ID, m, err))
+				}
+			}
+		}
+	}
+}
+
 // AddMDS brings a new metadata server into the system (Section 3.1–3.2):
 // the newcomer joins a group with spare capacity, or triggers a group split
-// when every group is full. The newcomer's own Bloom-filter replica is then
-// distributed to every other group. Returns the new MDS ID and the
+// when every group is full. The newcomer's own filter is then shipped to its
+// holder in every other group. Returns the new MDS ID and the
 // reconfiguration report (replicas migrated, messages exchanged) that Figs
 // 11 and 15 chart.
 func (c *Cluster) AddMDS() (int, group.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Republish the epoch before the lock is released (LIFO defer order) so
-	// the lock-free read path sees whatever topology this operation leaves
-	// behind — including on error paths, which may have partially joined
-	// groups exactly as the locked reader path used to observe them.
-	defer c.publishEpochLocked()
-	var rep group.Report
 	id := c.nextMDSID
 	node, err := mds.NewNode(id, c.cfg.Node)
 	if err != nil {
-		return 0, rep, fmt.Errorf("core: creating MDS %d: %w", id, err)
+		return 0, group.Report{}, fmt.Errorf("core: creating MDS %d: %w", id, err)
 	}
-
-	target := c.pickJoinGroupLocked()
-	if target != nil {
-		r, err := target.Join(node, len(c.nodes)+1)
-		if err != nil {
-			return 0, rep, fmt.Errorf("core: joining group %d: %w", target.ID(), err)
-		}
-		rep.Add(r)
-		c.groupOf[id] = target.ID()
-	} else {
-		// All groups full: split the first full group (the paper chooses a
-		// random group; first-by-ID keeps simulations deterministic).
-		victim := c.sortedGroupsLocked()[0]
-		newGroup, r, err := victim.Split(c.nextGroupID, node, c.cfg.MaxGroupSize)
-		if err != nil {
-			return 0, rep, fmt.Errorf("core: splitting group %d: %w", victim.ID(), err)
-		}
-		c.nextGroupID++
-		rep.Add(r)
-		c.groups[newGroup.ID()] = newGroup
-		for _, m := range newGroup.Members() {
-			c.groupOf[m] = newGroup.ID()
-		}
-		rep.Messages++ // announce the new group to the system
-	}
-
 	c.nodes[id] = node
 	c.nextMDSID++
 	// IDs grow monotonically, so appending keeps the cache sorted.
 	c.ids = append(c.ids, id)
 
-	// Multicast the newcomer's replica to one member of each other group;
-	// every holder shares one immutable snapshot.
-	ownGroup := c.groupOf[id]
-	snap := node.Ship()
-	for _, g := range c.sortedGroupsLocked() {
-		if g.ID() == ownGroup {
-			continue
-		}
-		if g.HolderOf(id) >= 0 {
-			// The split exchange already copied the newcomer's replica to
-			// its sibling group.
-			continue
-		}
-		r, err := g.InstallReplica(id, snap)
-		if err != nil {
-			return 0, rep, fmt.Errorf("core: distributing replica of %d: %w", id, err)
-		}
-		rep.Add(r)
-	}
+	next, plan := c.layout.Join(id)
+	c.applyPlanLocked(next, plan)
+	c.shipOriginLocked(id) // priced by the plan's Report, not booked as an update
+	c.publishEpochLocked()
 
+	rep := plan.Report()
 	c.msgs.Add(simnet.MsgReplicaMigration, uint64(rep.ReplicasMigrated))
 	c.msgs.Add(simnet.MsgMembership, uint64(rep.Messages-rep.ReplicasMigrated))
 	return id, rep, nil
 }
 
-// pickJoinGroupLocked returns the fullest group that still has room, or nil when
-// all groups are full. Joining the fullest group keeps the newcomer's
-// offload share near the paper's (N−M′)/(M′+1) bound; joining a tiny group
-// would make the newcomer absorb nearly half of that group's replicas.
-func (c *Cluster) pickJoinGroupLocked() *group.Group {
-	var best *group.Group
-	for _, g := range c.sortedGroupsLocked() {
-		if g.Size() >= c.cfg.MaxGroupSize {
-			continue
-		}
-		if best == nil || g.Size() > best.Size() {
-			best = g
-		}
-	}
-	return best
-}
-
 // RemoveMDS takes a server out of the system (Fig 4b): its replicas migrate
 // to surviving group members, the other groups delete their replica of it,
-// its files are re-homed across the survivors, and shrunken groups merge
-// when their union fits within M.
+// shrunken groups merge when their union fits within M, and its files are
+// re-homed across the survivors.
 func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.publishEpochLocked()
-	var rep group.Report
 	node, ok := c.nodes[id]
 	if !ok {
-		return rep, fmt.Errorf("core: unknown MDS %d", id)
+		return group.Report{}, fmt.Errorf("core: unknown MDS %d", id)
 	}
 	if len(c.nodes) == 1 {
-		return rep, fmt.Errorf("core: refusing to remove the last MDS")
+		return group.Report{}, fmt.Errorf("core: refusing to remove the last MDS")
 	}
-	g := c.groupOfLocked(id)
-
-	// (1) Migrate its replicas to the surviving members.
-	r, err := g.Leave(id)
-	if err != nil {
-		return rep, fmt.Errorf("core: leaving group: %w", err)
-	}
-	rep.Add(r)
-	delete(c.groupOf, id)
-	delete(c.nodes, id)
-	c.ships.Forget(id)
-	c.refreshIDsLocked()
-	if g.Size() == 0 {
-		delete(c.groups, g.ID())
-	}
-
-	// (2)–(3) Delete its replica everywhere else.
-	for _, other := range c.sortedGroupsLocked() {
-		rep.Add(other.RemoveOrigin(id))
-	}
+	// The leaver hands its replicas over before it goes.
+	next, plan := c.layout.Leave(id)
+	c.applyPlanLocked(next, plan)
+	c.retireLocked(id)
 
 	// Re-home the departed server's files across the survivors. The paper
 	// treats metadata re-distribution as orthogonal (fail-over keeps
 	// serving at degraded coverage); the simulator re-homes so ground
 	// truth stays consistent.
-	survivors := c.ids
 	for _, path := range node.Store().Paths() {
 		newHome := c.randomMDSLocked()
 		c.nodes[newHome].AddFile(path)
 		c.homes.put(path, newHome)
 	}
-	for _, sid := range survivors {
+	for _, sid := range c.ids {
 		if c.nodes[sid].NeedsShip(c.cfg.UpdateThresholdBits) {
 			c.ships.Forget(sid)
-			c.shipOriginLocked(sid)
+			c.updateLocked(sid)
 		}
 	}
-	// Stale L1 entries pointing at the dead server are flushed.
-	c.lru.Forget(id)
+	c.publishEpochLocked()
 
-	// (4) Merge groups whose union now fits within M.
-	rep.Add(c.mergeWherePossibleLocked())
-
+	rep := plan.Report()
 	c.msgs.Add(simnet.MsgReplicaMigration, uint64(rep.ReplicasMigrated))
 	return rep, nil
 }
 
-// mergeWherePossibleLocked repeatedly merges the two smallest groups while their
-// union fits within M, per Section 3.2 ("this process repeats until no
-// merging can be performed").
-func (c *Cluster) mergeWherePossibleLocked() group.Report {
-	var rep group.Report
-	for {
-		groups := c.sortedGroupsLocked()
-		if len(groups) < 2 {
-			return rep
-		}
-		// Find the two smallest.
-		a, b := groups[0], groups[1]
-		if b.Size() < a.Size() {
-			a, b = b, a
-		}
-		for _, g := range groups[2:] {
-			if g.Size() < a.Size() {
-				a, b = g, a
-			} else if g.Size() < b.Size() {
-				b = g
-			}
-		}
-		if a.Size()+b.Size() > c.cfg.MaxGroupSize {
-			return rep
-		}
-		r, err := b.Merge(a)
-		if err != nil {
-			panic(fmt.Sprintf("core: merging groups %d and %d: %v", b.ID(), a.ID(), err))
-		}
-		rep.Add(r)
-		for _, m := range b.Members() {
-			c.groupOf[m] = b.ID()
-		}
-		delete(c.groups, a.ID())
-	}
+// retireLocked takes a departed or dead server off the books: the node map,
+// the ID cache, the ship queue, and the L1 entries naming it. Requires the
+// write lock.
+func (c *Cluster) retireLocked(id int) {
+	delete(c.nodes, id)
+	c.ships.Forget(id)
+	c.refreshIDsLocked()
+	c.lru.Forget(id)
 }

@@ -289,7 +289,10 @@ func TestFig15MessageShape(t *testing.T) {
 		if r.HBAMsgs <= prevHBA || r.GHBAMsgs <= prevGHBA {
 			t.Error("cumulative counts not increasing")
 		}
-		if r.GHBAMsgs >= r.HBAMsgs {
+		// N=12, M=4 starts full, so the first join is a split — in the plan's
+		// message count as dear as an HBA join (2N+1: the two halves re-mirror
+		// each other) — and every later join has room and costs a fraction.
+		if r.GHBAMsgs > r.HBAMsgs || (r.NewNodes > 1 && r.GHBAMsgs == r.HBAMsgs) {
 			t.Errorf("after %d adds: G-HBA %d msgs ≥ HBA %d", r.NewNodes, r.GHBAMsgs, r.HBAMsgs)
 		}
 		prevHBA, prevGHBA = r.HBAMsgs, r.GHBAMsgs

@@ -173,9 +173,11 @@ type Fig15Row struct {
 	GHBAMsgs int
 }
 
-// Fig15 measures the messages generated by MDS insertion on the prototype:
-// both schemes start at the same size and add nodes one at a time, counting
-// every RPC.
+// Fig15 charts the messages generated by MDS insertion on the prototype:
+// both schemes start at the same size and add nodes one at a time over real
+// RPCs, summing the protocol messages of each join's plan (replica moves,
+// IDBFA multicasts, announcements, the newcomer's filter to every other
+// group).
 func Fig15(startN, m, adds int, seed int64) ([]Fig15Row, error) {
 	nodeCfg := protoNodeConfig(2_000, startN)
 	hbaCluster, err := proto.Start(proto.Options{N: startN, M: 1, Node: nodeCfg, Seed: seed})
@@ -196,12 +198,12 @@ func Fig15(startN, m, adds int, seed int64) ([]Fig15Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		hbaTotal += hm
+		hbaTotal += hm.Messages
 		_, gm, err := ghbaCluster.AddMDS(context.Background())
 		if err != nil {
 			return nil, err
 		}
-		ghbaTotal += gm
+		ghbaTotal += gm.Messages
 		rows = append(rows, Fig15Row{NewNodes: k, HBAMsgs: hbaTotal, GHBAMsgs: ghbaTotal})
 	}
 	return rows, nil

@@ -1,418 +1,496 @@
 package group
 
 import (
-	"strconv"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
-
-	"ghba/internal/bloom"
-	"ghba/internal/mds"
 )
 
-// testNode builds a small node for group tests.
-func testNode(t *testing.T, id int) *mds.Node {
-	t.Helper()
-	cfg := mds.DefaultConfig()
-	cfg.ExpectedFiles = 500
-	cfg.LRUCapacity = 64
-	n, err := mds.NewNode(id, cfg)
-	if err != nil {
-		t.Fatal(err)
+// ids returns 0..n−1.
+func ids(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	n.AddFile("/node" + strconv.Itoa(id) + "/file")
-	return n
+	return out
 }
 
-// originFilter builds a replica filter for an external origin.
-func originFilter(t *testing.T, origin int) *bloom.Filter {
-	t.Helper()
-	f, err := bloom.NewForCapacity(500, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.AddString("/node" + strconv.Itoa(origin) + "/file")
-	return f
+// spread returns the gap between the heaviest and the lightest member.
+func spread(g *Group) int {
+	_, least := g.lightest()
+	_, most := g.heaviest(false)
+	return most - least
 }
 
-// buildGroup creates a group with the given member IDs, registering all
-// members in each other's IDBFAs.
-func buildGroup(t *testing.T, groupID int, memberIDs ...int) *Group {
-	t.Helper()
-	g := New(groupID)
-	for _, id := range memberIDs {
-		node := testNode(t, id)
-		g.members[id] = node
+// piled is one group {0,1,2} whose member 0 holds all nine outside replicas.
+func piled() Layout {
+	g := Group{ID: 1, Members: []int{0, 1, 2}}
+	for o := 10; o < 19; o++ {
+		g.put(o, 0)
 	}
-	for _, n := range g.members {
-		for _, id := range g.Members() {
-			if err := n.IDBFA().AddMember(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return g
-}
-
-// install distributes replicas of the given origins into the group.
-func install(t *testing.T, g *Group, origins ...int) {
-	t.Helper()
-	for _, o := range origins {
-		if _, err := g.InstallReplica(o, originFilter(t, o)); err != nil {
-			t.Fatalf("InstallReplica(%d): %v", o, err)
-		}
-	}
-}
-
-// allIDs builds the full population list: members of all groups + externals.
-func allIDs(groups []*Group, externals []int) []int {
-	var ids []int
-	for _, g := range groups {
-		ids = append(ids, g.Members()...)
-	}
-	return append(ids, externals...)
+	return Layout{m: 3, nextID: 2, groups: []Group{g}}
 }
 
 func TestGroupBasics(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	if g.ID() != 1 || g.Size() != 3 {
-		t.Errorf("ID/Size = %d/%d", g.ID(), g.Size())
+	l := NewLayout(10, 4) // 4 + 3 + 3: no tiny tail
+	var sizes []int
+	for _, g := range l.Groups() {
+		sizes = append(sizes, len(g.Members))
 	}
-	if !g.HasMember(1) || g.HasMember(9) {
-		t.Error("HasMember wrong")
+	if !slices.Equal(sizes, []int{4, 3, 3}) {
+		t.Errorf("group sizes = %v, want [4 3 3]", sizes)
 	}
-	if g.Member(2) == nil || g.Member(9) != nil {
-		t.Error("Member wrong")
+	if g := l.GroupOf(5); g == nil || g.ID != 1 || !slices.Equal(g.Members, []int{4, 5, 6}) {
+		t.Errorf("GroupOf(5) = %+v, want group 1 [4 5 6]", g)
 	}
-	if len(g.Nodes()) != 3 {
-		t.Error("Nodes wrong")
+	if l.GroupOf(99) != nil {
+		t.Error("GroupOf of a stranger is not nil")
+	}
+	if err := l.Check(ids(10)); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestInstallReplicaBalances(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	install(t, g, 10, 11, 12, 13, 14, 15)
-	for _, id := range g.Members() {
-		if c := g.Member(id).ReplicaCount(); c != 2 {
-			t.Errorf("member %d holds %d replicas, want 2", id, c)
+	g := Group{ID: 1, Members: []int{0, 1, 2}}
+	for o := 10; o < 16; o++ {
+		if _, ok := g.install(o); !ok {
+			t.Fatalf("install(%d) refused", o)
+		}
+	}
+	for _, m := range g.Members {
+		if n := len(g.HeldBy(m)); n != 2 {
+			t.Errorf("member %d holds %d replicas, want 2", m, n)
 		}
 	}
 }
 
 func TestInstallReplicaRejectsMemberAndDuplicate(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1)
-	if _, err := g.InstallReplica(0, originFilter(t, 0)); err == nil {
+	g := Group{ID: 1, Members: []int{0, 1}}
+	if _, ok := g.install(0); ok {
 		t.Error("replica of own member accepted")
 	}
-	install(t, g, 5)
-	if _, err := g.InstallReplica(5, originFilter(t, 5)); err == nil {
+	if _, ok := g.install(5); !ok {
+		t.Fatal("install(5) refused")
+	}
+	if _, ok := g.install(5); ok {
 		t.Error("duplicate origin accepted")
 	}
 }
 
 func TestInstallReplicaEmptyGroup(t *testing.T) {
-	g := New(9)
-	if _, err := g.InstallReplica(3, originFilter(t, 3)); err == nil {
+	g := Group{ID: 9}
+	if _, ok := g.install(3); ok {
 		t.Error("install into empty group succeeded")
 	}
 }
 
 func TestHolderOfAndLocate(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	install(t, g, 10, 11, 12)
-	holder := g.HolderOf(11)
-	if holder < 0 {
-		t.Fatal("HolderOf lost origin 11")
+	l := NewLayout(9, 3)
+	g := l.GroupOf(0)
+	holder, ok := g.Holder(4)
+	if !ok || !g.has(holder) {
+		t.Fatalf("Holder(4) = %d, %v: want a member of %v", holder, ok, g.Members)
 	}
-	candidates := g.LocateViaIDBFA(11)
-	found := false
-	for _, c := range candidates {
-		if c == holder {
-			found = true
-		}
+	if !slices.Contains(g.HeldBy(holder), 4) {
+		t.Errorf("HeldBy(%d) = %v misses origin 4", holder, g.HeldBy(holder))
 	}
-	if !found {
-		t.Errorf("IDBFA candidates %v do not include true holder %d", candidates, holder)
+	if _, ok := g.Holder(1); ok {
+		t.Error("group holds a replica of its own member 1")
 	}
-	if g.HolderOf(99) != -1 {
-		t.Error("HolderOf of unknown origin != -1")
+	if _, ok := g.Holder(99); ok {
+		t.Error("Holder of unknown origin reported held")
 	}
-}
-
-func TestUpdateReplica(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	install(t, g, 10)
-	fresh := originFilter(t, 10)
-	fresh.AddString("/node10/newfile")
-	rep, err := g.UpdateReplica(10, fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Messages < 1 {
-		t.Error("update cost no messages")
-	}
-	holder := g.Member(g.HolderOf(10))
-	if !holder.Replicas().Get(10).ContainsString("/node10/newfile") {
-		t.Error("update did not reach holder")
-	}
-	if _, err := g.UpdateReplica(99, fresh); err == nil {
-		t.Error("update of unknown origin succeeded")
+	// One holder in each of the two groups 4 is not a member of.
+	if hs := l.Holders(4); len(hs) != 2 || l.GroupOf(hs[0]).ID != 0 || l.GroupOf(hs[1]).ID != 2 {
+		t.Errorf("Holders(4) = %v, want one member of group 0 then one of group 2", hs)
 	}
 }
 
 func TestRemoveOrigin(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	install(t, g, 10, 11)
-	rep := g.RemoveOrigin(10)
-	if rep.Messages == 0 {
+	l := NewLayout(9, 3)
+	held := l.Holders(8) // before 8 leaves: one holder in groups 0 and 1
+	next, plan := l.Leave(8)
+	if len(next.Holders(8)) != 0 {
+		t.Error("origin still held after its MDS left")
+	}
+	var dropped []int
+	for _, mv := range plan.Moves {
+		if mv.Kind == Drop && mv.Origin == 8 {
+			dropped = append(dropped, mv.From)
+		}
+	}
+	if !slices.Equal(dropped, held) {
+		t.Errorf("Drop moves at %v, the replica sat on %v", dropped, held)
+	}
+	if plan.Notices == 0 {
 		t.Error("removal cost no messages")
 	}
-	if g.HolderOf(10) != -1 {
-		t.Error("origin still held after removal")
-	}
-	if len(g.LocateViaIDBFA(10)) != 0 {
-		t.Error("IDBFA still locates removed origin")
-	}
-	// Removing an unknown origin is a no-op.
-	if rep := g.RemoveOrigin(42); rep.Messages != 0 || rep.ReplicasMigrated != 0 {
-		t.Error("removal of unknown origin cost something")
+	// Removing an unknown MDS is a no-op.
+	if same, p := next.Leave(8); len(p.Moves) != 0 || p.Notices != 0 || !reflect.DeepEqual(same, next) {
+		t.Error("removal of an unknown MDS cost something")
 	}
 }
 
 func TestCoverageError(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	install(t, g, 10, 11)
-	ids := []int{0, 1, 2, 10, 11}
-	if err := g.CoverageError(ids); err != nil {
+	l := NewLayout(6, 3)
+	if err := l.Check(ids(6)); err != nil {
 		t.Errorf("coverage should hold: %v", err)
 	}
-	if err := g.CoverageError(append(ids, 99)); err == nil {
-		t.Error("missing origin 99 not detected")
+	if err := l.Check(ids(7)); err == nil {
+		t.Error("missing origin 6 not detected")
 	}
-	// Duplicate coverage: install origin 10 directly on a second member.
-	g.Member(1).InstallReplica(10, originFilter(t, 10))
-	if g.HolderOf(10) < 0 {
-		t.Fatal("setup broken")
+	if err := l.Check(ids(5)); err == nil {
+		t.Error("replica and member of a departed MDS not detected")
 	}
-	if err := g.CoverageError(ids); err == nil {
+	double := l.clone()
+	g := &double.groups[0]
+	g.Replicas = append(g.Replicas, g.Replicas[len(g.Replicas)-1])
+	if err := double.Check(ids(6)); err == nil {
 		t.Error("double coverage not detected")
+	}
+	own := l.clone()
+	own.groups[0].put(0, 1)
+	if err := own.Check(ids(6)); err == nil {
+		t.Error("replica of a groupmate not detected")
+	}
+	stray := l.clone()
+	stray.groups[0].put(3, 5)
+	if err := stray.Check(ids(6)); err == nil {
+		t.Error("replica held outside the group not detected")
+	}
+	if err := NewLayout(6, 3).Unhold(3, 0).Check(ids(6)); err == nil {
+		t.Error("un-held origin not detected")
 	}
 }
 
 func TestJoinRebalancesReplicas(t *testing.T) {
-	// 3 members, 12 external origins → 4 each. Newcomer joins (total 16
-	// MDSs: 4 members + 12 external) → target ⌈12/4⌉ = 3 each.
-	g := buildGroup(t, 1, 0, 1, 2)
-	externals := []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21}
-	install(t, g, externals...)
-	newcomer := testNode(t, 3)
-	rep, err := g.Join(newcomer, 16)
-	if err != nil {
-		t.Fatal(err)
+	// 15 MDSs, M=4 → 4+4+4+3. The group of three mirrors 12 outsiders, 4
+	// each; the newcomer joins it (the only one with room) and takes its
+	// share ⌊(16−4)/4⌋ = 3.
+	l := NewLayout(15, 4)
+	next, plan := l.Join(15)
+	g := next.GroupOf(15)
+	if g == nil || !slices.Equal(g.Members, []int{12, 13, 14, 15}) {
+		t.Fatalf("newcomer's group = %+v, want [12 13 14 15]", g)
 	}
-	if g.Size() != 4 {
-		t.Fatalf("Size = %d after join", g.Size())
-	}
-	if rep.ReplicasMigrated != 3 {
+	if rep := plan.Report(); rep.ReplicasMigrated != 3 {
 		t.Errorf("migrated %d replicas, want 3 (offload to newcomer)", rep.ReplicasMigrated)
 	}
-	if newcomer.ReplicaCount() != 3 {
-		t.Errorf("newcomer holds %d, want 3", newcomer.ReplicaCount())
+	if n := len(g.HeldBy(15)); n != 3 {
+		t.Errorf("newcomer holds %d, want 3", n)
 	}
-	if err := g.CoverageError(allIDs([]*Group{g}, externals)); err != nil {
+	for _, mv := range plan.Moves {
+		if mv.Kind != Migrate || mv.To != 15 || !g.has(mv.From) {
+			t.Errorf("unexpected move %+v in a join with room", mv)
+		}
+	}
+	if err := next.Check(ids(16)); err != nil {
 		t.Errorf("coverage broken after join: %v", err)
 	}
-	// IDBFA must locate every origin at its actual holder.
-	for _, o := range externals {
-		holder := g.HolderOf(o)
-		cands := g.LocateViaIDBFA(o)
-		ok := false
-		for _, c := range cands {
-			if c == holder {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("origin %d: IDBFA %v misses holder %d", o, cands, holder)
-		}
+	if err := l.Check(ids(15)); err != nil {
+		t.Errorf("Join wrote through its receiver: %v", err)
 	}
 }
 
 func TestJoinRejectsDuplicateAndNil(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1)
-	if _, err := g.Join(nil, 10); err == nil {
-		t.Error("nil node accepted")
-	}
-	if _, err := g.Join(g.Member(0), 10); err == nil {
+	l := NewLayout(4, 4)
+	next, plan := l.Join(2)
+	if len(plan.Moves) != 0 || plan.Notices != 0 || !reflect.DeepEqual(next, l) {
 		t.Error("existing member accepted")
+	}
+	// The zero Layout has no groups to join and no M to form one under.
+	next, plan = Layout{}.Join(0)
+	if len(plan.Moves) != 0 || plan.Notices != 0 || len(next.Groups()) != 0 {
+		t.Error("the zero Layout accepted a member")
 	}
 }
 
 func TestLeaveMigratesReplicas(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	externals := []int{10, 11, 12, 13, 14, 15}
-	install(t, g, externals...)
-	leaving := g.Member(1)
-	had := leaving.ReplicaCount()
+	l := NewLayout(9, 3)
+	had := len(l.GroupOf(1).HeldBy(1))
 	if had == 0 {
 		t.Fatal("setup: leaving member holds nothing")
 	}
-	rep, err := g.Leave(1)
-	if err != nil {
-		t.Fatal(err)
+	next, plan := l.Leave(1)
+	if got := plan.Count(Migrate); got != had {
+		t.Errorf("migrated %d, want %d", got, had)
 	}
-	if rep.ReplicasMigrated != had {
-		t.Errorf("migrated %d, want %d", rep.ReplicasMigrated, had)
+	for _, mv := range plan.Moves {
+		if mv.Kind == Migrate && (mv.From != 1 || !slices.Contains([]int{0, 2}, mv.To)) {
+			t.Errorf("migration %+v does not go from the leaver to a survivor", mv)
+		}
 	}
-	if g.Size() != 2 {
-		t.Errorf("Size = %d", g.Size())
+	if g := next.GroupOf(0); !slices.Equal(g.Members, []int{0, 2}) {
+		t.Errorf("members = %v", g.Members)
 	}
-	// Coverage: remaining members + externals, minus departed member 1.
-	ids := append([]int{0, 2}, externals...)
-	if err := g.CoverageError(ids); err != nil {
+	if err := next.Check([]int{0, 2, 3, 4, 5, 6, 7, 8}); err != nil {
 		t.Errorf("coverage broken after leave: %v", err)
-	}
-	if _, err := g.Leave(42); err == nil {
-		t.Error("leave of non-member succeeded")
 	}
 }
 
 func TestLeaveLastMember(t *testing.T) {
-	g := buildGroup(t, 1, 0)
-	if _, err := g.Leave(0); err != nil {
-		t.Fatal(err)
+	l := NewLayout(3, 1)
+	next, plan := l.Leave(0)
+	if len(next.Groups()) != 2 {
+		t.Fatalf("%d groups left, want 2: the group of one dissolves", len(next.Groups()))
 	}
-	if g.Size() != 0 {
-		t.Error("group not empty")
+	if plan.Count(Migrate) != 0 || plan.Count(Drop) != 2 {
+		t.Errorf("moves = %+v, want the two replicas of 0 dropped and nothing migrated", plan.Moves)
+	}
+	if err := next.Check([]int{1, 2}); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestRebalanceEvensLoad(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1, 2)
-	// Pile 9 replicas onto member 0 directly.
-	for o := 10; o < 19; o++ {
-		g.Member(0).InstallReplica(o, originFilter(t, o))
-		g.grantAll(0, o)
+	e := piled().edit()
+	g := &e.groups[0]
+	e.rebalance(g)
+	if e.plan.Count(Migrate) != 6 {
+		t.Fatalf("rebalance moved %d replicas, want 6", e.plan.Count(Migrate))
 	}
-	rep := g.Rebalance()
-	if rep.ReplicasMigrated == 0 {
-		t.Fatal("rebalance moved nothing")
-	}
-	for _, id := range g.Members() {
-		if c := g.Member(id).ReplicaCount(); c != 3 {
-			t.Errorf("member %d holds %d, want 3", id, c)
+	for _, m := range g.Members {
+		if n := len(g.HeldBy(m)); n != 3 {
+			t.Errorf("member %d holds %d, want 3", m, n)
 		}
 	}
-	// IDBFA still consistent.
-	for o := 10; o < 19; o++ {
-		holder := g.HolderOf(o)
-		ok := false
-		for _, c := range g.LocateViaIDBFA(o) {
-			if c == holder {
-				ok = true
-			}
-		}
-		if !ok {
-			t.Errorf("IDBFA lost origin %d after rebalance", o)
-		}
+	if e.plan.Notices != len(g.Members)-1 {
+		t.Errorf("rebalance booked %d notices, want one IDBFA multicast to the %d other members", e.plan.Notices, len(g.Members)-1)
 	}
 }
 
 func TestSplitMaintainsCoverage(t *testing.T) {
-	const maxM = 5
-	g := buildGroup(t, 1, 0, 1, 2, 3, 4)
-	externals := []int{10, 11, 12, 13, 14, 15, 16}
-	install(t, g, externals...)
-	newcomer := testNode(t, 5)
-	b, rep, err := g.Split(2, newcomer, maxM)
-	if err != nil {
-		t.Fatal(err)
+	l := NewLayout(12, 5) // 4+4+4 …
+	for id := 12; id < 15; id++ {
+		l, _ = l.Join(id) // … filled to 5+5+5
 	}
-	if rep.ReplicasMigrated == 0 || rep.Messages == 0 {
+	next, plan := l.Join(15)
+	if rep := plan.Report(); rep.ReplicasMigrated == 0 || rep.Messages == 0 {
 		t.Error("split reported no work")
 	}
 	// Sizes: A = M−⌊M/2⌋ = 3, B = ⌊M/2⌋+1 = 3.
-	if g.Size() != 3 || b.Size() != 3 {
-		t.Errorf("sizes = %d/%d, want 3/3", g.Size(), b.Size())
+	a, b := next.Groups()[0], next.GroupOf(15)
+	if len(a.Members) != 3 || len(b.Members) != 3 {
+		t.Errorf("sizes = %d/%d, want 3/3", len(a.Members), len(b.Members))
 	}
-	if !b.HasMember(5) {
-		t.Error("newcomer not in new group")
+	if b.ID == a.ID || b.ID != 3 {
+		t.Errorf("newcomer in group %d, want the new group 3", b.ID)
 	}
-	// Both groups must cover the full population independently.
-	population := allIDs([]*Group{g, b}, externals)
-	if err := g.CoverageError(population); err != nil {
-		t.Errorf("group A coverage: %v", err)
+	if spread(&a) > 1 || spread(b) > 1 {
+		t.Errorf("halves left uneven: spreads %d and %d", spread(&a), spread(b))
 	}
-	if err := b.CoverageError(population); err != nil {
-		t.Errorf("group B coverage: %v", err)
+	// Both halves, like every group, cover the full population.
+	if err := next.Check(ids(16)); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestSplitPreconditions(t *testing.T) {
-	g := buildGroup(t, 1, 0, 1)
-	if _, _, err := g.Split(2, nil, 5); err == nil {
-		t.Error("nil newcomer accepted")
+	// A split happens only when no group has room.
+	roomy, _ := NewLayout(7, 4).Join(7) // 4+3: joins the group of three
+	if len(roomy.Groups()) != 2 {
+		t.Errorf("join with room available made %d groups", len(roomy.Groups()))
 	}
-	if _, _, err := g.Split(2, testNode(t, 9), 5); err == nil {
-		t.Error("split below M accepted")
+	full, plan := roomy.Join(8) // 4+4: splits
+	if len(full.Groups()) != 3 || plan.Count(Fetch) == 0 {
+		t.Errorf("join into a full system: %d groups, %d fetches", len(full.Groups()), plan.Count(Fetch))
 	}
-	full := buildGroup(t, 3, 0, 1, 2, 3, 4)
-	if _, _, err := full.Split(4, full.Member(0), 5); err == nil {
-		t.Error("member as newcomer accepted")
+	// The victim is the lowest-ID group and its ⌊M/2⌋ highest IDs move.
+	if g := full.GroupOf(8); !slices.Equal(g.Members, []int{2, 3, 8}) {
+		t.Errorf("new group = %v, want [2 3 8]", g.Members)
 	}
 }
 
 func TestMergeDeduplicatesAndCovers(t *testing.T) {
-	// Two 2-member groups, each independently mirroring the other side and
-	// the shared externals.
-	a := buildGroup(t, 1, 0, 1)
-	b := buildGroup(t, 2, 2, 3)
-	externals := []int{10, 11, 12}
-	install(t, a, externals...)
-	install(t, b, externals...)
-	install(t, a, 2, 3) // a mirrors b's members
-	install(t, b, 0, 1) // b mirrors a's members
-	population := []int{0, 1, 2, 3, 10, 11, 12}
-	if err := a.CoverageError(population); err != nil {
-		t.Fatalf("setup: %v", err)
+	// Two groups of two; one departure lets the union fit within M=3.
+	l := NewLayout(4, 3)
+	next, plan := l.Leave(3)
+	if len(next.Groups()) != 1 || !slices.Equal(next.Groups()[0].Members, []int{0, 1, 2}) {
+		t.Fatalf("groups after merge = %+v", next.Groups())
 	}
-
-	rep, err := a.Merge(b)
-	if err != nil {
-		t.Fatal(err)
+	// Replicas of MDSs that became groupmates are dropped, not kept.
+	if n := len(next.Groups()[0].Replicas); n != 0 {
+		t.Errorf("%d replicas of internal members survived the merge", n)
 	}
-	if a.Size() != 4 || b.Size() != 0 {
-		t.Errorf("sizes after merge = %d/%d", a.Size(), b.Size())
+	if plan.Count(Drop) == 0 {
+		t.Error("merge dropped nothing")
 	}
-	if err := a.CoverageError(population); err != nil {
+	if err := next.Check(ids(3)); err != nil {
 		t.Errorf("merged coverage: %v", err)
 	}
-	// Each external origin must be held exactly once; replicas of members
-	// must be gone.
-	for _, memberID := range []int{0, 1, 2, 3} {
-		if a.HolderOf(memberID) != -1 {
-			t.Errorf("replica of internal member %d survived merge", memberID)
+
+	// With outsiders both sides mirrored, exactly one copy of each survives.
+	l = NewLayout(8, 3) // 3+3+2
+	l, _ = l.Leave(7)   // 3+3+1: no union fits within M=3 …
+	if len(l.Groups()) != 3 {
+		t.Fatalf("setup: %d groups", len(l.Groups()))
+	}
+	next, _ = l.Leave(2) // … until 2+1 does
+	g := next.GroupOf(6)
+	if len(next.Groups()) != 2 || !slices.Equal(g.Members, []int{0, 1, 6}) {
+		t.Fatalf("groups after merge = %+v", next.Groups())
+	}
+	if len(g.Replicas) != 3 || spread(g) > 1 {
+		t.Errorf("merged group mirrors %v, want one evenly spread copy each of 3, 4 and 5", g.Replicas)
+	}
+	if err := next.Check([]int{0, 1, 3, 4, 5, 6}); err != nil {
+		t.Errorf("merged coverage: %v", err)
+	}
+}
+
+// TestRefetchAndUnhold covers the two operations only the TCP executor
+// needs: the repair plan of a restarted member, and the amendment for a
+// best-effort fetch that failed.
+func TestRefetchAndUnhold(t *testing.T) {
+	l := NewLayout(9, 3)
+	plan := l.Refetch(4)
+	held := l.GroupOf(4).HeldBy(4)
+	if len(plan.Moves) != len(held) || len(held) == 0 {
+		t.Fatalf("Refetch plans %d moves, member 4 holds %v", len(plan.Moves), held)
+	}
+	for i, mv := range plan.Moves {
+		if mv.Kind != Fetch || mv.To != 4 || mv.Origin != held[i] {
+			t.Errorf("move %d = %+v, want a fetch of %d to 4", i, mv, held[i])
 		}
 	}
-	_ = rep
-}
-
-func TestMergeRejectsOverlapAndSelf(t *testing.T) {
-	a := buildGroup(t, 1, 0, 1)
-	if _, err := a.Merge(a); err == nil {
-		t.Error("self-merge accepted")
+	amended := l.Unhold(held[0], 4)
+	if _, ok := amended.GroupOf(4).Holder(held[0]); ok {
+		t.Error("Unhold left the replica on the books")
 	}
-	if _, err := a.Merge(nil); err == nil {
-		t.Error("nil merge accepted")
-	}
-	b := buildGroup(t, 2, 1, 2) // overlapping member 1
-	if _, err := a.Merge(b); err == nil {
-		t.Error("overlapping merge accepted")
+	if _, ok := l.GroupOf(4).Holder(held[0]); !ok {
+		t.Error("Unhold wrote through its receiver")
 	}
 }
 
-func TestReportAdd(t *testing.T) {
-	r := Report{ReplicasMigrated: 1, Messages: 2}
-	r.Add(Report{ReplicasMigrated: 3, Messages: 4})
-	if r.ReplicasMigrated != 4 || r.Messages != 6 {
-		t.Errorf("Add = %+v", r)
+// schedule replays a seeded random join/leave/fail history from NewLayout(n,
+// m), calling visit after every step with the layout before it, the layout
+// after it, the plan and the population after it.
+func schedule(seed int64, n, m, steps int, visit func(step int, before, after Layout, plan Plan, ids []int)) {
+	rng := rand.New(rand.NewSource(seed))
+	l := NewLayout(n, m)
+	live := ids(n)
+	nextID := n
+	for k := 0; k < steps; k++ {
+		before := l
+		var plan Plan
+		roll := rng.Intn(10)
+		victim := rng.Intn(len(live))
+		switch {
+		case len(live) <= 2 || (len(live) < 3*n && roll < 4):
+			l, plan = l.Join(nextID)
+			live = append(live, nextID)
+			nextID++
+		case roll == 4 && nextID > len(live):
+			// A rejoin under a retired ID, lower than some live ones: what
+			// RestartMDS does after a failover.
+			old := 0
+			for slices.Contains(live, old) {
+				old++
+			}
+			l, plan = l.Join(old)
+			live = append(live, old)
+			slices.Sort(live)
+		case roll < 7:
+			l, plan = l.Leave(live[victim])
+			live = slices.Delete(live, victim, victim+1)
+		default:
+			l, plan = l.Fail(live[victim])
+			live = slices.Delete(live, victim, victim+1)
+		}
+		visit(k, before, l, plan, live)
+	}
+}
+
+// TestPlannerProperties drives 10,000-step random schedules over bare IDs
+// and checks, after every step, everything the planner promises: the global
+// mirror image (every MDS covered exactly once per group, no replica of a
+// groupmate, every holder a member), no group above M, a spread of at most
+// one in every group that was just split or merged, a plan whose moves stay
+// inside one group and name only live servers, and a receiver left
+// untouched. The same schedule run twice must produce identical plans.
+func TestPlannerProperties(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		n, m int
+	}{{1, 12, 4}, {2, 10, 1}, {3, 30, 7}, {4, 5, 3}, {5, 16, 2}} {
+		var plans []Plan
+		schedule(tc.seed, tc.n, tc.m, 10_000, func(step int, before, after Layout, plan Plan, live []int) {
+			plans = append(plans, plan)
+			if t.Failed() {
+				return
+			}
+			if err := after.Check(live); err != nil {
+				t.Fatalf("seed %d step %d: %v", tc.seed, step, err)
+			}
+			for i := range after.Groups() {
+				g := &after.Groups()[i]
+				// A split rebalances the lowest-ID group and the new one; a
+				// merge, the group whose members come from two former ones.
+				split := len(after.Groups()) > len(before.Groups()) &&
+					(g.ID == before.Groups()[0].ID || i == len(after.Groups())-1)
+				from := make(map[int]bool)
+				for _, m := range g.Members {
+					if old := before.GroupOf(m); old != nil {
+						from[old.ID] = true
+					}
+				}
+				if (split || len(from) > 1) && spread(g) > 1 {
+					t.Fatalf("seed %d step %d: group %d %v was rebalanced to a spread of %d", tc.seed, step, g.ID, g.Members, spread(g))
+				}
+			}
+			for _, mv := range plan.Moves {
+				switch mv.Kind {
+				case Migrate:
+					// The receiver is a groupmate of the giver, unless the
+					// giver is the leaver handing its replicas over.
+					if g := after.GroupOf(mv.To); g == nil || !g.has(mv.From) && after.GroupOf(mv.From) != nil {
+						t.Fatalf("seed %d step %d: %+v crosses groups", tc.seed, step, mv)
+					}
+				case Fetch:
+					// (A merge may later make the two groupmates and drop
+					// the replica again.)
+					if after.GroupOf(mv.To) == nil || after.GroupOf(mv.Origin) == nil {
+						t.Fatalf("seed %d step %d: %+v fetches from or to nowhere", tc.seed, step, mv)
+					}
+				case Drop:
+					if after.GroupOf(mv.From) == nil {
+						t.Fatalf("seed %d step %d: %+v drops at a server that is gone", tc.seed, step, mv)
+					}
+				}
+			}
+			if rep := plan.Report(); rep.ReplicasMigrated != plan.Count(Migrate)+plan.Count(Fetch) || rep.Messages != rep.ReplicasMigrated+plan.Notices {
+				t.Fatalf("seed %d step %d: report %+v does not price plan %+v", tc.seed, step, rep, plan)
+			}
+		})
+		k := 0
+		schedule(tc.seed, tc.n, tc.m, 10_000, func(step int, _, _ Layout, plan Plan, _ []int) {
+			if !reflect.DeepEqual(plan, plans[k]) && !t.Failed() {
+				t.Errorf("seed %d step %d: second run planned %+v, first %+v", tc.seed, step, plan, plans[k])
+			}
+			k++
+		})
+	}
+}
+
+// TestOperationsLeaveReceiverUntouched pins the value semantics every
+// published Layout relies on: a successor shares no writable state with its
+// predecessor.
+func TestOperationsLeaveReceiverUntouched(t *testing.T) {
+	l := NewLayout(12, 4)
+	frozen := l.clone()
+	for i := range frozen.groups {
+		frozen.groups[i].Members = slices.Clone(frozen.groups[i].Members)
+	}
+	l.Join(12)
+	l.Leave(5)
+	l.Fail(0)
+	l.Unhold(4, 0)
+	grown, _ := l.Join(12)
+	grown.Join(13)
+	grown.Leave(12)
+	if !reflect.DeepEqual(l, frozen) {
+		t.Errorf("an operation wrote through its receiver:\n got  %+v\n want %+v", l, frozen)
 	}
 }

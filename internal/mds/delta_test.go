@@ -79,7 +79,9 @@ func TestDeltaBitsIsTheXorDistance(t *testing.T) {
 				did = fmt.Sprintf("RebuildIfStale(2)=%v", n.RebuildIfStale(2))
 			case r < 17:
 				did = "Ship"
-				n.Ship()
+				if snap := n.Ship(); n.Shipped() != snap {
+					t.Fatalf("seed %d step %d: Shipped is not the snapshot Ship just handed out", seed, step)
+				}
 			case r < 18:
 				did = "Marshal→Unmarshal"
 				blob, err := n.MarshalSnapshot()
@@ -121,6 +123,11 @@ func TestDeltaBitsIsTheXorDistance(t *testing.T) {
 			}
 			if n.NeedsShip(3) != (n.DeltaBits() >= 3) {
 				t.Fatalf("seed %d step %d: NeedsShip disagrees with DeltaBits", seed, step)
+			}
+			// Shipped reads the snapshot the distance is measured against
+			// and moves nothing.
+			if d, err := n.LocalFilter().XorBits(n.Shipped()); err != nil || d != n.DeltaBits() {
+				t.Fatalf("seed %d step %d after %s: local is %d bits from Shipped (%v), DeltaBits %d", seed, step, did, d, err, n.DeltaBits())
 			}
 		}
 		if err := l.Close(); err != nil {

@@ -303,6 +303,18 @@ func (n *Node) Ship() *bloom.Filter {
 	return snap
 }
 
+// Shipped returns the snapshot Ship last handed out — what every holder of
+// this node's replica has — without touching the staleness tracking. A member
+// that must acquire the replica outside an update (a split, a failover, a
+// restart) gets this, not a fresh Ship: a Ship for one holder's benefit would
+// zero the drift every other holder's older copy is measured against. The
+// snapshot is shared and must be treated as immutable.
+func (n *Node) Shipped() *bloom.Filter {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.lastShipped
+}
+
 // InstallReplica stores (or refreshes) the replica of origin's filter.
 func (n *Node) InstallReplica(origin int, f *bloom.Filter) {
 	n.replicas.Put(origin, f)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ghba/internal/group"
 	"ghba/internal/mds"
 	"ghba/internal/metrics"
 	"ghba/internal/rpcnet"
@@ -123,7 +124,7 @@ func (o *Options) walDir(id int) string {
 // drives queries, mutations and reconfiguration against them.
 //
 // The coordinator follows the same discipline as the simulator's core
-// engine: membership, group and holder state live behind an RWMutex,
+// engine: membership and the group layout live behind an RWMutex,
 // lookups and mutations are readers that snapshot what they need and issue
 // RPCs without holding the lock, and AddMDS is the exclusive writer. The
 // ground-truth home map synchronizes on its own mutex so creates and
@@ -134,13 +135,15 @@ func (o *Options) walDir(id int) string {
 type Cluster struct {
 	opts Options
 
-	mu       sync.RWMutex
-	servers  map[int]*NodeServer
-	groups   map[int][]int       // group index → member IDs
-	holders  map[int]map[int]int // group index → origin → holding member
-	ids      []int               // sorted member IDs; rebuilt on mutation, never mutated in place
-	groupIdx map[int]int         // member ID → group index; rebuilt with ids
-	nextID   int
+	mu      sync.RWMutex
+	servers map[int]*NodeServer
+	// layout is the group layer — who is grouped with whom, who holds which
+	// replica — planned by internal/group and committed only after the RPCs
+	// that realize it succeeded (or, on best-effort paths, amended by what
+	// failed).
+	layout group.Layout
+	ids    []int // sorted member IDs; rebuilt on mutation, never mutated in place
+	nextID int
 
 	// index is the published immutable membership snapshot the query path
 	// navigates by without touching mu: rebuildIndexLocked swaps it in as
@@ -296,8 +299,7 @@ func Start(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:     opts,
 		servers:  make(map[int]*NodeServer),
-		groups:   make(map[int][]int),
-		holders:  make(map[int]map[int]int),
+		layout:   group.NewLayout(opts.N, opts.M),
 		homes:    make(map[string]int),
 		ships:    shipq.New(opts.ShipBatch),
 		conns:    newConnSet(callTimeout, useMux),
@@ -316,28 +318,12 @@ func Start(opts Options) (*Cluster, error) {
 		c.servers[i] = ns
 		c.conns.register(i, ns.Addr())
 	}
-	// The partition matches the simulator's: ⌈N/M⌉ groups with sizes as even
-	// as possible, so a sim and a prototype built from the same (N, M) agree
-	// on membership.
-	numGroups := (opts.N + opts.M - 1) / opts.M
-	base := opts.N / numGroups
-	extra := opts.N % numGroups
-	next := 0
-	for gi := 0; gi < numGroups; gi++ {
-		size := base
-		if gi < extra {
-			size++
-		}
-		members := make([]int, 0, size)
-		for id := next; id < next+size; id++ {
-			members = append(members, id)
-		}
-		next += size
-		c.groups[gi] = members
-		c.holders[gi] = make(map[int]int)
-	}
+	// The layout is the simulator's — one planner — so a sim and a prototype
+	// built from the same (N, M) agree on membership and placement. Initial
+	// (empty) replicas are installed directly, before any measurement
+	// traffic.
 	c.rebuildIndexLocked()
-	c.seedReplicas()
+	c.refreshReplicas()
 	return c, nil
 }
 
@@ -394,12 +380,12 @@ type topo struct {
 	members map[int][]int // member ID → sorted member IDs of its group
 }
 
-// rebuildIndexLocked recomputes the sorted-ID cache and the member → group
-// index, then publishes the new membership snapshot for the lock-free query
-// path. Callers must hold c.mu exclusively (or be pre-concurrency in
-// Start). Every structure is allocated fresh so snapshots handed to readers
-// stay valid after the next rebuild — including the per-group member slices,
-// which joinGroup appends to in place under the write lock.
+// rebuildIndexLocked recomputes the sorted-ID cache, then publishes the new
+// membership snapshot for the lock-free query path. Callers must hold c.mu
+// exclusively (or be pre-concurrency in Start). The ID slice is allocated
+// fresh and the member slices are the layout's own, which are never written
+// after the layout is returned, so snapshots handed to readers stay valid
+// after the next rebuild.
 func (c *Cluster) rebuildIndexLocked() {
 	ids := make([]int, 0, len(c.servers))
 	for id := range c.servers {
@@ -407,42 +393,20 @@ func (c *Cluster) rebuildIndexLocked() {
 	}
 	sort.Ints(ids)
 	c.ids = ids
-	idx := make(map[int]int, len(c.servers))
 	t := &topo{ids: ids, members: make(map[int][]int, len(c.servers))}
-	for gi, members := range c.groups {
-		frozen := append([]int(nil), members...)
-		sort.Ints(frozen)
-		for _, m := range members {
-			idx[m] = gi
-			t.members[m] = frozen
+	for _, g := range c.layout.Groups() {
+		for _, m := range g.Members {
+			t.members[m] = g.Members
 		}
 	}
-	c.groupIdx = idx
 	c.index.Store(t)
 }
 
-// seedReplicas distributes initial (empty) replicas directly, before any
-// measurement traffic. Holder assignment round-robins each group's members
-// in ascending member order over ascending external origins — the same
-// placement the simulator's lightest-member rule produces on a fresh
-// cluster.
-func (c *Cluster) seedReplicas() {
-	for gi, members := range c.groups {
-		inGroup := make(map[int]bool, len(members))
-		for _, id := range members {
-			inGroup[id] = true
-		}
-		slot := 0
-		for _, origin := range c.ids {
-			if inGroup[origin] {
-				continue
-			}
-			target := members[slot%len(members)]
-			slot++
-			c.servers[target].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
-			c.holders[gi][origin] = target
-		}
-	}
+// Layout returns the current group layout, an immutable value.
+func (c *Cluster) Layout() group.Layout {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.layout
 }
 
 // snapshotIDs returns the current sorted member IDs from the published
@@ -594,7 +558,7 @@ func (w countedCaller) CallContext(ctx context.Context, msgType uint8, payload [
 // was lost is not.
 func isIdempotent(op uint8) bool {
 	switch op {
-	case opShipFilter, opObserveBatch, opPing, opHeartbeat,
+	case opShipFilter, opFetchShipped, opObserveBatch, opHeartbeat,
 		opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch:
 		return true
 	}
@@ -657,12 +621,13 @@ func (c *Cluster) Populate(paths []string) {
 	}
 }
 
-// refreshReplicas re-ships every filter to its current holders (direct).
-// Callers must hold c.mu exclusively.
+// refreshReplicas re-ships every filter to its current holders, in-process
+// and uncounted: the bulk-load shortcut around shipOrigin. Callers must hold
+// c.mu exclusively (or be pre-concurrency in Start).
 func (c *Cluster) refreshReplicas() {
-	for gi := range c.groups {
-		for origin, holder := range c.holders[gi] {
-			c.servers[holder].InstallReplicaDirect(origin, c.servers[origin].ShipDirect())
+	for _, g := range c.layout.Groups() {
+		for _, r := range g.Replicas {
+			c.servers[r.Holder].InstallReplicaDirect(r.Origin, c.servers[r.Origin].ShipDirect())
 		}
 	}
 	// Everything just shipped; nothing is left to coalesce.

@@ -1,17 +1,18 @@
 // Package proto implements the paper's Section 5 prototype: metadata
 // servers as real TCP daemons (one rpcnet server each, loopback in tests and
 // examples, any address in cmd/mdsd), exchanging genuine socket traffic for
-// queries, verification, replica installation and reconfiguration. Message
-// counts are therefore exact (Fig 15) and lookup latencies include the real
-// network stack (Fig 14).
+// queries, verification, replica installation and reconfiguration, so lookup
+// latencies include the real network stack (Fig 14). Reconfiguration runs the
+// plan internal/group computes — the same plan the simulator runs — and
+// reports that plan's cost (Fig 15).
 //
 // The coordinator (Cluster) drives the multi-level query on behalf of the
 // entry MDS — the same messages a server-driven implementation would send,
-// issued from the client side for simplicity — and tracks replica placement
-// the way member IDBFAs do in the simulator. It has one walk (lookupVector)
-// and one sender per mutation kind (createRun, deleteRun), all over path
-// vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
-// whole window.
+// issued from the client side for simplicity — and keeps the group layout
+// (who holds which replica) the way member IDBFAs do in the simulator. It has
+// one walk (lookupVector) and one sender per mutation kind (createRun,
+// deleteRun), all over path vectors: Lookup and Apply run them over a vector
+// of one, ApplyBatch over a whole window.
 package proto
 
 import (
@@ -28,9 +29,9 @@ import (
 const (
 	opInstallReplica   uint8 = iota + 1 // origin + filter → ack
 	opDropReplica                       // origin → filter bytes
-	opShipFilter                        // (empty) → origin's current filter
+	opShipFilter                        // (empty) → origin's current filter, recorded as last shipped
+	opFetchShipped                      // (empty) → the filter origin last shipped; its drift tracking untouched
 	opObserveBatch                      // batched L1 observations → ack
-	opPing                              // membership/IDBFA-update stand-in → ack
 	opLookupBatch                       // paths → per path: L1 hits + L2 hits (entry leg)
 	opQueryMemberBatch                  // paths → per path: L2 hits (group multicast leg)
 	opVerifyBatch                       // paths → per path: 1/0 authoritative answer
@@ -38,8 +39,7 @@ const (
 	opCreateBatch                       // paths → 1 byte: filter crossed the XOR-delta ship threshold after the batch
 	opDeleteBatch                       // paths → per path existed byte, then 1 rebuilt byte
 
-	// opHeartbeat is the failure detector's liveness probe. Unlike opPing
-	// (the reconfiguration protocol's IDBFA-update stand-in) the response
+	// opHeartbeat is the failure detector's liveness probe. The response
 	// carries a health report — id, homed files, WAL position — so a probe
 	// that reaches the wrong daemon after an address reuse is detectable.
 	opHeartbeat // (empty) → id uint32 | files uint64 | walRecords uint64
@@ -51,8 +51,8 @@ var opNames = [...]string{
 	opInstallReplica:   "install_replica",
 	opDropReplica:      "drop_replica",
 	opShipFilter:       "ship_filter",
+	opFetchShipped:     "fetch_shipped",
 	opObserveBatch:     "observe_batch",
-	opPing:             "ping",
 	opLookupBatch:      "lookup_batch",
 	opQueryMemberBatch: "query_member_batch",
 	opVerifyBatch:      "verify_batch",

@@ -78,10 +78,10 @@ func TestParallelLookupsDuringAddMDSChurn(t *testing.T) {
 	}
 }
 
-// TestAddMDSDeterministicReplicaOffload pins the joinGroup fix: two
-// identically seeded clusters performing the same join must end with
-// identical replica placement and identical message counts — map iteration
-// order must not pick which replicas migrate.
+// TestAddMDSDeterministicReplicaOffload pins that two identically seeded
+// clusters performing the same join end with identical replica placement and
+// identical reports — map iteration order must not pick which replicas
+// migrate.
 func TestAddMDSDeterministicReplicaOffload(t *testing.T) {
 	// 7 servers, M=4 → groups of 4 and 3; the join lands in the second
 	// with replica offload.
@@ -96,13 +96,10 @@ func TestAddMDSDeterministicReplicaOffload(t *testing.T) {
 		t.Fatal(err)
 	}
 	if aMsgs != bMsgs {
-		t.Errorf("join message counts diverged: %d vs %d", aMsgs, bMsgs)
+		t.Errorf("join reports diverged: %+v vs %+v", aMsgs, bMsgs)
 	}
-	if !reflect.DeepEqual(a.groups, b.groups) {
-		t.Errorf("groups diverged:\n a: %v\n b: %v", a.groups, b.groups)
-	}
-	if !reflect.DeepEqual(a.holders, b.holders) {
-		t.Errorf("replica placement diverged:\n a: %v\n b: %v", a.holders, b.holders)
+	if !reflect.DeepEqual(a.Layout(), b.Layout()) {
+		t.Errorf("groups or replica placement diverged:\n a: %v\n b: %v", a.Layout().Groups(), b.Layout().Groups())
 	}
 }
 
@@ -123,18 +120,16 @@ func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
 	if n := c.NumMDS(); n != 7 {
 		t.Errorf("NumMDS after failed join = %d, want 7", n)
 	}
-	c.mu.RLock()
-	if gi := c.groupOfLocked(7); gi != -1 {
-		t.Errorf("abandoned newcomer still in group %d", gi)
+	if g := c.Layout().GroupOf(7); g != nil {
+		t.Errorf("abandoned newcomer still in group %d", g.ID)
 	}
-	for gi, m := range c.holders {
-		for origin, holder := range m {
-			if origin == 7 || holder == 7 {
-				t.Errorf("holders[%d] still references abandoned newcomer: %d→%d", gi, origin, holder)
+	for _, g := range c.Layout().Groups() {
+		for _, r := range g.Replicas {
+			if r.Origin == 7 || r.Holder == 7 {
+				t.Errorf("group %d still references abandoned newcomer: %d→%d", g.ID, r.Origin, r.Holder)
 			}
 		}
 	}
-	c.mu.RUnlock()
 	// Lookups that stay inside the healthy group still resolve. Stay
 	// under c.obsBatch total so the observation flush (which would
 	// multicast into the dead daemon) never fires here.

@@ -18,29 +18,19 @@ type FailoverReport struct {
 	// daemon; they are scrubbed from the namespace (and recoverable via
 	// RestartMDS when the cluster runs with a DataDir).
 	FilesLost int
-	// GroupDissolved reports the dead daemon was its group's last member,
-	// so the group itself disappeared.
-	GroupDissolved bool
 	// Messages is the number of RPCs the reconfiguration cost.
 	Messages int
 }
 
 // FailMDS removes a (presumed dead) daemon from the running prototype: its
-// server and connection shut down, survivors drop or re-acquire the
-// replicas the failure invalidated, and the files it homed leave the
-// ground-truth namespace. The heartbeat detector invokes this
-// automatically on a Dead verdict; tests and operators may call it
-// directly.
-//
-// The survivor-side RPCs are best-effort: a drop or re-install that fails
-// leaves a stale or missing replica, which costs lookups a skipped hit or
-// an L4 fallback — never a wrong answer, because lookups filter hits
-// against live membership and every positive is store-verified. Removing a
-// dead daemon must not itself be blockable by another hiccup.
-//
-// Unlike the simulator's departure path there is no group merge: a group
-// shrunk below M/2 keeps operating (its multicast just fans out less), and
-// a group whose last member died dissolves outright.
+// server and connection shut down, the files it homed leave the ground-truth
+// namespace, and the survivors run group.Layout.Fail's plan — every other
+// group drops its replica of the dead daemon, its own group fetches again
+// what it held (each survivor receiving what the origin last shipped), and
+// groups merge while a union fits within M, exactly as in the simulator. The
+// heartbeat detector invokes this automatically on a Dead verdict; tests and
+// operators may call it directly. The survivor-side RPCs are best-effort
+// (see runPlan).
 func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -61,7 +51,8 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.conns.unregister(id)
 	c.ships.Forget(id)
 
-	c.failGHBALocked(ctx, id, &msgs, &rep)
+	next, plan := c.layout.Fail(id)
+	c.layout, _ = c.runPlan(ctx, plan, next, false, &msgs)
 	c.rebuildIndexLocked()
 
 	c.homesMu.Lock()
@@ -74,62 +65,6 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.homesMu.Unlock()
 	rep.Messages = int(msgs.Load())
 	return rep, nil
-}
-
-// failGHBALocked repairs G-HBA replica placement around a dead member:
-// the replicas it held for its group are re-fetched from their (live,
-// authoritative) origins onto surviving groupmates, and the replica of the
-// dead daemon held in each other group is dropped. Callers hold c.mu
-// exclusively with the daemon already out of c.servers.
-func (c *Cluster) failGHBALocked(ctx context.Context, id int, msgs *atomic.Int64, rep *FailoverReport) {
-	gi := c.groupOfLocked(id)
-	if gi >= 0 {
-		members := make([]int, 0, len(c.groups[gi])-1)
-		for _, m := range c.groups[gi] {
-			if m != id {
-				members = append(members, m)
-			}
-		}
-		if len(members) == 0 {
-			delete(c.groups, gi)
-			delete(c.holders, gi)
-			rep.GroupDissolved = true
-		} else {
-			c.groups[gi] = members
-			for _, origin := range sortedKeys(c.holders[gi]) {
-				if c.holders[gi][origin] != id {
-					continue
-				}
-				// The dead daemon held origin's replica for this group;
-				// re-fetch from the origin itself onto the lightest
-				// survivor. On failure the group loses coverage of origin
-				// (L4 still finds its files) rather than keeping a holder
-				// entry that points at nobody.
-				snap, err := c.call(ctx, origin, opShipFilter, nil, msgs)
-				if err != nil {
-					delete(c.holders[gi], origin)
-					continue
-				}
-				target := c.lightestMember(gi)
-				if _, err := c.call(ctx, target, opInstallReplica, encodeOriginPayload(origin, snap), msgs); err != nil {
-					delete(c.holders[gi], origin)
-					continue
-				}
-				c.holders[gi][origin] = target
-			}
-		}
-	}
-	for _, g := range sortedKeys(c.groups) {
-		if g == gi {
-			continue
-		}
-		holder, ok := c.holders[g][id]
-		if !ok {
-			continue
-		}
-		delete(c.holders[g], id)
-		_, _ = c.call(ctx, holder, opDropReplica, encodeOriginPayload(id, nil), msgs)
-	}
 }
 
 // KillMDS crashes daemon id in place: its connections drop and its WAL is
@@ -197,24 +132,19 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	}
 	rep.Recovery = info
 	rep.Addr = ns.Addr()
-	c.conns.register(id, ns.Addr())
 
 	var msgs atomic.Int64
 	if wasMember {
+		c.conns.register(id, ns.Addr())
 		c.servers[id] = ns
 		c.rewireLocked(ctx, id, &msgs)
+		c.rebuildIndexLocked()
 	} else {
 		rep.Rejoined = true
-		groupsBak, holdersBak := copyGroups(c.groups), copyHolders(c.holders)
-		if err := c.addGHBALocked(ctx, id, &msgs); err != nil {
-			c.groups, c.holders = groupsBak, holdersBak
-			ns.Close()
-			c.conns.unregister(id)
+		if _, err := c.joinLocked(ctx, id, ns, &msgs); err != nil {
 			return rep, err
 		}
-		c.servers[id] = ns
 	}
-	c.rebuildIndexLocked()
 
 	if conflicts := c.reconcileHomesLocked(id, ns, &rep); len(conflicts) > 0 {
 		// Another daemon homed these paths while this one was down; the
@@ -229,34 +159,14 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 
 // rewireLocked re-establishes replica placement around a daemon restarted
 // in its existing membership slot: the replicas it is on record as holding
-// are re-fetched from their origins (the crash emptied its replica array),
-// and its own filter re-ships to its holders (their copies predate the
-// crash). Best-effort, like the failover RPCs: a miss degrades lookups to
-// L4, never corrupts them.
+// are fetched again (the crash emptied its replica array; each arrives as its
+// origin last shipped it), and its own filter ships to its holders, whose
+// copies may be newer than the last-shipped snapshot its log preserved.
+// Best-effort, like the failover RPCs: a miss degrades lookups to L4, never
+// corrupts them.
 func (c *Cluster) rewireLocked(ctx context.Context, id int, msgs *atomic.Int64) {
-	gi := c.groupOfLocked(id)
-	if gi >= 0 {
-		for _, origin := range sortedKeys(c.holders[gi]) {
-			if c.holders[gi][origin] != id {
-				continue
-			}
-			if snap, err := c.call(ctx, origin, opShipFilter, nil, msgs); err == nil {
-				_, _ = c.call(ctx, id, opInstallReplica, encodeOriginPayload(origin, snap), msgs)
-			}
-		}
-	}
-	snap, err := c.call(ctx, id, opShipFilter, nil, msgs)
-	if err != nil {
-		return
-	}
-	for _, g := range sortedKeys(c.groups) {
-		if g == gi {
-			continue
-		}
-		if holder, ok := c.holders[g][id]; ok {
-			_, _ = c.call(ctx, holder, opInstallReplica, encodeOriginPayload(id, snap), msgs)
-		}
-	}
+	c.layout, _ = c.runPlan(ctx, c.layout.Refetch(id), c.layout, false, msgs)
+	_, _ = c.ship(ctx, id, c.layout.Holders(id), msgs)
 }
 
 // reconcileHomesLocked folds a recovered daemon's store back into the

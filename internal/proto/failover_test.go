@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ghba/internal/mds"
 	"ghba/internal/rpcnet"
 	"ghba/internal/trace"
 )
@@ -455,5 +456,61 @@ func TestWALSnapshotCadence(t *testing.T) {
 	}
 	if maxSeen == 0 {
 		t.Fatal("heartbeat never reported WAL growth; is the WAL wired in?")
+	}
+}
+
+// TestReplicaDriftStaysBounded is core's test of the same name over the
+// wire, with the third way a holder acquires a replica outside an update: a
+// kill and an in-place restart. Before reconfiguration fetched last-shipped
+// snapshots the worst replica strayed 109–118 bits from its origin's filter,
+// against a ship threshold of 64.
+func TestReplicaDriftStaysBounded(t *testing.T) {
+	ctx := context.Background()
+	for name, reconfigure := range map[string]func(c *Cluster) error{
+		"split": func(c *Cluster) error { _, _, err := c.AddMDS(ctx); return err },
+		"fail":  func(c *Cluster) error { _, err := c.FailMDS(ctx, 5); return err },
+		"kill+restart": func(c *Cluster) error {
+			if err := c.KillMDS(5); err != nil {
+				return err
+			}
+			_, err := c.RestartMDS(ctx, 5)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := Start(durableOptions(t, 12, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			var worst uint64
+			create := func(from, to int) {
+				for i := from; i < to; i++ {
+					if _, err := createFile(ctx, c, "/drift/f"+strconv.Itoa(i)); err != nil {
+						t.Fatal(err)
+					}
+					// One worker, synchronous ships: the daemons are idle.
+					for _, g := range c.Layout().Groups() {
+						for _, r := range g.Replicas {
+							drift, err := c.servers[r.Origin].node.LocalFilter().XorBits(c.servers[r.Holder].node.Replicas().Get(r.Origin))
+							if err != nil {
+								t.Fatal(err)
+							}
+							worst = max(worst, drift)
+						}
+					}
+				}
+			}
+			create(0, 400)
+			if err := reconfigure(c); err != nil {
+				t.Fatal(err)
+			}
+			checkPlacement(t, c)
+			create(400, 1200)
+			checkPlacement(t, c)
+			if worst == 0 || worst > mds.DefaultUpdateThresholdBits {
+				t.Errorf("worst replica drift %d bits, want within (0, %d]", worst, mds.DefaultUpdateThresholdBits)
+			}
+		})
 	}
 }

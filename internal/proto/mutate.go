@@ -2,8 +2,10 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"ghba/internal/trace"
 )
@@ -87,13 +89,12 @@ func (c *Cluster) shipBatch(ctx context.Context, origins []int) error {
 	return nil
 }
 
-// shipOrigin fetches origin's current filter snapshot over RPC (the daemon
-// records it as last-shipped, resetting its XOR-delta drift) and installs
-// it at the one replica holder in every other group — every other daemon
-// when groups are of one. Ships of the same origin serialize on a striped lock
-// so a racing pair cannot install an older snapshot over a newer one while
-// the origin's drift tracking already counts against the newer. Unknown
-// origins (retired between enqueue and drain) are ignored.
+// shipOrigin ships origin's filter as an XOR-delta update: to the one replica
+// holder in every other group — every other daemon when groups are of one.
+// Ships of the same origin serialize on a striped lock so a racing pair
+// cannot install an older snapshot over a newer one while the origin's drift
+// tracking already counts against the newer. Unknown origins (retired between
+// enqueue and drain) are ignored.
 func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 	stripe := &c.shipStripes[uint(origin)%uint(len(c.shipStripes))]
 	stripe.Lock()
@@ -101,28 +102,38 @@ func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 	// Snapshot the install targets under the read lock; the RPCs run
 	// without it, like every other coordinator fan-out.
 	c.mu.RLock()
-	if _, ok := c.servers[origin]; !ok {
-		c.mu.RUnlock()
+	_, member := c.servers[origin]
+	targets := c.layout.Holders(origin)
+	c.mu.RUnlock()
+	if !member {
 		return nil
 	}
-	var targets []int
-	ownGroup := c.groupIdx[origin]
-	for _, gi := range sortedKeys(c.groups) {
-		if holder, ok := c.holders[gi][origin]; ok && gi != ownGroup {
-			targets = append(targets, holder)
-		}
-	}
-	c.mu.RUnlock()
-	snap, err := c.call(ctx, origin, opShipFilter, nil, nil)
+	installed, err := c.ship(ctx, origin, targets, nil)
+	c.replicaShips.Add(uint64(installed))
+	return err
+}
+
+// ship is the coordinator's one sender of opShipFilter: it fetches origin's
+// current filter snapshot (the daemon records it as last-shipped, resetting
+// its XOR-delta drift) and installs it at every target, so no holder is ever
+// left with an older snapshot than the one drift is measured against — a
+// target that fails its install does not cost the others theirs. Returns how
+// many targets were reached and the failures, joined. ctr, when non-nil,
+// charges the RPCs to one reconfiguration.
+func (c *Cluster) ship(ctx context.Context, origin int, targets []int, ctr *atomic.Int64) (int, error) {
+	snap, err := c.call(ctx, origin, opShipFilter, nil, ctr)
 	if err != nil {
-		return fmt.Errorf("proto: fetching filter of MDS %d: %w", origin, err)
+		return 0, fmt.Errorf("proto: fetching filter of MDS %d: %w", origin, err)
 	}
 	payload := encodeOriginPayload(origin, snap)
+	installed := 0
+	var errs []error
 	for _, target := range targets {
-		if _, err := c.call(ctx, target, opInstallReplica, payload, nil); err != nil {
-			return fmt.Errorf("proto: shipping filter of MDS %d to %d: %w", origin, target, err)
+		if _, err := c.call(ctx, target, opInstallReplica, payload, ctr); err != nil {
+			errs = append(errs, fmt.Errorf("proto: shipping filter of MDS %d to %d: %w", origin, target, err))
+			continue
 		}
-		c.replicaShips.Add(1)
+		installed++
 	}
-	return nil
+	return installed, errors.Join(errs...)
 }

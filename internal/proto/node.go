@@ -250,6 +250,9 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 	case opShipFilter:
 		return ns.node.Ship().MarshalBinary()
 
+	case opFetchShipped:
+		return ns.node.Shipped().MarshalBinary()
+
 	case opObserveBatch:
 		obs, err := decodeObservations(payload)
 		if err != nil {
@@ -259,9 +262,6 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 			d := bloom.NewDigestString(o.path)
 			ns.node.ObserveHitDigest(&d, o.home)
 		}
-		return nil, nil
-
-	case opPing:
 		return nil, nil
 
 	case opLookupBatch:

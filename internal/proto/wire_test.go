@@ -87,6 +87,10 @@ func TestWireRoundTrip(t *testing.T) {
 			// the bloom package's own MarshalBinary round-trip tests. The
 			// wire layer adds nothing beyond the opcode frame.
 		}},
+		{opFetchShipped, func(t *testing.T) {
+			// The same wire form as opShipFilter; what differs is the daemon's
+			// side effect, pinned by TestFetchShippedLeavesDriftAlone.
+		}},
 		{opObserveBatch, func(t *testing.T) {
 			obs := []observation{{home: 2, path: "/a"}, {home: 9, path: ""}, {home: 1 << 20, path: "/b/c"}}
 			got, err := decodeObservations(encodeObservations(obs))
@@ -96,10 +100,6 @@ func TestWireRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, obs) {
 				t.Fatalf("observations: got %v, want %v", got, obs)
 			}
-		}},
-		{opPing, func(t *testing.T) {
-			// Empty request, empty ack: the round trip is the frame itself,
-			// covered by rpcnet's FuzzFrameRoundTrip.
 		}},
 		{opLookupBatch, func(t *testing.T) {
 			paths := pathsTrip(t)
@@ -214,8 +214,8 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 		opInstallReplica:   encodeOriginPayload(1, wire),
 		opDropReplica:      encodeOriginPayload(1, nil),
 		opShipFilter:       nil,
+		opFetchShipped:     nil,
 		opObserveBatch:     encodeObservations([]observation{{home: 1, path: "/p"}}),
-		opPing:             nil,
 		opLookupBatch:      paths,
 		opQueryMemberBatch: paths,
 		opVerifyBatch:      paths,
@@ -240,6 +240,49 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 				t.Fatalf("fresh daemon refused a well-formed %s: %v", opName(uint8(op)), err)
 			}
 		})
+	}
+}
+
+// TestFetchShippedLeavesDriftAlone pins what separates the two filter reads:
+// opFetchShipped answers with the snapshot the last ship handed out and
+// leaves the daemon's XOR-delta drift where it was, while opShipFilter answers
+// with the current filter and zeroes the drift.
+func TestFetchShippedLeavesDriftAlone(t *testing.T) {
+	node, err := mds.NewNode(0, testOptions(1, 1).Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := &NodeServer{node: node}
+	shippedBefore, err := node.Shipped().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		node.AddFile("/drift/f" + strconv.Itoa(i))
+	}
+	drift := node.DeltaBits()
+	if drift == 0 {
+		t.Fatal("setup: twenty creates moved no bit")
+	}
+	got, err := ns.handle(opFetchShipped, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, shippedBefore) {
+		t.Error("opFetchShipped did not answer with the last-shipped snapshot")
+	}
+	if node.DeltaBits() != drift {
+		t.Errorf("opFetchShipped moved the drift from %d to %d", drift, node.DeltaBits())
+	}
+	current, err := ns.handle(opShipFilter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(current, shippedBefore) || node.DeltaBits() != 0 {
+		t.Errorf("opShipFilter: same bytes as before the creates, or drift %d left", node.DeltaBits())
+	}
+	if again, _ := ns.handle(opFetchShipped, nil); !bytes.Equal(again, current) {
+		t.Error("opFetchShipped after a ship does not answer with what was shipped")
 	}
 }
 
@@ -293,11 +336,7 @@ func TestEveryOpcodeIsSent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	numGroups := func() int {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return len(c.groups)
-	}
+	numGroups := func() int { return len(c.Layout().Groups()) }
 	var joined, split bool
 	for i := 0; i < 4 && !(joined && split); i++ {
 		before := numGroups()

@@ -236,13 +236,17 @@ func (p *Prototype) Close() error {
 }
 
 // AddMDS boots one new daemon and reconfigures the running cluster over
-// real RPCs, returning the new ID and the number of messages the operation
-// cost.
+// real RPCs, returning the new ID and the number of Bloom-filter replicas
+// the join migrated — the same number, from the same plan, the simulation
+// reports for the same join.
 func (p *Prototype) AddMDS(ctx context.Context) (id, replicasMigrated int, err error) {
-	return p.cluster.AddMDS(ctx)
+	id, rep, err := p.cluster.AddMDS(ctx)
+	return id, rep.ReplicasMigrated, err
 }
 
-// RemoveMDS is not yet implemented by the TCP prototype.
+// RemoveMDS is not yet implemented by the TCP prototype: the leaver's
+// replicas would move by group.Layout.Leave's plan like any other, but
+// re-homing its files over RPC is not written.
 func (p *Prototype) RemoveMDS(context.Context, int) error { return ErrUnsupported }
 
 // FailMDS removes daemon id as if it had crashed: the daemon is killed,
