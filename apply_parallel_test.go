@@ -45,7 +45,7 @@ func TestApplyParallelSingleWorkerMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(trace.DispatchSeed(simB.seed, 0)))
 	serial := make([]Result, len(ops))
 	for i, op := range ops {
-		serial[i] = toResult(simB.cluster.ApplyWith(rng, op.Record()))
+		serial[i] = simB.cluster.ApplyWith(rng, op.Record())
 	}
 
 	for i := range parallel {

@@ -107,7 +107,10 @@ func run() error {
 	// Either backend, plus its ground truth for the closing sweep; from here
 	// on the two run the same code.
 	var (
-		b      ghba.Backend
+		b interface {
+			ghba.Backend
+			ghba.Reconfigurer // -add
+		}
 		homeOf func(path string) int
 	)
 	switch *backend {
@@ -191,18 +194,12 @@ func run() error {
 		return errors.New("sweep: lookups disagree with ground truth")
 	}
 
-	if *adds > 0 {
-		rc, ok := b.(ghba.Reconfigurer)
-		if !ok {
-			return fmt.Errorf("-add: %w", ghba.ErrUnsupported)
+	for k := 0; k < *adds; k++ {
+		id, migrated, err := b.AddMDS(ctx)
+		if err != nil {
+			return fmt.Errorf("-add %d of %d: %w", k+1, *adds, err)
 		}
-		for k := 0; k < *adds; k++ {
-			id, migrated, err := rc.AddMDS(ctx)
-			if err != nil {
-				return fmt.Errorf("-add %d of %d: %w", k+1, *adds, err)
-			}
-			fmt.Printf("ghbactl: added MDS %d (%d replicas migrated)\n", id, migrated)
-		}
+		fmt.Printf("ghbactl: added MDS %d (%d replicas migrated)\n", id, migrated)
 	}
 	return nil
 }

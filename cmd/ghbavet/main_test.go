@@ -141,3 +141,86 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 		t.Logf("go vet output:\n%s", out)
 	}
 }
+
+// TestAnalyzersFireOnRealTree answers whether lockorder and snapcheck — the
+// two analyzers that have never reported on this repository — would notice
+// their bug class in the engine itself rather than in a fixture. It copies
+// the module (vendor/ included) aside, runs `go vet -vettool` on one package
+// to show it is clean, plants one textual mutation, and requires the
+// analyzer's diagnostic on the mutated line.
+func TestAnalyzersFireOnRealTree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("copies the module and vets it four times")
+	}
+	mod := t.TempDir()
+	root := filepath.Join("..", "..")
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(mod, "go.mod"), gomod, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"vendor", "internal"} {
+		if err := os.CopyFS(filepath.Join(mod, dir), os.DirFS(filepath.Join(root, dir))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vetPackage := func(pkg string) (string, error) {
+		cmd := exec.Command("go", "vet", "-vettool="+toolBinary, pkg)
+		cmd.Dir = mod
+		cmd.Env = append(os.Environ(), "GOFLAGS=-mod=vendor", "GOWORK=off", "GOPROXY=off")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+
+	for _, tc := range []struct {
+		analyzer, pkg, file string
+		old, mutant         string
+		want                []string
+	}{
+		{
+			// A writer that edits the published slice in place instead of
+			// copying it: readers of the old snapshot see the new filter.
+			analyzer: "snapcheck", pkg: "./internal/bloomarray", file: "internal/bloomarray/array.go",
+			old:    "\t\tout := make([]entry, len(entries))\n\t\tcopy(out, entries)\n\t\tout[i].f = f\n\t\treturn out\n",
+			mutant: "\t\tentries[i].f = f\n\t\treturn entries\n",
+			want:   []string{"array.go:", "published snapshot", "copy-on-write"},
+		},
+		{
+			// NumMDS takes Cluster.mu; under queueMu that inverts the order
+			// every lookup takes the two in.
+			analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/lookup.go",
+			old:    "\tdefer c.queueMu.Unlock()\n\tclear(c.queue)\n",
+			mutant: "\tdefer c.queueMu.Unlock()\n\t_ = c.NumMDS()\n\tclear(c.queue)\n",
+			want:   []string{"lookup.go:", "Cluster.mu", "Cluster.queueMu", "cycle"},
+		},
+	} {
+		t.Run(tc.analyzer, func(t *testing.T) {
+			if out, err := vetPackage(tc.pkg); err != nil {
+				t.Fatalf("%s is not clean before the mutation: %v\n%s", tc.pkg, err, out)
+			}
+			path := filepath.Join(mod, tc.file)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Count(string(src), tc.old) != 1 {
+				t.Fatalf("%s no longer contains the text this mutation replaces; re-aim it", tc.file)
+			}
+			mutated := strings.Replace(string(src), tc.old, tc.mutant, 1)
+			if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := vetPackage(tc.pkg)
+			if err == nil {
+				t.Fatalf("%s passed the mutant:\n%s", tc.analyzer, out)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s output lacks %q:\n%s", tc.analyzer, want, out)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 // Quickstart: build a simulated G-HBA metadata cluster through the unified
 // Backend API, load a namespace, and watch the four-level lookup hierarchy
 // resolve queries. Swapping ghba.New for ghba.StartPrototype runs the same
-// code against real TCP daemons — see examples/prototype.
+// code against real TCP daemons — as ghbactl -backend tcp does.
 //
 //	go run ./examples/quickstart
 package main

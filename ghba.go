@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ghba/internal/analysis"
 	"ghba/internal/bloom"
@@ -163,23 +162,10 @@ func (c Config) groupSize() int {
 	return RecommendedGroupSize(c.NumMDS)
 }
 
-// Result reports one lookup or mutation outcome.
-type Result struct {
-	// Path is the operated-on file path.
-	Path string
-	// Home is the MDS holding the metadata (-1 when not found). For a
-	// delete it is the pre-delete home.
-	Home int
-	// Found reports whether the file exists (for a delete: existed).
-	Found bool
-	// Level is the hierarchy level that served a lookup: 1 (LRU array),
-	// 2 (local segment array), 3 (group multicast), 4 (global multicast).
-	// Pure mutations report 0.
-	Level int
-	// Latency is the end-to-end latency: simulated for the Simulation
-	// backend, wall clock over real sockets for the Prototype.
-	Latency time.Duration
-}
+// Result reports one lookup or mutation outcome; both backends return the
+// engines' own value. ServerTime is the simulator's entry-server busy time
+// and stays zero on the Prototype.
+type Result = trace.Result
 
 // Simulation is the in-process Backend: the full G-HBA scheme on the
 // simulated substrate, with per-operation latency from the cost model.
@@ -259,30 +245,19 @@ func (s *Simulation) HomeOf(path string) int { return s.cluster.HomeOf(path) }
 // do. The context is accepted for interface parity and ignored: the
 // simulation never blocks on I/O.
 func (s *Simulation) Lookup(_ context.Context, path string) (Result, error) {
-	return toResult(s.cluster.Lookup(path, -1)), nil
+	return s.cluster.Lookup(path, -1), nil
 }
 
 // LookupWith is Lookup with the entry drawn from the caller's RNG — the
 // hook the parallel drivers build their determinism contract on.
 func (s *Simulation) LookupWith(_ context.Context, rng *rand.Rand, path string) (Result, error) {
-	return toResult(s.cluster.LookupWith(rng, path, -1)), nil
-}
-
-// toResult converts a scheme-level result to the facade's.
-func toResult(res core.LookupResult) Result {
-	return Result{
-		Path:    res.Path,
-		Home:    res.Home,
-		Found:   res.Found,
-		Level:   res.Level,
-		Latency: res.Latency,
-	}
+	return s.cluster.LookupWith(rng, path, -1), nil
 }
 
 // Apply dispatches one mixed-workload operation with randomness drawn from
 // the simulation's internal RNG.
 func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
-	return toResult(s.cluster.Apply(op.Record())), nil
+	return s.cluster.Apply(op.Record()), nil
 }
 
 // ApplyWith is Apply with a caller-supplied RNG: a delete's Result reports
@@ -290,7 +265,7 @@ func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
 // Level 0, and a create of an existing path degenerates to a lookup entered
 // at the drawn server.
 func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result, error) {
-	return toResult(s.cluster.ApplyWith(rng, op.Record())), nil
+	return s.cluster.ApplyWith(rng, op.Record()), nil
 }
 
 // ApplyBatch dispatches ops serially with rng. The simulation has no wire
@@ -299,7 +274,7 @@ func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result
 func (s *Simulation) ApplyBatch(_ context.Context, rng *rand.Rand, ops []Op) ([]Result, error) {
 	out := make([]Result, len(ops))
 	for i, op := range ops {
-		out[i] = toResult(s.cluster.ApplyWith(rng, op.Record()))
+		out[i] = s.cluster.ApplyWith(rng, op.Record())
 	}
 	return out, nil
 }

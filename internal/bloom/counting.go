@@ -29,19 +29,6 @@ func NewCounting(m uint64, k uint32) (*CountingFilter, error) {
 	return &CountingFilter{m: m, k: k, counters: make([]uint8, m)}, nil
 }
 
-// NewCountingForCapacity sizes a counting filter for n items at the given
-// bits-per-item ratio with the optimal hash count.
-func NewCountingForCapacity(n uint64, bitsPerItem float64) (*CountingFilter, error) {
-	if n == 0 || bitsPerItem <= 0 {
-		return nil, fmt.Errorf("%w: n=%d bits/item=%f", ErrInvalidGeometry, n, bitsPerItem)
-	}
-	m := uint64(float64(n) * bitsPerItem)
-	if m == 0 {
-		m = 1
-	}
-	return NewCounting(m, OptimalK(bitsPerItem))
-}
-
 // M returns the number of counters.
 func (c *CountingFilter) M() uint64 { return c.m }
 
@@ -82,12 +69,6 @@ func (c *CountingFilter) Remove(key []byte) {
 	c.removePair(h1, h2)
 }
 
-// RemoveString deletes one occurrence of a string key.
-func (c *CountingFilter) RemoveString(key string) {
-	h1, h2 := hashPairString(key)
-	c.removePair(h1, h2)
-}
-
 func (c *CountingFilter) removePair(h1, h2 uint64) {
 	for i := uint32(0); i < c.k; i++ {
 		idx := indexAt(h1, h2, i, c.m)
@@ -119,13 +100,6 @@ func (c *CountingFilter) containsPair(h1, h2 uint64) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy.
-func (c *CountingFilter) Clone() *CountingFilter {
-	cc := make([]uint8, len(c.counters))
-	copy(cc, c.counters)
-	return &CountingFilter{m: c.m, k: c.k, n: c.n, counters: cc}
 }
 
 // SizeBytes returns the in-memory size of the counter array in bytes.

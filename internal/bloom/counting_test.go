@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -22,12 +23,6 @@ func TestCountingRejectsInvalidGeometry(t *testing.T) {
 	if _, err := NewCounting(64, 0); err == nil {
 		t.Error("NewCounting(64,0) succeeded")
 	}
-	if _, err := NewCountingForCapacity(0, 8); err == nil {
-		t.Error("NewCountingForCapacity(0,8) succeeded")
-	}
-	if _, err := NewCountingForCapacity(5, -1); err == nil {
-		t.Error("NewCountingForCapacity(5,-1) succeeded")
-	}
 }
 
 func TestCountingAddRemoveContains(t *testing.T) {
@@ -37,7 +32,7 @@ func TestCountingAddRemoveContains(t *testing.T) {
 	if !c.ContainsString("alpha") || !c.ContainsString("beta") {
 		t.Fatal("missing inserted keys")
 	}
-	c.RemoveString("alpha")
+	c.Remove([]byte("alpha"))
 	if c.ContainsString("alpha") && c.Count() != 1 {
 		// alpha may still test positive via beta's bits; only the count is exact
 		t.Logf("alpha still positive after remove (allowed false positive)")
@@ -58,16 +53,16 @@ func TestCountingDeleteRestoresPriorAnswers(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.AddString("stable" + strconv.Itoa(i))
 	}
-	before := c.Clone()
+	before := slices.Clone(c.counters)
 	for i := 0; i < 50; i++ {
 		c.AddString("transient" + strconv.Itoa(i))
 	}
 	for i := 0; i < 50; i++ {
-		c.RemoveString("transient" + strconv.Itoa(i))
+		c.Remove([]byte("transient" + strconv.Itoa(i)))
 	}
 	for i, v := range c.counters {
-		if v != before.counters[i] {
-			t.Fatalf("counter %d = %d, want %d after add/remove cycle", i, v, before.counters[i])
+		if v != before[i] {
+			t.Fatalf("counter %d = %d, want %d after add/remove cycle", i, v, before[i])
 		}
 	}
 }
@@ -87,7 +82,7 @@ func TestCountingAddRemoveProperty(t *testing.T) {
 			}
 		}
 		for _, k := range keys {
-			c.RemoveString(k)
+			c.Remove([]byte(k))
 		}
 		return c.Count() == 0
 	}, &quick.Config{MaxCount: 200})
@@ -98,7 +93,7 @@ func TestCountingAddRemoveProperty(t *testing.T) {
 
 func TestCountingRemoveNeverUnderflows(t *testing.T) {
 	c := mustNewCounting(t, 256, 3)
-	c.RemoveString("ghost") // never added
+	c.Remove([]byte("ghost")) // never added
 	for i, v := range c.counters {
 		if v != 0 {
 			t.Fatalf("counter %d = %d after removing non-member", i, v)
@@ -120,23 +115,10 @@ func TestCountingSaturation(t *testing.T) {
 	}
 	// Saturated counters must never decrement (safety over accuracy).
 	for i := 0; i < 300; i++ {
-		c.RemoveString("x")
+		c.Remove([]byte("x"))
 	}
 	if !c.ContainsString("x") {
 		t.Error("saturated counter was decremented to zero")
-	}
-}
-
-func TestCountingClone(t *testing.T) {
-	c := mustNewCounting(t, 512, 4)
-	c.AddString("a")
-	d := c.Clone()
-	d.AddString("b")
-	if c.ContainsString("b") && c.Count() != 1 {
-		t.Error("clone mutation leaked into original")
-	}
-	if !d.ContainsString("a") {
-		t.Error("clone lost original key")
 	}
 }
 
@@ -144,15 +126,5 @@ func TestCountingSizeBytes(t *testing.T) {
 	c := mustNewCounting(t, 1000, 4)
 	if c.SizeBytes() != 1000 {
 		t.Errorf("SizeBytes = %d, want 1000", c.SizeBytes())
-	}
-}
-
-func TestCountingForCapacityMinimumSize(t *testing.T) {
-	c, err := NewCountingForCapacity(1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.M() == 0 {
-		t.Error("capacity constructor produced zero-size filter")
 	}
 }

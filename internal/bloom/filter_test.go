@@ -252,20 +252,6 @@ func TestSegmentFalsePositiveEq1(t *testing.T) {
 	}
 }
 
-func TestUniqueHitProbability(t *testing.T) {
-	if got := UniqueHitProbability(0, 0.1); got != 0 {
-		t.Errorf("UniqueHitProbability(0) = %f, want 0", got)
-	}
-	if got := UniqueHitProbability(1, 0.5); got != 1 {
-		t.Errorf("UniqueHitProbability(1) = %f, want 1 (no other filters)", got)
-	}
-	got := UniqueHitProbability(11, 0.01)
-	want := math.Pow(0.99, 10)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("UniqueHitProbability(11, 0.01) = %g, want %g", got, want)
-	}
-}
-
 // TestAddReportsBitsTurnedOn pins what the O(k) staleness counter in mds
 // rests on: every add reports exactly the bits it turned on (PopCount after
 // minus before — repeated keys, colliding probes and the k > digestMaxK

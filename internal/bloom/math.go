@@ -34,15 +34,3 @@ func SegmentFalsePositive(theta int, bitsPerItem float64) float64 {
 	f0 := math.Pow(optimalBase, bitsPerItem)
 	return float64(theta) * f0 * math.Pow(1-f0, float64(theta-1))
 }
-
-// UniqueHitProbability returns the probability that an array of total filters
-// yields exactly one positive answer for a key stored in exactly one of them,
-// given each filter's false-positive rate fpr. The true home filter always
-// answers positively (no false negatives), so a unique hit requires all
-// total−1 other filters to stay silent.
-func UniqueHitProbability(total int, fpr float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	return math.Pow(1-fpr, float64(total-1))
-}

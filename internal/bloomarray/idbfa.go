@@ -149,17 +149,3 @@ func (a *IDBFA) SizeBytes() uint64 {
 	}
 	return total
 }
-
-// Clone returns a deep copy, used when a new member receives the group's
-// current IDBFA before the updated array is multicast.
-func (a *IDBFA) Clone() *IDBFA {
-	c := &IDBFA{
-		perMemberBits: a.perMemberBits,
-		hashes:        a.hashes,
-		members:       make(map[int]*bloom.CountingFilter, len(a.members)),
-	}
-	for id, cf := range a.members {
-		c.members[id] = cf.Clone()
-	}
-	return c
-}

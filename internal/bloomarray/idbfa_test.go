@@ -86,26 +86,6 @@ func TestIDBFALocateEmpty(t *testing.T) {
 	}
 }
 
-func TestIDBFACloneIndependent(t *testing.T) {
-	a := NewDefaultIDBFA()
-	if err := a.AddMember(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Grant(1, 9); err != nil {
-		t.Fatal(err)
-	}
-	c := a.Clone()
-	if err := c.Revoke(1, 9); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Locate(9)) != 1 {
-		t.Error("revoke on clone affected original")
-	}
-	if len(c.Locate(9)) != 0 {
-		t.Error("clone did not apply revoke")
-	}
-}
-
 func TestIDBFAMigrationProperty(t *testing.T) {
 	// Property: after any sequence of grant/migrate operations, each origin
 	// is located at exactly the member that last received it.

@@ -13,11 +13,11 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ghba/internal/mds"
 	"ghba/internal/memmodel"
 	"ghba/internal/simnet"
+	"ghba/internal/trace"
 )
 
 // Config parameterizes a simulated G-HBA cluster.
@@ -95,22 +95,8 @@ func (c Config) validate() error {
 	return nil
 }
 
-// LookupResult reports the outcome of one metadata lookup.
-type LookupResult struct {
-	// Path is the queried file path.
-	Path string
-	// Home is the MDS the metadata was found on (-1 when not found).
-	Home int
-	// Found reports whether the file exists.
-	Found bool
-	// Level is the hierarchy level that served the query (1–4).
-	Level int
-	// Latency is the end-to-end client-observed latency.
-	Latency time.Duration
-	// ServerTime is the busy time consumed at the entry MDS, the quantity
-	// the queuing model accumulates.
-	ServerTime time.Duration
-}
+// LookupResult reports the outcome of one lookup or mutation.
+type LookupResult = trace.Result
 
 // memoryModel builds the memmodel for a node given the config.
 func (c Config) memoryModel() *memmodel.Model {

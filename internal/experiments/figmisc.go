@@ -2,14 +2,15 @@ package experiments
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strings"
 
 	"ghba"
 	"ghba/internal/analysis"
-	"ghba/internal/bfa"
+	"ghba/internal/bloom"
 	"ghba/internal/core"
-	"ghba/internal/hashplace"
 	"ghba/internal/trace"
 )
 
@@ -50,24 +51,16 @@ func Fig11(ns []int, seed int64) ([]Fig11Row, error) {
 		}
 		hbaMigrated := hc.Node(newcomer).ReplicaCount()
 
-		// Hash placement: one group of M′ members holding N−M′ origins;
-		// adding a member re-hashes the group.
-		groupSize := m
-		if groupSize > n {
-			groupSize = n
+		// Hash placement (Section 2.4): one group of M′ members holds the
+		// N−M′ outside origins, origin o on member h(o) mod M′. A join
+		// changes the modulus, and every origin whose slot changes migrates.
+		groupSize := uint64(min(m, n))
+		hashMigrated := 0
+		for o := int(groupSize); o < n; o++ {
+			if h := fnv1a64(o); h%groupSize != h%(groupSize+1) {
+				hashMigrated++
+			}
 		}
-		members := make([]int, groupSize)
-		for i := range members {
-			members[i] = i
-		}
-		pl, err := hashplace.New(members)
-		if err != nil {
-			return nil, err
-		}
-		for o := groupSize; o < n; o++ {
-			pl.AddOrigin(o)
-		}
-		hashMigrated := pl.AddMember(n)
 
 		// G-HBA: measured from a real join. When N divides evenly into
 		// groups of m, every group would be full and the join would
@@ -96,6 +89,13 @@ func Fig11(ns []int, seed int64) ([]Fig11Row, error) {
 		rows = append(rows, Fig11Row{N: n, HBA: hbaMigrated, Hash: hashMigrated, GHBA: rep.ReplicasMigrated})
 	}
 	return rows, nil
+}
+
+// fnv1a64 is FNV-1a over an origin ID's eight little-endian bytes.
+func fnv1a64(x int) uint64 {
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x)))
+	return h.Sum64()
 }
 
 // FormatFig11 renders the migration comparison.
@@ -213,15 +213,17 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 		m := analysis.PaperOptimalM(n)
 		totalFiles := filesPerMDS * uint64(n)
 
-		bfa8, err := bfa.New(n, filesPerMDS, 8, seed)
+		// A plain Bloom filter array is N filters at a fixed ratio on every
+		// server, with no LRU front end and no grouping.
+		bfa8, err := bfaBytes(n, filesPerMDS, 8)
 		if err != nil {
 			return nil, err
 		}
-		bfa16, err := bfa.New(n, filesPerMDS, 16, seed)
+		bfa16, err := bfaBytes(n, filesPerMDS, 16)
 		if err != nil {
 			return nil, err
 		}
-		base := float64(bfa8.ArrayBytes(0))
+		base := float64(bfa8)
 
 		ccfg := core.DefaultConfig(n, m)
 		ccfg.Node.ExpectedFiles = filesPerMDS
@@ -251,13 +253,23 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 		rows = append(rows, Table5Row{
 			N:        n,
 			BFA8:     1,
-			BFA16:    float64(bfa16.ArrayBytes(0)) / base,
+			BFA16:    float64(bfa16) / base,
 			HBA:      float64(hf.Total()) / base,
 			GHBA:     float64(gf.Total()) / base,
 			PaperRow: analysis.Table5(n, m, 0.004),
 		})
 	}
 	return rows, nil
+}
+
+// bfaBytes is the per-MDS footprint of a plain array of n filters sized for
+// filesPerMDS at bitsPerFile (8 for BFA8, 16 for BFA16).
+func bfaBytes(n int, filesPerMDS uint64, bitsPerFile float64) (uint64, error) {
+	f, err := bloom.NewForCapacity(filesPerMDS, bitsPerFile)
+	if err != nil {
+		return 0, err
+	}
+	return uint64(n) * f.SizeBytes(), nil
 }
 
 // populateN fills a backend with count synthetic paths.

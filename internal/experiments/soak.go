@@ -175,7 +175,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		initial = append(initial, p)
 		return true
 	})
-	cluster.Populate(initial)
+	if err := cluster.Populate(initial); err != nil {
+		return SoakResult{}, err
+	}
 
 	res := SoakResult{Config: cfg, Ops: cfg.Ops, Kills: cfg.Kills}
 	det := cluster.StartDetector(proto.DetectorOptions{

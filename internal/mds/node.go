@@ -145,9 +145,6 @@ func (n *Node) ID() int { return n.id }
 // Store exposes the authoritative metadata store.
 func (n *Node) Store() *metastore.Store { return n.store }
 
-// LRU exposes the L1 array.
-func (n *Node) LRU() *bloomarray.LRUArray { return n.lru }
-
 // Replicas exposes the replica array (segment array in G-HBA).
 func (n *Node) Replicas() *bloomarray.Array { return n.replicas }
 

@@ -28,9 +28,6 @@ func New(budgetBytes uint64) *Model {
 	return &Model{budgetBytes: budgetBytes}
 }
 
-// BudgetBytes returns the configured RAM budget.
-func (m *Model) BudgetBytes() uint64 { return m.budgetBytes }
-
 // ResidentFraction returns the fraction of a working set of totalBytes that
 // fits in RAM, in [0, 1].
 func (m *Model) ResidentFraction(totalBytes uint64) float64 {
@@ -85,6 +82,3 @@ func (m *Model) ArrayProbeCost(total int, totalBytes uint64, memProbe, diskRead 
 func (m *Model) String() string {
 	return fmt.Sprintf("mem=%dMB", m.budgetBytes/(1<<20))
 }
-
-// MB is a convenience constructor for budgets expressed in mebibytes.
-func MB(n uint64) *Model { return New(n << 20) }

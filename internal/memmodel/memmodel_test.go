@@ -107,7 +107,7 @@ func TestArrayProbeCostMonotonicInPressure(t *testing.T) {
 	workSet := uint64(100 << 20)
 	prev := time.Duration(1 << 62)
 	for _, budgetMB := range []uint64{0, 25, 50, 75, 100, 200} {
-		cost := MB(budgetMB).ArrayProbeCost(100, workSet, mem, disk, 0.5)
+		cost := New(budgetMB<<20).ArrayProbeCost(100, workSet, mem, disk, 0.5)
 		if cost > prev {
 			t.Fatalf("cost increased with more memory: %v MB → %v", budgetMB, cost)
 		}
@@ -115,12 +115,8 @@ func TestArrayProbeCostMonotonicInPressure(t *testing.T) {
 	}
 }
 
-func TestMBConstructorAndString(t *testing.T) {
-	m := MB(500)
-	if m.BudgetBytes() != 500<<20 {
-		t.Errorf("MB(500) = %d bytes", m.BudgetBytes())
-	}
-	if m.String() != "mem=500MB" {
-		t.Errorf("String = %q", m.String())
+func TestStringReportsMB(t *testing.T) {
+	if s := New(500 << 20).String(); s != "mem=500MB" {
+		t.Errorf("String = %q", s)
 	}
 }

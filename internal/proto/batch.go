@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ghba/internal/bloomarray"
@@ -201,7 +200,7 @@ func (c *Cluster) createRun(ctx context.Context, paths []string, draws []int, id
 	errs := make([]error, len(legs))
 	fanOut(len(legs), func(k int) {
 		l := legs[k]
-		resp, err := c.call(ctx, l.daemon, opCreateBatch, l.payload(paths), nil)
+		resp, err := c.call(ctx, l.daemon, opCreateBatch, l.payload(paths))
 		if err == nil {
 			crossed[k], err = decodeCreateResp(resp)
 		}
@@ -222,7 +221,7 @@ func (c *Cluster) createRun(ctx context.Context, paths []string, draws []int, id
 	// The creates themselves succeeded; a ship failure (say, a replica holder
 	// dying mid-failover) leaves a stale replica that lookups tolerate, so it
 	// is reported but never withdraws the claim of a homed file.
-	if err := c.settle(ctx, legs, crossed, time.Since(start), out); err != nil {
+	if err := c.settle(ctx, paths, legs, crossed, time.Since(start), out); err != nil {
 		return err
 	}
 	if len(opens) > 0 {
@@ -242,7 +241,7 @@ func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out
 	for _, i := range idxs {
 		home, ok := c.homes[paths[i]]
 		if !ok {
-			out[i] = LookupResult{Home: -1, Found: false, Level: 0}
+			out[i] = LookupResult{Path: paths[i], Home: -1}
 			continue
 		}
 		delete(c.homes, paths[i])
@@ -255,7 +254,7 @@ func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out
 	errs := make([]error, len(legs))
 	fanOut(len(legs), func(k int) {
 		l := legs[k]
-		resp, err := c.call(ctx, l.daemon, opDeleteBatch, l.payload(paths), nil)
+		resp, err := c.call(ctx, l.daemon, opDeleteBatch, l.payload(paths))
 		if err != nil {
 			// The daemon may still hold the files; restore the claims so
 			// ground truth stays consistent (a racing create of the same
@@ -277,7 +276,7 @@ func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out
 	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	return c.settle(ctx, legs, rebuilt, time.Since(start), out)
+	return c.settle(ctx, paths, legs, rebuilt, time.Since(start), out)
 }
 
 // settle closes a mutation round whose legs all landed: every record reports
@@ -285,7 +284,7 @@ func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out
 // the daemons whose batch flagged a ship (a threshold crossing, a filter
 // rebuild) feed the coalescing ship queue in ascending order — the order a
 // serial loop's drains preserve.
-func (c *Cluster) settle(ctx context.Context, legs []leg, shipDue []bool, elapsed time.Duration, out []LookupResult) error {
+func (c *Cluster) settle(ctx context.Context, paths []string, legs []leg, shipDue []bool, elapsed time.Duration, out []LookupResult) error {
 	landed := 0
 	for _, l := range legs {
 		landed += len(l.slots)
@@ -294,7 +293,7 @@ func (c *Cluster) settle(ctx context.Context, legs []leg, shipDue []bool, elapse
 	var origins []int
 	for k, l := range legs {
 		for _, i := range l.slots {
-			out[i] = LookupResult{Home: l.daemon, Found: true, Level: 0, Latency: perLat}
+			out[i] = LookupResult{Path: paths[i], Home: l.daemon, Found: true, Latency: perLat}
 		}
 		if shipDue[k] {
 			origins = append(origins, l.daemon)
@@ -337,7 +336,6 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		return nil, nil
 	}
 	start := time.Now()
-	var msgs atomic.Int64
 	snap := c.index.Load()
 	// A result's Level stays 0 until a level of the hierarchy answers for it.
 	results := make([]LookupResult, len(paths))
@@ -346,7 +344,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// at its first confirmed probe. Probes are filed in path order, L1
 	// before L2, so first-wins is the level order.
 	confirm := func(probes []probe) error {
-		ok, err := c.verifyProbes(ctx, paths, probes, &msgs)
+		ok, err := c.verifyProbes(ctx, paths, probes)
 		if err != nil {
 			return err
 		}
@@ -365,7 +363,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	}
 	l1 := make([][]int, len(paths))
 	l2 := make([][]int, len(paths))
-	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, legs, &msgs, func(l leg, resp []byte) error {
+	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, legs, func(l leg, resp []byte) error {
 		lists, err := decodeHitsVec(resp, 2*len(l.slots))
 		if err != nil {
 			return err
@@ -420,7 +418,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	}
 	if len(legs) > 0 {
 		unions := make([][]int, len(paths))
-		err = c.scatter(ctx, opQueryMemberBatch, "member batch", paths, legs, &msgs, func(l leg, resp []byte) error {
+		err = c.scatter(ctx, opQueryMemberBatch, "member batch", paths, legs, func(l leg, resp []byte) error {
 			lists, err := decodeHitsVec(resp, len(l.slots))
 			if err != nil {
 				return err
@@ -457,7 +455,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		}
 	}
 	if len(rem) > 0 {
-		homes, err := c.hasLocalVector(ctx, snap.ids, pick(paths, rem), &msgs)
+		homes, err := c.hasLocalVector(ctx, snap.ids, pick(paths, rem))
 		if err != nil {
 			return nil, err
 		}
@@ -471,11 +469,9 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// one bulk append, so a large vector multicasts at most one observation
 	// batch instead of one per ObserveBatch lookups.
 	perLat := amortized(time.Since(start), len(paths))
-	perMsg := int(msgs.Load()) / len(paths)
 	obs := make([]observation, 0, len(paths))
 	for i := range results {
-		results[i].Latency = perLat
-		results[i].Messages = perMsg
+		results[i].Path, results[i].Latency = paths[i], perLat
 		c.tally.Record(results[i].Level)
 		if results[i].Found {
 			obs = append(obs, observation{home: results[i].Home, path: paths[i]})
@@ -493,7 +489,7 @@ type probe struct {
 // verifyProbes issues one opVerifyBatch per distinct candidate daemon for
 // the probe set — a path may carry probes at several daemons in the same
 // round — and returns the authoritative answer per probe.
-func (c *Cluster) verifyProbes(ctx context.Context, paths []string, probes []probe, ctr *atomic.Int64) ([]bool, error) {
+func (c *Cluster) verifyProbes(ctx context.Context, paths []string, probes []probe) ([]bool, error) {
 	var legs []leg
 	asked := make([]string, len(probes)) // the round's path slice: one slot per probe
 	for p, pr := range probes {
@@ -501,7 +497,7 @@ func (c *Cluster) verifyProbes(ctx context.Context, paths []string, probes []pro
 		asked[p] = paths[pr.idx]
 	}
 	ok := make([]bool, len(probes))
-	err := c.scatter(ctx, opVerifyBatch, "verify batch", asked, legs, ctr, func(l leg, resp []byte) error {
+	err := c.scatter(ctx, opVerifyBatch, "verify batch", asked, legs, func(l leg, resp []byte) error {
 		answers, err := decodeBools(resp, len(l.slots))
 		if err != nil {
 			return err
@@ -519,7 +515,7 @@ func (c *Cluster) verifyProbes(ctx context.Context, paths []string, probes []pro
 // answered decode folds each response into the caller's state, leg by leg on
 // the calling goroutine — so it may write shared slices freely. Failures are
 // labelled per daemon and joined in leg order.
-func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []string, legs []leg, ctr *atomic.Int64, decode func(l leg, resp []byte) error) error {
+func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []string, legs []leg, decode func(l leg, resp []byte) error) error {
 	if len(legs) == 0 {
 		return nil
 	}
@@ -530,7 +526,7 @@ func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []s
 	answers := make([]answer, len(legs))
 	fanOut(len(legs), func(k int) {
 		a := &answers[k]
-		a.resp, a.err = c.call(ctx, legs[k].daemon, op, legs[k].payload(paths), ctr)
+		a.resp, a.err = c.call(ctx, legs[k].daemon, op, legs[k].payload(paths))
 	})
 	var errs []error
 	for k, l := range legs {
@@ -554,7 +550,7 @@ func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []s
 // request ID without harming the shared connection; the classic transport
 // poisons a cancelled pooled connection, so there the gather runs to
 // completion instead.
-func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string, ctr *atomic.Int64) ([]int, error) {
+func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string) ([]int, error) {
 	payload := encodePaths(paths)
 	searchCtx := ctx
 	cancelRest := func() {}
@@ -572,7 +568,7 @@ func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string,
 	var mu sync.Mutex
 	errs := make([]error, len(ids))
 	fanOut(len(ids), func(k int) {
-		resp, err := c.call(searchCtx, ids[k], opHasLocalBatch, payload, ctr)
+		resp, err := c.call(searchCtx, ids[k], opHasLocalBatch, payload)
 		var answers []bool
 		if err == nil {
 			answers, err = decodeBools(resp, len(paths))

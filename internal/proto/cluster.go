@@ -16,6 +16,7 @@ import (
 	"ghba/internal/metrics"
 	"ghba/internal/rpcnet"
 	"ghba/internal/shipq"
+	"ghba/internal/trace"
 	"ghba/internal/wal"
 )
 
@@ -188,7 +189,6 @@ type Cluster struct {
 	retry rpcnet.RetryPolicy
 
 	tally        metrics.LevelTally
-	messages     atomic.Uint64
 	replicaShips atomic.Uint64
 	rpcByOp      [len(opNames)]atomic.Uint64
 }
@@ -461,12 +461,6 @@ func (c *Cluster) Transport() string {
 	return TransportClassic
 }
 
-// Messages returns the total RPC messages issued by the coordinator.
-func (c *Cluster) Messages() uint64 { return c.messages.Load() }
-
-// ResetMessages zeroes the message counter between experiment phases.
-func (c *Cluster) ResetMessages() { c.messages.Store(0) }
-
 // RPCCounts returns the cumulative RPCs issued per message type, keyed by
 // wire name — the per-opcode evidence behind the benchmark's
 // proto.rpcs_per_op.* metrics. Types never issued are omitted.
@@ -512,42 +506,35 @@ func (c *Cluster) Close() {
 	}
 }
 
-// call issues one counted RPC through the daemon's connection pool. ctr,
-// when non-nil, additionally charges the message to one lookup or
-// reconfiguration, keeping per-operation counts exact even while other
-// operations are in flight. Idempotent message types ride the cluster's
-// retry policy (if enabled): transport failures — a daemon restarting
-// under the detector's nose — are retried with backoff, and every attempt
-// is real wire traffic, so each one is counted.
-func (c *Cluster) call(ctx context.Context, id int, msgType uint8, payload []byte, ctr *atomic.Int64) ([]byte, error) {
+// call issues one counted RPC through the daemon's connection pool.
+// Idempotent message types ride the cluster's retry policy (if enabled):
+// transport failures — a daemon restarting under the detector's nose — are
+// retried with backoff, and every attempt is real wire traffic, so each one
+// is counted.
+func (c *Cluster) call(ctx context.Context, id int, msgType uint8, payload []byte) ([]byte, error) {
 	conn, err := c.conns.conn(id)
 	if err != nil {
 		return nil, err
 	}
-	counted := countedCaller{conn: conn, c: c, msgType: msgType, ctr: ctr}
+	counted := countedCaller{conn: conn, c: c, msgType: msgType}
 	if c.retry.Enabled() && isIdempotent(msgType) {
 		return rpcnet.CallRetry(ctx, counted, c.retry, msgType, payload)
 	}
 	return counted.CallContext(ctx, msgType, payload)
 }
 
-// countedCaller charges each attempt to the cluster's message counters
+// countedCaller charges each attempt to the cluster's per-opcode counter
 // before handing it to the transport; retries therefore count like the
 // distinct messages they are on the wire.
 type countedCaller struct {
 	conn    caller
 	c       *Cluster
 	msgType uint8
-	ctr     *atomic.Int64
 }
 
 func (w countedCaller) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
-	w.c.messages.Add(1)
 	if int(w.msgType) < len(w.c.rpcByOp) {
 		w.c.rpcByOp[w.msgType].Add(1)
-	}
-	if w.ctr != nil {
-		w.ctr.Add(1)
 	}
 	return w.conn.CallContext(ctx, msgType, payload)
 }
@@ -569,7 +556,7 @@ func isIdempotent(op uint8) bool {
 // The failure detector drives this on a cadence; it is also a cheap way
 // for tests to ask a daemon how much un-snapshotted WAL it carries.
 func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) {
-	resp, err := c.call(ctx, id, opHeartbeat, nil, nil)
+	resp, err := c.call(ctx, id, opHeartbeat, nil)
 	if err != nil {
 		return HeartbeatInfo{}, err
 	}
@@ -589,8 +576,10 @@ func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) 
 // a lookup which snapshotted membership before the lock was taken may still
 // have RPCs in flight while daemon stores update — each NodeServer
 // serializes its own state, so such a lookup sees each daemon either before
-// or after its update, never a torn one.
-func (c *Cluster) Populate(paths []string) {
+// or after its update, never a torn one. The error is the daemons' snapshot
+// failures, joined and named by daemon: the load itself is in memory and
+// served either way, but a daemon named here would not recover it.
+func (c *Cluster) Populate(paths []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := c.ids
@@ -611,14 +600,18 @@ func (c *Cluster) Populate(paths []string) {
 	c.refreshReplicas()
 	// Bulk loads bypass the WAL (logging-and-fsyncing per direct write would
 	// make population crawl); one snapshot per daemon captures the whole
-	// load atomically instead.
-	if c.opts.DataDir != "" {
-		for _, ns := range c.servers {
-			if err := ns.SnapshotNow(); err != nil {
-				panic(fmt.Sprintf("proto: snapshot after populate: %v", err))
-			}
+	// load atomically instead. One daemon's full disk does not cost the
+	// others their snapshots.
+	if c.opts.DataDir == "" {
+		return nil
+	}
+	var errs []error
+	for _, id := range ids {
+		if err := c.servers[id].SnapshotNow(); err != nil {
+			errs = append(errs, fmt.Errorf("proto: snapshot of MDS %d after populate: %w", id, err))
 		}
 	}
+	return errors.Join(errs...)
 }
 
 // refreshReplicas re-ships every filter to its current holders, in-process
@@ -645,24 +638,9 @@ func (c *Cluster) HomeOf(path string) int {
 	return home
 }
 
-// LookupResult reports one prototype lookup.
-type LookupResult struct {
-	// Home is the resolved MDS (-1 when not found).
-	Home int
-	// Found reports existence.
-	Found bool
-	// Level is the hierarchy level that answered (1, 2, 3 or 4), or 0 for
-	// a pure mutation dispatched through Apply.
-	Level int
-	// Latency is the measured wall-clock duration of the vector the
-	// operation travelled in, divided by its length: the operation's own
-	// for Lookup/Apply (a vector of one), an equal share for ApplyBatch.
-	Latency time.Duration
-	// Messages is the number of RPCs the lookup's vector issued, divided by
-	// its length (rounded down): exact for Lookup/Apply, an amortized share
-	// for ApplyBatch. Zero for a pure mutation.
-	Messages int
-}
+// LookupResult reports one prototype operation; Latency is wall clock and
+// ServerTime stays zero.
+type LookupResult = trace.Result
 
 // Lookup resolves path through real RPCs, starting at a random entry MDS
 // drawn from the cluster's own RNG. Safe for concurrent use, though
@@ -720,7 +698,7 @@ func (c *Cluster) observeMany(ctx context.Context, ids []int, obs []observation)
 	// pays one round-trip time, not N sequential ones.
 	errs := make([]error, len(ids))
 	fanOut(len(ids), func(k int) {
-		if _, err := c.call(ctx, ids[k], opObserveBatch, payload, nil); err != nil {
+		if _, err := c.call(ctx, ids[k], opObserveBatch, payload); err != nil {
 			errs[k] = fmt.Errorf("observe batch to MDS %d: %w", ids[k], err)
 		}
 	})

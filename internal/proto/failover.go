@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"ghba/internal/mds"
 	"ghba/internal/metastore"
@@ -18,8 +17,6 @@ type FailoverReport struct {
 	// daemon; they are scrubbed from the namespace (and recoverable via
 	// RestartMDS when the cluster runs with a DataDir).
 	FilesLost int
-	// Messages is the number of RPCs the reconfiguration cost.
-	Messages int
 }
 
 // FailMDS removes a (presumed dead) daemon from the running prototype: its
@@ -41,7 +38,6 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	if len(c.servers) == 1 {
 		return FailoverReport{}, fmt.Errorf("proto: refusing to fail MDS %d: it is the last daemon", id)
 	}
-	var msgs atomic.Int64
 	rep := FailoverReport{ID: id}
 
 	// Make the presumption true (Kill is idempotent on an already-dead
@@ -52,7 +48,7 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.ships.Forget(id)
 
 	next, plan := c.layout.Fail(id)
-	c.layout, _ = c.runPlan(ctx, plan, next, false, &msgs)
+	c.layout, _ = c.runPlan(ctx, plan, next, false)
 	c.rebuildIndexLocked()
 
 	c.homesMu.Lock()
@@ -63,7 +59,6 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 		}
 	}
 	c.homesMu.Unlock()
-	rep.Messages = int(msgs.Load())
 	return rep, nil
 }
 
@@ -103,8 +98,6 @@ type RestartReport struct {
 	// not survive recovery — a WAL tail lost to a weak sync policy. They
 	// are scrubbed from the namespace.
 	TailLost int
-	// Messages is the number of RPCs the recovery cost.
-	Messages int
 }
 
 // RestartMDS recovers daemon id from its WAL directory and brings it back
@@ -133,15 +126,14 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	rep.Recovery = info
 	rep.Addr = ns.Addr()
 
-	var msgs atomic.Int64
 	if wasMember {
 		c.conns.register(id, ns.Addr())
 		c.servers[id] = ns
-		c.rewireLocked(ctx, id, &msgs)
+		c.rewireLocked(ctx, id)
 		c.rebuildIndexLocked()
 	} else {
 		rep.Rejoined = true
-		if _, err := c.joinLocked(ctx, id, ns, &msgs); err != nil {
+		if _, err := c.joinLocked(ctx, id, ns); err != nil {
 			return rep, err
 		}
 	}
@@ -150,10 +142,9 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 		// Another daemon homed these paths while this one was down; the
 		// recovered copies lose. The delete goes through the RPC path so it
 		// is WAL-logged like any other mutation.
-		_, _ = c.call(ctx, id, opDeleteBatch, encodePaths(conflicts), &msgs)
+		_, _ = c.call(ctx, id, opDeleteBatch, encodePaths(conflicts))
 		rep.FilesDropped = len(conflicts)
 	}
-	rep.Messages = int(msgs.Load())
 	return rep, nil
 }
 
@@ -164,9 +155,9 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 // copies may be newer than the last-shipped snapshot its log preserved.
 // Best-effort, like the failover RPCs: a miss degrades lookups to L4, never
 // corrupts them.
-func (c *Cluster) rewireLocked(ctx context.Context, id int, msgs *atomic.Int64) {
-	c.layout, _ = c.runPlan(ctx, c.layout.Refetch(id), c.layout, false, msgs)
-	_, _ = c.ship(ctx, id, c.layout.Holders(id), msgs)
+func (c *Cluster) rewireLocked(ctx context.Context, id int) {
+	c.layout, _ = c.runPlan(ctx, c.layout.Refetch(id), c.layout, false)
+	_, _ = c.ship(ctx, id, c.layout.Holders(id))
 }
 
 // reconcileHomesLocked folds a recovered daemon's store back into the

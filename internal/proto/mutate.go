@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"ghba/internal/trace"
 )
@@ -108,7 +107,7 @@ func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 	if !member {
 		return nil
 	}
-	installed, err := c.ship(ctx, origin, targets, nil)
+	installed, err := c.ship(ctx, origin, targets)
 	c.replicaShips.Add(uint64(installed))
 	return err
 }
@@ -118,10 +117,9 @@ func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 // its XOR-delta drift) and installs it at every target, so no holder is ever
 // left with an older snapshot than the one drift is measured against — a
 // target that fails its install does not cost the others theirs. Returns how
-// many targets were reached and the failures, joined. ctr, when non-nil,
-// charges the RPCs to one reconfiguration.
-func (c *Cluster) ship(ctx context.Context, origin int, targets []int, ctr *atomic.Int64) (int, error) {
-	snap, err := c.call(ctx, origin, opShipFilter, nil, ctr)
+// many targets were reached and the failures, joined.
+func (c *Cluster) ship(ctx context.Context, origin int, targets []int) (int, error) {
+	snap, err := c.call(ctx, origin, opShipFilter, nil)
 	if err != nil {
 		return 0, fmt.Errorf("proto: fetching filter of MDS %d: %w", origin, err)
 	}
@@ -129,7 +127,7 @@ func (c *Cluster) ship(ctx context.Context, origin int, targets []int, ctr *atom
 	installed := 0
 	var errs []error
 	for _, target := range targets {
-		if _, err := c.call(ctx, target, opInstallReplica, payload, ctr); err != nil {
+		if _, err := c.call(ctx, target, opInstallReplica, payload); err != nil {
 			errs = append(errs, fmt.Errorf("proto: shipping filter of MDS %d to %d: %w", origin, target, err))
 			continue
 		}

@@ -98,7 +98,7 @@ func TestGHBALookupOverRealSockets(t *testing.T) {
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("lookup %s = %+v (truth %d)", path, res, c.HomeOf(path))
 		}
-		if res.Latency <= 0 || res.Messages < 1 {
+		if res.Latency <= 0 {
 			t.Fatalf("implausible measurement: %+v", res)
 		}
 	}
@@ -372,11 +372,11 @@ func TestMessagesCounterAndReset(t *testing.T) {
 	if _, err := c.Lookup(context.Background(), "/p/f1"); err != nil {
 		t.Fatal(err)
 	}
-	if c.Messages() == 0 {
+	if len(c.RPCCounts()) == 0 {
 		t.Error("no messages counted")
 	}
-	c.ResetMessages()
-	if c.Messages() != 0 {
+	c.ResetRPCCounts()
+	if len(c.RPCCounts()) != 0 {
 		t.Error("reset failed")
 	}
 }

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"context"
-	"sync/atomic"
 
 	"ghba/internal/group"
 )
@@ -39,7 +38,7 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, group.Report, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rep, err := c.joinLocked(ctx, id, ns, nil)
+	rep, err := c.joinLocked(ctx, id, ns)
 	if err != nil {
 		return 0, group.Report{}, err
 	}
@@ -56,14 +55,14 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, group.Report, error) {
 // newcomer cost affected lookups an L4 fallback until the next Populate
 // re-ships them — correctness is preserved either way. Callers hold c.mu
 // exclusively.
-func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer, msgs *atomic.Int64) (group.Report, error) {
+func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer) (group.Report, error) {
 	// The connection registers early — reconfiguration RPCs must reach the
 	// newcomer — but the membership index does not.
 	c.conns.register(id, ns.Addr())
 	next, plan := c.layout.Join(id)
-	_, err := c.runPlan(ctx, plan, next, true, msgs)
+	_, err := c.runPlan(ctx, plan, next, true)
 	if err == nil {
-		_, err = c.ship(ctx, id, next.Holders(id), msgs)
+		_, err = c.ship(ctx, id, next.Holders(id))
 	}
 	if err != nil {
 		ns.Close()
@@ -85,9 +84,9 @@ func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer, msgs *
 // has nothing; a failed Drop leaves a stale copy, which costs lookups a
 // skipped hit — never a wrong answer, because lookups filter hits against
 // live membership and every positive is store-verified.
-func (c *Cluster) runPlan(ctx context.Context, plan group.Plan, next group.Layout, strict bool, msgs *atomic.Int64) (group.Layout, error) {
+func (c *Cluster) runPlan(ctx context.Context, plan group.Plan, next group.Layout, strict bool) (group.Layout, error) {
 	for _, mv := range plan.Moves {
-		err := c.runMove(ctx, mv, msgs)
+		err := c.runMove(ctx, mv)
 		if err != nil && strict {
 			return next, err
 		}
@@ -101,15 +100,15 @@ func (c *Cluster) runPlan(ctx context.Context, plan group.Plan, next group.Layou
 // runMove performs one move: From gives the filter up — a member its replica
 // (fetch-and-drop), or for a Fetch the origin what it last shipped, leaving
 // its drift tracking alone — and, unless the move is a Drop, To installs it.
-func (c *Cluster) runMove(ctx context.Context, mv group.Move, msgs *atomic.Int64) error {
+func (c *Cluster) runMove(ctx context.Context, mv group.Move) error {
 	op, req := opDropReplica, encodeOriginPayload(mv.Origin, nil)
 	if mv.Kind == group.Fetch {
 		op, req = opFetchShipped, nil
 	}
-	snap, err := c.call(ctx, mv.From, op, req, msgs)
+	snap, err := c.call(ctx, mv.From, op, req)
 	if err != nil || mv.Kind == group.Drop {
 		return err
 	}
-	_, err = c.call(ctx, mv.To, opInstallReplica, encodeOriginPayload(mv.Origin, snap), msgs)
+	_, err = c.call(ctx, mv.To, opInstallReplica, encodeOriginPayload(mv.Origin, snap))
 	return err
 }

@@ -12,7 +12,7 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -102,11 +102,12 @@ func (m MsgType) String() string {
 	}
 }
 
-// Counter tallies messages by type. It is safe for concurrent use so the
-// prototype's parallel clients can share one instance.
+// Counter tallies messages by type. It is safe for concurrent use — every
+// simulator lookup adds to the cluster's one instance — and lock-free: each
+// type is its own atomic cell, so Total and Snapshot read the cells one by
+// one and are exact once the writers have stopped.
 type Counter struct {
-	mu     sync.Mutex
-	counts [msgTypeCount]uint64
+	counts [msgTypeCount]atomic.Uint64
 }
 
 // NewCounter returns an empty counter.
@@ -117,9 +118,7 @@ func (c *Counter) Add(t MsgType, n uint64) {
 	if t <= 0 || t >= msgTypeCount {
 		return
 	}
-	c.mu.Lock()
-	c.counts[t] += n
-	c.mu.Unlock()
+	c.counts[t].Add(n)
 }
 
 // Get returns the count for one type.
@@ -127,39 +126,24 @@ func (c *Counter) Get(t MsgType) uint64 {
 	if t <= 0 || t >= msgTypeCount {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[t]
+	return c.counts[t].Load()
 }
 
 // Total returns the count across all types.
 func (c *Counter) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var sum uint64
-	for _, v := range c.counts {
-		sum += v
+	for i := range c.counts {
+		sum += c.counts[i].Load()
 	}
 	return sum
 }
 
-// Reset zeroes all counts.
-func (c *Counter) Reset() {
-	c.mu.Lock()
-	for i := range c.counts {
-		c.counts[i] = 0
-	}
-	c.mu.Unlock()
-}
-
 // Snapshot returns a copy of all non-zero counts keyed by type.
 func (c *Counter) Snapshot() map[MsgType]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make(map[MsgType]uint64)
 	for i := MsgType(1); i < msgTypeCount; i++ {
-		if c.counts[i] > 0 {
-			out[i] = c.counts[i]
+		if n := c.counts[i].Load(); n > 0 {
+			out[i] = n
 		}
 	}
 	return out

@@ -45,10 +45,6 @@ type Profile struct {
 	WorkingSet int
 }
 
-// Weights returns the operation mix in OpType order (open, close, stat,
-// create, delete).
-func (p Profile) Weights() [5]float64 { return p.weights }
-
 // mix builds a normalized weight vector from open/close/stat counts, carving
 // out small create/delete fractions so the stream exercises Bloom-filter
 // mutation (replica-update traffic needs it).

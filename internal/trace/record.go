@@ -52,12 +52,6 @@ func (o OpType) String() string {
 	}
 }
 
-// IsMutation reports whether the operation changes the file set and hence
-// the home MDS's Bloom filter (the trigger for replica-update traffic).
-func (o OpType) IsMutation() bool {
-	return o == OpCreate || o == OpDelete
-}
-
 // Record is one trace event.
 type Record struct {
 	// Seq is the global sequence number within the merged stream.
@@ -76,4 +70,29 @@ type Record struct {
 	// disjoint across subtraces as in the paper's scaling methodology.
 	Host int
 	User int
+}
+
+// Result is the outcome of one Record on either engine: core.LookupResult,
+// proto.LookupResult and ghba.Result are all this type.
+type Result struct {
+	// Path is the operated-on file path.
+	Path string
+	// Home is the MDS holding the metadata (-1 when not found). For a
+	// delete it is the pre-delete home.
+	Home int
+	// Found reports whether the file exists (for a delete: existed).
+	Found bool
+	// Level is the hierarchy level that served a lookup: 1 (LRU array),
+	// 2 (local segment array), 3 (group multicast), 4 (global multicast).
+	// Pure mutations report 0.
+	Level int
+	// Latency is the end-to-end client-observed latency: simulated on the
+	// simulator; on the prototype the wall-clock duration of the vector the
+	// operation travelled in, divided by its length — the operation's own
+	// for Lookup/Apply (a vector of one), an equal share for ApplyBatch.
+	Latency time.Duration
+	// ServerTime is the busy time consumed at the entry MDS, the quantity
+	// the simulator's queuing model accumulates. The prototype measures no
+	// such thing and leaves it zero.
+	ServerTime time.Duration
 }

@@ -102,7 +102,7 @@ func TestMixProfileWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := p.Weights()
+	w := p.weights
 	if w[2] != 0.7 || w[3] != 0.2 || w[4] != 0.1 {
 		t.Errorf("weights = %v", w)
 	}

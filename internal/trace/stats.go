@@ -1,53 +1,24 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"time"
-)
-
-// MeasuredStats accumulates observed statistics over a generated stream, the
-// measured counterpart to the analytic ScaledStats. Tests use it to verify
-// that the generator actually produces the mix and locality the profile
-// promises.
+// MeasuredStats accumulates the observed operation mix of a generated
+// stream, the measured counterpart to the analytic ScaledStats: Tables 3/4
+// print it, and tests use it to verify that the generator produces the mix
+// the profile promises.
 type MeasuredStats struct {
-	ops       map[OpType]uint64
-	uniques   map[string]struct{}
-	hosts     map[int]struct{}
-	users     map[int]struct{}
-	subtraces map[int]struct{}
-	total     uint64
-	lastAt    time.Duration
+	ops   map[OpType]uint64
+	total uint64
 }
 
 // NewMeasuredStats returns an empty accumulator.
 func NewMeasuredStats() *MeasuredStats {
-	return &MeasuredStats{
-		ops:       make(map[OpType]uint64),
-		uniques:   make(map[string]struct{}),
-		hosts:     make(map[int]struct{}),
-		users:     make(map[int]struct{}),
-		subtraces: make(map[int]struct{}),
-	}
+	return &MeasuredStats{ops: make(map[OpType]uint64)}
 }
 
 // Observe folds one record into the statistics.
 func (m *MeasuredStats) Observe(r Record) {
 	m.ops[r.Op]++
-	m.uniques[r.Path] = struct{}{}
-	m.hosts[r.Host] = struct{}{}
-	m.users[r.User] = struct{}{}
-	m.subtraces[r.Subtrace] = struct{}{}
 	m.total++
-	m.lastAt = r.At
 }
-
-// Total returns the number of observed records.
-func (m *MeasuredStats) Total() uint64 { return m.total }
-
-// OpCount returns the count of one operation type.
-func (m *MeasuredStats) OpCount(op OpType) uint64 { return m.ops[op] }
 
 // OpFraction returns the observed share of one operation type.
 func (m *MeasuredStats) OpFraction(op OpType) float64 {
@@ -55,37 +26,4 @@ func (m *MeasuredStats) OpFraction(op OpType) float64 {
 		return 0
 	}
 	return float64(m.ops[op]) / float64(m.total)
-}
-
-// UniqueFiles returns the number of distinct paths touched — the trace's
-// active-file count.
-func (m *MeasuredStats) UniqueFiles() int { return len(m.uniques) }
-
-// UniqueHosts returns the number of distinct host IDs seen.
-func (m *MeasuredStats) UniqueHosts() int { return len(m.hosts) }
-
-// UniqueUsers returns the number of distinct user IDs seen.
-func (m *MeasuredStats) UniqueUsers() int { return len(m.users) }
-
-// Subtraces returns how many distinct sub-traces contributed records.
-func (m *MeasuredStats) Subtraces() int { return len(m.subtraces) }
-
-// Duration returns the arrival-time span of the observed stream.
-func (m *MeasuredStats) Duration() time.Duration { return m.lastAt }
-
-// String renders a compact multi-line report.
-func (m *MeasuredStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "records=%d files=%d hosts=%d users=%d subtraces=%d span=%v\n",
-		m.total, m.UniqueFiles(), m.UniqueHosts(), m.UniqueUsers(), m.Subtraces(),
-		m.lastAt.Round(time.Millisecond))
-	ops := make([]OpType, 0, len(m.ops))
-	for op := range m.ops {
-		ops = append(ops, op)
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	for _, op := range ops {
-		fmt.Fprintf(&b, "  %-7s %10d (%.1f%%)\n", op, m.ops[op], 100*m.OpFraction(op))
-	}
-	return b.String()
 }

@@ -23,19 +23,10 @@ func TestOpTypeString(t *testing.T) {
 	}
 }
 
-func TestIsMutation(t *testing.T) {
-	if OpOpen.IsMutation() || OpStat.IsMutation() || OpClose.IsMutation() {
-		t.Error("read ops classified as mutation")
-	}
-	if !OpCreate.IsMutation() || !OpDelete.IsMutation() {
-		t.Error("create/delete not classified as mutation")
-	}
-}
-
 func TestProfileWeightsNormalized(t *testing.T) {
 	for _, p := range Profiles() {
 		var sum float64
-		for _, w := range p.Weights() {
+		for _, w := range p.weights {
 			if w < 0 {
 				t.Errorf("%s: negative weight", p.Name)
 			}
@@ -236,7 +227,7 @@ func TestGeneratorOpMixMatchesProfile(t *testing.T) {
 		for i := 0; i < 50000; i++ {
 			ms.Observe(g.Next())
 		}
-		w := p.Weights()
+		w := p.weights
 		for i, op := range []OpType{OpOpen, OpClose, OpStat, OpCreate, OpDelete} {
 			got := ms.OpFraction(op)
 			if math.Abs(got-w[i]) > 0.02 {
@@ -329,31 +320,5 @@ func TestEachInitialPathEarlyStop(t *testing.T) {
 	})
 	if count != 10 {
 		t.Errorf("early stop visited %d, want 10", count)
-	}
-}
-
-func TestMeasuredStatsReport(t *testing.T) {
-	g, _ := NewGenerator(Config{Profile: INS(), TIF: 2, Seed: 4})
-	ms := NewMeasuredStats()
-	for i := 0; i < 1000; i++ {
-		ms.Observe(g.Next())
-	}
-	if ms.Total() != 1000 {
-		t.Errorf("Total = %d", ms.Total())
-	}
-	if ms.Subtraces() != 2 {
-		t.Errorf("Subtraces = %d, want 2", ms.Subtraces())
-	}
-	if ms.UniqueFiles() == 0 || ms.UniqueHosts() == 0 || ms.UniqueUsers() == 0 {
-		t.Error("unique counters empty")
-	}
-	if ms.Duration() <= 0 {
-		t.Error("no time span")
-	}
-	s := ms.String()
-	for _, want := range []string{"records=1000", "stat", "open"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
 	}
 }

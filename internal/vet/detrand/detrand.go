@@ -22,7 +22,7 @@
 //     map order, unless the comparison falls back to the key itself.
 //
 // The analyzer fires only inside the engine packages (core, mds,
-// bloom, bloomarray, group, trace, proto, bfa) — drivers and cmd/ binaries
+// bloom, bloomarray, group, trace, proto) — drivers and cmd/ binaries
 // may use wall-clock seeds deliberately. Suppress a deliberate
 // nondeterminism with //ghbavet:ignore <reason>.
 package detrand
@@ -56,7 +56,6 @@ var enginePackages = map[string]bool{
 	"group":      true,
 	"trace":      true,
 	"proto":      true,
-	"bfa":        true,
 }
 
 // allowedRandFuncs are the math/rand package-level functions that take

@@ -139,33 +139,15 @@ func (p *Prototype) HomeOf(path string) int { return p.cluster.HomeOf(path) }
 // need its extra observability (RPC message counters, reset hooks).
 func (p *Prototype) Cluster() *proto.Cluster { return p.cluster }
 
-func protoResult(path string, res proto.LookupResult) Result {
-	return Result{
-		Path:    path,
-		Home:    res.Home,
-		Found:   res.Found,
-		Level:   res.Level,
-		Latency: res.Latency,
-	}
-}
-
 // Lookup resolves path over real RPCs, entering at a daemon drawn from the
 // cluster's internal RNG.
 func (p *Prototype) Lookup(ctx context.Context, path string) (Result, error) {
-	res, err := p.cluster.Lookup(ctx, path)
-	if err != nil {
-		return Result{}, err
-	}
-	return protoResult(path, res), nil
+	return p.cluster.Lookup(ctx, path)
 }
 
 // LookupWith is Lookup with the entry drawn from the caller's RNG.
 func (p *Prototype) LookupWith(ctx context.Context, rng *rand.Rand, path string) (Result, error) {
-	res, err := p.cluster.LookupWith(ctx, rng, path)
-	if err != nil {
-		return Result{}, err
-	}
-	return protoResult(path, res), nil
+	return p.cluster.LookupWith(ctx, rng, path)
 }
 
 // Apply dispatches one mixed-workload operation over the wire: creates home
@@ -173,22 +155,14 @@ func (p *Prototype) LookupWith(ctx context.Context, rng *rand.Rand, path string)
 // home's filter crosses the threshold), deletes unlink, lookups walk the
 // hierarchy.
 func (p *Prototype) Apply(ctx context.Context, op Op) (Result, error) {
-	res, err := p.cluster.Apply(ctx, op.Record())
-	if err != nil {
-		return Result{}, err
-	}
-	return protoResult(op.Path, res), nil
+	return p.cluster.Apply(ctx, op.Record())
 }
 
 // ApplyWith is Apply with a caller-supplied RNG. The draw pattern matches
 // the simulation's exactly, so a fixed-seed trace replays onto identical
 // homes on either backend.
 func (p *Prototype) ApplyWith(ctx context.Context, rng *rand.Rand, op Op) (Result, error) {
-	res, err := p.cluster.ApplyWith(ctx, rng, op.Record())
-	if err != nil {
-		return Result{}, err
-	}
-	return protoResult(op.Path, res), nil
+	return p.cluster.ApplyWith(ctx, rng, op.Record())
 }
 
 // ApplyBatch dispatches a vector of operations through the batch RPCs: one
@@ -201,22 +175,13 @@ func (p *Prototype) ApplyBatch(ctx context.Context, rng *rand.Rand, ops []Op) ([
 	for i, op := range ops {
 		recs[i] = op.Record()
 	}
-	res, err := p.cluster.ApplyBatch(ctx, rng, recs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = protoResult(ops[i].Path, r)
-	}
-	return out, nil
+	return p.cluster.ApplyBatch(ctx, rng, recs)
 }
 
 // CreateAll bulk-loads paths directly into the daemons (unmeasured) and
 // refreshes every replica, like the simulation's populate path.
 func (p *Prototype) CreateAll(_ context.Context, paths []string) error {
-	p.cluster.Populate(paths)
-	return nil
+	return p.cluster.Populate(paths)
 }
 
 // Flush drains the coalescing ship queue over the wire.

@@ -3,6 +3,10 @@ package ghba
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,5 +143,58 @@ func TestPrototypeDetectorSurface(t *testing.T) {
 		if got := det.State(id); got.String() != "alive" {
 			t.Errorf("MDS %d state %v, want alive", id, got)
 		}
+	}
+}
+
+// TestCreateAllReportsSnapshotFailure loses one daemon's log directory (as a
+// full or failed disk would lose its writes) before a bulk load: CreateAll
+// must return an error naming that daemon instead of panicking, the other
+// daemons must still get their snapshots, the load must be served, and Close
+// must still work.
+func TestCreateAllReportsSnapshotFailure(t *testing.T) {
+	dir := t.TempDir()
+	p, err := StartPrototype(PrototypeConfig{
+		Config:  Config{NumMDS: 3, MaxGroupSize: 2, ExpectedFilesPerMDS: 1_000, Seed: 7},
+		DataDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := func(id int) []string {
+		names, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("mds-%d", id), "snap-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := [][]string{snapshots(0), nil, snapshots(2)}
+	if err := os.RemoveAll(filepath.Join(dir, "mds-1")); err != nil {
+		t.Fatal(err)
+	}
+
+	paths := make([]string, 90)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/bulk/f%d", i)
+	}
+	err = p.CreateAll(context.Background(), paths)
+	if err == nil || !strings.Contains(err.Error(), "MDS 1") {
+		t.Fatalf("CreateAll with mds-1 gone: err = %v, want one naming MDS 1", err)
+	}
+	if strings.Contains(err.Error(), "MDS 0") || strings.Contains(err.Error(), "MDS 2") {
+		t.Errorf("CreateAll blamed a healthy daemon: %v", err)
+	}
+	for _, id := range []int{0, 2} {
+		if after := snapshots(id); len(after) == 0 || slices.Equal(after, before[id]) {
+			t.Errorf("MDS %d: no snapshot written after the load (before %v, after %v)", id, before[id], after)
+		}
+	}
+	if p.FileCount() != len(paths) {
+		t.Errorf("FileCount = %d, want %d", p.FileCount(), len(paths))
+	}
+	if res, err := p.Lookup(context.Background(), paths[0]); err != nil || !res.Found {
+		t.Errorf("lookup after the failed snapshot: %+v, %v", res, err)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
