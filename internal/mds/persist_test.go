@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -308,4 +310,98 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 			t.Fatalf("re-marshalled blob rejected: %v", err)
 		}
 	})
+}
+
+// TestRecoverMixedAppendPrefix cuts one interleaved create/delete append — a
+// daemon's mutation round, with a create, a delete and a re-create of one
+// path — at every byte: the WAL frames each record separately, so Recover
+// must rebuild exactly the state of the records wholly on disk, in order.
+func TestRecoverMixedAppendPrefix(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	_, l, _, err := Recover(4, cfg, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := []wal.Record{{Op: wal.OpCreate, Path: "/pre/a"}, {Op: wal.OpCreate, Path: "/pre/b"}}
+	round := []wal.Record{
+		{Op: wal.OpCreate, Path: "/m/x"},
+		{Op: wal.OpDelete, Path: "/pre/a"},
+		{Op: wal.OpDelete, Path: "/m/x"},
+		{Op: wal.OpCreate, Path: "/m/y"},
+		{Op: wal.OpCreate, Path: "/m/x"},
+		{Op: wal.OpDelete, Path: "/pre/b"},
+		{Op: wal.OpDelete, Path: "/m/y"},
+	}
+	if err := l.Append(pre...); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	before, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(round...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[k] is the segment length once the round's first k records are on
+	// disk: each frame is len | crc | op | path.
+	ends := []int{int(before.Size())}
+	for _, r := range round {
+		ends = append(ends, ends[len(ends)-1]+8+1+len(r.Path))
+	}
+	if ends[len(round)] != len(data) {
+		t.Fatalf("segment holds %d bytes, the frames account for %d", len(data), ends[len(round)])
+	}
+
+	for cut := ends[0]; cut <= len(data); cut++ {
+		whole := 0
+		for whole < len(round) && ends[whole+1] <= cut {
+			whole++
+		}
+		want, err := NewNode(4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range append(append([]wal.Record{}, pre...), round[:whole]...) {
+			if r.Op == wal.OpCreate {
+				want.AddFile(r.Path)
+			} else {
+				want.DeleteFile(r.Path)
+			}
+		}
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, filepath.Base(segs[0])), data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, gl, info, err := Recover(4, cfg, d, wal.Options{})
+		if err != nil {
+			t.Fatalf("cut at byte %d: %v", cut, err)
+		}
+		gl.Close()
+		if info.Torn != (cut != ends[whole]) || info.Replayed != len(pre)+whole {
+			t.Errorf("cut at byte %d: %+v, want %d records replayed, torn %v", cut, info, len(pre)+whole, cut != ends[whole])
+		}
+		if got.FileCount() != want.FileCount() {
+			t.Errorf("cut at byte %d: %d files, the first %d records leave %d", cut, got.FileCount(), whole, want.FileCount())
+		}
+		for _, p := range []string{"/pre/a", "/pre/b", "/m/x", "/m/y"} {
+			if got.HasFile(p) != want.HasFile(p) {
+				t.Errorf("cut at byte %d: HasFile(%s) = %v after the first %d records", cut, p, got.HasFile(p), whole)
+			}
+		}
+		if drift, err := got.LocalFilter().XorBits(want.LocalFilter()); err != nil || drift != 0 {
+			t.Errorf("cut at byte %d: local filter %d bits from the first %d records' (%v)", cut, drift, whole, err)
+		}
+	}
 }

@@ -5,38 +5,43 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"ghba/internal/bloomarray"
 	"ghba/internal/trace"
+	"ghba/internal/wal"
 )
 
 // This file is the coordinator's one way onto the wire for namespace
 // operations: every lookup, create and delete travels as a vector — a whole
 // ApplyBatch window, or a vector of one for Lookup/Apply — so syscalls, frame
-// headers, digest computation and daemon lock acquisitions amortize across
-// whatever the caller hands over. The draw pattern is fixed (one RNG draw per
-// create or lookup in op order, none per delete) and the homes-map claim is
-// the linearization point, so a fixed-seed trace replays onto the same homes
-// at every vector length.
+// headers, digest computation, daemon lock acquisitions and WAL fsyncs (one
+// per home daemon per mutation round) amortize across whatever the caller
+// hands over. The draw pattern is fixed (one RNG draw per create or lookup in
+// op order, none per delete) and the homes-map claim is the linearization
+// point, so a fixed-seed trace replays onto the same homes at every vector
+// length.
 
 // ApplyBatch dispatches a vector of trace records through the batch RPCs.
 // RNG draws happen in op order (one per create or open, none per delete).
-// Execution is wave-scheduled: each op's wave is its position in its own
-// path's kind-alternation chain — the first run of same-kind ops on a path
-// is wave 0, the next kind on that path wave 1, and so on — and waves
-// execute in order, each as up to three batch vectors (creates, then
-// deletes, then lookups). Within a wave the vectors are path-disjoint by
-// construction, so their relative order cannot change any per-path outcome,
-// while cross-kind dependencies on one path (a create before a lookup or
-// delete of that path) land exactly as a serial Apply loop would place
-// them. A mixed window thus collapses into a handful of maximal vectors
-// instead of one run per kind change. Per-op homes and existence results
-// are identical to a serial Apply loop's; lookup levels can differ when a
-// reordered unrelated mutation shifts a filter's false-positive pattern.
-// Results align with recs.
+// Execution is wave-scheduled over two kinds, mutation (create, delete) and
+// lookup: each op's wave is its position in its own path's kind-alternation
+// chain — the first run of same-kind ops on a path is wave 0, the next kind
+// on that path wave 1, and so on — and waves execute in order, each as one
+// mutation round (mutateRun: one mutate_batch RPC per home daemon, carrying
+// its records in op order; a round mutateRun cuts short continues in
+// another) and then one lookup vector. Within a wave the mutations and the
+// lookup vector are path-disjoint by construction, so their relative order
+// cannot change any per-path outcome, while a lookup after a mutation of its
+// path (or the reverse) lands exactly as a serial Apply loop would place it.
+// A create of an existing path is an open: it walks with the wave's lookups,
+// or before the next round when its round was cut short. Per-op homes
+// and existence results are identical to a serial Apply loop's; lookup levels
+// can differ when a reordered unrelated mutation shifts a filter's
+// false-positive pattern. Results align with recs.
 func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.Record) ([]LookupResult, error) {
 	if len(recs) == 0 {
 		return nil, nil
@@ -55,66 +60,59 @@ func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.R
 	}
 	// Pass 2: assign waves along each path's kind-alternation chain.
 	type pathState struct {
-		kind trace.OpType
-		wave int
+		mutation bool
+		wave     int
 	}
 	type wave struct {
-		creates, deletes, lookups []int
+		mutations, lookups []int
 	}
 	last := make(map[string]pathState)
 	var waves []wave
 	for i, rec := range recs {
-		kind := runKind(rec.Op)
+		mut := isMutation(rec.Op)
 		w := 0
 		if st, ok := last[rec.Path]; ok {
 			w = st.wave
-			if st.kind != kind {
+			if st.mutation != mut {
 				w++
 			}
 		}
-		last[rec.Path] = pathState{kind: kind, wave: w}
+		last[rec.Path] = pathState{mutation: mut, wave: w}
 		for len(waves) <= w {
 			waves = append(waves, wave{})
 		}
-		switch kind {
-		case trace.OpCreate:
-			waves[w].creates = append(waves[w].creates, i)
-		case trace.OpDelete:
-			waves[w].deletes = append(waves[w].deletes, i)
-		default:
+		if mut {
+			waves[w].mutations = append(waves[w].mutations, i)
+		} else {
 			waves[w].lookups = append(waves[w].lookups, i)
 		}
 	}
 	// Pass 3: execute the waves in order.
 	for _, wv := range waves {
-		if len(wv.creates) > 0 {
-			if err := c.createRun(ctx, paths, draws, wv.creates, results); err != nil {
+		lookups := wv.lookups
+		for rest := wv.mutations; len(rest) > 0; {
+			opens, next, err := c.mutateRun(ctx, recs, draws, rest, results)
+			if err != nil {
+				return nil, err
+			}
+			if rest = next; len(rest) == 0 {
+				lookups = append(lookups, opens...)
+				slices.Sort(lookups)
+			} else if err := c.lookupRun(ctx, paths, draws, opens, results); err != nil {
 				return nil, err
 			}
 		}
-		if len(wv.deletes) > 0 {
-			if err := c.deleteRun(ctx, paths, wv.deletes, results); err != nil {
-				return nil, err
-			}
-		}
-		if len(wv.lookups) > 0 {
-			if err := c.lookupRun(ctx, paths, draws, wv.lookups, results); err != nil {
-				return nil, err
-			}
+		if err := c.lookupRun(ctx, paths, draws, lookups, results); err != nil {
+			return nil, err
 		}
 	}
 	return results, nil
 }
 
-// runKind collapses operation types into the three execution kinds a batch
-// splits into; everything that is not a mutation replays as a lookup.
-func runKind(op trace.OpType) trace.OpType {
-	switch op {
-	case trace.OpCreate, trace.OpDelete:
-		return op
-	default:
-		return trace.OpOpen
-	}
+// isMutation reports whether op changes the namespace; everything else
+// replays as a lookup.
+func isMutation(op trace.OpType) bool {
+	return op == trace.OpCreate || op == trace.OpDelete
 }
 
 // leg is one daemon's share of a fan-out round: slots index the round's path
@@ -174,117 +172,128 @@ func fanOut(n int, run func(k int)) {
 	}
 }
 
-// createRun executes one vector of creates (idxs index into paths, in op
-// order): homes-map claims resolve in op order (the linearization point, so
-// two workers racing on one path cannot both home it), fresh creates group
-// into one opCreateBatch per home daemon, and creates of existing paths
-// degenerate to opens entering at their draw — run as a lookup vector after
-// the creates land, so an open of a path created earlier in the same vector
-// finds it.
-func (c *Cluster) createRun(ctx context.Context, paths []string, draws []int, idxs []int, out []LookupResult) error {
+// mutateRun executes one mutation round over recs[idxs] (creates and
+// deletes, in op order): homes-map claims resolve in op order (the
+// linearization point, so two workers racing on one path cannot both home
+// it), and each home daemon receives one opMutateBatch carrying its records
+// in op order — one WAL append, one fsync. A create of an existing path is
+// an open, returned for the caller to walk once the round has landed; a
+// delete of an absent path — including a second delete of one path within
+// the round, whose claim the first already removed — reports not-found
+// without touching the wire. The round ends early, returning the unexecuted
+// rest, at a record whose path the round already sent to another daemon or
+// already opened: a failed leg could otherwise not be undone path by path,
+// and the open must see the path before it changes again.
+func (c *Cluster) mutateRun(ctx context.Context, recs []trace.Record, draws, idxs []int, out []LookupResult) (opens, rest []int, err error) {
 	var legs []leg
-	var opens []int
+	// sentTo is the daemon each path's records in this round go to, -1 once
+	// the path is opened.
+	sentTo := make(map[string]int)
 	c.homesMu.Lock()
-	for _, i := range idxs {
-		if _, exists := c.homes[paths[i]]; exists {
+	for k, i := range idxs {
+		p := recs[i].Path
+		target, exists := c.homes[p]
+		switch {
+		case recs[i].Op == trace.OpCreate && exists:
 			opens = append(opens, i)
+			sentTo[p] = -1
+			continue
+		case recs[i].Op == trace.OpCreate:
+			target = draws[i]
+		case !exists:
+			out[i] = LookupResult{Path: p, Home: -1}
 			continue
 		}
-		c.homes[paths[i]] = draws[i]
-		legs = addLeg(legs, draws[i], i)
+		if d, ok := sentTo[p]; ok && d != target {
+			rest = idxs[k:]
+			break
+		}
+		sentTo[p] = target
+		if recs[i].Op == trace.OpCreate {
+			c.homes[p] = target
+		} else {
+			delete(c.homes, p)
+		}
+		legs = addLeg(legs, target, i)
+	}
+	incs := make([]uint64, len(legs))
+	for k, l := range legs {
+		incs[k] = c.incarnation[l.daemon]
 	}
 	c.homesMu.Unlock()
 
 	start := time.Now()
 	crossed := make([]bool, len(legs))
-	errs := make([]error, len(legs))
-	fanOut(len(legs), func(k int) {
-		l := legs[k]
-		resp, err := c.call(ctx, l.daemon, opCreateBatch, l.payload(paths))
-		if err == nil {
-			crossed[k], err = decodeCreateResp(resp)
-		}
-		if err != nil {
-			// The daemon never homed these files; withdraw the claims so
-			// ground truth does not drift from daemon state.
-			c.homesMu.Lock()
-			for _, i := range l.slots {
-				delete(c.homes, paths[i])
-			}
-			c.homesMu.Unlock()
-			errs[k] = fmt.Errorf("proto: create batch at MDS %d: %w", l.daemon, err)
-		}
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	// The creates themselves succeeded; a ship failure (say, a replica holder
-	// dying mid-failover) leaves a stale replica that lookups tolerate, so it
-	// is reported but never withdraws the claim of a homed file.
-	if err := c.settle(ctx, paths, legs, crossed, time.Since(start), out); err != nil {
-		return err
-	}
-	if len(opens) > 0 {
-		return c.lookupRun(ctx, paths, draws, opens, out)
-	}
-	return nil
-}
-
-// deleteRun executes one vector of deletes: claims removed in op order (the
-// linearization point), one opDeleteBatch per home daemon, rebuilds routed
-// into the ship queue. A delete of an absent path — including a second
-// delete of one path within the vector, whose claim the first already
-// removed — reports not-found without touching the wire.
-func (c *Cluster) deleteRun(ctx context.Context, paths []string, idxs []int, out []LookupResult) error {
-	var legs []leg
-	c.homesMu.Lock()
-	for _, i := range idxs {
-		home, ok := c.homes[paths[i]]
-		if !ok {
-			out[i] = LookupResult{Path: paths[i], Home: -1}
-			continue
-		}
-		delete(c.homes, paths[i])
-		legs = addLeg(legs, home, i)
-	}
-	c.homesMu.Unlock()
-
-	start := time.Now()
 	rebuilt := make([]bool, len(legs))
 	errs := make([]error, len(legs))
 	fanOut(len(legs), func(k int) {
 		l := legs[k]
-		resp, err := c.call(ctx, l.daemon, opDeleteBatch, l.payload(paths))
+		resp, err := c.call(ctx, l.daemon, opMutateBatch, encodeMutations(incs[k], walRecords(recs, l.slots)))
 		if err != nil {
-			// The daemon may still hold the files; restore the claims so
-			// ground truth stays consistent (a racing create of the same
-			// path has priority and keeps its new home).
-			c.homesMu.Lock()
-			for _, i := range l.slots {
-				if _, reclaimed := c.homes[paths[i]]; !reclaimed {
-					c.homes[paths[i]] = l.daemon
-				}
-			}
-			c.homesMu.Unlock()
+			c.rollback(recs, l, incs[k])
 		} else {
-			rebuilt[k], err = decodeDeleteBatchResp(resp, len(l.slots))
+			crossed[k], rebuilt[k], err = decodeMutateResp(resp, len(l.slots))
 		}
 		if err != nil {
-			errs[k] = fmt.Errorf("proto: delete batch at MDS %d: %w", l.daemon, err)
+			errs[k] = fmt.Errorf("proto: mutate batch at MDS %d: %w", l.daemon, err)
 		}
 	})
 	if err := errors.Join(errs...); err != nil {
-		return err
+		return nil, nil, err
 	}
-	return c.settle(ctx, paths, legs, rebuilt, time.Since(start), out)
+	// The mutations themselves succeeded; a ship failure (say, a replica
+	// holder dying mid-failover) leaves a stale replica that lookups
+	// tolerate, so it is reported but never withdraws a claim.
+	return opens, rest, c.settle(ctx, recs, legs, crossed, rebuilt, time.Since(start), out)
+}
+
+// walRecords gathers the records a leg's slots select, in op order, as the
+// WAL records the daemon will log.
+func walRecords(recs []trace.Record, slots []int) []wal.Record {
+	out := make([]wal.Record, len(slots))
+	for k, i := range slots {
+		op := wal.OpDelete
+		if recs[i].Op == trace.OpCreate {
+			op = wal.OpCreate
+		}
+		out[k] = wal.Record{Op: op, Path: recs[i].Path}
+	}
+	return out
+}
+
+// rollback withdraws the claims of a leg whose RPC failed, newest first, so
+// a path the leg both created and deleted ends where the round found it. A
+// claim a racing mutation has since replaced is left alone. So are all of
+// them once the daemon's incarnation moved past inc: RestartMDS reconciled
+// ground truth with what the recovered daemon holds, or FailMDS scrubbed its
+// files, and either way ground truth already agrees with the daemon whether
+// or not the leg applied — withdrawing a claim now would leave a phantom.
+func (c *Cluster) rollback(recs []trace.Record, l leg, inc uint64) {
+	c.homesMu.Lock()
+	defer c.homesMu.Unlock()
+	if c.incarnation[l.daemon] != inc {
+		return
+	}
+	for s := len(l.slots) - 1; s >= 0; s-- {
+		rec := recs[l.slots[s]]
+		home, ok := c.homes[rec.Path]
+		switch {
+		case rec.Op == trace.OpCreate:
+			if ok && home == l.daemon {
+				delete(c.homes, rec.Path)
+			}
+		case !ok:
+			c.homes[rec.Path] = l.daemon
+		}
+	}
 }
 
 // settle closes a mutation round whose legs all landed: every record reports
 // its leg's daemon as home and an equal share of the round's wall time, and
-// the daemons whose batch flagged a ship (a threshold crossing, a filter
-// rebuild) feed the coalescing ship queue in ascending order — the order a
-// serial loop's drains preserve.
-func (c *Cluster) settle(ctx context.Context, paths []string, legs []leg, shipDue []bool, elapsed time.Duration, out []LookupResult) error {
+// each flag a leg raised (its creates crossed the ship threshold, a delete
+// rebuilt its filter) feeds the coalescing ship queue one note, in ascending
+// daemon order — the order a serial loop's drains preserve.
+func (c *Cluster) settle(ctx context.Context, recs []trace.Record, legs []leg, crossed, rebuilt []bool, elapsed time.Duration, out []LookupResult) error {
 	landed := 0
 	for _, l := range legs {
 		landed += len(l.slots)
@@ -293,9 +302,12 @@ func (c *Cluster) settle(ctx context.Context, paths []string, legs []leg, shipDu
 	var origins []int
 	for k, l := range legs {
 		for _, i := range l.slots {
-			out[i] = LookupResult{Path: paths[i], Home: l.daemon, Found: true, Latency: perLat}
+			out[i] = LookupResult{Path: recs[i].Path, Home: l.daemon, Found: true, Latency: perLat}
 		}
-		if shipDue[k] {
+		if crossed[k] {
+			origins = append(origins, l.daemon)
+		}
+		if rebuilt[k] {
 			origins = append(origins, l.daemon)
 		}
 	}

@@ -182,3 +182,164 @@ func TestRPCCountsPerOpcode(t *testing.T) {
 		t.Error("reset left residual counts")
 	}
 }
+
+// drawsFor replays ApplyBatch's draws for recs from seed: one per record
+// that is not a delete, in op order (-1 for a delete).
+func drawsFor(ids []int, seed int64, recs []trace.Record) []int {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]int, len(recs))
+	for i, rec := range recs {
+		out[i] = -1
+		if rec.Op != trace.OpDelete {
+			out[i] = ids[rng.Intn(len(ids))]
+		}
+	}
+	return out
+}
+
+// TestApplyBatchWaveRule pins the one-kind mutation wave on hand-built
+// vectors whose per-path orderings it must keep: each vector's per-op homes
+// and existence equal a serial ApplyWith loop's with an equal RNG, and it
+// costs the mutate_batch calls it should — one per home daemon a round
+// reaches, so a path re-homed within its wave costs the second daemon one.
+func TestApplyBatchWaveRule(t *testing.T) {
+	ctx := context.Background()
+	serial := startPopulated(t, 6, 3, 100)
+	batched := startPopulated(t, 6, 3, 100)
+	ids := batched.MDSIDs()
+	create := func(p string) trace.Record { return trace.Record{Op: trace.OpCreate, Path: p} }
+	del := func(p string) trace.Record { return trace.Record{Op: trace.OpDelete, Path: p} }
+	stat := func(p string) trace.Record { return trace.Record{Op: trace.OpStat, Path: p} }
+	for _, tc := range []struct {
+		name string
+		recs []trace.Record
+		// sameHome, when set, is whether the first and the last record (both
+		// creates) must draw the same daemon.
+		sameHome *bool
+		rpcs     uint64
+	}{
+		{"create-delete-create/one home", []trace.Record{create("/w/a"), del("/w/a"), create("/w/a")}, &[]bool{true}[0], 1},
+		{"create-delete-create/two homes", []trace.Record{create("/w/b"), del("/w/b"), create("/w/b")}, &[]bool{false}[0], 2},
+		{"delete then lookup", []trace.Record{del("/p/f1"), stat("/p/f1"), stat("/p/f2")}, nil, 1},
+		{"open", []trace.Record{create("/p/f3"), stat("/p/f3")}, nil, 0},
+		{"create then open", []trace.Record{create("/w/c"), create("/w/c"), stat("/w/c")}, nil, 1},
+		{"open then delete", []trace.Record{create("/p/f4"), del("/p/f4")}, nil, 1},
+		{"double delete", []trace.Record{del("/p/f5"), del("/p/f5")}, nil, 1},
+		{"delete of an absent path", []trace.Record{del("/w/never"), stat("/w/never")}, nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := int64(1)
+			for tc.sameHome != nil {
+				d := drawsFor(ids, seed, tc.recs)
+				if (d[0] == d[len(d)-1]) == *tc.sameHome {
+					break
+				}
+				seed++
+			}
+			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			want := make([]LookupResult, len(tc.recs))
+			for i, rec := range tc.recs {
+				var err error
+				if want[i], err = serial.ApplyWith(ctx, rngA, rec); err != nil {
+					t.Fatalf("serial op %d: %v", i, err)
+				}
+			}
+			batched.ResetRPCCounts()
+			got, err := batched.ApplyBatch(ctx, rngB, tc.recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range tc.recs {
+				s, b := want[i], got[i]
+				if s.Found != b.Found || s.Home != b.Home || (s.Level == 0) != (b.Level == 0) {
+					t.Errorf("op %d (%v %s): serial {home %d found %v lvl %d}, batch {home %d found %v lvl %d}",
+						i, rec.Op, rec.Path, s.Home, s.Found, s.Level, b.Home, b.Found, b.Level)
+				}
+				if sh, bh := serial.HomeOf(rec.Path), batched.HomeOf(rec.Path); sh != bh {
+					t.Errorf("HomeOf(%s): serial %d, batch %d", rec.Path, sh, bh)
+				}
+			}
+			if n := batched.RPCCounts()["mutate_batch"]; n != tc.rpcs {
+				t.Errorf("%d mutate_batch calls, want %d", n, tc.rpcs)
+			}
+		})
+	}
+	checkFileCounts(t, batched)
+}
+
+// TestMutateBatchPerWaveAndHome pins a mutation round's RPC shape over
+// generated mixed vectors: each vector's mutate_batch calls equal the
+// distinct (wave, home) pairs of its records that reach a daemon — waves,
+// draws and homes recomputed here from the vector, ground truth and a twin
+// RNG alone.
+func TestMutateBatchPerWaveAndHome(t *testing.T) {
+	ctx := context.Background()
+	gen, err := trace.NewGenerator(trace.Config{Profile: trace.MustMixProfile(50, 25, 25), TIF: 2, FilesPerSubtrace: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(testOptions(6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	var initial []string
+	gen.EachInitialPath(func(p string) bool {
+		initial = append(initial, p)
+		return true
+	})
+	c.Populate(initial)
+	ids := c.MDSIDs()
+	for v := 0; v < 4; v++ {
+		recs := make([]trace.Record, 128)
+		for i := range recs {
+			recs[i] = gen.Next()
+		}
+		seed := int64(v + 1)
+		draws := drawsFor(ids, seed, recs)
+		homes := make(map[string]int)
+		home := func(p string) int {
+			if h, ok := homes[p]; ok {
+				return h
+			}
+			homes[p] = c.HomeOf(p)
+			return homes[p]
+		}
+		type pathState struct {
+			mutation bool
+			wave     int
+		}
+		last := make(map[string]pathState)
+		pairs := make(map[[2]int]bool)
+		for i, rec := range recs {
+			mut := rec.Op == trace.OpCreate || rec.Op == trace.OpDelete
+			w := 0
+			if st, ok := last[rec.Path]; ok {
+				w = st.wave
+				if st.mutation != mut {
+					w++
+				}
+			}
+			last[rec.Path] = pathState{mut, w}
+			switch h := home(rec.Path); {
+			case rec.Op == trace.OpCreate && h < 0:
+				homes[rec.Path] = draws[i]
+				pairs[[2]int{w, draws[i]}] = true
+			case rec.Op == trace.OpDelete && h >= 0:
+				homes[rec.Path] = -1
+				pairs[[2]int{w, h}] = true
+			}
+		}
+		if len(pairs) < 2 {
+			t.Fatalf("vector %d reaches %d (wave, home) pairs; the shape needs several", v, len(pairs))
+		}
+		c.ResetRPCCounts()
+		if _, err := c.ApplyBatch(ctx, rand.New(rand.NewSource(seed)), recs); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.RPCCounts()["mutate_batch"]; got != uint64(len(pairs)) {
+			t.Errorf("vector %d: %d mutate_batch calls, %d distinct (wave, home) pairs", v, got, len(pairs))
+		}
+	}
+	checkFileCounts(t, c)
+}

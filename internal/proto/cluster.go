@@ -156,8 +156,14 @@ type Cluster struct {
 	// homes is the coordinator's ground-truth path → home map, the
 	// linearization point of create and delete (claim-then-RPC, exactly as
 	// core's sharded homes map commits the claim with the node update).
-	homesMu sync.Mutex
-	homes   map[string]int
+	// incarnation counts, per daemon, the times ground truth was rewritten
+	// around it — RestartMDS's reconcile, FailMDS's scrub. A mutation round
+	// records it with its claims and sends it with the batch: a failed leg
+	// rolls its claims back only if it has not moved since, and a daemon
+	// refuses a batch claimed against an incarnation it does not serve.
+	homesMu     sync.Mutex
+	homes       map[string]int
+	incarnation map[int]uint64
 
 	// ships coalesces XOR-delta threshold crossings per origin; shipStripes
 	// serialize ships of the same origin so two racing shippers cannot
@@ -297,17 +303,18 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	useMux := opts.Transport != TransportClassic
 	c := &Cluster{
-		opts:     opts,
-		servers:  make(map[int]*NodeServer),
-		layout:   group.NewLayout(opts.N, opts.M),
-		homes:    make(map[string]int),
-		ships:    shipq.New(opts.ShipBatch),
-		conns:    newConnSet(callTimeout, useMux),
-		rng:      rand.New(rand.NewSource(opts.Seed)),
-		obsBatch: obsBatch,
-		nextID:   opts.N,
-		useMux:   useMux,
-		retry:    opts.Retry,
+		opts:        opts,
+		servers:     make(map[int]*NodeServer),
+		layout:      group.NewLayout(opts.N, opts.M),
+		homes:       make(map[string]int),
+		incarnation: make(map[int]uint64),
+		ships:       shipq.New(opts.ShipBatch),
+		conns:       newConnSet(callTimeout, useMux),
+		rng:         rand.New(rand.NewSource(opts.Seed)),
+		obsBatch:    obsBatch,
+		nextID:      opts.N,
+		useMux:      useMux,
+		retry:       opts.Retry,
 	}
 	for i := 0; i < opts.N; i++ {
 		ns, _, err := c.launchNode(i)

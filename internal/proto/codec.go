@@ -10,14 +10,16 @@
 // entry MDS — the same messages a server-driven implementation would send,
 // issued from the client side for simplicity — and keeps the group layout
 // (who holds which replica) the way member IDBFAs do in the simulator. It has
-// one walk (lookupVector) and one sender per mutation kind (createRun,
-// deleteRun), all over path vectors: Lookup and Apply run them over a vector
-// of one, ApplyBatch over a whole window.
+// one walk (lookupVector) and one mutation sender (mutateRun), both over
+// vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
+// whole window.
 package proto
 
 import (
 	"encoding/binary"
 	"fmt"
+
+	"ghba/internal/wal"
 )
 
 // RPC message types. Every namespace operation travels as a path vector —
@@ -36,8 +38,7 @@ const (
 	opQueryMemberBatch                  // paths → per path: L2 hits (group multicast leg)
 	opVerifyBatch                       // paths → per path: 1/0 authoritative answer
 	opHasLocalBatch                     // paths → per path: 1/0 local-filter + store check (L4 leg)
-	opCreateBatch                       // paths → 1 byte: filter crossed the XOR-delta ship threshold after the batch
-	opDeleteBatch                       // paths → per path existed byte, then 1 rebuilt byte
+	opMutateBatch                       // incarnation + (kind, path) records in op order → per record existence byte, then crossed and rebuilt bytes
 
 	// opHeartbeat is the failure detector's liveness probe. The response
 	// carries a health report — id, homed files, WAL position — so a probe
@@ -57,8 +58,7 @@ var opNames = [...]string{
 	opQueryMemberBatch: "query_member_batch",
 	opVerifyBatch:      "verify_batch",
 	opHasLocalBatch:    "has_local_batch",
-	opCreateBatch:      "create_batch",
-	opDeleteBatch:      "delete_batch",
+	opMutateBatch:      "mutate_batch",
 	opHeartbeat:        "heartbeat",
 }
 
@@ -156,24 +156,73 @@ func decodeBools(data []byte, n int) ([]bool, error) {
 	return out, nil
 }
 
-// decodeCreateResp parses an opCreateBatch response: whether the origin's
-// filter drifted past the XOR-delta threshold and should ship.
-func decodeCreateResp(data []byte) (crossed bool, err error) {
-	if len(data) != 1 {
-		return false, fmt.Errorf("proto: create response wants 1 byte, got %d", len(data))
+// encodeMutations serializes a mutation batch: the incarnation of the
+// daemon its claims were made against (uint64), count uint32, then per
+// record kind uint8 (wal.OpCreate or wal.OpDelete) | len uint16 | path
+// bytes. The kind byte is the WAL's own op, so the daemon logs exactly what
+// it received.
+func encodeMutations(incarnation uint64, recs []wal.Record) []byte {
+	size := 8 + 4
+	for _, r := range recs {
+		size += 1 + 2 + len(r.Path)
 	}
-	return data[0] == 1, nil
+	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, incarnation)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, r := range recs {
+		buf = append(buf, r.Op)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Path)))
+		buf = append(buf, r.Path...)
+	}
+	return buf
 }
 
-// decodeDeleteBatchResp parses an opDeleteBatch response for n paths: one
-// existed byte per path (the coordinator's homes map already settled
-// existence, so they go unread), then whether a deletion triggered a
-// local-filter rebuild (which replaces the filter wholesale and must ship).
-func decodeDeleteBatchResp(data []byte, n int) (rebuilt bool, err error) {
-	if len(data) != n+1 {
-		return false, fmt.Errorf("proto: delete batch response wants %d bytes, got %d", n+1, len(data))
+// decodeMutations parses a mutation batch. It refuses an unknown kind, a
+// count the bytes do not carry and bytes after the last record: the daemon
+// logs what it decodes, so nothing it half-understood may reach the WAL.
+func decodeMutations(data []byte) (incarnation uint64, recs []wal.Record, err error) {
+	if len(data) < 12 {
+		return 0, nil, fmt.Errorf("proto: truncated mutation batch")
 	}
-	return data[n] == 1, nil
+	incarnation = binary.BigEndian.Uint64(data)
+	n := int(binary.BigEndian.Uint32(data[8:]))
+	data = data[12:]
+	// Each record costs at least its kind byte and 2-byte length prefix.
+	if n > len(data)/3 {
+		return 0, nil, fmt.Errorf("proto: mutation batch declares %d records in %d bytes", n, len(data))
+	}
+	recs = make([]wal.Record, n)
+	for i := range recs {
+		if len(data) < 3 {
+			return 0, nil, fmt.Errorf("proto: truncated mutation %d", i)
+		}
+		op, plen := data[0], int(binary.BigEndian.Uint16(data[1:]))
+		if op != wal.OpCreate && op != wal.OpDelete {
+			return 0, nil, fmt.Errorf("proto: mutation %d has unknown kind %d", i, op)
+		}
+		data = data[3:]
+		if len(data) < plen {
+			return 0, nil, fmt.Errorf("proto: truncated mutation %d path", i)
+		}
+		recs[i] = wal.Record{Op: op, Path: string(data[:plen])}
+		data = data[plen:]
+	}
+	if len(data) != 0 {
+		return 0, nil, fmt.Errorf("proto: %d bytes after %d mutations", len(data), n)
+	}
+	return incarnation, recs, nil
+}
+
+// decodeMutateResp parses an opMutateBatch response for n records: one
+// existence byte per record (the coordinator's homes map already settled
+// existence, so they go unread), then whether the batch's creates left the
+// filter past the XOR-delta ship threshold, then whether a delete rebuilt the
+// filter (which replaces it wholesale and must ship).
+func decodeMutateResp(data []byte, n int) (crossed, rebuilt bool, err error) {
+	if len(data) != n+2 {
+		return false, false, fmt.Errorf("proto: mutate batch response wants %d bytes, got %d", n+2, len(data))
+	}
+	return data[n] == 1, data[n+1] == 1, nil
 }
 
 // HeartbeatInfo is the health report an opHeartbeat response carries.
@@ -300,12 +349,4 @@ func decodeOriginPayload(data []byte) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("proto: truncated origin prefix")
 	}
 	return int(binary.BigEndian.Uint32(data)), data[4:], nil
-}
-
-// boolByte encodes a boolean answer.
-func boolByte(b bool) []byte {
-	if b {
-		return []byte{1}
-	}
-	return []byte{0}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ghba/internal/mds"
 	"ghba/internal/metastore"
+	"ghba/internal/wal"
 )
 
 // FailoverReport summarizes one daemon removal.
@@ -51,6 +52,8 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.layout, _ = c.runPlan(ctx, plan, next, false)
 	c.rebuildIndexLocked()
 
+	// The scrub ends the daemon's incarnation: a mutation leg to it failing
+	// after this point must not roll a claim back onto a removed daemon.
 	c.homesMu.Lock()
 	for p, h := range c.homes {
 		if h == id {
@@ -58,6 +61,7 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 			rep.FilesLost++
 		}
 	}
+	c.incarnation[id]++
 	c.homesMu.Unlock()
 	return rep, nil
 }
@@ -125,6 +129,14 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	}
 	rep.Recovery = info
 	rep.Addr = ns.Addr()
+	// The recovered daemon serves the incarnation reconcileHomesLocked opens
+	// below, so a batch claimed before the reconcile — which settles its
+	// claims against what the daemon recovered — is refused, not applied
+	// behind the reconcile's back.
+	c.homesMu.Lock()
+	incarnation := c.incarnation[id] + 1
+	c.homesMu.Unlock()
+	ns.serve(incarnation)
 
 	if wasMember {
 		c.conns.register(id, ns.Addr())
@@ -140,9 +152,14 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 
 	if conflicts := c.reconcileHomesLocked(id, ns, &rep); len(conflicts) > 0 {
 		// Another daemon homed these paths while this one was down; the
-		// recovered copies lose. The delete goes through the RPC path so it
-		// is WAL-logged like any other mutation.
-		_, _ = c.call(ctx, id, opDeleteBatch, encodePaths(conflicts))
+		// recovered copies lose. The delete goes through the mutation RPC so
+		// it is WAL-logged like any other; ground truth never named id for
+		// them, so there is no claim to make.
+		dels := make([]wal.Record, len(conflicts))
+		for i, p := range conflicts {
+			dels[i] = wal.Record{Op: wal.OpDelete, Path: p}
+		}
+		_, _ = c.call(ctx, id, opMutateBatch, encodeMutations(incarnation, dels))
 		rep.FilesDropped = len(conflicts)
 	}
 	return rep, nil
@@ -165,7 +182,8 @@ func (c *Cluster) rewireLocked(ctx context.Context, id int) {
 // re-claimed for id, paths another daemon homed meanwhile are returned as
 // conflicts (sorted, for deterministic message flow), and paths ground
 // truth still credited to id that did not survive recovery are scrubbed
-// as tail loss.
+// as tail loss. It bumps id's incarnation: ground truth now matches the
+// recovered store, so no claim made before may be rolled back.
 func (c *Cluster) reconcileHomesLocked(id int, ns *NodeServer, rep *RestartReport) []string {
 	recovered := make(map[string]bool)
 	ns.node.Store().Range(func(md metastore.Metadata) bool {
@@ -192,6 +210,7 @@ func (c *Cluster) reconcileHomesLocked(id int, ns *NodeServer, rep *RestartRepor
 			rep.TailLost++
 		}
 	}
+	c.incarnation[id]++
 	c.homesMu.Unlock()
 	sort.Strings(conflicts)
 	return conflicts

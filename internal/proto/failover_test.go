@@ -2,6 +2,7 @@ package proto
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -348,6 +349,137 @@ func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
 		t.Fatalf("reclaimed %d files that a survivor already homed", rr.FilesReclaimed)
 	}
 	verifySweep(t, c, paths)
+}
+
+// crashingConn stands in for one daemon's connection and hands every
+// mutation batch to mutate, which decides when the daemon crashes relative
+// to the batch and what the coordinator hears: send delivers the batch over
+// a connection of mutate's choosing — inner, the one wrapped, or another.
+type crashingConn struct {
+	caller
+	mutate func(inner caller, send func(to caller) ([]byte, error)) ([]byte, error)
+}
+
+func (cc crashingConn) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
+	if msgType != opMutateBatch {
+		return cc.caller.CallContext(ctx, msgType, payload)
+	}
+	return cc.mutate(cc.caller, func(to caller) ([]byte, error) { return to.CallContext(ctx, msgType, payload) })
+}
+
+// crashOnNextMutation wraps daemon id's connection in a crashingConn.
+// RestartMDS and FailMDS both replace or drop the connection, so mutate runs
+// once.
+func crashOnNextMutation(c *Cluster, id int, mutate func(inner caller, send func(to caller) ([]byte, error)) ([]byte, error)) {
+	c.conns.mu.Lock()
+	defer c.conns.mu.Unlock()
+	c.conns.conns[id] = crashingConn{caller: c.conns.conns[id], mutate: mutate}
+}
+
+// TestMutationAcrossRecoveryLeavesNoPhantom pins mutation rounds against the
+// recovery paths that rewrite ground truth while a batch is in flight. A
+// create whose daemon applied it, crashed and was reconciled by RestartMDS
+// before the reply arrived keeps its claim (withdrawing it left the file in
+// the daemon's store and out of the namespace — TestSoakKillRestart's "1
+// phantom"); a delete whose daemon was failed over is not rolled back onto
+// the removed daemon; and a create claimed before a restart but delivered to
+// the recovered daemon after its reconcile is refused there, since the
+// reconcile already scrubbed the claim.
+func TestMutationAcrossRecoveryLeavesNoPhantom(t *testing.T) {
+	ctx := context.Background()
+	restart := func(t *testing.T, c *Cluster, id int) {
+		if err := c.KillMDS(id); err != nil {
+			t.Error(err)
+		}
+		if _, err := c.RestartMDS(ctx, id); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// mutate crashes victim around the batch send delivers.
+		mutate func(t *testing.T, c *Cluster, victim int, inner caller, send func(to caller) ([]byte, error)) ([]byte, error)
+		// applied is whether the create lands: HomeOf must name the victim.
+		applied bool
+	}{
+		{"create/reply lost across restart", func(t *testing.T, c *Cluster, victim int, inner caller, send func(caller) ([]byte, error)) ([]byte, error) {
+			if _, err := send(inner); err != nil {
+				t.Error(err)
+			}
+			restart(t, c, victim)
+			return nil, errors.New("connection reset after the daemon applied")
+		}, true},
+		{"create/request delayed past restart", func(t *testing.T, c *Cluster, victim int, _ caller, send func(caller) ([]byte, error)) ([]byte, error) {
+			restart(t, c, victim)
+			to, err := c.conns.conn(victim)
+			if err != nil {
+				t.Error(err)
+				return nil, err
+			}
+			return send(to)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Start(durableOptions(t, 4, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			paths := createFiles(t, c, 40)
+			victim := c.MDSIDs()[1]
+			path := "/crash/create"
+			crashOnNextMutation(c, victim, func(inner caller, send func(caller) ([]byte, error)) ([]byte, error) {
+				return tc.mutate(t, c, victim, inner, send)
+			})
+			create := trace.Record{Op: trace.OpCreate, Path: path}
+			seed := int64(1)
+			for drawsFor(c.MDSIDs(), seed, []trace.Record{create})[0] != victim {
+				seed++
+			}
+			_, err = c.ApplyWith(ctx, rand.New(rand.NewSource(seed)), create)
+			want := -1
+			if tc.applied {
+				want = victim
+			}
+			if got := c.HomeOf(path); got != want {
+				t.Errorf("HomeOf(%s) = %d, want %d (create error: %v)", path, got, want, err)
+			}
+			checkHomesAgree(t, c, append(paths, path))
+			checkFileCounts(t, c)
+		})
+	}
+	t.Run("delete/reply lost across failover", func(t *testing.T) {
+		c := startPopulated(t, 4, 2, 40)
+		victim := c.MDSIDs()[1]
+		var paths []string
+		path := ""
+		for i := 0; i < 40; i++ {
+			paths = append(paths, "/p/f"+strconv.Itoa(i))
+			if path == "" && c.HomeOf(paths[i]) == victim {
+				path = paths[i]
+			}
+		}
+		if path == "" {
+			t.Fatalf("MDS %d homes none of the 40 files", victim)
+		}
+		crashOnNextMutation(c, victim, func(inner caller, send func(caller) ([]byte, error)) ([]byte, error) {
+			if _, err := send(inner); err != nil {
+				t.Error(err)
+			}
+			if _, err := c.FailMDS(ctx, victim); err != nil {
+				t.Error(err)
+			}
+			return nil, errors.New("connection reset after the daemon applied")
+		})
+		if _, err := c.Apply(ctx, trace.Record{Op: trace.OpDelete, Path: path}); err == nil {
+			t.Fatal("a delete whose reply was lost reported success")
+		}
+		if got := c.HomeOf(path); got != -1 {
+			t.Errorf("HomeOf(%s) = %d after its home was failed over", path, got)
+		}
+		checkHomesAgree(t, c, paths)
+		checkFileCounts(t, c)
+	})
 }
 
 func TestDetectorDrivesFailover(t *testing.T) {

@@ -45,25 +45,22 @@ func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Recor
 }
 
 // applyRecord is a window of one: the same single draw ApplyBatch makes per
-// record, then the record's run over its one index — a lone record has no
-// cross-kind dependency for waves to order.
+// record, then a mutation round over the one record — walking it if it
+// turned out to be an open — or the walk over a vector of one.
 func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (LookupResult, error) {
 	draw := 0
 	if rec.Op != trace.OpDelete {
 		ids := c.snapshotIDs()
 		draw = ids[r.Intn(len(ids))]
 	}
-	out := make([]LookupResult, 1)
-	var err error
-	switch rec.Op {
-	case trace.OpCreate:
-		err = c.createRun(ctx, []string{rec.Path}, []int{draw}, []int{0}, out)
-	case trace.OpDelete:
-		err = c.deleteRun(ctx, []string{rec.Path}, []int{0}, out)
-	default:
-		return c.LookupVia(ctx, rec.Path, draw)
+	if isMutation(rec.Op) {
+		out := make([]LookupResult, 1)
+		opens, _, err := c.mutateRun(ctx, []trace.Record{rec}, []int{draw}, []int{0}, out)
+		if err != nil || len(opens) == 0 {
+			return out[0], err
+		}
 	}
-	return out[0], err
+	return c.LookupVia(ctx, rec.Path, draw)
 }
 
 // Flush drains the coalescing ship queue: every daemon whose filter crossed

@@ -399,3 +399,89 @@ func TestMutationFailureKeepsGroundTruth(t *testing.T) {
 		})
 	}
 }
+
+// TestMixedLegRollsBack pins the rollback of mixed legs: with one daemon
+// crashed in place, a vector interleaving creates, deletes and create+delete
+// pairs of one path fails, every path whose records went to the dead daemon
+// is back where the vector found it, and every path whose records went to a
+// live daemon landed. The vector ends with a delete at the dead daemon and a
+// recreate of that path drawn elsewhere: the recreate must not run, or the
+// path would live at two daemons once the delete is rolled back.
+func TestMixedLegRollsBack(t *testing.T) {
+	const files = 80
+	ctx := context.Background()
+	c := startPopulated(t, 4, 2, files)
+	ids := c.MDSIDs()
+	victim := ids[1]
+	if err := c.KillMDS(victim); err != nil {
+		t.Fatal(err)
+	}
+	moved := ""
+	for i := files - 1; i >= 40 && moved == ""; i-- {
+		if p := "/p/f" + strconv.Itoa(i); c.HomeOf(p) == victim {
+			moved = p
+		}
+	}
+	if moved == "" {
+		t.Fatalf("MDS %d homes none of /p/f40…/p/f%d", victim, files-1)
+	}
+	var recs []trace.Record
+	for i := 0; i < 24; i++ {
+		fresh := "/mix/f" + strconv.Itoa(i)
+		recs = append(recs, trace.Record{Op: trace.OpCreate, Path: fresh})
+		if i%3 == 0 {
+			recs = append(recs, trace.Record{Op: trace.OpDelete, Path: fresh})
+		}
+		recs = append(recs, trace.Record{Op: trace.OpDelete, Path: "/p/f" + strconv.Itoa(i)})
+	}
+	recs = append(recs, trace.Record{Op: trace.OpDelete, Path: moved}, trace.Record{Op: trace.OpCreate, Path: moved})
+
+	// landed is where a fully landed vector (but for the final recreate)
+	// leaves each path; target is the daemon its records go to.
+	var landed, target map[string]int
+	seed := int64(0)
+	for pairs := map[bool]bool{}; !pairs[true] || !pairs[false]; {
+		seed++
+		draws := drawsFor(ids, seed, recs)
+		if draws[len(recs)-1] == victim {
+			continue
+		}
+		landed, target = make(map[string]int), make(map[string]int)
+		clear(pairs)
+		for i, rec := range recs[:len(recs)-1] {
+			if _, seen := landed[rec.Path]; !seen {
+				landed[rec.Path] = c.HomeOf(rec.Path)
+			}
+			if rec.Op == trace.OpCreate {
+				landed[rec.Path], target[rec.Path] = draws[i], draws[i]
+			} else {
+				if landed[rec.Path] >= 0 && i > 0 && recs[i-1].Path == rec.Path {
+					pairs[target[rec.Path] == victim] = true
+				}
+				target[rec.Path], landed[rec.Path] = landed[rec.Path], -1
+			}
+		}
+	}
+	before := make(map[string]int)
+	var paths []string
+	for _, rec := range recs {
+		if _, seen := before[rec.Path]; !seen {
+			before[rec.Path] = c.HomeOf(rec.Path)
+			paths = append(paths, rec.Path)
+		}
+	}
+
+	if _, err := c.ApplyBatch(ctx, rand.New(rand.NewSource(seed)), recs); err == nil {
+		t.Fatalf("a vector with legs at dead MDS %d reported no error", victim)
+	}
+	for _, p := range paths {
+		d, want := target[p], landed[p]
+		if d == victim {
+			want = before[p]
+		}
+		if got := c.HomeOf(p); got != want {
+			t.Errorf("%s (records at MDS %d, dead: %v): HomeOf = %d, want %d", p, d, d == victim, got, want)
+		}
+	}
+	checkHomesAgree(t, c, paths)
+}

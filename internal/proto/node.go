@@ -41,6 +41,12 @@ type NodeServer struct {
 	// append and the apply are atomic with respect to snapshots.
 	wal           *wal.Log
 	snapshotEvery uint64
+
+	// incarnation is the coordinator incarnation this instance serves
+	// (Cluster.incarnation): a mutation batch claimed against another is
+	// refused. RestartMDS sets it on a recovered daemon before anyone can
+	// reach it. Guarded by mu.
+	incarnation uint64
 }
 
 // NodeServerOptions configures one daemon beyond its mds.Node state.
@@ -172,6 +178,13 @@ func (ns *NodeServer) maybeCompactLocked() error {
 	return ns.snapshotLocked()
 }
 
+// serve sets the coordinator incarnation the daemon accepts mutations for.
+func (ns *NodeServer) serve(incarnation uint64) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	ns.incarnation = incarnation
+}
+
 // AddFileDirect homes a file without the RPC path; used for bulk population
 // before measurement starts.
 func (ns *NodeServer) AddFileDirect(path string) {
@@ -192,16 +205,6 @@ func (ns *NodeServer) ShipDirect() *bloom.Filter {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return ns.node.Ship()
-}
-
-// walRecords builds one WAL record per path with a shared op — the batch
-// RPCs append their whole vector in a single (atomic) WAL write.
-func walRecords(op uint8, paths []string) []wal.Record {
-	recs := make([]wal.Record, len(paths))
-	for i, p := range paths {
-		recs[i] = wal.Record{Op: op, Path: p}
-	}
-	return recs
 }
 
 // spilledSleep emulates disk accesses for the over-RAM replica fraction.
@@ -328,49 +331,46 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		}
 		return encodeBools(answers), nil
 
-	case opCreateBatch:
-		paths, err := decodePaths(payload)
+	case opMutateBatch:
+		incarnation, recs, err := decodeMutations(payload)
 		if err != nil {
 			return nil, err
 		}
-		if err := ns.logMutation(walRecords(wal.OpCreate, paths)...); err != nil {
+		if incarnation != ns.incarnation {
+			// Claimed before this instance's recovery was reconciled with
+			// ground truth, which already settled the claims against what
+			// the instance recovered: applying them now would undo that.
+			return nil, fmt.Errorf("proto: MDS %d serves incarnation %d, the batch was claimed under %d", ns.id, ns.incarnation, incarnation)
+		}
+		// One append, one fsync, for the whole vector. Logged before the
+		// existence answers are known: replaying a delete of an absent path is
+		// a no-op, so the record is harmless either way.
+		if err := ns.logMutation(recs...); err != nil {
 			return nil, err
 		}
-		for _, p := range paths {
-			ns.node.AddFile(p)
-		}
-		if err := ns.maybeCompactLocked(); err != nil {
-			return nil, err
-		}
-		// The mutation and the threshold check happen in one request, so the
-		// coordinator learns whether to feed the ship queue without a second
-		// round trip — the networked twin of core.noteMutationLocked. One
-		// answer serves the whole batch: the ship queue coalesces by origin
-		// anyway, so per-path flags would collapse to the same single Note.
-		return boolByte(ns.node.NeedsShip(mds.DefaultUpdateThresholdBits)), nil
-
-	case opDeleteBatch:
-		paths, err := decodePaths(payload)
-		if err != nil {
-			return nil, err
-		}
-		// Logged before the existence answers are known: replaying a delete
-		// of an absent path is a no-op, so the record is harmless either way.
-		if err := ns.logMutation(walRecords(wal.OpDelete, paths)...); err != nil {
-			return nil, err
-		}
-		resp := make([]byte, len(paths)+1)
-		rebuilt := false
-		for i, p := range paths {
-			if ns.node.DeleteFile(p) {
+		resp := make([]byte, len(recs)+2)
+		created, rebuilt := false, false
+		for i, r := range recs {
+			if r.Op == wal.OpCreate {
+				ns.node.AddFile(r.Path)
+				resp[i], created = 1, true
+			} else if ns.node.DeleteFile(r.Path) {
 				resp[i] = 1
 				if ns.node.RebuildIfStale(mds.RebuildDeleteThreshold) {
 					rebuilt = true
 				}
 			}
 		}
+		// The mutation and the threshold check happen in one request, so the
+		// coordinator learns whether to feed the ship queue without a second
+		// round trip — the networked twin of core.noteMutationLocked. One
+		// answer per flag serves the whole batch: the ship queue coalesces by
+		// origin anyway, so per-path flags would collapse to the same Note.
+		if created && ns.node.NeedsShip(mds.DefaultUpdateThresholdBits) {
+			resp[len(recs)] = 1
+		}
 		if rebuilt {
-			resp[len(paths)] = 1
+			resp[len(recs)+1] = 1
 		}
 		return resp, ns.maybeCompactLocked()
 

@@ -78,6 +78,26 @@ func checkFileCounts(t *testing.T, c *Cluster) {
 	}
 }
 
+// checkHomesAgree asserts the per-path half at a quiescent point: each path
+// is stored by exactly the daemon ground truth names, and by none when it
+// names none — a path homed on a daemon that is no longer a member fails too.
+func checkHomesAgree(t *testing.T, c *Cluster, paths []string) {
+	t.Helper()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, p := range paths {
+		home := c.HomeOf(p)
+		if _, member := c.servers[home]; home >= 0 && !member {
+			t.Errorf("%s is homed on MDS %d, which is not a member", p, home)
+		}
+		for id, ns := range c.servers {
+			if has := ns.node.HasFile(p); has != (id == home) {
+				t.Errorf("MDS %d stores %s: %v; ground truth homes it at %d", id, p, has, home)
+			}
+		}
+	}
+}
+
 func TestStartValidation(t *testing.T) {
 	if _, err := Start(Options{N: 0, M: 3}); err == nil {
 		t.Error("N=0 accepted")

@@ -11,6 +11,7 @@ import (
 	"ghba/internal/bloom"
 	"ghba/internal/mds"
 	"ghba/internal/trace"
+	"ghba/internal/wal"
 )
 
 // TestWireRoundTrip pins every opcode's wire format: each entry encodes the
@@ -126,30 +127,60 @@ func TestWireRoundTrip(t *testing.T) {
 			pathsTrip(t)
 			boolsTrip(t)
 		}},
-		{opCreateBatch, func(t *testing.T) {
-			pathsTrip(t)
-			for _, crossed := range []bool{true, false} {
-				got, err := decodeCreateResp(boolByte(crossed))
-				if err != nil {
-					t.Fatalf("decodeCreateResp: %v", err)
-				}
-				if got != crossed {
-					t.Fatalf("crossed %v did not round-trip", crossed)
+		{opMutateBatch, func(t *testing.T) {
+			// Request: records in op order, each kind its WAL op, the same
+			// path as often as the round touches it.
+			recs := []wal.Record{
+				{Op: wal.OpCreate, Path: samplePaths[1]},
+				{Op: wal.OpDelete, Path: samplePaths[1]},
+				{Op: wal.OpCreate, Path: samplePaths[0]},
+				{Op: wal.OpDelete, Path: samplePaths[3]},
+				{Op: wal.OpCreate, Path: samplePaths[2]},
+			}
+			const incarnation = 1<<40 + 3
+			wire := encodeMutations(incarnation, recs)
+			gotInc, got, err := decodeMutations(wire)
+			if err != nil {
+				t.Fatalf("decodeMutations: %v", err)
+			}
+			if gotInc != incarnation || !reflect.DeepEqual(got, recs) {
+				t.Fatalf("mutations: got %d %v, want %d %v", gotInc, got, incarnation, recs)
+			}
+			// The daemon logs what it decodes, so the decoder takes nothing
+			// it half understands.
+			unknownKind := bytes.Clone(wire)
+			unknownKind[12] = 9
+			countLong, countShort := bytes.Clone(wire), bytes.Clone(wire)
+			countLong[11]++
+			countShort[11]--
+			for name, bad := range map[string][]byte{
+				"unknown kind":    unknownKind,
+				"count one long":  countLong,
+				"count one short": countShort,
+				"trailing byte":   append(bytes.Clone(wire), 0),
+				"truncated":       wire[:len(wire)-1],
+			} {
+				if _, _, err := decodeMutations(bad); err == nil {
+					t.Errorf("%s: decoded", name)
 				}
 			}
-		}},
-		{opDeleteBatch, func(t *testing.T) {
-			paths := pathsTrip(t)
-			// Response: one existed byte per path, then one rebuilt byte.
-			for _, rebuilt := range []bool{true, false} {
-				resp := append(make([]byte, len(paths)), boolByte(rebuilt)...)
+			// Response: one existence byte per record, then the crossed and
+			// rebuilt flags.
+			for _, flags := range [][2]bool{{true, false}, {false, true}, {true, true}, {false, false}} {
+				resp := make([]byte, len(recs)+2)
 				resp[0] = 1
-				got, err := decodeDeleteBatchResp(resp, len(paths))
-				if err != nil {
-					t.Fatalf("decodeDeleteBatchResp: %v", err)
+				if flags[0] {
+					resp[len(recs)] = 1
 				}
-				if got != rebuilt {
-					t.Fatalf("rebuilt %v did not round-trip", rebuilt)
+				if flags[1] {
+					resp[len(recs)+1] = 1
+				}
+				crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
+				if err != nil {
+					t.Fatalf("decodeMutateResp: %v", err)
+				}
+				if crossed != flags[0] || rebuilt != flags[1] {
+					t.Fatalf("flags %v decoded as (%v, %v)", flags, crossed, rebuilt)
 				}
 			}
 		}},
@@ -194,7 +225,54 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Errorf("opcode %s has no round-trip case", opNames[op])
 		}
 	}
+	// A round of one kind carries what create_batch and delete_batch carried
+	// before they folded into mutate_batch: the create row's answer is the
+	// crossed flag, the delete row's the existence bytes and the rebuilt flag.
+	for _, kind := range oneKindRounds {
+		t.Run(kind.name, func(t *testing.T) {
+			recs := make([]wal.Record, len(samplePaths))
+			for i, p := range samplePaths {
+				recs[i] = wal.Record{Op: kind.op, Path: p}
+			}
+			_, got, err := decodeMutations(encodeMutations(0, recs))
+			if err != nil {
+				t.Fatalf("decodeMutations: %v", err)
+			}
+			if !reflect.DeepEqual(got, recs) {
+				t.Fatalf("mutations: got %v, want %v", got, recs)
+			}
+			flagAt := len(recs)
+			if kind.op == wal.OpDelete {
+				flagAt++
+			}
+			for _, flag := range []bool{true, false} {
+				resp := make([]byte, len(recs)+2)
+				resp[0] = 1
+				if flag {
+					resp[flagAt] = 1
+				}
+				crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
+				if err != nil {
+					t.Fatalf("decodeMutateResp: %v", err)
+				}
+				want := [2]bool{flag, false}
+				if kind.op == wal.OpDelete {
+					want = [2]bool{false, flag}
+				}
+				if got := [2]bool{crossed, rebuilt}; got != want {
+					t.Fatalf("flag %v decoded as (crossed, rebuilt) %v, want %v", flag, got, want)
+				}
+			}
+		})
+	}
 }
+
+// oneKindRounds names a mutate_batch round that carries a single kind after
+// the opcode each such round had before create and delete shared one.
+var oneKindRounds = []struct {
+	name string
+	op   uint8
+}{{"create_batch", wal.OpCreate}, {"delete_batch", wal.OpDelete}}
 
 // TestEveryOpcodeDispatches pins the daemon half of the opcode table: every
 // opcode with a name has a dispatch arm that accepts a minimal well-formed
@@ -220,8 +298,7 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 		opQueryMemberBatch: paths,
 		opVerifyBatch:      paths,
 		opHasLocalBatch:    paths,
-		opCreateBatch:      paths,
-		opDeleteBatch:      paths,
+		opMutateBatch:      encodeMutations(0, []wal.Record{{Op: wal.OpCreate, Path: "/p"}, {Op: wal.OpDelete, Path: "/p"}}),
 		opHeartbeat:        nil,
 	}
 	for op := 1; op < len(opNames); op++ {
@@ -238,6 +315,28 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 			ns := &NodeServer{node: node}
 			if _, err := ns.handle(uint8(op), req); err != nil {
 				t.Fatalf("fresh daemon refused a well-formed %s: %v", opName(uint8(op)), err)
+			}
+		})
+	}
+	// A round of one kind dispatches too: a create answers that the path
+	// exists, a delete of a path the fresh daemon never had that it did not.
+	for _, kind := range oneKindRounds {
+		t.Run(kind.name, func(t *testing.T) {
+			node, err := mds.NewNode(0, testOptions(1, 1).Node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns := &NodeServer{node: node}
+			resp, err := ns.handle(opMutateBatch, encodeMutations(0, []wal.Record{{Op: kind.op, Path: "/p"}}))
+			if err != nil {
+				t.Fatalf("fresh daemon refused a one-record %s round: %v", kind.name, err)
+			}
+			want := []byte{0, 0, 0}
+			if kind.op == wal.OpCreate {
+				want[0] = 1
+			}
+			if !bytes.Equal(resp, want) {
+				t.Fatalf("%s round answered %v, want %v", kind.name, resp, want)
 			}
 		})
 	}
@@ -390,10 +489,10 @@ func FuzzPathVectorRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBatchResponses drives the four response decoders that sit under every
-// TCP operation — hit lists, bool vectors, the create and the delete batch
-// answers — with arbitrary bytes for an arbitrary expected count: none may
-// panic, and none may accept a body whose length disagrees with n.
+// FuzzBatchResponses drives the three response decoders that sit under every
+// TCP operation — hit lists, bool vectors and the mutate batch answer — with
+// arbitrary bytes for an arbitrary expected count: none may panic, and none
+// may accept a body whose length disagrees with n.
 func FuzzBatchResponses(f *testing.F) {
 	oneList := encodeHits([]int{3})
 	f.Add([]byte{}, uint8(0))
@@ -403,9 +502,11 @@ func FuzzBatchResponses(f *testing.F) {
 	f.Add(append(oneList[:6:6], 0), uint8(1)) // one byte long
 	f.Add([]byte{0xff, 0xff}, uint8(1))       // a hit count of 0xFFFF with no hits behind it
 	f.Add([]byte{0xff, 0xff, 0, 0}, uint8(2)) // … and as the first of two lists
-	f.Add([]byte{1, 0, 1}, uint8(3))          // a bool vector; a delete batch answer for two
-	f.Add([]byte{1}, uint8(0))                // a create answer; a delete batch answer for none
-	f.Add([]byte{0, 0}, uint8(0))             // one byte long for either
+	f.Add([]byte{1, 0, 1}, uint8(3))          // a bool vector; a mutate answer for one
+	f.Add([]byte{1}, uint8(0))                // one byte short of a mutate answer for none
+	f.Add([]byte{0, 0}, uint8(0))             // a mutate answer for none
+	f.Add([]byte{1, 1, 0, 1}, uint8(2))       // a mutate answer for two
+	f.Add([]byte{1, 1, 0, 1, 1}, uint8(2))    // … one byte long
 	f.Fuzz(func(t *testing.T, data []byte, count uint8) {
 		n := int(count)
 		if lists, err := decodeHitsVec(data, n); err == nil {
@@ -420,11 +521,34 @@ func FuzzBatchResponses(f *testing.F) {
 		if bs, err := decodeBools(data, n); (err == nil) != (len(data) == n) || err == nil && len(bs) != n {
 			t.Fatalf("decodeBools(%d bytes, n=%d) = %d answers, %v", len(data), n, len(bs), err)
 		}
-		if _, err := decodeCreateResp(data); (err == nil) != (len(data) == 1) {
-			t.Fatalf("decodeCreateResp(%d bytes): %v", len(data), err)
+		if _, _, err := decodeMutateResp(data, n); (err == nil) != (len(data) == n+2) {
+			t.Fatalf("decodeMutateResp(%d bytes, n=%d): %v", len(data), n, err)
 		}
-		if _, err := decodeDeleteBatchResp(data, n); (err == nil) != (len(data) == n+1) {
-			t.Fatalf("decodeDeleteBatchResp(%d bytes, n=%d): %v", len(data), n, err)
+	})
+}
+
+// FuzzMutationVector drives the mutate batch request decoder, the one codec
+// whose output a daemon writes to its WAL: arbitrary bytes must never panic
+// it, and since it refuses unknown kinds, short counts and trailing bytes,
+// anything it accepts must re-encode to exactly the bytes it was given.
+func FuzzMutationVector(f *testing.F) {
+	two := encodeMutations(7, []wal.Record{{Op: wal.OpCreate, Path: "/a"}, {Op: wal.OpDelete, Path: "/a"}})
+	header := make([]byte, 8) // incarnation 0
+	f.Add([]byte{})
+	f.Add(encodeMutations(0, nil))                              // zero count
+	f.Add(two)                                                  // a create and a delete of one path
+	f.Add(two[:len(two)-1])                                     // one byte short
+	f.Add(append(two[:len(two):len(two)], 0))                   // one byte long
+	f.Add(append(header[:8:8], 0, 0, 0xff, 0xff))               // count 0xFFFF with no records behind it
+	f.Add(append(header[:8:8], 0, 0, 0, 1, 9, 0, 0))            // an unknown kind
+	f.Add(append(header[:8:8], 0, 0, 0, 1, wal.OpCreate, 0, 0)) // one create of the empty path
+	f.Fuzz(func(t *testing.T, data []byte) {
+		incarnation, recs, err := decodeMutations(data)
+		if err != nil {
+			return
+		}
+		if again := encodeMutations(incarnation, recs); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, which re-encodes as %x", data, again)
 		}
 	})
 }
