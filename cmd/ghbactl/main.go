@@ -9,7 +9,9 @@
 //	ghbactl -mix 100:0:0 -ops 2000                      # lookups only
 //	ghbactl -rpcbatch 256 -ops 5000                     # vectorized batch RPCs
 //	ghbactl -m 1 -n 20 -add 5                           # the HBA baseline: groups of one
-//	ghbactl -transport classic -ops 2000                # pre-mux wire protocol
+//
+// The tcp backend's coordinator calls its daemons over pooled
+// one-call-per-connection sockets (rpcnet.Pool).
 //
 // The exit status is 2 for a rejected flag or configuration, 1 when the run
 // fails or the sweep finds a lost or wrongly homed file. The sim backend's
@@ -70,7 +72,6 @@ func run() error {
 		resid     = flag.Int("resident", 0, "tcp: replicas fitting in a daemon's RAM (0 = unlimited)")
 		penalty   = flag.Duration("disk-penalty", 0, "tcp: emulated disk cost when over the resident limit")
 		timeout   = flag.Duration("call-timeout", 0, "tcp: per-RPC deadline (0 = library default, negative = none)")
-		transport = flag.String("transport", "", "tcp: wire protocol, mux (default) or classic")
 	)
 	flag.Parse()
 	ctx := context.Background()
@@ -126,7 +127,6 @@ func run() error {
 			ResidentReplicaLimit: *resid,
 			DiskPenalty:          *penalty,
 			CallTimeout:          *timeout,
-			Transport:            *transport,
 		})
 		if err != nil {
 			return err

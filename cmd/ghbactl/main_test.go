@@ -46,7 +46,6 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-mix", "0:0:0"}, "empty mix"},
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
-		{[]string{"-backend", "tcp", "-transport", "bogus"}, "invalid config: Transport"},
 		{[]string{"-rpcbatch", "0"}, "invalid config: -rpcbatch"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {

@@ -2,11 +2,12 @@
 // behind the rpcnet TCP protocol, the building block of the Section 5
 // prototype (ghba.StartPrototype runs N of these servers in one process).
 //
-// One listener serves both wire protocols: connections opening with the
-// "GMX1" magic speak the multiplexed framed protocol (request-ID-tagged
-// frames pipelined over one socket, batch RPC opcodes included); all other
-// connections speak the classic one-call-at-a-time protocol, so old clients
-// keep working unchanged.
+// The daemon speaks rpcnet's classic protocol — one call at a time per
+// connection — which is all a coordinator (proto.Cluster, through an
+// rpcnet.Pool per daemon) sends. The same listener still answers
+// connections that open with the "GMX1" magic in the multiplexed framed
+// protocol, because rpcnet.Serve does; only the benchmark's rpcnet rung
+// dials that way.
 //
 // With -data the daemon is durable: mutations are write-ahead logged to the
 // given directory and compacted into snapshots, and startup recovers

@@ -98,7 +98,6 @@ func TestStartPrototypeValidation(t *testing.T) {
 		field string
 	}{
 		{"shared half", PrototypeConfig{Config: Config{NumMDS: 0}}, "NumMDS"},
-		{"unknown transport", PrototypeConfig{Config: base, Transport: "bogus"}, "Transport"},
 		{"unknown WAL sync policy", PrototypeConfig{Config: base, WALSync: "sometimes"}, "WALSync"},
 		{"negative retry attempts", PrototypeConfig{Config: base, RetryAttempts: -1}, "RetryAttempts"},
 	}
@@ -117,14 +116,6 @@ func TestStartPrototypeValidation(t *testing.T) {
 		if cerr.Field != tc.field {
 			t.Errorf("%s: rejected field %q, want %q", tc.name, cerr.Field, tc.field)
 		}
-	}
-	for _, transport := range []string{"", "mux", "classic"} {
-		p, err := StartPrototype(PrototypeConfig{Config: base, Transport: transport, WALSync: "never"})
-		if err != nil {
-			t.Errorf("transport %q rejected: %v", transport, err)
-			continue
-		}
-		p.Close()
 	}
 }
 

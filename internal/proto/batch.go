@@ -41,19 +41,25 @@ import (
 // or before the next round when its round was cut short. Per-op homes
 // and existence results are identical to a serial Apply loop's; lookup levels
 // can differ when a reordered unrelated mutation shifts a filter's
-// false-positive pattern. Results align with recs.
+// false-positive pattern. Results align with recs. A vector holding a path
+// the wire cannot frame is refused whole, before any draw.
 func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.Record) ([]LookupResult, error) {
 	if len(recs) == 0 {
 		return nil, nil
+	}
+	paths := make([]string, len(recs))
+	for i, rec := range recs {
+		paths[i] = rec.Path
+	}
+	if err := checkPaths(paths...); err != nil {
+		return nil, err
 	}
 	results := make([]LookupResult, len(recs))
 	// Pass 1: the draws, in op order, before any RPC, so a fixed seed homes
 	// every file identically however the window is cut into vectors.
 	ids := c.snapshotIDs()
-	paths := make([]string, len(recs))
 	draws := make([]int, len(recs))
 	for i, rec := range recs {
-		paths[i] = rec.Path
 		if rec.Op != trace.OpDelete {
 			draws[i] = ids[rng.Intn(len(ids))]
 		}
@@ -467,12 +473,8 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		}
 	}
 	if len(rem) > 0 {
-		homes, err := c.hasLocalVector(ctx, snap.ids, pick(paths, rem))
-		if err != nil {
+		if err := c.hasLocalVector(ctx, snap.ids, paths, rem, results); err != nil {
 			return nil, err
-		}
-		for k, i := range rem {
-			results[i] = LookupResult{Home: homes[k], Found: homes[k] >= 0, Level: 4}
 		}
 	}
 
@@ -553,63 +555,31 @@ func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []s
 	return errors.Join(errs...)
 }
 
-// hasLocalVector is the L4 round: every daemon in ids receives the whole
-// remaining vector, and homes[i] is the daemon that authoritatively homes
-// paths[i] (-1 when none does). On the mux transport the gather cancels the
-// remaining probes once every path has found its home — a positive is a
-// store check, not a filter guess, so only the true home answers one and the
-// first positive per path is decisive. An abandoned mux call is discarded by
-// request ID without harming the shared connection; the classic transport
-// poisons a cancelled pooled connection, so there the gather runs to
-// completion instead.
-func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string) ([]int, error) {
-	payload := encodePaths(paths)
-	searchCtx := ctx
-	cancelRest := func() {}
-	if c.useMux {
-		var cancel context.CancelFunc
-		searchCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		cancelRest = cancel
+// hasLocalVector is the L4 round, one scatter over every daemon in ids: each
+// receives the paths the slots in rem select, and the fold resolves each path
+// at Level 4 with the first daemon that answers yes, or as absent when none
+// does. A positive is a store check, not a filter guess, so only the true
+// home answers one, and leg order cannot change the result.
+func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string, rem []int, results []LookupResult) error {
+	legs := make([]leg, len(ids))
+	for k, id := range ids {
+		legs[k] = leg{daemon: id, slots: rem}
 	}
-	homes := make([]int, len(paths))
-	for i := range homes {
-		homes[i] = -1
+	for _, i := range rem {
+		results[i] = LookupResult{Home: -1, Level: 4}
 	}
-	unresolved := len(paths)
-	var mu sync.Mutex
-	errs := make([]error, len(ids))
-	fanOut(len(ids), func(k int) {
-		resp, err := c.call(searchCtx, ids[k], opHasLocalBatch, payload)
-		var answers []bool
-		if err == nil {
-			answers, err = decodeBools(resp, len(paths))
-		}
+	return c.scatter(ctx, opHasLocalBatch, "has-local batch", paths, legs, func(l leg, resp []byte) error {
+		answers, err := decodeBools(resp, len(l.slots))
 		if err != nil {
-			errs[k] = fmt.Errorf("proto: has-local batch at MDS %d: %w", ids[k], err)
-			return
+			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, has := range answers {
-			if has && homes[i] == -1 {
-				homes[i] = ids[k]
-				unresolved--
+		for k, i := range l.slots {
+			if answers[k] && !results[i].Found {
+				results[i] = LookupResult{Home: l.daemon, Found: true, Level: 4}
 			}
 		}
-		if unresolved == 0 {
-			cancelRest()
-		}
+		return nil
 	})
-	for _, err := range errs {
-		// Probes the winner cancelled are expected, not failures — but only
-		// when the cancellation was ours, not the caller's.
-		if err == nil || unresolved == 0 && errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			continue
-		}
-		return nil, err
-	}
-	return homes, nil
 }
 
 // amortized spreads one batch's wall-clock cost over its operations.

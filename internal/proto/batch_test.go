@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ghba/internal/trace"
@@ -123,46 +124,61 @@ func TestApplyBatchMatchesSerialReplay(t *testing.T) {
 	}
 }
 
-// TestApplyBatchOverClassicTransport pins that the batch RPCs are legal
-// over the classic call-per-connection protocol too.
-func TestApplyBatchOverClassicTransport(t *testing.T) {
-	opts := testOptions(4, 2)
-	opts.Transport = TransportClassic
-	c, err := Start(opts)
-	if err != nil {
-		t.Fatal(err)
+// TestLongPathIsRefused pins the wire's path limit: a path's length travels
+// as a uint16, so a longer path used to wrap its length, corrupt the frame
+// it rode in and hand the other paths in that frame wrong answers. Every
+// entry point refuses it, naming the limit, before any draw, claim or RPC;
+// the same paths sent without it still resolve to their homes.
+func TestLongPathIsRefused(t *testing.T) {
+	ctx := context.Background()
+	c := startPopulated(t, 4, 2, 50)
+	long := "/" + strings.Repeat("x", 70_000)
+	paths := []string{long}
+	for i := 0; i < 10; i++ {
+		paths = append(paths, "/p/f"+strconv.Itoa(i))
 	}
-	t.Cleanup(c.Close)
-	if c.Transport() != TransportClassic {
-		t.Fatalf("Transport() = %q", c.Transport())
-	}
-	paths := make([]string, 50)
-	for i := range paths {
-		paths[i] = "/p/f" + strconv.Itoa(i)
-	}
-	c.Populate(paths)
-	rng := rand.New(rand.NewSource(3))
-	results, err := c.ApplyBatch(context.Background(), rng, mixedRecords(50, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Level > 0 && res.Found && res.Home < 0 {
-			t.Errorf("op %d: found with no home: %+v", i, res)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Errorf("%s of a 70,001-byte path: error %v, want one naming the 65535-byte limit", what, err)
 		}
 	}
-}
+	res, err := c.ApplyBatch(ctx, rand.New(rand.NewSource(1)), statRecords(paths))
+	refused("ApplyBatch", err)
+	for i, r := range res {
+		if i > 0 && (!r.Found || r.Home != c.HomeOf(paths[i])) {
+			t.Errorf("%s = %+v beside a long path, truth home %d", paths[i], r, c.HomeOf(paths[i]))
+		}
+	}
+	c.ResetRPCCounts()
+	for _, op := range []trace.OpType{trace.OpCreate, trace.OpDelete, trace.OpStat} {
+		_, err := c.ApplyWith(ctx, rand.New(rand.NewSource(1)), trace.Record{Op: op, Path: long})
+		refused("ApplyWith", err)
+	}
+	_, err = c.Lookup(ctx, long)
+	refused("Lookup", err)
+	_, err = c.LookupWith(ctx, rand.New(rand.NewSource(1)), long)
+	refused("LookupWith", err)
+	_, err = c.LookupVia(ctx, long, c.MDSIDs()[0])
+	refused("LookupVia", err)
+	refused("Populate", c.Populate([]string{"/fresh", long}))
+	if n := c.RPCCounts(); len(n) != 0 {
+		t.Errorf("refused calls went on the wire: %v", n)
+	}
+	if c.HomeOf(long) != -1 || c.HomeOf("/fresh") != -1 {
+		t.Error("a refused call homed a path")
+	}
 
-func TestTransportValidationAndDefault(t *testing.T) {
-	opts := testOptions(2, 2)
-	opts.Transport = "carrier-pigeon"
-	if _, err := Start(opts); err == nil {
-		t.Error("unknown transport accepted")
+	res, err = c.ApplyBatch(ctx, rand.New(rand.NewSource(1)), statRecords(paths[1:]))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := startPopulated(t, 2, 2, 10)
-	if c.Transport() != TransportMux {
-		t.Errorf("default transport = %q, want %q", c.Transport(), TransportMux)
+	for i, r := range res {
+		if want := c.HomeOf(paths[i+1]); !r.Found || r.Home != want {
+			t.Errorf("%s = %+v, truth home %d", paths[i+1], r, want)
+		}
 	}
+	checkFileCounts(t, c)
 }
 
 func TestRPCCountsPerOpcode(t *testing.T) {

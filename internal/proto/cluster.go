@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sort"
@@ -26,18 +27,21 @@ import (
 // coordinator.
 const DefaultCallTimeout = 10 * time.Second
 
-// Transport names for Options.Transport.
-const (
-	// TransportMux (the default) multiplexes every RPC to a daemon over one
-	// shared socket: request-ID-tagged frames, a single writer and reader
-	// goroutine per connection, and an in-flight window that pipelines calls
-	// instead of serializing them.
-	TransportMux = "mux"
-	// TransportClassic is the original call-per-connection protocol behind a
-	// per-daemon pool — kept selectable so the benchmark's rpcnet rung can
-	// measure the pre-mux path live.
-	TransportClassic = "classic"
-)
+// maxPathBytes is the longest path the wire carries: path vectors, mutation
+// batches and observation batches all frame a path's length as a uint16.
+const maxPathBytes = math.MaxUint16
+
+// checkPaths refuses a path the wire cannot frame. Every entry point that
+// takes paths from a caller runs it before any RNG draw, claim or RPC, so a
+// refused call leaves the cluster as it found it.
+func checkPaths(paths ...string) error {
+	for _, p := range paths {
+		if len(p) > maxPathBytes {
+			return fmt.Errorf("proto: path of %d bytes exceeds the wire limit of %d bytes", len(p), maxPathBytes)
+		}
+	}
+	return nil
+}
 
 // Options configures a prototype cluster.
 type Options struct {
@@ -68,9 +72,6 @@ type Options struct {
 	// multicasts immediately, matching the simulator's per-lookup L1
 	// learning (the cross-backend equivalence tests rely on this).
 	ObserveBatch int
-	// Transport selects the wire protocol: TransportMux (default when
-	// empty) or TransportClassic.
-	Transport string
 	// DataDir, when non-empty, makes every daemon durable: MDS i write-ahead
 	// logs its mutations under DataDir/mds-<i> and compacts the log into
 	// snapshots, so KillMDS/RestartMDS (and a standalone cmd/mdsd -data)
@@ -99,9 +100,6 @@ func (o *Options) validate() error {
 	}
 	if o.M < 1 {
 		return fmt.Errorf("proto: M must be ≥ 1, got %d", o.M)
-	}
-	if o.Transport != "" && o.Transport != TransportMux && o.Transport != TransportClassic {
-		return fmt.Errorf("proto: unknown transport %q", o.Transport)
 	}
 	if _, err := wal.ParseSyncPolicy(o.WALSync); err != nil {
 		return fmt.Errorf("proto: %w", err)
@@ -186,11 +184,6 @@ type Cluster struct {
 	pendingObs []observation
 	obsBatch   int
 
-	// useMux is true when the cluster rides the multiplexed transport; the
-	// L4 scatter-gather cancels losing probes only then, because abandoning
-	// a classic pooled call poisons its connection.
-	useMux bool
-
 	// retry is the idempotent-RPC retry policy; zero disables retries.
 	retry rpcnet.RetryPolicy
 
@@ -199,31 +192,32 @@ type Cluster struct {
 	rpcByOp      [len(opNames)]atomic.Uint64
 }
 
-// caller is the per-daemon connection surface the coordinator drives: the
-// classic per-call connection pool and the multiplexed client both satisfy
-// it, which is all the transport switch amounts to above the rpcnet layer.
+// caller is the per-daemon connection surface the coordinator drives. Every
+// daemon's is an rpcnet.Pool; the interface stays as the seam a connSet
+// entry can be wrapped at, so tests inject faults (a crash between the
+// apply and the reply, a request delayed past a restart) without a daemon
+// knowing.
 type caller interface {
 	CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error)
 	Close()
 }
 
-// connSet owns the coordinator's per-daemon connections. It is
+// connSet owns the coordinator's per-daemon connection pools. It is
 // deliberately independent of Cluster.mu so reconfiguration can issue RPCs
 // to a daemon (including a half-joined newcomer) while holding the
 // membership write lock.
 type connSet struct {
 	callTimeout time.Duration // ≤ 0 disables per-call deadlines
-	mux         bool
 
 	mu    sync.Mutex
 	conns map[int]caller
 }
 
-func newConnSet(callTimeout time.Duration, mux bool) *connSet {
-	return &connSet{callTimeout: callTimeout, mux: mux, conns: make(map[int]caller)}
+func newConnSet(callTimeout time.Duration) *connSet {
+	return &connSet{callTimeout: callTimeout, conns: make(map[int]caller)}
 }
 
-// register creates (or replaces) the connection for a daemon.
+// register creates (or replaces) the connection pool for a daemon.
 func (cs *connSet) register(id int, addr string) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -237,17 +231,10 @@ func (cs *connSet) register(id int, addr string) {
 	if timeout < 0 {
 		timeout = 0
 	}
-	if cs.mux {
-		cs.conns[id] = rpcnet.NewMuxClient(addr, rpcnet.MuxOptions{
-			DialTimeout: timeout,
-			CallTimeout: timeout,
-		})
-	} else {
-		cs.conns[id] = rpcnet.NewPool(addr, rpcnet.PoolOptions{
-			DialTimeout: timeout,
-			CallTimeout: timeout,
-		})
-	}
+	cs.conns[id] = rpcnet.NewPool(addr, rpcnet.PoolOptions{
+		DialTimeout: timeout,
+		CallTimeout: timeout,
+	})
 }
 
 // unregister drops a daemon's connection (failed join, removal).
@@ -301,7 +288,6 @@ func Start(opts Options) (*Cluster, error) {
 	if obsBatch <= 0 {
 		obsBatch = 64
 	}
-	useMux := opts.Transport != TransportClassic
 	c := &Cluster{
 		opts:        opts,
 		servers:     make(map[int]*NodeServer),
@@ -309,11 +295,10 @@ func Start(opts Options) (*Cluster, error) {
 		homes:       make(map[string]int),
 		incarnation: make(map[int]uint64),
 		ships:       shipq.New(opts.ShipBatch),
-		conns:       newConnSet(callTimeout, useMux),
+		conns:       newConnSet(callTimeout),
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		obsBatch:    obsBatch,
 		nextID:      opts.N,
-		useMux:      useMux,
 		retry:       opts.Retry,
 	}
 	for i := 0; i < opts.N; i++ {
@@ -459,15 +444,6 @@ func (c *Cluster) FileCount() int {
 	return len(c.homes)
 }
 
-// Transport returns the wire protocol in use (TransportMux or
-// TransportClassic).
-func (c *Cluster) Transport() string {
-	if c.useMux {
-		return TransportMux
-	}
-	return TransportClassic
-}
-
 // RPCCounts returns the cumulative RPCs issued per message type, keyed by
 // wire name — the per-opcode evidence behind the benchmark's
 // proto.rpcs_per_op.* metrics. Types never issued are omitted.
@@ -583,10 +559,15 @@ func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) 
 // a lookup which snapshotted membership before the lock was taken may still
 // have RPCs in flight while daemon stores update — each NodeServer
 // serializes its own state, so such a lookup sees each daemon either before
-// or after its update, never a torn one. The error is the daemons' snapshot
-// failures, joined and named by daemon: the load itself is in memory and
-// served either way, but a daemon named here would not recover it.
+// or after its update, never a torn one. A path the wire cannot frame refuses
+// the whole load before anything is homed. Otherwise the error is the
+// daemons' snapshot failures, joined and named by daemon: the load itself is
+// in memory and served either way, but a daemon named here would not recover
+// it.
 func (c *Cluster) Populate(paths []string) error {
+	if err := checkPaths(paths...); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ids := c.ids
@@ -654,25 +635,22 @@ type LookupResult = trace.Result
 // concurrent callers contend on that RNG — parallel drivers should prefer
 // LookupWith with per-worker RNGs.
 func (c *Cluster) Lookup(ctx context.Context, path string) (LookupResult, error) {
-	ids := c.snapshotIDs()
-	c.rngMu.Lock()
-	entry := ids[c.rng.Intn(len(ids))]
-	c.rngMu.Unlock()
-	return c.LookupVia(ctx, path, entry)
+	return c.applyRecord(ctx, lockedRand{c}, trace.Record{Op: trace.OpStat, Path: path})
 }
 
 // LookupWith resolves path with the entry MDS drawn from the caller's RNG,
 // the prototype's reproducible-concurrency hook: each worker owns an RNG,
 // so runs are deterministic for a fixed (seed, paths, workers) triple.
 func (c *Cluster) LookupWith(ctx context.Context, rng *rand.Rand, path string) (LookupResult, error) {
-	ids := c.snapshotIDs()
-	entry := ids[rng.Intn(len(ids))]
-	return c.LookupVia(ctx, path, entry)
+	return c.applyRecord(ctx, rng, trace.Record{Op: trace.OpStat, Path: path})
 }
 
 // LookupVia resolves path with the given entry MDS: the vector walk over a
 // vector of one.
 func (c *Cluster) LookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
+	if err := checkPaths(path); err != nil {
+		return LookupResult{}, err
+	}
 	res, err := c.lookupVector(ctx, []string{path}, []int{entry})
 	if res == nil {
 		return LookupResult{}, err

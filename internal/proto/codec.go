@@ -13,6 +13,11 @@
 // one walk (lookupVector) and one mutation sender (mutateRun), both over
 // vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
 // whole window.
+//
+// The coordinator speaks rpcnet's classic frames — one call at a time per
+// connection — through an rpcnet.Pool per daemon, so concurrent calls to one
+// daemon ride parallel sockets. A path vector frames each path's length as a
+// uint16, so the coordinator refuses paths over 65,535 bytes.
 package proto
 
 import (
@@ -71,7 +76,9 @@ func opName(op uint8) string {
 }
 
 // encodePaths serializes a path vector: count uint32, then per path
-// len uint16 | bytes.
+// len uint16 | bytes. Paths longer than maxPathBytes do not fit the length
+// field; the coordinator's entry points refuse them (checkPaths) before any
+// reaches an encoder.
 func encodePaths(paths []string) []byte {
 	size := 4
 	for _, p := range paths {
@@ -89,7 +96,8 @@ func encodePaths(paths []string) []byte {
 	return buf
 }
 
-// decodePaths parses a path vector.
+// decodePaths parses a path vector. It refuses bytes after the last path: a
+// frame that carries more than it declares was not written by encodePaths.
 func decodePaths(data []byte) ([]string, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("proto: truncated path vector")
@@ -113,6 +121,9 @@ func decodePaths(data []byte) ([]string, error) {
 		}
 		out = append(out, string(data[:plen]))
 		data = data[plen:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("proto: %d bytes after %d paths", len(data), n)
 	}
 	return out, nil
 }
@@ -264,34 +275,35 @@ type observation struct {
 	path string
 }
 
-// encodeObservations serializes a batch: count uint16, then per record
+// encodeObservations serializes a batch: count uint32, then per record
 // origin uint32 | pathLen uint16 | path.
 func encodeObservations(obs []observation) []byte {
-	size := 2
+	size := 4
 	for _, o := range obs {
 		size += 4 + 2 + len(o.path)
 	}
 	buf := make([]byte, 0, size)
-	var tmp [4]byte
-	binary.BigEndian.PutUint16(tmp[:2], uint16(len(obs)))
-	buf = append(buf, tmp[:2]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(obs)))
 	for _, o := range obs {
-		binary.BigEndian.PutUint32(tmp[:4], uint32(o.home))
-		buf = append(buf, tmp[:4]...)
-		binary.BigEndian.PutUint16(tmp[:2], uint16(len(o.path)))
-		buf = append(buf, tmp[:2]...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(o.home))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(o.path)))
 		buf = append(buf, o.path...)
 	}
 	return buf
 }
 
-// decodeObservations parses a batch.
+// decodeObservations parses a batch. Like decodePaths it refuses a count the
+// bytes cannot carry and bytes after the last record.
 func decodeObservations(data []byte) ([]observation, error) {
-	if len(data) < 2 {
+	if len(data) < 4 {
 		return nil, fmt.Errorf("proto: truncated observation batch")
 	}
-	n := int(binary.BigEndian.Uint16(data))
-	data = data[2:]
+	n := int(binary.BigEndian.Uint32(data))
+	data = data[4:]
+	// Each record costs at least its origin and 2-byte length prefix.
+	if n > len(data)/6 {
+		return nil, fmt.Errorf("proto: observation batch declares %d records in %d bytes", n, len(data))
+	}
 	out := make([]observation, 0, n)
 	for i := 0; i < n; i++ {
 		if len(data) < 6 {
@@ -305,6 +317,9 @@ func decodeObservations(data []byte) ([]observation, error) {
 		}
 		out = append(out, observation{home: home, path: string(data[:plen])})
 		data = data[plen:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("proto: %d bytes after %d observations", len(data), n)
 	}
 	return out, nil
 }

@@ -31,7 +31,8 @@ func (l lockedRand) Intn(n int) int {
 
 // Apply dispatches one trace record against the prototype: mutations create
 // or delete files over RPC, reads perform lookups. Entry points and home
-// placements are drawn from the cluster's internal RNG.
+// placements are drawn from the cluster's internal RNG. A path longer than
+// the wire's 65,535-byte limit is refused before the draw.
 func (c *Cluster) Apply(ctx context.Context, rec trace.Record) (LookupResult, error) {
 	return c.applyRecord(ctx, lockedRand{c}, rec)
 }
@@ -48,6 +49,9 @@ func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Recor
 // record, then a mutation round over the one record — walking it if it
 // turned out to be an open — or the walk over a vector of one.
 func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (LookupResult, error) {
+	if err := checkPaths(rec.Path); err != nil {
+		return LookupResult{}, err
+	}
 	draw := 0
 	if rec.Op != trace.OpDelete {
 		ids := c.snapshotIDs()

@@ -3,8 +3,10 @@ package proto
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -51,6 +53,9 @@ func TestWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, samplePaths) {
 			t.Fatalf("paths: got %q, want %q", got, samplePaths)
 		}
+		if _, err := decodePaths(append(encodePaths(samplePaths), 0)); err == nil {
+			t.Fatal("decodePaths accepted a trailing byte")
+		}
 		return got
 	}
 	boolsTrip := func(t *testing.T) {
@@ -94,12 +99,27 @@ func TestWireRoundTrip(t *testing.T) {
 		}},
 		{opObserveBatch, func(t *testing.T) {
 			obs := []observation{{home: 2, path: "/a"}, {home: 9, path: ""}, {home: 1 << 20, path: "/b/c"}}
-			got, err := decodeObservations(encodeObservations(obs))
+			wire := encodeObservations(obs)
+			got, err := decodeObservations(wire)
 			if err != nil {
 				t.Fatalf("decodeObservations: %v", err)
 			}
 			if !reflect.DeepEqual(got, obs) {
 				t.Fatalf("observations: got %v, want %v", got, obs)
+			}
+			// The count is a uint32 in the first four bytes.
+			countLong, countShort := bytes.Clone(wire), bytes.Clone(wire)
+			countLong[3]++
+			countShort[3]--
+			for name, bad := range map[string][]byte{
+				"count one long":  countLong,
+				"count one short": countShort,
+				"trailing byte":   append(bytes.Clone(wire), 0),
+				"truncated":       wire[:len(wire)-1],
+			} {
+				if got, err := decodeObservations(bad); err == nil {
+					t.Errorf("%s: decoded as %v", name, got)
+				}
 			}
 		}},
 		{opLookupBatch, func(t *testing.T) {
@@ -274,21 +294,21 @@ var oneKindRounds = []struct {
 	op   uint8
 }{{"create_batch", wal.OpCreate}, {"delete_batch", wal.OpDelete}}
 
-// TestEveryOpcodeDispatches pins the daemon half of the opcode table: every
-// opcode with a name has a dispatch arm that accepts a minimal well-formed
-// request. An opcode added to opNames without a case in handle (or without a
-// request here) fails it.
-func TestEveryOpcodeDispatches(t *testing.T) {
+// minimalRequests builds one well-formed request per opcode, and the replica
+// whose install its opInstallReplica request carries — what opDropReplica's
+// request asks a daemon holding it to give back.
+func minimalRequests(tb testing.TB) (map[uint8][]byte, *bloom.Filter) {
+	tb.Helper()
 	paths := encodePaths([]string{"/p"})
 	replica, err := bloom.NewForCapacity(2_000, 16)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	wire, err := replica.MarshalBinary()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	requests := map[uint8][]byte{
+	return map[uint8][]byte{
 		opInstallReplica:   encodeOriginPayload(1, wire),
 		opDropReplica:      encodeOriginPayload(1, nil),
 		opShipFilter:       nil,
@@ -300,7 +320,15 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 		opHasLocalBatch:    paths,
 		opMutateBatch:      encodeMutations(0, []wal.Record{{Op: wal.OpCreate, Path: "/p"}, {Op: wal.OpDelete, Path: "/p"}}),
 		opHeartbeat:        nil,
-	}
+	}, replica
+}
+
+// TestEveryOpcodeDispatches pins the daemon half of the opcode table: every
+// opcode with a name has a dispatch arm that accepts a minimal well-formed
+// request. An opcode added to opNames without a case in handle (or without a
+// request here) fails it.
+func TestEveryOpcodeDispatches(t *testing.T) {
+	requests, replica := minimalRequests(t)
 	for op := 1; op < len(opNames); op++ {
 		t.Run(opName(uint8(op)), func(t *testing.T) {
 			req, ok := requests[uint8(op)]
@@ -468,23 +496,154 @@ func TestEveryOpcodeIsSent(t *testing.T) {
 
 // FuzzPathVectorRoundTrip drives the batch path codec both ways: arbitrary
 // bytes must never panic the decoder, and any vector the decoder accepts
-// must re-encode to a decodable equal vector.
+// must re-encode to a decodable equal vector — and, since it refuses
+// trailing bytes, to exactly the bytes it was given.
 func FuzzPathVectorRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(encodePaths(nil))
 	f.Add(encodePaths([]string{"", "/a", "/b/c"}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
+	f.Add(append(encodePaths([]string{"/a"}), 0)) // a trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		paths, err := decodePaths(data)
 		if err != nil {
 			return
 		}
-		again, err := decodePaths(encodePaths(paths))
+		wire := encodePaths(paths)
+		again, err := decodePaths(wire)
 		if err != nil {
 			t.Fatalf("re-decode of accepted vector failed: %v", err)
 		}
 		if !reflect.DeepEqual(again, paths) {
 			t.Fatalf("vector changed across re-encode: %q != %q", again, paths)
+		}
+		if !bytes.Equal(wire, data) {
+			t.Fatalf("accepted %x, which re-encodes as %x", data, wire)
+		}
+	})
+}
+
+// TestObservationBatchBeyondUint16 pins that an L1 observation batch keeps
+// every record past 65,535: one vector's found lookups flush as one batch,
+// however many there are.
+func TestObservationBatchBeyondUint16(t *testing.T) {
+	obs := make([]observation, 70_000)
+	for i := range obs {
+		obs[i] = observation{home: i % 12, path: "/o/f" + strconv.Itoa(i)}
+	}
+	got, err := decodeObservations(encodeObservations(obs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(obs) {
+		t.Fatalf("%d observations decoded as %d", len(obs), len(got))
+	}
+	if !reflect.DeepEqual(got, obs) {
+		t.Fatal("observations changed across the round trip")
+	}
+}
+
+// request is one frame of FuzzNodeServerRequests' input.
+type request struct {
+	op      uint8
+	payload []byte
+}
+
+// requestStream frames a request sequence the way FuzzNodeServerRequests
+// reads one: per request op uint8 | len uint16 | payload.
+func requestStream(reqs ...request) []byte {
+	var out []byte
+	for _, r := range reqs {
+		out = append(out, r.op)
+		out = binary.BigEndian.AppendUint16(out, uint16(len(r.payload)))
+		out = append(out, r.payload...)
+	}
+	return out
+}
+
+// FuzzNodeServerRequests drives a whole daemon — dispatch, codecs, node state
+// and a WAL compacting every few records — with arbitrary request sequences:
+// none may panic it, and whatever the sequence leaves on disk must recover,
+// through mds.Recover, to exactly the files the live daemon holds. The input
+// is a requestStream; a frame whose length overruns the input takes the rest.
+func FuzzNodeServerRequests(f *testing.F) {
+	minimal, _ := minimalRequests(f)
+	var all []request
+	for op := uint8(1); int(op) < len(opNames); op++ {
+		r := request{op, minimal[op]}
+		all = append(all, r)
+		f.Add(requestStream(r))
+		// A length one short and one long.
+		if n := len(r.payload); n > 0 {
+			f.Add(requestStream(request{op, r.payload[:n-1]}))
+		}
+		f.Add(requestStream(request{op, append(bytes.Clone(r.payload), 0)}))
+	}
+	f.Add(requestStream(all...))
+	// Zero counts, and counts of 0xFFFF and 0xFFFFFFFF with nothing behind
+	// them, for every vector a daemon decodes.
+	inc := make([]byte, 8) // incarnation 0
+	for _, count := range [][]byte{{0, 0, 0, 0}, {0, 0, 0xff, 0xff}, {0xff, 0xff, 0xff, 0xff}} {
+		for _, op := range []uint8{opObserveBatch, opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch} {
+			f.Add(requestStream(request{op, count}))
+		}
+		f.Add(requestStream(request{opMutateBatch, append(inc[:8:8], count...)}))
+	}
+	// Mutations across the compaction cadence, an install and a drop of a
+	// replica, and a mutation claimed under an incarnation the daemon does
+	// not serve.
+	var churn []request
+	for i := 0; i < 6; i++ {
+		p := "/f" + strconv.Itoa(i)
+		churn = append(churn,
+			request{opMutateBatch, encodeMutations(0, []wal.Record{{Op: wal.OpCreate, Path: p}, {Op: wal.OpCreate, Path: p + "x"}})},
+			request{opMutateBatch, encodeMutations(0, []wal.Record{{Op: wal.OpDelete, Path: p}})})
+	}
+	churn = append(churn,
+		request{opInstallReplica, minimal[opInstallReplica]},
+		request{opDropReplica, minimal[opDropReplica]},
+		request{opMutateBatch, encodeMutations(1, []wal.Record{{Op: wal.OpCreate, Path: "/stale"}})},
+		request{opHeartbeat, nil})
+	f.Add(requestStream(churn...))
+	// Opcodes nobody defined, and a frame that declares more than it carries.
+	f.Add(requestStream(request{0, nil}, request{uint8(len(opNames)), nil}, request{0xff, []byte{1}}))
+	f.Add([]byte{opLookupBatch, 0xff, 0xff, 0, 0, 0, 1})
+
+	cfg := testOptions(1, 1).Node
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		node, l, _, err := mds.Recover(0, cfg, dir, wal.Options{Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := &NodeServer{node: node, wal: l, snapshotEvery: 4}
+		for len(data) > 0 {
+			op, n := data[0], len(data)-1
+			if len(data) >= 3 {
+				n = min(int(binary.BigEndian.Uint16(data[1:])), len(data)-3)
+				data = data[3:]
+			} else {
+				data = data[1:]
+			}
+			// Arbitrary input is mostly refused; only a panic or what the
+			// requests leave behind matters here.
+			_, _ = ns.handle(op, data[:n])
+			data = data[n:]
+		}
+		live := node.Store().Paths()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, bl, _, err := mds.Recover(0, cfg, dir, wal.Options{Sync: wal.SyncNever})
+		if err != nil {
+			t.Fatalf("the daemon left a directory recovery refuses: %v", err)
+		}
+		defer bl.Close()
+		recovered := back.Store().Paths()
+		slices.Sort(live)
+		slices.Sort(recovered)
+		if !slices.Equal(live, recovered) {
+			t.Fatalf("live daemon holds %q, recovery %q", live, recovered)
 		}
 	})
 }

@@ -31,11 +31,6 @@ type PrototypeConfig struct {
 	// multicasts immediately, matching the simulation's per-lookup L1
 	// learning.
 	ObserveBatch int
-	// Transport selects the wire protocol: "mux" (default when empty) for
-	// the multiplexed framed protocol — one shared socket per daemon,
-	// pipelined request-ID-tagged frames — or "classic" for the original
-	// call-per-connection protocol behind per-daemon pools.
-	Transport string
 	// DataDir, when non-empty, makes every daemon durable: MDS i
 	// write-ahead logs its mutations under DataDir/mds-<i> and compacts
 	// the log into snapshots, enabling KillMDS/RestartMDS crash-recovery
@@ -59,15 +54,12 @@ type PrototypeConfig struct {
 	RetryBackoff time.Duration
 }
 
-// validate is Config.validate plus the prototype-only fields, so a bad
-// transport name or fsync policy is a *ConfigError like every other rejected
-// field instead of an untyped error from the layer below.
+// validate is Config.validate plus the prototype-only fields, so a bad fsync
+// policy is a *ConfigError like every other rejected field instead of an
+// untyped error from the layer below.
 func (c PrototypeConfig) validate() error {
 	if err := c.Config.validate(); err != nil {
 		return err
-	}
-	if c.Transport != "" && c.Transport != proto.TransportMux && c.Transport != proto.TransportClassic {
-		return &ConfigError{Field: "Transport", Reason: fmt.Sprintf("must be %q or %q, got %q", proto.TransportMux, proto.TransportClassic, c.Transport)}
 	}
 	if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
 		return &ConfigError{Field: "WALSync", Reason: err.Error()}
@@ -102,7 +94,6 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 		CallTimeout:          cfg.CallTimeout,
 		ShipBatch:            cfg.ShipBatch,
 		ObserveBatch:         cfg.ObserveBatch,
-		Transport:            cfg.Transport,
 		DataDir:              cfg.DataDir,
 		WALSync:              cfg.WALSync,
 		SnapshotEvery:        cfg.SnapshotEvery,
