@@ -34,18 +34,6 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	runCrossBackendEquivalence(t, equivalenceConfig())
 }
 
-// TestCrossBackendEquivalenceBlocked replays the same contract with
-// cache-line-blocked filters on both transports. Beyond re-proving protocol
-// agreement under the alternate probe schedule, it exercises the blocked
-// wire geometry tag end to end: every replica ship and snapshot crossing the
-// TCP boundary marshals with the blocked magic and must decode to the same
-// filter the simulation holds in memory.
-func TestCrossBackendEquivalenceBlocked(t *testing.T) {
-	cfg := equivalenceConfig()
-	cfg.BlockedFilters = true
-	runCrossBackendEquivalence(t, cfg)
-}
-
 // TestCrossBackendEquivalenceHBA pins sim ≡ TCP for the baseline too: with
 // groups of one both backends mirror every filter on every server, skip L3,
 // and ship every update system-wide.

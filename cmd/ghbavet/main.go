@@ -1,6 +1,6 @@
 // Command ghbavet runs the repo's custom static-analysis suite (see
-// internal/vet): lockcheck, detrand, lockorder, snapcheck, and hotalloc. It
-// has the two entry points CI uses:
+// internal/vet): detrand, lockorder, snapcheck, and hotalloc. It has the
+// two entry points CI uses:
 //
 //	go vet -vettool=$(which ghbavet) ./...   go vet drives the analyzers
 //	                                         package by package over the

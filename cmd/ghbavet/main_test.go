@@ -72,7 +72,6 @@ func TestFlagsRoutesToUnitchecker(t *testing.T) {
 // must produce a diagnostic from every analyzer.
 func TestAnalyzersFireUnderGoVet(t *testing.T) {
 	fixtures := map[string]string{ // analyzer → fixture under its testdata/src
-		"lockcheck": "a",
 		"detrand":   "core",
 		"lockorder": "lockorder1",
 		"snapcheck": "snapcheck1",
@@ -142,15 +141,16 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 	}
 }
 
-// TestAnalyzersFireOnRealTree answers whether lockorder and snapcheck — the
-// two analyzers that have never reported on this repository — would notice
-// their bug class in the engine itself rather than in a fixture. It copies
-// the module (vendor/ included) aside, runs `go vet -vettool` on one package
-// to show it is clean, plants one textual mutation, and requires the
-// analyzer's diagnostic on the mutated line.
+// TestAnalyzersFireOnRealTree answers whether lockorder and snapcheck would
+// notice their bug classes — a lock-order inversion, a *Locked call without
+// the lock, an in-place edit of a published snapshot — in the engine itself
+// rather than in a fixture. It copies the module (vendor/ included) aside,
+// runs `go vet -vettool` on one package to show it is clean, plants one
+// textual mutation, and requires the analyzer's diagnostic on the mutated
+// line.
 func TestAnalyzersFireOnRealTree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("copies the module and vets it four times")
+		t.Skip("copies the module and vets it six times")
 	}
 	mod := t.TempDir()
 	root := filepath.Join("..", "..")
@@ -175,14 +175,14 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		analyzer, pkg, file string
-		old, mutant         string
-		want                []string
+		name, analyzer, pkg, file string
+		old, mutant               string
+		want                      []string
 	}{
 		{
 			// A writer that edits the published slice in place instead of
 			// copying it: readers of the old snapshot see the new filter.
-			analyzer: "snapcheck", pkg: "./internal/bloomarray", file: "internal/bloomarray/array.go",
+			name: "snapcheck", analyzer: "snapcheck", pkg: "./internal/bloomarray", file: "internal/bloomarray/array.go",
 			old:    "\t\tout := make([]entry, len(entries))\n\t\tcopy(out, entries)\n\t\tout[i].f = f\n\t\treturn out\n",
 			mutant: "\t\tentries[i].f = f\n\t\treturn entries\n",
 			want:   []string{"array.go:", "published snapshot", "copy-on-write"},
@@ -190,13 +190,21 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 		{
 			// NumMDS takes Cluster.mu; under queueMu that inverts the order
 			// every lookup takes the two in.
-			analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/lookup.go",
+			name: "lockorder", analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/lookup.go",
 			old:    "\tdefer c.queueMu.Unlock()\n\tclear(c.queue)\n",
 			mutant: "\tdefer c.queueMu.Unlock()\n\t_ = c.NumMDS()\n\tclear(c.queue)\n",
 			want:   []string{"lookup.go:", "Cluster.mu", "Cluster.queueMu", "cycle"},
 		},
+		{
+			// Flush without the topology lock: shipBatchLocked walks the
+			// layout while a reconfiguration may be rewriting it.
+			name: "lockorder_locked", analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/mutate.go",
+			old:    "func (c *Cluster) Flush() {\n\tc.mu.RLock()\n\tdefer c.mu.RUnlock()\n",
+			mutant: "func (c *Cluster) Flush() {\n",
+			want:   []string{"mutate.go:", "shipBatchLocked", "c.mu"},
+		},
 	} {
-		t.Run(tc.analyzer, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			if out, err := vetPackage(tc.pkg); err != nil {
 				t.Fatalf("%s is not clean before the mutation: %v\n%s", tc.pkg, err, out)
 			}
@@ -212,6 +220,8 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 			if err := os.WriteFile(path, []byte(mutated), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			// The next case vets the same copy.
+			t.Cleanup(func() { os.WriteFile(path, src, 0o644) })
 			out, err := vetPackage(tc.pkg)
 			if err == nil {
 				t.Fatalf("%s passed the mutant:\n%s", tc.analyzer, out)

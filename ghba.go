@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"ghba/internal/analysis"
-	"ghba/internal/bloom"
 	"ghba/internal/core"
 	"ghba/internal/mds"
 	"ghba/internal/simnet"
@@ -55,16 +54,6 @@ type Config struct {
 	// ship. 0 or 1 ships at every crossing (the paper's protocol); larger
 	// values amortize bursts of creates, with Flush draining the remainder.
 	ShipBatch int
-	// BlockedFilters selects the cache-line-blocked Bloom filter layout for
-	// every filter in the deployment: the first hash picks one 512-bit
-	// block and all k probes stay inside it, so a filter probe costs one
-	// cache line instead of k. False-positive rates rise slightly versus
-	// the classic layout at equal geometry. The default (false) keeps the
-	// classic layout, whose wire format and fixed-seed behaviour are
-	// byte-identical to earlier releases; the two layouts are distinguished
-	// on the wire by a geometry tag and must not be mixed in one
-	// deployment.
-	BlockedFilters bool
 	// Seed makes runs deterministic.
 	Seed int64
 }
@@ -141,16 +130,11 @@ func (c Config) nodeConfig() mds.Config {
 	if lruCap == 0 {
 		lruCap = mds.LRUCapacityFor(files)
 	}
-	layout := bloom.LayoutClassic
-	if c.BlockedFilters {
-		layout = bloom.LayoutBlocked
-	}
 	return mds.Config{
 		ExpectedFiles:  files,
 		BitsPerFile:    bits,
 		LRUCapacity:    lruCap,
 		LRUBitsPerFile: bits,
-		Layout:         layout,
 	}
 }
 

@@ -6,24 +6,36 @@ import (
 	"testing/quick"
 )
 
+// Both layouts round-trip, and the magic carries the layout: a blocked
+// filter decodes as blocked and answers every key it was built with.
 func TestFilterMarshalRoundTrip(t *testing.T) {
-	f := mustNew(t, 1<<12, 6)
-	for i := 0; i < 500; i++ {
-		f.AddString("file" + strconv.Itoa(i))
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g Filter
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !f.Equal(&g) {
-		t.Error("round trip changed bit vector")
-	}
-	if g.Count() != f.Count() {
-		t.Errorf("round trip count %d, want %d", g.Count(), f.Count())
+	for _, layout := range []Layout{LayoutClassic, LayoutBlocked} {
+		f, err := NewLayout(1<<12, 6, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			f.AddString("file" + strconv.Itoa(i))
+		}
+		data, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g Filter
+		if err := g.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		if !f.Equal(&g) || g.Layout() != layout {
+			t.Errorf("%v: round trip changed bit vector or layout (%v)", layout, g.Layout())
+		}
+		if g.Count() != f.Count() {
+			t.Errorf("%v: round trip count %d, want %d", layout, g.Count(), f.Count())
+		}
+		for i := 0; i < 500; i++ {
+			if !g.ContainsString("file" + strconv.Itoa(i)) {
+				t.Fatalf("%v: false negative after round trip", layout)
+			}
+		}
 	}
 }
 

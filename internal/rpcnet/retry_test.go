@@ -231,8 +231,10 @@ func TestDrainTimesOutOnWedgedHandler(t *testing.T) {
 
 func TestDrainCountsMuxRequests(t *testing.T) {
 	release := make(chan struct{})
+	started := make(chan struct{})
 	srv, err := Serve("127.0.0.1:0", func(msgType uint8, payload []byte) ([]byte, error) {
 		if msgType == 2 {
+			close(started)
 			<-release
 		}
 		return nil, nil
@@ -250,9 +252,10 @@ func TestDrainCountsMuxRequests(t *testing.T) {
 		_, err := client.Call(2, nil)
 		callDone <- err
 	}()
-	for srv.ActiveRequests() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// Wait on the handler itself, not on ActiveRequests: call 1's counter
+	// reference is released only after its flush, so a non-zero count here
+	// may still be call 1's and not yet call 2's.
+	<-started
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		close(release)

@@ -7,20 +7,23 @@
 // pattern used by core's sharded homes map). A lock class names the
 // static identity of a mutex — `pkg.Type.field` for a struct field,
 // `pkg.Type.field[]` for an element of a mutex array (stripes), and
-// `pkg.var` for a package-level mutex. Local mutexes have no class and
-// are ignored: they cannot participate in a cross-function ordering.
+// `pkg.var` for a package-level mutex. Local mutexes have no class: they
+// join the held set for the contract rules below but add no edges, since
+// they cannot participate in a cross-function ordering.
 //
 // While walking a function body the analyzer tracks the lexically held
-// set: direct Lock/RLock and Unlock/RUnlock calls push and pop classes,
-// a method whose name ends in Locked starts with its receiver's mu held
-// (the repo-wide *Locked contract that lockcheck enforces), and deferred
-// calls are processed with the held set at the defer statement. Every
-// acquisition observed while other classes are held contributes a
-// directed edge held→acquired. Calls into other functions contribute
-// edges to everything the callee may transitively acquire, using the
-// exported facts for out-of-package callees; function-literal arguments
-// are walked with the callee's published callback-held set added, so an
-// edge like homeShard.mu→Node.mu materializes at the removeThen call site.
+// set: direct Lock/RLock and Unlock/RUnlock calls push and pop entries
+// (class, rendered mutex expression such as c.mu, and Lock or RLock), a
+// method whose name ends in Locked starts with its receiver's mu held
+// (the repo-wide *Locked contract), and deferred calls are processed with
+// the held set at the defer statement; a deferred release keeps its lock
+// held for the rest of the body. Every acquisition observed while other
+// classes are held contributes a directed edge held→acquired. Calls into
+// other functions contribute edges to everything the callee may
+// transitively acquire, using the exported facts for out-of-package
+// callees; function-literal arguments are walked with the callee's
+// published callback-held set added, so an edge like
+// homeShard.mu→Node.mu materializes at the removeThen call site.
 //
 // Edges are exported both as object facts on the type that owns the
 // source lock (those re-export transitively) and as a package fact
@@ -30,6 +33,22 @@
 // edges all live in sibling packages that never see each other's facts
 // are caught by `ghbavet -lockgraph`, which loads the whole repo in one
 // process and asserts global acyclicity.
+//
+// The same held set enforces the *Locked contract, in test files too
+// (which add no edges):
+//
+//  1. Acquiring a mutex expression that is already held deadlocks (a second
+//     RLock deadlocks against a writer queued between the two); in a *Locked
+//     method, touching the receiver's own mu at all breaks the contract.
+//  2. A call x.fooLocked(...) needs x.mu held, unless x is a fresh object:
+//     a variable this body assigned &T{...}, T{...} or new(T) and has not
+//     reassigned since, which is unpublished (the core.New pattern).
+//  3. A deferred release must match the kind of the acquire it pairs with.
+//  4. x.f.Store(...) on a sync/atomic.Pointer publishes a snapshot, a
+//     writer-side act: it needs x.mu held exclusively (Lock or the *Locked
+//     contract; RLock is not enough) unless x is fresh. Loads are free.
+//
+// Suppress a false positive with //ghbavet:ignore <reason>.
 package lockorder
 
 import (
@@ -39,6 +58,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -133,7 +153,8 @@ type callEvent struct {
 type funcInfo struct {
 	fn         *types.Func
 	decl       *ast.FuncDecl
-	entry      []string
+	test       bool // declared in a _test.go file: checked, but adds no edges
+	entry      []heldLock
 	acquires   []acqEvent
 	calls      []callEvent
 	paramCalls []ParamCall
@@ -180,8 +201,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return g, nil
 }
 
-// collect finds every function declaration with a body, outside test
-// files, and seeds the *Locked entry-held contract.
+// collect finds every function declaration with a body and seeds the
+// *Locked entry-held contract.
 func (c *checker) collect() {
 	for _, f := range c.pass.Files {
 		for _, decl := range f.Decls {
@@ -189,18 +210,20 @@ func (c *checker) collect() {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if vetutil.IsTestFile(c.pass.Fset, fd.Pos()) {
-				continue
-			}
 			fn, ok := c.pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			fi := &funcInfo{fn: fn, decl: fd}
+			fi := &funcInfo{fn: fn, decl: fd, test: vetutil.IsTestFile(c.pass.Fset, fd.Pos())}
 			if strings.HasSuffix(fd.Name.Name, "Locked") && fd.Recv != nil {
-				if cls, owner := receiverMuClass(fn); cls != "" {
-					fi.entry = []string{cls}
-					c.noteOwner(cls, owner)
+				cls, owner := receiverMuClass(fn)
+				c.noteOwner(cls, owner)
+				var expr string
+				if names := fd.Recv.List[0].Names; len(names) == 1 && names[0].Name != "_" {
+					expr = names[0].Name + ".mu"
+				}
+				if cls != "" || expr != "" {
+					fi.entry = []heldLock{{class: cls, expr: expr}}
 				}
 			}
 			c.funcs[fn] = fi
@@ -247,21 +270,30 @@ type localClass struct {
 	owner types.Object
 }
 
+// heldLock is one entry of a walker's held set.
+type heldLock struct {
+	class  string // lock class; "" for a local mutex, which adds no edges
+	expr   string // rendered mutex expression, e.g. "c.mu"; "" for a callback's held class
+	method string // Lock or RLock; "" when held by the *Locked contract
+}
+
 type walker struct {
 	c        *checker
 	fi       *funcInfo
-	held     []string
+	held     []heldLock
 	locals   map[types.Object]localClass
+	fresh    map[types.Object]bool // variables bound to an object this body built
 	params   map[types.Object]int
-	useFacts bool
+	useFacts bool // the second, reporting round
 }
 
 func (c *checker) walk(fi *funcInfo, useFacts bool) {
 	w := &walker{
 		c:        c,
 		fi:       fi,
-		held:     append([]string(nil), fi.entry...),
+		held:     append([]heldLock(nil), fi.entry...),
 		locals:   make(map[types.Object]localClass),
+		fresh:    make(map[types.Object]bool),
 		params:   make(map[types.Object]int),
 		useFacts: useFacts,
 	}
@@ -286,7 +318,36 @@ func (c *checker) walk(fi *funcInfo, useFacts bool) {
 
 func (w *walker) info() *types.Info { return w.c.pass.TypesInfo }
 
-func (w *walker) snapshot() []string { return append([]string(nil), w.held...) }
+func (w *walker) snapshot() []heldLock { return append([]heldLock(nil), w.held...) }
+
+// classes returns the lock classes held, the sources of new edges.
+func (w *walker) classes() []string {
+	var out []string
+	for _, h := range w.held {
+		if h.class != "" {
+			out = append(out, h.class)
+		}
+	}
+	return out
+}
+
+// find returns the index of the innermost held entry for the mutex
+// expression expr, or -1.
+func (w *walker) find(expr string) int {
+	for i := len(w.held) - 1; i >= 0; i-- {
+		if expr != "" && w.held[i].expr == expr {
+			return i
+		}
+	}
+	return -1
+}
+
+// reportf reports in the second walk only, so each finding prints once.
+func (w *walker) reportf(pos token.Pos, format string, args ...any) {
+	if w.useFacts {
+		w.c.rep.Reportf(pos, format, args...)
+	}
+}
 
 func (w *walker) stmts(list []ast.Stmt) {
 	for _, s := range list {
@@ -306,7 +367,7 @@ func (w *walker) stmt(s ast.Stmt) {
 		w.expr(s.Cond)
 		saved := w.snapshot()
 		w.stmt(s.Body)
-		w.held = append([]string(nil), saved...)
+		w.held = append([]heldLock(nil), saved...)
 		if s.Else != nil {
 			w.stmt(s.Else)
 			w.held = saved
@@ -343,16 +404,8 @@ func (w *walker) stmt(s ast.Stmt) {
 			w.held = saved
 		}
 	case *ast.DeferStmt:
-		// Deferred unlocks keep the lock held for the rest of the body
-		// (the lexical model lockcheck also uses); anything else deferred
-		// runs with at most the locks held here.
-		if _, _, method, ok := vetutil.MutexMethod(w.info(), s.Call); ok {
-			if method == "Lock" || method == "RLock" {
-				w.handleCall(s.Call, false)
-			}
-			return
-		}
-		w.handleCall(s.Call, false)
+		// Anything deferred runs with at most the locks held here.
+		w.handleCall(s.Call, true)
 	case *ast.GoStmt:
 		// The spawned goroutine does not inherit the caller's held set.
 		w.handleGo(s.Call)
@@ -416,23 +469,28 @@ func (w *walker) caseBodies(body *ast.BlockStmt) {
 
 // trackAliases records local variables that alias a classed mutex, so
 // `stripe := &c.shipStripes[i]; stripe.Lock()` resolves to the stripes
-// class.
+// class, and which variables hold a fresh object from here on.
 func (w *walker) trackAliases(s *ast.AssignStmt) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
 	for i, lhs := range s.Lhs {
 		id, ok := lhs.(*ast.Ident)
 		if !ok {
 			continue
 		}
-		w.trackAlias(id, s.Rhs[i])
+		var rhs ast.Expr // nil for a tuple assignment: neither alias nor fresh
+		if len(s.Lhs) == len(s.Rhs) {
+			rhs = s.Rhs[i]
+		}
+		w.trackAlias(id, rhs)
 	}
 }
 
 func (w *walker) trackAlias(id *ast.Ident, rhs ast.Expr) {
 	obj := w.info().ObjectOf(id)
-	if obj == nil || !isMutex(obj.Type()) {
+	if obj == nil {
+		return
+	}
+	w.fresh[obj] = isFreshExpr(rhs)
+	if !isMutex(obj.Type()) {
 		return
 	}
 	if cls, owner := w.classOf(rhs); cls != "" {
@@ -460,9 +518,9 @@ func (w *walker) expr(e ast.Expr) {
 // funcLit walks a function literal's body under the given held set.
 // Locals and params of the enclosing function stay visible (closures
 // capture them), but held-set changes do not leak back out.
-func (w *walker) funcLit(lit *ast.FuncLit, held []string) {
+func (w *walker) funcLit(lit *ast.FuncLit, held []heldLock) {
 	saved := w.held
-	w.held = append([]string(nil), held...)
+	w.held = append([]heldLock(nil), held...)
 	w.stmts(lit.Body.List)
 	w.held = saved
 }
@@ -480,31 +538,101 @@ func (w *walker) handleGo(call *ast.CallExpr) {
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		w.funcLit(lit, nil)
 	}
+	saved := w.held
+	w.held = nil
+	w.checkContract(call)
+	w.held = saved
 }
 
-func (w *walker) handleCall(call *ast.CallExpr, _ bool) {
-	// Direct mutex operation?
-	if _, _, method, ok := vetutil.MutexMethod(w.info(), call); ok {
-		sel := call.Fun.(*ast.SelectorExpr)
+// mutexOp applies a Lock/RLock/Unlock/RUnlock call to the held set and
+// reports whether call is one. A deferred release runs at return, so it
+// only checks its pairing and leaves the lock held for the rest of the body.
+func (w *walker) mutexOp(call *ast.CallExpr, deferred bool) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !isMutex(w.info().TypeOf(sel.X)) {
+		return false
+	}
+	method, expr := sel.Sel.Name, vetutil.RecvBase(sel.X)
+	switch method {
+	case "Lock", "RLock":
 		cls, owner := w.classOf(sel.X)
-		if cls == "" {
-			return // local mutex: no cross-function identity
-		}
-		switch method {
-		case "Lock", "RLock":
+		if cls != "" {
 			w.c.noteOwner(cls, owner)
-			w.fi.acquires = append(w.fi.acquires, acqEvent{held: w.snapshot(), class: cls, pos: call.Lparen})
-			w.held = append(w.held, cls)
-		case "Unlock", "RUnlock":
-			for i := len(w.held) - 1; i >= 0; i-- {
-				if w.held[i] == cls {
-					w.held = append(w.held[:i:i], w.held[i+1:]...)
-					break
-				}
+			w.fi.acquires = append(w.fi.acquires, acqEvent{held: w.classes(), class: cls, pos: call.Lparen})
+		}
+		i := w.find(expr)
+		switch {
+		case i < 0:
+			w.held = append(w.held, heldLock{class: cls, expr: expr, method: method})
+		case w.held[i].method == "":
+			w.reportContract(call, expr, method)
+		default:
+			detail := "double acquisition deadlocks"
+			if w.held[i].method == "RLock" && method == "RLock" {
+				detail = "a writer queued between the two RLocks deadlocks both"
 			}
+			w.reportf(call.Pos(), "%s.%s while %s is already held by %s: %s", expr, method, expr, w.held[i].method, detail)
+		}
+	case "Unlock", "RUnlock":
+		i := w.find(expr)
+		switch {
+		case i < 0:
+		case w.held[i].method == "":
+			w.reportContract(call, expr, method)
+		case deferred:
+			if (method == "RUnlock") != (w.held[i].method == "RLock") {
+				w.reportf(call.Pos(), "defer %s.%s pairs with %s.%s above: mismatched lock kinds corrupt the RWMutex", expr, method, expr, w.held[i].method)
+			}
+		default:
+			w.held = append(w.held[:i:i], w.held[i+1:]...)
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// reportContract flags a *Locked method touching the mutex its caller holds.
+func (w *walker) reportContract(call *ast.CallExpr, expr, method string) {
+	w.reportf(call.Pos(), "%s is suffixed Locked (caller holds %s) but calls %s.%s itself", w.fi.decl.Name.Name, expr, expr, method)
+}
+
+// checkContract applies the two rules on non-mutex calls: x.fooLocked(...)
+// needs x.mu held, and an atomic.Pointer Store on x needs x.mu exclusively.
+func (w *walker) checkContract(call *ast.CallExpr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if strings.HasSuffix(sel.Sel.Name, "Locked") {
+		base := vetutil.RecvBase(sel.X)
+		if base != "" && !w.isFresh(sel.X) && w.find(base+".mu") < 0 {
+			w.reportf(call.Pos(), "call to %s.%s without holding %s.mu (callers of *Locked methods must hold the lock or be *Locked themselves)", base, sel.Sel.Name, base)
 		}
 		return
 	}
+	field, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if sel.Sel.Name != "Store" || !ok || !isNamed(w.info().TypeOf(field), "sync/atomic", "Pointer") || w.isFresh(field.X) {
+		return // a bare local atomic.Pointer is unpublished state
+	}
+	base := vetutil.RecvBase(field.X)
+	if i := w.find(base + ".mu"); base != "" && (i < 0 || w.held[i].method == "RLock") {
+		w.reportf(call.Pos(), "%s.%s.Store publishes a snapshot without %s.mu held exclusively (atomic.Pointer swaps are writer-side: hold Lock, be a *Locked method, or act on a fresh object)", base, field.Sel.Name, base)
+	}
+}
+
+// isFresh reports whether e is a variable that holds an object this body
+// built and has not reassigned since.
+func (w *walker) isFresh(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && w.fresh[w.info().ObjectOf(id)]
+}
+
+func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
+	if w.mutexOp(call, deferred) {
+		return
+	}
+	w.checkContract(call)
 
 	// Receiver/base expression of the call may itself contain calls.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
@@ -522,16 +650,17 @@ func (w *walker) handleCall(call *ast.CallExpr, _ bool) {
 	if callee != nil && w.useFacts {
 		pcs = w.c.paramCallsOf(callee)
 	}
-	heldFor := func(argIdx int) []string {
-		held := w.held
+	heldFor := func(argIdx int) []heldLock {
 		for _, pc := range pcs {
 			if pc.Index == argIdx {
-				merged := append([]string(nil), held...)
-				merged = append(merged, pc.Held...)
+				merged := w.snapshot()
+				for _, cls := range pc.Held {
+					merged = append(merged, heldLock{class: cls})
+				}
 				return merged
 			}
 		}
-		return held
+		return w.held
 	}
 
 	for i, arg := range call.Args {
@@ -546,7 +675,7 @@ func (w *walker) handleCall(call *ast.CallExpr, _ bool) {
 			if g := funcValue(w.info(), arg); g != nil {
 				for _, pc := range pcs {
 					if pc.Index == i {
-						merged := append(w.snapshot(), pc.Held...)
+						merged := append(w.classes(), pc.Held...)
 						w.fi.calls = append(w.fi.calls, callEvent{held: merged, callee: origin(g), pos: arg.Pos()})
 					}
 				}
@@ -555,15 +684,15 @@ func (w *walker) handleCall(call *ast.CallExpr, _ bool) {
 	}
 
 	if callee != nil {
-		w.fi.calls = append(w.fi.calls, callEvent{held: w.snapshot(), callee: callee, pos: call.Lparen})
+		w.fi.calls = append(w.fi.calls, callEvent{held: w.classes(), callee: callee, pos: call.Lparen})
 		return
 	}
 
 	// Dynamic call: is it one of the enclosing function's parameters?
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if obj := w.info().ObjectOf(id); obj != nil {
-			if idx, ok := w.params[obj]; ok && len(w.held) > 0 {
-				w.fi.paramCalls = append(w.fi.paramCalls, ParamCall{Index: idx, Held: w.snapshot()})
+			if idx, ok := w.params[obj]; ok && len(w.classes()) > 0 {
+				w.fi.paramCalls = append(w.fi.paramCalls, ParamCall{Index: idx, Held: w.classes()})
 			}
 		}
 	}
@@ -708,6 +837,9 @@ func (c *checker) localEdges() []localEdge {
 		})
 	}
 	for _, fi := range c.order {
+		if fi.test {
+			continue
+		}
 		for _, a := range fi.acquires {
 			for _, h := range a.held {
 				add(h, a.class, a.pos)
@@ -871,16 +1003,33 @@ func deref(t types.Type) types.Type {
 
 // isMutex reports whether t is sync.Mutex, sync.RWMutex, or a pointer to
 // one.
-func isMutex(t types.Type) bool {
+func isMutex(t types.Type) bool { return isNamed(t, "sync", "Mutex", "RWMutex") }
+
+// isFreshExpr reports whether e builds a new object: T{...}, &T{...} or
+// new(T).
+func isFreshExpr(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		_, isLit := e.X.(*ast.CompositeLit)
+		return e.Op == token.AND && isLit
+	case *ast.CallExpr:
+		id, isIdent := e.Fun.(*ast.Ident)
+		return isIdent && id.Name == "new"
+	}
+	return false
+}
+
+// isNamed reports whether t, or the type it points to, is pkg.name for
+// one of names.
+func isNamed(t types.Type, pkg string, names ...string) bool {
 	named, ok := deref(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkg && slices.Contains(names, obj.Name())
 }
 
 func origin(fn *types.Func) *types.Func {

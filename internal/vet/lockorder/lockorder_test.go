@@ -11,6 +11,12 @@ func TestLockorder(t *testing.T) {
 	vettest.Run(t, "testdata", lockorder.Analyzer, "lockorder1")
 }
 
+// TestLockorderHeldRules runs the held-lock rules (re-acquire, *Locked
+// callers, deferred-release kind, epoch Store) over their fixtures.
+func TestLockorderHeldRules(t *testing.T) {
+	vettest.Run(t, "testdata", lockorder.Analyzer, "a", "regress")
+}
+
 // TestLockorderCrossPackage runs both halves of a two-package cycle in
 // one fact session: locka exports its summaries, lockb closes the cycle.
 func TestLockorderCrossPackage(t *testing.T) {

@@ -1,5 +1,6 @@
-// Package a exercises every lockcheck rule against the repo's locking
-// conventions: mu is the topology lock, rngMu a finer internal lock.
+// Package a exercises every *Locked-contract rule of lockorder against the
+// repo's locking conventions: mu is the topology lock, rngMu a finer
+// internal lock.
 package a
 
 import (
@@ -157,4 +158,40 @@ func localPointer() *Snap {
 	var p atomic.Pointer[Snap]
 	p.Store(&Snap{})
 	return p.Load()
+}
+
+type T struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (t *T) bumpLocked() { t.n++ }
+
+// The fresh-object exemption starts where the object is built: before t
+// is rebound, it still names the caller's shared object.
+func Reassigned(t *T) *T {
+	t.bumpLocked() // want `call to t\.bumpLocked without holding t\.mu`
+	t = &T{}
+	t.bumpLocked()
+	return t
+}
+
+// The exemption follows the variable, not its name: the x built inside
+// the if is not the x bound to shared below.
+func Shadowed(shared *T, c bool) {
+	if c {
+		x := &T{}
+		x.bumpLocked()
+	}
+	x := shared
+	x.bumpLocked() // want `call to x\.bumpLocked without holding x\.mu`
+}
+
+// A re-lock in a nested block is still a re-lock.
+func (t *T) Nested(c bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c {
+		t.mu.Lock() // want `t\.mu\.Lock while t\.mu is already held`
+	}
 }

@@ -1,10 +1,8 @@
 // Package vet assembles ghbavet — the repo's custom go/analysis suite.
 //
-// Two syntactic analyzers mechanically enforce per-package conventions
-// the concurrency and determinism work rests on:
+// One syntactic analyzer mechanically enforces a per-package convention
+// the determinism work rests on:
 //
-//   - lockcheck: the *Locked suffix contract (callers hold mu; helpers
-//     never re-acquire it; defer pairing; no double-RLock)
 //   - detrand: engines draw randomness only from caller-supplied
 //     *rand.Rand values; no clock seeding; no map-order-dependent output
 //
@@ -12,7 +10,10 @@
 //
 //   - lockorder: assembles the global lock-acquisition graph from
 //     per-package facts and reports cycles (potential deadlocks) with
-//     both witness paths; `ghbavet -lockgraph` dumps it as DOT
+//     both witness paths; `ghbavet -lockgraph` dumps it as DOT. Its
+//     held-lock walk also enforces the *Locked suffix contract (callers
+//     hold mu; helpers never re-acquire it; defer pairing; no re-lock of
+//     a held mutex) and writer-side atomic.Pointer publication
 //   - snapcheck: enforces the epoch/COW discipline — memory published
 //     through an atomic.Pointer is immutable, readers never write
 //     through a loaded snapshot
@@ -27,14 +28,12 @@ import (
 
 	"ghba/internal/vet/detrand"
 	"ghba/internal/vet/hotalloc"
-	"ghba/internal/vet/lockcheck"
 	"ghba/internal/vet/lockorder"
 	"ghba/internal/vet/snapcheck"
 )
 
 // Analyzers is the full ghbavet suite, in the order findings print.
 var Analyzers = []*analysis.Analyzer{
-	lockcheck.Analyzer,
 	detrand.Analyzer,
 	lockorder.Analyzer,
 	snapcheck.Analyzer,

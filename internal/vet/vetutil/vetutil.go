@@ -1,5 +1,6 @@
 // Package vetutil carries the plumbing shared by the ghbavet analyzers:
-// suppression comments and receiver-expression matching.
+// suppression comments, receiver-expression rendering and test-file
+// detection.
 //
 // Suppression: a diagnostic is dropped when the offending line, or the line
 // directly above it, carries a comment of the form
@@ -12,7 +13,6 @@ package vetutil
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -86,54 +86,6 @@ func RecvBase(e ast.Expr) string {
 		return base + "[...]"
 	}
 	return ""
-}
-
-// MutexMethod decomposes a call into (lock-expression base, mutex field
-// path, method) when it is a Lock/RLock/Unlock/RUnlock call on a
-// sync.Mutex or sync.RWMutex value, e.g. c.mu.RLock() → ("c", "c.mu",
-// "RLock"). ok is false for anything else.
-func MutexMethod(info *types.Info, call *ast.CallExpr) (base, mutex, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	method = sel.Sel.Name
-	switch method {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", "", false
-	}
-	if !isSyncMutex(info.TypeOf(sel.X)) {
-		return "", "", "", false
-	}
-	mutex = RecvBase(sel.X)
-	if mutex == "" {
-		return "", "", "", false
-	}
-	if i := strings.LastIndex(mutex, "."); i >= 0 {
-		base = mutex[:i]
-	}
-	return base, mutex, method, true
-}
-
-// isSyncMutex reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
 // IsTestFile reports whether pos lies in a _test.go file.
