@@ -1,5 +1,5 @@
 // Command ghbavet runs the repo's custom static-analysis suite (see
-// internal/vet): detrand, lockorder, snapcheck, and hotalloc. It has the
+// internal/vet): detrand, lockorder and snapcheck. It has the
 // two entry points CI uses:
 //
 //	go vet -vettool=$(which ghbavet) ./...   go vet drives the analyzers

@@ -75,7 +75,6 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 		"detrand":   "core",
 		"lockorder": "lockorder1",
 		"snapcheck": "snapcheck1",
-		"hotalloc":  "hotalloc1",
 	}
 	if len(fixtures) != len(vet.Analyzers) {
 		t.Fatalf("%d fixtures for %d analyzers: give the new analyzer one here", len(fixtures), len(vet.Analyzers))

@@ -54,8 +54,6 @@ func NewDigestString(key string) Digest {
 // so the next probe re-materializes its positions. A pooled digest is reset
 // this way instead of being assigned a fresh value, which would copy the
 // whole position cache.
-//
-//ghbavet:hotpath
 func (d *Digest) ResetString(key string) {
 	d.h1, d.h2 = hashPairString(key)
 	d.k = 0
@@ -67,8 +65,6 @@ func (d *Digest) ResetString(key string) {
 // exported for containers that probe their own bit storage at a filter
 // geometry (bloomarray's bit-sliced L1) and must agree with Filter bit for
 // bit; the returned slice aliases the digest and is read-only.
-//
-//ghbavet:hotpath
 func (d *Digest) Positions(m uint64, k uint32, layout Layout) []uint64 {
 	if k > digestMaxK {
 		return nil
@@ -99,8 +95,6 @@ func (d *Digest) PositionAt(i uint32, m uint64, layout Layout) uint64 {
 // bit-for-bit equivalent to Contains on the same key: k word loads against
 // the cached probe positions, no hashing, no allocation. Like Contains it is
 // safe to call lock-free concurrently with a serialized writer.
-//
-//ghbavet:hotpath
 func (f *Filter) ContainsDigest(d *Digest) bool {
 	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
 		for _, bit := range pos {
@@ -115,8 +109,6 @@ func (f *Filter) ContainsDigest(d *Digest) bool {
 
 // AddDigest inserts the digested key, equivalent to Add on the same key
 // (the count of bits turned on included).
-//
-//ghbavet:hotpath
 func (f *Filter) AddDigest(d *Digest) int {
 	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
 		fresh := 0

@@ -176,10 +176,16 @@ func TestCountingDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestContainsDigestZeroAlloc pins the headline property: a digest probe
-// performs no heap allocation, and neither does the string-keyed Contains.
+// TestContainsDigestZeroAlloc pins the headline property: the digest
+// operations the lookup walk runs — re-keying a pooled digest, materializing
+// its positions at either layout, probing and inserting — perform no heap
+// allocation, and neither does the string-keyed Contains.
 func TestContainsDigestZeroAlloc(t *testing.T) {
 	f, err := NewForCapacity(10_000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := NewForCapacityLayout(10_000, 16, LayoutBlocked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +193,35 @@ func TestContainsDigestZeroAlloc(t *testing.T) {
 		f.AddString(fmt.Sprintf("/alloc/file%d", i))
 	}
 	d := NewDigestString("/alloc/file7")
-	if allocs := testing.AllocsPerRun(1_000, func() {
-		if !f.ContainsDigest(&d) {
-			t.Fatal("added key not found")
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"ContainsDigest", func() {
+			if !f.ContainsDigest(&d) {
+				t.Fatal("added key not found")
+			}
+		}},
+		{"ContainsString", func() {
+			if !f.ContainsString("/alloc/file7") {
+				t.Fatal("added key not found")
+			}
+		}},
+		// Re-keying drops the cached positions, so both Positions calls
+		// materialize them afresh.
+		{"ResetString+Positions", func() {
+			d.ResetString("/alloc/file7")
+			d.Positions(f.M(), f.K(), LayoutClassic)
+			d.Positions(blocked.M(), blocked.K(), LayoutBlocked)
+		}},
+		// The two geometries differ, so each insert re-materializes too.
+		{"AddDigest", func() {
+			f.AddDigest(&d)
+			blocked.AddDigest(&d)
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(1_000, tc.op); allocs != 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", tc.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("ContainsDigest allocates %.1f objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1_000, func() {
-		if !f.ContainsString("/alloc/file7") {
-			t.Fatal("added key not found")
-		}
-	}); allocs != 0 {
-		t.Errorf("ContainsString allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -44,8 +44,6 @@ func (r Result) Unique() (int, bool) {
 // and uniqueness — the shared primitive for folding an MDS ID into a sorted
 // hit list (mds.QueryL2Digest's own-ID insert, core's L3 hit union) without
 // re-sorting.
-//
-//ghbavet:hotpath
 func InsertSorted(xs []int, v int) []int {
 	for i, x := range xs {
 		if x == v {
@@ -195,8 +193,6 @@ func (a *Array) IDs() []int {
 // buf (which may be nil). Hits come out in ascending ID order by
 // construction. Passing a reused buffer makes the query allocation-free; no
 // lock is taken at any point.
-//
-//ghbavet:hotpath
 func (a *Array) QueryDigest(d *bloom.Digest, buf []int) Result {
 	entries := a.snapshot()
 	hits := buf[:0]

@@ -52,6 +52,13 @@ func TestInsertSorted(t *testing.T) {
 		{[]int{1, 3}, 3, []int{1, 3}}, // dedup
 	}
 	for _, c := range cases {
+		// Into a slice with room to spare, the insert allocates nothing.
+		buf := make([]int, 0, len(c.in)+1)
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf = InsertSorted(append(buf[:0], c.in...), c.v)
+		}); allocs != 0 {
+			t.Errorf("InsertSorted(%v, %d) allocates %.2f objects/op with capacity, want 0", c.in, c.v, allocs)
+		}
 		got := InsertSorted(append([]int(nil), c.in...), c.v)
 		if len(got) != len(c.want) {
 			t.Errorf("InsertSorted(%v, %d) = %v, want %v", c.in, c.v, got, c.want)

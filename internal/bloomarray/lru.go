@@ -252,8 +252,6 @@ func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 // Each lane word costs k word loads — usually fewer, since the AND runs dry
 // early on a miss — whatever the number of entries it serves; with a reused
 // buffer the query neither allocates nor locks.
-//
-//ghbavet:hotpath
 func (l *LRUArray) QueryDigest(d *bloom.Digest, buf []int) Result {
 	hits := buf[:0]
 	s := l.state.Load()

@@ -153,8 +153,6 @@ func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) Lookup
 // internally synchronized state — the tallies and message counter, the L1
 // learning write, and (in queued mode) the queue model's next-free slots, one
 // queueMu critical section per multicast round. The entry must exist in e.
-//
-//ghbavet:hotpath
 func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Duration, queued bool) LookupResult {
 	node := e.nodes[entry]
 
@@ -188,9 +186,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 			// path inside is lock- and allocation-free and a new key is
 			// inserted in place; only a home's first observation or a
 			// generation rotation (one slab copy per capacity inserts)
-			// allocates, which the flow-insensitive hot-path check cannot
-			// distinguish.
-			//ghbavet:ignore L1 learning allocates only on new-home/rotation, amortized away in steady state
+			// allocates.
 			c.lru.ObserveDigest(d, res.Home)
 		}
 		return res

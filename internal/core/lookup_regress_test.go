@@ -103,3 +103,39 @@ func TestPutScratchResetsDigest(t *testing.T) {
 		t.Error("putScratch dropped hit-buffer capacity")
 	}
 }
+
+// TestLookupWalkZeroAlloc pins the allocation contract of the four-level
+// walk on both entry points: a warmed L1 hit and a lookup of an absent path
+// (every level probed, nothing learned) allocate nothing — the pooled
+// scratch carries the digest and every hit buffer.
+func TestLookupWalkZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts, so the pooled scratch is re-allocated")
+	}
+	c := newPopulated(t, 12, 4, 500)
+	entry := c.MDSIDs()[0]
+	rng := rand.New(rand.NewSource(1))
+	const hot, absent = "/f42", "/absent"
+	c.Lookup(hot, entry) // teaches L1 the hot path's home
+	for _, lk := range []struct {
+		name   string
+		lookup func(path string) LookupResult
+	}{
+		{"LookupWith", func(path string) LookupResult { return c.LookupWith(rng, path, entry) }},
+		{"LookupAt", func(path string) LookupResult { return c.LookupAt(path, entry, 0) }},
+	} {
+		for _, tc := range []struct {
+			path  string
+			found bool
+			level int
+		}{{hot, true, 1}, {absent, false, 4}} {
+			if allocs := testing.AllocsPerRun(1_000, func() {
+				if res := lk.lookup(tc.path); res.Found != tc.found || res.Level != tc.level {
+					t.Fatalf("%s(%s) = %+v, want found=%v at L%d", lk.name, tc.path, res, tc.found, tc.level)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s(%s) allocates %.2f objects/op, want 0", lk.name, tc.path, allocs)
+			}
+		}
+	}
+}

@@ -205,8 +205,6 @@ func (n *Node) HasFile(path string) bool { return n.store.Has(path) }
 // definitive (no false negatives for undeleted files); a positive requires
 // verification. k word loads against the published filter, no lock, no
 // hashing.
-//
-//ghbavet:hotpath
 func (n *Node) LocalPositiveDigest(d *bloom.Digest) bool {
 	return n.local.Load().ContainsDigest(d)
 }
@@ -338,8 +336,6 @@ func (n *Node) QueryL1Digest(d *bloom.Digest, buf []int) bloomarray.Result {
 // both replay the digest's cached bit positions. Hits are appended into buf (which may
 // be nil) and returned in ascending order. The whole check is lock-free:
 // one COW-snapshot scan plus one published-pointer probe.
-//
-//ghbavet:hotpath
 func (n *Node) QueryL2Digest(d *bloom.Digest, buf []int) bloomarray.Result {
 	r := n.replicas.QueryDigest(d, buf)
 	if n.LocalPositiveDigest(d) {

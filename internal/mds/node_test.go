@@ -181,6 +181,35 @@ func TestQueryL2SelfAndReplicaMultiHit(t *testing.T) {
 	}
 }
 
+// TestQueryL2DigestZeroAlloc pins the allocation contract of the daemon's L2
+// leg: with a reused buffer, a query that folds the node's own ID between two
+// replica hits allocates nothing, and neither does the local-filter probe.
+func TestQueryL2DigestZeroAlloc(t *testing.T) {
+	n := newTestNode(t, 5)
+	n.AddFile("/dup")
+	for _, origin := range []int{2, 7} {
+		f, err := bloom.NewForCapacity(100, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.AddString("/dup")
+		n.InstallReplica(origin, f)
+	}
+	d := digestOf("/dup")
+	buf := make([]int, 0, 4)
+	if allocs := testing.AllocsPerRun(1_000, func() {
+		if !n.LocalPositiveDigest(d) {
+			t.Fatal("own file missed by the local filter")
+		}
+		buf = n.QueryL2Digest(d, buf).Hits
+		if len(buf) != 3 || buf[1] != 5 {
+			t.Fatalf("QueryL2Digest = %v, want [2 5 7]", buf)
+		}
+	}); allocs != 0 {
+		t.Errorf("LocalPositiveDigest + QueryL2Digest allocate %.2f objects/op, want 0", allocs)
+	}
+}
+
 func TestL1ObserveAndQuery(t *testing.T) {
 	n := newTestNode(t, 1)
 	if !n.QueryL1Digest(digestOf("/f"), nil).Miss() {

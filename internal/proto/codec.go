@@ -155,13 +155,17 @@ func encodeBools(bs []bool) []byte {
 	return out
 }
 
-// decodeBools parses an n-answer bool vector.
+// decodeBools parses an n-answer bool vector. Each answer byte must be 0 or
+// 1: anything else was not written by a daemon.
 func decodeBools(data []byte, n int) ([]bool, error) {
 	if len(data) != n {
 		return nil, fmt.Errorf("proto: bool vector wants %d bytes, got %d", n, len(data))
 	}
 	out := make([]bool, n)
 	for i, b := range data {
+		if b > 1 {
+			return nil, fmt.Errorf("proto: answer %d is byte %d, want 0 or 1", i, b)
+		}
 		out[i] = b == 1
 	}
 	return out, nil
@@ -228,10 +232,14 @@ func decodeMutations(data []byte) (incarnation uint64, recs []wal.Record, err er
 // existence byte per record (the coordinator's homes map already settled
 // existence, so they go unread), then whether the batch's creates left the
 // filter past the XOR-delta ship threshold, then whether a delete rebuilt the
-// filter (which replaces it wholesale and must ship).
+// filter (which replaces it wholesale and must ship). Either flag byte other
+// than 0 or 1 is refused.
 func decodeMutateResp(data []byte, n int) (crossed, rebuilt bool, err error) {
 	if len(data) != n+2 {
 		return false, false, fmt.Errorf("proto: mutate batch response wants %d bytes, got %d", n+2, len(data))
+	}
+	if data[n] > 1 || data[n+1] > 1 {
+		return false, false, fmt.Errorf("proto: mutate batch flags are bytes %d and %d, want 0 or 1", data[n], data[n+1])
 	}
 	return data[n] == 1, data[n+1] == 1, nil
 }
@@ -324,14 +332,14 @@ func decodeObservations(data []byte) ([]observation, error) {
 	return out, nil
 }
 
-// encodeHits serializes an MDS-ID hit list.
-func encodeHits(hits []int) []byte {
-	buf := make([]byte, 2+4*len(hits))
-	binary.BigEndian.PutUint16(buf, uint16(len(hits)))
-	for i, h := range hits {
-		binary.BigEndian.PutUint32(buf[2+4*i:], uint32(h))
+// appendHits appends the wire form of an MDS-ID hit list to dst: count
+// uint16, then one uint32 per ID.
+func appendHits(dst []byte, hits []int) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(hits)))
+	for _, h := range hits {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(h))
 	}
-	return buf
+	return dst
 }
 
 // decodeHits parses a hit list, returning the remaining bytes.

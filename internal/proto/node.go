@@ -24,7 +24,7 @@ type NodeServer struct {
 
 	// qbuf is the daemon's reusable hit buffer for digest queries; handle
 	// holds mu for the whole request, so one buffer per daemon suffices
-	// (encodeHits copies before the buffer is reused).
+	// (appendHits copies before the buffer is reused).
 	qbuf []int
 
 	// residentLimit is the number of replicas that fit in RAM; when the
@@ -281,11 +281,11 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		for _, p := range paths {
 			d := bloom.NewDigestString(p)
 			l1 := ns.node.QueryL1Digest(&d, ns.qbuf)
-			out = append(out, encodeHits(l1.Hits)...)
+			out = appendHits(out, l1.Hits)
 			ns.qbuf = l1.Hits
 			ns.spilledSleep()
 			l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-			out = append(out, encodeHits(l2.Hits)...)
+			out = appendHits(out, l2.Hits)
 			ns.qbuf = l2.Hits
 		}
 		return out, nil
@@ -300,7 +300,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 			d := bloom.NewDigestString(p)
 			ns.spilledSleep()
 			l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-			out = append(out, encodeHits(l2.Hits)...)
+			out = appendHits(out, l2.Hits)
 			ns.qbuf = l2.Hits
 		}
 		return out, nil

@@ -29,7 +29,7 @@ func TestWireRoundTrip(t *testing.T) {
 	hitsTrip := func(t *testing.T, lists [][]int) {
 		var wire []byte
 		for _, hits := range lists {
-			wire = append(wire, encodeHits(hits)...)
+			wire = appendHits(wire, hits)
 		}
 		got, err := decodeHitsVec(wire, len(lists))
 		if err != nil {
@@ -66,6 +66,17 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, answers) {
 			t.Fatalf("bools: got %v, want %v", got, answers)
+		}
+		// A corrupt answer byte fails the call instead of reading as false.
+		for name, bad := range map[string][]byte{
+			"answer byte 2":    {1, 0, 2, 1},
+			"answer byte 0xff": {0xff, 0, 0, 1},
+			"one byte short":   {1, 0, 0},
+			"trailing byte":    {1, 0, 0, 1, 0},
+		} {
+			if got, err := decodeBools(bad, len(answers)); err == nil {
+				t.Errorf("%s: decoded as %v", name, got)
+			}
 		}
 	}
 	originTrip := func(t *testing.T, origin int, body []byte) {
@@ -201,6 +212,12 @@ func TestWireRoundTrip(t *testing.T) {
 				}
 				if crossed != flags[0] || rebuilt != flags[1] {
 					t.Fatalf("flags %v decoded as (%v, %v)", flags, crossed, rebuilt)
+				}
+			}
+			for _, flags := range [][2]byte{{2, 0}, {0, 2}, {0xff, 1}} {
+				resp := append(make([]byte, len(recs)), flags[0], flags[1])
+				if crossed, rebuilt, err := decodeMutateResp(resp, len(recs)); err == nil {
+					t.Errorf("flag bytes %v decoded as (%v, %v)", flags, crossed, rebuilt)
 				}
 			}
 		}},
@@ -650,10 +667,11 @@ func FuzzNodeServerRequests(f *testing.F) {
 
 // FuzzBatchResponses drives the three response decoders that sit under every
 // TCP operation — hit lists, bool vectors and the mutate batch answer — with
-// arbitrary bytes for an arbitrary expected count: none may panic, and none
-// may accept a body whose length disagrees with n.
+// arbitrary bytes for an arbitrary expected count: none may panic, none may
+// accept a body whose length disagrees with n, and the bool decoders accept
+// exactly the answer bytes 0 and 1.
 func FuzzBatchResponses(f *testing.F) {
-	oneList := encodeHits([]int{3})
+	oneList := appendHits(nil, []int{3})
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{}, uint8(1))
 	f.Add(oneList, uint8(1))
@@ -666,6 +684,8 @@ func FuzzBatchResponses(f *testing.F) {
 	f.Add([]byte{0, 0}, uint8(0))             // a mutate answer for none
 	f.Add([]byte{1, 1, 0, 1}, uint8(2))       // a mutate answer for two
 	f.Add([]byte{1, 1, 0, 1, 1}, uint8(2))    // … one byte long
+	f.Add([]byte{1, 2, 0}, uint8(3))          // a bool vector with a corrupt answer
+	f.Add([]byte{1, 0, 2}, uint8(1))          // a mutate answer with a corrupt flag
 	f.Fuzz(func(t *testing.T, data []byte, count uint8) {
 		n := int(count)
 		if lists, err := decodeHitsVec(data, n); err == nil {
@@ -677,10 +697,11 @@ func FuzzBatchResponses(f *testing.F) {
 				t.Fatalf("decodeHitsVec accepted %d bytes as %d lists spanning %d bytes, want %d lists", len(data), len(lists), size, n)
 			}
 		}
-		if bs, err := decodeBools(data, n); (err == nil) != (len(data) == n) || err == nil && len(bs) != n {
+		answers := func(b []byte) bool { return !slices.ContainsFunc(b, func(x byte) bool { return x > 1 }) }
+		if bs, err := decodeBools(data, n); (err == nil) != (len(data) == n && answers(data)) || err == nil && len(bs) != n {
 			t.Fatalf("decodeBools(%d bytes, n=%d) = %d answers, %v", len(data), n, len(bs), err)
 		}
-		if _, _, err := decodeMutateResp(data, n); (err == nil) != (len(data) == n+2) {
+		if _, _, err := decodeMutateResp(data, n); (err == nil) != (len(data) == n+2 && answers(data[n:])) {
 			t.Fatalf("decodeMutateResp(%d bytes, n=%d): %v", len(data), n, err)
 		}
 	})

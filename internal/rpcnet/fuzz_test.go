@@ -1,6 +1,7 @@
 package rpcnet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -19,8 +20,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint64, lead byte, payload []byte) {
 		// Round trip: write then read back, field for field.
 		var buf bytes.Buffer
-		if err := writeMuxFrame(&buf, id, lead, payload); err != nil {
+		bw := bufio.NewWriter(&buf)
+		if err := writeMuxFrame(bw, id, lead, payload); err != nil {
 			t.Fatalf("writeMuxFrame(%d, %d, %d bytes): %v", id, lead, len(payload), err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
 		}
 		wire := buf.Bytes()
 		gotID, gotLead, gotPayload, err := readMuxFrame(bytes.NewReader(wire))
@@ -74,8 +79,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // without panicking.
 func FuzzMuxReaderStream(f *testing.F) {
 	var seed bytes.Buffer
-	writeMuxFrame(&seed, 3, 0, []byte("a"))
-	writeMuxFrame(&seed, 4, 1, nil)
+	bw := bufio.NewWriter(&seed)
+	writeMuxFrame(bw, 3, 0, []byte("a"))
+	writeMuxFrame(bw, 4, 1, nil)
+	bw.Flush()
 	f.Add(seed.Bytes())
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte(muxMagic))

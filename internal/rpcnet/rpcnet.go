@@ -199,13 +199,20 @@ func (s *Server) Close() {
 }
 
 // readFrame reads one frame: the leading byte after the length prefix is
-// returned separately (request type or response status).
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// returned separately (request type or response status). The length prefix
+// is read in place from r's buffer, so the body is the frame's one
+// allocation. A stream that ends inside the prefix is io.ErrUnexpectedEOF;
+// one that ends before it is io.EOF.
+func readFrame(r *bufio.Reader) (uint8, []byte, error) {
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(prefix)
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
 	if n < 1 || n > MaxMessageBytes {
 		return 0, nil, fmt.Errorf("rpcnet: frame length %d out of range", n)
 	}
@@ -216,21 +223,35 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	return body[0], body[1:], nil
 }
 
-// writeFrame writes one frame with the given lead byte.
-func writeFrame(w io.Writer, lead uint8, payload []byte) error {
+// writeFrame writes one frame with the given lead byte. Like writeMuxFrame
+// it allocates nothing on the success path.
+func writeFrame(w *bufio.Writer, lead uint8, payload []byte) error {
 	if len(payload)+1 > MaxMessageBytes {
-		return fmt.Errorf("rpcnet: payload %d bytes exceeds limit", len(payload))
+		return errPayloadTooBig(len(payload))
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)+1))
-	if _, err := w.Write(lenBuf[:]); err != nil {
+	hdr, err := headerSpace(w, 5)
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write([]byte{lead}); err != nil {
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)+1))
+	if _, err := w.Write(append(hdr, lead)); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(payload)
 	return err
+}
+
+// headerSpace returns w's free buffer space, flushed first if it cannot
+// hold an n-byte frame header. A header appended to it lives in w's own
+// buffer: one built in a local array would escape to the heap through the
+// io.Writer under w.
+func headerSpace(w *bufio.Writer, n int) ([]byte, error) {
+	if w.Available() < n {
+		if err := w.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return w.AvailableBuffer(), nil
 }
 
 // Client is a synchronous RPC client over one TCP connection. Calls are

@@ -1,9 +1,11 @@
 package rpcnet
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +30,70 @@ func echoServer(t *testing.T) *Server {
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// TestFrameCodecAllocs pins what a frame costs the heap: writing a classic
+// or a mux frame allocates nothing, and reading a classic frame allocates
+// only the body it returns.
+func TestFrameCodecAllocs(t *testing.T) {
+	payload := []byte("/usr/share/dict/words")
+	var wire bytes.Buffer
+	bw := bufio.NewWriter(&wire)
+	if err := writeFrame(bw, 3, payload); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	frame := wire.Bytes()
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	sink := bufio.NewWriter(io.Discard)
+	for _, tc := range []struct {
+		name string
+		want float64
+		op   func() error
+	}{
+		{"writeFrame", 0, func() error { return writeFrame(sink, 3, payload) }},
+		{"writeMuxFrame", 0, func() error { return writeMuxFrame(sink, 1<<40, 3, payload) }},
+		{"readFrame", 1, func() error {
+			src.Reset(frame)
+			br.Reset(src)
+			lead, got, err := readFrame(br)
+			if err == nil && (lead != 3 || !bytes.Equal(got, payload)) {
+				err = fmt.Errorf("read back (%d, %q)", lead, got)
+			}
+			return err
+		}},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(1_000, func() {
+			if e := tc.op(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if allocs != tc.want {
+			t.Errorf("%s allocates %.2f objects/frame, want %.0f", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// TestReadFrameEOF pins how a classic stream may end: cleanly between frames
+// (io.EOF) or partway into its prefix or body (io.ErrUnexpectedEOF).
+func TestReadFrameEOF(t *testing.T) {
+	frame := []byte{0, 0, 0, 3, 1, 'o', 'k'}
+	for _, tc := range []struct {
+		cut  int
+		want error
+	}{{0, io.EOF}, {2, io.ErrUnexpectedEOF}, {6, io.ErrUnexpectedEOF}} {
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:tc.cut]))); err != tc.want {
+			t.Errorf("stream cut at %d bytes: %v, want %v", tc.cut, err, tc.want)
+		}
+	}
+	if lead, got, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err != nil || lead != 1 || string(got) != "ok" {
+		t.Errorf("whole frame: (%d, %q, %v)", lead, got, err)
+	}
 }
 
 func TestServeRejectsNilHandler(t *testing.T) {

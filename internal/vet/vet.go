@@ -6,7 +6,7 @@
 //   - detrand: engines draw randomness only from caller-supplied
 //     *rand.Rand values; no clock seeding; no map-order-dependent output
 //
-// Three fact-based analyzers see across package boundaries:
+// Two fact-based analyzers see across package boundaries:
 //
 //   - lockorder: assembles the global lock-acquisition graph from
 //     per-package facts and reports cycles (potential deadlocks) with
@@ -17,8 +17,10 @@
 //   - snapcheck: enforces the epoch/COW discipline — memory published
 //     through an atomic.Pointer is immutable, readers never write
 //     through a loaded snapshot
-//   - hotalloc: functions tagged //ghbavet:hotpath must be transitively
-//     allocation-free; allocation evidence propagates through facts
+//
+// Allocation-freedom of the lookup walk is not modelled here: each package's
+// tests measure it with testing.AllocsPerRun, which sees what escape
+// analysis actually decides.
 //
 // Run them via cmd/ghbavet: `go vet -vettool=$(which ghbavet) ./...`.
 package vet
@@ -27,7 +29,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"ghba/internal/vet/detrand"
-	"ghba/internal/vet/hotalloc"
 	"ghba/internal/vet/lockorder"
 	"ghba/internal/vet/snapcheck"
 )
@@ -37,5 +38,4 @@ var Analyzers = []*analysis.Analyzer{
 	detrand.Analyzer,
 	lockorder.Analyzer,
 	snapcheck.Analyzer,
-	hotalloc.Analyzer,
 }

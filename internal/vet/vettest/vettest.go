@@ -10,7 +10,7 @@
 // may import each other GOPATH-style — package "b/inner" lives in
 // testdata/src/b/inner — and facts exported while analyzing a dependency
 // are visible while analyzing its dependents, which is what the
-// cross-package analyzers (lockorder, snapcheck, hotalloc) exercise.
+// cross-package analyzers (lockorder, snapcheck) exercise.
 package vettest
 
 import (
