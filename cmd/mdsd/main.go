@@ -59,6 +59,13 @@ func run() int {
 		drain     = flag.Duration("drain-timeout", 5*time.Second, "max wait for in-flight requests on shutdown")
 	)
 	flag.Parse()
+	// Vet -wal-sync even without -data, so a typo is refused rather than
+	// silently ignored.
+	pol, err := wal.ParseSyncPolicy(*walSync)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mdsd:", err)
+		return 2
+	}
 
 	cfg := mds.Config{
 		ExpectedFiles:  *files,
@@ -74,18 +81,12 @@ func run() int {
 
 	var node *mds.Node
 	if *dataDir == "" {
-		var err error
 		node, err = mds.NewNode(*id, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mdsd:", err)
 			return 1
 		}
 	} else {
-		pol, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdsd:", err)
-			return 2
-		}
 		var (
 			log  *wal.Log
 			info mds.RecoveryInfo
@@ -104,6 +105,10 @@ func run() int {
 		fmt.Println(")")
 	}
 
+	// Catch the stop signals before announcing the daemon: a SIGTERM sent
+	// as soon as "serving" appears must drain, not kill the process.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	srv, err := proto.StartNode(node, *listen, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdsd:", err)
@@ -112,8 +117,6 @@ func run() int {
 	fmt.Printf("mdsd: MDS %d serving on %s (files=%d, bits/file=%.0f)\n",
 		*id, srv.Addr(), *files, *bits)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	<-stop
 	fmt.Println("mdsd: draining")
 	// Drain for real: refuse new connections, wait for in-flight requests

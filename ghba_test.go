@@ -99,7 +99,6 @@ func TestStartPrototypeValidation(t *testing.T) {
 	}{
 		{"shared half", PrototypeConfig{Config: Config{NumMDS: 0}}, "NumMDS"},
 		{"unknown WAL sync policy", PrototypeConfig{Config: base, WALSync: "sometimes"}, "WALSync"},
-		{"negative retry attempts", PrototypeConfig{Config: base, RetryAttempts: -1}, "RetryAttempts"},
 	}
 	for _, tc := range cases {
 		p, err := StartPrototype(tc.cfg)

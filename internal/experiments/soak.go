@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ghba/internal/proto"
-	"ghba/internal/rpcnet"
 	"ghba/internal/trace"
 )
 
@@ -156,10 +155,6 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		DataDir:       cfg.DataDir,
 		WALSync:       cfg.WALSync,
 		SnapshotEvery: cfg.SnapshotEvery,
-		// Idempotent RPCs retry through crash windows so most lookups ride
-		// out an outage; mutations aimed at a dead daemon fail and are
-		// counted as OpErrors.
-		Retry: rpcnet.RetryPolicy{Attempts: 5, Backoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	if err != nil {
 		return SoakResult{}, err

@@ -87,11 +87,6 @@ type Options struct {
 	// each daemon. Zero selects 4096; negative disables automatic
 	// compaction.
 	SnapshotEvery int
-	// Retry bounds retry-with-backoff for idempotent RPCs (queries, probes,
-	// filter ships — never mutations). The zero policy disables retries;
-	// enable it when daemons may restart mid-run so lookups ride through
-	// the outage instead of failing on the first reset.
-	Retry rpcnet.RetryPolicy
 }
 
 func (o *Options) validate() error {
@@ -183,9 +178,6 @@ type Cluster struct {
 	obsMu      sync.Mutex
 	pendingObs []observation
 	obsBatch   int
-
-	// retry is the idempotent-RPC retry policy; zero disables retries.
-	retry rpcnet.RetryPolicy
 
 	tally        metrics.LevelTally
 	replicaShips atomic.Uint64
@@ -299,7 +291,6 @@ func Start(opts Options) (*Cluster, error) {
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		obsBatch:    obsBatch,
 		nextID:      opts.N,
-		retry:       opts.Retry,
 	}
 	for i := 0; i < opts.N; i++ {
 		ns, _, err := c.launchNode(i)
@@ -489,50 +480,18 @@ func (c *Cluster) Close() {
 	}
 }
 
-// call issues one counted RPC through the daemon's connection pool.
-// Idempotent message types ride the cluster's retry policy (if enabled):
-// transport failures — a daemon restarting under the detector's nose — are
-// retried with backoff, and every attempt is real wire traffic, so each one
-// is counted.
+// call issues one counted RPC through the daemon's connection pool. It makes
+// exactly one attempt: a restarted daemon listens on a fresh port behind a
+// fresh pool, so re-sending on the pool looked up here could never reach it.
 func (c *Cluster) call(ctx context.Context, id int, msgType uint8, payload []byte) ([]byte, error) {
 	conn, err := c.conns.conn(id)
 	if err != nil {
 		return nil, err
 	}
-	counted := countedCaller{conn: conn, c: c, msgType: msgType}
-	if c.retry.Enabled() && isIdempotent(msgType) {
-		return rpcnet.CallRetry(ctx, counted, c.retry, msgType, payload)
+	if int(msgType) < len(c.rpcByOp) {
+		c.rpcByOp[msgType].Add(1)
 	}
-	return counted.CallContext(ctx, msgType, payload)
-}
-
-// countedCaller charges each attempt to the cluster's per-opcode counter
-// before handing it to the transport; retries therefore count like the
-// distinct messages they are on the wire.
-type countedCaller struct {
-	conn    caller
-	c       *Cluster
-	msgType uint8
-}
-
-func (w countedCaller) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
-	if int(w.msgType) < len(w.c.rpcByOp) {
-		w.c.rpcByOp[w.msgType].Add(1)
-	}
-	return w.conn.CallContext(ctx, msgType, payload)
-}
-
-// isIdempotent reports whether an RPC may be retried after a transport
-// failure: re-asking a question or re-shipping a filter snapshot is safe,
-// re-running a create/delete/install whose first response (not execution)
-// was lost is not.
-func isIdempotent(op uint8) bool {
-	switch op {
-	case opShipFilter, opFetchShipped, opObserveBatch, opHeartbeat,
-		opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch:
-		return true
-	}
-	return false
+	return conn.CallContext(ctx, msgType, payload)
 }
 
 // Heartbeat probes daemon id for liveness, returning its health report.

@@ -11,18 +11,16 @@ import (
 	"time"
 
 	"ghba/internal/mds"
-	"ghba/internal/rpcnet"
 	"ghba/internal/trace"
 )
 
-// durableOptions is testOptions plus a WAL directory and a retry policy —
-// the configuration every crash/recovery test runs under.
+// durableOptions is testOptions plus a WAL directory — the configuration
+// every crash/recovery test runs under.
 func durableOptions(t *testing.T, n, m int) Options {
 	t.Helper()
 	o := testOptions(n, m)
 	o.DataDir = t.TempDir()
 	o.SnapshotEvery = 50
-	o.Retry = rpcnet.RetryPolicy{Attempts: 4, Backoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 	return o
 }
 

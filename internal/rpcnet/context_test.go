@@ -163,3 +163,52 @@ func TestPoolCallContextDiscardsCancelled(t *testing.T) {
 		t.Fatalf("pool did not recover after cancellation: %v %q", err, resp)
 	}
 }
+
+// TestPoolKeepsConnAfterPreCancelled pins that a call refused before a byte
+// was written hands its clean connection back: the pool keeps it idle and
+// the next call reuses it instead of dialing.
+func TestPoolKeepsConnAfterPreCancelled(t *testing.T) {
+	s := stallServer(t)
+	p := NewPool(s.Addr(), PoolOptions{})
+	t.Cleanup(p.Close)
+	if _, err := p.Call(1, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.CallContext(ctx, 1, []byte("x")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled pooled call returned %v", err)
+	}
+	if p.IdleConns() != 1 {
+		t.Fatalf("idle = %d after a pre-cancelled call, want 1", p.IdleConns())
+	}
+	kept := p.idle[0]
+	resp, err := p.Call(1, []byte("next"))
+	if err != nil || !bytes.Equal(resp, []byte("next")) {
+		t.Fatalf("call after pre-cancelled call: %v %q", err, resp)
+	}
+	if p.IdleConns() != 1 || p.idle[0] != kept {
+		t.Error("next call dialed fresh instead of reusing the kept connection")
+	}
+}
+
+// TestCallContextCancelAfterReturn pins that cancelling a call's context
+// once the call has returned never reaches the connection: each of 1,000
+// calls on one client is followed by a cancel, and the next call succeeds.
+func TestCallContextCancelAfterReturn(t *testing.T) {
+	s := stallServer(t)
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 1000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		msg := []byte{byte(i), byte(i >> 8)}
+		resp, err := cl.CallContext(ctx, 1, msg)
+		cancel()
+		if err != nil || !bytes.Equal(resp, msg) {
+			t.Fatalf("call %d after a cancel-after-return: %v %q", i, err, resp)
+		}
+	}
+}

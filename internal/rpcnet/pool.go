@@ -10,6 +10,11 @@ import (
 // ErrPoolClosed is returned by calls against a closed pool.
 var ErrPoolClosed = errors.New("rpcnet: pool closed")
 
+// maxIdle caps the connections a pool retains between calls. Demand beyond
+// it still dials — surplus connections are simply closed on return instead
+// of retained.
+const maxIdle = 8
+
 // PoolOptions configures a connection pool.
 type PoolOptions struct {
 	// DialTimeout bounds each dial; zero means no bound.
@@ -17,10 +22,6 @@ type PoolOptions struct {
 	// CallTimeout is the per-call deadline applied to every connection;
 	// zero disables deadlines.
 	CallTimeout time.Duration
-	// MaxIdle caps the connections retained between calls (default 8).
-	// Demand beyond it still dials — surplus connections are simply closed
-	// on return instead of retained.
-	MaxIdle int
 }
 
 // Pool is a concurrency-safe pool of connections to one server. Callers
@@ -42,34 +43,27 @@ type Pool struct {
 // NewPool builds a pool for addr. No connection is dialed until the first
 // Call.
 func NewPool(addr string, opts PoolOptions) *Pool {
-	if opts.MaxIdle <= 0 {
-		opts.MaxIdle = 8
-	}
 	return &Pool{addr: addr, opts: opts}
 }
 
 // Call checks out a connection, performs one RPC, and returns the
 // connection to the pool. Application errors (*RemoteError) leave the
-// connection reusable; transport errors discard it.
+// connection reusable; transport errors discard it (see Put).
 func (p *Pool) Call(msgType uint8, payload []byte) ([]byte, error) {
 	return p.CallContext(context.Background(), msgType, payload)
 }
 
 // CallContext is Call with per-call cancellation and deadline control; see
 // Client.CallContext for the deadline-merging and poisoning semantics. A
-// cancelled call discards its connection, never returning it to the pool.
+// call cancelled mid-flight poisons its connection, which Put then drops;
+// one refused before a byte was written leaves it clean and pooled.
 func (p *Pool) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {
 	cl, err := p.Get()
 	if err != nil {
 		return nil, err
 	}
 	resp, err := cl.CallContext(ctx, msgType, payload)
-	var remote *RemoteError
-	if err == nil || errors.As(err, &remote) {
-		p.Put(cl)
-	} else {
-		cl.Close()
-	}
+	p.Put(cl)
 	return resp, err
 }
 
@@ -107,7 +101,7 @@ func (p *Pool) Put(cl *Client) {
 		return
 	}
 	p.mu.Lock()
-	if !p.closed && len(p.idle) < p.opts.MaxIdle {
+	if !p.closed && len(p.idle) < maxIdle {
 		p.idle = append(p.idle, cl)
 		p.mu.Unlock()
 		return

@@ -116,7 +116,7 @@ func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
 
 func TestPoolConcurrentCalls(t *testing.T) {
 	s := stallServer(t)
-	p := NewPool(s.Addr(), PoolOptions{CallTimeout: 5 * time.Second, MaxIdle: 4})
+	p := NewPool(s.Addr(), PoolOptions{CallTimeout: 5 * time.Second})
 	defer p.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -143,8 +143,8 @@ func TestPoolConcurrentCalls(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if p.IdleConns() > 4 {
-		t.Errorf("idle = %d, exceeds MaxIdle 4", p.IdleConns())
+	if p.IdleConns() > maxIdle {
+		t.Errorf("idle = %d, exceeds the cap of %d", p.IdleConns(), maxIdle)
 	}
 }
 

@@ -328,23 +328,25 @@ func (c *Client) CallContext(ctx context.Context, msgType uint8, payload []byte)
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return nil, c.poisonLocked(fmt.Errorf("rpcnet: deadline: %w", err))
 	}
-	// Watch for cancellation: an immediate past deadline interrupts the
-	// blocked read/write. The conn handle is captured because poisonLocked
-	// may nil out c.conn while the watcher is live; net.Conn is safe for
+	// On cancellation, an immediate past deadline interrupts the blocked
+	// read/write. The conn handle is captured because poisonLocked may nil
+	// out c.conn while the callback is pending; net.Conn is safe for
 	// concurrent SetDeadline, and setting one on a closed conn only errors.
-	if done := ctx.Done(); done != nil {
+	// If the callback has already started when the call ends, the call waits
+	// for it: a poke landing after return would hit a connection that may be
+	// back in a pool, serving someone else's call.
+	if ctx.Done() != nil {
 		conn := c.conn
-		stop := make(chan struct{})
-		watched := make(chan struct{})
-		go func() {
-			defer close(watched)
-			select {
-			case <-done:
-				conn.SetDeadline(time.Unix(1, 0))
-			case <-stop:
+		poked := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			conn.SetDeadline(time.Unix(1, 0))
+			close(poked)
+		})
+		defer func() {
+			if !stop() {
+				<-poked
 			}
 		}()
-		defer func() { close(stop); <-watched }()
 	}
 	ctxErr := func(err error) error {
 		if cerr := ctx.Err(); cerr != nil {

@@ -2,12 +2,10 @@ package ghba
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 
 	"ghba/internal/proto"
-	"ghba/internal/rpcnet"
 	"ghba/internal/trace"
 	"ghba/internal/wal"
 )
@@ -43,15 +41,6 @@ type PrototypeConfig struct {
 	// at each daemon. Zero selects 4096; negative disables automatic
 	// compaction. Only meaningful with DataDir.
 	SnapshotEvery int
-	// RetryAttempts bounds retry-with-backoff for idempotent RPCs
-	// (queries, probes, filter ships — never mutations). Zero or one
-	// disables retries; set it when daemons may crash and restart mid-run
-	// so lookups ride through the outage instead of failing on the first
-	// connection reset.
-	RetryAttempts int
-	// RetryBackoff is the first retry delay (doubling per attempt, capped
-	// at one second). Zero selects the library default.
-	RetryBackoff time.Duration
 }
 
 // validate is Config.validate plus the prototype-only fields, so a bad fsync
@@ -63,9 +52,6 @@ func (c PrototypeConfig) validate() error {
 	}
 	if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
 		return &ConfigError{Field: "WALSync", Reason: err.Error()}
-	}
-	if c.RetryAttempts < 0 {
-		return &ConfigError{Field: "RetryAttempts", Reason: fmt.Sprintf("must be ≥ 0, got %d", c.RetryAttempts)}
 	}
 	return nil
 }
@@ -97,10 +83,6 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 		DataDir:              cfg.DataDir,
 		WALSync:              cfg.WALSync,
 		SnapshotEvery:        cfg.SnapshotEvery,
-		Retry: rpcnet.RetryPolicy{
-			Attempts: cfg.RetryAttempts,
-			Backoff:  cfg.RetryBackoff,
-		},
 	})
 	if err != nil {
 		return nil, err

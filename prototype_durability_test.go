@@ -13,7 +13,7 @@ import (
 	"ghba/internal/proto"
 )
 
-// startDurablePrototype boots a small durable TCP prototype with retries on.
+// startDurablePrototype boots a small durable TCP prototype.
 func startDurablePrototype(t *testing.T, n int) *Prototype {
 	t.Helper()
 	p, err := StartPrototype(PrototypeConfig{
@@ -25,8 +25,6 @@ func startDurablePrototype(t *testing.T, n int) *Prototype {
 		},
 		DataDir:       t.TempDir(),
 		SnapshotEvery: 64,
-		RetryAttempts: 4,
-		RetryBackoff:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
