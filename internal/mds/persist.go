@@ -23,12 +23,14 @@ import (
 //	local   uint32 len | bloom filter bytes (bloom marshal format)
 //	shipped uint32 len | bloom filter bytes (lastShipped)
 //	nextIno uint64  metastore inode counter
-//	count   uint32  file records, each:
+//	count   uint32  file records in strictly ascending path order, each:
 //	  pathLen uint16 | path | size uint64 | mode uint32 | uid uint32 |
 //	  gid uint32 | mtime int64 unix-nanos (metastore.MTimeZero = zero time) | ino uint64
 const (
 	snapshotMagic   uint32 = 0x6D645331
 	snapshotVersion uint8  = 1
+	// snapshotRecordMin is the encoded size of a record with an empty path.
+	snapshotRecordMin = 2 + 8 + 4 + 4 + 4 + 8 + 8
 )
 
 // ErrBadSnapshot marks a snapshot blob that fails structural validation.
@@ -113,6 +115,11 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 
 	nextIno := r.u64()
 	count := r.u32()
+	// Refuse a count the remaining bytes cannot possibly carry before
+	// allocating for it.
+	if rest := len(r.data) - r.off; int(count) > rest/snapshotRecordMin {
+		return fmt.Errorf("%w: %d file records declared in %d bytes", ErrBadSnapshot, count, rest)
+	}
 	files := make([]metastore.Metadata, 0, count)
 	for i := uint32(0); i < count && !r.failed; i++ {
 		md := metastore.Metadata{Path: string(r.bytes(int(r.u16())))}
@@ -122,6 +129,11 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 		md.GID = r.u32()
 		md.MTime = metastore.MTimeFromNanos(int64(r.u64()))
 		md.InodeID = r.u64()
+		// The writer emits each path once, in ascending order; anything
+		// else is a forged or damaged blob, not a store to load.
+		if i > 0 && md.Path <= files[i-1].Path && !r.failed {
+			return fmt.Errorf("%w: record %d path %q does not follow %q", ErrBadSnapshot, i, md.Path, files[i-1].Path)
+		}
 		files = append(files, md)
 	}
 	if r.failed {

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -287,17 +288,92 @@ func TestRecoverRejectsForeignSnapshot(t *testing.T) {
 	}
 }
 
+// snapshotCountAt is the offset of a snapshot's file-record count: after
+// the fixed header, the two length-prefixed filters and the inode counter.
+func snapshotCountAt(blob []byte) int {
+	off := 4 + 1 + 4 + 8 // magic, version, id, deletes
+	for range 2 {
+		off += 4 + int(binary.BigEndian.Uint32(blob[off:]))
+	}
+	return off + 8
+}
+
+// forgedSnapshots returns a valid snapshot of a node holding /a and /b,
+// and three forgeries of it: a count of 0xFFFFFFFF, which used to size an
+// allocation before anything else was checked and killed the process out
+// of memory; /b renamed /a, a repeated path that used to load as one file;
+// and /b renamed /0, paths out of order.
+func forgedSnapshots(t testing.TB, cfg Config) (valid []byte, forged map[string][]byte) {
+	n, err := NewNode(1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddFile("/a")
+	n.AddFile("/b")
+	valid, err = n.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := snapshotCountAt(valid)
+	if got := binary.BigEndian.Uint32(valid[at:]); got != 2 {
+		t.Fatalf("count field reads %d, want 2", got)
+	}
+	// Each record here is the minimum plus a 2-byte path, and a path
+	// follows its 2-byte length.
+	second := at + 4 + (snapshotRecordMin + 2) + 2
+	if string(valid[second:second+2]) != "/b" {
+		t.Fatalf("second record's path reads %q, want /b", valid[second:second+2])
+	}
+	patch := func(off int, b []byte) []byte {
+		out := append([]byte{}, valid...)
+		copy(out[off:], b)
+		return out
+	}
+	return valid, map[string][]byte{
+		"count 0xFFFFFFFF": patch(at, []byte{0xff, 0xff, 0xff, 0xff}),
+		"repeated path":    patch(second, []byte("/a")),
+		"descending paths": patch(second, []byte("/0")),
+	}
+}
+
+// TestSnapshotRejectsForgery: each forgery is ErrBadSnapshot, and the
+// refusing node keeps its own store.
+func TestSnapshotRejectsForgery(t *testing.T) {
+	valid, forged := forgedSnapshots(t, testConfig())
+	for name, blob := range forged {
+		m, _ := NewNode(1, testConfig())
+		m.AddFile("/kept")
+		if err := m.UnmarshalSnapshot(blob); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", name, err)
+		}
+		if !m.HasFile("/kept") || m.FileCount() != 1 {
+			t.Errorf("%s: refused snapshot changed the store", name)
+		}
+	}
+	m, _ := NewNode(1, testConfig())
+	if err := m.UnmarshalSnapshot(valid); err != nil || m.FileCount() != 2 {
+		t.Fatalf("unforged snapshot: %v, %d files", err, m.FileCount())
+	}
+}
+
 // FuzzSnapshotUnmarshal hammers the decoder: arbitrary bytes must never
-// panic, and any blob a node accepts must re-marshal to an equal state.
+// panic, and any blob a node accepts must reach a fixed point — its
+// re-marshalled form loads again and re-marshals to the same bytes.
 func FuzzSnapshotUnmarshal(f *testing.F) {
-	n, _ := NewNode(1, Config{ExpectedFiles: 10, BitsPerFile: 8, LRUCapacity: 8, LRUBitsPerFile: 8})
+	cfg := Config{ExpectedFiles: 10, BitsPerFile: 8, LRUCapacity: 8, LRUBitsPerFile: 8}
+	n, _ := NewNode(1, cfg)
 	n.AddFile("/seed")
 	blob, _ := n.MarshalSnapshot()
 	f.Add(blob)
 	f.Add([]byte{})
 	f.Add(blob[:len(blob)/2])
+	valid, forged := forgedSnapshots(f, cfg)
+	f.Add(valid)
+	for _, b := range forged {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, _ := NewNode(1, Config{ExpectedFiles: 10, BitsPerFile: 8, LRUCapacity: 8, LRUBitsPerFile: 8})
+		m, _ := NewNode(1, cfg)
 		if err := m.UnmarshalSnapshot(data); err != nil {
 			return
 		}
@@ -305,9 +381,16 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted blob does not re-marshal: %v", err)
 		}
-		m2, _ := NewNode(1, Config{ExpectedFiles: 10, BitsPerFile: 8, LRUCapacity: 8, LRUBitsPerFile: 8})
+		m2, _ := NewNode(1, cfg)
 		if err := m2.UnmarshalSnapshot(again); err != nil {
 			t.Fatalf("re-marshalled blob rejected: %v", err)
+		}
+		third, err := m2.MarshalSnapshot()
+		if err != nil {
+			t.Fatalf("re-loaded blob does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(third, again) {
+			t.Fatalf("no fixed point: re-marshalling changed %d bytes to %d", len(again), len(third))
 		}
 	})
 }

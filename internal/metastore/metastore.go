@@ -2,13 +2,21 @@
 // record of which files are homed at one server, with the attribute payload
 // a real file system would keep (size, mode, timestamps). Positive Bloom
 // answers at L4 are verified against this store; in the simulator that
-// verification charges a disk read, in the prototype it is an actual map
+// verification charges a disk read, in the prototype it is an actual
 // lookup behind the RPC boundary.
+//
+// The store is sized for RAM at scale, the paper's premise: files live as
+// dense (path, record) entries in fixed-size chunks, found through an
+// open-addressing index of 8-byte cells (see Store). A loaded server pays
+// about 56 bytes of entry and 11–21 bytes of index per file, plus the path
+// bytes it shares with its caller.
 package metastore
 
 import (
+	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -52,9 +60,8 @@ func MTimeFromNanos(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// record is what the store keeps per file: Metadata without the path (the
-// map key already holds it) and with the time flattened to nanoseconds —
-// 40 bytes a map slot instead of 72, which is most of a loaded server's heap.
+// record is what the store keeps per file beside its path: the rest of
+// Metadata with the time flattened to nanoseconds, 40 bytes instead of 56.
 type record struct {
 	size  uint64
 	mtime int64 // MTimeNanos
@@ -72,32 +79,155 @@ func (r record) metadata(path string) Metadata {
 	return Metadata{Path: path, Size: r.size, Mode: r.mode, UID: r.uid, GID: r.gid, MTime: MTimeFromNanos(r.mtime), InodeID: r.ino}
 }
 
+// entry is one file: 56 bytes, the path header sharing the caller's bytes.
+type entry struct {
+	path string
+	rec  record
+}
+
+// cell is one slot of the index. ref is the entry's position plus one, so
+// the zero cell is empty; tag is the path's 32-bit hash. A probe rejects a
+// non-match on the tag without touching the entry, and the tag's low bits
+// are the cell's home, so growing the index never rehashes a path.
+type cell struct {
+	ref, tag uint32
+}
+
+const (
+	// chunkShift sizes a chunk: 1,024 entries are 57,344 bytes, exactly
+	// seven pages of a large object, which carries no malloc header, so a
+	// full chunk wastes nothing and a store's slack is under one chunk.
+	chunkShift = 10
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+	// firstChunk is chunk 0's starting length; chunk 0 doubles until it
+	// is full-size, so a store of a handful of files stays small. It is
+	// the only chunk ever copied.
+	firstChunk = 8
+	// minCells is the smallest index; it holds 6 entries at 3/4 full.
+	minCells = 8
+)
+
 // Store holds the metadata of all files homed at one MDS. It is safe for
 // concurrent use; the prototype serves RPCs against it from many goroutines.
+//
+// Entries are dense: positions 0..n-1 across the chunks, in insertion
+// order except that Delete moves the last entry into the hole. The index
+// is linear-probed, a power of two in size and at most 3/4 full, and
+// Delete shifts the rest of a probe run back rather than leaving a
+// tombstone. Paths are hashed with a per-store random seed, so wire paths
+// cannot be chosen to collide.
 type Store struct {
+	seed maphash.Seed // immutable; hashing needs no lock
+
 	mu      sync.RWMutex
-	files   map[string]record
+	chunks  [][]entry // every chunk but chunk 0 is chunkLen long
+	cells   []cell
+	n       int
 	nextIno uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{files: make(map[string]record)}
+	return &Store{seed: maphash.MakeSeed(), cells: make([]cell, minCells)}
+}
+
+func (s *Store) tag(path string) uint32 {
+	return uint32(maphash.String(s.seed, path))
+}
+
+// at returns the entry at position p < n.
+func (s *Store) at(p uint32) *entry {
+	return &s.chunks[p>>chunkShift][p&chunkMask]
+}
+
+// find returns the cell indexing path and true, or the first empty cell of
+// path's probe run and false. The index always has an empty cell.
+func (s *Store) find(path string, tag uint32) (uint32, bool) {
+	mask := uint32(len(s.cells) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		c := s.cells[i]
+		if c.ref == 0 {
+			return i, false
+		}
+		if c.tag == tag && s.at(c.ref-1).path == path {
+			return i, true
+		}
+	}
+}
+
+// vacant returns the first empty cell of a probe run starting at tag's home.
+func (s *Store) vacant(tag uint32) uint32 {
+	mask := uint32(len(s.cells) - 1)
+	i := tag & mask
+	for s.cells[i].ref != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// cellsFor is the index size that holds n entries at most 3/4 full.
+func cellsFor(n int) int {
+	c := minCells
+	for c/4*3 < n {
+		c <<= 1
+	}
+	return c
+}
+
+// upsert returns path's entry, appending and indexing a zero-record entry
+// when path is absent (fresh reports that). Caller holds s.mu.
+func (s *Store) upsert(path string, tag uint32) (e *entry, fresh bool) {
+	i, ok := s.find(path, tag)
+	if ok {
+		return s.at(s.cells[i].ref - 1), false
+	}
+	if want := cellsFor(s.n + 1); want > len(s.cells) {
+		old := s.cells
+		s.cells = make([]cell, want)
+		for _, c := range old {
+			if c.ref != 0 {
+				s.cells[s.vacant(c.tag)] = c
+			}
+		}
+		i = s.vacant(tag)
+	}
+	p := s.n
+	c, off := p>>chunkShift, p&chunkMask
+	switch {
+	case c == len(s.chunks):
+		size := chunkLen
+		if c == 0 {
+			size = firstChunk
+		}
+		s.chunks = append(s.chunks, make([]entry, size))
+	case off == len(s.chunks[c]): // chunk 0, not yet full-size
+		grown := make([]entry, min(2*off, chunkLen))
+		copy(grown, s.chunks[c])
+		s.chunks[c] = grown
+	}
+	s.n++
+	s.cells[i] = cell{ref: uint32(s.n), tag: tag}
+	e = &s.chunks[c][off]
+	e.path = path
+	return e, true
 }
 
 // Put inserts or replaces metadata for md.Path, assigning an inode number on
 // first insertion.
 func (s *Store) Put(md Metadata) {
 	rec := recordOf(md)
+	tag := s.tag(md.Path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.files[md.Path]; ok {
-		rec.ino = old.ino
-	} else {
+	e, fresh := s.upsert(md.Path, tag)
+	if fresh {
 		s.nextIno++
 		rec.ino = s.nextIno
+	} else {
+		rec.ino = e.rec.ino
 	}
-	s.files[md.Path] = rec
+	e.rec = rec
 }
 
 // PutPath inserts a minimal record for path; convenience for trace replay
@@ -108,37 +238,82 @@ func (s *Store) PutPath(path string) {
 
 // Get returns the metadata for path and whether it exists.
 func (s *Store) Get(path string) (Metadata, bool) {
+	tag := s.tag(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec, ok := s.files[path]
+	i, ok := s.find(path, tag)
 	if !ok {
 		return Metadata{}, false
 	}
-	return rec.metadata(path), true
+	return s.at(s.cells[i].ref - 1).rec.metadata(path), true
 }
 
 // Has reports whether path is homed here.
 func (s *Store) Has(path string) bool {
+	tag := s.tag(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.files[path]
+	_, ok := s.find(path, tag)
 	return ok
 }
 
 // Delete removes path, reporting whether it was present.
 func (s *Store) Delete(path string) bool {
+	tag := s.tag(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.files[path]
-	delete(s.files, path)
-	return ok
+	i, ok := s.find(path, tag)
+	if !ok {
+		return false
+	}
+	hole := s.cells[i].ref
+	s.unindex(i)
+	last := uint32(s.n)
+	if hole != last {
+		moved := s.at(last - 1)
+		mask := uint32(len(s.cells) - 1)
+		j := s.tag(moved.path) & mask
+		for s.cells[j].ref != last {
+			j = (j + 1) & mask
+		}
+		s.cells[j].ref = hole
+		*s.at(hole - 1) = *moved
+	}
+	*s.at(last - 1) = entry{}
+	s.n--
+	return true
+}
+
+// unindex empties cell i and shifts back the rest of its probe run, so
+// every indexed entry stays reachable from its home without tombstones.
+func (s *Store) unindex(i uint32) {
+	mask := uint32(len(s.cells) - 1)
+	for j := (i + 1) & mask; s.cells[j].ref != 0; j = (j + 1) & mask {
+		// The cell at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if home := s.cells[j].tag & mask; (j-home)&mask >= (j-i)&mask {
+			s.cells[i] = s.cells[j]
+			i = j
+		}
+	}
+	s.cells[i] = cell{}
 }
 
 // Len returns the number of files homed here.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.files)
+	return s.n
+}
+
+// each calls fn on every entry in position order until fn returns false.
+// Caller holds s.mu.
+func (s *Store) each(fn func(*entry) bool) {
+	for p := uint32(0); p < uint32(s.n); p++ {
+		if !fn(s.at(p)) {
+			return
+		}
+	}
 }
 
 // Paths returns all homed paths in sorted order. Intended for tests and
@@ -146,11 +321,9 @@ func (s *Store) Len() int {
 func (s *Store) Paths() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.files))
-	for p := range s.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
+	out := make([]string, 0, s.n)
+	s.each(func(e *entry) bool { out = append(out, e.path); return true })
+	slices.Sort(out)
 	return out
 }
 
@@ -159,11 +332,7 @@ func (s *Store) Paths() []string {
 func (s *Store) Range(fn func(Metadata) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for path, rec := range s.files {
-		if !fn(rec.metadata(path)) {
-			return
-		}
-	}
+	s.each(func(e *entry) bool { return fn(e.rec.metadata(e.path)) })
 }
 
 // Snapshot is a point-in-time copy of a store's full state, including the
@@ -180,25 +349,32 @@ type Snapshot struct {
 func (s *Store) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	files := make([]Metadata, 0, len(s.files))
-	for path, rec := range s.files {
-		files = append(files, rec.metadata(path))
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
+	files := make([]Metadata, 0, s.n)
+	s.each(func(e *entry) bool { files = append(files, e.rec.metadata(e.path)); return true })
+	slices.SortFunc(files, func(a, b Metadata) int { return strings.Compare(a.Path, b.Path) })
 	return Snapshot{NextIno: s.nextIno, Files: files}
 }
 
 // Restore replaces the store's state with the snapshot, inode counter
 // included. The counter is additionally bumped above every restored
 // record's inode so a snapshot from a buggy or older writer still cannot
-// make Put reissue a live inode number.
+// make Put reissue a live inode number. The index and chunks are sized
+// for the snapshot once; a repeated path keeps its last record.
 func (s *Store) Restore(snap Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.files = make(map[string]record, len(snap.Files))
+	n := len(snap.Files)
+	s.cells = make([]cell, cellsFor(n))
+	s.chunks = make([][]entry, 0, (n+chunkMask)>>chunkShift)
+	for left := n; left > 0; left -= chunkLen {
+		// Chunk 0 is short only when the whole snapshot is.
+		s.chunks = append(s.chunks, make([]entry, min(n, chunkLen)))
+	}
+	s.n = 0
 	s.nextIno = snap.NextIno
 	for _, md := range snap.Files {
-		s.files[md.Path] = recordOf(md)
+		e, _ := s.upsert(md.Path, s.tag(md.Path))
+		e.rec = recordOf(md)
 		if md.InodeID > s.nextIno {
 			s.nextIno = md.InodeID
 		}

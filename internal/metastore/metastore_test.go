@@ -25,12 +25,16 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip pins the in-memory record: it stays five words (the
-// path lives in the map key only), and every Metadata field — a zero MTime
-// included — comes back from Get, Range and Snapshot as it went in.
+// TestRecordRoundTrip pins the in-memory entry: a five-word record beside
+// the path's string header, seven words in all, and every Metadata field —
+// a zero MTime included — comes back from Get, Range and Snapshot as it
+// went in.
 func TestRecordRoundTrip(t *testing.T) {
 	if got := unsafe.Sizeof(record{}); got != 40 {
 		t.Errorf("record is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 56 {
+		t.Errorf("entry is %d bytes, want 56", got)
 	}
 	s := NewStore()
 	in := []Metadata{
