@@ -121,5 +121,7 @@ func TestApplyParallelChurnStress(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no surviving files to check")
 	}
-	checkNamespace(t, c)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -35,12 +35,13 @@ import (
 // observability (atomic tallies, the mutex-guarded message counter), the L1
 // learning write, which locks only for a key L1 has not seen, and, in queued
 // mode, the queue model's next-free slots under queueMu — one critical section
-// per multicast round, never held across a filter probe.
+// per multicast round, never held across a filter probe. At L4 a lookup also
+// reads the home index under one shard's read lock.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
 // topology lock. Mutations (Apply, ApplyWith) and replica shipping
 // (PushUpdate, Flush) hold mu as readers and synchronize through
-// finer-grained structures — the sharded homes map, per-node locks, ship
+// finer-grained structures — the sharded home index, per-node locks, ship
 // stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
 // exclusively because it rewrites the node map and the layout the writer
 // paths navigate by, and republishes the epoch before releasing it. A
@@ -77,10 +78,11 @@ type Cluster struct {
 	// snapshot itself is immutable forever after.
 	epoch atomic.Pointer[epoch]
 
-	// homes is the ground truth mapping of file → home MDS, used for
-	// placement and final verification (what the disks would answer).
-	// Sharded and internally locked so concurrent creates/deletes on
-	// different paths never contend.
+	// homes is the ground truth of file → home MDS, used for placement and
+	// final verification (what the disks would answer): one tag-and-home
+	// cell per file, confirmed against the home's store. Sharded and
+	// internally locked so concurrent creates/deletes on different paths
+	// never contend.
 	homes *homeShards
 
 	// ships coalesces replica shipping out of the mutate hot path; see
@@ -293,7 +295,7 @@ func (c *Cluster) Tally() *metrics.LevelTally { return &c.tally }
 func (c *Cluster) HomeOf(path string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	home, ok := c.homes.get(path)
+	home, ok := c.homes.get(path, c.nodes)
 	if !ok {
 		return -1
 	}
@@ -347,7 +349,7 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 		// spent either way): homing it again would leave it in the old
 		// home's store as well, for a stale verify to confirm.
 		node := c.nodes[c.randomMDSLocked()]
-		c.homes.putIfAbsentThen(path, node.ID(), func() { node.AddFile(path) })
+		c.homes.putIfAbsentThen(path, node.ID(), c.nodes, func() { node.AddFile(path) })
 		return true
 	})
 	c.syncAllReplicasLocked()
@@ -370,11 +372,12 @@ func (c *Cluster) syncAllReplicasLocked() {
 // replica array holds exactly what the layout records, every replica is bit
 // for bit what its origin last shipped, and each member's IDBFA locates
 // every replica at its holder. It also checks the namespace half of the
-// guarantee: the servers' stores hold exactly as many files as ground truth
-// knows — a file left behind in a store its home map entry no longer names
-// (the wrong-home answer a stale verify would confirm) breaks the sum. It
-// takes the topology lock exclusively; mutations and ships hold it shared, so
-// the check is exact even beside running workers. Tests and the simulator's
+// guarantee exactly: every path a server stores resolves through the home
+// index to that server, and the index holds no cell a stored path does not
+// account for — a file moved to another store behind the index's back, or
+// left behind in a store the index no longer names, fails it. It takes the
+// topology lock exclusively; mutations and ships hold it shared, so the
+// check is exact even beside running workers. Tests and the simulator's
 // self-checks call this after reconfigurations.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
@@ -401,12 +404,5 @@ func (c *Cluster) CheckInvariants() error {
 			}
 		}
 	}
-	stored := 0
-	for _, node := range c.nodes {
-		stored += node.FileCount()
-	}
-	if files := c.homes.len(); stored != files {
-		return fmt.Errorf("core: servers store %d files, ground truth homes %d", stored, files)
-	}
-	return nil
+	return c.homes.check(c.ids, c.nodes)
 }

@@ -37,28 +37,6 @@ func newPopulated(t *testing.T, n, m, files int) *Cluster {
 	return c
 }
 
-// checkNamespace is the full sweep behind CheckInvariants' file count: every
-// ground-truth path is in its home's store and in no other server's.
-func checkNamespace(t *testing.T, c *Cluster) {
-	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.homes.shards {
-		for path, home := range c.homes.shards[i].m {
-			if node := c.nodes[home]; node == nil || !node.HasFile(path) {
-				t.Errorf("%s is homed at MDS %d, whose store does not hold it", path, home)
-			}
-		}
-	}
-	for id, node := range c.nodes {
-		for _, path := range node.Store().Paths() {
-			if home, ok := c.homes.get(path); !ok || home != id {
-				t.Errorf("MDS %d stores %s, which ground truth homes at %d (known: %v)", id, path, home, ok)
-			}
-		}
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(smallConfig(0, 5)); err == nil {
 		t.Error("NumMDS 0 accepted")
@@ -341,5 +319,34 @@ func TestRatesAndFootprint(t *testing.T) {
 	}
 	if c.Footprint(999).Total() != 0 {
 		t.Error("unknown MDS footprint non-zero")
+	}
+}
+
+// Regression: CheckInvariants checked the namespace only by count, so a file
+// moved from its home's store to another server's behind ground truth's back
+// passed, and L4 answered the old home from the map without asking its store.
+// The check is exact now: every stored path must resolve to its own server.
+func TestCheckInvariantsCatchesWrongHome(t *testing.T) {
+	c := newPopulated(t, 6, 3, 200)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	const path = "/f100"
+	home := c.HomeOf(path)
+	other := c.MDSIDs()[0]
+	if other == home {
+		other = c.MDSIDs()[1]
+	}
+	if !c.Node(home).DeleteFile(path) {
+		t.Fatalf("%s is not in its home %d's store", path, home)
+	}
+	c.Node(other).AddFile(path)
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatalf("CheckInvariants passed %s stored at MDS %d while ground truth homes it at %d", path, other, home)
+	} else {
+		t.Log(err)
+	}
+	if res := c.Lookup(path, c.MDSIDs()[2]); res.Found && res.Home == home {
+		t.Errorf("Lookup(%s) = %+v: the old home, whose store lacks it", path, res)
 	}
 }

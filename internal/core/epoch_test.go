@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"ghba/internal/mds"
 )
 
 // TestEpochSnapshotConsistentUnderChurn hammers the lock-free epoch load
@@ -116,4 +118,104 @@ func TestEpochSnapshotConsistentUnderChurn(t *testing.T) {
 			t.Fatalf("quiescent epoch ids %v != topology ids %v", e.ids, ids)
 		}
 	}
+}
+
+// TestL4LookupsRacingRemoveMDS races lock-free lookups against RemoveMDS
+// re-homing a populated server's files, often onto a server added after the
+// lookup loaded its epoch. Replicas are never refreshed, so a re-homed file
+// resolves at L4 from most entries, through the home index. No file is
+// deleted or lost, so every lookup must find its file, at a home whose store
+// holds it: the re-home adds the file to the new store before it re-points
+// the cell, in one shard-locked step, and the leaver's store keeps the file.
+func TestL4LookupsRacingRemoveMDS(t *testing.T) {
+	const files = 400
+	cfg := smallConfig(12, 4)
+	cfg.UpdateThresholdBits = 1 << 30 // replicas stay as populated
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Populate(func(fn func(string) bool) {
+		for i := 0; i < files; i++ {
+			fn("/f" + strconv.Itoa(i))
+		}
+	})
+	// Every server that ever existed, so a reader can check the store of a
+	// home that has since left.
+	var servers sync.Map
+	for _, id := range c.MDSIDs() {
+		servers.Store(id, c.Node(id))
+	}
+
+	// The writer runs a fixed number of rounds; the readers look up until
+	// it is done, so every round races them.
+	const rounds = 60
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < rounds; i++ {
+			id, _, err := c.AddMDS()
+			if err != nil {
+				t.Errorf("AddMDS: %v", err)
+				return
+			}
+			servers.Store(id, c.Node(id))
+			// Retire a server other than the newcomer (the highest ID), so
+			// there are files to re-home, some onto the newcomer.
+			ids := c.MDSIDs()
+			if _, err := c.RemoveMDS(ids[rng.Intn(len(ids)-1)]); err != nil {
+				t.Errorf("RemoveMDS: %v", err)
+				return
+			}
+		}
+	}()
+
+	const readers = 4
+	var wg sync.WaitGroup
+	l4 := make([]int, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(700 + r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				path := "/f" + strconv.Itoa(rng.Intn(files))
+				res := c.LookupWith(rng, path, -1)
+				if !res.Found {
+					t.Errorf("reader %d: lookup of %s missed (level %d)", r, path, res.Level)
+					return
+				}
+				n, ok := servers.Load(res.Home)
+				if !ok || !n.(*mds.Node).HasFile(path) {
+					t.Errorf("reader %d: lookup of %s answered MDS %d (level %d), whose store lacks it", r, path, res.Home, res.Level)
+					return
+				}
+				if res.Level == 4 {
+					l4[r]++
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after churn: %v", err)
+	}
+	if got := c.FileCount(); got != files {
+		t.Fatalf("FileCount = %d after re-homing, want %d", got, files)
+	}
+	total := 0
+	for _, n := range l4 {
+		total += n
+	}
+	if total == 0 {
+		t.Error("no lookup resolved at L4; the race this test exists for did not run")
+	}
+	t.Logf("%d lookups resolved at L4 across %d re-homing rounds", total, rounds)
 }

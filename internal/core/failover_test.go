@@ -94,7 +94,6 @@ func TestFailMDSThenRecreateFiles(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	checkNamespace(t, c)
 }
 
 func TestCascadingFailures(t *testing.T) {

@@ -312,7 +312,16 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 		c.queueMu.Unlock()
 	}
 	latency += slowestL4 + c.cfg.Cost.MemProbe
-	if home, ok := c.homes.get(path); ok {
+	// The home index answers only for a home whose store, looked up in this
+	// epoch, holds the path. A reconfiguration published since may have
+	// re-homed the file onto a server e does not know, so a miss is final
+	// only against the epoch still current after it.
+	home, ok := c.homes.get(path, e.nodes)
+	for cur := c.currentEpoch(); !ok && cur != e; cur = c.currentEpoch() {
+		e = cur
+		home, ok = c.homes.get(path, e.nodes)
+	}
+	if ok {
 		// The home's positive answer is verified against its store; the
 		// paper charges a disk lookup for this final confirmation.
 		latency += c.cfg.Cost.DiskRead

@@ -62,16 +62,14 @@ func (c *Cluster) updateLocked(origin int) time.Duration {
 // stale until its rebuild threshold triggers.
 func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	var node *mds.Node
-	home, ok := c.homes.removeThen(path, func(home int) {
-		if n := c.nodes[home]; n != nil {
-			n.DeleteFile(path)
-			node = n
-		}
+	home, ok := c.homes.removeThen(path, c.nodes, func(home int) {
+		node = c.nodes[home]
+		node.DeleteFile(path)
 	})
 	if !ok {
 		return -1, false
 	}
-	if node != nil && node.RebuildIfStale(mds.RebuildDeleteThreshold) {
+	if node.RebuildIfStale(mds.RebuildDeleteThreshold) {
 		// The rebuild changed the filter wholesale; ship the fresh
 		// snapshot through the coalescing queue.
 		c.shipBatchLocked(c.ships.Note(home))
@@ -201,7 +199,7 @@ func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
 		// racing delete cannot slip between the claim and the node update.
 		id := c.ids[r.Intn(len(c.ids))]
 		node := c.nodes[id]
-		if _, inserted := c.homes.putIfAbsentThen(rec.Path, id, func() { node.AddFile(rec.Path) }); !inserted {
+		if _, inserted := c.homes.putIfAbsentThen(rec.Path, id, c.nodes, func() { node.AddFile(rec.Path) }); !inserted {
 			// The read lock held above excludes reconfiguration, so the
 			// current epoch matches c.ids/c.nodes exactly.
 			return c.lookupEpoch(c.currentEpoch(), rec.Path, id, rec.At, true)

@@ -186,5 +186,4 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	checkNamespace(t, c)
 }

@@ -113,11 +113,13 @@ func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 	// Re-home the departed server's files across the survivors. The paper
 	// treats metadata re-distribution as orthogonal (fail-over keeps
 	// serving at degraded coverage); the simulator re-homes so ground
-	// truth stays consistent.
+	// truth stays consistent. Each file moves in one shard-locked step,
+	// so a lookup still walking the old epoch finds it at one home or the
+	// other.
 	for _, path := range node.Store().Paths() {
-		newHome := c.randomMDSLocked()
-		c.nodes[newHome].AddFile(path)
-		c.homes.put(path, newHome)
+		if !c.homes.rehome(path, node, c.nodes[c.randomMDSLocked()]) {
+			panic(fmt.Sprintf("core: MDS %d stores %s, which the home index does not home there", id, path))
+		}
 	}
 	for _, sid := range c.ids {
 		if c.nodes[sid].NeedsShip(c.cfg.UpdateThresholdBits) {
