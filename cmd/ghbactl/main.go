@@ -68,7 +68,7 @@ func run() error {
 		shipBatch = flag.Int("shipbatch", 1, "ship-queue drain batch (1 = ship at every threshold crossing)")
 		adds      = flag.Int("add", 0, "MDS insertions to perform after the sweep")
 		seed      = flag.Int64("seed", 1, "random seed")
-		memMB     = flag.Uint64("mem-mb", 0, "per-MDS replica memory budget in MB (0 = unlimited)")
+		memMB     = flag.Uint64("mem-mb", 0, "sim: per-MDS replica memory budget in MB (0 = unlimited; tcp refuses it, see -resident)")
 		resid     = flag.Int("resident", 0, "tcp: replicas fitting in a daemon's RAM (0 = unlimited)")
 		penalty   = flag.Duration("disk-penalty", 0, "tcp: emulated disk cost when over the resident limit")
 		timeout   = flag.Duration("call-timeout", 0, "tcp: per-RPC deadline (0 = library default, negative = none)")

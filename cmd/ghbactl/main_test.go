@@ -47,6 +47,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
 		{[]string{"-rpcbatch", "0"}, "invalid config: -rpcbatch"},
+		// -mem-mb is the simulator's spill model; TCP spills by -resident.
+		{[]string{"-backend", "tcp", "-mem-mb", "8"}, "invalid config: MemoryBudgetBytes"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			out, err := exec.Command(toolBinary, tc.args...).CombinedOutput()

@@ -47,7 +47,9 @@ type Config struct {
 	// Zero derives it from ExpectedFilesPerMDS (mds.LRUCapacityFor).
 	LRUCapacity uint64
 	// MemoryBudgetBytes caps each server's replica memory; zero means
-	// unlimited. See internal/memmodel for the spill model.
+	// unlimited. See internal/memmodel for the spill model. Simulation
+	// only: StartPrototype rejects a non-zero budget (the TCP backend
+	// spills by PrototypeConfig.ResidentReplicaLimit and DiskPenalty).
 	MemoryBudgetBytes uint64
 	// ShipBatch is the coalescing ship queue's drain batch: the number of
 	// XOR-delta threshold crossings absorbed before dirty origins' replicas
@@ -324,7 +326,8 @@ func (s *Simulation) LevelCounts() [5]uint64 {
 }
 
 // ReplicaUpdates returns the number of replica-update messages the
-// XOR-delta ship path has sent.
+// XOR-delta ship path has sent: one per holder the group layout names, the
+// unit Prototype.ReplicaUpdates counts too.
 func (s *Simulation) ReplicaUpdates() uint64 {
 	return s.cluster.Messages().Get(simnet.MsgReplicaUpdate)
 }

@@ -99,6 +99,8 @@ func TestStartPrototypeValidation(t *testing.T) {
 	}{
 		{"shared half", PrototypeConfig{Config: Config{NumMDS: 0}}, "NumMDS"},
 		{"unknown WAL sync policy", PrototypeConfig{Config: base, WALSync: "sometimes"}, "WALSync"},
+		// The simulator's spill model; TCP's is ResidentReplicaLimit/DiskPenalty.
+		{"memory budget", PrototypeConfig{Config: Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000, MemoryBudgetBytes: 1 << 20}}, "MemoryBudgetBytes"},
 	}
 	for _, tc := range cases {
 		p, err := StartPrototype(tc.cfg)

@@ -122,17 +122,3 @@ func (f *Filter) AddDigest(d *Digest) int {
 	}
 	return f.addPair(d.h1, d.h2, nil)
 }
-
-// ContainsDigest reports whether the digested key may be in the counting
-// filter, equivalent to Contains on the same key.
-func (c *CountingFilter) ContainsDigest(d *Digest) bool {
-	if pos := d.Positions(c.m, c.k, LayoutClassic); pos != nil {
-		for _, idx := range pos {
-			if c.counters[idx] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return c.containsPair(d.h1, d.h2)
-}

@@ -141,41 +141,6 @@ func TestDigestResetString(t *testing.T) {
 	}
 }
 
-// TestCountingDigestEquivalence mirrors the property test for counting
-// filters: ContainsDigest versus its key-hashing twin, after adds and
-// removes.
-func TestCountingDigestEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		m := uint64(64 + rng.Intn(2048))
-		k := uint32(1 + rng.Intn(40))
-		c, err := NewCounting(m, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var keys [][]byte
-		for i := 0; i < 60; i++ {
-			key := randKey(rng)
-			keys = append(keys, key)
-			c.Add(key)
-		}
-		for i := 0; i < 30; i++ {
-			c.Remove(keys[i])
-		}
-		for i := 0; i < 300; i++ {
-			key := randKey(rng)
-			if i < len(keys) {
-				key = keys[i]
-			}
-			d := NewDigest(key)
-			if got, want := c.ContainsDigest(&d), c.Contains(key); got != want {
-				t.Fatalf("m=%d k=%d key=%q: counting ContainsDigest=%v Contains=%v",
-					m, k, key, got, want)
-			}
-		}
-	}
-}
-
 // TestContainsDigestZeroAlloc pins the headline property: the digest
 // operations the lookup walk runs — re-keying a pooled digest, materializing
 // its positions at either layout, probing and inserting — perform no heap

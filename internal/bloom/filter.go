@@ -1,7 +1,6 @@
 // Package bloom implements the Bloom filter machinery that underpins G-HBA:
-// standard bit-vector filters, counting filters that support deletion, the
-// XOR delta of Section 3.4 of the paper, and the false-positive analysis of
-// Equation 1.
+// standard bit-vector filters, the XOR delta of Section 3.4 of the paper,
+// and the false-positive analysis of Equation 1.
 //
 // All filters in one deployment must be created with identical geometry
 // (m bits, k hash functions, bit layout) so that their bit vectors are

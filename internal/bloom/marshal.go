@@ -19,8 +19,7 @@ import (
 // filter round-trips byte-for-byte as it always has (0xB1F0), while a
 // blocked filter announces itself with 0xB1F2 so a decoder that predates the
 // blocked layout rejects it loudly instead of probing the vector with the
-// wrong position function. Counting filters (the IDBFA) never cross a wire
-// or a snapshot and have no encoding.
+// wrong position function.
 
 const (
 	magicFilter        uint16 = 0xB1F0

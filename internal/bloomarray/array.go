@@ -1,5 +1,5 @@
-// Package bloomarray builds the three array structures G-HBA layers on top
-// of plain Bloom filters:
+// Package bloomarray builds the two array structures G-HBA layers on top of
+// plain Bloom filters:
 //
 //   - Array: an ordered set of (MDS id, filter) entries queried with the
 //     paper's unique-hit semantics — an answer counts only when exactly one
@@ -7,8 +7,10 @@
 //     to the next level of the hierarchy.
 //   - LRUArray (lru.go): the L1 structure capturing temporal locality with
 //     per-MDS aging filters, stored bit-sliced so one query tests them all.
-//   - IDBFA (idbfa.go): the counting-filter array each MDS keeps to locate
-//     which group member currently stores which Bloom-filter replica.
+//
+// The paper's third array, the IDBFA that tells a member which groupmate
+// stores which replica, has no counterpart here: both backends read that
+// from their group.Layout.
 package bloomarray
 
 import (

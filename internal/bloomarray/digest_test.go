@@ -113,32 +113,6 @@ func TestObserveDigestMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestIDBFALocateDigestEquivalence checks the replica-location array.
-func TestIDBFALocateDigestEquivalence(t *testing.T) {
-	a := NewDefaultIDBFA()
-	for m := 0; m < 7; m++ {
-		if err := a.AddMember(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 60; i++ {
-		if err := a.Grant(rng.Intn(7), rng.Intn(40)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf := make([]int, 0, 4)
-	for origin := 0; origin < 40; origin++ {
-		want := a.Locate(origin)
-		d := bloom.NewDigestString(strconv.Itoa(origin))
-		got := a.LocateDigest(&d, buf)
-		buf = got
-		if !slices.Equal(got, want) {
-			t.Fatalf("origin %d: LocateDigest=%v Locate=%v", origin, got, want)
-		}
-	}
-}
-
 // TestArrayQueryDigestZeroAlloc pins the allocation contract of the segment
 // array probe: with a reused buffer, a 16-replica query allocates nothing.
 func TestArrayQueryDigestZeroAlloc(t *testing.T) {

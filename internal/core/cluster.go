@@ -64,7 +64,7 @@ type Cluster struct {
 	nodes map[int]*mds.Node
 	// layout is the group layer — who is grouped with whom, who holds which
 	// replica. Reconfiguration replaces it with the successor internal/group
-	// plans; the nodes' replica arrays and IDBFAs are kept equal to it.
+	// plans; the nodes' replica arrays are kept equal to it.
 	layout group.Layout
 
 	// ids caches the sorted MDS IDs so the hot path does not rebuild and
@@ -170,7 +170,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.nodes[r.Holder].InstallReplica(r.Origin, c.nodes[r.Origin].Shipped())
 		}
 	}
-	c.rebuildIDBFAsLocked()
 	c.publishEpochLocked()
 	return c, nil
 }
@@ -369,16 +368,15 @@ func (c *Cluster) syncAllReplicasLocked() {
 
 // CheckInvariants verifies the global-mirror-image invariant for every
 // group, on the books (group.Layout.Check) and on the servers: each member's
-// replica array holds exactly what the layout records, every replica is bit
-// for bit what its origin last shipped, and each member's IDBFA locates
-// every replica at its holder. It also checks the namespace half of the
-// guarantee exactly: every path a server stores resolves through the home
-// index to that server, and the index holds no cell a stored path does not
-// account for — a file moved to another store behind the index's back, or
-// left behind in a store the index no longer names, fails it. It takes the
-// topology lock exclusively; mutations and ships hold it shared, so the
-// check is exact even beside running workers. Tests and the simulator's
-// self-checks call this after reconfigurations.
+// replica array holds exactly what the layout records, and every replica is
+// bit for bit what its origin last shipped. It also checks the namespace
+// half of the guarantee exactly: every path a server stores resolves through
+// the home index to that server, and the index holds no cell a stored path
+// does not account for — a file moved to another store behind the index's
+// back, or left behind in a store the index no longer names, fails it. It
+// takes the topology lock exclusively; mutations and ships hold it shared,
+// so the check is exact even beside running workers. Tests and the
+// simulator's self-checks call this after reconfigurations.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -390,11 +388,6 @@ func (c *Cluster) CheckInvariants() error {
 			node := c.nodes[m]
 			if held := g.HeldBy(m); !slices.Equal(node.Replicas().IDs(), held) {
 				return fmt.Errorf("core: MDS %d stores replicas of %v, the layout records %v", m, node.Replicas().IDs(), held)
-			}
-			for _, r := range g.Replicas {
-				if !slices.Contains(node.IDBFA().Locate(r.Origin), r.Holder) {
-					return fmt.Errorf("core: MDS %d's IDBFA does not locate the replica of %d at %d", m, r.Origin, r.Holder)
-				}
 			}
 		}
 		for _, r := range g.Replicas {

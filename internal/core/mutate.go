@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"ghba/internal/mds"
@@ -106,8 +104,9 @@ func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
 
 // shipOriginLocked distributes origin's current filter snapshot to the one
 // replica holder in every other group — the cluster's only caller of
-// mds.Node.Ship. It returns the messages the multicast cost and its latency;
-// the caller books the messages (an XOR-delta update) or does not (bulk
+// mds.Node.Ship. The layout names each holder, so the multicast costs one
+// message per holder, the unit the TCP backend counts too. It returns those
+// messages and the multicast's latency; the caller books the messages (an XOR-delta update) or does not (bulk
 // population, a newcomer's distribution, which its join's Report prices).
 // Requires c.mu (read or write): the layout must be stable, while the holder
 // arrays and the origin's snapshot state synchronize on their own locks, so
@@ -126,29 +125,19 @@ func (c *Cluster) shipOriginLocked(origin int) (msgs int, latency time.Duration)
 	stripe.Lock()
 	defer stripe.Unlock()
 	snap := node.Ship()
-	targets := 0
 	var slowestApply time.Duration
 	for _, g := range c.layout.Groups() {
 		holder, ok := g.Holder(origin)
 		if !ok {
 			continue // origin's own group
 		}
-		// The update is routed the way the protocol routes it, by a
-		// member's IDBFA: candidates are probed in order, one message each,
-		// and a falsely identified member drops the request (the paper's
-		// light false-positive penalty).
-		probed := slices.Index(c.nodes[g.Members[0]].IDBFA().Locate(origin), holder) + 1
-		if probed == 0 {
-			panic(fmt.Sprintf("core: group %d's IDBFA does not locate the replica of %d at %d", g.ID, origin, holder))
-		}
-		msgs += probed
 		c.nodes[holder].InstallReplica(origin, snap)
-		targets++
+		msgs++
 		// Applying the update costs one probe-equivalent write at the
 		// holder; spilled replicas pay a disk write.
 		slowestApply = max(slowestApply, c.applyCostLocked(holder))
 	}
-	return msgs, c.cfg.Cost.Multicast(targets) + slowestApply
+	return msgs, c.cfg.Cost.Multicast(msgs) + slowestApply
 }
 
 // applyCostLocked returns the cost of rewriting one replica at the holder: a

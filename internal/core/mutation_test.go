@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
 
@@ -185,5 +186,27 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShipBooksOneUpdatePerOtherGroup pins the unit Simulation.ReplicaUpdates
+// counts: one replica update per group that holds the origin's replica, the
+// same unit the TCP backend counts. N = 100 is Fig 6's large system and
+// origin 42 the one whose replicas a per-member ID filter used to place at
+// two candidates in some groups (at M = 12), booking a second message for
+// the false hit. Every group size of the Fig 6 sweep must book exactly
+// NumGroups−1 messages for that ship.
+func TestShipBooksOneUpdatePerOtherGroup(t *testing.T) {
+	const n, origin = 100, 42
+	for m := 1; m <= 15; m++ {
+		c, err := New(DefaultConfig(n, m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := c.Messages().Get(simnet.MsgReplicaUpdate)
+		c.PushUpdate(origin)
+		if sent, want := c.Messages().Get(simnet.MsgReplicaUpdate)-before, uint64(c.NumGroups()-1); sent != want {
+			t.Errorf("M=%d: shipping MDS %d booked %d replica updates, want one per other group = %d", m, origin, sent, want)
+		}
 	}
 }

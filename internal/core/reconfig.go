@@ -15,10 +15,10 @@ import (
 // republishes the epoch before the topology lock is released.
 
 // applyPlanLocked performs plan's moves on the nodes and commits next as the
-// cluster's layout, then rewrites every member's IDBFA from it (the paper's
-// "multicast ID Bloom Filter Array" step). Every node a move names must
-// still be in c.nodes, and every member of next already. Requires the write
-// lock.
+// cluster's layout, the one record of which member holds which replica (the
+// paper multicasts it as IDBFAs; plan.Notices prices those messages). Every
+// node a move names must still be in c.nodes, and every member of next
+// already. Requires the write lock.
 func (c *Cluster) applyPlanLocked(next group.Layout, plan group.Plan) {
 	for _, mv := range plan.Moves {
 		switch mv.Kind {
@@ -31,34 +31,6 @@ func (c *Cluster) applyPlanLocked(next group.Layout, plan group.Plan) {
 		}
 	}
 	c.layout = next
-	c.rebuildIDBFAsLocked()
-}
-
-// rebuildIDBFAsLocked makes every member's IDBFA say what the layout says:
-// one ID filter per groupmate, recording the origins whose replicas that
-// groupmate holds. Requires the write lock.
-func (c *Cluster) rebuildIDBFAsLocked() {
-	for _, g := range c.layout.Groups() {
-		for _, m := range g.Members {
-			a := c.nodes[m].IDBFA()
-			for _, old := range a.Members() {
-				a.RemoveMember(old)
-			}
-			// AddMember fails only for a member already present and Grant
-			// only for one absent; the reset above and the layout's own
-			// invariant (every holder is a member) exclude both.
-			for _, id := range g.Members {
-				if err := a.AddMember(id); err != nil {
-					panic(fmt.Sprintf("core: group %d: IDBFA of MDS %d: %v", g.ID, m, err))
-				}
-			}
-			for _, r := range g.Replicas {
-				if err := a.Grant(r.Holder, r.Origin); err != nil {
-					panic(fmt.Sprintf("core: group %d: IDBFA of MDS %d: %v", g.ID, m, err))
-				}
-			}
-		}
-	}
 }
 
 // AddMDS brings a new metadata server into the system (Section 3.1–3.2):

@@ -1,8 +1,10 @@
 // Package mds implements the state and level-local behaviour of one metadata
 // server: its authoritative metadata store, the Bloom filter summarizing its
 // local files, the L1 LRU array, the replica array (the L2 segment array in
-// G-HBA, the global array in the HBA baseline), the IDBFA, and the
-// XOR-delta update protocol of Section 3.4.
+// G-HBA, the global array in the HBA baseline), and the XOR-delta update
+// protocol of Section 3.4. Which groupmate holds which replica is not a
+// node's state: the cluster's group.Layout records it (the paper keeps an
+// IDBFA per member for this).
 //
 // A Node answers the "what do you know locally" half of every query level;
 // the routing between nodes — multicasts, forwards, verification — belongs
@@ -81,9 +83,7 @@ func (c Config) validate() error {
 // snapshots. mu serializes the mutators of the local filter and guards the
 // last-shipped snapshot, the distance between the two and the deletion
 // counter — the state the create/delete/ship protocol reads and writes. The
-// store synchronizes internally; the IDBFA is only mutated during
-// reconfiguration, which the cluster layer serializes exclusively against all
-// node traffic.
+// store synchronizes internally.
 type Node struct {
 	id  int
 	cfg Config
@@ -95,7 +95,6 @@ type Node struct {
 
 	lru      *bloomarray.LRUArray
 	replicas *bloomarray.Array
-	idbfa    *bloomarray.IDBFA
 
 	// lastShipped is the snapshot of the local filter most recently
 	// distributed to remote replica holders; the XOR delta against it
@@ -132,7 +131,6 @@ func NewNode(id int, cfg Config) (*Node, error) {
 		store:       metastore.NewStore(),
 		lru:         lru,
 		replicas:    bloomarray.NewArray(),
-		idbfa:       bloomarray.NewDefaultIDBFA(),
 		lastShipped: local.Clone(),
 	}
 	n.local.Store(local)
@@ -147,9 +145,6 @@ func (n *Node) Store() *metastore.Store { return n.store }
 
 // Replicas exposes the replica array (segment array in G-HBA).
 func (n *Node) Replicas() *bloomarray.Array { return n.replicas }
-
-// IDBFA exposes the replica-location array.
-func (n *Node) IDBFA() *bloomarray.IDBFA { return n.idbfa }
 
 // LocalFilter returns the currently published filter over locally homed
 // files. Callers must not mutate it; use AddFile/DeleteFile. Probing it is

@@ -226,7 +226,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.ID() != 42 {
 		t.Errorf("ID = %d", n.ID())
 	}
-	if n.Store() == nil || n.Replicas() == nil || n.IDBFA() == nil || n.LocalFilter() == nil {
+	if n.Store() == nil || n.Replicas() == nil || n.LocalFilter() == nil {
 		t.Error("nil accessor")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Snapshot wire format: everything a daemon must retain across a restart.
-// The replica array, IDBFA and L1 cache are deliberately absent — replicas
+// The replica array and L1 cache are deliberately absent — replicas
 // are re-fetched from their origins during rejoin (the origins stay
 // authoritative), and the L1 array is a cache that re-warms from traffic.
 //

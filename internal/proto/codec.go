@@ -9,7 +9,8 @@
 // The coordinator (Cluster) drives the multi-level query on behalf of the
 // entry MDS — the same messages a server-driven implementation would send,
 // issued from the client side for simplicity — and keeps the group layout
-// (who holds which replica) the way member IDBFAs do in the simulator. It has
+// (who holds which replica), which routes every replica update, as the
+// simulator's does. It has
 // one walk (lookupVector) and one mutation sender (mutateRun), both over
 // vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
 // whole window.

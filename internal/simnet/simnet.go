@@ -77,7 +77,6 @@ const (
 	MsgQueryMulticast
 	MsgReplicaMigration
 	MsgReplicaUpdate
-	MsgIDBFAUpdate
 	MsgMembership
 	msgTypeCount // sentinel
 )
@@ -93,8 +92,6 @@ func (m MsgType) String() string {
 		return "replica-migration"
 	case MsgReplicaUpdate:
 		return "replica-update"
-	case MsgIDBFAUpdate:
-		return "idbfa-update"
 	case MsgMembership:
 		return "membership"
 	default:

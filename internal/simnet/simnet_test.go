@@ -68,7 +68,6 @@ func TestMsgTypeString(t *testing.T) {
 		MsgQueryMulticast:   "query-multicast",
 		MsgReplicaMigration: "replica-migration",
 		MsgReplicaUpdate:    "replica-update",
-		MsgIDBFAUpdate:      "idbfa-update",
 		MsgMembership:       "membership",
 	}
 	for typ, want := range names {

@@ -45,10 +45,16 @@ type PrototypeConfig struct {
 
 // validate is Config.validate plus the prototype-only fields, so a bad fsync
 // policy is a *ConfigError like every other rejected field instead of an
-// untyped error from the layer below.
+// untyped error from the layer below. MemoryBudgetBytes is the simulator's
+// spill model; the daemons spill by ResidentReplicaLimit and DiskPenalty, so
+// a budget here would be silently ignored and is refused instead.
 func (c PrototypeConfig) validate() error {
 	if err := c.Config.validate(); err != nil {
 		return err
+	}
+	if c.MemoryBudgetBytes != 0 {
+		return &ConfigError{Field: "MemoryBudgetBytes",
+			Reason: "the TCP backend has no byte budget; its spill model is ResidentReplicaLimit and DiskPenalty"}
 	}
 	if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
 		return &ConfigError{Field: "WALSync", Reason: err.Error()}
