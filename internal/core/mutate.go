@@ -106,8 +106,9 @@ func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
 // replica holder in every other group — the cluster's only caller of
 // mds.Node.Ship. The layout names each holder, so the multicast costs one
 // message per holder, the unit the TCP backend counts too. It returns those
-// messages and the multicast's latency; the caller books the messages (an XOR-delta update) or does not (bulk
-// population, a newcomer's distribution, which its join's Report prices).
+// messages and the multicast's latency; the caller books the messages (an
+// XOR-delta update) or does not (bulk population, a newcomer's
+// distribution, which its join's Report prices).
 // Requires c.mu (read or write): the layout must be stable, while the holder
 // arrays and the origin's snapshot state synchronize on their own locks, so
 // concurrent shippers on different origins proceed in parallel. Ships of the
