@@ -148,6 +148,20 @@ func runCrossBackendEquivalence(t *testing.T, cfg ghba.Config) {
 		t.Errorf("replica-update counts diverged: sim %d vs tcp %d",
 			sim.ReplicaUpdates(), tcp.ReplicaUpdates())
 	}
+	checkBothInvariants(t, sim, tcp)
+}
+
+// checkBothInvariants runs the one checker both backends share: layout,
+// replicas bit-equal to their origins' last ship, and the stores holding
+// exactly what ground truth homes.
+func checkBothInvariants(t *testing.T, sim *ghba.Simulation, tcp *ghba.Prototype) {
+	t.Helper()
+	if err := sim.CheckInvariants(); err != nil {
+		t.Errorf("sim: %v", err)
+	}
+	if err := tcp.CheckInvariants(); err != nil {
+		t.Errorf("tcp: %v", err)
+	}
 }
 
 // TestCrossBackendReconfigEquivalence extends the contract above across
@@ -296,4 +310,5 @@ func TestCrossBackendReconfigEquivalence(t *testing.T) {
 	}
 	sl, tl := sim.LevelCounts(), tcp.LevelCounts()
 	t.Logf("level tallies (L1..L4): sim %v, tcp %v", sl[1:], tl[1:])
+	checkBothInvariants(t, sim, tcp)
 }

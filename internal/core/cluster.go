@@ -11,6 +11,7 @@ import (
 
 	"ghba/internal/bloomarray"
 	"ghba/internal/group"
+	"ghba/internal/homeindex"
 	"ghba/internal/mds"
 	"ghba/internal/memmodel"
 	"ghba/internal/metrics"
@@ -61,7 +62,7 @@ type Cluster struct {
 	// mu guards the topology: nodes, layout, ids and nextMDSID.
 	mu sync.RWMutex
 
-	nodes map[int]*mds.Node
+	nodes nodeMap
 	// layout is the group layer — who is grouped with whom, who holds which
 	// replica. Reconfiguration replaces it with the successor internal/group
 	// plans; the nodes' replica arrays are kept equal to it.
@@ -83,7 +84,7 @@ type Cluster struct {
 	// cell per file, confirmed against the home's store. Sharded and
 	// internally locked so concurrent creates/deletes on different paths
 	// never contend.
-	homes *homeShards
+	homes *homeindex.Index
 
 	// ships coalesces replica shipping out of the mutate hot path; see
 	// shipQueue. Drained while holding mu (read suffices).
@@ -143,9 +144,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		nodes:  make(map[int]*mds.Node),
+		nodes:  make(nodeMap),
 		layout: group.NewLayout(cfg.NumMDS, cfg.MaxGroupSize),
-		homes:  newHomeShards(),
+		homes:  homeindex.New(),
 		ships:  shipq.New(cfg.ShipBatch),
 		lru:    lru,
 		mem:    cfg.memoryModel(),
@@ -197,11 +198,22 @@ type epoch struct {
 	// queued-mode replay stays deterministic.
 	ids []int
 	// nodes maps MDS ID → server for every member of this epoch.
-	nodes map[int]*mds.Node
+	nodes nodeMap
 	// members maps each MDS ID to the sorted member IDs of its group —
 	// the L3 multicast targets as seen from that entry. Member slices are
 	// shared between co-grouped entries and immutable.
 	members map[int][]int
+}
+
+// nodeMap maps MDS ID → server: the cluster's live map and each epoch's
+// frozen copy.
+type nodeMap map[int]*mds.Node
+
+// holds is the home index's confirmation step: whether server home, looked
+// up in m, stores path. A home missing from m does not confirm.
+func (m nodeMap) holds(home int, path string) bool {
+	n := m[home]
+	return n != nil && n.HasFile(path)
 }
 
 // currentEpoch returns the published topology snapshot.
@@ -222,7 +234,7 @@ func (c *Cluster) publishEpochLocked() {
 	c.queueMu.Unlock()
 	e := &epoch{
 		ids:     append([]int(nil), c.ids...),
-		nodes:   make(map[int]*mds.Node, len(c.nodes)),
+		nodes:   make(nodeMap, len(c.nodes)),
 		members: make(map[int][]int, len(c.nodes)),
 	}
 	for id, n := range c.nodes {
@@ -294,7 +306,7 @@ func (c *Cluster) Tally() *metrics.LevelTally { return &c.tally }
 func (c *Cluster) HomeOf(path string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	home, ok := c.homes.get(path, c.nodes)
+	home, ok := c.homes.Get(path, c.nodes.holds)
 	if !ok {
 		return -1
 	}
@@ -305,7 +317,7 @@ func (c *Cluster) HomeOf(path string) int {
 func (c *Cluster) FileCount() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.homes.len()
+	return c.homes.Len()
 }
 
 // randomMDSLocked draws a uniform MDS ID from the cluster's own RNG.
@@ -348,7 +360,7 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 		// spent either way): homing it again would leave it in the old
 		// home's store as well, for a stale verify to confirm.
 		node := c.nodes[c.randomMDSLocked()]
-		c.homes.putIfAbsentThen(path, node.ID(), c.nodes, func() { node.AddFile(path) })
+		c.homes.PutIfAbsentThen(path, node.ID(), c.nodes.holds, func() { node.AddFile(path) })
 		return true
 	})
 	c.syncAllReplicasLocked()
@@ -397,5 +409,9 @@ func (c *Cluster) CheckInvariants() error {
 			}
 		}
 	}
-	return c.homes.check(c.ids, c.nodes)
+	stored := func(id int) []string { return c.nodes[id].Store().Paths() }
+	if err := c.homes.Check(c.ids, stored, c.nodes.holds); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }

@@ -44,7 +44,7 @@ func (c *Cluster) FailMDS(id int) (FailoverReport, error) {
 		// Files homed at the dead server are unavailable: degraded
 		// coverage, not wrong answers. Ground truth forgets them so
 		// lookups miss.
-		FilesLost: c.homes.scrub(id),
+		FilesLost: c.homes.Scrub(id),
 		Messages:  plan.Report().Messages,
 	}
 	c.publishEpochLocked()

@@ -2,30 +2,28 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
-	"runtime/metrics"
-	"slices"
 	"strconv"
 	"testing"
 
 	"ghba/internal/trace"
 )
 
-// sameTagSameHome counts pairs of cells sharing a shard, a tag and a home:
-// the interchangeable cells of colliding paths at one server.
-func sameTagSameHome(c *Cluster) int {
+// sameTagSameHome counts pairs of model paths sharing a shard, a tag and a
+// home: the interchangeable cells of colliding paths at one server, since
+// CheckInvariants holds the index to exactly one cell per stored path.
+func sameTagSameHome(c *Cluster, model map[string]int) int {
+	type cell struct {
+		shard int
+		tag   uint32
+		home  int
+	}
+	seen := make(map[cell]int)
 	pairs := 0
-	for i := range c.homes.shards {
-		s := &c.homes.shards[i]
-		s.mu.RLock()
-		seen := make(map[homeCell]int)
-		for _, cell := range s.cells {
-			if cell.home != 0 {
-				pairs += seen[cell]
-				seen[cell]++
-			}
-		}
-		s.mu.RUnlock()
+	for p, home := range model {
+		shard, tag := c.homes.Locate(p)
+		k := cell{shard, tag, home}
+		pairs += seen[k]
+		seen[k]++
 	}
 	return pairs
 }
@@ -47,7 +45,7 @@ func TestHomeIndexMatchesModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.homes.tagMask = 0xF
+		c.homes.SetTagBits(4)
 		c.Populate(func(fn func(string) bool) {
 			for i := 0; i < pool; i += 2 {
 				fn(paths[i])
@@ -151,7 +149,7 @@ func TestHomeIndexMatchesModel(t *testing.T) {
 				}
 			}
 			check(step, what)
-			collisions = max(collisions, sameTagSameHome(c))
+			collisions = max(collisions, sameTagSameHome(c, model))
 		}
 		if collisions == 0 {
 			t.Errorf("seed %d: no two paths ever shared a tag and a home; the 4-bit seam is not biting", seed)
@@ -179,25 +177,25 @@ func TestHomeIndexZeroAlloc(t *testing.T) {
 				t.Fatal("HomeOf wrong")
 			}
 		}},
-		{"putIfAbsentThen present", func() {
-			if got, ok := c.homes.putIfAbsentThen(present, b.ID(), c.nodes, func() { t.Fatal("claimed a present path") }); ok || got != home {
-				t.Fatalf("putIfAbsentThen(present) = %d, %v", got, ok)
+		{"PutIfAbsentThen present", func() {
+			if got, ok := c.homes.PutIfAbsentThen(present, b.ID(), c.nodes.holds, func() { t.Fatal("claimed a present path") }); ok || got != home {
+				t.Fatalf("PutIfAbsentThen(present) = %d, %v", got, ok)
 			}
 		}},
-		{"putIfAbsentThen+removeThen", func() {
-			if _, ok := c.homes.putIfAbsentThen(cycle, home, c.nodes, func() { a.AddFile(cycle) }); !ok {
+		{"PutIfAbsentThen+RemoveThen", func() {
+			if _, ok := c.homes.PutIfAbsentThen(cycle, home, c.nodes.holds, func() { a.AddFile(cycle) }); !ok {
 				t.Fatal("claim failed")
 			}
-			if got, ok := c.homes.removeThen(cycle, c.nodes, func(int) { a.DeleteFile(cycle) }); !ok || got != home {
-				t.Fatalf("removeThen = %d, %v", got, ok)
+			if got, ok := c.homes.RemoveThen(cycle, c.nodes.holds, func(int) { a.DeleteFile(cycle) }); !ok || got != home {
+				t.Fatalf("RemoveThen = %d, %v", got, ok)
 			}
 		}},
 		{"rehome", func() {
-			if !c.homes.rehome(present, a, b) {
+			if !c.homes.Rehome(present, a.ID(), b.ID(), func(_ int, p string) bool { return a.HasFile(p) }, func() { b.AddFile(present) }) {
 				t.Fatal("rehome a→b missed")
 			}
 			a.DeleteFile(present)
-			if !c.homes.rehome(present, b, a) {
+			if !c.homes.Rehome(present, b.ID(), a.ID(), func(_ int, p string) bool { return b.HasFile(p) }, func() { a.AddFile(present) }) {
 				t.Fatal("rehome b→a missed")
 			}
 			b.DeleteFile(present)
@@ -209,63 +207,5 @@ func TestHomeIndexZeroAlloc(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// liveHeapBytes is the live heap build's result holds: the median of three
-// builds, each the live bytes the runtime marked after collecting on either
-// side of it (the measure metastore's TestStoreFootprint takes).
-func liveHeapBytes(build func() any) int64 {
-	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-	read := func() int64 {
-		runtime.GC()
-		runtime.GC() // frees what the first moved into sync.Pool victims
-		metrics.Read(live)
-		return int64(live[0].Value.Uint64())
-	}
-	var runs [3]int64
-	for i := range runs {
-		before := read()
-		v := build()
-		runs[i] = read() - before
-		runtime.KeepAlive(v)
-	}
-	slices.Sort(runs[:])
-	return runs[1]
-}
-
-// TestHomeIndexFootprint loads 1k, 10k and 120k paths (the benchmark's
-// namespace) into the home index and, for scale, into the map[string]int it
-// replaced, and requires the index to cost at most 20 B/file at 120k. Path
-// bytes are built beforehand and shared, so only the structure is counted.
-// On amd64 with go1.24 the index costs 18.6 / 13.5 / 17.5 B/file — 8-byte
-// cells in tables 46–61% full, plus the 64 shard headers — and the map
-// 54.7 / 43.7 / 55.7.
-func TestHomeIndexFootprint(t *testing.T) {
-	for _, n := range []int{1_000, 10_000, 120_000} {
-		paths := make([]string, n)
-		for i := range paths {
-			paths[i] = "/fp/dir" + strconv.Itoa(i%100) + "/file" + strconv.Itoa(i)
-		}
-		index := liveHeapBytes(func() any {
-			h := newHomeShards()
-			for i, p := range paths {
-				// No node map: nothing confirms, every path is a claim.
-				h.putIfAbsentThen(p, i%30, nil, func() {})
-			}
-			return h
-		})
-		legacy := liveHeapBytes(func() any {
-			m := make(map[string]int)
-			for i, p := range paths {
-				m[p] = i % 30
-			}
-			return m
-		})
-		perFile, mapPerFile := float64(index)/float64(n), float64(legacy)/float64(n)
-		t.Logf("%7d files: home index %5.1f B/file, map[string]int %5.1f B/file", n, perFile, mapPerFile)
-		if n == 120_000 && perFile > 20 {
-			t.Errorf("120,000 files: home index %.1f B/file, want ≤ 20", perFile)
-		}
 	}
 }

@@ -316,10 +316,10 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	// epoch, holds the path. A reconfiguration published since may have
 	// re-homed the file onto a server e does not know, so a miss is final
 	// only against the epoch still current after it.
-	home, ok := c.homes.get(path, e.nodes)
+	home, ok := c.homes.Get(path, e.nodes.holds)
 	for cur := c.currentEpoch(); !ok && cur != e; cur = c.currentEpoch() {
 		e = cur
-		home, ok = c.homes.get(path, e.nodes)
+		home, ok = c.homes.Get(path, e.nodes.holds)
 	}
 	if ok {
 		// The home's positive answer is verified against its store; the

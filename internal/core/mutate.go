@@ -60,7 +60,7 @@ func (c *Cluster) updateLocked(origin int) time.Duration {
 // stale until its rebuild threshold triggers.
 func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	var node *mds.Node
-	home, ok := c.homes.removeThen(path, c.nodes, func(home int) {
+	home, ok := c.homes.RemoveThen(path, c.nodes.holds, func(home int) {
 		node = c.nodes[home]
 		node.DeleteFile(path)
 	})
@@ -184,12 +184,12 @@ func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
 	case trace.OpCreate:
 		// One draw either way: it becomes the home of a fresh path, or the
 		// entry point when creating an existing path degenerates to an
-		// open. putIfAbsentThen is the atomic claim-and-install, so two
+		// open. PutIfAbsentThen is the atomic claim-and-install, so two
 		// workers racing on the same path cannot both home it, and a
 		// racing delete cannot slip between the claim and the node update.
 		id := c.ids[r.Intn(len(c.ids))]
 		node := c.nodes[id]
-		if _, inserted := c.homes.putIfAbsentThen(rec.Path, id, c.nodes, func() { node.AddFile(rec.Path) }); !inserted {
+		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, c.nodes.holds, func() { node.AddFile(rec.Path) }); !inserted {
 			// The read lock held above excludes reconfiguration, so the
 			// current epoch matches c.ids/c.nodes exactly.
 			return c.lookupEpoch(c.currentEpoch(), rec.Path, id, rec.At, true)

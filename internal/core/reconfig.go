@@ -89,7 +89,8 @@ func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 	// so a lookup still walking the old epoch finds it at one home or the
 	// other.
 	for _, path := range node.Store().Paths() {
-		if !c.homes.rehome(path, node, c.nodes[c.randomMDSLocked()]) {
+		to := c.nodes[c.randomMDSLocked()]
+		if !c.homes.Rehome(path, id, to.ID(), func(_ int, p string) bool { return node.HasFile(p) }, func() { to.AddFile(path) }) {
 			panic(fmt.Sprintf("core: MDS %d stores %s, which the home index does not home there", id, path))
 		}
 	}

@@ -111,6 +111,9 @@ type SoakResult struct {
 	// lookup found that ground truth says are gone; SweepErrors lookups
 	// that failed outright. All must be zero.
 	Lost, WrongHome, Phantom, SweepErrors int
+	// Invariants is proto.Cluster.CheckInvariants after the sweep: layout,
+	// replicas and namespace, checked on the daemons. Must be nil.
+	Invariants error
 	// Elapsed is the wall-clock length of the workload+chaos phase.
 	Elapsed time.Duration
 }
@@ -120,7 +123,8 @@ func (r SoakResult) Clean() bool {
 	return r.Failovers == uint64(r.Kills) &&
 		len(r.Restarts) == r.Kills &&
 		len(r.ChaosErrors) == 0 &&
-		r.Lost == 0 && r.WrongHome == 0 && r.Phantom == 0 && r.SweepErrors == 0
+		r.Lost == 0 && r.WrongHome == 0 && r.Phantom == 0 && r.SweepErrors == 0 &&
+		r.Invariants == nil
 }
 
 // Soak runs the kill/restart soak and returns its report. Errors are
@@ -288,6 +292,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 			res.Phantom++
 		}
 	}
+	res.Invariants = cluster.CheckInvariants()
 	return res, nil
 }
 
@@ -309,6 +314,9 @@ func FormatSoak(r SoakResult) string {
 	}
 	fmt.Fprintf(&b, "  sweep          %d paths: %d lost, %d wrong-home, %d phantom, %d errors\n",
 		r.PathsSwept, r.Lost, r.WrongHome, r.Phantom, r.SweepErrors)
+	if r.Invariants != nil {
+		fmt.Fprintf(&b, "  INVARIANTS     %v\n", r.Invariants)
+	}
 	if r.Clean() {
 		fmt.Fprintf(&b, "  verdict        CLEAN\n")
 	} else {

@@ -21,9 +21,9 @@ import (
 // headers, digest computation, daemon lock acquisitions and WAL fsyncs (one
 // per home daemon per mutation round) amortize across whatever the caller
 // hands over. The draw pattern is fixed (one RNG draw per create or lookup in
-// op order, none per delete) and the homes-map claim is the linearization
-// point, so a fixed-seed trace replays onto the same homes at every vector
-// length.
+// op order, none per delete) and each path's claim in the home index and
+// in-flight table is the linearization point, so a fixed-seed trace replays
+// onto the same homes at every vector length.
 
 // ApplyBatch dispatches a vector of trace records through the batch RPCs.
 // RNG draws happen in op order (one per create or open, none per delete).
@@ -178,79 +178,265 @@ func fanOut(n int, run func(k int)) {
 	}
 }
 
+// flight is a path a mutation round has claimed and not yet resolved: its
+// mutate_batch has not returned. Other rounds wait on done rather than claim
+// the path. home is where the round leaves the path once it lands (-1:
+// absent); RestartMDS's reconcile reads it as ground truth while the round
+// is in flight, as it reads the home index for every other path.
+type flight struct {
+	done chan struct{}
+	home int
+}
+
+// flightShard holds the in-flight paths of one shard of the home index.
+type flightShard struct {
+	mu sync.Mutex
+	m  map[string]*flight
+}
+
+// flightShard returns the shard of the in-flight table owning path.
+func (c *Cluster) flightShard(path string) *flightShard {
+	i, _ := c.homes.Locate(path)
+	return &c.flights[i]
+}
+
+// inFlight returns the flight holding path, or nil.
+func (c *Cluster) inFlight(path string) *flight {
+	fs := c.flightShard(path)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.m[path]
+}
+
+// claim takes path for the calling round. It returns the new flight, or the
+// flight of the round that holds path already — the caller waits for it or
+// cuts its own round — and, on a claim, appends to cands the homes of the
+// index cells sharing path's tag: the daemons that might store it.
+func (c *Cluster) claim(path string, cands []int) (mine, busy *flight, _ []int) {
+	fs := c.flightShard(path)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.m[path]; f != nil {
+		return nil, f, cands
+	}
+	if fs.m == nil {
+		fs.m = make(map[string]*flight)
+	}
+	f := &flight{done: make(chan struct{}), home: -1}
+	fs.m[path] = f
+	return f, nil, c.homes.Candidates(path, cands)
+}
+
+// release ends path's flight and wakes the rounds waiting for it.
+func (c *Cluster) release(path string, f *flight) {
+	fs := c.flightShard(path)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	delete(fs.m, path)
+	close(f.done)
+}
+
+// claimed is what a mutation round knows of one path it holds: where the
+// records it has taken so far leave the path (home, -1 absent; unknown
+// until a first delete has asked cands), and sentTo, the one daemon its
+// records go to (-1 once opened or sent to several, unset before the first).
+type claimed struct {
+	f      *flight
+	cands  []int
+	known  bool
+	home   int
+	sentTo int
+}
+
+const unsent = -2
+
 // mutateRun executes one mutation round over recs[idxs] (creates and
-// deletes, in op order): homes-map claims resolve in op order (the
-// linearization point, so two workers racing on one path cannot both home
-// it), and each home daemon receives one opMutateBatch carrying its records
-// in op order — one WAL append, one fsync. A create of an existing path is
-// an open, returned for the caller to walk once the round has landed; a
-// delete of an absent path — including a second delete of one path within
-// the round, whose claim the first already removed — reports not-found
-// without touching the wire. The round ends early, returning the unexecuted
-// rest, at a record whose path the round already sent to another daemon or
-// already opened: a failed leg could otherwise not be undone path by path,
-// and the open must see the path before it changes again.
+// deletes, in op order). Each record's path is claimed in op order under
+// its home-index shard — the linearization point, so two workers racing on
+// one path cannot both home it — and each home daemon then receives one
+// opMutateBatch carrying its records in op order: one WAL append, one fsync.
+//
+// A create whose tag matches no index cell claims its draw at once; one
+// whose tag matches asks each matching daemon with a verify_batch first,
+// and a create of an existing path is an open, returned for the caller to
+// walk once the round has landed. A delete goes to the daemons whose cells
+// match its tag, and finds its file where a daemon answers that it held
+// it; a delete of a path no cell matches — or a second delete of one path
+// within the round — reports not-found without touching the wire. Cells
+// move only when the answers are in: a create's cell is inserted, a found
+// delete's dropped, for every leg that landed while its daemon's
+// incarnation stood, so a failed leg has nothing to withdraw.
+//
+// A path another round holds in flight is waited for when this round holds
+// no claims yet; otherwise the round ends there, returning the unexecuted
+// rest, so two rounds never wait on each other. The round also ends early at
+// a record whose path it already sent to another daemon or already opened:
+// with one path's records split over two legs, a failed leg could leave the
+// path at both daemons, and the open must see the path before it changes
+// again. The claims run under the membership lock shared, so FailMDS and
+// RestartMDS, which rewrite cells and read the in-flight table, see every
+// round's claims whole. A confirming verify_batch runs under it; the
+// mutate_batch RPCs do not.
 func (c *Cluster) mutateRun(ctx context.Context, recs []trace.Record, draws, idxs []int, out []LookupResult) (opens, rest []int, err error) {
 	var legs []leg
-	// sentTo is the daemon each path's records in this round go to, -1 once
-	// the path is opened.
-	sentTo := make(map[string]int)
-	c.homesMu.Lock()
-	for k, i := range idxs {
+	var claimErr error
+	held := make(map[string]*claimed)
+	c.mu.RLock()
+claims:
+	for k := 0; k < len(idxs); k++ {
+		i := idxs[k]
 		p := recs[i].Path
-		target, exists := c.homes[p]
+		st := held[p]
+		if st == nil {
+			mine, busy, cands := c.claim(p, nil)
+			if busy != nil {
+				if len(held) > 0 {
+					rest = idxs[k:]
+					break
+				}
+				c.mu.RUnlock()
+				select {
+				case <-busy.done:
+				case <-ctx.Done():
+					claimErr = ctx.Err()
+				}
+				c.mu.RLock()
+				if claimErr != nil {
+					break
+				}
+				k--
+				continue
+			}
+			st = &claimed{f: mine, cands: cands, known: len(cands) == 0, home: -1, sentTo: unsent}
+			if !st.known && recs[i].Op == trace.OpCreate {
+				if st.home, claimErr = c.confirmCreate(ctx, p, cands); claimErr != nil {
+					c.release(p, mine)
+					break
+				}
+				st.known, mine.home = true, st.home
+			}
+			held[p] = st
+		}
+		var targets []int
 		switch {
-		case recs[i].Op == trace.OpCreate && exists:
+		case recs[i].Op == trace.OpCreate && st.home >= 0:
 			opens = append(opens, i)
-			sentTo[p] = -1
+			st.sentTo = -1
 			continue
 		case recs[i].Op == trace.OpCreate:
-			target = draws[i]
-		case !exists:
+			targets = draws[i : i+1]
+		case st.known && st.home < 0:
 			out[i] = LookupResult{Path: p, Home: -1}
 			continue
+		case st.known:
+			targets = []int{st.home}
+		default:
+			targets = st.cands
 		}
-		if d, ok := sentTo[p]; ok && d != target {
-			rest = idxs[k:]
-			break
+		for _, d := range targets {
+			if st.sentTo != unsent && st.sentTo != d {
+				rest = idxs[k:]
+				break claims
+			}
 		}
-		sentTo[p] = target
-		if recs[i].Op == trace.OpCreate {
-			c.homes[p] = target
+		if len(targets) == 1 {
+			st.sentTo = targets[0]
 		} else {
-			delete(c.homes, p)
+			st.sentTo = -1
 		}
-		legs = addLeg(legs, target, i)
+		for _, d := range targets {
+			legs = addLeg(legs, d, i)
+		}
+		st.known = true
+		st.home = -1
+		if recs[i].Op == trace.OpCreate {
+			st.home = targets[0]
+		} else {
+			out[i] = LookupResult{Path: p, Home: -1}
+		}
+		st.f.home = st.home
 	}
 	incs := make([]uint64, len(legs))
 	for k, l := range legs {
 		incs[k] = c.incarnation[l.daemon]
 	}
-	c.homesMu.Unlock()
+	c.mu.RUnlock()
 
 	start := time.Now()
+	exists := make([][]bool, len(legs))
 	crossed := make([]bool, len(legs))
 	rebuilt := make([]bool, len(legs))
 	errs := make([]error, len(legs))
 	fanOut(len(legs), func(k int) {
 		l := legs[k]
 		resp, err := c.call(ctx, l.daemon, opMutateBatch, encodeMutations(incs[k], walRecords(recs, l.slots)))
-		if err != nil {
-			c.rollback(recs, l, incs[k])
-		} else {
-			crossed[k], rebuilt[k], err = decodeMutateResp(resp, len(l.slots))
+		if err == nil {
+			exists[k], crossed[k], rebuilt[k], err = decodeMutateResp(resp, len(l.slots))
 		}
 		if err != nil {
 			errs[k] = fmt.Errorf("proto: mutate batch at MDS %d: %w", l.daemon, err)
 		}
 	})
-	if err := errors.Join(errs...); err != nil {
+	c.resolve(recs, legs, incs, exists, errs, held)
+	if err := errors.Join(append(errs, claimErr)...); err != nil {
 		return nil, nil, err
 	}
 	// The mutations themselves succeeded; a ship failure (say, a replica
 	// holder dying mid-failover) leaves a stale replica that lookups
-	// tolerate, so it is reported but never withdraws a claim.
-	return opens, rest, c.settle(ctx, recs, legs, crossed, rebuilt, time.Since(start), out)
+	// tolerate, so it is reported but never withdraws a cell.
+	return opens, rest, c.settle(ctx, recs, legs, exists, crossed, rebuilt, time.Since(start), out)
+}
+
+// confirmCreate asks each daemon in cands, whose index cells share path's
+// tag, whether it stores path — one verify_batch each, in parallel — since a
+// create of a path that exists is an open. It returns the daemon that does,
+// or -1. Almost every create skips this: at 32-bit tags about one fresh
+// create in ten million meets a same-tag cell. A re-create of an existing
+// path always pays it, and then walks as an open.
+func (c *Cluster) confirmCreate(ctx context.Context, path string, cands []int) (int, error) {
+	probes := make([]probe, len(cands))
+	for k, d := range cands {
+		probes[k] = probe{daemon: d}
+	}
+	c.confirms.Add(uint64(len(cands)))
+	ok, err := c.verifyProbes(ctx, []string{path}, probes)
+	if err != nil {
+		return -1, err
+	}
+	for k, d := range cands {
+		if ok[k] {
+			return d, nil
+		}
+	}
+	return -1, nil
+}
+
+// resolve moves the round's cells and ends its flights. A leg that landed
+// while its daemon still serves the incarnation it was claimed under
+// inserts a cell per create and drops one per delete the daemon found, in
+// op order; a failed leg moves nothing, and neither does one whose daemon's
+// incarnation moved meanwhile — RestartMDS reconciled ground truth with what
+// the recovered daemon holds, or FailMDS scrubbed its files, and either way
+// the index already agrees with the daemon whether or not the leg applied.
+func (c *Cluster) resolve(recs []trace.Record, legs []leg, incs []uint64, exists [][]bool, errs []error, held map[string]*claimed) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for k, l := range legs {
+		if errs[k] != nil || c.incarnation[l.daemon] != incs[k] {
+			continue
+		}
+		for s, i := range l.slots {
+			switch {
+			case recs[i].Op == trace.OpCreate:
+				c.homes.Insert(recs[i].Path, l.daemon)
+			case exists[k][s]:
+				c.homes.Remove(recs[i].Path, l.daemon)
+			}
+		}
+	}
+	for p, st := range held {
+		c.release(p, st.f)
+	}
 }
 
 // walRecords gathers the records a leg's slots select, in op order, as the
@@ -267,39 +453,14 @@ func walRecords(recs []trace.Record, slots []int) []wal.Record {
 	return out
 }
 
-// rollback withdraws the claims of a leg whose RPC failed, newest first, so
-// a path the leg both created and deleted ends where the round found it. A
-// claim a racing mutation has since replaced is left alone. So are all of
-// them once the daemon's incarnation moved past inc: RestartMDS reconciled
-// ground truth with what the recovered daemon holds, or FailMDS scrubbed its
-// files, and either way ground truth already agrees with the daemon whether
-// or not the leg applied — withdrawing a claim now would leave a phantom.
-func (c *Cluster) rollback(recs []trace.Record, l leg, inc uint64) {
-	c.homesMu.Lock()
-	defer c.homesMu.Unlock()
-	if c.incarnation[l.daemon] != inc {
-		return
-	}
-	for s := len(l.slots) - 1; s >= 0; s-- {
-		rec := recs[l.slots[s]]
-		home, ok := c.homes[rec.Path]
-		switch {
-		case rec.Op == trace.OpCreate:
-			if ok && home == l.daemon {
-				delete(c.homes, rec.Path)
-			}
-		case !ok:
-			c.homes[rec.Path] = l.daemon
-		}
-	}
-}
-
-// settle closes a mutation round whose legs all landed: every record reports
-// its leg's daemon as home and an equal share of the round's wall time, and
-// each flag a leg raised (its creates crossed the ship threshold, a delete
-// rebuilt its filter) feeds the coalescing ship queue one note, in ascending
-// daemon order — the order a serial loop's drains preserve.
-func (c *Cluster) settle(ctx context.Context, recs []trace.Record, legs []leg, crossed, rebuilt []bool, elapsed time.Duration, out []LookupResult) error {
+// settle closes a mutation round whose legs all landed: every create
+// reports its leg's daemon as home, every delete the daemon that answered
+// that it held the file (none: not found), each an equal share of the
+// round's wall time; and each flag a leg raised (its creates crossed the
+// ship threshold, a delete rebuilt its filter) feeds the coalescing ship
+// queue one note, in ascending daemon order — the order a serial loop's
+// drains preserve.
+func (c *Cluster) settle(ctx context.Context, recs []trace.Record, legs []leg, exists [][]bool, crossed, rebuilt []bool, elapsed time.Duration, out []LookupResult) error {
 	landed := 0
 	for _, l := range legs {
 		landed += len(l.slots)
@@ -307,8 +468,11 @@ func (c *Cluster) settle(ctx context.Context, recs []trace.Record, legs []leg, c
 	perLat := amortized(elapsed, landed)
 	var origins []int
 	for k, l := range legs {
-		for _, i := range l.slots {
-			out[i] = LookupResult{Path: recs[i].Path, Home: l.daemon, Found: true, Latency: perLat}
+		for s, i := range l.slots {
+			out[i].Latency = perLat
+			if exists[k][s] {
+				out[i] = LookupResult{Path: recs[i].Path, Home: l.daemon, Found: true, Latency: perLat}
+			}
 		}
 		if crossed[k] {
 			origins = append(origins, l.daemon)

@@ -178,7 +178,7 @@ func TestLongPathIsRefused(t *testing.T) {
 			t.Errorf("%s = %+v, truth home %d", paths[i+1], r, want)
 		}
 	}
-	checkFileCounts(t, c)
+	checkInvariants(t, c)
 }
 
 func TestRPCCountsPerOpcode(t *testing.T) {
@@ -280,7 +280,7 @@ func TestApplyBatchWaveRule(t *testing.T) {
 			}
 		})
 	}
-	checkFileCounts(t, batched)
+	checkInvariants(t, batched)
 }
 
 // TestMutateBatchPerWaveAndHome pins a mutation round's RPC shape over
@@ -357,5 +357,5 @@ func TestMutateBatchPerWaveAndHome(t *testing.T) {
 			t.Errorf("vector %d: %d mutate_batch calls, %d distinct (wave, home) pairs", v, got, len(pairs))
 		}
 	}
-	checkFileCounts(t, c)
+	checkInvariants(t, c)
 }

@@ -7,12 +7,14 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ghba/internal/group"
+	"ghba/internal/homeindex"
 	"ghba/internal/mds"
 	"ghba/internal/metrics"
 	"ghba/internal/rpcnet"
@@ -76,9 +78,9 @@ type Options struct {
 	// logs its mutations under DataDir/mds-<i> and compacts the log into
 	// snapshots, so KillMDS/RestartMDS (and a standalone cmd/mdsd -data)
 	// can crash and recover it. Start refuses directories with existing
-	// state — the coordinator's ground-truth home map cannot be rebuilt from
-	// per-daemon logs, so cold recovery belongs to cmd/mdsd, and in-lifetime
-	// recovery to RestartMDS.
+	// state — the coordinator's ground-truth home index cannot be rebuilt
+	// from per-daemon logs, so cold recovery belongs to cmd/mdsd, and
+	// in-lifetime recovery to RestartMDS.
 	DataDir string
 	// WALSync selects the fsync policy for daemon WALs: "always" (default),
 	// "interval" or "never". See wal.ParseSyncPolicy.
@@ -120,17 +122,17 @@ func (o *Options) walDir(id int) string {
 // The coordinator follows the same discipline as the simulator's core
 // engine: membership and the group layout live behind an RWMutex,
 // lookups and mutations are readers that snapshot what they need and issue
-// RPCs without holding the lock, and AddMDS is the exclusive writer. The
-// ground-truth home map synchronizes on its own mutex so creates and
-// deletes on different paths never contend on the membership lock. RPC
-// connections are pooled per daemon (connSet), so concurrent operations
-// against one daemon ride parallel sockets rather than serializing on a
-// shared connection.
+// RPCs without holding the lock, and reconfiguration is the exclusive
+// writer. Ground truth is the index core keeps too (internal/homeindex),
+// striped over shard locks, so creates and deletes on different paths never
+// contend on one lock. RPC connections are pooled per daemon (connSet), so
+// concurrent operations against one daemon ride parallel sockets rather
+// than serializing on a shared connection.
 type Cluster struct {
 	opts Options
 
 	mu      sync.RWMutex
-	servers map[int]*NodeServer
+	servers daemons
 	// layout is the group layer — who is grouped with whom, who holds which
 	// replica — planned by internal/group and committed only after the RPCs
 	// that realize it succeeded (or, on best-effort paths, amended by what
@@ -146,17 +148,26 @@ type Cluster struct {
 	// index.
 	index atomic.Pointer[topo]
 
-	// homes is the coordinator's ground-truth path → home map, the
-	// linearization point of create and delete (claim-then-RPC, exactly as
-	// core's sharded homes map commits the claim with the node update).
+	// homes is the coordinator's ground truth of which daemon homes each
+	// path: one 8-byte {tag, home} cell per file, a tag match confirmed by
+	// the home daemon's store — the index core keeps, not a path-keyed map.
+	// A cell moves only once its daemon has answered: a mutation round
+	// inserts a create's cell, and drops a delete's, when the daemon's
+	// mutate_batch reply says it applied. Until then the path sits in
+	// flights, the in-flight table striped by homes' shards, which keeps
+	// two rounds racing on one path apart and is empty at rest.
+	homes   *homeindex.Index
+	flights [homeindex.Shards]flightShard
 	// incarnation counts, per daemon, the times ground truth was rewritten
 	// around it — RestartMDS's reconcile, FailMDS's scrub. A mutation round
-	// records it with its claims and sends it with the batch: a failed leg
-	// rolls its claims back only if it has not moved since, and a daemon
-	// refuses a batch claimed against an incarnation it does not serve.
-	homesMu     sync.Mutex
-	homes       map[string]int
+	// records it with its claims and sends it with the batch: a leg moves
+	// cells only if it has not moved since, and a daemon refuses a batch
+	// claimed against an incarnation it does not serve. Guarded by mu:
+	// rounds read it shared, FailMDS and RestartMDS rewrite it exclusively.
 	incarnation map[int]uint64
+	// confirms counts the verify_batch RPCs creates sent to ask a daemon
+	// whose cell shares the new path's tag whether it holds the path.
+	confirms atomic.Uint64
 
 	// ships coalesces XOR-delta threshold crossings per origin; shipStripes
 	// serialize ships of the same origin so two racing shippers cannot
@@ -282,9 +293,9 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts:        opts,
-		servers:     make(map[int]*NodeServer),
+		servers:     make(daemons),
 		layout:      group.NewLayout(opts.N, opts.M),
-		homes:       make(map[string]int),
+		homes:       homeindex.New(),
 		incarnation: make(map[int]uint64),
 		ships:       shipq.New(opts.ShipBatch),
 		conns:       newConnSet(callTimeout),
@@ -314,7 +325,7 @@ func Start(opts Options) (*Cluster, error) {
 // DataDir set the daemon gets a write-ahead log; an id whose directory
 // already holds state is refused, because only the recovery paths
 // (RestartMDS in-lifetime, cmd/mdsd standalone) reconcile recovered files
-// with the coordinator's ground-truth home map.
+// with the coordinator's ground-truth home index.
 func (c *Cluster) launchNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	if c.opts.DataDir == "" {
 		node, err := mds.NewNode(id, c.opts.Node)
@@ -354,13 +365,28 @@ func (c *Cluster) recoverNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	return ns, info, nil
 }
 
-// topo is one immutable membership snapshot: sorted daemon IDs plus each
-// member's group, frozen at a reconfiguration boundary. Nothing in a topo is
-// mutated after publication — rebuildIndexLocked builds a replacement and
-// swaps the cluster's pointer — so the query path reads it lock-free.
+// topo is one immutable membership snapshot: sorted daemon IDs, the
+// daemons themselves and each member's group, frozen at a reconfiguration
+// boundary. Nothing in a topo is mutated after publication —
+// rebuildIndexLocked builds a replacement and swaps the cluster's pointer —
+// so the query path reads it lock-free.
 type topo struct {
 	ids     []int
+	servers daemons       // member ID → its daemon, for in-process confirmation
 	members map[int][]int // member ID → sorted member IDs of its group
+}
+
+// daemons maps daemon ID → daemon: the cluster's live map and each topo's
+// frozen copy.
+type daemons map[int]*NodeServer
+
+// holds is the home index's in-process confirmation step: whether daemon
+// home, looked up in d, stores path. A home missing from d does not confirm.
+// The coordinator runs every daemon in its own process, so checkers and the
+// bulk load ask the store directly, as Populate writes it directly.
+func (d daemons) holds(home int, path string) bool {
+	ns := d[home]
+	return ns != nil && ns.holds(path)
 }
 
 // rebuildIndexLocked recomputes the sorted-ID cache, then publishes the new
@@ -376,7 +402,10 @@ func (c *Cluster) rebuildIndexLocked() {
 	}
 	sort.Ints(ids)
 	c.ids = ids
-	t := &topo{ids: ids, members: make(map[int][]int, len(c.servers))}
+	t := &topo{ids: ids, servers: make(daemons, len(c.servers)), members: make(map[int][]int, len(c.servers))}
+	for id, ns := range c.servers {
+		t.servers[id] = ns
+	}
 	for _, g := range c.layout.Groups() {
 		for _, m := range g.Members {
 			t.members[m] = g.Members
@@ -428,11 +457,56 @@ func (c *Cluster) MDSIDs() []int {
 	return append([]int(nil), c.snapshotIDs()...)
 }
 
-// FileCount returns the number of files in the namespace.
+// FileCount returns the number of files in the namespace: the home index's
+// cells, which count every file whose mutation round has landed.
 func (c *Cluster) FileCount() int {
-	c.homesMu.Lock()
-	defer c.homesMu.Unlock()
-	return len(c.homes)
+	return c.homes.Len()
+}
+
+// CheckInvariants verifies core.Cluster.CheckInvariants' contract on the
+// daemons themselves. On the books and the replica arrays: the layout is
+// sound, every member's replica array holds exactly what the layout records
+// — an extra copy is an orphan no ship refreshes and no failover drops — and
+// every replica is bit for bit what its origin last shipped, so the
+// XOR-delta drift the origin tracks bounds every holder's staleness. On the
+// namespace, exactly: every path a daemon stores resolves through the home
+// index to that daemon, the index holds no cell a stored path does not
+// account for — so no file is homed on a non-member — and the daemons'
+// file counts sum to FileCount. It reads every daemon in process and takes
+// the membership lock exclusively, which excludes reconfiguration and every
+// mutation round's claims and resolution but not its RPCs: it is exact at a
+// quiescent point, where tests call it.
+func (c *Cluster) CheckInvariants() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.layout.Check(c.ids); err != nil {
+		return fmt.Errorf("proto: %w", err)
+	}
+	for _, g := range c.layout.Groups() {
+		for _, m := range g.Members {
+			if have, want := c.servers[m].node.Replicas().IDs(), g.HeldBy(m); !slices.Equal(have, want) {
+				return fmt.Errorf("proto: group %d %v: MDS %d stores replicas of %v, the layout records %v", g.ID, g.Members, m, have, want)
+			}
+		}
+		for _, r := range g.Replicas {
+			replica := c.servers[r.Holder].node.Replicas().Get(r.Origin)
+			if drift, err := replica.XorBits(c.servers[r.Origin].node.Shipped()); err != nil || drift != 0 {
+				return fmt.Errorf("proto: group %d: MDS %d's replica of %d is %d bits from what %d last shipped (%v)", g.ID, r.Holder, r.Origin, drift, r.Origin, err)
+			}
+		}
+	}
+	stored := func(id int) []string { return c.servers[id].node.Store().Paths() }
+	if err := c.homes.Check(c.ids, stored, c.servers.holds); err != nil {
+		return fmt.Errorf("proto: %w", err)
+	}
+	files := 0
+	for _, id := range c.ids {
+		files += c.servers[id].node.FileCount()
+	}
+	if files != c.homes.Len() {
+		return fmt.Errorf("proto: the daemons store %d files, ground truth homes %d", files, c.homes.Len())
+	}
+	return nil
 }
 
 // RPCCounts returns the cumulative RPCs issued per message type, keyed by
@@ -531,18 +605,17 @@ func (c *Cluster) Populate(paths []string) error {
 	defer c.mu.Unlock()
 	ids := c.ids
 	c.rngMu.Lock()
-	c.homesMu.Lock()
 	for _, p := range paths {
 		home := ids[c.rng.Intn(len(ids))]
 		// A path the namespace already holds keeps its home (the draw is
-		// spent either way), as in core.Populate.
-		if _, ok := c.homes[p]; ok {
+		// spent either way), as in core.Populate; so does one a mutation
+		// round holds in flight, which settles it.
+		if c.inFlight(p) != nil {
 			continue
 		}
-		c.servers[home].AddFileDirect(p)
-		c.homes[p] = home
+		ns := c.servers[home]
+		c.homes.PutIfAbsentThen(p, home, c.servers.holds, func() { ns.AddFileDirect(p) })
 	}
-	c.homesMu.Unlock()
 	c.rngMu.Unlock()
 	c.refreshReplicas()
 	// Bulk loads bypass the WAL (logging-and-fsyncing per direct write would
@@ -574,11 +647,12 @@ func (c *Cluster) refreshReplicas() {
 	c.ships.Drain()
 }
 
-// HomeOf returns the ground-truth home (-1 when absent).
+// HomeOf returns the ground-truth home (-1 when absent): the daemon of the
+// path's tag whose store holds it, asked in process through the published
+// membership snapshot, so it costs no RPC. A file whose mutation round is
+// still in flight answers as its stores do.
 func (c *Cluster) HomeOf(path string) int {
-	c.homesMu.Lock()
-	defer c.homesMu.Unlock()
-	home, ok := c.homes[path]
+	home, ok := c.homes.Get(path, c.index.Load().servers.holds)
 	if !ok {
 		return -1
 	}

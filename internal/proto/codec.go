@@ -10,7 +10,11 @@
 // entry MDS — the same messages a server-driven implementation would send,
 // issued from the client side for simplicity — and keeps the group layout
 // (who holds which replica), which routes every replica update, as the
-// simulator's does. It has
+// simulator's does. Its ground truth of which daemon homes each file is the
+// simulator's too: internal/homeindex's 8-byte {tag, home} cells, a tag
+// match confirmed by the home daemon's store — in process for HomeOf and the
+// checkers, by verify_batch when a create meets a same-tag cell — and moved
+// only once a daemon's mutate_batch reply says the mutation applied. It has
 // one walk (lookupVector) and one mutation sender (mutateRun), both over
 // vectors: Lookup and Apply run them over a vector of one, ApplyBatch over a
 // whole window.
@@ -230,19 +234,24 @@ func decodeMutations(data []byte) (incarnation uint64, recs []wal.Record, err er
 }
 
 // decodeMutateResp parses an opMutateBatch response for n records: one
-// existence byte per record (the coordinator's homes map already settled
-// existence, so they go unread), then whether the batch's creates left the
-// filter past the XOR-delta ship threshold, then whether a delete rebuilt the
-// filter (which replaces it wholesale and must ship). Either flag byte other
-// than 0 or 1 is refused.
-func decodeMutateResp(data []byte, n int) (crossed, rebuilt bool, err error) {
+// existence byte per record — 1 for every create, and for a delete whether
+// the daemon held the path, which is how the coordinator learns that a
+// delete found its file and drops the file's home-index cell — then whether
+// the batch's creates left the filter past the XOR-delta ship threshold,
+// then whether a delete rebuilt the filter (which replaces it wholesale and
+// must ship). Any byte other than 0 or 1 is refused.
+func decodeMutateResp(data []byte, n int) (exists []bool, crossed, rebuilt bool, err error) {
 	if len(data) != n+2 {
-		return false, false, fmt.Errorf("proto: mutate batch response wants %d bytes, got %d", n+2, len(data))
+		return nil, false, false, fmt.Errorf("proto: mutate batch response wants %d bytes, got %d", n+2, len(data))
 	}
 	if data[n] > 1 || data[n+1] > 1 {
-		return false, false, fmt.Errorf("proto: mutate batch flags are bytes %d and %d, want 0 or 1", data[n], data[n+1])
+		return nil, false, false, fmt.Errorf("proto: mutate batch flags are bytes %d and %d, want 0 or 1", data[n], data[n+1])
 	}
-	return data[n] == 1, data[n+1] == 1, nil
+	exists, err = decodeBools(data[:n], n)
+	if err != nil {
+		return nil, false, false, fmt.Errorf("proto: mutate batch existence: %w", err)
+	}
+	return exists, data[n] == 1, data[n+1] == 1, nil
 }
 
 // HeartbeatInfo is the health report an opHeartbeat response carries.

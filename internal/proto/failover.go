@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ghba/internal/mds"
-	"ghba/internal/metastore"
 	"ghba/internal/wal"
 )
 
@@ -52,22 +51,15 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.layout, _ = c.runPlan(ctx, plan, next, false)
 	c.rebuildIndexLocked()
 
-	// The scrub ends the daemon's incarnation: a mutation leg to it failing
-	// after this point must not roll a claim back onto a removed daemon.
-	c.homesMu.Lock()
-	for p, h := range c.homes {
-		if h == id {
-			delete(c.homes, p)
-			rep.FilesLost++
-		}
-	}
+	// The scrub ends the daemon's incarnation: a mutation leg to it landing
+	// after this point must not put a cell back onto a removed daemon.
+	rep.FilesLost = c.homes.Scrub(id)
 	c.incarnation[id]++
-	c.homesMu.Unlock()
 	return rep, nil
 }
 
 // KillMDS crashes daemon id in place: its connections drop and its WAL is
-// abandoned mid-stream, but membership, groups and the home map keep
+// abandoned mid-stream, but membership, groups and the home index keep
 // naming it — exactly what a kill -9 looks like to the rest of the
 // cluster. RPCs to it fail until RestartMDS recovers it or the failure
 // detector declares it dead and fails it over.
@@ -133,9 +125,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	// below, so a batch claimed before the reconcile — which settles its
 	// claims against what the daemon recovered — is refused, not applied
 	// behind the reconcile's back.
-	c.homesMu.Lock()
 	incarnation := c.incarnation[id] + 1
-	c.homesMu.Unlock()
 	ns.serve(incarnation)
 
 	if wasMember {
@@ -150,7 +140,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 		}
 	}
 
-	if conflicts := c.reconcileHomesLocked(id, ns, &rep); len(conflicts) > 0 {
+	if conflicts := c.reconcileHomesLocked(id, old, ns, &rep); len(conflicts) > 0 {
 		// Another daemon homed these paths while this one was down; the
 		// recovered copies lose. The delete goes through the mutation RPC so
 		// it is WAL-logged like any other; ground truth never named id for
@@ -178,40 +168,47 @@ func (c *Cluster) rewireLocked(ctx context.Context, id int) {
 }
 
 // reconcileHomesLocked folds a recovered daemon's store back into the
-// ground-truth namespace: recovered paths nobody else claimed are
-// re-claimed for id, paths another daemon homed meanwhile are returned as
-// conflicts (sorted, for deterministic message flow), and paths ground
-// truth still credited to id that did not survive recovery are scrubbed
-// as tail loss. It bumps id's incarnation: ground truth now matches the
-// recovered store, so no claim made before may be rolled back.
-func (c *Cluster) reconcileHomesLocked(id int, ns *NodeServer, rep *RestartReport) []string {
-	recovered := make(map[string]bool)
-	ns.node.Store().Range(func(md metastore.Metadata) bool {
-		recovered[md.Path] = true
-		return true
-	})
-	var conflicts []string
-	c.homesMu.Lock()
-	for p := range recovered {
-		h, ok := c.homes[p]
-		switch {
-		case !ok:
-			c.homes[p] = id
-			rep.FilesReclaimed++
-		case h == id:
-			// Consistent: the namespace never forgot this file.
-		default:
-			conflicts = append(conflicts, p)
+// ground-truth namespace: id's cells are dropped, then every recovered path
+// no other daemon homes gets one cell at id again; paths another daemon
+// homed meanwhile are returned as conflicts (sorted, for deterministic
+// message flow). A path a mutation round holds in flight counts as the
+// round leaves it. Of the re-inserted paths, those ground truth credited to
+// id before — confirmed by old, the crashed instance still in memory (nil
+// after a failover, whose scrub already forgot them) — are kept; the rest
+// are reclaimed, and id's cells no recovered path kept are tail loss. It
+// bumps id's incarnation: ground truth now matches the recovered store, so
+// no leg claimed before may move a cell. Callers hold c.mu exclusively.
+func (c *Cluster) reconcileHomesLocked(id int, old, ns *NodeServer, rep *RestartReport) []string {
+	before := func(home int, path string) bool {
+		if home == id {
+			return old != nil && old.holds(path)
 		}
+		return c.servers.holds(home, path)
 	}
-	for p, h := range c.homes {
-		if h == id && !recovered[p] {
-			delete(c.homes, p)
-			rep.TailLost++
+	var conflicts, rehome []string
+	kept := 0
+	for _, p := range ns.node.Store().Paths() {
+		owner, ok := c.homes.Get(p, before)
+		credited := ok && owner == id
+		if f := c.inFlight(p); f != nil {
+			owner, ok = f.home, f.home >= 0
 		}
+		switch {
+		case ok && owner != id:
+			conflicts = append(conflicts, p)
+			continue
+		case credited:
+			kept++
+		case !ok:
+			rep.FilesReclaimed++
+		}
+		rehome = append(rehome, p)
+	}
+	rep.TailLost = c.homes.Scrub(id) - kept
+	for _, p := range rehome {
+		c.homes.Insert(p, id)
 	}
 	c.incarnation[id]++
-	c.homesMu.Unlock()
 	sort.Strings(conflicts)
 	return conflicts
 }

@@ -232,7 +232,7 @@ func TestConcurrentMutationsAndLookups(t *testing.T) {
 	if c.PendingShips() != 0 {
 		t.Error("pending ships after flush")
 	}
-	checkFileCounts(t, c)
+	checkInvariants(t, c)
 }
 
 // TestRecreateKeepsOriginalHome is core's test of the same name over real
@@ -278,13 +278,12 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	if got := c.FileCount(); got != 200 {
 		t.Errorf("FileCount = %d, want 200", got)
 	}
-	checkFileCounts(t, c)
+	checkInvariants(t, c)
 }
 
-// TestMutationFailureKeepsGroundTruth pins the claim-rollback paths: with one
-// daemon crashed in place, a create drawn to it fails and withdraws its
-// homes-map claim, a delete of a file it homes fails and restores the claim,
-// and the creates and deletes that land on live daemons in the same script go
+// TestMutationFailureKeepsGroundTruth pins the failed-leg paths: with one
+// daemon crashed in place, a create drawn to it fails and leaves no cell, a
+// delete of a file it homes fails and leaves its cell, and the creates and deletes that land on live daemons in the same script go
 // through — whether the script is dispatched record by record or as vectors.
 func TestMutationFailureKeepsGroundTruth(t *testing.T) {
 	const files, perStep, seed = 80, 24, 11
@@ -365,7 +364,7 @@ func TestMutationFailureKeepsGroundTruth(t *testing.T) {
 					}
 					want := s.landed(s.target[i])
 					if dead {
-						want = before[i] // rolled back
+						want = before[i] // the failed leg moved nothing
 					}
 					if got := c.HomeOf(rec.Path); got != want {
 						t.Errorf("after %s of %s at MDS %d (dead: %v): HomeOf = %d, want %d", s.what, rec.Path, s.target[i], dead, got, want)
@@ -400,13 +399,13 @@ func TestMutationFailureKeepsGroundTruth(t *testing.T) {
 	}
 }
 
-// TestMixedLegRollsBack pins the rollback of mixed legs: with one daemon
+// TestMixedLegRollsBack pins failed mixed legs: with one daemon
 // crashed in place, a vector interleaving creates, deletes and create+delete
 // pairs of one path fails, every path whose records went to the dead daemon
 // is back where the vector found it, and every path whose records went to a
 // live daemon landed. The vector ends with a delete at the dead daemon and a
 // recreate of that path drawn elsewhere: the recreate must not run, or the
-// path would live at two daemons once the delete is rolled back.
+// path would live at two daemons, since the failed delete leaves its cell.
 func TestMixedLegRollsBack(t *testing.T) {
 	const files = 80
 	ctx := context.Background()
@@ -483,5 +482,5 @@ func TestMixedLegRollsBack(t *testing.T) {
 			t.Errorf("%s (records at MDS %d, dead: %v): HomeOf = %d, want %d", p, d, d == victim, got, want)
 		}
 	}
-	checkHomesAgree(t, c, paths)
+	checkInvariants(t, c)
 }

@@ -193,6 +193,14 @@ func (ns *NodeServer) AddFileDirect(path string) {
 	ns.node.AddFile(path)
 }
 
+// holds reports, without the RPC path, whether the daemon stores path: the
+// coordinator's in-process confirmation of a home-index cell.
+func (ns *NodeServer) holds(path string) bool {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return ns.node.HasFile(path)
+}
+
 // InstallReplicaDirect installs a replica without RPC, for initial seeding.
 func (ns *NodeServer) InstallReplicaDirect(origin int, f *bloom.Filter) {
 	ns.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -59,42 +58,12 @@ func deleteFile(ctx context.Context, c *Cluster, path string) (bool, error) {
 	return res.Found, err
 }
 
-// checkFileCounts asserts the namespace half of the guarantee at a quiescent
-// point: the daemons' own file counts, asked over the wire, sum to the
-// ground-truth count — a file left in a store its home entry no longer names
-// breaks the sum.
-func checkFileCounts(t *testing.T, c *Cluster) {
+// checkInvariants asserts Cluster.CheckInvariants at a quiescent point: the
+// layout, every replica array and the namespace, checked on the daemons.
+func checkInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
-	stored := 0
-	for _, id := range c.MDSIDs() {
-		info, err := c.Heartbeat(context.Background(), id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored += int(info.Files)
-	}
-	if files := c.FileCount(); stored != files {
-		t.Errorf("daemons store %d files, ground truth homes %d", stored, files)
-	}
-}
-
-// checkHomesAgree asserts the per-path half at a quiescent point: each path
-// is stored by exactly the daemon ground truth names, and by none when it
-// names none — a path homed on a daemon that is no longer a member fails too.
-func checkHomesAgree(t *testing.T, c *Cluster, paths []string) {
-	t.Helper()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, p := range paths {
-		home := c.HomeOf(p)
-		if _, member := c.servers[home]; home >= 0 && !member {
-			t.Errorf("%s is homed on MDS %d, which is not a member", p, home)
-		}
-		for id, ns := range c.servers {
-			if has := ns.node.HasFile(p); has != (id == home) {
-				t.Errorf("MDS %d stores %s: %v; ground truth homes it at %d", id, p, has, home)
-			}
-		}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -272,37 +241,6 @@ func TestAddMDSSplitThenLookup(t *testing.T) {
 	}
 }
 
-// checkPlacement asserts the global-mirror-image invariant on the daemons
-// themselves, not just on the coordinator's books: the layout is sound, every
-// daemon's replica array holds exactly what the layout records — an extra
-// copy is an orphan no ship refreshes and no failover drops — and every
-// replica is bit for bit what its origin last shipped, so the XOR-delta drift
-// the origin tracks bounds every holder's staleness.
-func checkPlacement(t *testing.T, c *Cluster) {
-	t.Helper()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := c.layout.Check(c.ids); err != nil {
-		t.Error(err)
-	}
-	for _, g := range c.layout.Groups() {
-		for _, m := range g.Members {
-			if have, want := c.servers[m].node.Replicas().IDs(), g.HeldBy(m); !slices.Equal(have, want) {
-				t.Errorf("group %d %v: MDS %d stores replicas of %v, the layout records %v", g.ID, g.Members, m, have, want)
-			}
-		}
-		for _, r := range g.Replicas {
-			replica := c.servers[r.Holder].node.Replicas().Get(r.Origin)
-			if replica == nil {
-				continue // reported above
-			}
-			if drift, err := replica.XorBits(c.servers[r.Origin].node.Shipped()); err != nil || drift != 0 {
-				t.Errorf("group %d: MDS %d's replica of %d is %d bits from what %d last shipped (%v)", g.ID, r.Holder, r.Origin, drift, r.Origin, err)
-			}
-		}
-	}
-}
-
 // TestSplitKeepsOneReplicaPerGroup pins the split path's placement: the
 // split exchange already hands the newcomer's filter to the victim group, so
 // the distribution that follows must not install it there a second time.
@@ -310,12 +248,12 @@ func checkPlacement(t *testing.T, c *Cluster) {
 func TestSplitKeepsOneReplicaPerGroup(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{{6, 3}, {4, 2}, {5, 1}} {
 		c := startPopulated(t, tc.n, tc.m, 60)
-		checkPlacement(t, c)
+		checkInvariants(t, c)
 		for k := 0; k < 3; k++ {
 			if _, _, err := c.AddMDS(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			checkPlacement(t, c)
+			checkInvariants(t, c)
 		}
 		if t.Failed() {
 			t.Fatalf("N=%d M=%d: placement invariant broken", tc.n, tc.m)

@@ -206,19 +206,27 @@ func TestWireRoundTrip(t *testing.T) {
 				if flags[1] {
 					resp[len(recs)+1] = 1
 				}
-				crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
+				exists, crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
 				if err != nil {
 					t.Fatalf("decodeMutateResp: %v", err)
 				}
 				if crossed != flags[0] || rebuilt != flags[1] {
 					t.Fatalf("flags %v decoded as (%v, %v)", flags, crossed, rebuilt)
 				}
+				if want := append([]bool{true}, make([]bool, len(recs)-1)...); !slices.Equal(exists, want) {
+					t.Fatalf("existence bytes decoded as %v, want %v", exists, want)
+				}
 			}
 			for _, flags := range [][2]byte{{2, 0}, {0, 2}, {0xff, 1}} {
 				resp := append(make([]byte, len(recs)), flags[0], flags[1])
-				if crossed, rebuilt, err := decodeMutateResp(resp, len(recs)); err == nil {
+				if _, crossed, rebuilt, err := decodeMutateResp(resp, len(recs)); err == nil {
 					t.Errorf("flag bytes %v decoded as (%v, %v)", flags, crossed, rebuilt)
 				}
+			}
+			corrupt := append(make([]byte, len(recs)), 0, 0)
+			corrupt[0] = 2
+			if _, _, _, err := decodeMutateResp(corrupt, len(recs)); err == nil {
+				t.Error("existence byte 2 decoded")
 			}
 		}},
 		{opHeartbeat, func(t *testing.T) {
@@ -288,7 +296,7 @@ func TestWireRoundTrip(t *testing.T) {
 				if flag {
 					resp[flagAt] = 1
 				}
-				crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
+				_, crossed, rebuilt, err := decodeMutateResp(resp, len(recs))
 				if err != nil {
 					t.Fatalf("decodeMutateResp: %v", err)
 				}
@@ -668,8 +676,9 @@ func FuzzNodeServerRequests(f *testing.F) {
 // FuzzBatchResponses drives the three response decoders that sit under every
 // TCP operation — hit lists, bool vectors and the mutate batch answer — with
 // arbitrary bytes for an arbitrary expected count: none may panic, none may
-// accept a body whose length disagrees with n, and the bool decoders accept
-// exactly the answer bytes 0 and 1.
+// accept a body whose length disagrees with n, and the bool decoders — a
+// mutate answer's existence bytes and flags among them — accept exactly the
+// answer bytes 0 and 1.
 func FuzzBatchResponses(f *testing.F) {
 	oneList := appendHits(nil, []int{3})
 	f.Add([]byte{}, uint8(0))
@@ -701,7 +710,7 @@ func FuzzBatchResponses(f *testing.F) {
 		if bs, err := decodeBools(data, n); (err == nil) != (len(data) == n && answers(data)) || err == nil && len(bs) != n {
 			t.Fatalf("decodeBools(%d bytes, n=%d) = %d answers, %v", len(data), n, len(bs), err)
 		}
-		if _, _, err := decodeMutateResp(data, n); (err == nil) != (len(data) == n+2 && answers(data[n:])) {
+		if _, _, _, err := decodeMutateResp(data, n); (err == nil) != (len(data) == n+2 && answers(data)) {
 			t.Fatalf("decodeMutateResp(%d bytes, n=%d): %v", len(data), n, err)
 		}
 	})

@@ -4,7 +4,8 @@
 // Each package is summarized into facts: for every function, the set of
 // lock classes it may (transitively) acquire, and the lock classes it
 // holds when it invokes one of its func-typed parameters (the callback
-// pattern used by core's sharded homes map). A lock class names the
+// pattern used by the sharded home index); a callback parameter forwarded
+// to such a function inherits its held set. A lock class names the
 // static identity of a mutex — `pkg.Type.field` for a struct field,
 // `pkg.Type.field[]` for an element of a mutex array (stripes), and
 // `pkg.var` for a package-level mutex. Local mutexes have no class: they
@@ -23,7 +24,7 @@
 // transitively acquire, using the exported facts for out-of-package
 // callees; function-literal arguments are walked with the callee's
 // published callback-held set added, so an edge like
-// homeShard.mu→Node.mu materializes at the removeThen call site.
+// homeindex.shard.mu→Node.mu materializes at the RemoveThen call site.
 //
 // Edges are exported both as object facts on the type that owns the
 // source lock (those re-export transitively) and as a package fact
@@ -158,6 +159,21 @@ type funcInfo struct {
 	acquires   []acqEvent
 	calls      []callEvent
 	paramCalls []ParamCall
+}
+
+// addParamCall records that the function calls its pc.Index-th parameter
+// holding pc.Held, once: both rounds walk every body, and a forwarded
+// callback may reach one callee's held set along several calls.
+func (fi *funcInfo) addParamCall(pc ParamCall) {
+	if len(pc.Held) == 0 {
+		return
+	}
+	for _, have := range fi.paramCalls {
+		if have.Index == pc.Index && slices.Equal(have.Held, pc.Held) {
+			return
+		}
+	}
+	fi.paramCalls = append(fi.paramCalls, pc)
 }
 
 type checker struct {
@@ -669,6 +685,19 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 			continue
 		}
 		w.expr(arg)
+		// A callback parameter forwarded to a callee that calls it under
+		// locks is called under them by this function as well.
+		if callee != nil {
+			if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+				if idx, ok := w.params[w.info().ObjectOf(id)]; ok {
+					for _, pc := range w.c.paramCallsOf(callee) {
+						if pc.Index == i {
+							w.fi.addParamCall(ParamCall{Index: idx, Held: append(w.classes(), pc.Held...)})
+						}
+					}
+				}
+			}
+		}
 		// A named function passed as a callback: treat it as called under
 		// the callee's published callback-held set.
 		if w.useFacts {
@@ -691,8 +720,8 @@ func (w *walker) handleCall(call *ast.CallExpr, deferred bool) {
 	// Dynamic call: is it one of the enclosing function's parameters?
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if obj := w.info().ObjectOf(id); obj != nil {
-			if idx, ok := w.params[obj]; ok && len(w.classes()) > 0 {
-				w.fi.paramCalls = append(w.fi.paramCalls, ParamCall{Index: idx, Held: w.classes()})
+			if idx, ok := w.params[obj]; ok {
+				w.fi.addParamCall(ParamCall{Index: idx, Held: w.classes()})
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Package locka is the upstream half of a cross-package lock cycle: it
-// owns a lock and a callback runner, like shipq or the sharded homes map.
+// owns a lock and a callback runner, like shipq or the sharded home index.
 // It is clean on its own — the inversion only exists once lockb wires the
 // callback back into its own lock.
 package locka
@@ -21,4 +21,10 @@ func (a *A) WithLock(fn func()) {
 func (a *A) Touch() {
 	a.mu.Lock()
 	a.mu.Unlock()
+}
+
+// Relay hands fn on to WithLock: a forwarded callback parameter inherits
+// the callee's held set, so Relay's fact says fn runs under A.mu too.
+func (a *A) Relay(fn func()) {
+	a.WithLock(fn)
 }

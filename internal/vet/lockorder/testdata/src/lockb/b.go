@@ -29,3 +29,26 @@ func (b *B) Backward() {
 		b.mu.Unlock()
 	})
 }
+
+// C closes a second cycle against locka, whose back edge only a forwarded
+// callback carries.
+type C struct {
+	mu   sync.Mutex
+	peer *locka.A
+}
+
+// Up establishes lockb.C.mu -> locka.A.mu.
+func (c *C) Up() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.peer.Touch() // want `lock order cycle: locka\.A\.mu acquired while lockb\.C\.mu held`
+}
+
+// Relayed establishes locka.A.mu -> lockb.C.mu through Relay, which only
+// forwards its callback to WithLock.
+func (c *C) Relayed() {
+	c.peer.Relay(func() {
+		c.mu.Lock() // want `lock order cycle: lockb\.C\.mu acquired while locka\.A\.mu held`
+		c.mu.Unlock()
+	})
+}

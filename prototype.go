@@ -114,6 +114,14 @@ func (p *Prototype) FileCount() int { return p.cluster.FileCount() }
 // HomeOf returns path's ground-truth home MDS (-1 when absent).
 func (p *Prototype) HomeOf(path string) int { return p.cluster.HomeOf(path) }
 
+// CheckInvariants verifies, on the daemons themselves, the contract
+// Simulation.CheckInvariants checks in process: the group layout is sound,
+// every replica array holds what the layout records, bit for bit what its
+// origin last shipped, and the daemons' stores hold exactly the files the
+// coordinator's ground truth homes. Exact at a quiescent point: a mutation
+// round still in flight fails it.
+func (p *Prototype) CheckInvariants() error { return p.cluster.CheckInvariants() }
+
 // Cluster exposes the underlying prototype coordinator for callers that
 // need its extra observability (RPC message counters, reset hooks).
 func (p *Prototype) Cluster() *proto.Cluster { return p.cluster }
