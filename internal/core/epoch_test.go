@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"ghba/internal/mds"
 )
@@ -148,12 +149,31 @@ func TestL4LookupsRacingRemoveMDS(t *testing.T) {
 	}
 
 	// The writer runs a fixed number of rounds; the readers look up until
-	// it is done, so every round races them.
-	const rounds = 60
+	// it is done. After each round the writer waits until the readers have
+	// resolved an L4 lookup against it, so every round races them however
+	// the scheduler runs the goroutines, even on one CPU. The waits share
+	// one time budget: once it is spent the rounds run on unwaited, so a
+	// run that never resolves at L4 ends and fails the assertion below
+	// instead of hanging. l4Total, live (the readers still looking up) and
+	// expired are guarded by mu.
+	const rounds, readers, budget = 60, 4, 30 * time.Second
+	var (
+		mu      sync.Mutex
+		cond    = sync.NewCond(&mu)
+		l4Total int
+		live    = readers
+		expired bool
+	)
+	timer := time.AfterFunc(budget, func() {
+		mu.Lock()
+		expired = true
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	defer timer.Stop()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rng := rand.New(rand.NewSource(5))
 		for i := 0; i < rounds; i++ {
 			id, _, err := c.AddMDS()
 			if err != nil {
@@ -161,23 +181,42 @@ func TestL4LookupsRacingRemoveMDS(t *testing.T) {
 				return
 			}
 			servers.Store(id, c.Node(id))
-			// Retire a server other than the newcomer (the highest ID), so
-			// there are files to re-home, some onto the newcomer.
+			// Retire the fullest server other than the newcomer (the
+			// highest ID), so that every round re-homes files, some onto the
+			// newcomer, that entries outside their new homes' groups must
+			// find at L4. (A server holding one file or none may offer the
+			// readers no L4 lookup to resolve.)
 			ids := c.MDSIDs()
-			if _, err := c.RemoveMDS(ids[rng.Intn(len(ids)-1)]); err != nil {
+			leaver := ids[0]
+			for _, id := range ids[:len(ids)-1] {
+				if c.Node(id).FileCount() > c.Node(leaver).FileCount() {
+					leaver = id
+				}
+			}
+			if _, err := c.RemoveMDS(leaver); err != nil {
 				t.Errorf("RemoveMDS: %v", err)
 				return
 			}
+			mu.Lock()
+			for start := l4Total; l4Total == start && live > 0 && !expired; {
+				cond.Wait()
+			}
+			mu.Unlock()
 		}
 	}()
 
-	const readers = 4
 	var wg sync.WaitGroup
 	l4 := make([]int, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			defer func() {
+				mu.Lock()
+				live--
+				cond.Broadcast()
+				mu.Unlock()
+			}()
 			rng := rand.New(rand.NewSource(int64(700 + r)))
 			for {
 				select {
@@ -198,6 +237,10 @@ func TestL4LookupsRacingRemoveMDS(t *testing.T) {
 				}
 				if res.Level == 4 {
 					l4[r]++
+					mu.Lock()
+					l4Total++
+					cond.Broadcast()
+					mu.Unlock()
 				}
 			}
 		}(r)

@@ -33,13 +33,13 @@ func liveHeapBytes(build func() any) int64 {
 // TestHomeIndexFootprint loads 1k, 10k, 24k (the TCP workloads' namespace)
 // and 120k (the simulator workloads') paths into the index and, for scale,
 // into the map[string]int both engines once kept, and requires the index to
-// cost at most 16 B/file at 24k and 20 at 120k. Path bytes are built
+// cost at most 13 B/file at 24k and 11 at 120k. Path bytes are built
 // beforehand and shared, so only the structure is counted. On amd64 with
-// go1.24 the index costs 18.6 / 13.5 / 14.2 / 17.5 B/file — 8-byte cells in
-// tables 46–61% full, plus the 64 shard headers — and the map 54.7 / 43.7 /
-// 36.4 / 55.7.
+// go1.24 the index costs 15.9 / 12.1 / 11.7 / 9.9 B/file — 8-byte cells in
+// tables 58–87.5% full, plus the 64 shard headers — and the map 54.7 / 43.7
+// / 36.4 / 55.7.
 func TestHomeIndexFootprint(t *testing.T) {
-	limits := map[int]float64{24_000: 16, 120_000: 20}
+	limits := map[int]float64{24_000: 13, 120_000: 11}
 	for _, n := range []int{1_000, 10_000, 24_000, 120_000} {
 		paths := make([]string, n)
 		for i := range paths {

@@ -3,13 +3,14 @@
 // core.Cluster and the TCP coordinator's proto.Cluster.
 //
 // Every path is already held by its home's metadata store, so the index
-// stores one 8-byte cell per file — a 32-bit tag of the path's hash and the
-// home's ID — and a tag match is only a candidate until the home confirms
-// that it holds the path. Confirmation is the caller's: a func(home, path)
-// that asks the home's store (core through its node map, proto through the
-// daemon's store in process). Tags may collide: a probe continues past an
-// unconfirmed match, and two same-tag paths at one home are interchangeable
-// cells.
+// stores one 8-byte tagtable cell per file — a 32-bit tag of the path's
+// hash and the home's ID — and a tag match is only a candidate until the
+// home confirms that it holds the path. Confirmation is the caller's: a
+// func(home, path) that asks the home's store (core through its node map,
+// proto through the daemon's store in process). Tags may collide: a probe
+// continues past an unconfirmed match, and two same-tag paths at one home
+// are interchangeable cells. A loaded shard runs 58–87.5% full, about 9–14
+// bytes per file.
 //
 // The cells are striped over Shards locks by the path's hash, so mutations
 // on different paths never serialize on one lock. Whole-index scans (Scrub,
@@ -21,15 +22,14 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"ghba/internal/tagtable"
 )
 
 // Shards is the number of locks the index is striped over. A power of two
 // keeps the shard selection a mask; 64 shards hold contention near zero for
 // any worker count the engines see.
 const Shards = 64
-
-// minCells is the smallest shard table; it holds 6 cells at 3/4 full.
-const minCells = 8
 
 // Index is the sharded file → home index. The zero value is not usable;
 // call New.
@@ -40,39 +40,32 @@ type Index struct {
 	tagMask uint32
 }
 
-// shard is one linear-probed table, a power of two in size and at most 3/4
-// full. A cell's slot is its tag's low bits, so growth never rehashes a
-// path, and a removal shifts the rest of its probe run back rather than
-// leaving a tombstone.
+// shard is one table of cells, each a file's tag and its home's ID plus one
+// (tagtable's empty cell is value 0).
 type shard struct {
 	mu    sync.RWMutex
-	cells []cell
-	n     int
+	cells tagtable.Table
 }
 
-// cell is one file: its path's tag and its home's ID plus one, so the zero
-// cell is empty.
-type cell struct {
-	tag  uint32
-	home int32
-}
+// homeVal is home's cell value; homeOf inverts it.
+func homeVal(home int) uint32 { return uint32(home + 1) }
 
-func (c cell) id() int { return int(c.home) - 1 }
+func homeOf(val uint32) int { return int(val) - 1 }
+
+// home returns the home of the cell in slot i.
+func (s *shard) home(i int) int { return homeOf(s.cells.Val(i)) }
 
 // New returns an empty index.
 func New() *Index {
-	h := &Index{tagMask: ^uint32(0)}
-	for i := range h.shards {
-		h.shards[i].cells = make([]cell, minCells)
-	}
-	return h
+	return &Index{tagMask: ^uint32(0)}
 }
 
-// SetTagBits narrows every tag to its low bits, so that distinct paths share
-// tags constantly. It exists for tests that drive the collision paths, and
-// must be called before the first insert.
+// SetTagBits narrows every tag to its top bits, so that distinct paths share
+// tags constantly while the narrowed tags still spread over a shard's slots,
+// which the table picks from a tag's top bits. It exists for tests that
+// drive the collision paths, and must be called before the first insert.
 func (h *Index) SetTagBits(bits uint) {
-	h.tagMask = 1<<bits - 1
+	h.tagMask = ^uint32(0) << (32 - bits)
 }
 
 // Locate returns the shard number owning path and path's tag, both from one
@@ -101,93 +94,26 @@ func (h *Index) locate(path string) (*shard, uint32) {
 	return &h.shards[i], tag
 }
 
-// findLocked returns the cell of tag's probe run whose home confirms that it
-// holds path. Caller holds s.mu.
-func (s *shard) findLocked(path string, tag uint32, confirm func(home int, path string) bool) (int, bool) {
-	mask := len(s.cells) - 1
-	for i := int(tag) & mask; s.cells[i].home != 0; i = (i + 1) & mask {
-		if c := s.cells[i]; c.tag == tag && confirm(c.id(), path) {
-			return i, true
+// findLocked returns the slot of tag's cell whose home confirms that it
+// holds path, or -1. Caller holds s.mu.
+func (s *shard) findLocked(path string, tag uint32, confirm func(home int, path string) bool) int {
+	for i := s.cells.Find(tag); i >= 0; i = s.cells.Next(i) {
+		if confirm(s.home(i), path) {
+			return i
 		}
 	}
-	return 0, false
+	return -1
 }
 
-// cellOfLocked returns a cell holding exactly (tag, home), unconfirmed.
-// Caller holds s.mu.
-func (s *shard) cellOfLocked(tag uint32, home int) (int, bool) {
-	mask := len(s.cells) - 1
-	for i := int(tag) & mask; s.cells[i].home != 0; i = (i + 1) & mask {
-		if c := s.cells[i]; c.tag == tag && c.id() == home {
-			return i, true
+// cellOfLocked returns the slot of a cell holding exactly (tag, home),
+// unconfirmed, or -1. Caller holds s.mu.
+func (s *shard) cellOfLocked(tag uint32, home int) int {
+	for i := s.cells.Find(tag); i >= 0; i = s.cells.Next(i) {
+		if s.home(i) == home {
+			return i
 		}
 	}
-	return 0, false
-}
-
-// vacantLocked returns the first empty cell of tag's probe run. Caller holds
-// s.mu.
-func (s *shard) vacantLocked(tag uint32) int {
-	mask := len(s.cells) - 1
-	i := int(tag) & mask
-	for s.cells[i].home != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// cellsFor is the table size that holds n cells at most 3/4 full.
-func cellsFor(n int) int {
-	c := minCells
-	for c/4*3 < n {
-		c <<= 1
-	}
-	return c
-}
-
-// insertLocked adds a cell for tag at home, growing the table first when it
-// would pass 3/4 full. Caller holds s.mu.
-func (s *shard) insertLocked(tag uint32, home int) {
-	if want := cellsFor(s.n + 1); want > len(s.cells) {
-		s.resizeLocked(want, -1)
-	}
-	s.cells[s.vacantLocked(tag)] = cell{tag: tag, home: int32(home + 1)}
-	s.n++
-}
-
-// resizeLocked rebuilds the table at size cells, dropping every cell of home
-// drop (-1 keeps them all), and returns how many it dropped. Caller holds
-// s.mu.
-func (s *shard) resizeLocked(size, drop int) int {
-	old := s.cells
-	s.cells = make([]cell, size)
-	kept := 0
-	for _, c := range old {
-		if c.home != 0 && c.id() != drop {
-			s.cells[s.vacantLocked(c.tag)] = c
-			kept++
-		}
-	}
-	dropped := s.n - kept
-	s.n = kept
-	return dropped
-}
-
-// unindexLocked empties cell i and shifts back the rest of its probe run, so
-// every cell stays reachable from its slot without tombstones. Caller holds
-// s.mu.
-func (s *shard) unindexLocked(i int) {
-	mask := len(s.cells) - 1
-	for j := (i + 1) & mask; s.cells[j].home != 0; j = (j + 1) & mask {
-		// The cell at j may fill the hole at i unless its slot lies
-		// cyclically in (i, j].
-		if slot := int(s.cells[j].tag) & mask; (j-slot)&mask >= (j-i)&mask {
-			s.cells[i] = s.cells[j]
-			i = j
-		}
-	}
-	s.cells[i] = cell{}
-	s.n--
+	return -1
 }
 
 // Get returns the home of path and whether it exists: the first cell of the
@@ -196,11 +122,11 @@ func (h *Index) Get(path string, confirm func(home int, path string) bool) (int,
 	s, tag := h.locate(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i, ok := s.findLocked(path, tag, confirm)
-	if !ok {
+	i := s.findLocked(path, tag, confirm)
+	if i < 0 {
 		return -1, false
 	}
-	return s.cells[i].id(), true
+	return s.home(i), true
 }
 
 // PutIfAbsentThen atomically claims path for home and, on success, runs
@@ -216,10 +142,10 @@ func (h *Index) PutIfAbsentThen(path string, home int, confirm func(home int, pa
 	s, tag := h.locate(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.findLocked(path, tag, confirm); ok {
-		return s.cells[i].id(), false
+	if i := s.findLocked(path, tag, confirm); i >= 0 {
+		return s.home(i), false
 	}
-	s.insertLocked(tag, home)
+	s.cells.Insert(tag, homeVal(home))
 	then()
 	return home, true
 }
@@ -232,13 +158,13 @@ func (h *Index) RemoveThen(path string, confirm func(home int, path string) bool
 	s, tag := h.locate(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.findLocked(path, tag, confirm)
-	if !ok {
+	i := s.findLocked(path, tag, confirm)
+	if i < 0 {
 		return -1, false
 	}
-	home := s.cells[i].id()
+	home := s.home(i)
 	then(home)
-	s.unindexLocked(i)
+	s.cells.Delete(i)
 	return home, true
 }
 
@@ -251,11 +177,10 @@ func (h *Index) Rehome(path string, from, to int, confirm func(home int, path st
 	s, tag := h.locate(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mask := len(s.cells) - 1
-	for i := int(tag) & mask; s.cells[i].home != 0; i = (i + 1) & mask {
-		if c := s.cells[i]; c.tag == tag && c.id() == from && confirm(from, path) {
+	for i := s.cells.Find(tag); i >= 0; i = s.cells.Next(i) {
+		if s.home(i) == from && confirm(from, path) {
 			then()
-			s.cells[i].home = int32(to + 1)
+			s.cells.SetVal(i, homeVal(to))
 			return true
 		}
 	}
@@ -268,7 +193,7 @@ func (h *Index) Insert(path string, home int) {
 	s, tag := h.locate(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insertLocked(tag, home)
+	s.cells.Insert(tag, homeVal(home))
 }
 
 // Remove drops one cell of path's tag at home, unconfirmed — the caller has
@@ -278,11 +203,11 @@ func (h *Index) Remove(path string, home int) bool {
 	s, tag := h.locate(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.cellOfLocked(tag, home)
-	if ok {
-		s.unindexLocked(i)
+	i := s.cellOfLocked(tag, home)
+	if i >= 0 {
+		s.cells.Delete(i)
 	}
-	return ok
+	return i >= 0
 }
 
 // Candidates appends to buf, once each and in probe order, the homes of the
@@ -292,11 +217,10 @@ func (h *Index) Candidates(path string, buf []int) []int {
 	s, tag := h.locate(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	mask := len(s.cells) - 1
 	start := len(buf)
-	for i := int(tag) & mask; s.cells[i].home != 0; i = (i + 1) & mask {
-		if c := s.cells[i]; c.tag == tag && !slices.Contains(buf[start:], c.id()) {
-			buf = append(buf, c.id())
+	for i := s.cells.Find(tag); i >= 0; i = s.cells.Next(i) {
+		if home := s.home(i); !slices.Contains(buf[start:], home) {
+			buf = append(buf, home)
 		}
 	}
 	return buf
@@ -308,21 +232,21 @@ func (h *Index) Len() int {
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.RLock()
-		total += s.n
+		total += s.cells.Len()
 		s.mu.RUnlock()
 	}
 	return total
 }
 
 // Scrub removes every cell homed at home, returning how many were dropped:
-// the files of a failed server leave the namespace. Each shard is rebuilt
-// without them.
+// the files of a failed server leave the namespace. Each shard keeps its
+// size.
 func (h *Index) Scrub(home int) int {
 	dropped := 0
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.Lock()
-		dropped += s.resizeLocked(len(s.cells), home)
+		dropped += s.cells.Filter(func(_, val uint32) bool { return val != homeVal(home) })
 		s.mu.Unlock()
 	}
 	return dropped
@@ -337,9 +261,8 @@ func (h *Index) Scrub(home int) int {
 // excludes every mutation.
 func (h *Index) Check(ids []int, stored func(id int) []string, confirm func(home int, path string) bool) error {
 	type key struct {
-		s    *shard
-		tag  uint32
-		home int32
+		s         *shard
+		tag, home uint32
 	}
 	want := make(map[key]int)
 	total := 0
@@ -349,7 +272,7 @@ func (h *Index) Check(ids []int, stored func(id int) []string, confirm func(home
 				return fmt.Errorf("MDS %d stores %s, which the home index resolves to %d", id, path, home)
 			}
 			s, tag := h.locate(path)
-			want[key{s, tag, int32(id + 1)}]++
+			want[key{s, tag, homeVal(id)}]++
 			total++
 		}
 	}
@@ -357,14 +280,11 @@ func (h *Index) Check(ids []int, stored func(id int) []string, confirm func(home
 	for i := range h.shards {
 		s := &h.shards[i]
 		s.mu.RLock()
-		for _, c := range s.cells {
-			if c.home == 0 {
-				continue
-			}
-			k := key{s, c.tag, c.home}
+		for tag, val := range s.cells.All() {
+			k := key{s, tag, val}
 			if want[k] == 0 {
 				s.mu.RUnlock()
-				return fmt.Errorf("home shard %d holds a cell (tag %#x, MDS %d) no stored path accounts for", i, c.tag, c.id())
+				return fmt.Errorf("home shard %d holds a cell (tag %#x, MDS %d) no stored path accounts for", i, tag, homeOf(val))
 			}
 			want[k]--
 			cells++

@@ -206,3 +206,58 @@ func TestIndexZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// benchIndex loads an index with the simulator workloads' 120,000 paths over
+// 30 homes, and returns it with the paths, a confirm step over a map of the
+// true homes, and as many absent paths.
+func benchIndex() (*Index, []string, []string, func(int, string) bool) {
+	const n, servers = 120_000, 30
+	h := New()
+	homes := make(map[string]int, n)
+	hit, miss := make([]string, n), make([]string, n)
+	for i := range hit {
+		hit[i] = "/bench/dir" + strconv.Itoa(i%100) + "/file" + strconv.Itoa(i)
+		miss[i] = hit[i] + ".absent"
+		homes[hit[i]] = i % servers
+		h.Insert(hit[i], i%servers)
+	}
+	confirm := func(home int, path string) bool {
+		at, ok := homes[path]
+		return ok && at == home
+	}
+	return h, hit, miss, confirm
+}
+
+// BenchmarkIndexGet times Get at 120,000 files, on present paths and on
+// absent ones. The confirm step is a map lookup, as a store's would be.
+func BenchmarkIndexGet(b *testing.B) {
+	h, hit, miss, confirm := benchIndex()
+	for _, tc := range []struct {
+		name  string
+		paths []string
+		want  bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := h.Get(tc.paths[i%len(tc.paths)], confirm); ok != tc.want {
+					b.Fatal("Get wrong")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexPut times claiming an absent path with PutIfAbsentThen at
+// 120,000 files, then dropping its cell with Remove, so that the index
+// stays at one size throughout.
+func BenchmarkIndexPut(b *testing.B) {
+	h, _, miss, confirm := benchIndex()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := miss[i%len(miss)]
+		if _, ok := h.PutIfAbsentThen(p, 1, confirm, func() {}); !ok {
+			b.Fatal("claim refused")
+		}
+		h.Remove(p, 1)
+	}
+}

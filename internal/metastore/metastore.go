@@ -6,10 +6,10 @@
 // lookup behind the RPC boundary.
 //
 // The store is sized for RAM at scale, the paper's premise: files live as
-// dense (path, record) entries in fixed-size chunks, found through an
-// open-addressing index of 8-byte cells (see Store). A loaded server pays
-// about 56 bytes of entry and 11–21 bytes of index per file, plus the path
-// bytes it shares with its caller.
+// dense (path, record) entries in fixed-size chunks, found through a
+// tagtable index of 8-byte cells (see Store). A loaded server pays about 56
+// bytes of entry and 9–14 bytes of index per file, plus the path bytes it
+// shares with its caller.
 package metastore
 
 import (
@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"ghba/internal/tagtable"
 )
 
 // Metadata is the attribute record of one file, the payload a successful
@@ -85,14 +87,6 @@ type entry struct {
 	rec  record
 }
 
-// cell is one slot of the index. ref is the entry's position plus one, so
-// the zero cell is empty; tag is the path's 32-bit hash. A probe rejects a
-// non-match on the tag without touching the entry, and the tag's low bits
-// are the cell's home, so growing the index never rehashes a path.
-type cell struct {
-	ref, tag uint32
-}
-
 const (
 	// chunkShift sizes a chunk: 1,024 entries are 57,344 bytes, exactly
 	// seven pages of a large object, which carries no malloc header, so a
@@ -104,8 +98,6 @@ const (
 	// is full-size, so a store of a handful of files stays small. It is
 	// the only chunk ever copied.
 	firstChunk = 8
-	// minCells is the smallest index; it holds 6 entries at 3/4 full.
-	minCells = 8
 )
 
 // Store holds the metadata of all files homed at one MDS. It is safe for
@@ -113,23 +105,23 @@ const (
 //
 // Entries are dense: positions 0..n-1 across the chunks, in insertion
 // order except that Delete moves the last entry into the hole. The index
-// is linear-probed, a power of two in size and at most 3/4 full, and
-// Delete shifts the rest of a probe run back rather than leaving a
-// tombstone. Paths are hashed with a per-store random seed, so wire paths
-// cannot be chosen to collide.
+// maps each path's 32-bit hash (its tag) to its position plus one; a probe
+// rejects a non-match on the tag without touching the entry. Paths are
+// hashed with a per-store random seed, so wire paths cannot be chosen to
+// collide, and the index's size depends on the file count alone.
 type Store struct {
 	seed maphash.Seed // immutable; hashing needs no lock
 
 	mu      sync.RWMutex
 	chunks  [][]entry // every chunk but chunk 0 is chunkLen long
-	cells   []cell
+	index   tagtable.Table
 	n       int
 	nextIno uint64
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{seed: maphash.MakeSeed(), cells: make([]cell, minCells)}
+	return &Store{seed: maphash.MakeSeed()}
 }
 
 func (s *Store) tag(path string) uint32 {
@@ -141,56 +133,21 @@ func (s *Store) at(p uint32) *entry {
 	return &s.chunks[p>>chunkShift][p&chunkMask]
 }
 
-// find returns the cell indexing path and true, or the first empty cell of
-// path's probe run and false. The index always has an empty cell.
-func (s *Store) find(path string, tag uint32) (uint32, bool) {
-	mask := uint32(len(s.cells) - 1)
-	for i := tag & mask; ; i = (i + 1) & mask {
-		c := s.cells[i]
-		if c.ref == 0 {
-			return i, false
-		}
-		if c.tag == tag && s.at(c.ref-1).path == path {
-			return i, true
+// find returns the index slot of path, or -1 when path is absent.
+func (s *Store) find(path string, tag uint32) int {
+	for i := s.index.Find(tag); i >= 0; i = s.index.Next(i) {
+		if s.at(s.index.Val(i)-1).path == path {
+			return i
 		}
 	}
-}
-
-// vacant returns the first empty cell of a probe run starting at tag's home.
-func (s *Store) vacant(tag uint32) uint32 {
-	mask := uint32(len(s.cells) - 1)
-	i := tag & mask
-	for s.cells[i].ref != 0 {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-// cellsFor is the index size that holds n entries at most 3/4 full.
-func cellsFor(n int) int {
-	c := minCells
-	for c/4*3 < n {
-		c <<= 1
-	}
-	return c
+	return -1
 }
 
 // upsert returns path's entry, appending and indexing a zero-record entry
 // when path is absent (fresh reports that). Caller holds s.mu.
 func (s *Store) upsert(path string, tag uint32) (e *entry, fresh bool) {
-	i, ok := s.find(path, tag)
-	if ok {
-		return s.at(s.cells[i].ref - 1), false
-	}
-	if want := cellsFor(s.n + 1); want > len(s.cells) {
-		old := s.cells
-		s.cells = make([]cell, want)
-		for _, c := range old {
-			if c.ref != 0 {
-				s.cells[s.vacant(c.tag)] = c
-			}
-		}
-		i = s.vacant(tag)
+	if i := s.find(path, tag); i >= 0 {
+		return s.at(s.index.Val(i) - 1), false
 	}
 	p := s.n
 	c, off := p>>chunkShift, p&chunkMask
@@ -207,7 +164,7 @@ func (s *Store) upsert(path string, tag uint32) (e *entry, fresh bool) {
 		s.chunks[c] = grown
 	}
 	s.n++
-	s.cells[i] = cell{ref: uint32(s.n), tag: tag}
+	s.index.Insert(tag, uint32(s.n))
 	e = &s.chunks[c][off]
 	e.path = path
 	return e, true
@@ -241,11 +198,11 @@ func (s *Store) Get(path string) (Metadata, bool) {
 	tag := s.tag(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i, ok := s.find(path, tag)
-	if !ok {
+	i := s.find(path, tag)
+	if i < 0 {
 		return Metadata{}, false
 	}
-	return s.at(s.cells[i].ref - 1).rec.metadata(path), true
+	return s.at(s.index.Val(i) - 1).rec.metadata(path), true
 }
 
 // Has reports whether path is homed here.
@@ -253,8 +210,7 @@ func (s *Store) Has(path string) bool {
 	tag := s.tag(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.find(path, tag)
-	return ok
+	return s.find(path, tag) >= 0
 }
 
 // Delete removes path, reporting whether it was present.
@@ -262,41 +218,25 @@ func (s *Store) Delete(path string) bool {
 	tag := s.tag(path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i, ok := s.find(path, tag)
-	if !ok {
+	i := s.find(path, tag)
+	if i < 0 {
 		return false
 	}
-	hole := s.cells[i].ref
-	s.unindex(i)
+	hole := s.index.Val(i)
+	s.index.Delete(i)
 	last := uint32(s.n)
 	if hole != last {
 		moved := s.at(last - 1)
-		mask := uint32(len(s.cells) - 1)
-		j := s.tag(moved.path) & mask
-		for s.cells[j].ref != last {
-			j = (j + 1) & mask
+		j := s.index.Find(s.tag(moved.path))
+		for s.index.Val(j) != last {
+			j = s.index.Next(j)
 		}
-		s.cells[j].ref = hole
+		s.index.SetVal(j, hole)
 		*s.at(hole - 1) = *moved
 	}
 	*s.at(last - 1) = entry{}
 	s.n--
 	return true
-}
-
-// unindex empties cell i and shifts back the rest of its probe run, so
-// every indexed entry stays reachable from its home without tombstones.
-func (s *Store) unindex(i uint32) {
-	mask := uint32(len(s.cells) - 1)
-	for j := (i + 1) & mask; s.cells[j].ref != 0; j = (j + 1) & mask {
-		// The cell at j may fill the hole at i unless its home lies
-		// cyclically in (i, j].
-		if home := s.cells[j].tag & mask; (j-home)&mask >= (j-i)&mask {
-			s.cells[i] = s.cells[j]
-			i = j
-		}
-	}
-	s.cells[i] = cell{}
 }
 
 // Len returns the number of files homed here.
@@ -364,7 +304,7 @@ func (s *Store) Restore(snap Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(snap.Files)
-	s.cells = make([]cell, cellsFor(n))
+	s.index = tagtable.Make(n)
 	s.chunks = make([][]entry, 0, (n+chunkMask)>>chunkShift)
 	for left := n; left > 0; left -= chunkLen {
 		// Chunk 0 is short only when the whole snapshot is.

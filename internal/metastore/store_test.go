@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"ghba/internal/tagtable"
 )
 
 // sameMetadata compares two records, MTime by instant.
@@ -23,7 +25,7 @@ func sameMetadata(a, b Metadata) bool {
 
 // checkStore compares s with the reference map through the public API —
 // Len, Get, a Range that visits each path exactly once, Paths as the sorted
-// keys — and then checks the index itself: at most 3/4 full, one cell per
+// keys — and then checks the index itself: at most 7/8 full, one cell per
 // entry whose tag is the path's hash and from which find reaches it, and
 // every position past the live entries zeroed, so a deleted path's bytes
 // are not kept alive.
@@ -60,21 +62,18 @@ func checkStore(t *testing.T, s *Store, ref map[string]Metadata) {
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.n > len(s.cells)/4*3 {
-		t.Fatalf("%d entries in %d cells, over 3/4 full", s.n, len(s.cells))
+	if 8*s.n > 7*s.index.Size() {
+		t.Fatalf("%d entries in %d cells, over 7/8 full", s.n, s.index.Size())
 	}
 	used := 0
-	for i, c := range s.cells {
-		if c.ref == 0 {
-			continue
-		}
+	for tag, ref := range s.index.All() {
 		used++
-		e := s.at(c.ref - 1)
-		if tag := uint32(maphash.String(s.seed, e.path)); c.tag != tag {
-			t.Fatalf("cell %d tags %q %#x, its hash is %#x", i, e.path, c.tag, tag)
+		e := s.at(ref - 1)
+		if hash := uint32(maphash.String(s.seed, e.path)); tag != hash {
+			t.Fatalf("the cell of entry %d tags %q %#x, its hash is %#x", ref-1, e.path, tag, hash)
 		}
-		if j, ok := s.find(e.path, c.tag); !ok || j != uint32(i) {
-			t.Fatalf("cell %d holds %q, find reaches cell %d (found %v)", i, e.path, j, ok)
+		if i := s.find(e.path, tag); i < 0 || s.index.Val(i) != ref {
+			t.Fatalf("the cell of entry %d holds %q, find reaches slot %d", ref-1, e.path, i)
 		}
 	}
 	if used != s.n {
@@ -93,10 +92,11 @@ func checkStore(t *testing.T, s *Store, ref map[string]Metadata) {
 }
 
 // boundary reports whether a store of n entries sits at or next to an
-// index growth or a chunk edge.
+// index growth (the index holds 7/8 of its cells before it grows to the
+// next size) or a chunk edge.
 func boundary(n int) bool {
-	for c := minCells; c/4*3 <= n+1; c <<= 1 {
-		if d := n - c/4*3; d >= -1 && d <= 1 {
+	for full := 7 * tagtable.SizeFor(1) / 8; full <= n+1; full = 7 * tagtable.SizeFor(full+1) / 8 {
+		if d := n - full; d >= -1 && d <= 1 {
 			return true
 		}
 	}
@@ -109,7 +109,7 @@ func boundary(n int) bool {
 func shape(s *Store) [3]int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sh := [3]int{len(s.cells), len(s.chunks)}
+	sh := [3]int{s.index.Size(), len(s.chunks)}
 	if len(s.chunks) > 0 {
 		sh[2] = len(s.chunks[0])
 	}
@@ -256,7 +256,7 @@ func TestStoreGrowthBoundaries(t *testing.T) {
 	shuffled := slices.Clone(paths)
 	rand.New(rand.NewSource(7)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	drain(shuffled)
-	if got, want := len(s.cells), cellsFor(n); got != want {
+	if got, want := s.index.Size(), tagtable.SizeFor(n); got != want {
 		t.Errorf("index of %d cells after growing to %d files, want %d", got, n, want)
 	}
 }
@@ -272,8 +272,8 @@ func TestRestoreSizesOnce(t *testing.T) {
 		}
 		s := NewStore()
 		s.Restore(Snapshot{NextIno: uint64(n), Files: files})
-		if len(s.cells) != cellsFor(n) {
-			t.Errorf("%d files: %d cells, want %d", n, len(s.cells), cellsFor(n))
+		if s.index.Size() != tagtable.SizeFor(n) {
+			t.Errorf("%d files: %d cells, want %d", n, s.index.Size(), tagtable.SizeFor(n))
 		}
 		if want := (n + chunkMask) / chunkLen; len(s.chunks) != want {
 			t.Errorf("%d files: %d chunks, want %d", n, len(s.chunks), want)
@@ -350,12 +350,12 @@ func heapBytes(build func() any) int64 {
 
 // TestStoreFootprint loads 1k to 100k paths into one store and into the
 // map[string]record the store replaced, side by side, and requires the
-// store to cost less per file at every size and at most 80 B/file at 4k,
+// store to cost less per file at every size and at most 77 B/file at 4k,
 // the benchmark's files per server. Path bytes are built beforehand and
 // shared, so only the structure is counted. On amd64 with go1.24 the map
 // costs 131 / 131 / 131 / 105 / 84 B/file (its tables run 44–88% full)
-// and the store 74 / 74 / 74 / 71 / 77: 56 B of entry plus 16, 16, 16, 13
-// and 21 B of index.
+// and the store 70 / 67 / 70 / 67 / 67: about 57 B of entry, since chunks
+// come in 1,024 entries, plus 12, 9, 10, 9 and 11 B of index.
 func TestStoreFootprint(t *testing.T) {
 	for _, n := range []int{1_000, 2_000, 4_000, 10_000, 100_000} {
 		paths := make([]string, n)
@@ -381,8 +381,8 @@ func TestStoreFootprint(t *testing.T) {
 		if perFile >= mapPerFile {
 			t.Errorf("%d files: store %.1f B/file, not below the map's %.1f", n, perFile, mapPerFile)
 		}
-		if n == 4_000 && perFile > 80 {
-			t.Errorf("4,000 files: store %.1f B/file, want ≤ 80", perFile)
+		if n == 4_000 && perFile > 77 {
+			t.Errorf("4,000 files: store %.1f B/file, want ≤ 77", perFile)
 		}
 	}
 }

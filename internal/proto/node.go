@@ -14,10 +14,19 @@ import (
 
 // NodeServer is one prototype MDS daemon: an mds.Node behind a TCP server.
 // The node mutex serializes request processing, so concurrent load produces
-// genuine queueing at hot servers — the effect Fig 14 measures.
+// genuine queueing at hot servers — the effect Fig 14 measures. A mutation
+// batch holds it only to apply; its WAL append and fsync run under logMu, so
+// reads and heartbeats never wait for the disk.
 type NodeServer struct {
 	id  int
 	srv *rpcnet.Server
+
+	// logMu orders the daemon's durable history, and is taken before mu. A
+	// mutation batch holds it from the incarnation check through the append
+	// and fsync, the apply and any compaction; serve, SnapshotNow,
+	// Shutdown, Close and Kill take it first. So a snapshot never retires
+	// a record that was logged but not yet applied.
+	logMu sync.Mutex
 
 	mu   sync.Mutex
 	node *mds.Node
@@ -36,17 +45,21 @@ type NodeServer struct {
 
 	// wal, when non-nil, makes the daemon durable: every mutating RPC
 	// appends its records before applying them (write-ahead), and every
-	// snapshotEvery records the log compacts into a snapshot. Guarded by mu
-	// like the node itself — handle holds mu for the whole request, so the
-	// append and the apply are atomic with respect to snapshots.
+	// snapshotEvery records the log compacts into a snapshot. Appends,
+	// snapshots and closing happen under logMu; the heartbeat reads its
+	// record count under mu alone (the count takes no lock).
 	wal           *wal.Log
 	snapshotEvery uint64
 
 	// incarnation is the coordinator incarnation this instance serves
 	// (Cluster.incarnation): a mutation batch claimed against another is
 	// refused. RestartMDS sets it on a recovered daemon before anyone can
-	// reach it. Guarded by mu.
+	// reach it. Guarded by logMu.
 	incarnation uint64
+
+	// afterAppend, when set, runs after a mutation batch's append and
+	// before its apply, with logMu held; tests park a batch there.
+	afterAppend func()
 }
 
 // NodeServerOptions configures one daemon beyond its mds.Node state.
@@ -103,8 +116,8 @@ func (ns *NodeServer) Addr() string { return ns.srv.Addr() }
 // taken — recovery replays the log tail.
 func (ns *NodeServer) Close() {
 	ns.srv.Close()
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
 	if ns.wal != nil {
 		_ = ns.wal.Close()
 	}
@@ -116,8 +129,8 @@ func (ns *NodeServer) Close() {
 // mds.Recover is the only way back.
 func (ns *NodeServer) Kill() {
 	ns.srv.Close()
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
 	if ns.wal != nil {
 		_ = ns.wal.Abandon()
 	}
@@ -126,62 +139,57 @@ func (ns *NodeServer) Kill() {
 // Shutdown drains the daemon cleanly: the listener closes, in-flight
 // requests finish (bounded by timeout), a final snapshot compacts the WAL,
 // and the log closes. On drain timeout the WAL is left as-is — a wedged
-// handler may hold the daemon mutex, and recovery replays the tail anyway.
+// handler may hold the daemon's locks, and recovery replays the tail anyway.
 func (ns *NodeServer) Shutdown(timeout time.Duration) error {
 	if err := ns.srv.Drain(timeout); err != nil {
 		return err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
 	if ns.wal == nil {
 		return nil
 	}
-	return errors.Join(ns.snapshotLocked(), ns.wal.Close())
+	return errors.Join(ns.snapshot(), ns.wal.Close())
 }
 
 // SnapshotNow forces a WAL compaction outside the usual cadence; bulk
 // loads use it to make direct (unlogged) writes durable. A no-op without
 // a WAL.
 func (ns *NodeServer) SnapshotNow() error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.snapshotLocked()
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
+	return ns.snapshot()
 }
 
-func (ns *NodeServer) snapshotLocked() error {
+// snapshot compacts the WAL into a snapshot of the node, read under mu.
+// Caller holds logMu, so every logged record is already applied.
+func (ns *NodeServer) snapshot() error {
 	if ns.wal == nil {
 		return nil
 	}
+	ns.mu.Lock()
 	state, err := ns.node.MarshalSnapshot()
+	ns.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	return ns.wal.Snapshot(state)
 }
 
-// logMutation appends records ahead of applying them (write-ahead: a
-// mutation whose append fails is refused wholesale). Called with mu held.
-func (ns *NodeServer) logMutation(recs ...wal.Record) error {
-	if ns.wal == nil {
-		return nil
-	}
-	return ns.wal.Append(recs...)
-}
-
-// maybeCompactLocked snapshots once the record count crosses the cadence.
-// Called with mu held, after the mutation applied, so the snapshot always
-// includes the records it retires.
-func (ns *NodeServer) maybeCompactLocked() error {
+// maybeCompact snapshots once the record count crosses the cadence. Caller
+// holds logMu, after the mutation applied, so the snapshot always includes
+// the records it retires.
+func (ns *NodeServer) maybeCompact() error {
 	if ns.wal == nil || ns.snapshotEvery == 0 || ns.wal.RecordsSinceSnapshot() < ns.snapshotEvery {
 		return nil
 	}
-	return ns.snapshotLocked()
+	return ns.snapshot()
 }
 
 // serve sets the coordinator incarnation the daemon accepts mutations for.
 func (ns *NodeServer) serve(incarnation uint64) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
 	ns.incarnation = incarnation
 }
 
@@ -230,8 +238,12 @@ func (ns *NodeServer) spilledSleep() {
 	time.Sleep(time.Duration(frac * float64(ns.diskPenalty)))
 }
 
-// handle dispatches one RPC.
+// handle dispatches one RPC. A mutation batch goes to mutate, which holds
+// mu only to apply; every other request holds mu throughout.
 func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
+	if msgType == opMutateBatch {
+		return ns.mutate(payload)
+	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	switch msgType {
@@ -339,49 +351,6 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		}
 		return encodeBools(answers), nil
 
-	case opMutateBatch:
-		incarnation, recs, err := decodeMutations(payload)
-		if err != nil {
-			return nil, err
-		}
-		if incarnation != ns.incarnation {
-			// Claimed before this instance's recovery was reconciled with
-			// ground truth, which already settled the claims against what
-			// the instance recovered: applying them now would undo that.
-			return nil, fmt.Errorf("proto: MDS %d serves incarnation %d, the batch was claimed under %d", ns.id, ns.incarnation, incarnation)
-		}
-		// One append, one fsync, for the whole vector. Logged before the
-		// existence answers are known: replaying a delete of an absent path is
-		// a no-op, so the record is harmless either way.
-		if err := ns.logMutation(recs...); err != nil {
-			return nil, err
-		}
-		resp := make([]byte, len(recs)+2)
-		created, rebuilt := false, false
-		for i, r := range recs {
-			if r.Op == wal.OpCreate {
-				ns.node.AddFile(r.Path)
-				resp[i], created = 1, true
-			} else if ns.node.DeleteFile(r.Path) {
-				resp[i] = 1
-				if ns.node.RebuildIfStale(mds.RebuildDeleteThreshold) {
-					rebuilt = true
-				}
-			}
-		}
-		// The mutation and the threshold check happen in one request, so the
-		// coordinator learns whether to feed the ship queue without a second
-		// round trip — the networked twin of core.noteMutationLocked. One
-		// answer per flag serves the whole batch: the ship queue coalesces by
-		// origin anyway, so per-path flags would collapse to the same Note.
-		if created && ns.node.NeedsShip(mds.DefaultUpdateThresholdBits) {
-			resp[len(recs)] = 1
-		}
-		if rebuilt {
-			resp[len(recs)+1] = 1
-		}
-		return resp, ns.maybeCompactLocked()
-
 	case opHeartbeat:
 		var walRecs uint64
 		if ns.wal != nil {
@@ -396,4 +365,67 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("proto: unknown message type %d", msgType)
 	}
+}
+
+// mutate serves one mutation batch under logMu: the incarnation check, one
+// append and one fsync for the whole vector, the apply under mu, and the
+// compaction the batch may trigger.
+func (ns *NodeServer) mutate(payload []byte) ([]byte, error) {
+	incarnation, recs, err := decodeMutations(payload)
+	if err != nil {
+		return nil, err
+	}
+	ns.logMu.Lock()
+	defer ns.logMu.Unlock()
+	if incarnation != ns.incarnation {
+		// Claimed before this instance's recovery was reconciled with
+		// ground truth, which already settled the claims against what
+		// the instance recovered: applying them now would undo that.
+		return nil, fmt.Errorf("proto: MDS %d serves incarnation %d, the batch was claimed under %d", ns.id, ns.incarnation, incarnation)
+	}
+	// Logged before the existence answers are known: replaying a delete of
+	// an absent path is a no-op, so the record is harmless either way. A
+	// batch whose append fails is refused wholesale.
+	if ns.wal != nil {
+		if err := ns.wal.Append(recs...); err != nil {
+			return nil, err
+		}
+	}
+	if ns.afterAppend != nil {
+		ns.afterAppend()
+	}
+	return ns.apply(recs), ns.maybeCompact()
+}
+
+// apply applies a logged mutation batch to the node under mu and returns
+// its answer: an existence byte per record, then the crossed and rebuilt
+// flags.
+func (ns *NodeServer) apply(recs []wal.Record) []byte {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	resp := make([]byte, len(recs)+2)
+	created, rebuilt := false, false
+	for i, r := range recs {
+		if r.Op == wal.OpCreate {
+			ns.node.AddFile(r.Path)
+			resp[i], created = 1, true
+		} else if ns.node.DeleteFile(r.Path) {
+			resp[i] = 1
+			if ns.node.RebuildIfStale(mds.RebuildDeleteThreshold) {
+				rebuilt = true
+			}
+		}
+	}
+	// The mutation and the threshold check happen in one request, so the
+	// coordinator learns whether to feed the ship queue without a second
+	// round trip — the networked twin of core.noteMutationLocked. One
+	// answer per flag serves the whole batch: the ship queue coalesces by
+	// origin anyway, so per-path flags would collapse to the same Note.
+	if created && ns.node.NeedsShip(mds.DefaultUpdateThresholdBits) {
+		resp[len(recs)] = 1
+	}
+	if rebuilt {
+		resp[len(recs)+1] = 1
+	}
+	return resp
 }

@@ -44,6 +44,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -157,8 +158,8 @@ type Log struct {
 
 	mu            sync.Mutex
 	f             *os.File
-	seq           uint64 // sequence of the open segment
-	sinceSnapshot uint64 // records appended (or replayed) since the last snapshot
+	seq           uint64        // sequence of the open segment
+	sinceSnapshot atomic.Uint64 // records appended (or replayed) since the last snapshot; written under mu, read without it
 	lastSync      time.Time
 	dirty         bool
 	closed        bool
@@ -278,7 +279,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: seeking segment %d: %w", seq, err)
 	}
 	l.f, l.seq = f, seq
-	l.sinceSnapshot = uint64(len(rec.Records))
+	l.sinceSnapshot.Store(uint64(len(rec.Records)))
 	if err := syncDir(dir); err != nil {
 		f.Close()
 		return nil, nil, err
@@ -287,11 +288,10 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 }
 
 // RecordsSinceSnapshot returns how many records the log holds beyond the
-// last snapshot — the owner's compaction cadence signal.
+// last snapshot — the owner's compaction cadence signal. It takes no lock,
+// so it answers during an append's fsync.
 func (l *Log) RecordsSinceSnapshot() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sinceSnapshot
+	return l.sinceSnapshot.Load()
 }
 
 // Append writes records to the open segment, one frame each, in one write
@@ -318,7 +318,7 @@ func (l *Log) Append(recs ...Record) error {
 	if _, err := l.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.sinceSnapshot += uint64(len(recs))
+	l.sinceSnapshot.Add(uint64(len(recs)))
 	l.dirty = true
 	switch l.opts.Sync {
 	case SyncAlways:
@@ -378,7 +378,7 @@ func (l *Log) Snapshot(state []byte) error {
 	}
 	old := l.f
 	l.f, l.seq = next, nextSeq
-	l.sinceSnapshot = 0
+	l.sinceSnapshot.Store(0)
 	l.dirty = false
 	old.Close()
 	// Purge everything the new snapshot supersedes; failures leave files
