@@ -53,13 +53,10 @@ func runCrossBackendEquivalence(t *testing.T, cfg ghba.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{
-		Config: cfg,
-		// The simulation learns L1 observations at every found lookup; batch
-		// size 1 makes the daemons' replicated LRU arrays follow the same
-		// per-lookup schedule.
-		ObserveBatch: 1,
-	})
+	// The simulation learns L1 observations at every found lookup; batch
+	// size 1 makes the daemons' replicated LRU arrays follow the same
+	// per-lookup schedule.
+	tcp, err := ghba.StartPrototypeObservingEach(ghba.PrototypeConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +182,7 @@ func TestCrossBackendReconfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{Config: cfg, ObserveBatch: 1})
+	tcp, err := ghba.StartPrototypeObservingEach(ghba.PrototypeConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

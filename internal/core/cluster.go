@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,14 +24,14 @@ import (
 // Concurrency model: the read path is lock-free, the write path is locked.
 //
 // Lookups (Lookup, LookupWith, LookupAt) take no lock to read: they load
-// the current epoch — an immutable topology snapshot published through an
-// atomic pointer — and walk the four-level hierarchy against it. Filter
-// probes along the way are word-wise atomic; the replica arrays publish
-// copy-on-write snapshots of their own; and the L1 array publishes its
-// bit-sliced slab and lane assignment the same way — a rotation or Forget
-// copies, only key inserts OR bits into the published slab, atomically, so a
-// probe racing one can at worst miss that key (see bloomarray.LRUArray) —
-// so a lookup races nothing.
+// the current fleet — an immutable membership snapshot (mds.Fleet)
+// published through an atomic pointer — and walk the four-level hierarchy
+// against it. Filter probes along the way are word-wise atomic; the replica
+// arrays publish copy-on-write snapshots of their own; and the L1 array
+// publishes its bit-sliced slab and lane assignment the same way — a
+// rotation or Forget copies, only key inserts OR bits into the published
+// slab, atomically, so a probe racing one can at worst miss that key (see
+// bloomarray.LRUArray) — so a lookup races nothing.
 // The only shared mutable state a lookup touches is internally synchronized
 // observability (atomic tallies, the mutex-guarded message counter), the L1
 // learning write, which locks only for a key L1 has not seen, and, in queued
@@ -45,8 +45,8 @@ import (
 // finer-grained structures — the sharded home index, per-node locks, ship
 // stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
 // exclusively because it rewrites the node map and the layout the writer
-// paths navigate by, and republishes the epoch before releasing it. A
-// lookup that loaded the previous epoch completes against that consistent
+// paths navigate by, and republishes the fleet before releasing it. A
+// lookup that loaded the previous fleet completes against that consistent
 // older topology, which is indistinguishable from it having run just before
 // the reconfiguration committed.
 //
@@ -62,7 +62,7 @@ type Cluster struct {
 	// mu guards the topology: nodes, layout, ids and nextMDSID.
 	mu sync.RWMutex
 
-	nodes nodeMap
+	nodes map[int]*mds.Node
 	// layout is the group layer — who is grouped with whom, who holds which
 	// replica. Reconfiguration replaces it with the successor internal/group
 	// plans; the nodes' replica arrays are kept equal to it.
@@ -73,11 +73,13 @@ type Cluster struct {
 	// membership change; treat as immutable between changes.
 	ids []int
 
-	// epoch is the published topology snapshot the lock-free read path
+	// fleet is the published membership snapshot the lock-free read path
 	// navigates by. Reconfiguration rebuilds it under the write lock
-	// (publishEpochLocked) and swaps it in as its last visible act; the
-	// snapshot itself is immutable forever after.
-	epoch atomic.Pointer[epoch]
+	// (publishLocked) and swaps it in as its last visible act; the snapshot
+	// itself is immutable forever after. Whenever c.mu is held shared it
+	// matches nodes and layout exactly, so writers confirm home-index cells
+	// through it too.
+	fleet atomic.Pointer[mds.Fleet]
 
 	// homes is the ground truth of file → home MDS, used for placement and
 	// final verification (what the disks would answer): one tag-and-home
@@ -123,7 +125,7 @@ type Cluster struct {
 	// open-loop queuing model used by the latency-versus-load experiments.
 	// queueMu guards it so queued lookups (LookupAt, Apply) can run under
 	// the topology read lock alongside other workers. IDs are never reused,
-	// so publishEpochLocked keeps it nextMDSID long and the lookup walk
+	// so publishLocked keeps it nextMDSID long and the lookup walk
 	// indexes it without growing it.
 	queueMu sync.Mutex
 	queue   []time.Duration
@@ -144,7 +146,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		nodes:  make(nodeMap),
+		nodes:  make(map[int]*mds.Node),
 		layout: group.NewLayout(cfg.NumMDS, cfg.MaxGroupSize),
 		homes:  homeindex.New(),
 		ships:  shipq.New(cfg.ShipBatch),
@@ -163,15 +165,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.nextMDSID = cfg.NumMDS
 	c.refreshIDsLocked()
-
-	// Every group mirrors every outside MDS: each holder starts with its
-	// origin's (empty) last-shipped snapshot.
-	for _, g := range c.layout.Groups() {
-		for _, r := range g.Replicas {
-			c.nodes[r.Holder].InstallReplica(r.Origin, c.nodes[r.Origin].Shipped())
-		}
-	}
-	c.publishEpochLocked()
+	c.publishLocked()
+	// Every group mirrors every outside MDS, starting from its (empty)
+	// filter.
+	c.fleet.Load().Seed()
 	return c, nil
 }
 
@@ -186,66 +183,18 @@ func (c *Cluster) refreshIDsLocked() {
 	c.ids = ids
 }
 
-// epoch is one immutable topology snapshot: everything a lookup needs to
-// navigate the hierarchy, frozen at a reconfiguration boundary. Nothing in
-// an epoch is ever mutated after publication — reconfiguration builds a new
-// one and swaps the cluster's pointer — so readers traverse it without
-// synchronization. The node pointers it holds refer to live servers whose
-// filter state keeps evolving; probing those is separately safe (word-wise
-// atomic filters, copy-on-write arrays).
-type epoch struct {
-	// ids is the sorted MDS population; L4 walks it in this order so
-	// queued-mode replay stays deterministic.
-	ids []int
-	// nodes maps MDS ID → server for every member of this epoch.
-	nodes nodeMap
-	// members maps each MDS ID to the sorted member IDs of its group —
-	// the L3 multicast targets as seen from that entry. Member slices are
-	// shared between co-grouped entries and immutable.
-	members map[int][]int
-}
-
-// nodeMap maps MDS ID → server: the cluster's live map and each epoch's
-// frozen copy.
-type nodeMap map[int]*mds.Node
-
-// holds is the home index's confirmation step: whether server home, looked
-// up in m, stores path. A home missing from m does not confirm.
-func (m nodeMap) holds(home int, path string) bool {
-	n := m[home]
-	return n != nil && n.HasFile(path)
-}
-
-// currentEpoch returns the published topology snapshot.
-func (c *Cluster) currentEpoch() *epoch {
-	return c.epoch.Load()
-}
-
-// publishEpochLocked freezes the current topology into a fresh epoch and
-// publishes it. Requires the write lock; every reconfiguration calls it
-// after the node/group maps reach their new consistent state.
-func (c *Cluster) publishEpochLocked() {
-	// A slot for every ID this epoch can name, before any lookup can load
-	// it; lookups still walking an older epoch only name smaller IDs.
+// publishLocked freezes the current membership into a fresh fleet and
+// publishes it. Requires the write lock; every reconfiguration calls it after
+// the node map and the layout reach their new consistent state.
+func (c *Cluster) publishLocked() {
+	// A slot for every ID this fleet can name, before any lookup can load
+	// it; lookups still walking an older fleet only name smaller IDs.
 	c.queueMu.Lock()
 	if grow := c.nextMDSID - len(c.queue); grow > 0 {
 		c.queue = append(c.queue, make([]time.Duration, grow)...)
 	}
 	c.queueMu.Unlock()
-	e := &epoch{
-		ids:     append([]int(nil), c.ids...),
-		nodes:   make(nodeMap, len(c.nodes)),
-		members: make(map[int][]int, len(c.nodes)),
-	}
-	for id, n := range c.nodes {
-		e.nodes[id] = n
-	}
-	for _, g := range c.layout.Groups() {
-		for _, id := range g.Members {
-			e.members[id] = g.Members
-		}
-	}
-	c.epoch.Store(e)
+	c.fleet.Store(mds.NewFleet(maps.Clone(c.nodes), c.layout))
 }
 
 // Name identifies the scheme in experiment output. Groups of one are the
@@ -306,7 +255,7 @@ func (c *Cluster) Tally() *metrics.LevelTally { return &c.tally }
 func (c *Cluster) HomeOf(path string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	home, ok := c.homes.Get(path, c.nodes.holds)
+	home, ok := c.homes.Get(path, c.fleet.Load().Holds)
 	if !ok {
 		return -1
 	}
@@ -339,14 +288,15 @@ func (c *Cluster) RandomMDS() int {
 	return c.randomMDSLocked()
 }
 
-// randomMDSIn draws a uniform MDS ID from the epoch's population using the
+// randomMDSIn draws a uniform MDS ID from the fleet's population using the
 // cluster RNG (under rngMu). The lock-free entry-fallback path uses it so a
 // stale entry ID never aborts a lookup.
-func (c *Cluster) randomMDSIn(e *epoch) int {
+func (c *Cluster) randomMDSIn(f *mds.Fleet) int {
+	ids := f.IDs()
 	c.rngMu.Lock()
-	i := c.rng.Intn(len(e.ids))
+	i := c.rng.Intn(len(ids))
 	c.rngMu.Unlock()
-	return e.ids[i]
+	return ids[i]
 }
 
 // Populate homes every path yielded by the iterator at a uniformly random
@@ -355,62 +305,34 @@ func (c *Cluster) randomMDSIn(e *epoch) int {
 func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	f := c.fleet.Load()
 	each(func(path string) bool {
 		// A path the namespace already holds keeps its home (the draw is
 		// spent either way): homing it again would leave it in the old
 		// home's store as well, for a stale verify to confirm.
 		node := c.nodes[c.randomMDSLocked()]
-		c.homes.PutIfAbsentThen(path, node.ID(), c.nodes.holds, func() { node.AddFile(path) })
+		c.homes.PutIfAbsentThen(path, node.ID(), f.Holds, func() { node.AddFile(path) })
 		return true
 	})
-	c.syncAllReplicasLocked()
-}
-
-// syncAllReplicasLocked ships every MDS's filter to all its holders, bringing
-// the whole system to a consistent snapshot after bulk population;
-// incremental updates flow through the XOR-delta path. Bulk loading is not
-// update traffic, so the messages are not booked. Requires the write lock.
-func (c *Cluster) syncAllReplicasLocked() {
-	for _, id := range c.ids {
-		c.shipOriginLocked(id)
-	}
-	// Everything just shipped; nothing is left to coalesce.
+	// Bulk loading is not update traffic: the ships are not booked, and
+	// nothing is left to coalesce.
+	f.Seed()
 	c.ships.Drain()
 }
 
 // CheckInvariants verifies the global-mirror-image invariant for every
-// group, on the books (group.Layout.Check) and on the servers: each member's
-// replica array holds exactly what the layout records, and every replica is
-// bit for bit what its origin last shipped. It also checks the namespace
-// half of the guarantee exactly: every path a server stores resolves through
-// the home index to that server, and the index holds no cell a stored path
-// does not account for — a file moved to another store behind the index's
-// back, or left behind in a store the index no longer names, fails it. It
-// takes the topology lock exclusively; mutations and ships hold it shared,
-// so the check is exact even beside running workers. Tests and the
-// simulator's self-checks call this after reconfigurations.
+// group, on the books and on the servers, and the namespace half of the
+// guarantee exactly (mds.Fleet.Check): a replica the layout does not record,
+// one that drifted from what its origin last shipped, a file moved to another
+// store behind the index's back, or left behind in a store the index no
+// longer names, fails it. It takes the topology lock exclusively; mutations
+// and ships hold it shared, so the check is exact even beside running
+// workers. Tests and the simulator's self-checks call this after
+// reconfigurations.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.layout.Check(c.ids); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	for _, g := range c.layout.Groups() {
-		for _, m := range g.Members {
-			node := c.nodes[m]
-			if held := g.HeldBy(m); !slices.Equal(node.Replicas().IDs(), held) {
-				return fmt.Errorf("core: MDS %d stores replicas of %v, the layout records %v", m, node.Replicas().IDs(), held)
-			}
-		}
-		for _, r := range g.Replicas {
-			drift, err := c.nodes[r.Holder].Replicas().Get(r.Origin).XorBits(c.nodes[r.Origin].Shipped())
-			if err != nil || drift != 0 {
-				return fmt.Errorf("core: MDS %d's replica of %d is %d bits from what %d last shipped (%v)", r.Holder, r.Origin, drift, r.Origin, err)
-			}
-		}
-	}
-	stored := func(id int) []string { return c.nodes[id].Store().Paths() }
-	if err := c.homes.Check(c.ids, stored, c.nodes.holds); err != nil {
+	if err := c.fleet.Load().Check(c.homes); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 
 	"ghba/internal/mds"
@@ -348,5 +349,20 @@ func TestCheckInvariantsCatchesWrongHome(t *testing.T) {
 	}
 	if res := c.Lookup(path, c.MDSIDs()[2]); res.Found && res.Home == home {
 		t.Errorf("Lookup(%s) = %+v: the old home, whose store lacks it", path, res)
+	}
+}
+
+// A replica that drifted from what its origin last shipped fails the check:
+// the XOR-delta drift the origin tracks would no longer bound the holder's
+// staleness.
+func TestCheckInvariantsCatchesDriftedReplica(t *testing.T) {
+	c := newPopulated(t, 6, 3, 200)
+	r := c.Layout().Groups()[0].Replicas[0]
+	stale := c.Node(r.Origin).Shipped().Clone()
+	stale.AddString("/never-shipped")
+	c.Node(r.Holder).InstallReplica(r.Origin, stale)
+	err := c.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "last shipped") {
+		t.Fatalf("CheckInvariants = %v with MDS %d's replica of %d drifted", err, r.Holder, r.Origin)
 	}
 }

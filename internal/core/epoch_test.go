@@ -10,9 +10,10 @@ import (
 	"ghba/internal/mds"
 )
 
-// TestEpochSnapshotConsistentUnderChurn hammers the lock-free epoch load
-// from reader goroutines while membership churns through AddMDS, RemoveMDS
-// and FailMDS. Every epoch a reader observes must be internally consistent —
+// TestEpochSnapshotConsistentUnderChurn hammers the lock-free load of the
+// published membership snapshot (an mds.Fleet, one per epoch) from reader
+// goroutines while membership churns through AddMDS, RemoveMDS and FailMDS.
+// Every epoch a reader observes must be internally consistent —
 // each listed ID resolves to a node and to a group roster containing it —
 // because an epoch is built and published atomically under the topology
 // lock; readers must never see a half-built view. Run under -race this is
@@ -62,18 +63,18 @@ func TestEpochSnapshotConsistentUnderChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(300 + r)))
 			for i := 0; i < loads; i++ {
-				e := c.currentEpoch()
-				if len(e.ids) == 0 {
+				e := c.fleet.Load()
+				if len(e.IDs()) == 0 {
 					t.Errorf("reader %d: empty epoch", r)
 					return
 				}
-				for _, id := range e.ids {
-					if e.nodes[id] == nil {
+				for _, id := range e.IDs() {
+					if e.Node(id) == nil {
 						t.Errorf("reader %d: epoch lists MDS %d without a node", r, id)
 						return
 					}
-					members, ok := e.members[id]
-					if !ok {
+					members := e.Members(id)
+					if members == nil {
 						t.Errorf("reader %d: epoch lists MDS %d without a group", r, id)
 						return
 					}
@@ -109,14 +110,14 @@ func TestEpochSnapshotConsistentUnderChurn(t *testing.T) {
 		t.Fatalf("invariants after churn: %v", err)
 	}
 	// The published epoch and the locked topology agree once quiescent.
-	e := c.currentEpoch()
+	e := c.fleet.Load()
 	ids := c.MDSIDs()
-	if len(e.ids) != len(ids) {
-		t.Fatalf("quiescent epoch has %d ids, topology has %d", len(e.ids), len(ids))
+	if len(e.IDs()) != len(ids) {
+		t.Fatalf("quiescent epoch has %d ids, topology has %d", len(e.IDs()), len(ids))
 	}
 	for i, id := range ids {
-		if e.ids[i] != id {
-			t.Fatalf("quiescent epoch ids %v != topology ids %v", e.ids, ids)
+		if e.IDs()[i] != id {
+			t.Fatalf("quiescent epoch ids %v != topology ids %v", e.IDs(), ids)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func (c *Cluster) FailMDS(id int) (FailoverReport, error) {
 		FilesLost: c.homes.Scrub(id),
 		Messages:  plan.Report().Messages,
 	}
-	c.publishEpochLocked()
+	c.publishLocked()
 	c.msgs.Add(simnet.MsgMembership, uint64(rep.Messages))
 	return rep, nil
 }

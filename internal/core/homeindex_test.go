@@ -178,15 +178,15 @@ func TestHomeIndexZeroAlloc(t *testing.T) {
 			}
 		}},
 		{"PutIfAbsentThen present", func() {
-			if got, ok := c.homes.PutIfAbsentThen(present, b.ID(), c.nodes.holds, func() { t.Fatal("claimed a present path") }); ok || got != home {
+			if got, ok := c.homes.PutIfAbsentThen(present, b.ID(), c.fleet.Load().Holds, func() { t.Fatal("claimed a present path") }); ok || got != home {
 				t.Fatalf("PutIfAbsentThen(present) = %d, %v", got, ok)
 			}
 		}},
 		{"PutIfAbsentThen+RemoveThen", func() {
-			if _, ok := c.homes.PutIfAbsentThen(cycle, home, c.nodes.holds, func() { a.AddFile(cycle) }); !ok {
+			if _, ok := c.homes.PutIfAbsentThen(cycle, home, c.fleet.Load().Holds, func() { a.AddFile(cycle) }); !ok {
 				t.Fatal("claim failed")
 			}
-			if got, ok := c.homes.RemoveThen(cycle, c.nodes.holds, func(int) { a.DeleteFile(cycle) }); !ok || got != home {
+			if got, ok := c.homes.RemoveThen(cycle, c.fleet.Load().Holds, func(int) { a.DeleteFile(cycle) }); !ok || got != home {
 				t.Fatalf("RemoveThen = %d, %v", got, ok)
 			}
 		}},

@@ -7,6 +7,7 @@ import (
 
 	"ghba/internal/bloom"
 	"ghba/internal/bloomarray"
+	"ghba/internal/mds"
 	"ghba/internal/simnet"
 )
 
@@ -55,8 +56,8 @@ func (c *Cluster) replicaBytes(actual uint64) uint64 {
 // segmentProbeCost returns the service time of probing an MDS's segment
 // array (its replicas plus its own filter), charging disk penalties for the
 // spilled fraction under the memory budget.
-func (c *Cluster) segmentProbeCost(e *epoch, id int) time.Duration {
-	node := e.nodes[id]
+func (c *Cluster) segmentProbeCost(f *mds.Fleet, id int) time.Duration {
+	node := f.Node(id)
 	total := node.ReplicaCount() + 1 // replicas + own filter
 	perReplica := c.replicaBytes(node.LocalFilter().SizeBytes())
 	totalBytes := uint64(total) * perReplica
@@ -78,12 +79,12 @@ func (c *Cluster) l1ProbeCost() time.Duration {
 // plus a memory probe at the target; the target consults its authoritative
 // store (memory-resident index in both the simulator and the prototype).
 //
-// A candidate absent from the epoch — an MDS that failed or left, whose ID a
+// A candidate absent from the fleet — an MDS that failed or left, whose ID a
 // stale filter still answers for — is rejected free of charge: no server
 // exists to receive the unicast, so counting a MsgQueryUnicast and an RTT
 // would book traffic to a dead daemon (the accounting bug this replaces).
-func (c *Cluster) verify(e *epoch, candidate int, path string) (bool, time.Duration) {
-	node := e.nodes[candidate]
+func (c *Cluster) verify(f *mds.Fleet, candidate int, path string) (bool, time.Duration) {
+	node := f.Node(candidate)
 	if node == nil {
 		return false, 0
 	}
@@ -108,18 +109,18 @@ func (c *Cluster) occupy(id int, arrival, work time.Duration) time.Duration {
 // the four-level critical path of Section 2.3, without queueing effects
 // (pure service latency). It updates the per-level tallies and the L1 array.
 //
-// Lookup is the lock-free read path: it loads the current epoch and takes no
+// Lookup is the lock-free read path: it loads the current fleet and takes no
 // lock to read it, so any number of goroutines may call it concurrently, also
-// concurrently with reconfiguration (which publishes a new epoch; in-flight
+// concurrently with reconfiguration (which publishes a new fleet; in-flight
 // lookups finish against the one they loaded). An unknown entry falls back
 // to a random MDS drawn from the cluster's internal RNG; hot parallel loops
 // should prefer LookupWith to keep RNG state worker-local.
 func (c *Cluster) Lookup(path string, entry int) LookupResult {
-	e := c.currentEpoch()
-	if e.nodes[entry] == nil {
-		entry = c.randomMDSIn(e)
+	f := c.fleet.Load()
+	if f.Node(entry) == nil {
+		entry = c.randomMDSIn(f)
 	}
-	return c.lookupEpoch(e, path, entry, 0, false)
+	return c.lookupFleet(f, path, entry, 0, false)
 }
 
 // LookupWith is Lookup with a caller-supplied RNG: a negative or unknown
@@ -128,11 +129,11 @@ func (c *Cluster) Lookup(path string, entry int) LookupResult {
 // synchronized observability structures, and a single-worker run is
 // bit-for-bit reproducible.
 func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResult {
-	e := c.currentEpoch()
-	if entry < 0 || e.nodes[entry] == nil {
-		entry = e.ids[rng.Intn(len(e.ids))]
+	f := c.fleet.Load()
+	if entry < 0 || f.Node(entry) == nil {
+		entry = f.IDs()[rng.Intn(len(f.IDs()))]
 	}
-	return c.lookupEpoch(e, path, entry, 0, false)
+	return c.lookupFleet(f, path, entry, 0, false)
 }
 
 // LookupAt replays a lookup arriving at the given offset through the
@@ -141,20 +142,20 @@ func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResul
 // latency includes all queueing delays. Queue state synchronizes on its own
 // mutex, so queued lookups run concurrently with other workers.
 func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) LookupResult {
-	e := c.currentEpoch()
-	if e.nodes[entry] == nil {
-		entry = c.randomMDSIn(e)
+	f := c.fleet.Load()
+	if f.Node(entry) == nil {
+		entry = c.randomMDSIn(f)
 	}
-	return c.lookupEpoch(e, path, entry, arrival, true)
+	return c.lookupFleet(f, path, entry, arrival, true)
 }
 
-// lookupEpoch walks the four-level hierarchy against one topology snapshot,
+// lookupFleet walks the four-level hierarchy against one membership snapshot,
 // reading everything lock-free. The hot path mutates nothing except
 // internally synchronized state — the tallies and message counter, the L1
 // learning write, and (in queued mode) the queue model's next-free slots, one
-// queueMu critical section per multicast round. The entry must exist in e.
-func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Duration, queued bool) LookupResult {
-	node := e.nodes[entry]
+// queueMu critical section per multicast round. The entry must exist in f.
+func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time.Duration, queued bool) LookupResult {
+	node := f.Node(entry)
 
 	// Hash once: every filter probe below — L1 generations, segment
 	// replicas, group members' arrays, the L1 learning write — replays
@@ -199,7 +200,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	r := c.lru.QueryDigest(d, s.hits)
 	s.hits = r.Hits
 	if home, ok := r.Unique(); ok {
-		ok2, cost := c.verify(e, home, path)
+		ok2, cost := c.verify(f, home, path)
 		latency += cost
 		if ok2 {
 			return finish(LookupResult{Home: home, Found: true, Level: 1})
@@ -209,7 +210,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	}
 
 	// L2: the local segment Bloom filter array.
-	l2Cost := c.segmentProbeCost(e, entry)
+	l2Cost := c.segmentProbeCost(f, entry)
 	latency += l2Cost
 	server += l2Cost
 	r2 := node.QueryL2Digest(d, s.hits)
@@ -222,7 +223,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 				return finish(LookupResult{Home: entry, Found: true, Level: 2})
 			}
 		} else {
-			ok2, cost := c.verify(e, home, path)
+			ok2, cost := c.verify(f, home, path)
 			latency += cost
 			if ok2 {
 				return finish(LookupResult{Home: home, Found: true, Level: 2})
@@ -235,7 +236,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	// array in parallel, so the client waits for the multicast plus the
 	// slowest member's response (including that member's queue when the
 	// system is loaded).
-	members := e.members[entry]
+	members := f.Members(entry)
 	c.msgs.Add(simnet.MsgQueryMulticast, uint64(len(members)-1))
 	latency += c.cfg.Cost.Multicast(len(members) - 1)
 	// The entry spends CPU sending the multicast and folding the answers.
@@ -253,7 +254,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 			// Entry already probed its own array at L2.
 			continue
 		}
-		resp := c.cfg.Cost.MsgProc + c.segmentProbeCost(e, id)
+		resp := c.cfg.Cost.MsgProc + c.segmentProbeCost(f, id)
 		if queued {
 			resp = c.occupy(id, arrival, resp)
 		}
@@ -267,7 +268,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 		if id == entry {
 			continue
 		}
-		rm := e.nodes[id].QueryL2Digest(d, s.mhits)
+		rm := f.Node(id).QueryL2Digest(d, s.mhits)
 		s.mhits = rm.Hits
 		for _, h := range rm.Hits {
 			// The L3 union is a handful of MDS IDs: a sorted slice
@@ -279,7 +280,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	latency += slowest
 	if len(set) == 1 {
 		home := set[0]
-		ok2, cost := c.verify(e, home, path)
+		ok2, cost := c.verify(f, home, path)
 		latency += cost
 		if ok2 {
 			return finish(LookupResult{Home: home, Found: true, Level: 3})
@@ -288,7 +289,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 
 	// L4: global multicast; every MDS checks its local filter at memory
 	// speed and positives verify on disk. The true home always answers.
-	others := len(e.ids) - 1
+	others := len(f.IDs()) - 1
 	c.msgs.Add(simnet.MsgQueryMulticast, uint64(others))
 	latency += c.cfg.Cost.Multicast(others)
 	l4CPU := time.Duration(others) * c.cfg.Cost.MsgProc
@@ -298,7 +299,7 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	if queued {
 		c.queueMu.Lock()
 	}
-	for _, id := range e.ids {
+	for _, id := range f.IDs() {
 		if id == entry {
 			continue
 		}
@@ -313,13 +314,13 @@ func (c *Cluster) lookupEpoch(e *epoch, path string, entry int, arrival time.Dur
 	}
 	latency += slowestL4 + c.cfg.Cost.MemProbe
 	// The home index answers only for a home whose store, looked up in this
-	// epoch, holds the path. A reconfiguration published since may have
-	// re-homed the file onto a server e does not know, so a miss is final
-	// only against the epoch still current after it.
-	home, ok := c.homes.Get(path, e.nodes.holds)
-	for cur := c.currentEpoch(); !ok && cur != e; cur = c.currentEpoch() {
-		e = cur
-		home, ok = c.homes.Get(path, e.nodes.holds)
+	// fleet, holds the path. A reconfiguration published since may have
+	// re-homed the file onto a server f does not know, so a miss is final
+	// only against the fleet still current after it.
+	home, ok := c.homes.Get(path, f.Holds)
+	for cur := c.fleet.Load(); !ok && cur != f; cur = c.fleet.Load() {
+		f = cur
+		home, ok = c.homes.Get(path, f.Holds)
 	}
 	if ok {
 		// The home's positive answer is verified against its store; the

@@ -16,7 +16,7 @@ import (
 // absent from the epoch must be rejected at zero cost.
 func TestVerifyDeadCandidateCostsNothing(t *testing.T) {
 	c := newPopulated(t, 8, 4, 100)
-	e := c.currentEpoch()
+	e := c.fleet.Load()
 	before := c.Messages().Get(simnet.MsgQueryUnicast)
 
 	found, cost := c.verify(e, 9999, "/f0")
@@ -73,10 +73,10 @@ func TestLookupAfterFailoverBooksNoGhostUnicasts(t *testing.T) {
 	// Each surviving lookup verifies at most a handful of live candidates;
 	// a regression that counts dead-candidate unicasts shows up as a tally
 	// far above the per-lookup candidate budget.
-	e := c.currentEpoch()
-	maxPerLookup := uint64(len(e.ids))
+	e := c.fleet.Load()
+	maxPerLookup := uint64(len(e.IDs()))
 	if got := c.Messages().Get(simnet.MsgQueryUnicast) - before; got > uint64(lookups)*maxPerLookup {
-		t.Errorf("%d unicasts for %d lookups across %d live nodes", got, lookups, len(e.ids))
+		t.Errorf("%d unicasts for %d lookups across %d live nodes", got, lookups, len(e.IDs()))
 	}
 }
 

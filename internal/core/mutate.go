@@ -60,7 +60,7 @@ func (c *Cluster) updateLocked(origin int) time.Duration {
 // stale until its rebuild threshold triggers.
 func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	var node *mds.Node
-	home, ok := c.homes.RemoveThen(path, c.nodes.holds, func(home int) {
+	home, ok := c.homes.RemoveThen(path, c.fleet.Load().Holds, func(home int) {
 		node = c.nodes[home]
 		node.DeleteFile(path)
 	})
@@ -189,10 +189,10 @@ func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
 		// racing delete cannot slip between the claim and the node update.
 		id := c.ids[r.Intn(len(c.ids))]
 		node := c.nodes[id]
-		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, c.nodes.holds, func() { node.AddFile(rec.Path) }); !inserted {
+		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, c.fleet.Load().Holds, func() { node.AddFile(rec.Path) }); !inserted {
 			// The read lock held above excludes reconfiguration, so the
-			// current epoch matches c.ids/c.nodes exactly.
-			return c.lookupEpoch(c.currentEpoch(), rec.Path, id, rec.At, true)
+			// current fleet matches c.ids/c.nodes exactly.
+			return c.lookupFleet(c.fleet.Load(), rec.Path, id, rec.At, true)
 		}
 		c.noteMutationLocked(id)
 		return LookupResult{Path: rec.Path, Home: id, Found: true, Level: 0}
@@ -200,6 +200,6 @@ func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
 		home, existed := c.deleteInnerLocked(rec.Path)
 		return LookupResult{Path: rec.Path, Home: home, Found: existed, Level: 0}
 	default:
-		return c.lookupEpoch(c.currentEpoch(), rec.Path, c.ids[r.Intn(len(c.ids))], rec.At, true)
+		return c.lookupFleet(c.fleet.Load(), rec.Path, c.ids[r.Intn(len(c.ids))], rec.At, true)
 	}
 }

@@ -34,7 +34,7 @@ func (q *queueOracle) remoteWork(id int, arrival, work time.Duration) time.Durat
 // round reached is booked on the oracle in walk order, and the round's slowest
 // response replaces its slowest bare service time.
 func (q *queueOracle) expect(c *Cluster, unqueued LookupResult, entry int, arrival time.Duration) time.Duration {
-	e := c.currentEpoch()
+	e := c.fleet.Load()
 	lat := unqueued.Latency
 	round := func(targets []int, work func(id int) time.Duration) {
 		var bare, slowest time.Duration
@@ -49,10 +49,10 @@ func (q *queueOracle) expect(c *Cluster, unqueued LookupResult, entry int, arriv
 		lat += slowest - bare
 	}
 	if unqueued.Level >= 3 {
-		round(e.members[entry], func(id int) time.Duration { return c.cfg.Cost.MsgProc + c.segmentProbeCost(e, id) })
+		round(e.Members(entry), func(id int) time.Duration { return c.cfg.Cost.MsgProc + c.segmentProbeCost(e, id) })
 	}
 	if unqueued.Level == 4 {
-		round(e.ids, func(int) time.Duration { return c.cfg.Cost.MsgProc + c.cfg.Cost.MemProbe })
+		round(e.IDs(), func(int) time.Duration { return c.cfg.Cost.MsgProc + c.cfg.Cost.MemProbe })
 	}
 	return lat + q.remoteWork(entry, arrival, unqueued.ServerTime) - unqueued.ServerTime
 }
@@ -111,11 +111,11 @@ func TestQueueModelMatchesPerTargetOracle(t *testing.T) {
 			}
 			continue
 		case 1, 2, 3: // ApplyWith draws the entry; the twin draws the same one
-			ids := twin.currentEpoch().ids
+			ids := twin.fleet.Load().IDs()
 			entry = ids[rngT.Intn(len(ids))]
 			got = queued.ApplyWith(rngQ, trace.Record{Op: trace.OpStat, Path: path, At: at})
 		default:
-			ids := twin.currentEpoch().ids
+			ids := twin.fleet.Load().IDs()
 			entry = ids[pick.Intn(len(ids))]
 			got = queued.LookupAt(path, entry, at)
 		}
@@ -145,7 +145,7 @@ func TestQueueModelMatchesPerTargetOracle(t *testing.T) {
 func TestOneMDSGlobalMulticastCostsNoResponse(t *testing.T) {
 	c := newPopulated(t, 1, 1, 10)
 	cost := c.cfg.Cost
-	want := cost.ClientRTT + c.l1ProbeCost() + c.segmentProbeCost(c.currentEpoch(), 0) +
+	want := cost.ClientRTT + c.l1ProbeCost() + c.segmentProbeCost(c.fleet.Load(), 0) +
 		2*cost.Multicast(0) + cost.MemProbe + cost.DiskRead
 	for name, res := range map[string]LookupResult{
 		"unqueued": c.Lookup("/missing", 0),

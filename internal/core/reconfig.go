@@ -12,7 +12,7 @@ import (
 // joins, which replicas move where, when groups split and merge — and
 // executed here on the in-memory nodes. Each operation below asks the layout
 // for its successor and the Plan that leads there, runs the plan, and
-// republishes the epoch before the topology lock is released.
+// republishes the fleet before the topology lock is released.
 
 // applyPlanLocked performs plan's moves on the nodes and commits next as the
 // cluster's layout, the one record of which member holds which replica (the
@@ -55,7 +55,7 @@ func (c *Cluster) AddMDS() (int, group.Report, error) {
 	next, plan := c.layout.Join(id)
 	c.applyPlanLocked(next, plan)
 	c.shipOriginLocked(id) // priced by the plan's Report, not booked as an update
-	c.publishEpochLocked()
+	c.publishLocked()
 
 	rep := plan.Report()
 	c.msgs.Add(simnet.MsgReplicaMigration, uint64(rep.ReplicasMigrated))
@@ -86,7 +86,7 @@ func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 	// treats metadata re-distribution as orthogonal (fail-over keeps
 	// serving at degraded coverage); the simulator re-homes so ground
 	// truth stays consistent. Each file moves in one shard-locked step,
-	// so a lookup still walking the old epoch finds it at one home or the
+	// so a lookup still walking the old fleet finds it at one home or the
 	// other.
 	for _, path := range node.Store().Paths() {
 		to := c.nodes[c.randomMDSLocked()]
@@ -100,7 +100,7 @@ func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 			c.updateLocked(sid)
 		}
 	}
-	c.publishEpochLocked()
+	c.publishLocked()
 
 	rep := plan.Report()
 	c.msgs.Add(simnet.MsgReplicaMigration, uint64(rep.ReplicasMigrated))

@@ -518,7 +518,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		return nil, nil
 	}
 	start := time.Now()
-	snap := c.index.Load()
+	snap := c.fleet.Load()
 	// A result's Level stays 0 until a level of the hierarchy answers for it.
 	results := make([]LookupResult, len(paths))
 
@@ -568,11 +568,11 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	// twice cannot change it.
 	var probes []probe
 	for i := range paths {
-		c1, ok1 := candidate(snap.ids, l1[i])
+		c1, ok1 := candidate(snap.IDs(), l1[i])
 		if ok1 {
 			probes = append(probes, probe{idx: i, daemon: c1, level: 1})
 		}
-		if c2, ok := candidate(snap.ids, l2[i]); ok && !(ok1 && c2 == c1) {
+		if c2, ok := candidate(snap.IDs(), l2[i]); ok && !(ok1 && c2 == c1) {
 			probes = append(probes, probe{idx: i, daemon: c2, level: 2})
 		}
 	}
@@ -592,7 +592,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		if results[i].Level != 0 {
 			continue
 		}
-		for _, m := range snap.members[entries[i]] {
+		for _, m := range snap.Members(entries[i]) {
 			if m != entries[i] {
 				legs = addLeg(legs, m, i)
 			}
@@ -620,7 +620,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 			if results[i].Level != 0 {
 				continue
 			}
-			if h, ok := candidate(snap.ids, unions[i]); ok {
+			if h, ok := candidate(snap.IDs(), unions[i]); ok {
 				probes = append(probes, probe{idx: i, daemon: h, level: 3})
 			}
 		}
@@ -637,7 +637,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		}
 	}
 	if len(rem) > 0 {
-		if err := c.hasLocalVector(ctx, snap.ids, paths, rem, results); err != nil {
+		if err := c.hasLocalVector(ctx, snap.IDs(), paths, rem, results); err != nil {
 			return nil, err
 		}
 	}
@@ -655,7 +655,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 			obs = append(obs, observation{home: results[i].Home, path: paths[i]})
 		}
 	}
-	return results, c.observeMany(ctx, snap.ids, obs)
+	return results, c.observeMany(ctx, snap.IDs(), obs)
 }
 
 // probe is one store verification: path idx, nominated for daemon by the

@@ -159,8 +159,8 @@ func TestLongPathIsRefused(t *testing.T) {
 	refused("Lookup", err)
 	_, err = c.LookupWith(ctx, rand.New(rand.NewSource(1)), long)
 	refused("LookupWith", err)
-	_, err = c.LookupVia(ctx, long, c.MDSIDs()[0])
-	refused("LookupVia", err)
+	_, err = c.lookupVia(ctx, long, c.MDSIDs()[0])
+	refused("lookupVia", err)
 	refused("Populate", c.Populate([]string{"/fresh", long}))
 	if n := c.RPCCounts(); len(n) != 0 {
 		t.Errorf("refused calls went on the wire: %v", n)

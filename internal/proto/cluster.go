@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,7 +131,7 @@ type Cluster struct {
 	opts Options
 
 	mu      sync.RWMutex
-	servers daemons
+	servers map[int]*NodeServer
 	// layout is the group layer — who is grouped with whom, who holds which
 	// replica — planned by internal/group and committed only after the RPCs
 	// that realize it succeeded (or, on best-effort paths, amended by what
@@ -141,12 +140,12 @@ type Cluster struct {
 	ids    []int // sorted member IDs; rebuilt on mutation, never mutated in place
 	nextID int
 
-	// index is the published immutable membership snapshot the query path
-	// navigates by without touching mu: rebuildIndexLocked swaps it in as
-	// the final step of every membership mutation, so a lookup either sees
-	// the old consistent topology or the new one, never a half-rebuilt
-	// index.
-	index atomic.Pointer[topo]
+	// fleet is the published immutable membership snapshot — the daemons'
+	// nodes, read in process — the query path navigates by without touching
+	// mu: publishLocked swaps it in as the final step of every membership
+	// mutation, so a lookup either sees the old consistent topology or the
+	// new one, never a half-rebuilt one.
+	fleet atomic.Pointer[mds.Fleet]
 
 	// homes is the coordinator's ground truth of which daemon homes each
 	// path: one 8-byte {tag, home} cell per file, a tag match confirmed by
@@ -293,7 +292,7 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts:        opts,
-		servers:     make(daemons),
+		servers:     make(map[int]*NodeServer),
 		layout:      group.NewLayout(opts.N, opts.M),
 		homes:       homeindex.New(),
 		incarnation: make(map[int]uint64),
@@ -314,10 +313,10 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	// The layout is the simulator's — one planner — so a sim and a prototype
 	// built from the same (N, M) agree on membership and placement. Initial
-	// (empty) replicas are installed directly, before any measurement
+	// (empty) replicas are installed in process, before any measurement
 	// traffic.
-	c.rebuildIndexLocked()
-	c.refreshReplicas()
+	c.publishLocked()
+	c.fleet.Load().Seed()
 	return c, nil
 }
 
@@ -365,53 +364,18 @@ func (c *Cluster) recoverNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	return ns, info, nil
 }
 
-// topo is one immutable membership snapshot: sorted daemon IDs, the
-// daemons themselves and each member's group, frozen at a reconfiguration
-// boundary. Nothing in a topo is mutated after publication —
-// rebuildIndexLocked builds a replacement and swaps the cluster's pointer —
-// so the query path reads it lock-free.
-type topo struct {
-	ids     []int
-	servers daemons       // member ID → its daemon, for in-process confirmation
-	members map[int][]int // member ID → sorted member IDs of its group
-}
-
-// daemons maps daemon ID → daemon: the cluster's live map and each topo's
-// frozen copy.
-type daemons map[int]*NodeServer
-
-// holds is the home index's in-process confirmation step: whether daemon
-// home, looked up in d, stores path. A home missing from d does not confirm.
-// The coordinator runs every daemon in its own process, so checkers and the
-// bulk load ask the store directly, as Populate writes it directly.
-func (d daemons) holds(home int, path string) bool {
-	ns := d[home]
-	return ns != nil && ns.holds(path)
-}
-
-// rebuildIndexLocked recomputes the sorted-ID cache, then publishes the new
-// membership snapshot for the lock-free query path. Callers must hold c.mu
-// exclusively (or be pre-concurrency in Start). The ID slice is allocated
-// fresh and the member slices are the layout's own, which are never written
-// after the layout is returned, so snapshots handed to readers stay valid
-// after the next rebuild.
-func (c *Cluster) rebuildIndexLocked() {
-	ids := make([]int, 0, len(c.servers))
-	for id := range c.servers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.ids = ids
-	t := &topo{ids: ids, servers: make(daemons, len(c.servers)), members: make(map[int][]int, len(c.servers))}
+// publishLocked freezes the daemons' nodes and the layout into a fresh
+// membership snapshot, publishes it for the lock-free query path and keeps
+// its sorted IDs as the ID cache. Callers must hold c.mu exclusively (or be
+// pre-concurrency in Start).
+func (c *Cluster) publishLocked() {
+	nodes := make(map[int]*mds.Node, len(c.servers))
 	for id, ns := range c.servers {
-		t.servers[id] = ns
+		nodes[id] = ns.node
 	}
-	for _, g := range c.layout.Groups() {
-		for _, m := range g.Members {
-			t.members[m] = g.Members
-		}
-	}
-	c.index.Store(t)
+	f := mds.NewFleet(nodes, c.layout)
+	c.ids = f.IDs()
+	c.fleet.Store(f)
 }
 
 // Layout returns the current group layout, an immutable value.
@@ -425,7 +389,7 @@ func (c *Cluster) Layout() group.Layout {
 // membership snapshot — no lock. The slice is immutable (rebuilt, never
 // mutated, on membership change), so it stays valid indefinitely.
 func (c *Cluster) snapshotIDs() []int {
-	return c.index.Load().ids
+	return c.fleet.Load().IDs()
 }
 
 // candidate returns the daemon one level's hit set nominates for verify: the
@@ -464,47 +428,19 @@ func (c *Cluster) FileCount() int {
 }
 
 // CheckInvariants verifies core.Cluster.CheckInvariants' contract on the
-// daemons themselves. On the books and the replica arrays: the layout is
-// sound, every member's replica array holds exactly what the layout records
-// — an extra copy is an orphan no ship refreshes and no failover drops — and
-// every replica is bit for bit what its origin last shipped, so the
-// XOR-delta drift the origin tracks bounds every holder's staleness. On the
-// namespace, exactly: every path a daemon stores resolves through the home
-// index to that daemon, the index holds no cell a stored path does not
-// account for — so no file is homed on a non-member — and the daemons'
-// file counts sum to FileCount. It reads every daemon in process and takes
-// the membership lock exclusively, which excludes reconfiguration and every
-// mutation round's claims and resolution but not its RPCs: it is exact at a
-// quiescent point, where tests call it.
+// daemons themselves, with the same check (mds.Fleet.Check): the layout is
+// sound, every replica array holds exactly what the layout records, bit for
+// bit what its origin last shipped, and every path a daemon stores resolves
+// through the home index to that daemon, which holds no cell a stored path
+// does not account for — so no file is homed on a non-member. It reads every
+// daemon's node in process and takes the membership lock exclusively, which
+// excludes reconfiguration and every mutation round's claims and resolution
+// but not its RPCs: it is exact at a quiescent point, where tests call it.
 func (c *Cluster) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.layout.Check(c.ids); err != nil {
+	if err := c.fleet.Load().Check(c.homes); err != nil {
 		return fmt.Errorf("proto: %w", err)
-	}
-	for _, g := range c.layout.Groups() {
-		for _, m := range g.Members {
-			if have, want := c.servers[m].node.Replicas().IDs(), g.HeldBy(m); !slices.Equal(have, want) {
-				return fmt.Errorf("proto: group %d %v: MDS %d stores replicas of %v, the layout records %v", g.ID, g.Members, m, have, want)
-			}
-		}
-		for _, r := range g.Replicas {
-			replica := c.servers[r.Holder].node.Replicas().Get(r.Origin)
-			if drift, err := replica.XorBits(c.servers[r.Origin].node.Shipped()); err != nil || drift != 0 {
-				return fmt.Errorf("proto: group %d: MDS %d's replica of %d is %d bits from what %d last shipped (%v)", g.ID, r.Holder, r.Origin, drift, r.Origin, err)
-			}
-		}
-	}
-	stored := func(id int) []string { return c.servers[id].node.Store().Paths() }
-	if err := c.homes.Check(c.ids, stored, c.servers.holds); err != nil {
-		return fmt.Errorf("proto: %w", err)
-	}
-	files := 0
-	for _, id := range c.ids {
-		files += c.servers[id].node.FileCount()
-	}
-	if files != c.homes.Len() {
-		return fmt.Errorf("proto: the daemons store %d files, ground truth homes %d", files, c.homes.Len())
 	}
 	return nil
 }
@@ -586,24 +522,25 @@ func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) 
 	return info, nil
 }
 
-// Populate homes paths at random daemons (direct, unmeasured) and refreshes
-// replicas — the bulk-load path behind the Backend's CreateAll. It is an
-// exclusive writer against the coordinator's membership and RNG; note that
-// a lookup which snapshotted membership before the lock was taken may still
-// have RPCs in flight while daemon stores update — each NodeServer
-// serializes its own state, so such a lookup sees each daemon either before
-// or after its update, never a torn one. A path the wire cannot frame refuses
-// the whole load before anything is homed. Otherwise the error is the
-// daemons' snapshot failures, joined and named by daemon: the load itself is
-// in memory and served either way, but a daemon named here would not recover
-// it.
+// Populate homes paths at random daemons (in process, unmeasured) and
+// refreshes replicas — the bulk-load path behind the Backend's CreateAll. It
+// is an exclusive writer against the coordinator's membership and RNG; note
+// that a lookup which snapshotted membership before the lock was taken may
+// still have RPCs in flight while daemon stores update — each node
+// synchronizes its own store and filters, so such a lookup sees each file
+// either before or after its insert, never a torn one. A path the wire cannot
+// frame refuses the whole load before anything is homed. Otherwise the error
+// is the daemons' snapshot failures, joined and named by daemon: the load
+// itself is in memory and served either way, but a daemon named here would
+// not recover it.
 func (c *Cluster) Populate(paths []string) error {
 	if err := checkPaths(paths...); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := c.ids
+	f := c.fleet.Load()
+	ids := f.IDs()
 	c.rngMu.Lock()
 	for _, p := range paths {
 		home := ids[c.rng.Intn(len(ids))]
@@ -613,11 +550,14 @@ func (c *Cluster) Populate(paths []string) error {
 		if c.inFlight(p) != nil {
 			continue
 		}
-		ns := c.servers[home]
-		c.homes.PutIfAbsentThen(p, home, c.servers.holds, func() { ns.AddFileDirect(p) })
+		node := f.Node(home)
+		c.homes.PutIfAbsentThen(p, home, f.Holds, func() { node.AddFile(p) })
 	}
 	c.rngMu.Unlock()
-	c.refreshReplicas()
+	// The bulk-load shortcut around ship: in process and uncounted, and
+	// nothing is left to coalesce.
+	f.Seed()
+	c.ships.Drain()
 	// Bulk loads bypass the WAL (logging-and-fsyncing per direct write would
 	// make population crawl); one snapshot per daemon captures the whole
 	// load atomically instead. One daemon's full disk does not cost the
@@ -627,32 +567,19 @@ func (c *Cluster) Populate(paths []string) error {
 	}
 	var errs []error
 	for _, id := range ids {
-		if err := c.servers[id].SnapshotNow(); err != nil {
+		if err := c.servers[id].snapshotNow(); err != nil {
 			errs = append(errs, fmt.Errorf("proto: snapshot of MDS %d after populate: %w", id, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// refreshReplicas re-ships every filter to its current holders, in-process
-// and uncounted: the bulk-load shortcut around shipOrigin. Callers must hold
-// c.mu exclusively (or be pre-concurrency in Start).
-func (c *Cluster) refreshReplicas() {
-	for _, g := range c.layout.Groups() {
-		for _, r := range g.Replicas {
-			c.servers[r.Holder].InstallReplicaDirect(r.Origin, c.servers[r.Origin].ShipDirect())
-		}
-	}
-	// Everything just shipped; nothing is left to coalesce.
-	c.ships.Drain()
-}
-
 // HomeOf returns the ground-truth home (-1 when absent): the daemon of the
 // path's tag whose store holds it, asked in process through the published
-// membership snapshot, so it costs no RPC. A file whose mutation round is
-// still in flight answers as its stores do.
+// membership snapshot, so it costs no RPC and takes no lock. A file whose
+// mutation round is still in flight answers as its stores do.
 func (c *Cluster) HomeOf(path string) int {
-	home, ok := c.homes.Get(path, c.index.Load().servers.holds)
+	home, ok := c.homes.Get(path, c.fleet.Load().Holds)
 	if !ok {
 		return -1
 	}
@@ -678,9 +605,9 @@ func (c *Cluster) LookupWith(ctx context.Context, rng *rand.Rand, path string) (
 	return c.applyRecord(ctx, rng, trace.Record{Op: trace.OpStat, Path: path})
 }
 
-// LookupVia resolves path with the given entry MDS: the vector walk over a
+// lookupVia resolves path with the given entry MDS: the vector walk over a
 // vector of one.
-func (c *Cluster) LookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
+func (c *Cluster) lookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
 	if err := checkPaths(path); err != nil {
 		return LookupResult{}, err
 	}

@@ -138,7 +138,7 @@ func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
 		p := "/p/f" + strconv.Itoa(i)
 		if home := c.HomeOf(p); home >= 0 && home <= 3 {
 			checked++
-			res, err := c.LookupVia(context.Background(), p, 0)
+			res, err := c.lookupVia(context.Background(), p, 0)
 			if err != nil {
 				t.Fatalf("post-rollback lookup %s: %v", p, err)
 			}
@@ -173,7 +173,7 @@ func TestObserveBatchSurvivesDeadDaemon(t *testing.T) {
 
 	var flushErr error
 	for i := 0; i < c.obsBatch; i++ {
-		res, err := c.LookupVia(context.Background(), hot, 0)
+		res, err := c.lookupVia(context.Background(), hot, 0)
 		if err != nil {
 			flushErr = err
 		}
@@ -188,7 +188,7 @@ func TestObserveBatchSurvivesDeadDaemon(t *testing.T) {
 		t.Errorf("flush error does not name the dead daemon: %v", flushErr)
 	}
 	// The surviving daemons received the batch despite the failure.
-	res, err := c.LookupVia(context.Background(), hot, 0)
+	res, err := c.lookupVia(context.Background(), hot, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

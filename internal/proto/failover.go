@@ -49,7 +49,7 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 
 	next, plan := c.layout.Fail(id)
 	c.layout, _ = c.runPlan(ctx, plan, next, false)
-	c.rebuildIndexLocked()
+	c.publishLocked()
 
 	// The scrub ends the daemon's incarnation: a mutation leg to it landing
 	// after this point must not put a cell back onto a removed daemon.
@@ -108,6 +108,10 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// The membership as it stood before the restart — the crashed instance's
+	// node, still in memory, if it is a member — is what ground truth
+	// credited; the reconcile below asks it.
+	prev := c.fleet.Load()
 	old, wasMember := c.servers[id]
 	if wasMember {
 		old.Kill()
@@ -132,7 +136,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 		c.conns.register(id, ns.Addr())
 		c.servers[id] = ns
 		c.rewireLocked(ctx, id)
-		c.rebuildIndexLocked()
+		c.publishLocked()
 	} else {
 		rep.Rejoined = true
 		if _, err := c.joinLocked(ctx, id, ns); err != nil {
@@ -140,7 +144,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 		}
 	}
 
-	if conflicts := c.reconcileHomesLocked(id, old, ns, &rep); len(conflicts) > 0 {
+	if conflicts := c.reconcileHomesLocked(id, prev, ns, &rep); len(conflicts) > 0 {
 		// Another daemon homed these paths while this one was down; the
 		// recovered copies lose. The delete goes through the mutation RPC so
 		// it is WAL-logged like any other; ground truth never named id for
@@ -173,22 +177,17 @@ func (c *Cluster) rewireLocked(ctx context.Context, id int) {
 // homed meanwhile are returned as conflicts (sorted, for deterministic
 // message flow). A path a mutation round holds in flight counts as the
 // round leaves it. Of the re-inserted paths, those ground truth credited to
-// id before — confirmed by old, the crashed instance still in memory (nil
-// after a failover, whose scrub already forgot them) — are kept; the rest
-// are reclaimed, and id's cells no recovered path kept are tail loss. It
-// bumps id's incarnation: ground truth now matches the recovered store, so
-// no leg claimed before may move a cell. Callers hold c.mu exclusively.
-func (c *Cluster) reconcileHomesLocked(id int, old, ns *NodeServer, rep *RestartReport) []string {
-	before := func(home int, path string) bool {
-		if home == id {
-			return old != nil && old.holds(path)
-		}
-		return c.servers.holds(home, path)
-	}
+// id before — confirmed through prev, the membership before the restart,
+// whose node for id is the crashed instance still in memory (none after a
+// failover, whose scrub already forgot them) — are kept; the rest are
+// reclaimed, and id's cells no recovered path kept are tail loss. It bumps
+// id's incarnation: ground truth now matches the recovered store, so no leg
+// claimed before may move a cell. Callers hold c.mu exclusively.
+func (c *Cluster) reconcileHomesLocked(id int, prev *mds.Fleet, ns *NodeServer, rep *RestartReport) []string {
 	var conflicts, rehome []string
 	kept := 0
 	for _, p := range ns.node.Store().Paths() {
-		owner, ok := c.homes.Get(p, before)
+		owner, ok := c.homes.Get(p, prev.Holds)
 		credited := ok && owner == id
 		if f := c.inFlight(p); f != nil {
 			owner, ok = f.home, f.home >= 0

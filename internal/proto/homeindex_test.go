@@ -279,7 +279,7 @@ func TestSamePathRace(t *testing.T) {
 	for _, p := range paths {
 		var at []int
 		for _, id := range c.MDSIDs() {
-			if c.servers[id].holds(p) {
+			if c.servers[id].node.HasFile(p) {
 				at = append(at, id)
 			}
 		}

@@ -64,7 +64,7 @@ func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (
 			return out[0], err
 		}
 	}
-	return c.LookupVia(ctx, rec.Path, draw)
+	return c.lookupVia(ctx, rec.Path, draw)
 }
 
 // Flush drains the coalescing ship queue: every daemon whose filter crossed

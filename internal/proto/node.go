@@ -16,14 +16,17 @@ import (
 // The node mutex serializes request processing, so concurrent load produces
 // genuine queueing at hot servers — the effect Fig 14 measures. A mutation
 // batch holds it only to apply; its WAL append and fsync run under logMu, so
-// reads and heartbeats never wait for the disk.
+// reads and heartbeats never wait for the disk. It guards request handling
+// only, not the node: the node synchronizes its own store and filters, so
+// the coordinator's in-process reads and bulk loads (through mds.Fleet) do
+// not take it.
 type NodeServer struct {
 	id  int
 	srv *rpcnet.Server
 
 	// logMu orders the daemon's durable history, and is taken before mu. A
 	// mutation batch holds it from the incarnation check through the append
-	// and fsync, the apply and any compaction; serve, SnapshotNow,
+	// and fsync, the apply and any compaction; serve, snapshotNow,
 	// Shutdown, Close and Kill take it first. So a snapshot never retires
 	// a record that was logged but not yet applied.
 	logMu sync.Mutex
@@ -152,10 +155,10 @@ func (ns *NodeServer) Shutdown(timeout time.Duration) error {
 	return errors.Join(ns.snapshot(), ns.wal.Close())
 }
 
-// SnapshotNow forces a WAL compaction outside the usual cadence; bulk
+// snapshotNow forces a WAL compaction outside the usual cadence; bulk
 // loads use it to make direct (unlogged) writes durable. A no-op without
 // a WAL.
-func (ns *NodeServer) SnapshotNow() error {
+func (ns *NodeServer) snapshotNow() error {
 	ns.logMu.Lock()
 	defer ns.logMu.Unlock()
 	return ns.snapshot()
@@ -191,36 +194,6 @@ func (ns *NodeServer) serve(incarnation uint64) {
 	ns.logMu.Lock()
 	defer ns.logMu.Unlock()
 	ns.incarnation = incarnation
-}
-
-// AddFileDirect homes a file without the RPC path; used for bulk population
-// before measurement starts.
-func (ns *NodeServer) AddFileDirect(path string) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.node.AddFile(path)
-}
-
-// holds reports, without the RPC path, whether the daemon stores path: the
-// coordinator's in-process confirmation of a home-index cell.
-func (ns *NodeServer) holds(path string) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.node.HasFile(path)
-}
-
-// InstallReplicaDirect installs a replica without RPC, for initial seeding.
-func (ns *NodeServer) InstallReplicaDirect(origin int, f *bloom.Filter) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.node.InstallReplica(origin, f)
-}
-
-// ShipDirect snapshots the node's local filter, for initial seeding.
-func (ns *NodeServer) ShipDirect() *bloom.Filter {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.node.Ship()
 }
 
 // spilledSleep emulates disk accesses for the over-RAM replica fraction.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +65,21 @@ func checkInvariants(t *testing.T, c *Cluster) {
 	t.Helper()
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// A replica that drifted from what its origin last shipped fails the check
+// on the daemons too, as it does in the simulator.
+func TestCheckInvariantsCatchesDriftedReplica(t *testing.T) {
+	c := startPopulated(t, 6, 3, 200)
+	checkInvariants(t, c)
+	r := c.Layout().Groups()[0].Replicas[0]
+	stale := c.servers[r.Origin].node.Shipped().Clone()
+	stale.AddString("/never-shipped")
+	c.servers[r.Holder].node.InstallReplica(r.Origin, stale)
+	err := c.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "last shipped") {
+		t.Fatalf("CheckInvariants = %v with MDS %d's replica of %d drifted", err, r.Holder, r.Origin)
 	}
 }
 
@@ -130,11 +146,11 @@ func TestL1LearningAfterBatchFlush(t *testing.T) {
 		if i%2 == 0 {
 			path = "/p/f" + strconv.Itoa(i%200)
 		}
-		if _, err := c.LookupVia(context.Background(), path, i%6); err != nil {
+		if _, err := c.lookupVia(context.Background(), path, i%6); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.LookupVia(context.Background(), hot, 5)
+	res, err := c.lookupVia(context.Background(), hot, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +169,7 @@ func TestConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				path := "/p/f" + strconv.Itoa((w*50+i)%300)
-				res, err := c.LookupVia(context.Background(), path, w)
+				res, err := c.lookupVia(context.Background(), path, w)
 				if err != nil {
 					errs <- err
 					return
@@ -214,7 +230,7 @@ func TestAddMDSJoinThenLookup(t *testing.T) {
 	// Lookups still resolve, including via the newcomer.
 	for i := 0; i < 50; i++ {
 		path := "/p/f" + strconv.Itoa(i*3%200)
-		res, err := c.LookupVia(context.Background(), path, id)
+		res, err := c.lookupVia(context.Background(), path, id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,14 +50,14 @@ func (c *Cluster) AddMDS(ctx context.Context) (int, group.Report, error) {
 // its holders. The successor layout exists before the first RPC and is
 // committed after the last, so rolling a failed join back is not committing:
 // no group or holder entry ever references the abandoned daemon (a lookup
-// hitting such an entry would fail with "unknown MDS", and refreshReplicas
-// would panic on the missing server). Replicas already migrated onto the
+// hitting such an entry would fail with "unknown MDS", and the next
+// Populate's seeding would panic on the missing server). Replicas already migrated onto the
 // newcomer cost affected lookups an L4 fallback until the next Populate
 // re-ships them — correctness is preserved either way. Callers hold c.mu
 // exclusively.
 func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer) (group.Report, error) {
 	// The connection registers early — reconfiguration RPCs must reach the
-	// newcomer — but the membership index does not.
+	// newcomer — but the membership snapshot does not.
 	c.conns.register(id, ns.Addr())
 	next, plan := c.layout.Join(id)
 	_, err := c.runPlan(ctx, plan, next, true)
@@ -71,7 +71,7 @@ func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer) (group
 	}
 	c.layout = next
 	c.servers[id] = ns
-	c.rebuildIndexLocked()
+	c.publishLocked()
 	return plan.Report(), nil
 }
 

@@ -24,11 +24,6 @@ type PrototypeConfig struct {
 	// default; negative disables deadlines entirely. Per-call contexts
 	// tighten (never loosen) this bound.
 	CallTimeout time.Duration
-	// ObserveBatch is how many confirmed lookups accumulate before the L1
-	// observation batch is multicast to every daemon. Zero selects 64; 1
-	// multicasts immediately, matching the simulation's per-lookup L1
-	// learning.
-	ObserveBatch int
 	// DataDir, when non-empty, makes every daemon durable: MDS i
 	// write-ahead logs its mutations under DataDir/mds-<i> and compacts
 	// the log into snapshots, enabling KillMDS/RestartMDS crash-recovery
@@ -73,6 +68,13 @@ type Prototype struct {
 
 // StartPrototype boots a TCP cluster from cfg. Callers must Close it.
 func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
+	return startPrototype(cfg, 0)
+}
+
+// startPrototype is StartPrototype with the daemons' L1 observation batch:
+// how many confirmed lookups accumulate before they are multicast to every
+// daemon. Zero selects proto's default.
+func startPrototype(cfg PrototypeConfig, observeBatch int) (*Prototype, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -85,7 +87,7 @@ func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
 		Seed:                 cfg.Seed,
 		CallTimeout:          cfg.CallTimeout,
 		ShipBatch:            cfg.ShipBatch,
-		ObserveBatch:         cfg.ObserveBatch,
+		ObserveBatch:         observeBatch,
 		DataDir:              cfg.DataDir,
 		WALSync:              cfg.WALSync,
 		SnapshotEvery:        cfg.SnapshotEvery,
