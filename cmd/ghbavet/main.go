@@ -14,6 +14,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,15 +36,32 @@ func main() {
 	unitchecker.Main(vet.Analyzers...) // exits
 }
 
-// runLockGraph loads the engine packages in one process, runs lockorder
-// over them with a shared fact store, merges the per-package graphs, and
-// prints the result as DOT. Exit status 1 means the graph has a cycle.
+// runLockGraph prints the repo lock graph as DOT. Exit status 1 means the
+// graph has a cycle.
 func runLockGraph() int {
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ghbavet: %v\n", err)
 		return 2
 	}
+	edges, err := lockGraph(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ghbavet: %v\n", err)
+		return 2
+	}
+	writeDOT(os.Stdout, edges)
+	if cyc := findCycle(edges); cyc != nil {
+		fmt.Fprintf(os.Stderr, "ghbavet: lock graph has a cycle: %s\n", strings.Join(cyc, " -> "))
+		return 1
+	}
+	fmt.Fprintf(os.Stderr, "ghbavet: lock graph: %d classes, %d edges, acyclic\n", countClasses(edges), len(edges))
+	return 0
+}
+
+// lockGraph loads the engine packages of the module at root in one process,
+// runs lockorder over them with a shared fact store, and returns the merged
+// per-package graphs, one edge per ordered pair of lock classes.
+func lockGraph(root string) ([]lockorder.Edge, error) {
 	resolve := srcload.ModuleResolver("ghba", root)
 	loader := srcload.NewLoader(func(path string) (string, bool) {
 		if dir, ok := resolve(path); ok {
@@ -59,49 +77,45 @@ func runLockGraph() int {
 
 	pkgs, err := enginePackages(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ghbavet: %v\n", err)
-		return 2
+		return nil, err
 	}
 	var edges []lockorder.Edge
 	for _, path := range pkgs {
 		p, err := loader.Load(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ghbavet: %v\n", err)
-			return 2
+			return nil, err
 		}
 		_, res, err := runner.Run(lockorder.Analyzer, p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ghbavet: %v\n", err)
-			return 2
+			return nil, err
 		}
 		if g, ok := res.(*lockorder.Graph); ok && g != nil {
 			edges = append(edges, g.Edges...)
 		}
 	}
+	return dedupEdges(edges), nil
+}
 
-	edges = dedupEdges(edges)
-	fmt.Println("digraph lockorder {")
-	fmt.Println("\trankdir=LR;")
-	fmt.Println("\tnode [shape=box, fontname=\"monospace\"];")
+// writeDOT renders edges as the DOT file docs/lockgraph.dot commits.
+func writeDOT(w io.Writer, edges []lockorder.Edge) {
+	fmt.Fprintln(w, "digraph lockorder {")
+	fmt.Fprintln(w, "\trankdir=LR;")
+	fmt.Fprintln(w, "\tnode [shape=box, fontname=\"monospace\"];")
 	for _, e := range edges {
 		// Labelled by the acquiring function, not file:line, so the
 		// committed DOT changes only when the graph does.
-		fmt.Printf("\t%q -> %q [label=%q];\n", e.From, e.To, e.In)
+		fmt.Fprintf(w, "\t%q -> %q [label=%q];\n", e.From, e.To, e.In)
 	}
-	fmt.Println("}")
+	fmt.Fprintln(w, "}")
+}
 
+// countClasses returns how many lock classes edges connect.
+func countClasses(edges []lockorder.Edge) int {
 	nodes := make(map[string]bool)
-	graph := make(map[string][]string)
 	for _, e := range edges {
 		nodes[e.From], nodes[e.To] = true, true
-		graph[e.From] = append(graph[e.From], e.To)
 	}
-	if cyc := findCycle(graph); cyc != nil {
-		fmt.Fprintf(os.Stderr, "ghbavet: lock graph has a cycle: %s\n", strings.Join(cyc, " -> "))
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "ghbavet: lock graph: %d classes, %d edges, acyclic\n", len(nodes), len(edges))
-	return 0
+	return len(nodes)
 }
 
 func findModuleRoot() (string, error) {
@@ -194,8 +208,12 @@ func dedupEdges(edges []lockorder.Edge) []lockorder.Edge {
 	return out
 }
 
-// findCycle returns one cycle as a node path, or nil.
-func findCycle(graph map[string][]string) []string {
+// findCycle returns one cycle of edges as a node path, or nil.
+func findCycle(edges []lockorder.Edge) []string {
+	graph := make(map[string][]string)
+	for _, e := range edges {
+		graph[e.From] = append(graph[e.From], e.To)
+	}
 	const (
 		white = 0
 		gray  = 1

@@ -187,11 +187,11 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 			want:   []string{"array.go:", "published snapshot", "copy-on-write"},
 		},
 		{
-			// NumMDS takes Cluster.mu; under queueMu that inverts the order
-			// every lookup takes the two in.
+			// FileCount takes Cluster.mu; under queueMu that inverts the
+			// order every reconfiguration takes the two in.
 			name: "lockorder", analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/lookup.go",
 			old:    "\tdefer c.queueMu.Unlock()\n\tclear(c.queue)\n",
-			mutant: "\tdefer c.queueMu.Unlock()\n\t_ = c.NumMDS()\n\tclear(c.queue)\n",
+			mutant: "\tdefer c.queueMu.Unlock()\n\t_ = c.FileCount()\n\tclear(c.queue)\n",
 			want:   []string{"lookup.go:", "Cluster.mu", "Cluster.queueMu", "cycle"},
 		},
 		{

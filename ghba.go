@@ -317,13 +317,7 @@ func (s *Simulation) LevelFractions() [5]float64 {
 // LevelCounts returns the cumulative number of lookups served at each level
 // (indices 1–4; index 0 unused). Drivers that interleave warmup and measured
 // phases difference two snapshots to attribute hits to one phase.
-func (s *Simulation) LevelCounts() [5]uint64 {
-	var out [5]uint64
-	for l := 1; l <= 4; l++ {
-		out[l] = s.cluster.Tally().Count(l)
-	}
-	return out
-}
+func (s *Simulation) LevelCounts() [5]uint64 { return s.cluster.Tally().Counts() }
 
 // ReplicaUpdates returns the number of replica-update messages the
 // XOR-delta ship path has sent: one per holder the group layout names, the

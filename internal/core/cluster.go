@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,16 +38,21 @@ import (
 // per multicast round, never held across a filter probe. At L4 a lookup also
 // reads the home index under one shard's read lock.
 //
+// The fleet is the cluster's only record of membership. NumMDS, NumGroups,
+// MDSIDs, Node, Layout, RandomMDS, Footprint and MeanFootprint read it
+// without a lock too.
+//
 // Writers keep the existing mutex discipline among themselves: c.mu is the
 // topology lock. Mutations (Apply, ApplyWith) and replica shipping
-// (PushUpdate, Flush) hold mu as readers and synchronize through
-// finer-grained structures — the sharded home index, per-node locks, ship
+// (PushUpdate, Flush) hold mu as readers, act on the fleet loaded under it —
+// which stays current while they hold it — and synchronize through
+// finer-grained structures: the sharded home index, per-node locks, ship
 // stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
-// exclusively because it rewrites the node map and the layout the writer
-// paths navigate by, and republishes the fleet before releasing it. A
-// lookup that loaded the previous fleet completes against that consistent
-// older topology, which is indistinguishable from it having run just before
-// the reconfiguration committed.
+// exclusively, builds the successor fleet (mds.Fleet.Successor), runs its
+// plan, ships and re-homes against it, and publishes it last. A lookup that
+// loaded the previous fleet completes against that consistent older
+// topology, which is indistinguishable from it having run just before the
+// reconfiguration committed.
 //
 // Creates and deletes on different MDSes therefore proceed in parallel;
 // operations on the same node serialize only on that node's lock, and
@@ -59,26 +63,18 @@ import (
 type Cluster struct {
 	cfg Config
 
-	// mu guards the topology: nodes, layout, ids and nextMDSID.
+	// mu is the topology lock: writers hold it shared, reconfiguration
+	// exclusively, and it guards nextMDSID.
 	mu sync.RWMutex
 
-	nodes map[int]*mds.Node
-	// layout is the group layer — who is grouped with whom, who holds which
-	// replica. Reconfiguration replaces it with the successor internal/group
-	// plans; the nodes' replica arrays are kept equal to it.
-	layout group.Layout
-
-	// ids caches the sorted MDS IDs so the hot path does not rebuild and
-	// sort the slice on every random entry draw. Maintained on every
-	// membership change; treat as immutable between changes.
-	ids []int
-
-	// fleet is the published membership snapshot the lock-free read path
-	// navigates by. Reconfiguration rebuilds it under the write lock
-	// (publishLocked) and swaps it in as its last visible act; the snapshot
-	// itself is immutable forever after. Whenever c.mu is held shared it
-	// matches nodes and layout exactly, so writers confirm home-index cells
-	// through it too.
+	// fleet is the published membership snapshot — the servers, their
+	// nodes and the group layout internal/group plans, whose record of who
+	// holds which replica the nodes' replica arrays are kept equal to.
+	// Reconfiguration builds its successor under the write lock and swaps it
+	// in (publishLocked) as its last visible act; the snapshot itself is
+	// immutable forever after. Whenever c.mu is held shared it is the
+	// current membership, so writers place, ship and confirm home-index
+	// cells through it.
 	fleet atomic.Pointer[mds.Fleet]
 
 	// homes is the ground truth of file → home MDS, used for placement and
@@ -145,48 +141,35 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("core: sizing LRU array: %w", err)
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		nodes:  make(map[int]*mds.Node),
-		layout: group.NewLayout(cfg.NumMDS, cfg.MaxGroupSize),
-		homes:  homeindex.New(),
-		ships:  shipq.New(cfg.ShipBatch),
-		lru:    lru,
-		mem:    cfg.memoryModel(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		msgs:   simnet.NewCounter(),
+		cfg:   cfg,
+		homes: homeindex.New(),
+		ships: shipq.New(cfg.ShipBatch),
+		lru:   lru,
+		mem:   cfg.memoryModel(),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		msgs:  simnet.NewCounter(),
 	}
 
+	nodes := make(map[int]*mds.Node, cfg.NumMDS)
 	for i := 0; i < cfg.NumMDS; i++ {
 		node, err := mds.NewNode(i, cfg.Node)
 		if err != nil {
 			return nil, fmt.Errorf("core: creating MDS %d: %w", i, err)
 		}
-		c.nodes[i] = node
+		nodes[i] = node
 	}
 	c.nextMDSID = cfg.NumMDS
-	c.refreshIDsLocked()
-	c.publishLocked()
+	f := mds.NewFleet(nodes, group.NewLayout(cfg.NumMDS, cfg.MaxGroupSize))
+	c.publishLocked(f)
 	// Every group mirrors every outside MDS, starting from its (empty)
 	// filter.
-	c.fleet.Load().Seed()
+	f.Seed()
 	return c, nil
 }
 
-// refreshIDsLocked rebuilds the sorted MDS ID cache after a membership
-// change. Requires the write lock.
-func (c *Cluster) refreshIDsLocked() {
-	ids := make([]int, 0, len(c.nodes))
-	for id := range c.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.ids = ids
-}
-
-// publishLocked freezes the current membership into a fresh fleet and
-// publishes it. Requires the write lock; every reconfiguration calls it after
-// the node map and the layout reach their new consistent state.
-func (c *Cluster) publishLocked() {
+// publishLocked publishes f as the current membership. Requires the write
+// lock; every reconfiguration calls it once its successor fleet is wired.
+func (c *Cluster) publishLocked(f *mds.Fleet) {
 	// A slot for every ID this fleet can name, before any lookup can load
 	// it; lookups still walking an older fleet only name smaller IDs.
 	c.queueMu.Lock()
@@ -194,7 +177,7 @@ func (c *Cluster) publishLocked() {
 		c.queue = append(c.queue, make([]time.Duration, grow)...)
 	}
 	c.queueMu.Unlock()
-	c.fleet.Store(mds.NewFleet(maps.Clone(c.nodes), c.layout))
+	c.fleet.Store(f)
 }
 
 // Name identifies the scheme in experiment output. Groups of one are the
@@ -207,42 +190,20 @@ func (c *Cluster) Name() string {
 }
 
 // NumMDS returns the current number of metadata servers.
-func (c *Cluster) NumMDS() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.nodes)
-}
+func (c *Cluster) NumMDS() int { return len(c.fleet.Load().IDs()) }
 
 // NumGroups returns the current number of groups.
-func (c *Cluster) NumGroups() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.layout.Groups())
-}
+func (c *Cluster) NumGroups() int { return len(c.fleet.Load().Layout().Groups()) }
 
 // MDSIDs returns all server IDs in ascending order. The returned slice is
 // the caller's to keep.
-func (c *Cluster) MDSIDs() []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]int, len(c.ids))
-	copy(out, c.ids)
-	return out
-}
+func (c *Cluster) MDSIDs() []int { return slices.Clone(c.fleet.Load().IDs()) }
 
 // Node returns the MDS with the given ID, or nil.
-func (c *Cluster) Node(id int) *mds.Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nodes[id]
-}
+func (c *Cluster) Node(id int) *mds.Node { return c.fleet.Load().Node(id) }
 
 // Layout returns the current group layout, an immutable value.
-func (c *Cluster) Layout() group.Layout {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.layout
-}
+func (c *Cluster) Layout() group.Layout { return c.fleet.Load().Layout() }
 
 // Messages exposes the message counter (internally synchronized).
 func (c *Cluster) Messages() *simnet.Counter { return c.msgs }
@@ -269,35 +230,11 @@ func (c *Cluster) FileCount() int {
 	return c.homes.Len()
 }
 
-// randomMDSLocked draws a uniform MDS ID from the cluster's own RNG.
-// Requires c.mu (read suffices); takes rngMu internally.
-func (c *Cluster) randomMDSLocked() int {
-	c.rngMu.Lock()
-	i := c.rng.Intn(len(c.ids))
-	c.rngMu.Unlock()
-	return c.ids[i]
-}
-
 // RandomMDS returns a uniformly chosen MDS ID — the paper's "each request
 // can randomly choose an MDS to carry out query operations". It draws from
 // the cluster's internal RNG; parallel lookup workers should instead draw
 // entries from their own RNG (see LookupWith) to avoid serializing on it.
-func (c *Cluster) RandomMDS() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.randomMDSLocked()
-}
-
-// randomMDSIn draws a uniform MDS ID from the fleet's population using the
-// cluster RNG (under rngMu). The lock-free entry-fallback path uses it so a
-// stale entry ID never aborts a lookup.
-func (c *Cluster) randomMDSIn(f *mds.Fleet) int {
-	ids := f.IDs()
-	c.rngMu.Lock()
-	i := c.rng.Intn(len(ids))
-	c.rngMu.Unlock()
-	return ids[i]
-}
+func (c *Cluster) RandomMDS() int { return c.fleet.Load().Draw(lockedRand{c}) }
 
 // Populate homes every path yielded by the iterator at a uniformly random
 // MDS ("all MDSs are initially populated randomly") and then synchronizes
@@ -310,7 +247,9 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 		// A path the namespace already holds keeps its home (the draw is
 		// spent either way): homing it again would leave it in the old
 		// home's store as well, for a stale verify to confirm.
-		node := c.nodes[c.randomMDSLocked()]
+		c.rngMu.Lock()
+		node := f.Node(f.Draw(c.rng))
+		c.rngMu.Unlock()
 		c.homes.PutIfAbsentThen(path, node.ID(), f.Holds, func() { node.AddFile(path) })
 		return true
 	})

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"ghba/internal/group"
 	"ghba/internal/mds"
 )
 
@@ -108,17 +110,6 @@ func TestEpochSnapshotConsistentUnderChurn(t *testing.T) {
 
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after churn: %v", err)
-	}
-	// The published epoch and the locked topology agree once quiescent.
-	e := c.fleet.Load()
-	ids := c.MDSIDs()
-	if len(e.IDs()) != len(ids) {
-		t.Fatalf("quiescent epoch has %d ids, topology has %d", len(e.IDs()), len(ids))
-	}
-	for i, id := range ids {
-		if e.IDs()[i] != id {
-			t.Fatalf("quiescent epoch ids %v != topology ids %v", e.IDs(), ids)
-		}
 	}
 }
 
@@ -262,4 +253,84 @@ func TestL4LookupsRacingRemoveMDS(t *testing.T) {
 		t.Error("no lookup resolved at L4; the race this test exists for did not run")
 	}
 	t.Logf("%d lookups resolved at L4 across %d re-homing rounds", total, rounds)
+}
+
+// TestLockFreeAccessorsUnderChurn reads every membership accessor that loads
+// the published fleet without a lock — MDSIDs, NumMDS, NumGroups, Layout,
+// Node — while a writer joins, removes and fails servers, the survivors'
+// IDs growing non-contiguous. Every answer must be one whole snapshot: IDs
+// sorted and unique, and a layout sound for the members its own groups
+// name. Run it under -race.
+func TestLockFreeAccessorsUnderChurn(t *testing.T) {
+	c := newPopulated(t, 9, 3, 200)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 30; i++ {
+			if _, _, err := c.AddMDS(); err != nil {
+				t.Errorf("AddMDS: %v", err)
+				return
+			}
+			oldest := c.MDSIDs()[0]
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = c.RemoveMDS(oldest)
+			case 1:
+				_, err = c.FailMDS(oldest)
+			}
+			if err != nil {
+				t.Errorf("round %d, MDS %d: %v", i, oldest, err)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ids := c.MDSIDs()
+				if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+					t.Errorf("MDSIDs() = %v, want sorted and unique", ids)
+					return
+				}
+				for _, id := range ids {
+					if n := c.Node(id); n != nil && n.ID() != id {
+						t.Errorf("Node(%d) is MDS %d", id, n.ID())
+						return
+					}
+				}
+				if c.NumMDS() < 1 || c.NumGroups() < 1 {
+					t.Errorf("NumMDS() = %d, NumGroups() = %d", c.NumMDS(), c.NumGroups())
+					return
+				}
+				if err := checkLayoutAlone(c.Layout()); err != nil {
+					t.Errorf("Layout(): %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after churn: %v", err)
+	}
+}
+
+// checkLayoutAlone checks l against the union of its own groups' members.
+func checkLayoutAlone(l group.Layout) error {
+	var ids []int
+	for _, g := range l.Groups() {
+		ids = append(ids, g.Members...)
+	}
+	slices.Sort(ids)
+	return l.Check(ids)
 }

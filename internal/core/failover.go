@@ -30,13 +30,15 @@ type FailoverReport struct {
 func (c *Cluster) FailMDS(id int) (FailoverReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.nodes[id]; !ok {
+	f := c.fleet.Load()
+	if f.Node(id) == nil {
 		return FailoverReport{}, fmt.Errorf("core: unknown MDS %d", id)
 	}
-	if len(c.nodes) == 1 {
+	if len(f.IDs()) == 1 {
 		return FailoverReport{}, fmt.Errorf("core: refusing to fail the last MDS")
 	}
-	next, plan := c.layout.Fail(id)
+	layout, plan := f.Layout().Fail(id)
+	next := f.Successor(layout, nil, id)
 	c.retireLocked(id)
 	c.applyPlanLocked(next, plan)
 	rep := FailoverReport{
@@ -47,7 +49,7 @@ func (c *Cluster) FailMDS(id int) (FailoverReport, error) {
 		FilesLost: c.homes.Scrub(id),
 		Messages:  plan.Report().Messages,
 	}
-	c.publishLocked()
+	c.publishLocked(next)
 	c.msgs.Add(simnet.MsgMembership, uint64(rep.Messages))
 	return rep, nil
 }

@@ -118,7 +118,7 @@ func (c *Cluster) occupy(id int, arrival, work time.Duration) time.Duration {
 func (c *Cluster) Lookup(path string, entry int) LookupResult {
 	f := c.fleet.Load()
 	if f.Node(entry) == nil {
-		entry = c.randomMDSIn(f)
+		entry = f.Draw(lockedRand{c})
 	}
 	return c.lookupFleet(f, path, entry, 0, false)
 }
@@ -131,7 +131,7 @@ func (c *Cluster) Lookup(path string, entry int) LookupResult {
 func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResult {
 	f := c.fleet.Load()
 	if entry < 0 || f.Node(entry) == nil {
-		entry = f.IDs()[rng.Intn(len(f.IDs()))]
+		entry = f.Draw(rng)
 	}
 	return c.lookupFleet(f, path, entry, 0, false)
 }
@@ -144,7 +144,7 @@ func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResul
 func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) LookupResult {
 	f := c.fleet.Load()
 	if f.Node(entry) == nil {
-		entry = c.randomMDSIn(f)
+		entry = f.Draw(lockedRand{c})
 	}
 	return c.lookupFleet(f, path, entry, arrival, true)
 }

@@ -9,15 +9,10 @@ import (
 	"ghba/internal/trace"
 )
 
-// intner is the single-draw interface the mutation and replay paths need
-// from a randomness source. *rand.Rand satisfies it directly; the cluster's
-// own RNG is adapted through lockedRand so the serial API stays usable next
-// to parallel workers.
-type intner interface {
-	Intn(n int) int
-}
-
-// lockedRand draws from the cluster's internal RNG under rngMu.
+// lockedRand draws from the cluster's internal RNG under rngMu: the serial
+// API's mds.Intner, usable next to parallel workers. Code that holds c.mu
+// locks rngMu itself around Draw(c.rng) instead, so the lock graph, which
+// does not follow a call through an interface, records the mu → rngMu order.
 type lockedRand struct{ c *Cluster }
 
 func (l lockedRand) Intn(n int) int {
@@ -29,39 +24,40 @@ func (l lockedRand) Intn(n int) int {
 
 // noteMutationLocked checks origin's XOR-delta drift and, past the threshold,
 // marks it dirty in the ship queue, draining inline when the batch fills.
-// Requires c.mu (read suffices).
-func (c *Cluster) noteMutationLocked(origin int) {
-	if !c.nodes[origin].NeedsShip(c.cfg.UpdateThresholdBits) {
+// Requires c.mu (read suffices), under which f is the current fleet.
+func (c *Cluster) noteMutationLocked(f *mds.Fleet, origin int) {
+	if !f.Node(origin).NeedsShip(c.cfg.UpdateThresholdBits) {
 		return
 	}
-	c.shipBatchLocked(c.ships.Note(origin))
+	c.shipBatchLocked(f, c.ships.Note(origin))
 }
 
-// shipBatchLocked ships every origin in the batch (nil is a no-op).
+// shipBatchLocked ships every origin in the batch (nil is a no-op) over f.
 // Requires c.mu (read suffices).
-func (c *Cluster) shipBatchLocked(origins []int) {
+func (c *Cluster) shipBatchLocked(f *mds.Fleet, origins []int) {
 	for _, origin := range origins {
-		c.updateLocked(origin)
+		c.updateLocked(f, origin)
 	}
 }
 
 // updateLocked ships origin as an XOR-delta update: shipOriginLocked with the
 // messages booked. Returns the update latency. Requires c.mu (read suffices).
-func (c *Cluster) updateLocked(origin int) time.Duration {
-	msgs, latency := c.shipOriginLocked(origin)
+func (c *Cluster) updateLocked(f *mds.Fleet, origin int) time.Duration {
+	msgs, latency := c.shipOriginLocked(f, origin)
 	c.msgs.Add(simnet.MsgReplicaUpdate, uint64(msgs))
 	return latency
 }
 
 // deleteInnerLocked removes path, returning its pre-delete home (-1 when absent)
-// and whether it existed. Requires c.mu (read suffices). The unlink runs
-// under the path's shard lock, paired with applyRecord's claim-and-install,
-// so create and delete of one path fully serialize. The home's filter goes
-// stale until its rebuild threshold triggers.
-func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
+// and whether it existed. Requires c.mu (read suffices), under which f is the
+// current fleet. The unlink runs under the path's shard lock, paired with
+// applyRecord's claim-and-install, so create and delete of one path fully
+// serialize. The home's filter goes stale until its rebuild threshold
+// triggers.
+func (c *Cluster) deleteInnerLocked(f *mds.Fleet, path string) (int, bool) {
 	var node *mds.Node
-	home, ok := c.homes.RemoveThen(path, c.fleet.Load().Holds, func(home int) {
-		node = c.nodes[home]
+	home, ok := c.homes.RemoveThen(path, f.Holds, func(home int) {
+		node = f.Node(home)
 		node.DeleteFile(path)
 	})
 	if !ok {
@@ -70,7 +66,7 @@ func (c *Cluster) deleteInnerLocked(path string) (int, bool) {
 	if node.RebuildIfStale(mds.RebuildDeleteThreshold) {
 		// The rebuild changed the filter wholesale; ship the fresh
 		// snapshot through the coalescing queue.
-		c.shipBatchLocked(c.ships.Note(home))
+		c.shipBatchLocked(f, c.ships.Note(home))
 	}
 	return home, true
 }
@@ -85,7 +81,7 @@ func (c *Cluster) PushUpdate(origin int) time.Duration {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	c.ships.Forget(origin)
-	return c.updateLocked(origin)
+	return c.updateLocked(c.fleet.Load(), origin)
 }
 
 // Flush drains the coalescing ship queue, bringing every dirty origin's
@@ -95,7 +91,7 @@ func (c *Cluster) PushUpdate(origin int) time.Duration {
 func (c *Cluster) Flush() {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.shipBatchLocked(c.ships.Drain())
+	c.shipBatchLocked(c.fleet.Load(), c.ships.Drain())
 }
 
 // PendingShips returns how many origins have crossed the ship threshold but
@@ -103,22 +99,23 @@ func (c *Cluster) Flush() {
 func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
 
 // shipOriginLocked distributes origin's current filter snapshot to the one
-// replica holder in every other group — the cluster's only caller of
-// mds.Node.Ship. The layout names each holder, so the multicast costs one
+// replica holder in every other group of f — the cluster's only caller of
+// mds.Node.Ship. f's layout names each holder, so the multicast costs one
 // message per holder, the unit the TCP backend counts too. It returns those
 // messages and the multicast's latency; the caller books the messages (an
 // XOR-delta update) or does not (bulk population, a newcomer's
 // distribution, which its join's Report prices).
-// Requires c.mu (read or write): the layout must be stable, while the holder
-// arrays and the origin's snapshot state synchronize on their own locks, so
-// concurrent shippers on different origins proceed in parallel. Ships of the
-// *same* origin serialize on a striped lock — without it, two racing shippers
-// could install an older snapshot over a newer one at some holder while the
-// origin's staleness tracking already counts drift against the newer,
-// silently loosening the XOR-delta bound. Unknown origins (retired between
+// Requires c.mu (read or write): f must be the current fleet, or the
+// successor a reconfiguration holding it exclusively is wiring, while the
+// holder arrays and the origin's snapshot state synchronize on their own
+// locks, so concurrent shippers on different origins proceed in parallel.
+// Ships of the *same* origin serialize on a striped lock — without it, two
+// racing shippers could install an older snapshot over a newer one at some
+// holder while the origin's staleness tracking already counts drift against
+// the newer, silently loosening the XOR-delta bound. Unknown origins (retired between
 // enqueue and drain) are ignored.
-func (c *Cluster) shipOriginLocked(origin int) (msgs int, latency time.Duration) {
-	node := c.nodes[origin]
+func (c *Cluster) shipOriginLocked(f *mds.Fleet, origin int) (msgs int, latency time.Duration) {
+	node := f.Node(origin)
 	if node == nil {
 		return 0, 0
 	}
@@ -127,25 +124,25 @@ func (c *Cluster) shipOriginLocked(origin int) (msgs int, latency time.Duration)
 	defer stripe.Unlock()
 	snap := node.Ship()
 	var slowestApply time.Duration
-	for _, g := range c.layout.Groups() {
+	for _, g := range f.Layout().Groups() {
 		holder, ok := g.Holder(origin)
 		if !ok {
 			continue // origin's own group
 		}
-		c.nodes[holder].InstallReplica(origin, snap)
+		hn := f.Node(holder)
+		hn.InstallReplica(origin, snap)
 		msgs++
 		// Applying the update costs one probe-equivalent write at the
 		// holder; spilled replicas pay a disk write.
-		slowestApply = max(slowestApply, c.applyCostLocked(holder))
+		slowestApply = max(slowestApply, c.applyCost(hn))
 	}
 	return msgs, c.cfg.Cost.Multicast(msgs) + slowestApply
 }
 
-// applyCostLocked returns the cost of rewriting one replica at the holder: a
-// memory write when the holder's replica set is resident, a disk write for
-// the spilled fraction. Requires c.mu.
-func (c *Cluster) applyCostLocked(holder int) time.Duration {
-	node := c.nodes[holder]
+// applyCost returns the cost of rewriting one replica at a holder: a memory
+// write when the holder's replica set is resident, a disk write for the
+// spilled fraction.
+func (c *Cluster) applyCost(node *mds.Node) time.Duration {
 	total := node.ReplicaCount() + 1
 	perReplica := c.replicaBytes(node.LocalFilter().SizeBytes())
 	totalBytes := uint64(total) * perReplica
@@ -177,9 +174,12 @@ func (c *Cluster) ApplyWith(rng *rand.Rand, rec trace.Record) LookupResult {
 	return c.applyRecord(rng, rec)
 }
 
-func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
+func (c *Cluster) applyRecord(r mds.Intner, rec trace.Record) LookupResult {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// The read lock excludes reconfiguration, so f stays the current fleet
+	// until the record is applied.
+	f := c.fleet.Load()
 	switch rec.Op {
 	case trace.OpCreate:
 		// One draw either way: it becomes the home of a fresh path, or the
@@ -187,19 +187,17 @@ func (c *Cluster) applyRecord(r intner, rec trace.Record) LookupResult {
 		// open. PutIfAbsentThen is the atomic claim-and-install, so two
 		// workers racing on the same path cannot both home it, and a
 		// racing delete cannot slip between the claim and the node update.
-		id := c.ids[r.Intn(len(c.ids))]
-		node := c.nodes[id]
-		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, c.fleet.Load().Holds, func() { node.AddFile(rec.Path) }); !inserted {
-			// The read lock held above excludes reconfiguration, so the
-			// current fleet matches c.ids/c.nodes exactly.
-			return c.lookupFleet(c.fleet.Load(), rec.Path, id, rec.At, true)
+		id := f.Draw(r)
+		node := f.Node(id)
+		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, f.Holds, func() { node.AddFile(rec.Path) }); !inserted {
+			return c.lookupFleet(f, rec.Path, id, rec.At, true)
 		}
-		c.noteMutationLocked(id)
+		c.noteMutationLocked(f, id)
 		return LookupResult{Path: rec.Path, Home: id, Found: true, Level: 0}
 	case trace.OpDelete:
-		home, existed := c.deleteInnerLocked(rec.Path)
+		home, existed := c.deleteInnerLocked(f, rec.Path)
 		return LookupResult{Path: rec.Path, Home: home, Found: existed, Level: 0}
 	default:
-		return c.lookupFleet(c.fleet.Load(), rec.Path, c.ids[r.Intn(len(c.ids))], rec.At, true)
+		return c.lookupFleet(f, rec.Path, f.Draw(r), rec.At, true)
 	}
 }

@@ -56,7 +56,7 @@ func TestApplyWithMatchesApplyStream(t *testing.T) {
 	// on a fresh source reproduces its state for the ApplyWith side.
 	rng := rand.New(rand.NewSource(a.cfg.Seed))
 	for i := 0; i < 300; i++ {
-		rng.Intn(len(b.ids))
+		rng.Intn(b.NumMDS())
 	}
 	for i, rec := range recs {
 		ra := a.Apply(rec)

@@ -1,5 +1,7 @@
 package core
 
+import "ghba/internal/mds"
+
 // MemoryFootprint describes one MDS's filter memory, the raw data behind
 // Table 5's relative overhead comparison.
 type MemoryFootprint struct {
@@ -29,13 +31,11 @@ func (f MemoryFootprint) Total() uint64 {
 // Footprint returns the memory footprint of one MDS, or a zero value for an
 // unknown ID.
 func (c *Cluster) Footprint(id int) MemoryFootprint {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.footprintLocked(id)
+	return c.footprint(c.fleet.Load(), id)
 }
 
-func (c *Cluster) footprintLocked(id int) MemoryFootprint {
-	node := c.nodes[id]
+func (c *Cluster) footprint(f *mds.Fleet, id int) MemoryFootprint {
+	node := f.Node(id)
 	if node == nil {
 		return MemoryFootprint{}
 	}
@@ -44,25 +44,25 @@ func (c *Cluster) footprintLocked(id int) MemoryFootprint {
 		ReplicaBytes:     node.Replicas().SizeBytes(),
 		// Each MDS stores a replica of every home's LRU filter.
 		LRUBytes:   c.lru.SizeBytes(),
-		IDBFABytes: uint64(len(c.layout.GroupOf(id).Members)) * idbfaBytesPerMember,
+		IDBFABytes: uint64(len(f.Members(id))) * idbfaBytesPerMember,
 	}
 }
 
-// MeanFootprint averages the footprint across all MDSs.
+// MeanFootprint averages the footprint across all MDSs of one membership
+// snapshot.
 func (c *Cluster) MeanFootprint() MemoryFootprint {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	f := c.fleet.Load()
 	var sum MemoryFootprint
-	ids := c.ids
+	ids := f.IDs()
 	if len(ids) == 0 {
 		return sum
 	}
 	for _, id := range ids {
-		f := c.footprintLocked(id)
-		sum.LocalFilterBytes += f.LocalFilterBytes
-		sum.ReplicaBytes += f.ReplicaBytes
-		sum.LRUBytes += f.LRUBytes
-		sum.IDBFABytes += f.IDBFABytes
+		fp := c.footprint(f, id)
+		sum.LocalFilterBytes += fp.LocalFilterBytes
+		sum.ReplicaBytes += fp.ReplicaBytes
+		sum.LRUBytes += fp.LRUBytes
+		sum.IDBFABytes += fp.IDBFABytes
 	}
 	n := uint64(len(ids))
 	return MemoryFootprint{

@@ -6,11 +6,11 @@
 // stores one 8-byte tagtable cell per file — a 32-bit tag of the path's
 // hash and the home's ID — and a tag match is only a candidate until the
 // home confirms that it holds the path. Confirmation is the caller's: a
-// func(home, path) that asks the home's store (core through its node map,
-// proto through the daemon's store in process). Tags may collide: a probe
-// continues past an unconfirmed match, and two same-tag paths at one home
-// are interchangeable cells. A loaded shard runs 58–87.5% full, about 9–14
-// bytes per file.
+// func(home, path) that asks the home's store (both engines through
+// mds.Fleet.Holds; proto's fleet reads each daemon's store in process). Tags
+// may collide: a probe continues past an unconfirmed match, and two same-tag
+// paths at one home are interchangeable cells. A loaded shard runs 58–87.5%
+// full, about 9–14 bytes per file.
 //
 // The cells are striped over Shards locks by the path's hash, so mutations
 // on different paths never serialize on one lock. Whole-index scans (Scrub,

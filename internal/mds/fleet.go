@@ -2,6 +2,7 @@ package mds
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -11,13 +12,13 @@ import (
 
 // Fleet is one immutable membership snapshot: the sorted server IDs, each
 // server's node, the group layout and each member's group, frozen at a
-// reconfiguration boundary. Both engines publish one through an atomic
-// pointer — the simulator's core.Cluster over its in-memory nodes, the TCP
-// coordinator over its daemons' nodes — and rebuild it, never edit it, when
-// membership changes, so the read path navigates it without a lock. The nodes
-// it points to are not snapshot memory: they keep evolving, each
-// synchronizing its own store and filters, and writers reach them through
-// Node.
+// reconfiguration boundary. It is each engine's one record of membership:
+// the simulator's core.Cluster publishes one over its in-memory nodes, the
+// TCP coordinator one over its daemons' nodes, each through an atomic pointer,
+// and a reconfiguration builds the next (Successor), never edits the current
+// one, so the read path navigates it without a lock. The nodes it points to
+// are not snapshot memory: they keep evolving, each synchronizing its own
+// store and filters, and writers reach them through Node.
 type Fleet struct {
 	ids    []int
 	nodes  map[int]*Node
@@ -50,8 +51,37 @@ func NewFleet(nodes map[int]*Node, layout group.Layout) *Fleet {
 	return f
 }
 
+// Successor builds the fleet that follows f over layout: f's nodes, less the
+// node of ID leave (if any) and with join added (if non-nil; it replaces a
+// node of its ID). It copies f's node map, never writes it: lookups may still
+// be walking f.
+func (f *Fleet) Successor(layout group.Layout, join *Node, leave int) *Fleet {
+	nodes := maps.Clone(f.nodes)
+	delete(nodes, leave)
+	if join != nil {
+		nodes[join.ID()] = join
+	}
+	return NewFleet(nodes, layout)
+}
+
 // IDs returns the sorted server IDs. The slice is shared and never written.
 func (f *Fleet) IDs() []int { return f.ids }
+
+// Layout returns the group layout, an immutable value.
+func (f *Fleet) Layout() group.Layout { return f.layout }
+
+// Intner is the single draw Draw needs from a randomness source.
+// *rand.Rand satisfies it; an engine's own shared RNG is adapted behind a
+// lock.
+type Intner interface {
+	Intn(n int) int
+}
+
+// Draw returns a uniformly drawn server ID: one r.Intn over the sorted IDs.
+// It is the one draw both engines make for an entry point or a new file's
+// home, so a simulation and a prototype driven by equally seeded RNGs pick the
+// same server at every step.
+func (f *Fleet) Draw(r Intner) int { return f.ids[r.Intn(len(f.ids))] }
 
 // Node returns server id's node, or nil when id is not a member.
 func (f *Fleet) Node(id int) *Node { return f.nodes[id] }

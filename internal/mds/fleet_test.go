@@ -1,6 +1,8 @@
 package mds
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -131,5 +133,82 @@ func TestFleetCheckCatchesUnplacedServer(t *testing.T) {
 	f := NewFleet(nodes, group.NewLayout(3, 3))
 	if err := f.Check(homeindex.New()); err == nil {
 		t.Fatal("Check passed MDS 3, which no group places")
+	}
+}
+
+// TestFleetSuccessorLeavesPredecessorIntact pins the copy independence
+// lookups rely on: building a successor, by a join and by a leave, changes
+// none of the predecessor's answers, since lookups may still be walking it.
+func TestFleetSuccessorLeavesPredecessorIntact(t *testing.T) {
+	type view struct {
+		ids     []int
+		nodes   map[int]*Node
+		members map[int][]int
+		layout  group.Layout
+	}
+	capture := func(f *Fleet) view {
+		v := view{ids: slices.Clone(f.IDs()), nodes: map[int]*Node{}, members: map[int][]int{}, layout: f.Layout()}
+		for id := 0; id < 10; id++ {
+			v.nodes[id] = f.Node(id)
+			v.members[id] = slices.Clone(f.Members(id))
+		}
+		return v
+	}
+	same := func(t *testing.T, f *Fleet, want view) {
+		t.Helper()
+		got := capture(f)
+		if !slices.Equal(got.ids, want.ids) {
+			t.Errorf("IDs() = %v, was %v", got.ids, want.ids)
+		}
+		for id := range want.nodes {
+			if got.nodes[id] != want.nodes[id] {
+				t.Errorf("Node(%d) = %p, was %p", id, got.nodes[id], want.nodes[id])
+			}
+			if !slices.Equal(got.members[id], want.members[id]) {
+				t.Errorf("Members(%d) = %v, was %v", id, got.members[id], want.members[id])
+			}
+		}
+		if !reflect.DeepEqual(got.layout, want.layout) {
+			t.Errorf("Layout() = %+v, was %+v", got.layout.Groups(), want.layout.Groups())
+		}
+	}
+
+	f, _ := newTestFleet(t, 7, 3, 50)
+	t.Run("join", func(t *testing.T) {
+		before := capture(f)
+		layout, _ := f.Layout().Join(7)
+		next := f.Successor(layout, newTestNode(t, 7), -1)
+		same(t, f, before)
+		if next.Node(7) == nil || len(next.IDs()) != 8 {
+			t.Errorf("successor IDs() = %v, want 7 joined", next.IDs())
+		}
+	})
+	t.Run("leave", func(t *testing.T) {
+		before := capture(f)
+		layout, _ := f.Layout().Leave(3)
+		next := f.Successor(layout, nil, 3)
+		same(t, f, before)
+		if next.Node(3) != nil || slices.Contains(next.IDs(), 3) || next.Members(3) != nil {
+			t.Errorf("successor still names MDS 3: IDs() = %v", next.IDs())
+		}
+	})
+}
+
+// TestFleetDrawIsTheUniformIndexDraw pins Draw to the one draw both engines
+// must agree on, IDs()[r.Intn(len(IDs()))], draw for draw, on a fleet whose
+// IDs are not contiguous.
+func TestFleetDrawIsTheUniformIndexDraw(t *testing.T) {
+	f, _ := newTestFleet(t, 7, 3, 0)
+	layout, _ := f.Layout().Leave(2)
+	f = f.Successor(layout, nil, 2)
+	ids := f.IDs()
+	if slices.Contains(ids, 2) || len(ids) != 6 || !slices.IsSorted(ids) {
+		t.Fatalf("IDs() = %v, want 0..6 without 2, sorted", ids)
+	}
+	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 1000; i++ {
+		if got, want := f.Draw(a), ids[b.Intn(len(ids))]; got != want {
+			t.Fatalf("draw %d: Draw = %d, the index draw = %d", i, got, want)
+		}
 	}
 }

@@ -147,3 +147,12 @@ func (t *LevelTally) Count(level int) uint64 {
 	}
 	return t.counts[level].Load()
 }
+
+// Counts returns the raw hits at every level (indices 1–4; index 0 unused).
+func (t *LevelTally) Counts() [5]uint64 {
+	var out [5]uint64
+	for l := 1; l <= 4; l++ {
+		out[l] = t.counts[l].Load()
+	}
+	return out
+}

@@ -109,6 +109,9 @@ func TestLevelTally(t *testing.T) {
 	if lt.Count(3) != 7 || lt.Count(9) != 0 {
 		t.Error("Count wrong")
 	}
+	if got := lt.Counts(); got != [5]uint64{0, 70, 20, 7, 3} {
+		t.Errorf("Counts = %v, want [0 70 20 7 3]", got)
+	}
 }
 
 func TestLevelTallyEmpty(t *testing.T) {

@@ -57,11 +57,11 @@ func (c *Cluster) ApplyBatch(ctx context.Context, rng *rand.Rand, recs []trace.R
 	results := make([]LookupResult, len(recs))
 	// Pass 1: the draws, in op order, before any RPC, so a fixed seed homes
 	// every file identically however the window is cut into vectors.
-	ids := c.snapshotIDs()
+	f := c.fleet.Load()
 	draws := make([]int, len(recs))
 	for i, rec := range recs {
 		if rec.Op != trace.OpDelete {
-			draws[i] = ids[rng.Intn(len(ids))]
+			draws[i] = f.Draw(rng)
 		}
 	}
 	// Pass 2: assign waves along each path's kind-alternation chain.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,10 +120,12 @@ func (o *Options) walDir(id int) string {
 // drives queries, mutations and reconfiguration against them.
 //
 // The coordinator follows the same discipline as the simulator's core
-// engine: membership and the group layout live behind an RWMutex,
-// lookups and mutations are readers that snapshot what they need and issue
-// RPCs without holding the lock, and reconfiguration is the exclusive
-// writer. Ground truth is the index core keeps too (internal/homeindex),
+// engine: membership and the group layout are one published mds.Fleet, the
+// coordinator's only membership record, which lookups, replica ships,
+// NumMDS, MDSIDs and Layout read without a lock; mutation rounds are readers
+// of the RWMutex that snapshot what they need and issue RPCs without holding
+// it, and reconfiguration is the exclusive writer, which publishes the next
+// fleet. Ground truth is the index core keeps too (internal/homeindex),
 // striped over shard locks, so creates and deletes on different paths never
 // contend on one lock. RPC connections are pooled per daemon (connSet), so
 // concurrent operations against one daemon ride parallel sockets rather
@@ -130,21 +133,20 @@ func (o *Options) walDir(id int) string {
 type Cluster struct {
 	opts Options
 
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// servers records the daemons' lifecycle — the handles Close, Kill and
+	// snapshots act on — not a second membership: a daemon is a member once
+	// the fleet names it.
 	servers map[int]*NodeServer
-	// layout is the group layer — who is grouped with whom, who holds which
-	// replica — planned by internal/group and committed only after the RPCs
-	// that realize it succeeded (or, on best-effort paths, amended by what
-	// failed).
-	layout group.Layout
-	ids    []int // sorted member IDs; rebuilt on mutation, never mutated in place
-	nextID int
+	nextID  int
 
 	// fleet is the published immutable membership snapshot — the daemons'
-	// nodes, read in process — the query path navigates by without touching
-	// mu: publishLocked swaps it in as the final step of every membership
-	// mutation, so a lookup either sees the old consistent topology or the
-	// new one, never a half-rebuilt one.
+	// nodes, read in process, and the group layout internal/group plans,
+	// committed only after the RPCs that realize it succeeded (or, on
+	// best-effort paths, amended by what failed). The query path navigates
+	// it without touching mu: publishLocked swaps it in as the final step of
+	// every membership mutation, so a lookup either sees the old consistent
+	// topology or the new one, never a half-rebuilt one.
 	fleet atomic.Pointer[mds.Fleet]
 
 	// homes is the coordinator's ground truth of which daemon homes each
@@ -293,7 +295,6 @@ func Start(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:        opts,
 		servers:     make(map[int]*NodeServer),
-		layout:      group.NewLayout(opts.N, opts.M),
 		homes:       homeindex.New(),
 		incarnation: make(map[int]uint64),
 		ships:       shipq.New(opts.ShipBatch),
@@ -315,7 +316,7 @@ func Start(opts Options) (*Cluster, error) {
 	// built from the same (N, M) agree on membership and placement. Initial
 	// (empty) replicas are installed in process, before any measurement
 	// traffic.
-	c.publishLocked()
+	c.publishLocked(group.NewLayout(opts.N, opts.M))
 	c.fleet.Load().Seed()
 	return c, nil
 }
@@ -364,33 +365,19 @@ func (c *Cluster) recoverNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	return ns, info, nil
 }
 
-// publishLocked freezes the daemons' nodes and the layout into a fresh
-// membership snapshot, publishes it for the lock-free query path and keeps
-// its sorted IDs as the ID cache. Callers must hold c.mu exclusively (or be
-// pre-concurrency in Start).
-func (c *Cluster) publishLocked() {
+// publishLocked freezes the daemons' nodes and layout into a fresh
+// membership snapshot and publishes it for the lock-free query path. Callers
+// must hold c.mu exclusively (or be pre-concurrency in Start).
+func (c *Cluster) publishLocked(layout group.Layout) {
 	nodes := make(map[int]*mds.Node, len(c.servers))
 	for id, ns := range c.servers {
 		nodes[id] = ns.node
 	}
-	f := mds.NewFleet(nodes, c.layout)
-	c.ids = f.IDs()
-	c.fleet.Store(f)
+	c.fleet.Store(mds.NewFleet(nodes, layout))
 }
 
 // Layout returns the current group layout, an immutable value.
-func (c *Cluster) Layout() group.Layout {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.layout
-}
-
-// snapshotIDs returns the current sorted member IDs from the published
-// membership snapshot — no lock. The slice is immutable (rebuilt, never
-// mutated, on membership change), so it stays valid indefinitely.
-func (c *Cluster) snapshotIDs() []int {
-	return c.fleet.Load().IDs()
-}
+func (c *Cluster) Layout() group.Layout { return c.fleet.Load().Layout() }
 
 // candidate returns the daemon one level's hit set nominates for verify: the
 // sole hit, provided it is still a live member. Failover leaves traces of a
@@ -410,15 +397,11 @@ func memberOf(ids []int, id int) bool {
 }
 
 // NumMDS returns the daemon count.
-func (c *Cluster) NumMDS() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.servers)
-}
+func (c *Cluster) NumMDS() int { return len(c.fleet.Load().IDs()) }
 
 // MDSIDs returns the current daemon IDs in ascending order.
 func (c *Cluster) MDSIDs() []int {
-	return append([]int(nil), c.snapshotIDs()...)
+	return slices.Clone(c.fleet.Load().IDs())
 }
 
 // FileCount returns the number of files in the namespace: the home index's
@@ -472,13 +455,7 @@ func (c *Cluster) ReplicaUpdates() uint64 { return c.replicaShips.Load() }
 
 // LevelCounts returns the cumulative number of lookups served at each level
 // (indices 1–4; index 0 unused).
-func (c *Cluster) LevelCounts() [5]uint64 {
-	var out [5]uint64
-	for l := 1; l <= 4; l++ {
-		out[l] = c.tally.Count(l)
-	}
-	return out
-}
+func (c *Cluster) LevelCounts() [5]uint64 { return c.tally.Counts() }
 
 // Close shuts down all daemons and connections.
 func (c *Cluster) Close() {
@@ -524,7 +501,8 @@ func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) 
 
 // Populate homes paths at random daemons (in process, unmeasured) and
 // refreshes replicas — the bulk-load path behind the Backend's CreateAll. It
-// is an exclusive writer against the coordinator's membership and RNG; note
+// is an exclusive writer against the coordinator's membership, and draws each
+// home from the RNG under rngMu alone, as a serial Apply does; note
 // that a lookup which snapshotted membership before the lock was taken may
 // still have RPCs in flight while daemon stores update — each node
 // synchronizes its own store and filters, so such a lookup sees each file
@@ -540,10 +518,10 @@ func (c *Cluster) Populate(paths []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f := c.fleet.Load()
-	ids := f.IDs()
-	c.rngMu.Lock()
 	for _, p := range paths {
-		home := ids[c.rng.Intn(len(ids))]
+		c.rngMu.Lock()
+		home := f.Draw(c.rng)
+		c.rngMu.Unlock()
 		// A path the namespace already holds keeps its home (the draw is
 		// spent either way), as in core.Populate; so does one a mutation
 		// round holds in flight, which settles it.
@@ -553,7 +531,6 @@ func (c *Cluster) Populate(paths []string) error {
 		node := f.Node(home)
 		c.homes.PutIfAbsentThen(p, home, f.Holds, func() { node.AddFile(p) })
 	}
-	c.rngMu.Unlock()
 	// The bulk-load shortcut around ship: in process and uncounted, and
 	// nothing is left to coalesce.
 	f.Seed()
@@ -566,7 +543,7 @@ func (c *Cluster) Populate(paths []string) error {
 		return nil
 	}
 	var errs []error
-	for _, id := range ids {
+	for _, id := range f.IDs() {
 		if err := c.servers[id].snapshotNow(); err != nil {
 			errs = append(errs, fmt.Errorf("proto: snapshot of MDS %d after populate: %w", id, err))
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -195,4 +196,69 @@ func TestObserveBatchSurvivesDeadDaemon(t *testing.T) {
 	if res.Level != 1 {
 		t.Errorf("post-flush lookup served at level %d, want 1 (batch lost?)", res.Level)
 	}
+}
+
+// TestLockFreeAccessorsUnderChurn reads the membership accessors that load
+// the published fleet without a lock — MDSIDs, NumMDS, Layout — while a
+// writer joins daemons and fails the oldest, the survivors' IDs growing
+// non-contiguous. Every answer must be one whole snapshot: IDs sorted and
+// unique, and a layout sound for the members its own groups name. Run it
+// under -race.
+func TestLockFreeAccessorsUnderChurn(t *testing.T) {
+	c := startPopulated(t, 6, 3, 200)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 6; i++ {
+			if _, _, err := c.AddMDS(ctx); err != nil {
+				t.Errorf("AddMDS: %v", err)
+				return
+			}
+			if i%2 == 0 {
+				oldest := c.MDSIDs()[0]
+				if _, err := c.FailMDS(ctx, oldest); err != nil {
+					t.Errorf("FailMDS(%d): %v", oldest, err)
+					return
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ids := c.MDSIDs()
+				if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+					t.Errorf("MDSIDs() = %v, want sorted and unique", ids)
+					return
+				}
+				if c.NumMDS() < 1 {
+					t.Errorf("NumMDS() = %d", c.NumMDS())
+					return
+				}
+				l := c.Layout()
+				var members []int
+				for _, g := range l.Groups() {
+					members = append(members, g.Members...)
+				}
+				slices.Sort(members)
+				if err := l.Check(members); err != nil {
+					t.Errorf("Layout(): %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	checkInvariants(t, c)
 }

@@ -152,7 +152,7 @@ type transition struct {
 // the miss counters in deterministic (sorted-ID) order, and fails over
 // whatever crossed the Dead threshold.
 func (d *Detector) sweep() {
-	ids := d.c.snapshotIDs()
+	ids := d.c.fleet.Load().IDs()
 	results := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {

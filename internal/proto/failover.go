@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ghba/internal/group"
 	"ghba/internal/mds"
 	"ghba/internal/wal"
 )
@@ -47,9 +48,9 @@ func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	c.conns.unregister(id)
 	c.ships.Forget(id)
 
-	next, plan := c.layout.Fail(id)
-	c.layout, _ = c.runPlan(ctx, plan, next, false)
-	c.publishLocked()
+	next, plan := c.fleet.Load().Layout().Fail(id)
+	next, _ = c.runPlan(ctx, plan, next, false)
+	c.publishLocked(next)
 
 	// The scrub ends the daemon's incarnation: a mutation leg to it landing
 	// after this point must not put a cell back onto a removed daemon.
@@ -135,8 +136,7 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 	if wasMember {
 		c.conns.register(id, ns.Addr())
 		c.servers[id] = ns
-		c.rewireLocked(ctx, id)
-		c.publishLocked()
+		c.publishLocked(c.rewireLocked(ctx, id))
 	} else {
 		rep.Rejoined = true
 		if _, err := c.joinLocked(ctx, id, ns); err != nil {
@@ -165,10 +165,13 @@ func (c *Cluster) RestartMDS(ctx context.Context, id int) (RestartReport, error)
 // origin last shipped it), and its own filter ships to its holders, whose
 // copies may be newer than the last-shipped snapshot its log preserved.
 // Best-effort, like the failover RPCs: a miss degrades lookups to L4, never
-// corrupts them.
-func (c *Cluster) rewireLocked(ctx context.Context, id int) {
-	c.layout, _ = c.runPlan(ctx, c.layout.Refetch(id), c.layout, false)
-	_, _ = c.ship(ctx, id, c.layout.Holders(id))
+// corrupts them. It returns the layout to publish: the current one, less
+// any replica a fetch failed to restore.
+func (c *Cluster) rewireLocked(ctx context.Context, id int) group.Layout {
+	cur := c.fleet.Load().Layout()
+	next, _ := c.runPlan(ctx, cur.Refetch(id), cur, false)
+	_, _ = c.ship(ctx, id, next.Holders(id))
+	return next
 }
 
 // reconcileHomesLocked folds a recovered daemon's store back into the

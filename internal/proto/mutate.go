@@ -6,20 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
 
-// intner is the single-draw interface the mutation paths need from a
-// randomness source; *rand.Rand satisfies it, and the cluster's own RNG is
-// adapted through lockedRand so the serial API stays usable next to
-// parallel workers. The draw pattern mirrors core's exactly — one draw per
-// create or lookup, none per delete — so a simulation and a prototype
-// replaying the same trace with equally seeded RNGs place every file on the
-// same home MDS.
-type intner interface {
-	Intn(n int) int
-}
-
+// lockedRand draws from the cluster's internal RNG under rngMu: the serial
+// API's mds.Intner, usable next to parallel workers (Populate, which holds
+// c.mu, locks rngMu itself so the lock graph sees the order). The draw
+// pattern mirrors core's exactly — one mds.Fleet.Draw per create or lookup,
+// none per delete — so a simulation and a prototype replaying the same trace
+// with equally seeded RNGs place every file on the same home MDS.
 type lockedRand struct{ c *Cluster }
 
 func (l lockedRand) Intn(n int) int {
@@ -48,14 +44,13 @@ func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Recor
 // applyRecord is a window of one: the same single draw ApplyBatch makes per
 // record, then a mutation round over the one record — walking it if it
 // turned out to be an open — or the walk over a vector of one.
-func (c *Cluster) applyRecord(ctx context.Context, r intner, rec trace.Record) (LookupResult, error) {
+func (c *Cluster) applyRecord(ctx context.Context, r mds.Intner, rec trace.Record) (LookupResult, error) {
 	if err := checkPaths(rec.Path); err != nil {
 		return LookupResult{}, err
 	}
 	draw := 0
 	if rec.Op != trace.OpDelete {
-		ids := c.snapshotIDs()
-		draw = ids[r.Intn(len(ids))]
+		draw = c.fleet.Load().Draw(r)
 	}
 	if isMutation(rec.Op) {
 		out := make([]LookupResult, 1)
@@ -99,16 +94,13 @@ func (c *Cluster) shipOrigin(ctx context.Context, origin int) error {
 	stripe := &c.shipStripes[uint(origin)%uint(len(c.shipStripes))]
 	stripe.Lock()
 	defer stripe.Unlock()
-	// Snapshot the install targets under the read lock; the RPCs run
-	// without it, like every other coordinator fan-out.
-	c.mu.RLock()
-	_, member := c.servers[origin]
-	targets := c.layout.Holders(origin)
-	c.mu.RUnlock()
-	if !member {
+	// The install targets are the published fleet's; the RPCs run without
+	// any membership lock, like every other coordinator fan-out.
+	f := c.fleet.Load()
+	if f.Node(origin) == nil {
 		return nil
 	}
-	installed, err := c.ship(ctx, origin, targets)
+	installed, err := c.ship(ctx, origin, f.Layout().Holders(origin))
 	c.replicaShips.Add(uint64(installed))
 	return err
 }

@@ -59,7 +59,7 @@ func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer) (group
 	// The connection registers early — reconfiguration RPCs must reach the
 	// newcomer — but the membership snapshot does not.
 	c.conns.register(id, ns.Addr())
-	next, plan := c.layout.Join(id)
+	next, plan := c.fleet.Load().Layout().Join(id)
 	_, err := c.runPlan(ctx, plan, next, true)
 	if err == nil {
 		_, err = c.ship(ctx, id, next.Holders(id))
@@ -69,9 +69,8 @@ func (c *Cluster) joinLocked(ctx context.Context, id int, ns *NodeServer) (group
 		c.conns.unregister(id)
 		return group.Report{}, err
 	}
-	c.layout = next
 	c.servers[id] = ns
-	c.publishLocked()
+	c.publishLocked(next)
 	return plan.Report(), nil
 }
 
