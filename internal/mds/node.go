@@ -225,8 +225,8 @@ func (n *Node) rebuildLocked() {
 		// corruption, not caller error.
 		panic(fmt.Sprintf("mds: invalid rebuild geometry: %v", err))
 	}
-	n.store.Range(func(md metastore.Metadata) bool {
-		fresh.AddString(md.Path)
+	n.store.Range(func(path string) bool {
+		fresh.AddString(path)
 		return true
 	})
 	n.local.Store(fresh)

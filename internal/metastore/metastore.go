@@ -7,18 +7,20 @@
 //
 // The store is sized for RAM at scale, the paper's premise: files live as
 // dense (path, record) entries in fixed-size chunks, found through a
-// tagtable index of 8-byte cells (see Store). A loaded server pays about 56
+// tagtable index of 8-byte cells (see Store). A loaded server pays about 48
 // bytes of entry and 9–14 bytes of index per file, plus the path bytes it
 // shares with its caller.
 package metastore
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"ghba/internal/tagtable"
 )
@@ -62,34 +64,52 @@ func MTimeFromNanos(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// record is what the store keeps per file beside its path: the rest of
-// Metadata with the time flattened to nanoseconds, 40 bytes instead of 56.
-type record struct {
-	size  uint64
-	mtime int64 // MTimeNanos
-	ino   uint64
+// entry is one file, 48 bytes: the path as a data pointer and a 32-bit
+// length, sharing the caller's bytes, beside the rest of Metadata with the
+// time flattened to nanoseconds. A 16-byte string header in place of p and
+// n would leave the three 32-bit fields 4 bytes of padding: 56 in all.
+type entry struct {
+	p     *byte // unsafe.StringData(path): keeps the path's bytes alive
+	n     uint32
 	mode  uint32
 	uid   uint32
 	gid   uint32
+	size  uint64
+	mtime int64 // MTimeNanos
+	ino   uint64
 }
 
-func recordOf(md Metadata) record {
-	return record{size: md.Size, mtime: MTimeNanos(md.MTime), ino: md.InodeID, mode: md.Mode, uid: md.UID, gid: md.GID}
+// maxPathLen is the longest path entry.n can hold.
+const maxPathLen uint64 = math.MaxUint32
+
+func (e *entry) path() string { return unsafe.String(e.p, e.n) }
+
+func (e *entry) setPath(path string) {
+	e.p, e.n = unsafe.StringData(path), pathLen(len(path))
 }
 
-func (r record) metadata(path string) Metadata {
-	return Metadata{Path: path, Size: r.size, Mode: r.mode, UID: r.uid, GID: r.gid, MTime: MTimeFromNanos(r.mtime), InodeID: r.ino}
+// pathLen is n as an entry's length. It panics on a path too long for the
+// 32-bit field rather than truncate it.
+func pathLen(n int) uint32 {
+	if uint64(n) > maxPathLen {
+		panic(fmt.Sprintf("metastore: a %d-byte path exceeds the store's limit of %d bytes", n, maxPathLen))
+	}
+	return uint32(n)
 }
 
-// entry is one file: 56 bytes, the path header sharing the caller's bytes.
-type entry struct {
-	path string
-	rec  record
+// setAttrs copies md's attributes other than its path and inode number.
+func (e *entry) setAttrs(md Metadata) {
+	e.mode, e.uid, e.gid = md.Mode, md.UID, md.GID
+	e.size, e.mtime = md.Size, MTimeNanos(md.MTime)
+}
+
+func (e *entry) metadata() Metadata {
+	return Metadata{Path: e.path(), Size: e.size, Mode: e.mode, UID: e.uid, GID: e.gid, MTime: MTimeFromNanos(e.mtime), InodeID: e.ino}
 }
 
 const (
-	// chunkShift sizes a chunk: 1,024 entries are 57,344 bytes, exactly
-	// seven pages of a large object, which carries no malloc header, so a
+	// chunkShift sizes a chunk: 1,024 entries are 49,152 bytes, exactly
+	// six pages of a large object, which carries no malloc header, so a
 	// full chunk wastes nothing and a store's slack is under one chunk.
 	chunkShift = 10
 	chunkLen   = 1 << chunkShift
@@ -136,15 +156,15 @@ func (s *Store) at(p uint32) *entry {
 // find returns the index slot of path, or -1 when path is absent.
 func (s *Store) find(path string, tag uint32) int {
 	for i := s.index.Find(tag); i >= 0; i = s.index.Next(i) {
-		if s.at(s.index.Val(i)-1).path == path {
+		if s.at(s.index.Val(i)-1).path() == path {
 			return i
 		}
 	}
 	return -1
 }
 
-// upsert returns path's entry, appending and indexing a zero-record entry
-// when path is absent (fresh reports that). Caller holds s.mu.
+// upsert returns path's entry, appending and indexing an entry with zero
+// attributes when path is absent (fresh reports that). Caller holds s.mu.
 func (s *Store) upsert(path string, tag uint32) (e *entry, fresh bool) {
 	if i := s.find(path, tag); i >= 0 {
 		return s.at(s.index.Val(i) - 1), false
@@ -163,28 +183,25 @@ func (s *Store) upsert(path string, tag uint32) (e *entry, fresh bool) {
 		copy(grown, s.chunks[c])
 		s.chunks[c] = grown
 	}
+	e = &s.chunks[c][off]
+	e.setPath(path) // before n and the index move, so a refused path leaves them be
 	s.n++
 	s.index.Insert(tag, uint32(s.n))
-	e = &s.chunks[c][off]
-	e.path = path
 	return e, true
 }
 
 // Put inserts or replaces metadata for md.Path, assigning an inode number on
-// first insertion.
+// first insertion. It panics on a path of 2³² bytes or more.
 func (s *Store) Put(md Metadata) {
-	rec := recordOf(md)
 	tag := s.tag(md.Path)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, fresh := s.upsert(md.Path, tag)
 	if fresh {
 		s.nextIno++
-		rec.ino = s.nextIno
-	} else {
-		rec.ino = e.rec.ino
+		e.ino = s.nextIno
 	}
-	e.rec = rec
+	e.setAttrs(md)
 }
 
 // PutPath inserts a minimal record for path; convenience for trace replay
@@ -202,7 +219,7 @@ func (s *Store) Get(path string) (Metadata, bool) {
 	if i < 0 {
 		return Metadata{}, false
 	}
-	return s.at(s.index.Val(i) - 1).rec.metadata(path), true
+	return s.at(s.index.Val(i) - 1).metadata(), true
 }
 
 // Has reports whether path is homed here.
@@ -227,7 +244,7 @@ func (s *Store) Delete(path string) bool {
 	last := uint32(s.n)
 	if hole != last {
 		moved := s.at(last - 1)
-		j := s.index.Find(s.tag(moved.path))
+		j := s.index.Find(s.tag(moved.path()))
 		for s.index.Val(j) != last {
 			j = s.index.Next(j)
 		}
@@ -262,17 +279,17 @@ func (s *Store) Paths() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, s.n)
-	s.each(func(e *entry) bool { out = append(out, e.path); return true })
+	s.each(func(e *entry) bool { out = append(out, e.path()); return true })
 	slices.Sort(out)
 	return out
 }
 
-// Range calls fn for every record until fn returns false. The store is
+// Range calls fn for every homed path until fn returns false. The store is
 // read-locked for the duration; fn must not call back into the store.
-func (s *Store) Range(fn func(Metadata) bool) {
+func (s *Store) Range(fn func(path string) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.each(func(e *entry) bool { return fn(e.rec.metadata(e.path)) })
+	s.each(func(e *entry) bool { return fn(e.path()) })
 }
 
 // Snapshot is a point-in-time copy of a store's full state, including the
@@ -290,7 +307,7 @@ func (s *Store) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	files := make([]Metadata, 0, s.n)
-	s.each(func(e *entry) bool { files = append(files, e.rec.metadata(e.path)); return true })
+	s.each(func(e *entry) bool { files = append(files, e.metadata()); return true })
 	slices.SortFunc(files, func(a, b Metadata) int { return strings.Compare(a.Path, b.Path) })
 	return Snapshot{NextIno: s.nextIno, Files: files}
 }
@@ -314,7 +331,8 @@ func (s *Store) Restore(snap Snapshot) {
 	s.nextIno = snap.NextIno
 	for _, md := range snap.Files {
 		e, _ := s.upsert(md.Path, s.tag(md.Path))
-		e.rec = recordOf(md)
+		e.setAttrs(md)
+		e.ino = md.InodeID
 		if md.InodeID > s.nextIno {
 			s.nextIno = md.InodeID
 		}

@@ -1,8 +1,10 @@
 package metastore
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,16 +27,12 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
-// TestRecordRoundTrip pins the in-memory entry: a five-word record beside
-// the path's string header, seven words in all, and every Metadata field —
-// a zero MTime included — comes back from Get, Range and Snapshot as it
-// went in.
+// TestRecordRoundTrip pins the in-memory entry at six words, and every
+// Metadata field — a zero MTime included — comes back from Get, Snapshot
+// and a restored store's Get as it went in.
 func TestRecordRoundTrip(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got != 40 {
-		t.Errorf("record is %d bytes, want 40", got)
-	}
-	if got := unsafe.Sizeof(entry{}); got != 56 {
-		t.Errorf("entry is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(entry{}); got != 48 {
+		t.Errorf("entry is %d bytes, want 48", got)
 	}
 	s := NewStore()
 	in := []Metadata{
@@ -66,14 +64,36 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		check("Get", got)
 	}
-	s.Range(func(md Metadata) bool { check("Range", md); return true })
 	snap := s.Snapshot()
 	for _, md := range snap.Files {
 		check("Snapshot", md)
 	}
 	back := NewStore()
 	back.Restore(snap)
-	back.Range(func(md Metadata) bool { check("Restore", md); return true })
+	back.Range(func(path string) bool {
+		got, _ := back.Get(path)
+		check("Restore", got)
+		return true
+	})
+}
+
+// TestOverlongPathPanics pins the 32-bit length's limit: a path of 2³²
+// bytes panics, naming the limit, instead of being stored truncated.
+func TestOverlongPathPanics(t *testing.T) {
+	if uint64(math.MaxInt) <= maxPathLen {
+		t.Skip("a string cannot exceed the limit on this platform")
+	}
+	limit := maxPathLen
+	if got := pathLen(int(limit)); uint64(got) != limit {
+		t.Fatalf("pathLen(%d) = %d", limit, got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, strconv.FormatUint(limit, 10)) {
+			t.Fatalf("pathLen panicked with %q, want a message naming the %d-byte limit", msg, limit)
+		}
+	}()
+	pathLen(int(limit + 1))
 }
 
 func TestInodeStableAcrossUpdates(t *testing.T) {
@@ -144,7 +164,7 @@ func TestRangeEarlyStop(t *testing.T) {
 		s.PutPath("/f" + strconv.Itoa(i))
 	}
 	visits := 0
-	s.Range(func(Metadata) bool {
+	s.Range(func(string) bool {
 		visits++
 		return visits < 3
 	})
