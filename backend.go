@@ -3,10 +3,8 @@ package ghba
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"ghba/internal/trace"
@@ -31,8 +29,9 @@ var ErrUnsupported = errors.New("ghba: operation not supported by this backend")
 type Backend interface {
 	// Name identifies the backend ("sim", "tcp") in banners and records.
 	Name() string
-	// Seed returns the seed the backend was built with — the base of the
-	// per-worker RNG derivation the parallel drivers share.
+	// Seed returns the seed the backend was built with. LookupParallel and
+	// ApplyParallel pass it to Drive as the base of their per-worker RNGs;
+	// the trace replays pass the trace's seed instead.
 	Seed() int64
 	// NumMDS returns the current server count.
 	NumMDS() int
@@ -134,29 +133,17 @@ func (op Op) Record() trace.Record {
 }
 
 // LookupParallel resolves every path against the backend using the given
-// number of worker goroutines and returns the results in path order. Each
-// worker enters the hierarchy at servers drawn from its own seeded RNG, so
-// runs are deterministic for a fixed (backend seed, paths, workers) triple
-// and a single-worker run is exactly the serial engine driven by worker 0's
-// RNG. workers < 1 selects GOMAXPROCS. A worker's first error stops its
-// chunk; other workers finish theirs, and all errors are joined.
+// number of worker goroutines and returns the results in path order. The
+// paths are cut into contiguous chunks, one per worker, and Drive runs
+// them, so runs are deterministic for a fixed (backend seed, paths,
+// workers) triple and a single-worker run is exactly the serial engine
+// driven by worker 0's RNG. workers < 1 selects GOMAXPROCS. A worker's
+// first error stops its chunk; other workers finish theirs, and all errors
+// are joined.
 func LookupParallel(ctx context.Context, b Backend, paths []string, workers int) ([]Result, error) {
-	if len(paths) == 0 {
-		return nil, nil
-	}
-	results := make([]Result, len(paths))
-	err := fanOut(len(paths), workers, b.Seed(), func(rng *rand.Rand, i int) error {
-		res, err := b.LookupWith(ctx, rng, paths[i])
-		if err != nil {
-			return fmt.Errorf("lookup %q: %w", paths[i], err)
-		}
-		results[i] = res
-		return nil
+	return driveChunks(ctx, b, len(paths), workers, Shape{Lookup: true}, func(i int) Op {
+		return Op{Kind: OpLookup, Path: paths[i]}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // ApplyParallel dispatches a mixed create/delete/lookup workload across the
@@ -171,61 +158,34 @@ func LookupParallel(ctx context.Context, b Backend, paths []string, workers int)
 // is coalesced per the backend's ShipBatch — call Flush to force pending
 // updates out at a quiescent point.
 func ApplyParallel(ctx context.Context, b Backend, ops []Op, workers int) ([]Result, error) {
-	if len(ops) == 0 {
+	return driveChunks(ctx, b, len(ops), workers, Shape{}, func(i int) Op { return ops[i] })
+}
+
+// driveChunks cuts n ops into at most workers contiguous lanes of
+// ⌈n/workers⌉ (worker 0's starting at op 0), drives them from b's seed and
+// returns the results in input order.
+func driveChunks(ctx context.Context, b Backend, n, workers int, shape Shape, op func(i int) Op) ([]Result, error) {
+	if n == 0 {
 		return nil, nil
 	}
-	results := make([]Result, len(ops))
-	err := fanOut(len(ops), workers, b.Seed(), func(rng *rand.Rand, i int) error {
-		res, err := b.ApplyWith(ctx, rng, ops[i])
-		if err != nil {
-			return fmt.Errorf("op %d (%q): %w", i, ops[i].Path, err)
-		}
-		results[i] = res
-		return nil
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := (n + workers - 1) / workers
+	lanes := make([]Lane, (n+chunk-1)/chunk)
+	for w := range lanes {
+		lo := w * chunk
+		lanes[w] = Lane{Len: min(chunk, n-lo), Op: func(i int) Op { return op(lo + i) }}
+	}
+	results := make([]Result, n)
+	err := Drive(ctx, b, b.Seed(), lanes, shape, func(w, at int, _ []Op, res []Result, err error) error {
+		copy(results[w*chunk+at:], res)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// fanOut chunks n items over workers goroutines, handing each worker its
-// own RNG seeded trace.DispatchSeed(seed, w) — the derivation every parallel
-// driver shares; worker 0's chunk starts at item 0, so a one-worker fan-out
-// is the serial loop.
-func fanOut(n, workers int, seed int64, do func(rng *rand.Rand, i int) error) error {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, workers)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(trace.DispatchSeed(seed, w)))
-			for i := lo; i < hi; i++ {
-				if err := do(rng, i); err != nil {
-					errs[w] = fmt.Errorf("worker %d: %w", w, err)
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Interface conformance is pinned at compile time.

@@ -18,22 +18,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"ghba"
 	"ghba/internal/trace"
 )
-
-// replayRNG builds worker w's record-dispatch RNG for a replay over a trace
-// seeded with seed; trace.DispatchSeed is the shared derivation (the
-// facade's fanOut uses it too), and the serial engine is worker 0.
-func replayRNG(seed int64, worker int) *rand.Rand {
-	return rand.New(rand.NewSource(trace.DispatchSeed(seed, worker)))
-}
 
 // Checkpoint is one point of a latency-versus-operations series.
 type Checkpoint struct {
@@ -46,42 +37,70 @@ type Checkpoint struct {
 // Replay feeds totalOps records from gen into sys, sampling the running
 // mean latency every interval operations. Mutation records (create/delete)
 // are applied but excluded from the latency average, as the paper measures
-// metadata lookup operations. Entry points are drawn from an RNG derived
-// from the generator's seed, so a serial replay is exactly the one-worker
-// instance of ReplayParallel.
+// metadata lookup operations. The records run as one Drive lane seeded from
+// the generator's seed, so a serial replay is exactly the one-worker
+// instance of ReplayParallel. Each call starts that lane's RNG afresh.
 func Replay(ctx context.Context, sys ghba.Backend, gen *trace.Generator, totalOps, interval int) ([]Checkpoint, error) {
 	if interval <= 0 {
 		interval = totalOps
 	}
-	rng := replayRNG(gen.Config().Seed, 0)
 	var (
 		sum     float64
 		lookups int
 		points  []Checkpoint
 	)
-	for op := 1; op <= totalOps; op++ {
-		res, err := sys.ApplyWith(ctx, rng, ghba.TraceOp(gen.Next()))
+	lanes := []ghba.Lane{traceLane(gen, totalOps)}
+	err := ghba.Drive(ctx, sys, gen.Config().Seed, lanes, ghba.Shape{}, func(_, at int, _ []ghba.Op, res []ghba.Result, err error) error {
 		if err != nil {
-			return points, fmt.Errorf("experiments: replay op %d: %w", op, err)
+			return err
 		}
-		if res.Level > 0 {
-			sum += float64(res.Latency)
+		if res[0].Level > 0 {
+			sum += float64(res[0].Latency)
 			lookups++
 		}
-		if op%interval == 0 || op == totalOps {
+		if op := at + 1; op%interval == 0 || op == totalOps {
 			mean := time.Duration(0)
 			if lookups > 0 {
 				mean = time.Duration(sum / float64(lookups))
 			}
 			points = append(points, Checkpoint{Ops: op, MeanLatency: mean})
 		}
+		return nil
+	})
+	if err != nil {
+		return points, fmt.Errorf("experiments: replay: %w", err)
 	}
 	return points, nil
 }
 
+// traceLane is a Drive lane that replays the next n records of gen.
+func traceLane(gen *trace.Generator, n int) ghba.Lane {
+	return ghba.Lane{Len: n, Op: func(int) ghba.Op { return ghba.TraceOp(gen.Next()) }}
+}
+
+// splitLanes splits the trace cfg describes workers ways (see
+// trace.SplitGenerators): lane w replays lane w of the stream, totalOps/workers
+// records, one more when w < totalOps%workers.
+func splitLanes(cfg trace.Config, totalOps, workers int) ([]ghba.Lane, error) {
+	gens, err := trace.SplitGenerators(cfg, workers)
+	if err != nil {
+		return nil, err
+	}
+	lanes := make([]ghba.Lane, workers)
+	for w, gen := range gens {
+		n := totalOps / workers
+		if w < totalOps%workers {
+			n++
+		}
+		lanes[w] = traceLane(gen, n)
+	}
+	return lanes, nil
+}
+
 // ReplayStats summarizes one parallel (or one-worker) replay run.
 type ReplayStats struct {
-	// Ops is the number of records dispatched; Workers the goroutine count.
+	// Ops is the number of records dispatched, counting the failed call's
+	// records when a lane stops on an error; Workers the goroutine count.
 	Ops, Workers int
 	// Lookups counts records resolved through the query hierarchy
 	// (including creates of existing paths, which degenerate to opens).
@@ -100,49 +119,21 @@ type ReplayStats struct {
 	Elapsed time.Duration
 }
 
-// startLanes is the one parallel lane loop of this package: it splits the
-// trace cfg describes n ways (see trace.SplitGenerators) and launches one
-// goroutine per lane, handing lane w its generator, its RNG seeded
-// trace.DispatchSeed(cfg.Seed, w) and its share of totalOps. It returns once
-// the lanes are running; the caller waits on the group.
-func startLanes(cfg trace.Config, totalOps, workers int, run func(w, n int, rng *rand.Rand, gen *trace.Generator)) (*sync.WaitGroup, error) {
-	gens, err := trace.SplitGenerators(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		n := totalOps / workers
-		if w < totalOps%workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			run(w, n, replayRNG(cfg.Seed, w), gens[w])
-		}(w, n)
-	}
-	return &wg, nil
-}
-
 // laneStats is one replay lane's tally, folded into ReplayStats at the join.
 type laneStats struct {
+	ops                            int
 	sum                            float64
 	lookups                        int
 	creates, deletes, deleteMisses int
-	err                            error
 }
 
-// count classifies one dispatched record by its result.
-func (ls *laneStats) count(rec trace.Record, res ghba.Result) {
+// count classifies one dispatched op by its result.
+func (ls *laneStats) count(op ghba.Op, res ghba.Result) {
 	switch {
 	case res.Level > 0:
 		ls.sum += float64(res.Latency)
 		ls.lookups++
-	case rec.Op == trace.OpCreate:
+	case op.Kind == ghba.OpCreate:
 		ls.creates++
 	case res.Found:
 		ls.deletes++
@@ -154,12 +145,12 @@ func (ls *laneStats) count(rec trace.Record, res ghba.Result) {
 // ReplayParallel replays totalOps records against sys across the given
 // number of worker goroutines. The workload is an n-way split of the trace
 // described by cfg (see trace.SplitGenerators): every worker owns one lane
-// of the stream and one seeded RNG, so a run is deterministic for a fixed
-// (cfg, totalOps, workers) triple up to scheduling of the shared cluster
-// state, and a one-worker run is bit-for-bit the serial Replay over the
-// same generator config. Workers < 1 selects GOMAXPROCS. Any pending
-// coalesced replica ships are flushed before returning, so the system is
-// quiescent when the stats come back.
+// of the stream and one RNG seeded from cfg.Seed (see ghba.Drive), so a run
+// is deterministic for a fixed (cfg, totalOps, workers) triple up to
+// scheduling of the shared cluster state, and a one-worker run is
+// bit-for-bit the serial Replay over the same generator config. Workers < 1
+// selects GOMAXPROCS. Any pending coalesced replica ships are flushed before
+// returning, so the system is quiescent when the stats come back.
 //
 // With batchSize > 1 and a sys that is a ghba.BatchApplier, each worker
 // dispatches its lane in batchSize vectors — many trace records per wire
@@ -174,67 +165,32 @@ func ReplayParallel(ctx context.Context, sys ghba.Backend, cfg trace.Config, tot
 	if workers > totalOps && totalOps > 0 {
 		workers = totalOps
 	}
-	bs, ok := sys.(ghba.BatchApplier)
-	vector := ok && batchSize > 1
-	if !vector {
-		batchSize = 1
-	}
-
-	lanes := make([]laneStats, workers)
-	start := time.Now()
-	wg, err := startLanes(cfg, totalOps, workers, func(w, n int, rng *rand.Rand, gen *trace.Generator) {
-		ls := &lanes[w]
-		recs := make([]trace.Record, 0, batchSize)
-		ops := make([]ghba.Op, 0, batchSize)
-		var one [1]ghba.Result
-		for done := 0; done < n; done += len(recs) {
-			recs, ops = recs[:0], ops[:0]
-			for len(recs) < batchSize && done+len(recs) < n {
-				rec := gen.Next()
-				recs = append(recs, rec)
-				ops = append(ops, ghba.TraceOp(rec))
-			}
-			results := one[:]
-			var err error
-			if vector {
-				results, err = bs.ApplyBatch(ctx, rng, ops)
-			} else {
-				one[0], err = sys.ApplyWith(ctx, rng, ops[0])
-			}
-			if err != nil {
-				ls.err = fmt.Errorf("worker %d, %d op(s) from op %d (%s %q): %w", w, len(recs), done, recs[0].Op, recs[0].Path, err)
-				return
-			}
-			for i, res := range results {
-				ls.count(recs[i], res)
-			}
-		}
-	})
+	lanes, err := splitLanes(cfg, totalOps, workers)
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	wg.Wait()
-	// Lane errors carry the per-op root cause (worker, op, path); surface
+	tally := make([]laneStats, workers)
+	start := time.Now()
+	err = ghba.Drive(ctx, sys, cfg.Seed, lanes, ghba.Shape{Vector: batchSize}, func(w, _ int, ops []ghba.Op, res []ghba.Result, err error) error {
+		ls := &tally[w]
+		ls.ops += len(ops)
+		for i, r := range res {
+			ls.count(ops[i], r)
+		}
+		return err
+	})
+	// Lane errors carry the per-op root cause (lane, op, path); surface
 	// them ahead of a flush failure, which against a dead daemon is
 	// usually just the same fault seen twice.
-	for i := range lanes {
-		if err := lanes[i].err; err != nil {
-			if ferr := sys.Flush(ctx); ferr != nil {
-				err = errors.Join(err, fmt.Errorf("experiments: flushing after replay: %w", ferr))
-			}
-			return ReplayStats{Ops: totalOps, Workers: workers}, err
-		}
+	if ferr := sys.Flush(ctx); ferr != nil {
+		err = errors.Join(err, fmt.Errorf("experiments: flushing after replay: %w", ferr))
 	}
-	if err := sys.Flush(ctx); err != nil {
-		return ReplayStats{}, fmt.Errorf("experiments: flushing after replay: %w", err)
-	}
-	elapsed := time.Since(start)
-
-	stats := ReplayStats{Ops: totalOps, Workers: workers, Elapsed: elapsed}
+	stats := ReplayStats{Workers: workers, Elapsed: time.Since(start)}
 	var sum float64
-	for i := range lanes {
-		ls := &lanes[i]
+	for i := range tally {
+		ls := &tally[i]
 		sum += ls.sum
+		stats.Ops += ls.ops
 		stats.Lookups += ls.lookups
 		stats.Creates += ls.creates
 		stats.Deletes += ls.deletes
@@ -243,7 +199,7 @@ func ReplayParallel(ctx context.Context, sys ghba.Backend, cfg trace.Config, tot
 	if stats.Lookups > 0 {
 		stats.MeanLookupLatency = time.Duration(sum / float64(stats.Lookups))
 	}
-	return stats, nil
+	return stats, err
 }
 
 // PopulateFromGenerator pre-creates the generator's initial namespace on a

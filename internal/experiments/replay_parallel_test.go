@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ghba"
@@ -260,5 +264,52 @@ func TestReplayParallelManyWorkersProperties(t *testing.T) {
 	}
 	if cluster.PendingShips() != 0 {
 		t.Error("ReplayParallel returned with pending ships (missing flush)")
+	}
+}
+
+// failingBackend fails every op on one path and counts the calls it sees.
+// Methods ReplayParallel never calls panic through the nil embedded Backend.
+type failingBackend struct {
+	ghba.Backend
+	fail            string
+	calls, failures atomic.Int64
+}
+
+func (f *failingBackend) ApplyWith(_ context.Context, _ *rand.Rand, op ghba.Op) (ghba.Result, error) {
+	f.calls.Add(1)
+	if op.Path == f.fail {
+		f.failures.Add(1)
+		return ghba.Result{}, errors.New("injected failure")
+	}
+	return ghba.Result{Level: 1}, nil
+}
+
+func (f *failingBackend) Flush(context.Context) error { return nil }
+
+// TestReplayParallelOpsOnError pins that a lane error reports the records
+// actually dispatched, not the requested total: the lane that hit the failing
+// path stops early, and every dispatched record is either classified or is
+// the failed call's.
+func TestReplayParallelOpsOnError(t *testing.T) {
+	tcfg := replayTestTraceConfig()
+	const ops, workers = 300, 3
+	gens, err := trace.SplitGenerators(tcfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail string
+	for i := 0; i < 5; i++ {
+		fail = gens[1].Next().Path
+	}
+	f := &failingBackend{fail: fail}
+	stats, err := ReplayParallel(context.Background(), f, tcfg, ops, workers, 1)
+	if err == nil || !strings.Contains(err.Error(), fail) {
+		t.Fatalf("error %v, want one naming %q", err, fail)
+	}
+	if got := int(f.calls.Load()); stats.Ops != got || got >= ops {
+		t.Errorf("stats.Ops = %d, backend saw %d of %d records", stats.Ops, got, ops)
+	}
+	if got := stats.Lookups + stats.Creates + stats.Deletes + stats.DeleteMisses + int(f.failures.Load()); got != stats.Ops {
+		t.Errorf("classified plus failed = %d, want stats.Ops = %d", got, stats.Ops)
 	}
 }

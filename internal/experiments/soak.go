@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ghba"
 	"ghba/internal/proto"
 	"ghba/internal/trace"
 )
@@ -111,7 +112,7 @@ type SoakResult struct {
 	// lookup found that ground truth says are gone; SweepErrors lookups
 	// that failed outright. All must be zero.
 	Lost, WrongHome, Phantom, SweepErrors int
-	// Invariants is proto.Cluster.CheckInvariants after the sweep: layout,
+	// Invariants is ghba.Prototype.CheckInvariants after the sweep: layout,
 	// replicas and namespace, checked on the daemons. Must be nil.
 	Invariants error
 	// Elapsed is the wall-clock length of the workload+chaos phase.
@@ -151,11 +152,15 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		Seed:             cfg.Seed,
 	}
 
-	cluster, err := proto.Start(proto.Options{
-		N:             cfg.N,
-		M:             cfg.M,
-		Node:          protoNodeConfig(cfg.Files*2, cfg.N),
-		Seed:          cfg.Seed,
+	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{
+		Config: ghba.Config{
+			NumMDS:              cfg.N,
+			MaxGroupSize:        cfg.M,
+			ExpectedFilesPerMDS: uint64(2*cfg.Files/cfg.N+1) * 2,
+			BitsPerFile:         16,
+			LRUCapacity:         512,
+			Seed:                cfg.Seed,
+		},
 		DataDir:       cfg.DataDir,
 		WALSync:       cfg.WALSync,
 		SnapshotEvery: cfg.SnapshotEvery,
@@ -163,7 +168,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	if err != nil {
 		return SoakResult{}, err
 	}
-	defer cluster.Close()
+	defer tcp.Close()
 
 	gen, err := trace.NewGenerator(tcfg)
 	if err != nil {
@@ -174,40 +179,26 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		initial = append(initial, p)
 		return true
 	})
-	if err := cluster.Populate(initial); err != nil {
+	if err := tcp.CreateAll(context.Background(), initial); err != nil {
+		return SoakResult{}, err
+	}
+	lanes, err := splitLanes(tcfg, cfg.Ops, cfg.Workers)
+	if err != nil {
 		return SoakResult{}, err
 	}
 
 	res := SoakResult{Config: cfg, Ops: cfg.Ops, Kills: cfg.Kills}
-	det := cluster.StartDetector(proto.DetectorOptions{
+	det := tcp.StartDetector(proto.DetectorOptions{
 		Interval:     cfg.DetectorInterval,
 		SuspectAfter: 2,
 		DeadAfter:    4,
 	})
-
-	// Workload: each worker owns one lane of the split trace and tolerates
-	// per-op errors — the point is to keep the cluster under load across
-	// crash windows. Every dispatched path is recorded for the sweep.
 	var (
 		dispatched atomic.Int64
 		opErrors   atomic.Int64
 		lanePaths  = make([][]string, cfg.Workers)
 	)
 	start := time.Now()
-	wg, err := startLanes(tcfg, cfg.Ops, cfg.Workers, func(w, n int, rng *rand.Rand, lane *trace.Generator) {
-		for i := 0; i < n; i++ {
-			rec := lane.Next()
-			lanePaths[w] = append(lanePaths[w], rec.Path)
-			if _, err := cluster.ApplyWith(context.Background(), rng, rec); err != nil {
-				opErrors.Add(1)
-			}
-			dispatched.Add(1)
-		}
-	})
-	if err != nil {
-		det.Stop()
-		return res, err
-	}
 
 	// Chaos: strike points are spread across the workload by dispatch
 	// progress, so each kill lands mid-replay whatever the machine speed.
@@ -220,9 +211,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 			for dispatched.Load() < threshold {
 				time.Sleep(time.Millisecond)
 			}
-			ids := cluster.MDSIDs()
+			ids := tcp.MDSIDs()
 			victim := ids[rng.Intn(len(ids))]
-			if err := cluster.KillMDS(victim); err != nil {
+			if err := tcp.KillMDS(victim); err != nil {
 				res.ChaosErrors = append(res.ChaosErrors, fmt.Sprintf("kill %d: %v", k, err))
 				continue
 			}
@@ -238,7 +229,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 					fmt.Sprintf("kill %d: detector never failed over MDS %d", k, victim))
 				continue
 			}
-			rep, err := cluster.RestartMDS(context.Background(), victim)
+			rep, err := tcp.RestartMDS(context.Background(), victim)
 			if err != nil {
 				res.ChaosErrors = append(res.ChaosErrors, fmt.Sprintf("restart MDS %d: %v", victim, err))
 				continue
@@ -247,13 +238,24 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		}
 	}()
 
-	wg.Wait()
+	// Workload: each worker owns one lane of the split trace and tolerates
+	// per-op errors — the point is to keep the cluster under load across
+	// crash windows. Every dispatched path is recorded for the sweep. The
+	// observer never stops a lane, so Drive has no error to return.
+	_ = ghba.Drive(context.Background(), tcp, cfg.Seed, lanes, ghba.Shape{}, func(w, _ int, ops []ghba.Op, _ []ghba.Result, err error) error {
+		lanePaths[w] = append(lanePaths[w], ops[0].Path)
+		if err != nil {
+			opErrors.Add(1)
+		}
+		dispatched.Add(1)
+		return nil
+	})
 	<-chaosDone
 	det.Stop()
 	res.Elapsed = time.Since(start)
 	res.OpErrors = int(opErrors.Load())
 	res.Failovers = det.Failovers()
-	if err := cluster.Flush(context.Background()); err != nil {
+	if err := tcp.Flush(context.Background()); err != nil {
 		return res, fmt.Errorf("experiments: flushing after soak: %w", err)
 	}
 
@@ -277,8 +279,8 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	res.PathsSwept = len(paths)
 	sweepRNG := rand.New(rand.NewSource(trace.DispatchSeed(cfg.Seed, 1<<21)))
 	for _, p := range paths {
-		want := cluster.HomeOf(p)
-		got, err := cluster.LookupWith(context.Background(), sweepRNG, p)
+		want := tcp.HomeOf(p)
+		got, err := tcp.LookupWith(context.Background(), sweepRNG, p)
 		if err != nil {
 			res.SweepErrors++
 			continue
@@ -292,7 +294,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 			res.Phantom++
 		}
 	}
-	res.Invariants = cluster.CheckInvariants()
+	res.Invariants = tcp.CheckInvariants()
 	return res, nil
 }
 
