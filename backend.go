@@ -24,8 +24,10 @@ var ErrUnsupported = errors.New("ghba: operation not supported by this backend")
 //
 // Contexts carry per-call deadlines and cancellation; the simulation
 // ignores them (it never blocks on I/O), the prototype threads them down to
-// every RPC. Lookups and Applies are safe for concurrent use; backends
-// serialize reconfiguration internally as an exclusive writer.
+// every RPC. Every draw of an entry point or a new file's home comes from the
+// caller's RNG; lookups and applies are safe for concurrent use, each caller
+// with its own RNG, and backends serialize reconfiguration internally as an
+// exclusive writer.
 type Backend interface {
 	// Name identifies the backend ("sim", "tcp") in banners and records.
 	Name() string
@@ -39,16 +41,14 @@ type Backend interface {
 	MDSIDs() []int
 	// FileCount returns the number of files in the namespace (ground truth).
 	FileCount() int
-	// Lookup resolves the home MDS of path, entering the hierarchy at a
-	// server drawn from the backend's internal RNG.
-	Lookup(ctx context.Context, path string) (Result, error)
-	// LookupWith is Lookup with the entry drawn from the caller's RNG — the
-	// reproducible-concurrency hook every parallel driver builds on.
+	// LookupWith resolves the home MDS of path, entering the hierarchy at
+	// a server drawn from the caller's RNG — the paper's "each request can
+	// randomly choose an MDS", and the reproducible-concurrency hook every
+	// parallel driver builds on.
 	LookupWith(ctx context.Context, rng *rand.Rand, path string) (Result, error)
-	// Apply dispatches one mixed-workload operation: creates home new
-	// files, deletes unlink, lookups walk the query hierarchy.
-	Apply(ctx context.Context, op Op) (Result, error)
-	// ApplyWith is Apply with a caller-supplied RNG.
+	// ApplyWith dispatches one mixed-workload operation with the caller's
+	// RNG: creates home new files, deletes unlink, lookups walk the query
+	// hierarchy.
 	ApplyWith(ctx context.Context, rng *rand.Rand, op Op) (Result, error)
 	// CreateAll bulk-loads paths and synchronizes all replicas afterwards —
 	// much faster than per-file updates for initial population.
@@ -95,10 +95,10 @@ type Reconfigurer interface {
 	FailMDS(ctx context.Context, id int) (filesLost int, err error)
 }
 
-// OpKind identifies one Apply operation.
+// OpKind identifies one ApplyWith operation.
 type OpKind uint8
 
-// Operation kinds for Apply/ApplyWith.
+// Operation kinds for ApplyWith and ApplyBatch.
 const (
 	// OpLookup resolves a path through the query hierarchy.
 	OpLookup OpKind = iota

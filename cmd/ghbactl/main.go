@@ -105,22 +105,19 @@ func run() error {
 		Seed:                *seed,
 	}
 
-	// Either backend, plus its ground truth for the closing sweep; from here
+	// Either backend, with its ground truth for the closing sweep; from here
 	// on the two run the same code.
-	var (
-		b interface {
-			ghba.Backend
-			ghba.Reconfigurer // -add
-		}
-		homeOf func(path string) int
-	)
+	var b interface {
+		experiments.GroundTruth
+		ghba.Reconfigurer // -add
+	}
 	switch *backend {
 	case "sim":
 		sim, err := ghba.New(cfg)
 		if err != nil {
 			return err
 		}
-		b, homeOf = sim, sim.HomeOf
+		b = sim
 	case "tcp":
 		tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{
 			Config:               cfg,
@@ -131,7 +128,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		b, homeOf = tcp, tcp.HomeOf
+		b = tcp
 	default:
 		return rejectf("backend", "must be sim or tcp, got %q", *backend)
 	}
@@ -163,34 +160,21 @@ func run() error {
 			float64(after[3]-before[3])/nl, float64(after[4]-before[4])/nl)
 	}
 
-	// Ground-truth sweep: every file that exists must be found, at its home,
-	// by a fresh lookup. A lane mints at most one fresh index per record at
-	// a stride of the lane count, so initial namespace + ops + workers
-	// bounds every index the replay can have created.
-	var live []string
+	// Ground-truth sweep over every path the replay can have named: a lane
+	// mints at most one fresh index per record at a stride of the lane
+	// count, so initial namespace + ops + workers bounds every index. A
+	// file that exists must be found at its home, a deleted one not at all.
+	var named []string
 	span := tcfg.FilesPerSubtrace + uint64(*ops+stats.Workers)
 	for sub := 0; sub < tcfg.TIF; sub++ {
 		for f := uint64(0); f < span; f++ {
-			if p := trace.PathFor(sub, f); homeOf(p) >= 0 {
-				live = append(live, p)
-			}
+			named = append(named, trace.PathFor(sub, f))
 		}
 	}
-	results, err := ghba.LookupParallel(ctx, b, live, *workers)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	lost, wrong := 0, 0
-	for i, res := range results {
-		switch {
-		case !res.Found:
-			lost++
-		case res.Home != homeOf(live[i]):
-			wrong++
-		}
-	}
-	fmt.Printf("ghbactl: sweep of %d of %d files: %d lost, %d wrong-home\n", len(live), b.FileCount(), lost, wrong)
-	if lost > 0 || wrong > 0 || len(live) != b.FileCount() {
+	sw := experiments.Sweep(ctx, b, named, *seed, *workers)
+	fmt.Printf("ghbactl: sweep of %d paths (%d of %d files live): %d lost, %d wrong-home, %d phantom, %d errors\n",
+		sw.Paths, sw.Live, b.FileCount(), sw.Lost, sw.WrongHome, sw.Phantom, sw.Errors)
+	if !sw.Clean() || sw.Live != b.FileCount() {
 		return errors.New("sweep: lookups disagree with ground truth")
 	}
 

@@ -44,6 +44,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-ops", "0"}, "invalid config: -ops"},
 		{[]string{"-mix", "bogus"}, "invalid config: -mix"},
 		{[]string{"-mix", "0:0:0"}, "empty mix"},
+		{[]string{"-mix", "NaN:1:1"}, "must be finite"},
+		{[]string{"-mix", "Inf:0:0"}, "must be finite"},
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
 		{[]string{"-rpcbatch", "0"}, "invalid config: -rpcbatch"},

@@ -111,13 +111,14 @@ func TestLookupEquivalenceHBA(t *testing.T) {
 		}
 	})
 	ids := cl.MDSIDs()
+	rng := rand.New(rand.NewSource(42)) // every entry is a member: no draw
 	var fp uint64
 	for i := 0; i < 5_000; i++ {
 		p := paths[(i*13)%len(paths)]
 		if i%10 == 9 {
 			p = "/eq/absent" + strconv.Itoa(i)
 		}
-		res := cl.Lookup(p, ids[i%len(ids)])
+		res := cl.LookupWith(rng, p, ids[i%len(ids)])
 		fp = eqMix(fp, p, res.Home, res.Level)
 	}
 

@@ -60,12 +60,12 @@ func main() {
 	}
 
 	// Every file still resolves after all that churn.
+	results, err := ghba.LookupParallel(context.Background(), sim, paths, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	lost := 0
-	for _, p := range paths {
-		res, err := sim.Lookup(context.Background(), p)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, res := range results {
 		if !res.Found {
 			lost++
 		}

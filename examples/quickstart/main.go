@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
 	"time"
 
 	"ghba"
@@ -44,11 +45,16 @@ func main() {
 	}
 	fmt.Printf("namespace: %d files\n", sim.FileCount())
 
+	// Each client draws its entry server at random ("each request can
+	// randomly choose an MDS"); this one owns a seeded RNG, so the run is
+	// reproducible.
+	rng := rand.New(rand.NewSource(sim.Seed()))
+
 	// First lookup of a cold file typically resolves at L2 or L3; repeat
 	// lookups hit the L1 LRU array.
 	target := "/home/user7/file42.dat"
 	for i := 1; i <= 3; i++ {
-		res, err := sim.Lookup(ctx, target)
+		res, err := sim.LookupWith(ctx, rng, target)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,24 +64,24 @@ func main() {
 
 	// Lookups of nonexistent files resolve definitively at L4 (global
 	// multicast, no false negatives).
-	miss, err := sim.Lookup(ctx, "/no/such/file")
+	miss, err := sim.LookupWith(ctx, rng, "/no/such/file")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("miss:     found=%v level=L%d\n", miss.Found, miss.Level)
 
-	// Mixed mutations flow through Apply: create, find, delete.
-	created, err := sim.Apply(ctx, ghba.Op{Kind: ghba.OpCreate, Path: "/tmp/scratch.dat"})
+	// Mixed mutations flow through ApplyWith: create, find, delete.
+	created, err := sim.ApplyWith(ctx, rng, ghba.Op{Kind: ghba.OpCreate, Path: "/tmp/scratch.dat"})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("created /tmp/scratch.dat at MDS%d\n", created.Home)
-	found, _ := sim.Lookup(ctx, "/tmp/scratch.dat")
+	found, _ := sim.LookupWith(ctx, rng, "/tmp/scratch.dat")
 	fmt.Printf("lookup after create: %v\n", found.Found)
-	if _, err := sim.Apply(ctx, ghba.Op{Kind: ghba.OpDelete, Path: "/tmp/scratch.dat"}); err != nil {
+	if _, err := sim.ApplyWith(ctx, rng, ghba.Op{Kind: ghba.OpDelete, Path: "/tmp/scratch.dat"}); err != nil {
 		log.Fatal(err)
 	}
-	gone, _ := sim.Lookup(ctx, "/tmp/scratch.dat")
+	gone, _ := sim.LookupWith(ctx, rng, "/tmp/scratch.dat")
 	fmt.Printf("lookup after delete: %v\n", gone.Found)
 
 	// Replay a few thousand skewed lookups so the level statistics are
@@ -87,7 +93,7 @@ func main() {
 		if i%3 != 0 {
 			idx %= 200 // hot set
 		}
-		res, err := sim.Lookup(ctx, paths[idx])
+		res, err := sim.LookupWith(ctx, rng, paths[idx])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 
 	"ghba/internal/analysis"
+	"ghba/internal/bloom"
 	"ghba/internal/core"
 	"ghba/internal/mds"
 	"ghba/internal/simnet"
@@ -87,6 +88,17 @@ func (c Config) validate() error {
 	}
 	if c.ShipBatch < 0 {
 		return &ConfigError{Field: "ShipBatch", Reason: fmt.Sprintf("must be ≥ 0, got %d", c.ShipBatch)}
+	}
+	// bloom.CapacityGeometry is the one sizing check: first the ratio on its
+	// own (NaN, ±Inf, a hash count past uint32), then each filter it sizes.
+	nc := c.nodeConfig()
+	for _, f := range []struct {
+		field string
+		n     uint64
+	}{{"BitsPerFile", 1}, {"ExpectedFilesPerMDS", nc.ExpectedFiles}, {"LRUCapacity", nc.LRUCapacity}} {
+		if _, _, err := bloom.CapacityGeometry(f.n, nc.BitsPerFile, nc.Layout); err != nil {
+			return &ConfigError{Field: f.field, Reason: fmt.Sprintf("%d files × %g bits per file sizes no filter: %v", f.n, nc.BitsPerFile, err)}
+		}
 	}
 	if c.MemoryBudgetBytes > 0 {
 		// A budget below one replica's footprint cannot hold even the
@@ -226,30 +238,19 @@ func (s *Simulation) CreateAll(_ context.Context, paths []string) error {
 // HomeOf returns path's ground-truth home MDS (-1 when absent).
 func (s *Simulation) HomeOf(path string) int { return s.cluster.HomeOf(path) }
 
-// Lookup resolves the home MDS of path, entering the hierarchy at a random
-// server drawn from the simulation's internal RNG, as the paper's clients
-// do. The context is accepted for interface parity and ignored: the
-// simulation never blocks on I/O.
-func (s *Simulation) Lookup(_ context.Context, path string) (Result, error) {
-	return s.cluster.Lookup(path, -1), nil
-}
-
-// LookupWith is Lookup with the entry drawn from the caller's RNG — the
-// hook the parallel drivers build their determinism contract on.
+// LookupWith resolves the home MDS of path, entering the hierarchy at a
+// server drawn from the caller's RNG, as the paper's clients do — the hook
+// the parallel drivers build their determinism contract on. The context is
+// accepted for interface parity and ignored: the simulation never blocks on
+// I/O.
 func (s *Simulation) LookupWith(_ context.Context, rng *rand.Rand, path string) (Result, error) {
 	return s.cluster.LookupWith(rng, path, -1), nil
 }
 
-// Apply dispatches one mixed-workload operation with randomness drawn from
-// the simulation's internal RNG.
-func (s *Simulation) Apply(_ context.Context, op Op) (Result, error) {
-	return s.cluster.Apply(op.Record()), nil
-}
-
-// ApplyWith is Apply with a caller-supplied RNG: a delete's Result reports
-// the pre-delete home and existence, a create reports the chosen home with
-// Level 0, and a create of an existing path degenerates to a lookup entered
-// at the drawn server.
+// ApplyWith dispatches one mixed-workload operation with the caller's RNG:
+// a delete's Result reports the pre-delete home and existence, a create
+// reports the chosen home with Level 0, and a create of an existing path
+// degenerates to a lookup entered at the drawn server.
 func (s *Simulation) ApplyWith(_ context.Context, rng *rand.Rand, op Op) (Result, error) {
 	return s.cluster.ApplyWith(rng, op.Record()), nil
 }

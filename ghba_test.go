@@ -3,6 +3,8 @@ package ghba
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -19,20 +21,20 @@ func newSim(t *testing.T, n int) *Simulation {
 	return s
 }
 
-// lk resolves one path, failing the test on error.
-func lk(t *testing.T, s *Simulation, path string) Result {
+// lk resolves one path with rng's entry draw, failing the test on error.
+func lk(t *testing.T, s *Simulation, rng *rand.Rand, path string) Result {
 	t.Helper()
-	res, err := s.Lookup(context.Background(), path)
+	res, err := s.LookupWith(context.Background(), rng, path)
 	if err != nil {
 		t.Fatalf("lookup %s: %v", path, err)
 	}
 	return res
 }
 
-// ap applies one operation, failing the test on error.
-func ap(t *testing.T, s *Simulation, op Op) Result {
+// ap applies one operation with rng's draws, failing the test on error.
+func ap(t *testing.T, s *Simulation, rng *rand.Rand, op Op) Result {
 	t.Helper()
-	res, err := s.Apply(context.Background(), op)
+	res, err := s.ApplyWith(context.Background(), rng, op)
 	if err != nil {
 		t.Fatalf("apply %+v: %v", op, err)
 	}
@@ -56,6 +58,14 @@ func TestNewValidation(t *testing.T) {
 		{"negative MDS", Config{NumMDS: -3}, "NumMDS"},
 		{"negative group size", Config{NumMDS: 4, MaxGroupSize: -1}, "MaxGroupSize"},
 		{"negative bits per file", Config{NumMDS: 4, BitsPerFile: -2}, "BitsPerFile"},
+		// Non-finite or overflowing ratios used to reach make as a wrapped
+		// slice length and panic.
+		{"NaN bits per file", Config{NumMDS: 4, BitsPerFile: math.NaN()}, "BitsPerFile"},
+		{"+Inf bits per file", Config{NumMDS: 4, BitsPerFile: math.Inf(1)}, "BitsPerFile"},
+		{"-Inf bits per file", Config{NumMDS: 4, BitsPerFile: math.Inf(-1)}, "BitsPerFile"},
+		{"overflowing bits per file", Config{NumMDS: 4, BitsPerFile: 1e300}, "BitsPerFile"},
+		{"overflowing filter", Config{NumMDS: 4, ExpectedFilesPerMDS: math.MaxUint64}, "ExpectedFilesPerMDS"},
+		{"overflowing L1 generation", Config{NumMDS: 4, LRUCapacity: math.MaxUint64}, "LRUCapacity"},
 		{"negative ship batch", Config{NumMDS: 4, ShipBatch: -1}, "ShipBatch"},
 		// 1 KiB cannot hold even one filter at the default sizing
 		// (50 000 files × 16 bits = 100 000 bytes).
@@ -144,6 +154,7 @@ func TestRecommendedGroupSize(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	s := newSim(t, 8)
 	paths := make([]string, 300)
 	for i := range paths {
@@ -155,7 +166,7 @@ func TestLifecycle(t *testing.T) {
 	}
 	var total time.Duration
 	for _, p := range paths {
-		res := lk(t, s, p)
+		res := lk(t, s, rng, p)
 		if !res.Found {
 			t.Fatalf("lookup %s failed", p)
 		}
@@ -167,10 +178,10 @@ func TestLifecycle(t *testing.T) {
 	if s.HomeOf(paths[0]) < 0 || s.HomeOf("/nope") >= 0 {
 		t.Error("Exists wrong")
 	}
-	if del := (Op{Kind: OpDelete, Path: paths[0]}); !ap(t, s, del).Found || ap(t, s, del).Found {
+	if del := (Op{Kind: OpDelete, Path: paths[0]}); !ap(t, s, rng, del).Found || ap(t, s, rng, del).Found {
 		t.Error("Delete semantics wrong")
 	}
-	if res := lk(t, s, "/nope"); res.Found || res.Home != -1 {
+	if res := lk(t, s, rng, "/nope"); res.Found || res.Home != -1 {
 		t.Error("missing file found")
 	}
 	if total/time.Duration(len(paths)) <= 0 {
@@ -222,18 +233,20 @@ func TestNodeConfigForBenchmarkWorkloads(t *testing.T) {
 }
 
 func TestCreateSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	s := newSim(t, 4)
-	home := ap(t, s, Op{Kind: OpCreate, Path: "/one"}).Home
+	home := ap(t, s, rng, Op{Kind: OpCreate, Path: "/one"}).Home
 	if home < 0 || s.HomeOf("/one") < 0 {
 		t.Error("Create failed")
 	}
-	res := lk(t, s, "/one")
+	res := lk(t, s, rng, "/one")
 	if !res.Found || res.Home != home {
 		t.Errorf("lookup after create = %+v", res)
 	}
 }
 
 func TestScaleUpAndDown(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	s := newSim(t, 6)
 	paths := make([]string, 200)
@@ -262,7 +275,7 @@ func TestScaleUpAndDown(t *testing.T) {
 		t.Error("removing unknown MDS succeeded")
 	}
 	for _, p := range paths {
-		if !lk(t, s, p).Found {
+		if !lk(t, s, rng, p).Found {
 			t.Fatalf("lost %s after reconfiguration", p)
 		}
 	}
@@ -272,6 +285,7 @@ func TestScaleUpAndDown(t *testing.T) {
 }
 
 func TestFailMDSFacade(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	s := newSim(t, 6)
 	paths := make([]string, 120)
@@ -292,7 +306,7 @@ func TestFailMDSFacade(t *testing.T) {
 	}
 	available := 0
 	for _, p := range paths {
-		if lk(t, s, p).Found {
+		if lk(t, s, rng, p).Found {
 			available++
 		}
 	}

@@ -146,13 +146,18 @@ func NewForCapacityLayout(n uint64, bitsPerItem float64, layout Layout) (*Filter
 
 // CapacityGeometry returns the (m, k) of the filter NewForCapacityLayout
 // builds for n items at bitsPerItem, for containers that keep same-geometry
-// bit storage of their own (see Digest.Positions).
+// bit storage of their own (see Digest.Positions). It is the one check of a
+// capacity sizing: a bitsPerItem that is not a positive finite number, or
+// one whose n·bitsPerItem bits or OptimalK hash count does not fit its
+// integer type, is ErrInvalidGeometry.
 func CapacityGeometry(n uint64, bitsPerItem float64, layout Layout) (m uint64, k uint32, err error) {
-	if n == 0 || bitsPerItem <= 0 {
-		return 0, 0, fmt.Errorf("%w: n=%d bits/item=%f", ErrInvalidGeometry, n, bitsPerItem)
+	bits := math.Ceil(float64(n) * bitsPerItem)
+	hashes := math.Round(bitsPerItem * math.Ln2)
+	if n == 0 || !(bitsPerItem > 0) || bits >= 0x1p64 || hashes >= 0x1p32 {
+		return 0, 0, fmt.Errorf("%w: n=%d bits/item=%g", ErrInvalidGeometry, n, bitsPerItem)
 	}
 	k = OptimalK(bitsPerItem)
-	m, err = layoutBits(uint64(math.Ceil(float64(n)*bitsPerItem)), k, layout)
+	m, err = layoutBits(uint64(bits), k, layout)
 	return m, k, err
 }
 

@@ -43,6 +43,38 @@ func TestNewForCapacityRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestCapacityGeometryRejectsNonFiniteAndOverflow pins the one sizing check:
+// a ratio that is not finite, or whose bit count or hash count does not fit
+// its integer type, is refused as ErrInvalidGeometry instead of wrapping into
+// a slice length that panics in make.
+func TestCapacityGeometryRejectsNonFiniteAndOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		n    uint64
+		bits float64
+	}{
+		{1000, math.NaN()},
+		{1000, math.Inf(1)},
+		{1000, math.Inf(-1)},
+		{1000, 1e300},              // n·bits overflows uint64
+		{math.MaxUint64, 2},        // n·bits overflows uint64
+		{1, 0x1p33},                // OptimalK overflows uint32
+		{1 << 40, math.MaxFloat64}, // both
+	} {
+		for _, layout := range []Layout{LayoutClassic, LayoutBlocked} {
+			if m, k, err := CapacityGeometry(tc.n, tc.bits, layout); !errors.Is(err, ErrInvalidGeometry) {
+				t.Errorf("CapacityGeometry(%d, %g, %v) = (%d, %d, %v), want ErrInvalidGeometry", tc.n, tc.bits, layout, m, k, err)
+			}
+			if _, err := NewForCapacityLayout(tc.n, tc.bits, layout); !errors.Is(err, ErrInvalidGeometry) {
+				t.Errorf("NewForCapacityLayout(%d, %g, %v) = %v, want ErrInvalidGeometry", tc.n, tc.bits, layout, err)
+			}
+		}
+	}
+	// The smallest positive ratio still sizes a one-bit, one-hash filter.
+	if m, k, err := CapacityGeometry(1, math.SmallestNonzeroFloat64, LayoutClassic); err != nil || m != 1 || k != 1 {
+		t.Errorf("CapacityGeometry(1, min float) = (%d, %d, %v), want (1, 1, nil)", m, k, err)
+	}
+}
+
 func TestNewForCapacityGeometry(t *testing.T) {
 	f, err := NewForCapacity(1000, 8)
 	if err != nil {

@@ -5,6 +5,7 @@ package core
 // same L4. These cases pin the baseline's behaviour at MaxGroupSize = 1.
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -31,10 +32,11 @@ func TestHBAIsGroupsOfOne(t *testing.T) {
 }
 
 func TestHBALookupFindsEveryFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 8, 1, 300)
 	for i := 0; i < 300; i++ {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("lookup %s = %+v (truth %d)", path, res, c.HomeOf(path))
 		}
@@ -45,11 +47,12 @@ func TestHBALookupFindsEveryFile(t *testing.T) {
 }
 
 func TestHBALookupResolvesLocallyWhenFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// With fresh replicas, HBA should answer almost everything at L1/L2 —
 	// that is its whole selling point — and never at the group level.
 	c := newPopulated(t, 10, 1, 400)
 	for i := 0; i < 400; i++ {
-		c.Lookup("/f"+strconv.Itoa(i), c.RandomMDS())
+		c.LookupWith(rng, "/f"+strconv.Itoa(i), -1)
 	}
 	if frac := c.Tally().Fraction(1) + c.Tally().Fraction(2); frac < 0.95 {
 		t.Errorf("only %.2f of lookups served locally, want ≥0.95", frac)
@@ -60,14 +63,16 @@ func TestHBALookupResolvesLocallyWhenFresh(t *testing.T) {
 }
 
 func TestHBALookupMissing(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 4, 1, 50)
-	res := c.Lookup("/ghost", c.RandomMDS())
+	res := c.LookupWith(rng, "/ghost", -1)
 	if res.Found || res.Level != 4 {
 		t.Errorf("missing lookup = %+v", res)
 	}
 }
 
 func TestHBACreateDeleteAndUpdatePropagation(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	cfg := smallConfig(6, 1)
 	cfg.UpdateThresholdBits = 1 << 30 // manual pushes
 	c, err := New(cfg)
@@ -75,7 +80,7 @@ func TestHBACreateDeleteAndUpdatePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
-	home := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/new"}).Home
+	home := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/new"}).Home
 	if c.HomeOf("/new") != home {
 		t.Error("create lost home")
 	}
@@ -96,12 +101,13 @@ func TestHBACreateDeleteAndUpdatePropagation(t *testing.T) {
 			t.Errorf("MDS %d replica of %d stale after push", id, home)
 		}
 	}
-	if !c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new"}).Found || c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new"}).Found {
+	if !c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: "/new"}).Found || c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: "/new"}).Found {
 		t.Error("delete semantics wrong")
 	}
 }
 
 func TestHBAAddMDSCostIsLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 10, 1, 100)
 	id, rep, err := c.AddMDS()
 	if err != nil {
@@ -123,16 +129,17 @@ func TestHBAAddMDSCostIsLinear(t *testing.T) {
 		t.Error(err)
 	}
 	// Newcomer can serve lookups.
-	if res := c.Lookup("/f5", id); !res.Found {
+	if res := c.LookupWith(rng, "/f5", id); !res.Found {
 		t.Error("lookup via newcomer failed")
 	}
 }
 
 func TestHBAQueuingAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 4, 1, 100)
 	entry := c.MDSIDs()[0]
-	r1 := c.LookupAt("/f1", entry, 0)
-	r2 := c.LookupAt("/f2", entry, 0)
+	r1 := c.LookupAt(rng, "/f1", entry, 0)
+	r2 := c.LookupAt(rng, "/f2", entry, 0)
 	if r2.Latency < r1.ServerTime {
 		t.Error("no queueing delay on simultaneous arrivals")
 	}
@@ -140,6 +147,7 @@ func TestHBAQueuingAccumulates(t *testing.T) {
 }
 
 func TestHBAMemoryPressureSlowsLookups(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// Same cluster, two budgets: constrained memory must produce strictly
 	// slower array probes — the effect behind Figs 8–10.
 	mk := func(budget uint64) *Cluster {
@@ -165,8 +173,8 @@ func TestHBAMemoryPressureSlowsLookups(t *testing.T) {
 	var bigLat, smallLat float64
 	for i := 0; i < 200; i++ {
 		path := "/f" + strconv.Itoa(i)
-		bigLat += float64(big.Lookup(path, big.MDSIDs()[0]).Latency)
-		smallLat += float64(small.Lookup(path, small.MDSIDs()[0]).Latency)
+		bigLat += float64(big.LookupWith(rng, path, big.MDSIDs()[0]).Latency)
+		smallLat += float64(small.LookupWith(rng, path, small.MDSIDs()[0]).Latency)
 	}
 	if smallLat <= bigLat*2 {
 		t.Errorf("memory pressure barely visible: constrained %.0f vs unlimited %.0f", smallLat, bigLat)
@@ -174,16 +182,17 @@ func TestHBAMemoryPressureSlowsLookups(t *testing.T) {
 }
 
 func TestHBAApplyDispatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 4, 1, 50)
-	res := c.Apply(trace.Record{Op: trace.OpStat, Path: "/f1"})
+	res := c.ApplyWith(rng, trace.Record{Op: trace.OpStat, Path: "/f1"})
 	if !res.Found {
 		t.Error("stat record not found")
 	}
-	res = c.Apply(trace.Record{Op: trace.OpCreate, Path: "/brandnew"})
+	res = c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/brandnew"})
 	if !res.Found || c.HomeOf("/brandnew") < 0 {
 		t.Error("create record failed")
 	}
-	c.Apply(trace.Record{Op: trace.OpDelete, Path: "/brandnew"})
+	c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: "/brandnew"})
 	if c.HomeOf("/brandnew") != -1 {
 		t.Error("delete record failed")
 	}

@@ -22,10 +22,10 @@ import (
 //
 // Concurrency model: the read path is lock-free, the write path is locked.
 //
-// Lookups (Lookup, LookupWith, LookupAt) take no lock to read: they load
-// the current fleet — an immutable membership snapshot (mds.Fleet)
-// published through an atomic pointer — and walk the four-level hierarchy
-// against it. Filter probes along the way are word-wise atomic; the replica
+// Lookups (LookupWith, LookupAt) take no lock to read: they load the
+// current fleet — an immutable membership snapshot (mds.Fleet) published
+// through an atomic pointer — and walk the four-level hierarchy against it.
+// Filter probes along the way are word-wise atomic; the replica
 // arrays publish copy-on-write snapshots of their own; and the L1 array
 // publishes its bit-sliced slab and lane assignment the same way — a
 // rotation or Forget copies, only key inserts OR bits into the published
@@ -39,13 +39,13 @@ import (
 // reads the home index under one shard's read lock.
 //
 // The fleet is the cluster's only record of membership. NumMDS, NumGroups,
-// MDSIDs, Node, Layout, RandomMDS, Footprint and MeanFootprint read it
-// without a lock too.
+// MDSIDs, Node, Layout, Footprint and MeanFootprint read it without a lock
+// too.
 //
 // Writers keep the existing mutex discipline among themselves: c.mu is the
-// topology lock. Mutations (Apply, ApplyWith) and replica shipping
-// (PushUpdate, Flush) hold mu as readers, act on the fleet loaded under it —
-// which stays current while they hold it — and synchronize through
+// topology lock. Mutations (ApplyWith) and replica shipping (PushUpdate,
+// Flush) hold mu as readers, act on the fleet loaded under it — which
+// stays current while they hold it — and synchronize through
 // finer-grained structures: the sharded home index, per-node locks, ship
 // stripes. Reconfiguration — Populate, AddMDS, RemoveMDS, FailMDS — takes mu
 // exclusively, builds the successor fleet (mds.Fleet.Successor), runs its
@@ -107,19 +107,18 @@ type Cluster struct {
 
 	mem *memmodel.Model
 
-	// rng drives the legacy serial API (RandomMDS, entry fallback) and all
-	// writer-side placement decisions. rngMu guards it so the serial API
-	// stays usable next to parallel readers; the parallel read path never
-	// touches it — workers supply their own RNG via LookupWith.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// rng drives the writer-side placement decisions (Populate, RemoveMDS's
+	// re-homing), which hold mu exclusively and so need no lock of their
+	// own. Lookups and mutations never touch it: every entry or home they
+	// draw comes from the caller's RNG.
+	rng *rand.Rand
 
 	msgs  *simnet.Counter
 	tally metrics.LevelTally
 
 	// queue holds each MDS's next-free time, indexed by MDS ID, for the
 	// open-loop queuing model used by the latency-versus-load experiments.
-	// queueMu guards it so queued lookups (LookupAt, Apply) can run under
+	// queueMu guards it so queued lookups (LookupAt, ApplyWith) can run under
 	// the topology read lock alongside other workers. IDs are never reused,
 	// so publishLocked keeps it nextMDSID long and the lookup walk
 	// indexes it without growing it.
@@ -230,12 +229,6 @@ func (c *Cluster) FileCount() int {
 	return c.homes.Len()
 }
 
-// RandomMDS returns a uniformly chosen MDS ID — the paper's "each request
-// can randomly choose an MDS to carry out query operations". It draws from
-// the cluster's internal RNG; parallel lookup workers should instead draw
-// entries from their own RNG (see LookupWith) to avoid serializing on it.
-func (c *Cluster) RandomMDS() int { return c.fleet.Load().Draw(lockedRand{c}) }
-
 // Populate homes every path yielded by the iterator at a uniformly random
 // MDS ("all MDSs are initially populated randomly") and then synchronizes
 // all replicas. The iterator keeps namespaces streamable at scale.
@@ -247,9 +240,7 @@ func (c *Cluster) Populate(each func(fn func(path string) bool)) {
 		// A path the namespace already holds keeps its home (the draw is
 		// spent either way): homing it again would leave it in the old
 		// home's store as well, for a stale verify to confirm.
-		c.rngMu.Lock()
 		node := f.Node(f.Draw(c.rng))
-		c.rngMu.Unlock()
 		c.homes.PutIfAbsentThen(path, node.ID(), f.Holds, func() { node.AddFile(path) })
 		return true
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -118,10 +119,11 @@ func TestPopulateAndHomeOf(t *testing.T) {
 }
 
 func TestLookupFindsEveryFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 9, 3, 300)
 	for i := 0; i < 300; i++ {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found {
 			t.Fatalf("lookup of existing %s not found (level %d)", path, res.Level)
 		}
@@ -138,8 +140,9 @@ func TestLookupFindsEveryFile(t *testing.T) {
 }
 
 func TestLookupMissingFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 100)
-	res := c.Lookup("/not/there", c.RandomMDS())
+	res := c.LookupWith(rng, "/not/there", -1)
 	if res.Found || res.Home != -1 {
 		t.Errorf("missing file found: %+v", res)
 	}
@@ -149,14 +152,15 @@ func TestLookupMissingFile(t *testing.T) {
 }
 
 func TestLookupL1LearnsHotFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 200)
 	const hot = "/f42"
 	entry := c.MDSIDs()[0]
-	first := c.Lookup(hot, entry)
+	first := c.LookupWith(rng, hot, entry)
 	if first.Level <= 1 {
 		t.Skipf("first lookup already at L1 (possible but unexpected)")
 	}
-	second := c.Lookup(hot, entry)
+	second := c.LookupWith(rng, hot, entry)
 	if second.Level != 1 {
 		t.Errorf("repeat lookup served at level %d, want 1", second.Level)
 	}
@@ -166,18 +170,20 @@ func TestLookupL1LearnsHotFiles(t *testing.T) {
 }
 
 func TestLookupUnknownEntryFallsBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 4, 2, 50)
-	res := c.Lookup("/f1", 999) // bogus entry MDS
+	res := c.LookupWith(rng, "/f1", 999) // bogus entry MDS
 	if !res.Found {
 		t.Error("fallback entry failed lookup")
 	}
 }
 
 func TestLevelTallyAccumulates(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 200)
 	timed := 0
 	for i := 0; i < 400; i++ {
-		if res := c.Lookup("/f"+strconv.Itoa(i%200), c.RandomMDS()); res.Latency > 0 {
+		if res := c.LookupWith(rng, "/f"+strconv.Itoa(i%200), -1); res.Latency > 0 {
 			timed++
 		}
 	}
@@ -194,28 +200,30 @@ func TestLevelTallyAccumulates(t *testing.T) {
 }
 
 func TestCreateDeleteLifecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 100)
-	home := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/new/file"}).Home
+	home := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/new/file"}).Home
 	if c.HomeOf("/new/file") != home {
 		t.Error("create did not record home")
 	}
-	res := c.Lookup("/new/file", c.RandomMDS())
+	res := c.LookupWith(rng, "/new/file", -1)
 	if !res.Found || res.Home != home {
 		t.Errorf("created file lookup = %+v", res)
 	}
-	if !c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
+	if !c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
 		t.Error("delete returned false")
 	}
-	if c.Apply(trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
+	if c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: "/new/file"}).Found {
 		t.Error("double delete returned true")
 	}
-	res = c.Lookup("/new/file", c.RandomMDS())
+	res = c.LookupWith(rng, "/new/file", -1)
 	if res.Found {
 		t.Error("deleted file still found")
 	}
 }
 
 func TestCreatedFilesFoundDespiteStaleReplicas(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// Freshly created files may be absent from remote replicas (staleness);
 	// the hierarchy must still resolve them — at worst at L4.
 	cfg := smallConfig(8, 4)
@@ -232,11 +240,11 @@ func TestCreatedFilesFoundDespiteStaleReplicas(t *testing.T) {
 		}
 	})
 	for i := 0; i < 50; i++ {
-		c.Apply(trace.Record{Op: trace.OpCreate, Path: "/fresh" + strconv.Itoa(i)})
+		c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/fresh" + strconv.Itoa(i)})
 	}
 	for i := 0; i < 50; i++ {
 		path := "/fresh" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("stale-replica lookup of %s failed: %+v", path, res)
 		}
@@ -244,6 +252,7 @@ func TestCreatedFilesFoundDespiteStaleReplicas(t *testing.T) {
 }
 
 func TestPushUpdateRefreshesReplicas(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	cfg := smallConfig(8, 4)
 	cfg.UpdateThresholdBits = 1 << 30 // manual pushes only
 	c, err := New(cfg)
@@ -251,7 +260,7 @@ func TestPushUpdateRefreshesReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
-	origin := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/pushed/file"}).Home
+	origin := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/pushed/file"}).Home
 	d := c.PushUpdate(origin)
 	if d <= 0 {
 		t.Error("push latency not positive")
@@ -273,36 +282,27 @@ func TestPushUpdateRefreshesReplicas(t *testing.T) {
 }
 
 func TestLookupAtQueuesRequests(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 4, 2, 100)
 	entry := c.MDSIDs()[0]
 	// Two simultaneous arrivals at the same MDS: the second waits.
-	r1 := c.LookupAt("/f1", entry, 0)
-	r2 := c.LookupAt("/f2", entry, 0)
+	r1 := c.LookupAt(rng, "/f1", entry, 0)
+	r2 := c.LookupAt(rng, "/f2", entry, 0)
 	if r2.Latency < r1.ServerTime {
 		t.Errorf("second request (%v) did not wait for first (%v busy)", r2.Latency, r1.ServerTime)
 	}
 	c.ResetQueues()
-	r3 := c.LookupAt("/f3", entry, 0)
+	r3 := c.LookupAt(rng, "/f3", entry, 0)
 	if r3.Latency > r1.Latency+r2.Latency {
 		t.Error("queue reset did not clear backlog")
 	}
 }
 
-func TestRandomMDSCoversAll(t *testing.T) {
-	c := newPopulated(t, 5, 2, 10)
-	seen := make(map[int]bool)
-	for i := 0; i < 500; i++ {
-		seen[c.RandomMDS()] = true
-	}
-	if len(seen) != 5 {
-		t.Errorf("RandomMDS covered %d of 5", len(seen))
-	}
-}
-
 func TestRatesAndFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 200)
 	for i := 0; i < 300; i++ {
-		c.Lookup("/f"+strconv.Itoa(i%100), c.RandomMDS())
+		c.LookupWith(rng, "/f"+strconv.Itoa(i%100), -1)
 	}
 	if pLRU, pL2 := c.Tally().Fraction(1), c.Tally().Fraction(2); pLRU < 0 || pLRU > 1 || pL2 < 0 || pL2 > 1 {
 		t.Errorf("rates out of range: L1 %f, L2 %f", pLRU, pL2)
@@ -328,6 +328,7 @@ func TestRatesAndFootprint(t *testing.T) {
 // passed, and L4 answered the old home from the map without asking its store.
 // The check is exact now: every stored path must resolve to its own server.
 func TestCheckInvariantsCatchesWrongHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 200)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -347,7 +348,7 @@ func TestCheckInvariantsCatchesWrongHome(t *testing.T) {
 	} else {
 		t.Log(err)
 	}
-	if res := c.Lookup(path, c.MDSIDs()[2]); res.Found && res.Home == home {
+	if res := c.LookupWith(rng, path, c.MDSIDs()[2]); res.Found && res.Home == home {
 		t.Errorf("Lookup(%s) = %+v: the old home, whose store lacks it", path, res)
 	}
 }

@@ -25,6 +25,7 @@ func TestDigestLookupParallelStress(t *testing.T) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
+		rng := rand.New(rand.NewSource(2))
 		// Churn extra files so lookups race real mutations of the filters
 		// the digests probe.
 		for i := 0; ; i++ {
@@ -34,8 +35,8 @@ func TestDigestLookupParallelStress(t *testing.T) {
 			default:
 			}
 			p := "/churn" + strconv.Itoa(i%100)
-			c.Apply(trace.Record{Op: trace.OpCreate, Path: p})
-			c.Apply(trace.Record{Op: trace.OpDelete, Path: p})
+			c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: p})
+			c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: p})
 		}
 	}()
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 )
 
 func TestFailMDSDegradedButConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 9, 3, 400)
 	victim := c.MDSIDs()[3]
 	victimFiles := c.Node(victim).FileCount()
@@ -39,7 +41,7 @@ func TestFailMDSDegradedButConsistent(t *testing.T) {
 	// (degraded coverage, never wrong answers).
 	for i := 0; i < 400; i++ {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if res.Found {
 			if res.Home == victim {
 				t.Fatalf("%s resolved to the dead MDS", path)
@@ -51,7 +53,7 @@ func TestFailMDSDegradedButConsistent(t *testing.T) {
 	}
 	lost := 0
 	for i := 0; i < 400; i++ {
-		if !c.Lookup("/f"+strconv.Itoa(i), c.RandomMDS()).Found {
+		if !c.LookupWith(rng, "/f"+strconv.Itoa(i), -1).Found {
 			lost++
 		}
 	}
@@ -74,6 +76,7 @@ func TestFailMDSErrors(t *testing.T) {
 }
 
 func TestFailMDSThenRecreateFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 200)
 	victim := c.MDSIDs()[0]
 	if _, err := c.FailMDS(victim); err != nil {
@@ -82,11 +85,11 @@ func TestFailMDSThenRecreateFiles(t *testing.T) {
 	// Clients recreate lost files; they land on survivors and resolve.
 	for i := 0; i < 50; i++ {
 		path := "/recreated/f" + strconv.Itoa(i)
-		home := c.Apply(trace.Record{Op: trace.OpCreate, Path: path}).Home
+		home := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: path}).Home
 		if home == victim {
 			t.Fatal("file created at dead MDS")
 		}
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != home {
 			t.Fatalf("recreated file %s: %+v", path, res)
 		}
@@ -97,6 +100,7 @@ func TestFailMDSThenRecreateFiles(t *testing.T) {
 }
 
 func TestCascadingFailures(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 12, 4, 300)
 	for i := 0; i < 5; i++ {
 		ids := c.MDSIDs()
@@ -114,7 +118,7 @@ func TestCascadingFailures(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		path := "/f" + strconv.Itoa(i)
 		if home := c.HomeOf(path); home >= 0 {
-			res := c.Lookup(path, c.RandomMDS())
+			res := c.LookupWith(rng, path, -1)
 			if !res.Found || res.Home != home {
 				t.Fatalf("surviving file %s: %+v", path, res)
 			}
@@ -140,10 +144,11 @@ func TestReplicaDriftStaysBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rng := rand.New(rand.NewSource(42))
 			var worst uint64
 			create := func(from, to int) {
 				for i := from; i < to; i++ {
-					c.Apply(trace.Record{Op: trace.OpCreate, Path: "/drift/f" + strconv.Itoa(i)})
+					c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/drift/f" + strconv.Itoa(i)})
 					for _, g := range c.Layout().Groups() {
 						for _, r := range g.Replicas {
 							drift, err := c.Node(r.Origin).LocalFilter().XorBits(c.Node(r.Holder).Replicas().Get(r.Origin))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 // changes latencies, never answers: every lookup still resolves to the true
 // home even when most of the replica array is "on disk".
 func TestLookupCorrectUnderMemoryPressure(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	cfg := smallConfig(10, 3)
 	cfg.MemoryBudgetBytes = 8 << 20
 	cfg.VirtualReplicaBytes = 16 << 20 // everything spilled
@@ -28,7 +30,7 @@ func TestLookupCorrectUnderMemoryPressure(t *testing.T) {
 	})
 	for i := 0; i < 200; i++ {
 		path := "/mp/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("pressure broke correctness: %s → %+v", path, res)
 		}
@@ -38,10 +40,11 @@ func TestLookupCorrectUnderMemoryPressure(t *testing.T) {
 // TestQueuedLookupMatchesUnqueuedAnswer verifies the queuing model only
 // affects timing, not routing.
 func TestQueuedLookupMatchesUnqueuedAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 8, 4, 200)
 	for i := 0; i < 100; i++ {
 		path := "/f" + strconv.Itoa(i)
-		queued := c.LookupAt(path, 0, time.Duration(i)*time.Microsecond)
+		queued := c.LookupAt(rng, path, 0, time.Duration(i)*time.Microsecond)
 		if !queued.Found || queued.Home != c.HomeOf(path) {
 			t.Fatalf("queued lookup wrong: %+v", queued)
 		}
@@ -55,6 +58,7 @@ func TestQueuedLookupMatchesUnqueuedAnswer(t *testing.T) {
 // cluster and checks global consistency afterwards: every surviving file
 // resolves, every deleted file misses.
 func TestTraceReplayEndToEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	gen, err := trace.NewGenerator(trace.Config{
 		Profile:          trace.HP(),
 		TIF:              2,
@@ -86,7 +90,7 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 	})
 	for i := 0; i < 5_000; i++ {
 		rec := gen.Next()
-		c.Apply(rec)
+		c.ApplyWith(rng, rec)
 		switch rec.Op {
 		case trace.OpCreate:
 			alive[rec.Path] = true
@@ -104,7 +108,7 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 			break
 		}
 		checked++
-		res := c.Lookup(p, c.RandomMDS())
+		res := c.LookupWith(rng, p, -1)
 		if res.Found != want {
 			t.Fatalf("consistency: %s found=%v want %v", p, res.Found, want)
 		}
@@ -117,11 +121,12 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 // TestPerLevelLatencyOrdering checks that deeper levels cost more on
 // average — the premise of the hierarchy.
 func TestPerLevelLatencyOrdering(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 12, 4, 400)
 	var sum [5]time.Duration
 	var count [5]int
 	for i := 0; i < 2_000; i++ {
-		res := c.Lookup("/f"+strconv.Itoa(i%400), c.RandomMDS())
+		res := c.LookupWith(rng, "/f"+strconv.Itoa(i%400), -1)
 		sum[res.Level] += res.Latency
 		count[res.Level]++
 	}

@@ -105,29 +105,19 @@ func (c *Cluster) occupy(id int, arrival, work time.Duration) time.Duration {
 	return start - arrival + work
 }
 
-// Lookup resolves the home MDS of path starting at the entry MDS, walking
-// the four-level critical path of Section 2.3, without queueing effects
-// (pure service latency). It updates the per-level tallies and the L1 array.
+// LookupWith resolves the home MDS of path starting at the entry MDS,
+// walking the four-level critical path of Section 2.3, without queueing
+// effects (pure service latency). It updates the per-level tallies and the
+// L1 array. A negative or unknown entry is re-drawn uniformly from the
+// caller's RNG, the paper's "each request can randomly choose an MDS":
+// parallel workers give each goroutine its own seeded RNG, so lookups share
+// no mutable state beyond the internally synchronized observability
+// structures and a single-worker run is bit-for-bit reproducible.
 //
-// Lookup is the lock-free read path: it loads the current fleet and takes no
-// lock to read it, so any number of goroutines may call it concurrently, also
-// concurrently with reconfiguration (which publishes a new fleet; in-flight
-// lookups finish against the one they loaded). An unknown entry falls back
-// to a random MDS drawn from the cluster's internal RNG; hot parallel loops
-// should prefer LookupWith to keep RNG state worker-local.
-func (c *Cluster) Lookup(path string, entry int) LookupResult {
-	f := c.fleet.Load()
-	if f.Node(entry) == nil {
-		entry = f.Draw(lockedRand{c})
-	}
-	return c.lookupFleet(f, path, entry, 0, false)
-}
-
-// LookupWith is Lookup with a caller-supplied RNG: a negative or unknown
-// entry is re-drawn uniformly from rng. Parallel workers give each goroutine
-// its own seeded RNG so lookups share no mutable state beyond the internally
-// synchronized observability structures, and a single-worker run is
-// bit-for-bit reproducible.
+// LookupWith is the lock-free read path: it loads the current fleet and
+// takes no lock to read it, so any number of goroutines may call it
+// concurrently, also concurrently with reconfiguration (which publishes a
+// new fleet; in-flight lookups finish against the one they loaded).
 func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResult {
 	f := c.fleet.Load()
 	if entry < 0 || f.Node(entry) == nil {
@@ -139,12 +129,13 @@ func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResul
 // LookupAt replays a lookup arriving at the given offset through the
 // open-loop queuing model: the request waits for the entry MDS to drain its
 // queue, multicast probes occupy the members they land on, and the returned
-// latency includes all queueing delays. Queue state synchronizes on its own
+// latency includes all queueing delays. An entry that is not a member is
+// re-drawn from rng, as in LookupWith. Queue state synchronizes on its own
 // mutex, so queued lookups run concurrently with other workers.
-func (c *Cluster) LookupAt(path string, entry int, arrival time.Duration) LookupResult {
+func (c *Cluster) LookupAt(rng *rand.Rand, path string, entry int, arrival time.Duration) LookupResult {
 	f := c.fleet.Load()
 	if f.Node(entry) == nil {
-		entry = f.Draw(lockedRand{c})
+		entry = f.Draw(rng)
 	}
 	return c.lookupFleet(f, path, entry, arrival, true)
 }

@@ -116,13 +116,13 @@ func TestLookupWalkZeroAlloc(t *testing.T) {
 	entry := c.MDSIDs()[0]
 	rng := rand.New(rand.NewSource(1))
 	const hot, absent = "/f42", "/absent"
-	c.Lookup(hot, entry) // teaches L1 the hot path's home
+	c.LookupWith(rng, hot, entry) // teaches L1 the hot path's home
 	for _, lk := range []struct {
 		name   string
 		lookup func(path string) LookupResult
 	}{
 		{"LookupWith", func(path string) LookupResult { return c.LookupWith(rng, path, entry) }},
-		{"LookupAt", func(path string) LookupResult { return c.LookupAt(path, entry, 0) }},
+		{"LookupAt", func(path string) LookupResult { return c.LookupAt(rng, path, entry, 0) }},
 	} {
 		for _, tc := range []struct {
 			path  string

@@ -9,19 +9,6 @@ import (
 	"ghba/internal/trace"
 )
 
-// lockedRand draws from the cluster's internal RNG under rngMu: the serial
-// API's mds.Intner, usable next to parallel workers. Code that holds c.mu
-// locks rngMu itself around Draw(c.rng) instead, so the lock graph, which
-// does not follow a call through an interface, records the mu → rngMu order.
-type lockedRand struct{ c *Cluster }
-
-func (l lockedRand) Intn(n int) int {
-	l.c.rngMu.Lock()
-	v := l.c.rng.Intn(n)
-	l.c.rngMu.Unlock()
-	return v
-}
-
 // noteMutationLocked checks origin's XOR-delta drift and, past the threshold,
 // marks it dirty in the ship queue, draining inline when the batch fills.
 // Requires c.mu (read suffices), under which f is the current fleet.
@@ -51,7 +38,7 @@ func (c *Cluster) updateLocked(f *mds.Fleet, origin int) time.Duration {
 // deleteInnerLocked removes path, returning its pre-delete home (-1 when absent)
 // and whether it existed. Requires c.mu (read suffices), under which f is the
 // current fleet. The unlink runs under the path's shard lock, paired with
-// applyRecord's claim-and-install, so create and delete of one path fully
+// ApplyWith's claim-and-install, so create and delete of one path fully
 // serialize. The home's filter goes stale until its rebuild threshold
 // triggers.
 func (c *Cluster) deleteInnerLocked(f *mds.Fleet, path string) (int, bool) {
@@ -156,25 +143,16 @@ func (c *Cluster) applyCost(node *mds.Node) time.Duration {
 		time.Duration(frac*(1-c.cfg.CacheHitRate)*float64(c.cfg.Cost.DiskRead))
 }
 
-// Apply dispatches one trace record against the cluster: mutations create or
-// delete files, reads perform lookups. The entry MDS is chosen uniformly
-// from the cluster's internal RNG, as in the paper's methodology. Returns
-// the lookup result; pure mutations report Level 0, with a delete's Home
-// and Found describing the pre-delete state so replay checkpoints can
+// ApplyWith dispatches one trace record against the cluster: mutations
+// create or delete files, reads perform lookups. The entry MDS, or a new
+// file's home, is drawn uniformly from the caller's RNG, as in the paper's
+// methodology ("each request can randomly choose an MDS"): parallel replay
+// workers give each goroutine its own seeded RNG, so record dispatch shares
+// no mutable randomness and a single-worker run is bit-for-bit reproducible.
+// Returns the lookup result; pure mutations report Level 0, with a delete's
+// Home and Found describing the pre-delete state so replay checkpoints can
 // distinguish deletes of live paths from deletes of missing ones.
-func (c *Cluster) Apply(rec trace.Record) LookupResult {
-	return c.applyRecord(lockedRand{c}, rec)
-}
-
-// ApplyWith is Apply with a caller-supplied RNG: parallel replay workers
-// give each goroutine its own seeded RNG so record dispatch shares no
-// mutable randomness, and a single-worker run is bit-for-bit the serial
-// engine driven by that RNG.
 func (c *Cluster) ApplyWith(rng *rand.Rand, rec trace.Record) LookupResult {
-	return c.applyRecord(rng, rec)
-}
-
-func (c *Cluster) applyRecord(r mds.Intner, rec trace.Record) LookupResult {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	// The read lock excludes reconfiguration, so f stays the current fleet
@@ -187,7 +165,7 @@ func (c *Cluster) applyRecord(r mds.Intner, rec trace.Record) LookupResult {
 		// open. PutIfAbsentThen is the atomic claim-and-install, so two
 		// workers racing on the same path cannot both home it, and a
 		// racing delete cannot slip between the claim and the node update.
-		id := f.Draw(r)
+		id := f.Draw(rng)
 		node := f.Node(id)
 		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, f.Holds, func() { node.AddFile(rec.Path) }); !inserted {
 			return c.lookupFleet(f, rec.Path, id, rec.At, true)
@@ -198,6 +176,6 @@ func (c *Cluster) applyRecord(r mds.Intner, rec trace.Record) LookupResult {
 		home, existed := c.deleteInnerLocked(f, rec.Path)
 		return LookupResult{Path: rec.Path, Home: home, Found: existed, Level: 0}
 	default:
-		return c.lookupFleet(f, rec.Path, f.Draw(r), rec.At, true)
+		return c.lookupFleet(f, rec.Path, f.Draw(rng), rec.At, true)
 	}
 }

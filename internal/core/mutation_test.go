@@ -14,59 +14,23 @@ import (
 // a missing path reports (-1, false), so replay checkpoints can tell the
 // two apart.
 func TestApplyDeleteReportsPreDeleteHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 6, 3, 100)
 	path := "/f42"
 	want := c.HomeOf(path)
 	if want < 0 {
 		t.Fatal("populated file has no home")
 	}
-	res := c.Apply(trace.Record{Op: trace.OpDelete, Path: path})
+	res := c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: path})
 	if !res.Found || res.Home != want {
 		t.Errorf("live delete = (home %d, found %v), want (%d, true)", res.Home, res.Found, want)
 	}
 	if res.Level != 0 {
 		t.Errorf("delete served at level %d, want 0", res.Level)
 	}
-	res = c.Apply(trace.Record{Op: trace.OpDelete, Path: path})
+	res = c.ApplyWith(rng, trace.Record{Op: trace.OpDelete, Path: path})
 	if res.Found || res.Home != -1 {
 		t.Errorf("missing delete = (home %d, found %v), want (-1, false)", res.Home, res.Found)
-	}
-}
-
-// TestApplyWithMatchesApplyStream pins that ApplyWith is the serial Apply
-// engine with the randomness source swapped: two identically built clusters
-// replay the same records, one through Apply (internal RNG) and one through
-// ApplyWith with an RNG seeded like the cluster's — every result and the
-// final ground truth must agree.
-func TestApplyWithMatchesApplyStream(t *testing.T) {
-	build := func() (*Cluster, []trace.Record) {
-		c := newPopulated(t, 9, 3, 300)
-		gen, err := trace.NewGenerator(trace.Config{
-			Profile: trace.HP(), TIF: 1, FilesPerSubtrace: 300, Seed: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, gen.Take(2_000)
-	}
-	a, recs := build()
-	b, _ := build()
-
-	// The cluster RNG has consumed draws during Populate; replaying them
-	// on a fresh source reproduces its state for the ApplyWith side.
-	rng := rand.New(rand.NewSource(a.cfg.Seed))
-	for i := 0; i < 300; i++ {
-		rng.Intn(b.NumMDS())
-	}
-	for i, rec := range recs {
-		ra := a.Apply(rec)
-		rb := b.ApplyWith(rng, rec)
-		if ra != rb {
-			t.Fatalf("record %d diverged:\n  Apply     %+v\n  ApplyWith %+v", i, ra, rb)
-		}
-	}
-	if a.FileCount() != b.FileCount() {
-		t.Errorf("file counts diverged: %d vs %d", a.FileCount(), b.FileCount())
 	}
 }
 
@@ -74,6 +38,7 @@ func TestApplyWithMatchesApplyStream(t *testing.T) {
 // a large batch, threshold crossings accumulate without shipping; Flush
 // drains every dirty origin and freshens its replicas in all other groups.
 func TestShipQueueCoalescesAndFlushes(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	cfg := smallConfig(8, 4)
 	cfg.UpdateThresholdBits = 1 // every create crosses
 	cfg.ShipBatch = 1 << 20     // never auto-drain
@@ -86,7 +51,7 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 	homes := make(map[int][]string)
 	for i := 0; i < 40; i++ {
 		p := "/coal/f" + strconv.Itoa(i)
-		home := c.Apply(trace.Record{Op: trace.OpCreate, Path: p}).Home
+		home := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: p}).Home
 		homes[home] = append(homes[home], p)
 	}
 	if c.PendingShips() == 0 {
@@ -121,6 +86,7 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 // worth of threshold crossings accumulates, replicas freshen without an
 // explicit flush.
 func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	cfg := smallConfig(8, 4)
 	cfg.UpdateThresholdBits = 1
 	cfg.ShipBatch = 4
@@ -130,9 +96,9 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
 
-	first := c.Apply(trace.Record{Op: trace.OpCreate, Path: "/auto/f0"}).Home
+	first := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/auto/f0"}).Home
 	for i := 1; i < 4; i++ {
-		c.Apply(trace.Record{Op: trace.OpCreate, Path: "/auto/f" + strconv.Itoa(i)})
+		c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: "/auto/f" + strconv.Itoa(i)})
 	}
 	// Four crossings have happened; the fourth drained the queue.
 	for _, g := range c.Layout().Groups() {
@@ -153,6 +119,7 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 // other, and lookups keep answering that home. Bulk-loading a path twice
 // leaves it where it was, too.
 func TestRecreateKeepsOriginalHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 8, 4, 200)
 	homes := make(map[string]int)
 	for i := 0; i < 100; i++ {
@@ -161,7 +128,7 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Apply(trace.Record{Op: trace.OpCreate, Path: path})
+		res := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: path})
 		if !res.Found || res.Home != homes[path] || res.Level == 0 {
 			t.Fatalf("re-create of %s = %+v, want an open answering home %d", path, res, homes[path])
 		}
@@ -177,7 +144,7 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 		if got := c.HomeOf(path); got != home {
 			t.Fatalf("%s moved from MDS %d to %d", path, home, got)
 		}
-		if res := c.Lookup(path, c.RandomMDS()); !res.Found || res.Home != home {
+		if res := c.LookupWith(rng, path, -1); !res.Found || res.Home != home {
 			t.Fatalf("lookup of %s = %+v, want home %d", path, res, home)
 		}
 	}

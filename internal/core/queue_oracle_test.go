@@ -63,6 +63,7 @@ func (q *queueOracle) expect(c *Cluster, unqueued LookupResult, entry int, arriv
 // and ServerTime must agree on every op, across a join, a leave (which leaves
 // a hole in the ID-indexed slice), a crash and a ResetQueues.
 func TestQueueModelMatchesPerTargetOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	const files = 600
 	queued, twin := newPopulated(t, 9, 3, files), newPopulated(t, 9, 3, files)
 	oracle := &queueOracle{next: map[int]time.Duration{}}
@@ -117,9 +118,9 @@ func TestQueueModelMatchesPerTargetOracle(t *testing.T) {
 		default:
 			ids := twin.fleet.Load().IDs()
 			entry = ids[pick.Intn(len(ids))]
-			got = queued.LookupAt(path, entry, at)
+			got = queued.LookupAt(rng, path, entry, at)
 		}
-		plain = twin.Lookup(path, entry)
+		plain = twin.LookupWith(rng, path, entry)
 		want := oracle.expect(queued, plain, entry, at)
 		if got.Latency != want || got.ServerTime != plain.ServerTime || got.Level != plain.Level || got.Home != plain.Home {
 			t.Fatalf("step %d (%s via MDS %d, level %d): queued walk %v latency / %v server, oracle %v / %v (twin level %d)",
@@ -143,13 +144,14 @@ func TestQueueModelMatchesPerTargetOracle(t *testing.T) {
 // nobody to multicast to, L3 and L4 add no remote response time, queued or
 // not — a round's slowest response starts at zero, not at one service time.
 func TestOneMDSGlobalMulticastCostsNoResponse(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 1, 1, 10)
 	cost := c.cfg.Cost
 	want := cost.ClientRTT + c.l1ProbeCost() + c.segmentProbeCost(c.fleet.Load(), 0) +
 		2*cost.Multicast(0) + cost.MemProbe + cost.DiskRead
 	for name, res := range map[string]LookupResult{
-		"unqueued": c.Lookup("/missing", 0),
-		"queued":   c.LookupAt("/missing", 0, 0),
+		"unqueued": c.LookupWith(rng, "/missing", 0),
+		"queued":   c.LookupAt(rng, "/missing", 0, 0),
 	} {
 		if res.Level != 4 || res.Found || res.Latency != want {
 			t.Errorf("%s: level %d found %v latency %v, want an L4 miss costing %v", name, res.Level, res.Found, res.Latency, want)

@@ -91,9 +91,7 @@ func (c *Cluster) RemoveMDS(id int) (group.Report, error) {
 	// so a lookup still walking the old fleet — the successor is published
 	// only after the last move — finds it at one home or the other.
 	for _, path := range node.Store().Paths() {
-		c.rngMu.Lock()
 		to := next.Node(next.Draw(c.rng))
-		c.rngMu.Unlock()
 		if !c.homes.Rehome(path, id, to.ID(), func(_ int, p string) bool { return node.HasFile(p) }, func() { to.AddFile(path) }) {
 			panic(fmt.Sprintf("core: MDS %d stores %s, which the home index does not home there", id, path))
 		}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 )
 
 func TestAddMDSJoinsSpareGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// 7 MDSs, M=4 → groups of 4 and 3; the new MDS joins the 3-group.
 	c := newPopulated(t, 7, 4, 300)
 	before := c.NumGroups()
@@ -27,7 +29,7 @@ func TestAddMDSJoinsSpareGroup(t *testing.T) {
 	}
 	// New MDS must be findable as a home: create a file until it lands
 	// there, then look it up.
-	if res := c.Lookup("/f0", id); !res.Found {
+	if res := c.LookupWith(rng, "/f0", id); !res.Found {
 		t.Error("lookup via new MDS failed")
 	}
 }
@@ -53,6 +55,7 @@ func TestAddMDSMigrationBound(t *testing.T) {
 }
 
 func TestAddMDSSplitsFullGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// 4 MDSs, M=2 → two full groups; adding forces a split.
 	c := newPopulated(t, 4, 2, 200)
 	before := c.NumGroups()
@@ -69,7 +72,7 @@ func TestAddMDSSplitsFullGroups(t *testing.T) {
 	// Lookups still resolve every file correctly.
 	for i := 0; i < 200; i += 17 {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("post-split lookup of %s: %+v", path, res)
 		}
@@ -77,6 +80,7 @@ func TestAddMDSSplitsFullGroups(t *testing.T) {
 }
 
 func TestRemoveMDSRehomesFiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 9, 3, 300)
 	victim := c.MDSIDs()[4]
 	had := c.Node(victim).FileCount()
@@ -99,7 +103,7 @@ func TestRemoveMDSRehomesFiles(t *testing.T) {
 	// All 300 files still resolve, none at the departed MDS.
 	for i := 0; i < 300; i++ {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found {
 			t.Fatalf("file %s lost after MDS removal", path)
 		}
@@ -110,6 +114,7 @@ func TestRemoveMDSRehomesFiles(t *testing.T) {
 }
 
 func TestRemoveMDSMergesGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	// 4 MDSs, M=4, forced into two groups of 2 by building with M=2 and
 	// then allowing merges… simpler: 6 MDSs M=4 → groups 4 + 2. Removing
 	// from the 4-group leaves 3 + 2 = 5 > 4, no merge; removing another
@@ -135,7 +140,7 @@ func TestRemoveMDSMergesGroups(t *testing.T) {
 	}
 	for i := 0; i < 200; i += 13 {
 		path := "/f" + strconv.Itoa(i)
-		if res := c.Lookup(path, c.RandomMDS()); !res.Found {
+		if res := c.LookupWith(rng, path, -1); !res.Found {
 			t.Fatalf("file %s lost after merge", path)
 		}
 	}
@@ -155,6 +160,7 @@ func TestRemoveMDSErrors(t *testing.T) {
 }
 
 func TestChurnPreservesInvariantsAndData(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := newPopulated(t, 10, 4, 400)
 	// Alternate adds and removes, checking invariants throughout.
 	for round := 0; round < 6; round++ {
@@ -175,7 +181,7 @@ func TestChurnPreservesInvariantsAndData(t *testing.T) {
 	// Every file still resolves to its true home.
 	for i := 0; i < 400; i += 7 {
 		path := "/f" + strconv.Itoa(i)
-		res := c.Lookup(path, c.RandomMDS())
+		res := c.LookupWith(rng, path, -1)
 		if !res.Found || res.Home != c.HomeOf(path) {
 			t.Fatalf("after churn, lookup of %s = %+v (truth %d)", path, res, c.HomeOf(path))
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 
@@ -232,12 +233,16 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 		return nil, err
 	}
 
+	// One equally seeded RNG per scheme, so both home every update on the
+	// same server.
+	ghbaRNG := rand.New(rand.NewSource(cfg.Seed))
+	hbaRNG := rand.New(rand.NewSource(cfg.Seed))
 	var ghbaSum, hbaSum time.Duration
 	for i := 0; i < cfg.Updates; i++ {
 		path := fmt.Sprintf("/updates/batch%d", i)
 		create := trace.Record{Op: trace.OpCreate, Path: path}
-		ghbaSum += ghbaCluster.PushUpdate(ghbaCluster.Apply(create).Home)
-		hbaSum += hbaCluster.PushUpdate(hbaCluster.Apply(create).Home)
+		ghbaSum += ghbaCluster.PushUpdate(ghbaCluster.ApplyWith(ghbaRNG, create).Home)
+		hbaSum += hbaCluster.PushUpdate(hbaCluster.ApplyWith(hbaRNG, create).Home)
 	}
 	n := time.Duration(cfg.Updates)
 	return []Fig12Row{

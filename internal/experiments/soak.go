@@ -103,15 +103,10 @@ type SoakResult struct {
 	// ChaosErrors records chaos-schedule failures (a failover the detector
 	// never ran, a restart that errored). Empty on a healthy run.
 	ChaosErrors []string
-	// PathsSwept is the verification universe: every initial path plus
-	// every path the workload dispatched. For each, ground truth and a
-	// live lookup must agree.
-	PathsSwept int
-	// Lost counts paths ground truth homes somewhere but lookup missed;
-	// WrongHome paths lookup found at the wrong daemon; Phantom paths
-	// lookup found that ground truth says are gone; SweepErrors lookups
-	// that failed outright. All must be zero.
-	Lost, WrongHome, Phantom, SweepErrors int
+	// Sweep is the verification sweep over every initial path plus every
+	// path the workload dispatched: ground truth and a live lookup must
+	// agree on each (Sweep.Clean).
+	Sweep SweepStats
 	// Invariants is ghba.Prototype.CheckInvariants after the sweep: layout,
 	// replicas and namespace, checked on the daemons. Must be nil.
 	Invariants error
@@ -124,7 +119,7 @@ func (r SoakResult) Clean() bool {
 	return r.Failovers == uint64(r.Kills) &&
 		len(r.Restarts) == r.Kills &&
 		len(r.ChaosErrors) == 0 &&
-		r.Lost == 0 && r.WrongHome == 0 && r.Phantom == 0 && r.SweepErrors == 0 &&
+		r.Sweep.Clean() &&
 		r.Invariants == nil
 }
 
@@ -260,8 +255,8 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	}
 
 	// Verification sweep: ground truth versus a live lookup for every path
-	// the run ever named. Fixed entry RNG, sorted order — reruns of a seed
-	// ask the same questions in the same order.
+	// the run ever named. A fixed seed and sorted order, so reruns of a
+	// seed ask the same questions of the same lanes.
 	universe := make(map[string]struct{}, len(initial)+cfg.Ops)
 	for _, p := range initial {
 		universe[p] = struct{}{}
@@ -276,24 +271,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	res.PathsSwept = len(paths)
-	sweepRNG := rand.New(rand.NewSource(trace.DispatchSeed(cfg.Seed, 1<<21)))
-	for _, p := range paths {
-		want := tcp.HomeOf(p)
-		got, err := tcp.LookupWith(context.Background(), sweepRNG, p)
-		if err != nil {
-			res.SweepErrors++
-			continue
-		}
-		switch {
-		case want >= 0 && !got.Found:
-			res.Lost++
-		case want >= 0 && got.Home != want:
-			res.WrongHome++
-		case want < 0 && got.Found:
-			res.Phantom++
-		}
-	}
+	res.Sweep = Sweep(context.Background(), tcp, paths, trace.DispatchSeed(cfg.Seed, 1<<21), cfg.Workers)
 	res.Invariants = tcp.CheckInvariants()
 	return res, nil
 }
@@ -315,7 +293,7 @@ func FormatSoak(r SoakResult) string {
 		fmt.Fprintf(&b, "  CHAOS ERROR    %s\n", e)
 	}
 	fmt.Fprintf(&b, "  sweep          %d paths: %d lost, %d wrong-home, %d phantom, %d errors\n",
-		r.PathsSwept, r.Lost, r.WrongHome, r.Phantom, r.SweepErrors)
+		r.Sweep.Paths, r.Sweep.Lost, r.Sweep.WrongHome, r.Sweep.Phantom, r.Sweep.Errors)
 	if r.Invariants != nil {
 		fmt.Fprintf(&b, "  INVARIANTS     %v\n", r.Invariants)
 	}

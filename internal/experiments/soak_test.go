@@ -43,8 +43,8 @@ func TestSoakKillRestart(t *testing.T) {
 			t.Errorf("MDS %d reclaimed %d files from an empty recovery", rep.ID, rep.FilesReclaimed)
 		}
 	}
-	if res.PathsSwept < res.Config.Files {
-		t.Errorf("sweep covered %d paths, want at least the %d initial", res.PathsSwept, res.Config.Files)
+	if res.Sweep.Paths < res.Config.Files {
+		t.Errorf("sweep covered %d paths, want at least the %d initial", res.Sweep.Paths, res.Config.Files)
 	}
 	if !strings.Contains(report, "CLEAN") {
 		t.Errorf("report missing verdict:\n%s", report)

@@ -58,7 +58,10 @@ type Layout struct {
 // fewest. n and m must be at least 1.
 func NewLayout(n, m int) Layout {
 	l := Layout{m: m}
-	numGroups := (n + m - 1) / m
+	numGroups := n / m // ⌈n/m⌉ without n+m−1, which overflows for m near MaxInt
+	if n%m != 0 {
+		numGroups++
+	}
 	next := 0
 	for ; l.nextID < numGroups; l.nextID++ {
 		size := n / numGroups

@@ -3,6 +3,7 @@ package mds
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -70,18 +71,11 @@ func (f *Fleet) IDs() []int { return f.ids }
 // Layout returns the group layout, an immutable value.
 func (f *Fleet) Layout() group.Layout { return f.layout }
 
-// Intner is the single draw Draw needs from a randomness source.
-// *rand.Rand satisfies it; an engine's own shared RNG is adapted behind a
-// lock.
-type Intner interface {
-	Intn(n int) int
-}
-
 // Draw returns a uniformly drawn server ID: one r.Intn over the sorted IDs.
 // It is the one draw both engines make for an entry point or a new file's
 // home, so a simulation and a prototype driven by equally seeded RNGs pick the
 // same server at every step.
-func (f *Fleet) Draw(r Intner) int { return f.ids[r.Intn(len(f.ids))] }
+func (f *Fleet) Draw(r *rand.Rand) int { return f.ids[r.Intn(len(f.ids))] }
 
 // Node returns server id's node, or nil when id is not a member.
 func (f *Fleet) Node(id int) *Node { return f.nodes[id] }

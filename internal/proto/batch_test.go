@@ -155,8 +155,6 @@ func TestLongPathIsRefused(t *testing.T) {
 		_, err := c.ApplyWith(ctx, rand.New(rand.NewSource(1)), trace.Record{Op: op, Path: long})
 		refused("ApplyWith", err)
 	}
-	_, err = c.Lookup(ctx, long)
-	refused("Lookup", err)
 	_, err = c.LookupWith(ctx, rand.New(rand.NewSource(1)), long)
 	refused("LookupWith", err)
 	_, err = c.lookupVia(ctx, long, c.MDSIDs()[0])

@@ -178,10 +178,9 @@ type Cluster struct {
 
 	conns *connSet
 
-	// rng drives the serial Lookup/Apply paths' entry and placement draws;
-	// parallel workers carry their own seeded RNGs and never touch it.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// rng draws Populate's placements, under the exclusive mu; lookups and
+	// mutations draw from the caller's RNG and never touch it.
+	rng *rand.Rand
 
 	// pendingObs accumulates confirmed (path → home) mappings; every
 	// obsBatch lookups the batch is multicast to all daemons, refreshing
@@ -502,9 +501,9 @@ func (c *Cluster) Heartbeat(ctx context.Context, id int) (HeartbeatInfo, error) 
 // Populate homes paths at random daemons (in process, unmeasured) and
 // refreshes replicas — the bulk-load path behind the Backend's CreateAll. It
 // is an exclusive writer against the coordinator's membership, and draws each
-// home from the RNG under rngMu alone, as a serial Apply does; note
-// that a lookup which snapshotted membership before the lock was taken may
-// still have RPCs in flight while daemon stores update — each node
+// home from the coordinator's own RNG, which only it touches; note that a
+// lookup which snapshotted membership before the lock was taken may still
+// have RPCs in flight while daemon stores update — each node
 // synchronizes its own store and filters, so such a lookup sees each file
 // either before or after its insert, never a torn one. A path the wire cannot
 // frame refuses the whole load before anything is homed. Otherwise the error
@@ -519,9 +518,7 @@ func (c *Cluster) Populate(paths []string) error {
 	defer c.mu.Unlock()
 	f := c.fleet.Load()
 	for _, p := range paths {
-		c.rngMu.Lock()
 		home := f.Draw(c.rng)
-		c.rngMu.Unlock()
 		// A path the namespace already holds keeps its home (the draw is
 		// spent either way), as in core.Populate; so does one a mutation
 		// round holds in flight, which settles it.
@@ -567,19 +564,11 @@ func (c *Cluster) HomeOf(path string) int {
 // ServerTime stays zero.
 type LookupResult = trace.Result
 
-// Lookup resolves path through real RPCs, starting at a random entry MDS
-// drawn from the cluster's own RNG. Safe for concurrent use, though
-// concurrent callers contend on that RNG — parallel drivers should prefer
-// LookupWith with per-worker RNGs.
-func (c *Cluster) Lookup(ctx context.Context, path string) (LookupResult, error) {
-	return c.applyRecord(ctx, lockedRand{c}, trace.Record{Op: trace.OpStat, Path: path})
-}
-
 // LookupWith resolves path with the entry MDS drawn from the caller's RNG,
 // the prototype's reproducible-concurrency hook: each worker owns an RNG,
 // so runs are deterministic for a fixed (seed, paths, workers) triple.
 func (c *Cluster) LookupWith(ctx context.Context, rng *rand.Rand, path string) (LookupResult, error) {
-	return c.applyRecord(ctx, rng, trace.Record{Op: trace.OpStat, Path: path})
+	return c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpStat, Path: path})
 }
 
 // lookupVia resolves path with the given entry MDS: the vector walk over a

@@ -67,9 +67,10 @@ func TestParallelLookupsDuringAddMDSChurn(t *testing.T) {
 		t.Errorf("NumMDS after churn = %d, want 9", n)
 	}
 	// The grown cluster still resolves everything.
+	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 300; i += 17 {
 		path := "/p/f" + strconv.Itoa(i)
-		res, err := c.Lookup(context.Background(), path)
+		res, err := c.LookupWith(context.Background(), rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}

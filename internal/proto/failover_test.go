@@ -26,11 +26,12 @@ func durableOptions(t *testing.T, n, m int) Options {
 
 // createFiles homes count files over the RPC (WAL-logged) path.
 func createFiles(t *testing.T, c *Cluster, count int) []string {
+	rng := rand.New(rand.NewSource(42))
 	t.Helper()
 	paths := make([]string, count)
 	for i := range paths {
 		paths[i] = "/wal/f" + strconv.Itoa(i)
-		if _, err := createFile(context.Background(), c, paths[i]); err != nil {
+		if _, err := createFile(context.Background(), c, rng, paths[i]); err != nil {
 			t.Fatalf("create %s: %v", paths[i], err)
 		}
 	}
@@ -40,10 +41,11 @@ func createFiles(t *testing.T, c *Cluster, count int) []string {
 // verifySweep looks up every path and fails on any wrong-home or lost-file
 // answer against the coordinator's ground truth.
 func verifySweep(t *testing.T, c *Cluster, paths []string) {
+	rng := rand.New(rand.NewSource(42))
 	t.Helper()
 	for _, p := range paths {
 		want := c.HomeOf(p)
-		res, err := c.Lookup(context.Background(), p)
+		res, err := c.LookupWith(context.Background(), rng, p)
 		if err != nil {
 			t.Fatalf("lookup %s: %v", p, err)
 		}
@@ -310,6 +312,7 @@ func TestRestartAfterFailoverReclaimsFiles(t *testing.T) {
 }
 
 func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c, err := Start(durableOptions(t, 3, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +333,7 @@ func TestRestartConflictsDropRecoveredCopy(t *testing.T) {
 	recreated := 0
 	for _, p := range paths {
 		if c.HomeOf(p) < 0 {
-			if _, err := createFile(context.Background(), c, p); err != nil {
+			if _, err := createFile(context.Background(), c, rng, p); err != nil {
 				t.Fatal(err)
 			}
 			recreated++
@@ -384,6 +387,7 @@ func crashOnNextMutation(c *Cluster, id int, mutate func(inner caller, send func
 // restart but delivered to the recovered daemon after its reconcile is
 // refused there, since the reconcile already settled the path.
 func TestMutationAcrossRecoveryLeavesNoPhantom(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	restart := func(t *testing.T, c *Cluster, id int) {
 		if err := c.KillMDS(id); err != nil {
@@ -468,7 +472,7 @@ func TestMutationAcrossRecoveryLeavesNoPhantom(t *testing.T) {
 			}
 			return nil, errors.New("connection reset after the daemon applied")
 		})
-		if _, err := c.Apply(ctx, trace.Record{Op: trace.OpDelete, Path: path}); err == nil {
+		if _, err := c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpDelete, Path: path}); err == nil {
 			t.Fatal("a delete whose reply was lost reported success")
 		}
 		if got := c.HomeOf(path); got != -1 {
@@ -559,6 +563,7 @@ func TestHealthString(t *testing.T) {
 // cross SnapshotEvery and checks the heartbeat's WAL counter resets —
 // compaction happened inside the request path.
 func TestWALSnapshotCadence(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	opts := durableOptions(t, 1, 1)
 	opts.SnapshotEvery = 25
 	c, err := Start(opts)
@@ -568,7 +573,7 @@ func TestWALSnapshotCadence(t *testing.T) {
 	t.Cleanup(c.Close)
 	maxSeen := uint64(0)
 	for i := 0; i < 120; i++ {
-		if _, err := createFile(context.Background(), c, "/cadence/"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(context.Background(), c, rng, "/cadence/"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 		info, err := c.Heartbeat(context.Background(), 0)
@@ -611,10 +616,11 @@ func TestReplicaDriftStaysBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
+			rng := rand.New(rand.NewSource(42))
 			var worst uint64
 			create := func(from, to int) {
 				for i := from; i < to; i++ {
-					if _, err := createFile(ctx, c, "/drift/f"+strconv.Itoa(i)); err != nil {
+					if _, err := createFile(ctx, c, rng, "/drift/f"+strconv.Itoa(i)); err != nil {
 						t.Fatal(err)
 					}
 					// One worker, synchronous ships: the daemons are idle.

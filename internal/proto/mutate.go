@@ -6,51 +6,28 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
 
-// lockedRand draws from the cluster's internal RNG under rngMu: the serial
-// API's mds.Intner, usable next to parallel workers (Populate, which holds
-// c.mu, locks rngMu itself so the lock graph sees the order). The draw
-// pattern mirrors core's exactly — one mds.Fleet.Draw per create or lookup,
-// none per delete — so a simulation and a prototype replaying the same trace
-// with equally seeded RNGs place every file on the same home MDS.
-type lockedRand struct{ c *Cluster }
-
-func (l lockedRand) Intn(n int) int {
-	l.c.rngMu.Lock()
-	v := l.c.rng.Intn(n)
-	l.c.rngMu.Unlock()
-	return v
-}
-
-// Apply dispatches one trace record against the prototype: mutations create
-// or delete files over RPC, reads perform lookups. Entry points and home
-// placements are drawn from the cluster's internal RNG. A path longer than
-// the wire's 65,535-byte limit is refused before the draw.
-func (c *Cluster) Apply(ctx context.Context, rec trace.Record) (LookupResult, error) {
-	return c.applyRecord(ctx, lockedRand{c}, rec)
-}
-
-// ApplyWith is Apply with a caller-supplied RNG: parallel replay workers
-// give each goroutine its own seeded RNG so record dispatch shares no
-// mutable randomness, and a single-worker run is bit-for-bit the serial
-// engine driven by that RNG.
+// ApplyWith dispatches one trace record against the prototype: mutations
+// create or delete files over RPC, reads perform lookups. Entry points and
+// home placements are drawn from the caller's RNG with the draw pattern of
+// core's — one mds.Fleet.Draw per create or lookup, none per delete — so a
+// simulation and a prototype replaying the same trace with equally seeded
+// RNGs place every file on the same home MDS, and a single-worker run is
+// bit-for-bit the serial engine driven by that RNG. A path longer than the
+// wire's 65,535-byte limit is refused before the draw.
+//
+// It is a window of one: the same single draw ApplyBatch makes per record,
+// then a mutation round over the one record — walking it if it turned out to
+// be an open — or the walk over a vector of one.
 func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Record) (LookupResult, error) {
-	return c.applyRecord(ctx, rng, rec)
-}
-
-// applyRecord is a window of one: the same single draw ApplyBatch makes per
-// record, then a mutation round over the one record — walking it if it
-// turned out to be an open — or the walk over a vector of one.
-func (c *Cluster) applyRecord(ctx context.Context, r mds.Intner, rec trace.Record) (LookupResult, error) {
 	if err := checkPaths(rec.Path); err != nil {
 		return LookupResult{}, err
 	}
 	draw := 0
 	if rec.Op != trace.OpDelete {
-		draw = c.fleet.Load().Draw(r)
+		draw = c.fleet.Load().Draw(rng)
 	}
 	if isMutation(rec.Op) {
 		out := make([]LookupResult, 1)

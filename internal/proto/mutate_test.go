@@ -14,13 +14,14 @@ import (
 // creates home files at daemons over RPC, lookups find them, deletes unlink
 // them, and ground truth stays consistent throughout.
 func TestCreateDeleteOverRealSockets(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	c := startPopulated(t, 6, 3, 100)
 
 	created := make(map[string]int)
 	for i := 0; i < 60; i++ {
 		path := "/new/f" + strconv.Itoa(i)
-		home, err := createFile(ctx, c, path)
+		home, err := createFile(ctx, c, rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +34,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 		t.Fatalf("FileCount = %d, want %d", got, want)
 	}
 	for path, home := range created {
-		res, err := c.Lookup(ctx, path)
+		res, err := c.LookupWith(ctx, rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +43,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 		}
 	}
 	for path := range created {
-		existed, err := deleteFile(ctx, c, path)
+		existed, err := deleteFile(ctx, c, rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,12 +51,12 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 			t.Fatalf("delete of %s reported missing", path)
 		}
 	}
-	if existed, err := deleteFile(ctx, c, "/new/f0"); err != nil || existed {
+	if existed, err := deleteFile(ctx, c, rng, "/new/f0"); err != nil || existed {
 		t.Fatalf("double delete = (%v, %v)", existed, err)
 	}
 	// Deleted files are authoritatively gone even though the home's filter
 	// is stale until rebuild.
-	res, err := c.Lookup(ctx, "/new/f1")
+	res, err := c.LookupWith(ctx, rng, "/new/f1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,7 @@ func TestCreateDeleteOverRealSockets(t *testing.T) {
 // threshold and ship replica installs over the wire, and the shipped
 // replicas then serve the new files at L2/L3 from other groups' entries.
 func TestCreateShipsReplicaUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	opts := testOptions(6, 3)
 	opts.ShipBatch = 1
@@ -81,7 +83,7 @@ func TestCreateShipsReplicaUpdates(t *testing.T) {
 	// ~17 bits set per create at 16 bits/file sizing crosses the 64-bit
 	// default threshold within a handful of creates per daemon.
 	for i := 0; i < 120; i++ {
-		if _, err := createFile(ctx, c, "/ship/f"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(ctx, c, rng, "/ship/f"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,6 +99,7 @@ func TestCreateShipsReplicaUpdates(t *testing.T) {
 // with a large batch, crossings accumulate without shipping until Flush
 // drains them.
 func TestShipBatchCoalesces(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	opts := testOptions(6, 3)
 	opts.ShipBatch = 1 << 20
@@ -107,7 +110,7 @@ func TestShipBatchCoalesces(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	for i := 0; i < 120; i++ {
-		if _, err := createFile(ctx, c, "/coal/f"+strconv.Itoa(i)); err != nil {
+		if _, err := createFile(ctx, c, rng, "/coal/f"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,6 +243,7 @@ func TestConcurrentMutationsAndLookups(t *testing.T) {
 // bulk-loading a path twice leaves it where it was — every path stays in its
 // original home's store and in no other daemon's.
 func TestRecreateKeepsOriginalHome(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	c := startPopulated(t, 6, 3, 200)
 	homes := make(map[string]int)
@@ -253,7 +257,7 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		path := "/p/f" + strconv.Itoa(i)
-		res, err := c.Apply(ctx, trace.Record{Op: trace.OpCreate, Path: path})
+		res, err := c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpCreate, Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +270,7 @@ func TestRecreateKeepsOriginalHome(t *testing.T) {
 		if got := c.HomeOf(path); got != home {
 			t.Fatalf("%s moved from MDS %d to %d", path, home, got)
 		}
-		if res, err := c.Lookup(ctx, path); err != nil || !res.Found || res.Home != home {
+		if res, err := c.LookupWith(ctx, rng, path); err != nil || !res.Found || res.Home != home {
 			t.Fatalf("lookup of %s = (%+v, %v), want home %d", path, res, err, home)
 		}
 		for id, ns := range c.servers {

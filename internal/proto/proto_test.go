@@ -3,6 +3,7 @@ package proto
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -47,15 +48,16 @@ func startPopulated(t *testing.T, n, m, files int) *Cluster {
 }
 
 // createFile and deleteFile issue one create or delete the way every driver
-// does — through Apply — and unpack the result the tests assert on: the
-// create's home, whether the deleted path existed.
-func createFile(ctx context.Context, c *Cluster, path string) (int, error) {
-	res, err := c.Apply(ctx, trace.Record{Op: trace.OpCreate, Path: path})
+// does — through ApplyWith, drawing from the caller's RNG — and unpack the
+// result the tests assert on: the create's home, whether the deleted path
+// existed.
+func createFile(ctx context.Context, c *Cluster, rng *rand.Rand, path string) (int, error) {
+	res, err := c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpCreate, Path: path})
 	return res.Home, err
 }
 
-func deleteFile(ctx context.Context, c *Cluster, path string) (bool, error) {
-	res, err := c.Apply(ctx, trace.Record{Op: trace.OpDelete, Path: path})
+func deleteFile(ctx context.Context, c *Cluster, rng *rand.Rand, path string) (bool, error) {
+	res, err := c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpDelete, Path: path})
 	return res.Found, err
 }
 
@@ -93,10 +95,11 @@ func TestStartValidation(t *testing.T) {
 }
 
 func TestGHBALookupOverRealSockets(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := startPopulated(t, 6, 3, 200)
 	for i := 0; i < 100; i++ {
 		path := "/p/f" + strconv.Itoa(i)
-		res, err := c.Lookup(context.Background(), path)
+		res, err := c.LookupWith(context.Background(), rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,10 +113,11 @@ func TestGHBALookupOverRealSockets(t *testing.T) {
 }
 
 func TestHBALookupOverRealSockets(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := startPopulated(t, 6, 1, 200)
 	for i := 0; i < 100; i++ {
 		path := "/p/f" + strconv.Itoa(i)
-		res, err := c.Lookup(context.Background(), path)
+		res, err := c.LookupWith(context.Background(), rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,9 +128,10 @@ func TestHBALookupOverRealSockets(t *testing.T) {
 }
 
 func TestLookupMissingFile(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	for _, m := range []int{2, 1} {
 		c := startPopulated(t, 4, m, 50)
-		res, err := c.Lookup(context.Background(), "/ghost")
+		res, err := c.LookupWith(context.Background(), rng, "/ghost")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,13 +246,14 @@ func TestAddMDSJoinThenLookup(t *testing.T) {
 }
 
 func TestAddMDSSplitThenLookup(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := startPopulated(t, 4, 2, 150)
 	if _, _, err := c.AddMDS(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 150; i += 11 {
 		path := "/p/f" + strconv.Itoa(i)
-		res, err := c.Lookup(context.Background(), path)
+		res, err := c.LookupWith(context.Background(), rng, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,6 +313,8 @@ func TestAddMDSSeriesIsSeedStable(t *testing.T) {
 // pressure emulation: HBA daemons holding more replicas than fit in RAM
 // serve queries measurably slower than unconstrained ones.
 func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
+	// Equally seeded, so both clusters enter every lookup at the same daemon.
+	fastRNG, slowRNG := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 	fast := startPopulated(t, 6, 1, 100)
 	slowOpts := testOptions(6, 1)
 	slowOpts.ResidentReplicaLimit = 1
@@ -325,11 +333,11 @@ func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
 	var fastTotal, slowTotal time.Duration
 	for i := 0; i < 30; i++ {
 		path := "/p/f" + strconv.Itoa(i)
-		rf, err := fast.Lookup(context.Background(), path)
+		rf, err := fast.LookupWith(context.Background(), fastRNG, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := slow.Lookup(context.Background(), path)
+		rs, err := slow.LookupWith(context.Background(), slowRNG, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,8 +350,9 @@ func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
 }
 
 func TestMessagesCounterAndReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	c := startPopulated(t, 4, 2, 50)
-	if _, err := c.Lookup(context.Background(), "/p/f1"); err != nil {
+	if _, err := c.LookupWith(context.Background(), rng, "/p/f1"); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.RPCCounts()) == 0 {

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BaseStats carries the per-trace statistics published in the paper at
 // TIF=1 (derived by dividing the Table 3/4 values by their TIF). Fields that
@@ -132,11 +135,13 @@ func Profiles() []Profile {
 // non-mutating operations traverse the same query hierarchy); locality
 // parameters match the HP profile so L1 behaviour stays comparable.
 func MixProfile(lookup, create, del float64) (Profile, error) {
-	if lookup < 0 || create < 0 || del < 0 {
-		return Profile{}, fmt.Errorf("trace: negative mix weight %v:%v:%v", lookup, create, del)
-	}
+	// A NaN weight, or one whose sum is infinite, would normalize to NaN or
+	// zero shares, and the op draw would fall through to an all-lookup mix.
 	total := lookup + create + del
-	if total <= 0 {
+	if !(lookup >= 0 && create >= 0 && del >= 0) || math.IsInf(total, 0) {
+		return Profile{}, fmt.Errorf("trace: mix weights %v:%v:%v must be finite and ≥ 0", lookup, create, del)
+	}
+	if total == 0 {
 		return Profile{}, fmt.Errorf("trace: empty mix")
 	}
 	return Profile{

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -118,6 +119,21 @@ func TestMixProfileWeights(t *testing.T) {
 	}
 	if _, err := MixProfile(-1, 1, 1); err == nil {
 		t.Error("negative mix accepted")
+	}
+	// Non-finite weights, or finite ones summing past MaxFloat64, used to
+	// normalize to NaN or zero shares and replay as all lookups.
+	for _, w := range [][3]float64{
+		{math.NaN(), 1, 1},
+		{1, math.NaN(), 1},
+		{1, 1, math.NaN()},
+		{math.Inf(1), 0, 0},
+		{0, math.Inf(1), 0},
+		{math.Inf(-1), 1, 1},
+		{math.MaxFloat64, math.MaxFloat64, 0},
+	} {
+		if p, err := MixProfile(w[0], w[1], w[2]); err == nil {
+			t.Errorf("MixProfile(%v) accepted, weights %v", w, p.weights)
+		}
 	}
 	if !strings.Contains(p.Name, "MIX") {
 		t.Errorf("profile name %q", p.Name)

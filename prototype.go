@@ -128,28 +128,18 @@ func (p *Prototype) CheckInvariants() error { return p.cluster.CheckInvariants()
 // need its extra observability (RPC message counters, reset hooks).
 func (p *Prototype) Cluster() *proto.Cluster { return p.cluster }
 
-// Lookup resolves path over real RPCs, entering at a daemon drawn from the
-// cluster's internal RNG.
-func (p *Prototype) Lookup(ctx context.Context, path string) (Result, error) {
-	return p.cluster.Lookup(ctx, path)
-}
-
-// LookupWith is Lookup with the entry drawn from the caller's RNG.
+// LookupWith resolves path over real RPCs, entering at a daemon drawn from
+// the caller's RNG.
 func (p *Prototype) LookupWith(ctx context.Context, rng *rand.Rand, path string) (Result, error) {
 	return p.cluster.LookupWith(ctx, rng, path)
 }
 
-// Apply dispatches one mixed-workload operation over the wire: creates home
-// files at RNG-chosen daemons (shipping XOR-delta replica updates when the
-// home's filter crosses the threshold), deletes unlink, lookups walk the
-// hierarchy.
-func (p *Prototype) Apply(ctx context.Context, op Op) (Result, error) {
-	return p.cluster.Apply(ctx, op.Record())
-}
-
-// ApplyWith is Apply with a caller-supplied RNG. The draw pattern matches
-// the simulation's exactly, so a fixed-seed trace replays onto identical
-// homes on either backend.
+// ApplyWith dispatches one mixed-workload operation over the wire with the
+// caller's RNG: creates home files at drawn daemons (shipping XOR-delta
+// replica updates when the home's filter crosses the threshold), deletes
+// unlink, lookups walk the hierarchy. The draw pattern matches the
+// simulation's exactly, so a fixed-seed trace replays onto identical homes
+// on either backend.
 func (p *Prototype) ApplyWith(ctx context.Context, rng *rand.Rand, op Op) (Result, error) {
 	return p.cluster.ApplyWith(ctx, rng, op.Record())
 }

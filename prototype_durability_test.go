@@ -3,6 +3,7 @@ package ghba
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -37,12 +38,13 @@ func startDurablePrototype(t *testing.T, n int) *Prototype {
 // killed daemon refuses RPCs, RestartMDS recovers its files from the WAL in
 // place, and every path still resolves to its ground-truth home.
 func TestPrototypeKillRestart(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	p := startDurablePrototype(t, 4)
 	ctx := context.Background()
 	paths := make([]string, 120)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/dur/f%d", i)
-		if _, err := p.Apply(ctx, Op{Kind: OpCreate, Path: paths[i]}); err != nil {
+		if _, err := p.ApplyWith(ctx, rng, Op{Kind: OpCreate, Path: paths[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +63,7 @@ func TestPrototypeKillRestart(t *testing.T) {
 		t.Errorf("in-process kill lost %d tail files; the page cache should survive", rep.TailLost)
 	}
 	for _, path := range paths {
-		res, err := p.Lookup(ctx, path)
+		res, err := p.LookupWith(ctx, rng, path)
 		if err != nil {
 			t.Fatalf("lookup %s after restart: %v", path, err)
 		}
@@ -89,10 +91,11 @@ func TestPrototypeKillRestart(t *testing.T) {
 // honours: FailMDS removes a daemon, reports the files lost, and shrinks
 // membership.
 func TestPrototypeFailMDS(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	p := startDurablePrototype(t, 3)
 	ctx := context.Background()
 	for i := 0; i < 90; i++ {
-		if _, err := p.Apply(ctx, Op{Kind: OpCreate, Path: fmt.Sprintf("/fail/f%d", i)}); err != nil {
+		if _, err := p.ApplyWith(ctx, rng, Op{Kind: OpCreate, Path: fmt.Sprintf("/fail/f%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,6 +153,7 @@ func TestPrototypeDetectorSurface(t *testing.T) {
 // daemons must still get their snapshots, the load must be served, and Close
 // must still work.
 func TestCreateAllReportsSnapshotFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	dir := t.TempDir()
 	p, err := StartPrototype(PrototypeConfig{
 		Config:  Config{NumMDS: 3, MaxGroupSize: 2, ExpectedFilesPerMDS: 1_000, Seed: 7},
@@ -189,7 +193,7 @@ func TestCreateAllReportsSnapshotFailure(t *testing.T) {
 	if p.FileCount() != len(paths) {
 		t.Errorf("FileCount = %d, want %d", p.FileCount(), len(paths))
 	}
-	if res, err := p.Lookup(context.Background(), paths[0]); err != nil || !res.Found {
+	if res, err := p.LookupWith(context.Background(), rng, paths[0]); err != nil || !res.Found {
 		t.Errorf("lookup after the failed snapshot: %+v, %v", res, err)
 	}
 	if err := p.Close(); err != nil {
