@@ -171,3 +171,19 @@ func TestRejectsBadWALSync(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesIDBeyondUint32 pins exit status 1 for an MDS ID that snapshots
+// and heartbeats cannot carry, with or without -data: such a daemon would
+// write a snapshot its own restart refuses, so it never serves.
+func TestRefusesIDBeyondUint32(t *testing.T) {
+	for _, args := range [][]string{
+		{"-id", "-1"},
+		{"-id", "-1", "-data", t.TempDir()},
+		{"-id", "4294967296", "-data", t.TempDir()},
+	} {
+		code, out := runToExit(t, args...)
+		if code != 1 || strings.Contains(out, "serving") {
+			t.Errorf("%v: exit %d, want 1 and no \"serving\":\n%s", args, code, out)
+		}
+	}
+}

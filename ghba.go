@@ -104,20 +104,12 @@ func (c Config) validate() error {
 		// A budget below one replica's footprint cannot hold even the
 		// server's own filter: every array probe would spill, which is
 		// never what a caller wants from a "budget".
-		files := c.ExpectedFilesPerMDS
-		if files == 0 {
-			files = defaultFilesPerMDS
-		}
-		bits := c.BitsPerFile
-		if bits == 0 {
-			bits = defaultBitsPerFile
-		}
-		filterBytes := uint64(float64(files)*bits+7) / 8
+		filterBytes := uint64(float64(nc.ExpectedFiles)*nc.BitsPerFile+7) / 8
 		if c.MemoryBudgetBytes < filterBytes {
 			return &ConfigError{
 				Field: "MemoryBudgetBytes",
 				Reason: fmt.Sprintf("%d bytes cannot hold one %d-byte filter (ExpectedFilesPerMDS=%d × BitsPerFile=%g)",
-					c.MemoryBudgetBytes, filterBytes, files, bits),
+					c.MemoryBudgetBytes, filterBytes, nc.ExpectedFiles, nc.BitsPerFile),
 			}
 		}
 	}

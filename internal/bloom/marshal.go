@@ -4,6 +4,8 @@ import (
 	"encoding"
 	"encoding/binary"
 	"fmt"
+
+	"ghba/internal/wire"
 )
 
 // Binary wire format shared by the simulator checkpoints and the prototype
@@ -58,23 +60,6 @@ func putHeader(buf []byte, magic uint16, m uint64, k uint32, n uint64) {
 	binary.BigEndian.PutUint64(buf[14:22], n)
 }
 
-func parseHeader(data []byte) (magic uint16, m uint64, k uint32, n uint64, err error) {
-	if len(data) < headerLen {
-		return 0, 0, 0, 0, fmt.Errorf("bloom: truncated header: %d bytes", len(data))
-	}
-	magic = binary.BigEndian.Uint16(data[0:2])
-	m = binary.BigEndian.Uint64(data[2:10])
-	k = binary.BigEndian.Uint32(data[10:14])
-	n = binary.BigEndian.Uint64(data[14:22])
-	if m == 0 || k == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
-	}
-	if m > maxWireM || k > maxWireK {
-		return 0, 0, 0, 0, fmt.Errorf("%w: implausible wire geometry m=%d k=%d", ErrInvalidGeometry, m, k)
-	}
-	return magic, m, k, n, nil
-}
-
 // MarshalBinary encodes the filter in the wire format above.
 func (f *Filter) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, headerLen+len(f.words)*8)
@@ -89,9 +74,15 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 // accepting both the classic and the blocked magic and restoring the
 // corresponding layout.
 func (f *Filter) UnmarshalBinary(data []byte) error {
-	magic, m, k, n, err := parseHeader(data)
-	if err != nil {
-		return err
+	r := wire.NewReader(data)
+	magic, m, k, n := r.U16(), r.U64(), r.U32(), r.U64()
+	switch {
+	case r.Failed():
+		return fmt.Errorf("bloom: truncated header: %d bytes", len(data))
+	case m == 0 || k == 0:
+		return fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
+	case m > maxWireM || k > maxWireK:
+		return fmt.Errorf("%w: implausible wire geometry m=%d k=%d", ErrInvalidGeometry, m, k)
 	}
 	var layout Layout
 	switch magic {
@@ -105,15 +96,16 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	default:
 		return fmt.Errorf("bloom: bad magic 0x%04x (want 0x%04x or 0x%04x)", magic, magicFilter, magicBlockedFilter)
 	}
-	// The word arithmetic stays in uint64: parseHeader capped m, so
-	// neither the rounding nor the byte count can overflow.
+	// With m capped, the body's byte count 8·⌈m/64⌉ ≤ 2^45 fits an int, and
+	// the body must be exactly that long before anything is allocated.
 	nw := int((m + wordBits - 1) / wordBits)
-	if uint64(len(data)-headerLen) != uint64(nw)*8 {
-		return fmt.Errorf("bloom: body length %d, want %d", len(data)-headerLen, nw*8)
+	body := wire.NewReader(r.Bytes(8 * nw))
+	if err := r.Done("filter body"); err != nil {
+		return fmt.Errorf("bloom: %w", err)
 	}
 	words := make([]uint64, nw)
 	for i := range words {
-		words[i] = binary.BigEndian.Uint64(data[headerLen+i*8:])
+		words[i] = body.U64()
 	}
 	f.m, f.k, f.layout, f.words = m, k, layout, words
 	f.setCount(n)

@@ -1,6 +1,8 @@
 package bloom
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -106,5 +108,64 @@ func TestUnmarshalRejectsZeroGeometryHeader(t *testing.T) {
 	var f Filter
 	if err := f.UnmarshalBinary(data); err == nil {
 		t.Error("zero-geometry header accepted")
+	}
+}
+
+// pinnedFilters are fixed filters of both layouts, each holding the same
+// 200 keys.
+func pinnedFilters(t *testing.T) map[Layout]*Filter {
+	t.Helper()
+	out := make(map[Layout]*Filter)
+	for _, layout := range []Layout{LayoutClassic, LayoutBlocked} {
+		f, err := NewForCapacityLayout(200, 10, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			f.AddString("/pin/" + strconv.Itoa(i))
+		}
+		out[layout] = f
+	}
+	return out
+}
+
+// TestMarshalFormatPinned pins MarshalBinary's bytes for both layouts:
+// snapshots on disk and replicas on the wire carry this format, so no
+// encoder or decoder change may move one of its bytes.
+func TestMarshalFormatPinned(t *testing.T) {
+	want := map[Layout]string{
+		LayoutClassic: "38918073e15d0571ebbcbdd5bb1403ba6a1bf854c6f65c82e0093f077de0b8f1",
+		LayoutBlocked: "42130cce43560d666f2798f5b206d1af9e458c2337fe82c8b28b7532400340f0",
+	}
+	for layout, f := range pinnedFilters(t) {
+		data, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[layout] {
+			t.Errorf("%v: pinned filter hashes to %s, want %s", layout, got, want[layout])
+		}
+	}
+}
+
+// TestUnmarshalOwnsItsBytes overwrites the input after decoding it: a
+// replica installed from an RPC body must not change when the daemon reuses
+// that body's buffer.
+func TestUnmarshalOwnsItsBytes(t *testing.T) {
+	for layout, f := range pinnedFilters(t) {
+		data, err := f.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g Filter
+		if err := g.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			data[i] = 0xa5
+		}
+		if !g.Equal(f) || g.Count() != f.Count() || g.Layout() != layout {
+			t.Errorf("%v: decoded filter changed with its input", layout)
+		}
 	}
 }

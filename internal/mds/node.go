@@ -13,6 +13,7 @@ package mds
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -112,8 +113,14 @@ type Node struct {
 	deletesSinceRebuild uint64
 }
 
-// NewNode creates a node with the given ID and sizing.
+// NewNode creates a node with the given ID and sizing. Snapshots and
+// heartbeats carry the ID as a uint32, so an ID outside [0, MaxUint32] is
+// refused: its snapshots would be refused by its own restart or loaded by
+// another MDS.
 func NewNode(id int, cfg Config) (*Node, error) {
+	if id < 0 || uint64(id) > math.MaxUint32 {
+		return nil, fmt.Errorf("mds: MDS id %d outside [0, %d]", id, uint32(math.MaxUint32))
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

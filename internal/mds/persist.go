@@ -9,6 +9,7 @@ import (
 	"ghba/internal/bloom"
 	"ghba/internal/metastore"
 	"ghba/internal/wal"
+	"ghba/internal/wire"
 )
 
 // Snapshot wire format: everything a daemon must retain across a restart.
@@ -76,8 +77,7 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 		if len(md.Path) > math.MaxUint16 {
 			return nil, fmt.Errorf("mds: path %d bytes exceeds snapshot limit", len(md.Path))
 		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(md.Path)))
-		buf = append(buf, md.Path...)
+		buf = wire.AppendString16(buf, md.Path)
 		buf = binary.BigEndian.AppendUint64(buf, md.Size)
 		buf = binary.BigEndian.AppendUint32(buf, md.Mode)
 		buf = binary.BigEndian.AppendUint32(buf, md.UID)
@@ -93,54 +93,49 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 // quiescent (freshly constructed, before serving). A snapshot whose filters
 // are not of the node's configured geometry is ErrBadSnapshot.
 func (n *Node) UnmarshalSnapshot(data []byte) error {
-	r := snapReader{data: data}
-	if r.u32() != snapshotMagic {
+	r := wire.NewReader(data)
+	if r.U32() != snapshotMagic {
 		return fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := r.u8(); v != snapshotVersion {
+	if v := r.U8(); v != snapshotVersion {
 		return fmt.Errorf("%w: unknown version %d", ErrBadSnapshot, v)
 	}
-	if id := int(r.u32()); id != n.id && !r.failed {
+	id := r.U32()
+	deletes := r.U64()
+	var local, shipped bloom.Filter
+	localErr := local.UnmarshalBinary(r.Bytes(int(r.U32())))
+	shippedErr := shipped.UnmarshalBinary(r.Bytes(int(r.U32())))
+	nextIno := r.U64()
+	files := make([]metastore.Metadata, r.Count(snapshotRecordMin))
+	for i := range files {
+		files[i] = metastore.Metadata{
+			Path:    r.String16(),
+			Size:    r.U64(),
+			Mode:    r.U32(),
+			UID:     r.U32(),
+			GID:     r.U32(),
+			MTime:   metastore.MTimeFromNanos(int64(r.U64())),
+			InodeID: r.U64(),
+		}
+	}
+	if err := r.Done("snapshot"); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	if int(id) != n.id {
 		return fmt.Errorf("%w: snapshot belongs to MDS %d, not %d", ErrBadSnapshot, id, n.id)
 	}
-	deletes := r.u64()
-
-	var local, shipped bloom.Filter
-	if err := local.UnmarshalBinary(r.bytes(int(r.u32()))); err != nil && !r.failed {
-		return fmt.Errorf("%w: local filter: %v", ErrBadSnapshot, err)
+	if localErr != nil {
+		return fmt.Errorf("%w: local filter: %v", ErrBadSnapshot, localErr)
 	}
-	if err := shipped.UnmarshalBinary(r.bytes(int(r.u32()))); err != nil && !r.failed {
-		return fmt.Errorf("%w: shipped filter: %v", ErrBadSnapshot, err)
+	if shippedErr != nil {
+		return fmt.Errorf("%w: shipped filter: %v", ErrBadSnapshot, shippedErr)
 	}
-
-	nextIno := r.u64()
-	count := r.u32()
-	// Refuse a count the remaining bytes cannot possibly carry before
-	// allocating for it.
-	if rest := len(r.data) - r.off; int(count) > rest/snapshotRecordMin {
-		return fmt.Errorf("%w: %d file records declared in %d bytes", ErrBadSnapshot, count, rest)
-	}
-	files := make([]metastore.Metadata, 0, count)
-	for i := uint32(0); i < count && !r.failed; i++ {
-		md := metastore.Metadata{Path: string(r.bytes(int(r.u16())))}
-		md.Size = r.u64()
-		md.Mode = r.u32()
-		md.UID = r.u32()
-		md.GID = r.u32()
-		md.MTime = metastore.MTimeFromNanos(int64(r.u64()))
-		md.InodeID = r.u64()
-		// The writer emits each path once, in ascending order; anything
-		// else is a forged or damaged blob, not a store to load.
-		if i > 0 && md.Path <= files[i-1].Path && !r.failed {
-			return fmt.Errorf("%w: record %d path %q does not follow %q", ErrBadSnapshot, i, md.Path, files[i-1].Path)
+	// The writer emits each path once, in ascending order; anything else is
+	// a forged or damaged blob, not a store to load.
+	for i := 1; i < len(files); i++ {
+		if files[i].Path <= files[i-1].Path {
+			return fmt.Errorf("%w: record %d path %q does not follow %q", ErrBadSnapshot, i, files[i].Path, files[i-1].Path)
 		}
-		files = append(files, md)
-	}
-	if r.failed {
-		return fmt.Errorf("%w: truncated at byte %d", ErrBadSnapshot, r.off)
-	}
-	if r.off != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(r.data)-r.off)
 	}
 
 	// A data dir written under another filter sizing decodes fine but cannot
@@ -163,56 +158,6 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 	n.deletesSinceRebuild = deletes
 	n.mu.Unlock()
 	return nil
-}
-
-// snapReader cursors over a snapshot blob; out-of-bounds reads set failed
-// and return zeros, so decode loops check one flag instead of every read.
-type snapReader struct {
-	data   []byte
-	off    int
-	failed bool
-}
-
-func (r *snapReader) bytes(n int) []byte {
-	if r.failed || n < 0 || len(r.data)-r.off < n {
-		r.failed = true
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *snapReader) u8() uint8 {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *snapReader) u16() uint16 {
-	b := r.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *snapReader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *snapReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
 }
 
 // RecoveryInfo summarizes what Recover reconstructed.

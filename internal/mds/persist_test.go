@@ -2,11 +2,14 @@ package mds
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -486,5 +489,95 @@ func TestRecoverMixedAppendPrefix(t *testing.T) {
 		if drift, err := got.LocalFilter().XorBits(want.LocalFilter()); err != nil || drift != 0 {
 			t.Errorf("cut at byte %d: local filter %d bits from the first %d records' (%v)", cut, drift, whole, err)
 		}
+	}
+}
+
+// pinnedNode builds the fixed node whose snapshot TestSnapshotFormatPinned
+// pins: every record field set, a delete and a ship behind it, a create
+// after the ship.
+func pinnedNode(t *testing.T) *Node {
+	t.Helper()
+	n, err := NewNode(3, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddFile("/full")
+	n.Store().Put(metastore.Metadata{Path: "/full", Size: 42, Mode: 0o755, UID: 7, GID: 8, MTime: time.Unix(100, 200)})
+	for i := 0; i < 20; i++ {
+		n.AddFile(fmt.Sprintf("/f/%d", i))
+	}
+	n.DeleteFile("/f/10")
+	n.Ship()
+	n.AddFile("/late")
+	return n
+}
+
+// TestSnapshotFormatPinned pins the snapshot bytes of a fixed node: a data
+// directory written by one build must load under the next, so an encoder or
+// decoder change may not move a byte of the format.
+func TestSnapshotFormatPinned(t *testing.T) {
+	blob, err := pinnedNode(t).MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "30139e3e608f45169c1f83c9fac48230212b280256cd37726adf5b3319070479"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Errorf("snapshot of the pinned node hashes to %s, want %s", got, want)
+	}
+}
+
+// TestSnapshotLoadOwnsItsBytes overwrites a blob after loading it: the
+// restored store and filters must not change, because the decoder reads
+// through a cursor that aliases the blob and every retained value copies.
+func TestSnapshotLoadOwnsItsBytes(t *testing.T) {
+	n := pinnedNode(t)
+	blob, err := n.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _ := NewNode(3, testConfig())
+	if err := back.UnmarshalSnapshot(blob); err != nil {
+		t.Fatal(err)
+	}
+	for i := range blob {
+		blob[i] = 0xa5
+	}
+	want, got := n.Store().Snapshot(), back.Store().Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("restored store changed with its blob:\n got %+v\nwant %+v", got, want)
+	}
+	if !back.LocalFilter().Equal(n.LocalFilter()) || !back.Shipped().Equal(n.Shipped()) {
+		t.Error("restored filters changed with their blob")
+	}
+}
+
+// TestNewNodeRefusesIDBeyondUint32 pins the ID range: snapshots and
+// heartbeats carry the ID as a uint32, so an ID outside it would write
+// snapshots its own restart refuses (-1 reads back as 4294967295) or
+// another daemon accepts (2^32 reads back as 0).
+func TestNewNodeRefusesIDBeyondUint32(t *testing.T) {
+	if uint64(math.MaxInt) <= math.MaxUint32 {
+		t.Skip("an int cannot exceed the range on this platform")
+	}
+	top := uint64(math.MaxUint32) // a variable, so the conversions compile where an int is 32 bits
+	for _, id := range []int{-1, int(top + 1)} {
+		if _, err := NewNode(id, testConfig()); err == nil {
+			t.Errorf("NewNode(%d) accepted", id)
+		}
+		if _, _, _, err := Recover(id, testConfig(), t.TempDir(), wal.Options{}); err == nil {
+			t.Errorf("Recover(%d) accepted", id)
+		}
+	}
+	n, err := NewNode(int(top), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := n.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _ := NewNode(int(top), testConfig())
+	if err := back.UnmarshalSnapshot(blob); err != nil {
+		t.Fatalf("the largest ID does not reload its own snapshot: %v", err)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"ghba/internal/wal"
+	"ghba/internal/wire"
 )
 
 // RPC message types. Every namespace operation travels as a path vector —
@@ -89,14 +90,9 @@ func encodePaths(paths []string) []byte {
 	for _, p := range paths {
 		size += 2 + len(p)
 	}
-	buf := make([]byte, 0, size)
-	var tmp [4]byte
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(paths)))
-	buf = append(buf, tmp[:4]...)
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(paths)))
 	for _, p := range paths {
-		binary.BigEndian.PutUint16(tmp[:2], uint16(len(p)))
-		buf = append(buf, tmp[:2]...)
-		buf = append(buf, p...)
+		buf = wire.AppendString16(buf, p)
 	}
 	return buf
 }
@@ -104,47 +100,31 @@ func encodePaths(paths []string) []byte {
 // decodePaths parses a path vector. It refuses bytes after the last path: a
 // frame that carries more than it declares was not written by encodePaths.
 func decodePaths(data []byte) ([]string, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("proto: truncated path vector")
+	r := wire.NewReader(data)
+	paths := make([]string, r.Count(2))
+	for i := range paths {
+		paths[i] = r.String16()
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	// Each path costs at least its 2-byte length prefix; reject counts the
-	// remaining bytes cannot possibly carry before allocating for them.
-	if n > len(data)/2 {
-		return nil, fmt.Errorf("proto: path vector declares %d paths in %d bytes", n, len(data))
+	if err := r.Done("path vector"); err != nil {
+		return nil, fmt.Errorf("proto: %w", err)
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 2 {
-			return nil, fmt.Errorf("proto: truncated path %d", i)
-		}
-		plen := int(binary.BigEndian.Uint16(data))
-		data = data[2:]
-		if len(data) < plen {
-			return nil, fmt.Errorf("proto: truncated path %d body", i)
-		}
-		out = append(out, string(data[:plen]))
-		data = data[plen:]
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("proto: %d bytes after %d paths", len(data), n)
-	}
-	return out, nil
+	return paths, nil
 }
 
 // decodeHitsVec parses exactly n consecutive hit lists (the lookup/member
-// batch response bodies).
+// batch response bodies), each count uint16, then one uint32 MDS ID per hit.
 func decodeHitsVec(data []byte, n int) ([][]int, error) {
+	r := wire.NewReader(data)
 	out := make([][]int, n)
-	var err error
-	for i := 0; i < n; i++ {
-		if out[i], data, err = decodeHits(data); err != nil {
-			return nil, fmt.Errorf("proto: hit list %d: %w", i, err)
+	for i := range out {
+		hits := make([]int, r.Count16(4))
+		for j := range hits {
+			hits[j] = int(r.U32())
 		}
+		out[i] = hits
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("proto: %d bytes after %d hit lists", len(data), n)
+	if err := r.Done("hit lists"); err != nil {
+		return nil, fmt.Errorf("proto: %w", err)
 	}
 	return out, nil
 }
@@ -186,13 +166,10 @@ func encodeMutations(incarnation uint64, recs []wal.Record) []byte {
 	for _, r := range recs {
 		size += 1 + 2 + len(r.Path)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint64(buf, incarnation)
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, size), incarnation)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
 	for _, r := range recs {
-		buf = append(buf, r.Op)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Path)))
-		buf = append(buf, r.Path...)
+		buf = wire.AppendString16(append(buf, r.Op), r.Path)
 	}
 	return buf
 }
@@ -201,34 +178,19 @@ func encodeMutations(incarnation uint64, recs []wal.Record) []byte {
 // count the bytes do not carry and bytes after the last record: the daemon
 // logs what it decodes, so nothing it half-understood may reach the WAL.
 func decodeMutations(data []byte) (incarnation uint64, recs []wal.Record, err error) {
-	if len(data) < 12 {
-		return 0, nil, fmt.Errorf("proto: truncated mutation batch")
-	}
-	incarnation = binary.BigEndian.Uint64(data)
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	data = data[12:]
-	// Each record costs at least its kind byte and 2-byte length prefix.
-	if n > len(data)/3 {
-		return 0, nil, fmt.Errorf("proto: mutation batch declares %d records in %d bytes", n, len(data))
-	}
-	recs = make([]wal.Record, n)
+	r := wire.NewReader(data)
+	incarnation = r.U64()
+	recs = make([]wal.Record, r.Count(3))
 	for i := range recs {
-		if len(data) < 3 {
-			return 0, nil, fmt.Errorf("proto: truncated mutation %d", i)
-		}
-		op, plen := data[0], int(binary.BigEndian.Uint16(data[1:]))
-		if op != wal.OpCreate && op != wal.OpDelete {
-			return 0, nil, fmt.Errorf("proto: mutation %d has unknown kind %d", i, op)
-		}
-		data = data[3:]
-		if len(data) < plen {
-			return 0, nil, fmt.Errorf("proto: truncated mutation %d path", i)
-		}
-		recs[i] = wal.Record{Op: op, Path: string(data[:plen])}
-		data = data[plen:]
+		recs[i] = wal.Record{Op: r.U8(), Path: r.String16()}
 	}
-	if len(data) != 0 {
-		return 0, nil, fmt.Errorf("proto: %d bytes after %d mutations", len(data), n)
+	if err = r.Done("mutation batch"); err != nil {
+		return 0, nil, fmt.Errorf("proto: %w", err)
+	}
+	for i, rec := range recs {
+		if rec.Op != wal.OpCreate && rec.Op != wal.OpDelete {
+			return 0, nil, fmt.Errorf("proto: mutation %d has unknown kind %d", i, rec.Op)
+		}
 	}
 	return incarnation, recs, nil
 }
@@ -277,14 +239,12 @@ func encodeHeartbeatResp(info HeartbeatInfo) []byte {
 
 // decodeHeartbeatResp parses a health report.
 func decodeHeartbeatResp(data []byte) (HeartbeatInfo, error) {
-	if len(data) != 20 {
-		return HeartbeatInfo{}, fmt.Errorf("proto: heartbeat response wants 20 bytes, got %d", len(data))
+	r := wire.NewReader(data)
+	info := HeartbeatInfo{ID: int(r.U32()), Files: r.U64(), WALRecords: r.U64()}
+	if err := r.Done("heartbeat response"); err != nil {
+		return HeartbeatInfo{}, fmt.Errorf("proto: %w", err)
 	}
-	return HeartbeatInfo{
-		ID:         int(binary.BigEndian.Uint32(data)),
-		Files:      binary.BigEndian.Uint64(data[4:]),
-		WALRecords: binary.BigEndian.Uint64(data[12:]),
-	}, nil
+	return info, nil
 }
 
 // observation is one (home, path) L1 learning record.
@@ -300,12 +260,9 @@ func encodeObservations(obs []observation) []byte {
 	for _, o := range obs {
 		size += 4 + 2 + len(o.path)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(obs)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(obs)))
 	for _, o := range obs {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(o.home))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(o.path)))
-		buf = append(buf, o.path...)
+		buf = wire.AppendString16(binary.BigEndian.AppendUint32(buf, uint32(o.home)), o.path)
 	}
 	return buf
 }
@@ -313,33 +270,15 @@ func encodeObservations(obs []observation) []byte {
 // decodeObservations parses a batch. Like decodePaths it refuses a count the
 // bytes cannot carry and bytes after the last record.
 func decodeObservations(data []byte) ([]observation, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("proto: truncated observation batch")
+	r := wire.NewReader(data)
+	obs := make([]observation, r.Count(6))
+	for i := range obs {
+		obs[i] = observation{home: int(r.U32()), path: r.String16()}
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	// Each record costs at least its origin and 2-byte length prefix.
-	if n > len(data)/6 {
-		return nil, fmt.Errorf("proto: observation batch declares %d records in %d bytes", n, len(data))
+	if err := r.Done("observation batch"); err != nil {
+		return nil, fmt.Errorf("proto: %w", err)
 	}
-	out := make([]observation, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 6 {
-			return nil, fmt.Errorf("proto: truncated observation %d", i)
-		}
-		home := int(binary.BigEndian.Uint32(data))
-		plen := int(binary.BigEndian.Uint16(data[4:]))
-		data = data[6:]
-		if len(data) < plen {
-			return nil, fmt.Errorf("proto: truncated path in observation %d", i)
-		}
-		out = append(out, observation{home: home, path: string(data[:plen])})
-		data = data[plen:]
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("proto: %d bytes after %d observations", len(data), n)
-	}
-	return out, nil
+	return obs, nil
 }
 
 // appendHits appends the wire form of an MDS-ID hit list to dst: count
@@ -352,22 +291,6 @@ func appendHits(dst []byte, hits []int) []byte {
 	return dst
 }
 
-// decodeHits parses a hit list, returning the remaining bytes.
-func decodeHits(data []byte) ([]int, []byte, error) {
-	if len(data) < 2 {
-		return nil, nil, fmt.Errorf("proto: truncated hit list")
-	}
-	n := int(binary.BigEndian.Uint16(data))
-	if len(data) < 2+4*n {
-		return nil, nil, fmt.Errorf("proto: hit list wants %d entries, have %d bytes", n, len(data)-2)
-	}
-	hits := make([]int, n)
-	for i := range hits {
-		hits[i] = int(binary.BigEndian.Uint32(data[2+4*i:]))
-	}
-	return hits, data[2+4*n:], nil
-}
-
 // encodeOriginPayload prefixes a payload with an origin MDS ID.
 func encodeOriginPayload(origin int, payload []byte) []byte {
 	buf := make([]byte, 4+len(payload))
@@ -378,8 +301,10 @@ func encodeOriginPayload(origin int, payload []byte) []byte {
 
 // decodeOriginPayload splits an origin-prefixed payload.
 func decodeOriginPayload(data []byte) (int, []byte, error) {
-	if len(data) < 4 {
-		return 0, nil, fmt.Errorf("proto: truncated origin prefix")
+	r := wire.NewReader(data)
+	origin, body := int(r.U32()), r.Rest()
+	if err := r.Done("origin prefix"); err != nil {
+		return 0, nil, fmt.Errorf("proto: %w", err)
 	}
-	return int(binary.BigEndian.Uint32(data)), data[4:], nil
+	return origin, body, nil
 }

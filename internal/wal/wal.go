@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -426,22 +427,54 @@ func (l *Log) Abandon() error {
 	return l.f.Close()
 }
 
+// frameHeader is the len | crc prefix of every frame.
+const frameHeader = 8
+
+// frame wraps payload as one len | crc | payload frame — the shape of every
+// log record and of a snapshot file.
+func frame(payload []byte) []byte {
+	out := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[4:8], crc32.Checksum(payload, crcTable))
+	return append(out, payload...)
+}
+
+// nextFrame splits the frame at the head of data from the bytes after it.
+// It refuses a frame whose header or payload is cut short, whose declared
+// length is outside [minLen, maxLen], or whose payload fails its checksum.
+func nextFrame(data []byte, minLen, maxLen uint32) (payload, rest []byte, err error) {
+	if len(data) < frameHeader {
+		return nil, nil, fmt.Errorf("truncated frame header (%d bytes)", len(data))
+	}
+	n := binary.BigEndian.Uint32(data[0:4])
+	if n < minLen || n > maxLen {
+		return nil, nil, fmt.Errorf("frame length %d outside [%d, %d]", n, minLen, maxLen)
+	}
+	if uint64(len(data)-frameHeader) < uint64(n) {
+		return nil, nil, fmt.Errorf("frame length %d, %d bytes follow", n, len(data)-frameHeader)
+	}
+	payload = data[frameHeader : frameHeader+n]
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(data[4:8]) {
+		return nil, nil, errors.New("checksum mismatch")
+	}
+	return payload, data[frameHeader+n:], nil
+}
+
+// validOp reports whether op is a record operation.
+func validOp(op uint8) bool { return op == OpCreate || op == OpDelete }
+
 // encodeRecord frames one record: len | crc | (op | path).
 func encodeRecord(r Record) ([]byte, error) {
-	if r.Op != OpCreate && r.Op != OpDelete {
+	if !validOp(r.Op) {
 		return nil, fmt.Errorf("wal: unknown record op %d", r.Op)
+	}
+	if 1+len(r.Path) > maxRecordBytes {
+		return nil, fmt.Errorf("wal: record %d bytes exceeds limit", 1+len(r.Path))
 	}
 	payload := make([]byte, 1+len(r.Path))
 	payload[0] = r.Op
 	copy(payload[1:], r.Path)
-	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("wal: record %d bytes exceeds limit", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
-	return frame, nil
+	return frame(payload), nil
 }
 
 // readSegment parses one segment file, returning the intact records, the
@@ -452,43 +485,22 @@ func readSegment(path string) (records []Record, goodLen int64, torn bool, err e
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("wal: reading segment: %w", err)
 	}
-	off := int64(0)
-	for int64(len(data))-off > 0 {
-		rest := data[off:]
-		if len(rest) < 8 {
-			return records, off, true, nil
+	for rest := data; len(rest) > 0; {
+		payload, next, err := nextFrame(rest, 1, maxRecordBytes)
+		if err != nil || !validOp(payload[0]) {
+			return records, int64(len(data) - len(rest)), true, nil
 		}
-		n := binary.BigEndian.Uint32(rest[0:4])
-		if n < 1 || n > maxRecordBytes {
-			return records, off, true, nil
-		}
-		if uint64(len(rest)-8) < uint64(n) {
-			return records, off, true, nil
-		}
-		payload := rest[8 : 8+n]
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(rest[4:8]) {
-			return records, off, true, nil
-		}
-		op := payload[0]
-		if op != OpCreate && op != OpDelete {
-			return records, off, true, nil
-		}
-		records = append(records, Record{Op: op, Path: string(payload[1:])})
-		off += int64(8 + n)
+		records = append(records, Record{Op: payload[0], Path: string(payload[1:])})
+		rest = next
 	}
-	return records, off, false, nil
+	return records, int64(len(data)), false, nil
 }
 
 // writeSnapshotFile writes one snapshot frame (len | crc | seq+state) to a
 // temp file and renames it into place.
 func writeSnapshotFile(dir string, seq uint64, state []byte) error {
-	payload := make([]byte, 8+len(state))
-	binary.BigEndian.PutUint64(payload[0:8], seq)
-	copy(payload[8:], state)
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
+	payload := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(state)), seq)
+	data := frame(append(payload, state...))
 
 	final := filepath.Join(dir, snapshotName(seq))
 	tmp := final + ".tmp"
@@ -496,7 +508,7 @@ func writeSnapshotFile(dir string, seq uint64, state []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating snapshot temp: %w", err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: writing snapshot: %w", err)
@@ -518,22 +530,18 @@ func writeSnapshotFile(dir string, seq uint64, state []byte) error {
 }
 
 // readSnapshotFile loads and verifies one snapshot file, returning its
-// state payload.
+// state payload. The file is exactly one frame, uncapped by maxRecordBytes.
 func readSnapshotFile(path string, wantSeq uint64) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reading snapshot: %w", err)
 	}
-	if len(data) < 16 {
-		return nil, fmt.Errorf("%w: snapshot %s truncated (%d bytes)", ErrCorrupt, filepath.Base(path), len(data))
+	payload, rest, err := nextFrame(data, 8, math.MaxUint32)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes after the frame", len(rest))
 	}
-	n := binary.BigEndian.Uint32(data[0:4])
-	if uint64(n) != uint64(len(data)-8) {
-		return nil, fmt.Errorf("%w: snapshot %s length %d, frame says %d", ErrCorrupt, filepath.Base(path), len(data)-8, n)
-	}
-	payload := data[8:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(data[4:8]) {
-		return nil, fmt.Errorf("%w: snapshot %s checksum mismatch", ErrCorrupt, filepath.Base(path))
+	if err != nil {
+		return nil, fmt.Errorf("%w: snapshot %s: %v", ErrCorrupt, filepath.Base(path), err)
 	}
 	if seq := binary.BigEndian.Uint64(payload[0:8]); seq != wantSeq {
 		return nil, fmt.Errorf("%w: snapshot %s claims seq %d", ErrCorrupt, filepath.Base(path), seq)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -591,4 +592,37 @@ func FuzzSegmentRecovery(f *testing.F) {
 			t.Fatalf("replayed records are not a prefix of the segment")
 		}
 	})
+}
+
+// TestFormatPinned pins the bytes of a fixed segment and a fixed snapshot
+// file: a directory written by one build must recover under the next, so
+// no change to the frame writer or reader may move one of their bytes.
+func TestFormatPinned(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
+	defer l.Close()
+	if err := l.Append(rec(OpCreate, "/a"), rec(OpCreate, ""), rec(OpDelete, "/a"), rec(OpCreate, "/b/c")); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	read := func(name string) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[name] = data
+	}
+	read(segmentName(1))
+	if err := l.Snapshot([]byte("pinned state")); err != nil {
+		t.Fatal(err)
+	}
+	read(snapshotName(1))
+	for name, want := range map[string]string{
+		segmentName(1):  "19e1d29d0e83eaa74d6ffcb33db374ae6c39609295c646ab9861e9389136d16f",
+		snapshotName(1): "8d8e6b050d8ee5cacf2f4d797f20febbd1dfcdfb7dfd38535decfe7e743a6dc1",
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(files[name])); got != want {
+			t.Errorf("%s hashes to %s, want %s", name, got, want)
+		}
+	}
 }
