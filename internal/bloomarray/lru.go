@@ -37,24 +37,33 @@ import (
 // Concurrency follows the epoch-snapshot idiom of the rest of the read
 // path. What is published through the atomic pointer is an lruState. Its
 // lane assignment (ids, lanes) is immutable. Its slab and per-lane
-// generation words are written in place, through sync/atomic only, by
-// writers serialized on mu — and only monotonically: inserting a key ORs
-// one bit into k words and bumps the lane's insertion count. Everything that
-// would clear or move bits builds a private copy of the slab and publishes a
-// successor state instead: a rotation (the lane's active column moves to the
-// aged one), Forget (the lane's columns are cleared and the lane freed),
-// and lane-word growth (a 33rd, 65th… home). A new home that finds a
-// free lane publishes a successor that shares the slab. Queries and the
-// Observe fast path load the state and read words atomically — no lock,
-// ever. A reader therefore sees every rotation whole or not at all; one
-// racing an insert may miss that key until the insert completes, which is an
-// L1 miss that falls through to L2 — the transient the paper's asynchronous
-// replica propagation already tolerates. A reader still holding a
-// predecessor state answers from the lane assignment it loaded: it skips
-// lanes claimed since, and never attributes a reused lane's bits to the
-// departed MDS, because giving up a lane always comes with a fresh slab.
+// generation words are written in place, through sync/atomic only, and only
+// monotonically: inserting a key ORs one bit into k words and bumps the
+// lane's insertion count. Everything that would clear or move bits builds a
+// private copy of the slab and publishes a successor state instead: a
+// rotation (the lane's active column moves to the aged one), Forget (the
+// lane's columns are cleared and the lane freed), and lane-word growth (a
+// 33rd, 65th… home). Those three, and a new home claiming a free lane (a
+// successor that shares the slab), are serialized on mu. Queries, the
+// re-observe check and the common insert — a home that owns a lane whose
+// active generation has room — take no lock: the insert ORs its bits and
+// counts itself in the slab it loaded, so two lookup lanes write shared
+// cache lines only where their keys' probe words meet. A writer about to
+// copy a slab marks it retired first; an insert that finds its slab retired
+// once its writes are done may have been missed by the copy, so it redoes
+// itself under mu in the current state (bits are idempotent; the count may
+// take the key twice, which only brings the next rotation forward). A single
+// lane therefore sets the same bits and counts as a fully locked array.
+//
+// A reader sees every rotation whole or not at all; one racing an insert
+// may miss that key until the insert completes, which is an L1 miss that
+// falls through to L2 — the transient the paper's asynchronous replica
+// propagation already tolerates. A reader still holding a predecessor state
+// answers from the lane assignment it loaded: it skips lanes claimed since,
+// and never attributes a reused lane's bits to the departed MDS, because
+// giving up a lane always comes with a fresh slab.
 type LRUArray struct {
-	mu       sync.Mutex // serializes writers; readers never take it
+	mu       sync.Mutex // serializes claims, rotations, growth and Forget
 	capacity uint64     // insertions per generation, per MDS
 	m        uint64     // probe positions (bits) per generation
 	k        uint32     // probes per key
@@ -74,16 +83,33 @@ const freeLane = -1
 const genAged = 1 // an aged generation exists (the lane has rotated)
 
 // lruState is one published version of the array. w, ids and lanes are
-// immutable after publication; words and gens are only ever ORed into or
-// counted up in place (atomically, under LRUArray.mu). Successive states
-// share any of the four they do not change. The zero state tracks nothing
-// and owns no slab, so an array that never observes costs no memory.
+// immutable after publication; the slab's words and gens are only ever ORed
+// into or counted up in place, atomically. Successive states share any of
+// the three they do not change. The zero state tracks nothing and owns no
+// slab words, so an array that never observes costs no memory.
 type lruState struct {
-	w     int             // lane words per probe position
-	words []uint64        // the slab: m·w words, word p·w+g as described on LRUArray
-	gens  []atomic.Uint64 // per lane: generation word
-	ids   []int           // lane → MDS ID, or freeLane
-	lanes map[int]int     // MDS ID → lane
+	w     int         // lane words per probe position
+	*slab             // shared by successors that keep every lane's bits
+	ids   []int       // lane → MDS ID, or freeLane
+	lanes map[int]int // MDS ID → lane
+}
+
+// slab is the bit-sliced storage of the generations: m·w words, word p·w+g
+// as described on LRUArray, and one generation word per lane.
+type slab struct {
+	words []uint64
+	gens  []genWord
+	// retired is set, under LRUArray.mu, before a successor copies the
+	// slab; from then on a write to it may be lost.
+	retired atomic.Bool
+}
+
+// genWord is a lane's generation word, alone on its cache line: the lanes
+// of one slab count their inserts without lock, and two lookup workers
+// observing different homes would otherwise write the same line.
+type genWord struct {
+	atomic.Uint64
+	_ [56]byte
 }
 
 // NewLRUArray creates an LRU array whose per-MDS generations hold capacity
@@ -101,7 +127,7 @@ func NewLRUArrayLayout(capacity uint64, bitsPerItem float64, layout bloom.Layout
 		return nil, fmt.Errorf("bloomarray: LRU generation geometry: %w", err)
 	}
 	l := &LRUArray{capacity: capacity, m: m, k: k, layout: layout}
-	l.state.Store(&lruState{})
+	l.state.Store(&lruState{slab: &slab{}})
 	return l, nil
 }
 
@@ -129,9 +155,9 @@ func (l *LRUArray) match(s *lruState, d *bloom.Digest, pos []uint64, g int) uint
 	return r
 }
 
-// insertLocked sets bit (of lane word g) at the digest's probe positions in
-// the published slab. Requires l.mu.
-func (l *LRUArray) insertLocked(s *lruState, d *bloom.Digest, pos []uint64, g int, bit uint64) {
+// insert sets bit (of lane word g) at the digest's probe positions in s's
+// slab, atomically: the slab may be published and shared with other writers.
+func (l *LRUArray) insert(s *lruState, d *bloom.Digest, pos []uint64, g int, bit uint64) {
 	if pos == nil {
 		for i := uint32(0); i < l.k; i++ {
 			atomic.OrUint64(&s.words[int(d.PositionAt(i, l.m, l.layout))*s.w+g], bit)
@@ -146,20 +172,25 @@ func (l *LRUArray) insertLocked(s *lruState, d *bloom.Digest, pos []uint64, g in
 // withOwnSlab returns an unpublished successor of s that owns a private copy
 // of the slab and generation words, w lane words per position (w no smaller
 // than s.w; added lanes are empty), and still shares s's lane assignment.
-// Requires LRUArray.mu, which keeps the source quiescent during the copy.
+// s's slab is retired before the copy, so a lock-free insert the copy may
+// miss redoes itself. Requires LRUArray.mu, which keeps every other writer
+// of words from clearing or moving them during the copy.
 func (s *lruState) withOwnSlab(m uint64, w int) *lruState {
+	s.retired.Store(true)
 	next := &lruState{
-		w:     w,
-		gens:  make([]atomic.Uint64, laneBits*w),
+		w: w,
+		slab: &slab{
+			words: make([]uint64, int(m)*w),
+			gens:  make([]genWord, laneBits*w),
+		},
 		ids:   s.ids,
 		lanes: s.lanes,
 	}
 	if w == s.w {
-		next.words = slices.Clone(s.words)
+		loadWords(next.words, s.words)
 	} else {
-		next.words = make([]uint64, int(m)*w)
 		for p := 0; p < int(m); p++ {
-			copy(next.words[p*w:], s.words[p*s.w:(p+1)*s.w])
+			loadWords(next.words[p*w:p*w+s.w], s.words[p*s.w:])
 		}
 	}
 	for i := range s.gens {
@@ -168,11 +199,20 @@ func (s *lruState) withOwnSlab(m uint64, w int) *lruState {
 	return next
 }
 
+// loadWords copies src into dst word by word with atomic loads: src may be
+// published, and lock-free inserts OR into it during the copy.
+func loadWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = atomic.LoadUint64(&src[i])
+	}
+}
+
 // claimLocked publishes a successor of s in which homeMDS owns a lane — a
 // free one if there is one, else the first lane of an added lane word — and
 // returns it with the lane. Requires l.mu.
 func (l *LRUArray) claimLocked(s *lruState, homeMDS int) (*lruState, int) {
-	next := &lruState{w: s.w, words: s.words, gens: s.gens}
+	next := &lruState{w: s.w, slab: s.slab}
 	lane := slices.Index(s.ids, freeLane)
 	if lane < 0 {
 		lane = len(s.ids)
@@ -210,26 +250,36 @@ func (l *LRUArray) rotateLocked(s *lruState, lane int) *lruState {
 
 // ObserveDigest records a pre-hashed confirmed (key → homeMDS) mapping,
 // rotating that MDS's generations if the active one is full. The key is
-// hashed exactly once: the lock-free fast path and the write-path
-// insert both consume the caller's digest.
+// hashed exactly once: the lock-free paths and the locked one all consume
+// the caller's digest.
 //
 // The hot case — re-observing a key already in the current generation — is
-// answered from the published state without any lock (k word loads, one
+// answered from the published state without any write (k word loads, one
 // lane bit tested), so parallel lookup workers hammering the same hot files
-// do not serialize. Skipping the re-add leaves the bits unchanged but also
-// leaves the generation's insertion counter where it was, so rotation is
-// driven by (approximately) distinct recent files rather than raw
-// observation count: a hot set smaller than capacity stays resident instead
-// of being aged out by its own repetitions, which is the window the paper
-// wants L1 to capture. Only new keys take the write lock; only a new home
-// or a rotation allocates.
+// share their cache lines read-only. Skipping the re-add leaves the bits
+// unchanged but also leaves the generation's insertion counter where it
+// was, so rotation is driven by (approximately) distinct recent files
+// rather than raw observation count: a hot set smaller than capacity stays
+// resident instead of being aged out by its own repetitions, which is the
+// window the paper wants L1 to capture. A new key for a home whose active
+// generation has room is inserted in place without lock (see LRUArray);
+// only a new home, a full generation or a retired slab takes mu, and only a
+// new home or a rotation allocates.
 func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 	pos := d.Positions(l.m, l.k, l.layout)
 	s := l.state.Load()
-	if lane, ok := s.lanes[homeMDS]; ok &&
-		s.gens[lane].Load()>>1 < l.capacity &&
-		l.match(s, d, pos, lane/laneBits)&activeBit(lane) != 0 {
-		return
+	if lane, ok := s.lanes[homeMDS]; ok && s.gens[lane].Load()>>1 < l.capacity {
+		g, bit := lane/laneBits, activeBit(lane)
+		if l.match(s, d, pos, g)&bit != 0 {
+			return
+		}
+		l.insert(s, d, pos, g, bit)
+		s.gens[lane].Add(1 << 1)
+		// sync/atomic is sequentially consistent: if the slab is not
+		// retired after the writes, any copy of it starts after them.
+		if !s.retired.Load() {
+			return
+		}
 	}
 
 	l.mu.Lock()
@@ -242,7 +292,7 @@ func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 	if s.gens[lane].Load()>>1 >= l.capacity {
 		s = l.rotateLocked(s, lane)
 	}
-	l.insertLocked(s, d, pos, lane/laneBits, activeBit(lane))
+	l.insert(s, d, pos, lane/laneBits, activeBit(lane))
 	s.gens[lane].Add(1 << 1)
 }
 

@@ -3,9 +3,11 @@ package bloomarray
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ghba/internal/bloom"
@@ -347,6 +349,124 @@ func TestLRUConcurrentReadersVersusWriter(t *testing.T) {
 	for home := 0; home < 70; home++ {
 		for j := 0; j < 2*capacity+5; j += 3 {
 			p.checkQuery(home, churn(home, j))
+		}
+	}
+}
+
+// TestLRUConcurrentWriters runs lock-free inserts from several writers, each
+// across many homes, against goroutines that take every locked path: new
+// homes claimed mid-run (a 33rd and a 65th home grow the lane words), a home
+// of its own rotated over and over, and short-lived homes forgotten (run
+// under -race). Growth, rotation and Forget each copy the slab while writers
+// insert into it, so an insert the copy misses and nobody redoes shows: each
+// writer must find each key at its home as soon as ObserveDigest returns, and
+// again once everything quiesces. The capacity exceeds the 80 keys a writer
+// home takes in; even were every insert counted twice, a home would rotate
+// once, and a key ages out only on the second rotation. A forgotten home's
+// keys must never answer, neither for it nor for the home observed right
+// after it, which may take over its lane.
+func TestLRUConcurrentWriters(t *testing.T) {
+	const (
+		capacity  = 128
+		writers   = 4
+		perWriter = 400
+		homes     = 20 // writer homes 0..19: 80 inserts each
+		claimed   = 60 // homes 1000.., claimed as the writers progress
+		rotated   = 700
+	)
+	l, err := NewLRUArray(capacity, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(w, i int) string { return "/w" + strconv.Itoa(w) + "/f" + strconv.Itoa(i) }
+	homeOf := func(w, i int) int { return (w + i) % homes }
+	var progress atomic.Int64
+
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	side.Add(3)
+	go func() { // claims, paced by the writers; the rest once they are done
+		defer side.Done()
+		for i := 0; i < claimed; i++ {
+			for wait := true; wait && progress.Load() < int64(i*writers*perWriter/claimed); {
+				select {
+				case <-stop:
+					wait = false
+				default:
+					runtime.Gosched()
+				}
+			}
+			l.ObserveDigest(digestOf("/claim/"+strconv.Itoa(i)), 1000+i)
+		}
+	}()
+	go func() { // rotations
+		defer side.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.ObserveDigest(digestOf("/rot/f"+strconv.Itoa(i)), rotated)
+		}
+	}()
+	go func() { // Forget
+		defer side.Done()
+		buf := make([]int, 0, 8)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			gone, next := 5000+n, 9000+n
+			for j := 0; j < 3; j++ {
+				l.ObserveDigest(digestOf(fmt.Sprintf("/gone/%d/%d", n, j)), gone)
+			}
+			l.Forget(gone)
+			l.ObserveDigest(digestOf(fmt.Sprintf("/next/%d", n)), next)
+			for j := 0; j < 3; j++ {
+				buf = l.QueryDigest(digestOf(fmt.Sprintf("/gone/%d/%d", n, j)), buf).Hits
+				if slices.Contains(buf, gone) || slices.Contains(buf, next) {
+					t.Errorf("forgotten home %d's key %d answers %v", gone, j, buf)
+					return
+				}
+			}
+			l.Forget(next)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]int, 0, 8)
+			for i := 0; i < perWriter; i++ {
+				d := digestOf(key(w, i))
+				l.ObserveDigest(d, homeOf(w, i))
+				buf = l.QueryDigest(d, buf).Hits
+				if !slices.Contains(buf, homeOf(w, i)) {
+					t.Errorf("writer %d: key %d missing from home %d right after its observation: %v", w, i, homeOf(w, i), buf)
+					return
+				}
+				progress.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	side.Wait()
+
+	if got := l.Entries(); got < homes+claimed {
+		t.Errorf("Entries = %d, want at least %d", got, homes+claimed)
+	}
+	var buf []int
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			if buf = l.QueryDigest(digestOf(key(w, i)), buf).Hits; !slices.Contains(buf, homeOf(w, i)) {
+				t.Fatalf("writer %d's key %d lost from home %d: %v", w, i, homeOf(w, i), buf)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ghba/internal/bloom"
@@ -20,14 +21,23 @@ type lookupScratch struct {
 	hits   []int // L1/L2 probe buffer
 	mhits  []int // per-member L3 probe buffer
 	set    []int // L3 union of member hits (sorted, unique)
+	// stripe is the message-counter and level-tally stripe the lookup
+	// writes. Each scratch draws its own, and sync.Pool hands a processor
+	// back the scratch it last returned, so concurrent lookups mostly write
+	// different counter cache lines.
+	stripe int
 }
+
+// scratches numbers the scratch objects the pool has made.
+var scratches atomic.Uint32
 
 var scratchPool = sync.Pool{
 	New: func() any {
 		return &lookupScratch{
-			hits:  make([]int, 0, 16),
-			mhits: make([]int, 0, 16),
-			set:   make([]int, 0, 16),
+			hits:   make([]int, 0, 16),
+			mhits:  make([]int, 0, 16),
+			set:    make([]int, 0, 16),
+			stripe: int(scratches.Add(1)),
 		}
 	},
 }
@@ -83,12 +93,12 @@ func (c *Cluster) l1ProbeCost() time.Duration {
 // stale filter still answers for — is rejected free of charge: no server
 // exists to receive the unicast, so counting a MsgQueryUnicast and an RTT
 // would book traffic to a dead daemon (the accounting bug this replaces).
-func (c *Cluster) verify(f *mds.Fleet, candidate int, path string) (bool, time.Duration) {
+func (c *Cluster) verify(f *mds.Fleet, candidate int, path string, stripe int) (bool, time.Duration) {
 	node := f.Node(candidate)
 	if node == nil {
 		return false, 0
 	}
-	c.msgs.Add(simnet.MsgQueryUnicast, 1)
+	c.msgs.AddAt(stripe, simnet.MsgQueryUnicast, 1)
 	cost := c.cfg.Cost.UnicastRTT + c.cfg.Cost.MemProbe
 	return node.HasFile(path), cost
 }
@@ -142,9 +152,10 @@ func (c *Cluster) LookupAt(rng *rand.Rand, path string, entry int, arrival time.
 
 // lookupFleet walks the four-level hierarchy against one membership snapshot,
 // reading everything lock-free. The hot path mutates nothing except
-// internally synchronized state — the tallies and message counter, the L1
-// learning write, and (in queued mode) the queue model's next-free slots, one
-// queueMu critical section per multicast round. The entry must exist in f.
+// internally synchronized state — the tallies and message counter (in the
+// scratch's stripe), the L1 learning write, and (in queued mode) the queue
+// model's next-free slots, one queueMu critical section per multicast round.
+// The entry must exist in f.
 func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time.Duration, queued bool) LookupResult {
 	node := f.Node(entry)
 
@@ -170,14 +181,14 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 		res.Path = path
 		res.Latency = latency
 		res.ServerTime = server
-		c.tally.Record(res.Level)
+		c.tally.RecordAt(s.stripe, res.Level)
 		if res.Found {
 			// The home MDS records the access in its LRU filter, whose
 			// replica every server consults at L1. The digest carries the
 			// hash into the learning write too. The steady-state re-observe
-			// path inside is lock- and allocation-free and a new key is
-			// inserted in place; only a home's first observation or a
-			// generation rotation (one slab copy per capacity inserts)
+			// path inside writes nothing, and a new key is inserted in place
+			// without lock; only a home's first observation or a generation
+			// rotation (one slab copy per capacity inserts) locks and
 			// allocates.
 			c.lru.ObserveDigest(d, res.Home)
 		}
@@ -191,7 +202,7 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 	r := c.lru.QueryDigest(d, s.hits)
 	s.hits = r.Hits
 	if home, ok := r.Unique(); ok {
-		ok2, cost := c.verify(f, home, path)
+		ok2, cost := c.verify(f, home, path, s.stripe)
 		latency += cost
 		if ok2 {
 			return finish(LookupResult{Home: home, Found: true, Level: 1})
@@ -214,7 +225,7 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 				return finish(LookupResult{Home: entry, Found: true, Level: 2})
 			}
 		} else {
-			ok2, cost := c.verify(f, home, path)
+			ok2, cost := c.verify(f, home, path, s.stripe)
 			latency += cost
 			if ok2 {
 				return finish(LookupResult{Home: home, Found: true, Level: 2})
@@ -228,7 +239,7 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 	// slowest member's response (including that member's queue when the
 	// system is loaded).
 	members := f.Members(entry)
-	c.msgs.Add(simnet.MsgQueryMulticast, uint64(len(members)-1))
+	c.msgs.AddAt(s.stripe, simnet.MsgQueryMulticast, uint64(len(members)-1))
 	latency += c.cfg.Cost.Multicast(len(members) - 1)
 	// The entry spends CPU sending the multicast and folding the answers.
 	fanoutCPU := time.Duration(len(members)-1) * c.cfg.Cost.MsgProc
@@ -271,7 +282,7 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 	latency += slowest
 	if len(set) == 1 {
 		home := set[0]
-		ok2, cost := c.verify(f, home, path)
+		ok2, cost := c.verify(f, home, path, s.stripe)
 		latency += cost
 		if ok2 {
 			return finish(LookupResult{Home: home, Found: true, Level: 3})
@@ -281,7 +292,7 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 	// L4: global multicast; every MDS checks its local filter at memory
 	// speed and positives verify on disk. The true home always answers.
 	others := len(f.IDs()) - 1
-	c.msgs.Add(simnet.MsgQueryMulticast, uint64(others))
+	c.msgs.AddAt(s.stripe, simnet.MsgQueryMulticast, uint64(others))
 	latency += c.cfg.Cost.Multicast(others)
 	l4CPU := time.Duration(others) * c.cfg.Cost.MsgProc
 	latency += l4CPU

@@ -19,7 +19,7 @@ func TestVerifyDeadCandidateCostsNothing(t *testing.T) {
 	e := c.fleet.Load()
 	before := c.Messages().Get(simnet.MsgQueryUnicast)
 
-	found, cost := c.verify(e, 9999, "/f0")
+	found, cost := c.verify(e, 9999, "/f0", 0)
 	if found {
 		t.Error("verify found a file on a nonexistent MDS")
 	}
@@ -31,7 +31,7 @@ func TestVerifyDeadCandidateCostsNothing(t *testing.T) {
 	}
 
 	// A live candidate still pays the forward-and-check.
-	found, cost = c.verify(e, c.HomeOf("/f0"), "/f0")
+	found, cost = c.verify(e, c.HomeOf("/f0"), "/f0", 0)
 	if !found {
 		t.Error("verify missed /f0 on its home")
 	}

@@ -24,32 +24,74 @@ type Fleet struct {
 	ids    []int
 	nodes  map[int]*Node
 	layout group.Layout
-	// members maps each ID to the sorted member IDs of its group — the L3
-	// multicast targets seen from that entry. The slices are the layout's,
-	// shared between co-grouped entries and never written.
-	members map[int][]int
+	// Each ID's seat: its node and the sorted member IDs of its group — the
+	// L3 multicast targets seen from that entry; the slices are the
+	// layout's, shared between co-grouped entries and never written. The
+	// seats sit in dense, indexed by ID, when the IDs are small and
+	// non-negative, as both engines number their servers; otherwise (mdsd
+	// -id takes any uint32) in sparse, which is nil in the dense case.
+	dense  []seat
+	sparse map[int]seat
 }
+
+// seat is one ID's entry in a fleet's index.
+type seat struct {
+	node    *Node
+	members []int
+}
+
+// denseSlack bounds the dense index: it is used when every ID lies in
+// [0, 2·seats+denseSlack), so it holds at most one empty seat per member
+// beyond a fixed few.
+const denseSlack = 64
 
 // NewFleet freezes nodes (ID → node, which the fleet keeps: the caller must
 // not modify the map afterwards) and layout into a snapshot. Every ID of
 // nodes must be a member of layout.
 func NewFleet(nodes map[int]*Node, layout group.Layout) *Fleet {
 	f := &Fleet{
-		ids:     make([]int, 0, len(nodes)),
-		nodes:   nodes,
-		layout:  layout,
-		members: make(map[int][]int, len(nodes)),
+		ids:    make([]int, 0, len(nodes)),
+		nodes:  nodes,
+		layout: layout,
 	}
 	for id := range nodes {
 		f.ids = append(f.ids, id)
 	}
 	sort.Ints(f.ids)
+	seats := make(map[int]seat, len(nodes))
 	for _, g := range layout.Groups() {
 		for _, id := range g.Members {
-			f.members[id] = g.Members
+			seats[id] = seat{members: g.Members}
 		}
 	}
+	for id, n := range nodes {
+		seats[id] = seat{node: n, members: seats[id].members}
+	}
+	size := 0
+	for id := range seats {
+		if id < 0 || id >= 2*len(seats)+denseSlack {
+			f.sparse = seats
+			return f
+		}
+		size = max(size, id+1)
+	}
+	f.dense = make([]seat, size)
+	for id, st := range seats {
+		f.dense[id] = st
+	}
 	return f
+}
+
+// seat returns id's seat, empty when id is neither a member nor in the
+// layout.
+func (f *Fleet) seat(id int) seat {
+	if f.sparse != nil {
+		return f.sparse[id]
+	}
+	if uint(id) < uint(len(f.dense)) {
+		return f.dense[id]
+	}
+	return seat{}
 }
 
 // Successor builds the fleet that follows f over layout: f's nodes, less the
@@ -78,16 +120,16 @@ func (f *Fleet) Layout() group.Layout { return f.layout }
 func (f *Fleet) Draw(r *rand.Rand) int { return f.ids[r.Intn(len(f.ids))] }
 
 // Node returns server id's node, or nil when id is not a member.
-func (f *Fleet) Node(id int) *Node { return f.nodes[id] }
+func (f *Fleet) Node(id int) *Node { return f.seat(id).node }
 
 // Members returns the sorted member IDs of id's group. The slice is shared
 // and never written.
-func (f *Fleet) Members(id int) []int { return f.members[id] }
+func (f *Fleet) Members(id int) []int { return f.seat(id).members }
 
 // Holds is the home index's confirmation step: whether server home stores
 // path. A home outside the fleet does not confirm.
 func (f *Fleet) Holds(home int, path string) bool {
-	n := f.nodes[home]
+	n := f.Node(home)
 	return n != nil && n.HasFile(path)
 }
 

@@ -57,6 +57,55 @@ func TestFleetSnapshot(t *testing.T) {
 	}
 }
 
+// TestFleetLargeIDs pins the sparse index: an ID far beyond the member count
+// (mdsd -id takes any uint32) must resolve as the small ones do, and IDs
+// around it must not. The small-ID fleet of the same shape uses the dense
+// index.
+func TestFleetLargeIDs(t *testing.T) {
+	const big = 1 << 31
+	if f, _ := newTestFleet(t, 7, 3, 0); f.sparse != nil || f.dense == nil {
+		t.Fatal("a fleet numbered 0..6 does not use the dense index")
+	}
+	nodes := map[int]*Node{big: newTestNode(t, big)}
+	for id := 0; id < 3; id++ {
+		nodes[id] = newTestNode(t, id)
+	}
+	homes := homeindex.New()
+	for i, id := range []int{0, 1, 2, big} {
+		p := "/f" + strconv.Itoa(i)
+		nodes[id].AddFile(p)
+		homes.Insert(p, id)
+	}
+	layout, _ := group.NewLayout(3, 4).Join(big)
+	f := NewFleet(nodes, layout)
+	f.Seed()
+	if f.sparse == nil || f.dense != nil {
+		t.Fatal("a fleet with ID 1<<31 uses the dense index")
+	}
+	if got, want := f.IDs(), []int{0, 1, 2, big}; !slices.Equal(got, want) {
+		t.Fatalf("IDs() = %v, want %v", got, want)
+	}
+	for _, id := range f.IDs() {
+		if n := f.Node(id); n == nil || n.ID() != id {
+			t.Errorf("Node(%d) = %v", id, n)
+		}
+		if got := f.Members(id); !slices.Equal(got, []int{0, 1, 2, big}) {
+			t.Errorf("Members(%d) = %v", id, got)
+		}
+	}
+	for _, id := range []int{-1, 3, big - 1, big + 1} {
+		if f.Node(id) != nil || f.Members(id) != nil {
+			t.Errorf("ID %d outside the fleet resolves", id)
+		}
+	}
+	if !f.Holds(big, "/f3") || f.Holds(0, "/f3") || f.Holds(big, "/f0") {
+		t.Error("Holds confirms a path away from its store")
+	}
+	if err := f.Check(homes); err != nil {
+		t.Errorf("Check: %v", err)
+	}
+}
+
 // TestFleetSeedShipsEveryOrigin pins the bulk seeding: after Seed every
 // origin has shipped (no drift left), and each holder the layout names
 // carries exactly that snapshot.

@@ -139,3 +139,30 @@ func TestConcurrentObserveAndRecord(t *testing.T) {
 		t.Errorf("concurrent tally = %d, want %d", lt.Total(), workers*perWorker)
 	}
 }
+
+// TestLevelTallyStripesSum pins the striped reads: records on stripes beyond
+// the stripe count (which wrap) and on stripe 0 through Record sum exactly.
+func TestLevelTallyStripesSum(t *testing.T) {
+	var lt LevelTally
+	var wg sync.WaitGroup
+	const writers, per = 3 * tallyStripes, 400
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				lt.RecordAt(w, 1+i%4)
+			}
+			lt.RecordAt(w, 5) // ignored
+		}()
+	}
+	lt.Record(2)
+	wg.Wait()
+	want := [5]uint64{0, writers * per / 4, writers*per/4 + 1, writers * per / 4, writers * per / 4}
+	if got := lt.Counts(); got != want {
+		t.Errorf("Counts = %v, want %v", got, want)
+	}
+	if got := lt.Total(); got != writers*per+1 {
+		t.Errorf("Total = %d, want %d", got, writers*per+1)
+	}
+}

@@ -127,6 +127,7 @@ func isMutation(op trace.OpType) bool {
 type leg struct {
 	daemon int
 	slots  []int
+	body   []byte // the encoded request when the round built it once for every leg
 }
 
 // addLeg files slot under daemon's leg, opening the leg on first use. Legs
@@ -145,6 +146,9 @@ func addLeg(legs []leg, daemon, slot int) []leg {
 
 // payload encodes the leg's request: the path vector its slots select.
 func (l leg) payload(paths []string) []byte {
+	if l.body != nil {
+		return l.body
+	}
 	return encodePaths(pick(paths, l.slots))
 }
 
@@ -720,14 +724,16 @@ func (c *Cluster) scatter(ctx context.Context, op uint8, label string, paths []s
 }
 
 // hasLocalVector is the L4 round, one scatter over every daemon in ids: each
-// receives the paths the slots in rem select, and the fold resolves each path
-// at Level 4 with the first daemon that answers yes, or as absent when none
-// does. A positive is a store check, not a filter guess, so only the true
-// home answers one, and leg order cannot change the result.
+// receives the paths the slots in rem select — one request body, encoded
+// once and sent on every leg — and the fold resolves each path at Level 4
+// with the first daemon that answers yes, or as absent when none does. A
+// positive is a store check, not a filter guess, so only the true home
+// answers one, and leg order cannot change the result.
 func (c *Cluster) hasLocalVector(ctx context.Context, ids []int, paths []string, rem []int, results []LookupResult) error {
+	body := encodePaths(pick(paths, rem))
 	legs := make([]leg, len(ids))
 	for k, id := range ids {
-		legs[k] = leg{daemon: id, slots: rem}
+		legs[k] = leg{daemon: id, slots: rem, body: body}
 	}
 	for _, i := range rem {
 		results[i] = LookupResult{Home: -1, Level: 4}

@@ -101,21 +101,39 @@ func (m MsgType) String() string {
 
 // Counter tallies messages by type. It is safe for concurrent use — every
 // simulator lookup adds to the cluster's one instance — and lock-free: each
-// type is its own atomic cell, so Total and Snapshot read the cells one by
-// one and are exact once the writers have stopped.
+// type is an atomic cell in each of a few stripes, every stripe on cache
+// lines of its own, so writers that add to different stripes (AddAt) never
+// write the same line. Get, Total and Snapshot sum the stripes cell by cell
+// and are exact once the writers have stopped.
 type Counter struct {
+	stripes [counterStripes]counterStripe
+}
+
+// counterStripes is the number of stripes; AddAt reduces its stripe modulo
+// it.
+const counterStripes = 8
+
+// counterStripe is one stripe's cells, padded to two cache lines so that no
+// line holds cells of two stripes however the array is aligned.
+type counterStripe struct {
 	counts [msgTypeCount]atomic.Uint64
+	_      [128 - 8*msgTypeCount]byte
 }
 
 // NewCounter returns an empty counter.
 func NewCounter() *Counter { return &Counter{} }
 
-// Add records n messages of the given type.
-func (c *Counter) Add(t MsgType, n uint64) {
+// Add records n messages of the given type in stripe 0.
+func (c *Counter) Add(t MsgType, n uint64) { c.AddAt(0, t, n) }
+
+// AddAt records n messages of the given type in the given stripe (any
+// non-negative number). Concurrent writers that keep to their own stripe
+// share no cache line.
+func (c *Counter) AddAt(stripe int, t MsgType, n uint64) {
 	if t <= 0 || t >= msgTypeCount {
 		return
 	}
-	c.counts[t].Add(n)
+	c.stripes[stripe%counterStripes].counts[t].Add(n)
 }
 
 // Get returns the count for one type.
@@ -123,14 +141,18 @@ func (c *Counter) Get(t MsgType) uint64 {
 	if t <= 0 || t >= msgTypeCount {
 		return 0
 	}
-	return c.counts[t].Load()
+	var sum uint64
+	for i := range c.stripes {
+		sum += c.stripes[i].counts[t].Load()
+	}
+	return sum
 }
 
 // Total returns the count across all types.
 func (c *Counter) Total() uint64 {
 	var sum uint64
-	for i := range c.counts {
-		sum += c.counts[i].Load()
+	for t := MsgType(1); t < msgTypeCount; t++ {
+		sum += c.Get(t)
 	}
 	return sum
 }
@@ -138,9 +160,9 @@ func (c *Counter) Total() uint64 {
 // Snapshot returns a copy of all non-zero counts keyed by type.
 func (c *Counter) Snapshot() map[MsgType]uint64 {
 	out := make(map[MsgType]uint64)
-	for i := MsgType(1); i < msgTypeCount; i++ {
-		if n := c.counts[i].Load(); n > 0 {
-			out[i] = n
+	for t := MsgType(1); t < msgTypeCount; t++ {
+		if n := c.Get(t); n > 0 {
+			out[t] = n
 		}
 	}
 	return out

@@ -127,3 +127,36 @@ func TestCounterConcurrent(t *testing.T) {
 		t.Errorf("concurrent count = %d, want %d", got, workers*per)
 	}
 }
+
+// TestCounterStripesSum pins the striped reads: writers on stripes beyond
+// the stripe count (which wrap) and on stripe 0 through Add sum exactly.
+func TestCounterStripesSum(t *testing.T) {
+	c := NewCounter()
+	var wg sync.WaitGroup
+	const writers, per = 3 * counterStripes, 500
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.AddAt(w, MsgQueryUnicast, 1)
+				c.AddAt(w, MsgQueryMulticast, uint64(w))
+			}
+		}()
+	}
+	c.Add(MsgQueryUnicast, 7)
+	wg.Wait()
+	if got, want := c.Get(MsgQueryUnicast), uint64(writers*per+7); got != want {
+		t.Errorf("Get(unicast) = %d, want %d", got, want)
+	}
+	want := uint64(per * writers * (writers - 1) / 2)
+	if got := c.Get(MsgQueryMulticast); got != want {
+		t.Errorf("Get(multicast) = %d, want %d", got, want)
+	}
+	if got := c.Total(); got != writers*per+7+want {
+		t.Errorf("Total = %d, want %d", got, writers*per+7+want)
+	}
+	if snap := c.Snapshot(); len(snap) != 2 || snap[MsgQueryMulticast] != want {
+		t.Errorf("Snapshot = %v", snap)
+	}
+}

@@ -156,6 +156,34 @@ func TestLookupParallelManyWorkers(t *testing.T) {
 	}
 }
 
+// TestLookupParallelTallyIsExact pins the striped level tally: after a
+// k-lane LookupParallel, found and absent paths alike, the tally at each
+// level equals the number of results that report that level — however the
+// lanes spread their records over the tally's stripes.
+func TestLookupParallelTallyIsExact(t *testing.T) {
+	for _, tc := range parallelBackends {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, lanes := range []int{1, 2, 3, 8} {
+				b, batch := tc.build(t, tc.files, tc.lookups)
+				for i := 0; i < len(batch); i += 7 {
+					batch[i] = "/par/absent" + strconv.Itoa(i)
+				}
+				results, err := LookupParallel(context.Background(), b, batch, lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want [5]uint64
+				for _, res := range results {
+					want[res.Level]++
+				}
+				if got := b.LevelCounts(); got != want {
+					t.Errorf("%d lanes: LevelCounts() = %v, the results report %v", lanes, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestLookupParallelWithReconfig drives lookups and facade-level
 // reconfiguration concurrently, the workload the read/write split exists
 // for.
