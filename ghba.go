@@ -42,7 +42,8 @@ type Config struct {
 	// to 50 000.
 	ExpectedFilesPerMDS uint64
 	// BitsPerFile is the filter ratio m/n. Zero defaults to 16, the ratio
-	// G-HBA's memory savings afford (Section 2.3).
+	// G-HBA's memory savings afford (Section 2.3). Values above about 46
+	// are refused: their optimal hash count exceeds bloom.MaxK = 32.
 	BitsPerFile float64
 	// LRUCapacity is the per-home-MDS generation size of the L1 LRU array.
 	// Zero derives it from ExpectedFilesPerMDS (mds.LRUCapacityFor).

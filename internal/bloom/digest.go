@@ -2,14 +2,15 @@ package bloom
 
 import "sync/atomic"
 
-// Digest is the hash-once currency of the query path: the two
-// Kirsch–Mitzenmacher base hashes of one key, computed a single time per
-// lookup, plus the k probe positions materialized once per filter geometry
-// and reused across every replica sharing that geometry. Because a G-HBA
-// deployment mandates one (m, k, layout) for all its filters, a whole L1→L4
-// lookup — dozens of replica probes — reduces to one key hash, one set of k
-// position derivations, and k word loads per filter (one cache line per
-// filter under LayoutBlocked).
+// Digest is the hash-once currency of every probe: the two
+// Kirsch–Mitzenmacher base hashes of one key, computed a single time, plus
+// the k probe positions materialized once per filter geometry and reused
+// across every filter sharing that geometry. Because a G-HBA deployment
+// mandates one (m, k, layout) for all its filters, a whole L1→L4 lookup —
+// dozens of replica probes — reduces to one key hash, one set of k position
+// derivations, and k word loads per filter (one cache line per filter under
+// LayoutBlocked). The key-based Filter methods build a digest on the stack
+// and run the same code, so there is no second way to derive a position.
 //
 // A Digest is mutable scratch state (the position cache re-materializes when
 // the probed geometry changes) and must not be shared between goroutines;
@@ -27,13 +28,15 @@ type Digest struct {
 	m      uint64
 	k      uint32
 	layout Layout
-	pos    [digestMaxK]uint64
+	pos    [MaxK]uint64
 }
 
-// digestMaxK bounds the cached probe positions. k = (m/n)·ln 2 stays below
-// 12 for every ratio the paper evaluates; geometries beyond the bound still
-// work, falling back to per-probe index derivation.
-const digestMaxK = 32
+// MaxK is the largest hash count of any filter geometry, the one bound every
+// constructor and the wire decoder enforce: it is the size of a digest's
+// position cache, so every probe reads cached positions. The optimal
+// k = (m/n)·ln 2 reaches it at about 46 bits per item; the paper evaluates 8
+// and 16 (k = 6 and 11).
+const MaxK = 32
 
 // NewDigest hashes a byte-string key into a digest.
 func NewDigest(key []byte) Digest {
@@ -60,15 +63,12 @@ func (d *Digest) ResetString(key string) {
 }
 
 // Positions returns the k probe positions for geometry (m, k, layout),
-// materializing and caching them on first use. Returns nil when k exceeds
-// the cache bound; callers then derive each index with PositionAt. It is
-// exported for containers that probe their own bit storage at a filter
-// geometry (bloomarray's bit-sliced L1) and must agree with Filter bit for
-// bit; the returned slice aliases the digest and is read-only.
+// materializing and caching them on first use; k must not exceed MaxK,
+// which no filter of this package does. It is exported for containers that
+// probe their own bit storage at a filter geometry (bloomarray's bit-sliced
+// L1) and must agree with Filter bit for bit; the returned slice aliases the
+// digest and is read-only.
 func (d *Digest) Positions(m uint64, k uint32, layout Layout) []uint64 {
-	if k > digestMaxK {
-		return nil
-	}
 	if d.m != m || d.k != k || d.layout != layout {
 		if layout == LayoutBlocked {
 			for i := uint32(0); i < k; i++ {
@@ -84,41 +84,41 @@ func (d *Digest) Positions(m uint64, k uint32, layout Layout) []uint64 {
 	return d.pos[:k]
 }
 
-// PositionAt derives the i-th probe position for an m-bit vector of the
-// given layout without touching the cache: the path for k beyond the cache
-// bound, where Positions returns nil.
-func (d *Digest) PositionAt(i uint32, m uint64, layout Layout) uint64 {
-	return layoutIndexAt(d.h1, d.h2, i, m, layout)
-}
-
-// ContainsDigest reports whether the digested key may be in the set. It is
-// bit-for-bit equivalent to Contains on the same key: k word loads against
-// the cached probe positions, no hashing, no allocation. Like Contains it is
-// safe to call lock-free concurrently with a serialized writer.
+// ContainsDigest reports whether the digested key may be in the set: k word
+// loads against the cached probe positions, no hashing, no allocation. False
+// positives occur with probability roughly FalsePositiveRate; false negatives
+// never occur for keys that were added (standard filters cannot remove). It
+// is safe to call lock-free concurrently with a serialized writer.
 func (f *Filter) ContainsDigest(d *Digest) bool {
-	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
-		for _, bit := range pos {
-			if atomic.LoadUint64(&f.words[bit/wordBits])&(1<<(bit%wordBits)) == 0 {
-				return false
-			}
+	for _, bit := range d.Positions(f.m, f.k, f.layout) {
+		if atomic.LoadUint64(&f.words[bit/wordBits])&(1<<(bit%wordBits)) == 0 {
+			return false
 		}
-		return true
 	}
-	return f.containsPair(d.h1, d.h2)
+	return true
 }
 
-// AddDigest inserts the digested key, equivalent to Add on the same key
-// (the count of bits turned on included).
+// AddDigest inserts the digested key and reports how many bits that turned
+// on (0 when every probe position was already set).
 func (f *Filter) AddDigest(d *Digest) int {
-	if pos := d.Positions(f.m, f.k, f.layout); pos != nil {
-		fresh := 0
-		for _, bit := range pos {
-			if f.setBit(bit) {
-				fresh++
-			}
+	return f.addDigest(d, nil)
+}
+
+// addDigest sets the digested key's k probe bits and returns the signed
+// count of bits it turned on: one that ref (same geometry, may be nil)
+// already has counts −1, any other +1.
+func (f *Filter) addDigest(d *Digest, ref *Filter) int {
+	moved := 0
+	for _, bit := range d.Positions(f.m, f.k, f.layout) {
+		if !f.setBit(bit) {
+			continue
 		}
-		atomic.AddUint64(&f.n, 1)
-		return fresh
+		if ref != nil && ref.words[bit/wordBits]&(1<<(bit%wordBits)) != 0 {
+			moved--
+		} else {
+			moved++
+		}
 	}
-	return f.addPair(d.h1, d.h2, nil)
+	atomic.AddUint64(&f.n, 1)
+	return moved
 }

@@ -32,16 +32,45 @@ func TestDigestStringMatchesBytes(t *testing.T) {
 	}
 }
 
+// refPositions derives key's k probe positions in f one at a time from the
+// base hashes, without a digest's cache: the reference the cached positions
+// must reproduce.
+func refPositions(f *Filter, key []byte) []uint64 {
+	h1, h2 := hashPair(key)
+	pos := make([]uint64, f.k)
+	for i := range pos {
+		if f.layout == LayoutBlocked {
+			pos[i] = blockedIndexAt(h1, h2, uint32(i), f.m)
+		} else {
+			pos[i] = indexAt(h1, h2, uint32(i), f.m)
+		}
+	}
+	return pos
+}
+
+// refContains is membership by refPositions.
+func refContains(f *Filter, key []byte) bool {
+	for _, bit := range refPositions(f, key) {
+		if f.words[bit/wordBits]&(1<<(bit%wordBits)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestContainsDigestEquivalence is the property test of the hash-once
-// pipeline: for random keys and random geometries — including k beyond the
-// position-cache bound — ContainsDigest must answer exactly like Contains,
-// and AddDigest must set exactly the bits Add would.
+// pipeline: for random keys and random geometries up to k = MaxK,
+// ContainsDigest and Contains must answer exactly like the per-probe
+// reference, and AddDigest must set exactly the bits it names.
 func TestContainsDigestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		m := uint64(64 + rng.Intn(8192))
-		k := uint32(1 + rng.Intn(40)) // crosses digestMaxK to hit the fallback
-		byKey, err := New(m, k)
+		k := uint32(1 + rng.Intn(MaxK))
+		if trial == 0 {
+			k = MaxK
+		}
+		want, err := New(m, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,12 +82,14 @@ func TestContainsDigestEquivalence(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			key := randKey(rng)
 			keys = append(keys, key)
-			byKey.Add(key)
+			for _, bit := range refPositions(want, key) {
+				want.words[bit/wordBits] |= 1 << (bit % wordBits)
+			}
 			d := NewDigest(key)
 			byDigest.AddDigest(&d)
 		}
-		if !byKey.Equal(byDigest) {
-			t.Fatalf("m=%d k=%d: AddDigest diverged from Add (bit vectors differ)", m, k)
+		if !want.Equal(byDigest) {
+			t.Fatalf("m=%d k=%d: AddDigest diverged from the reference (bit vectors differ)", m, k)
 		}
 		for i := 0; i < 500; i++ {
 			key := randKey(rng)
@@ -66,8 +97,11 @@ func TestContainsDigestEquivalence(t *testing.T) {
 				key = keys[i] // guaranteed positives
 			}
 			d := NewDigest(key)
-			if got, want := byKey.ContainsDigest(&d), byKey.Contains(key); got != want {
-				t.Fatalf("m=%d k=%d key=%q: ContainsDigest=%v Contains=%v", m, k, key, got, want)
+			if got, want := byDigest.ContainsDigest(&d), refContains(byDigest, key); got != want {
+				t.Fatalf("m=%d k=%d key=%q: ContainsDigest=%v reference=%v", m, k, key, got, want)
+			}
+			if got, want := byDigest.Contains(key), refContains(byDigest, key); got != want {
+				t.Fatalf("m=%d k=%d key=%q: Contains=%v reference=%v", m, k, key, got, want)
 			}
 		}
 	}
@@ -93,11 +127,11 @@ func TestDigestGeometrySwitch(t *testing.T) {
 		d := NewDigest(key)
 		// Alternate probes against both geometries with one digest.
 		for rep := 0; rep < 2; rep++ {
-			if got, want := small.ContainsDigest(&d), small.Contains(key); got != want {
-				t.Fatalf("small geometry: ContainsDigest=%v Contains=%v for %q", got, want, key)
+			if got, want := small.ContainsDigest(&d), refContains(small, key); got != want {
+				t.Fatalf("small geometry: ContainsDigest=%v reference=%v for %q", got, want, key)
 			}
-			if got, want := big.ContainsDigest(&d), big.Contains(key); got != want {
-				t.Fatalf("big geometry: ContainsDigest=%v Contains=%v for %q", got, want, key)
+			if got, want := big.ContainsDigest(&d), refContains(big, key); got != want {
+				t.Fatalf("big geometry: ContainsDigest=%v reference=%v for %q", got, want, key)
 			}
 		}
 	}
@@ -106,14 +140,14 @@ func TestDigestGeometrySwitch(t *testing.T) {
 // TestDigestResetString checks the in-place re-key of a pooled digest: one
 // digest carried from key to key — its position cache warm for the very
 // geometry probed next, the case a missed invalidation would get wrong — must
-// probe exactly like a fresh digest of each key, on the cached path, on the
-// per-probe path beyond the cache bound, and through a filter.
+// probe exactly like a fresh digest of each key and like the per-probe
+// reference, for every k up to MaxK, and through a filter.
 func TestDigestResetString(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var pooled Digest
 	for trial := 0; trial < 200; trial++ {
 		m := uint64(512 * (1 + rng.Intn(64)))
-		k := uint32(1 + rng.Intn(40)) // crosses digestMaxK
+		k := uint32(1 + rng.Intn(MaxK))
 		layout := Layout(trial % 2)
 		f, err := NewLayout(m, k, layout)
 		if err != nil {
@@ -129,10 +163,8 @@ func TestDigestResetString(t *testing.T) {
 			if got, want := pooled.Positions(m, k, layout), fresh.Positions(m, k, layout); !slices.Equal(got, want) {
 				t.Fatalf("m=%d k=%d %v key=%q: reset digest probes %v, fresh %v", m, k, layout, key, got, want)
 			}
-			for j := uint32(0); j < k; j++ {
-				if got, want := pooled.PositionAt(j, m, layout), f.indexOf(fresh.h1, fresh.h2, j); got != want {
-					t.Fatalf("m=%d k=%d %v key=%q: PositionAt(%d)=%d, filter probes %d", m, k, layout, key, j, got, want)
-				}
+			if got, want := pooled.Positions(m, k, layout), refPositions(f, []byte(key)); !slices.Equal(got, want) {
+				t.Fatalf("m=%d k=%d %v key=%q: reset digest probes %v, reference %v", m, k, layout, key, got, want)
 			}
 			if got, want := f.ContainsDigest(&pooled), f.ContainsString(key); got != want {
 				t.Fatalf("m=%d k=%d %v key=%q: reset ContainsDigest=%v ContainsString=%v", m, k, layout, key, got, want)

@@ -30,8 +30,8 @@ var (
 	// ErrGeometryMismatch is returned when two filters with different bit
 	// lengths, hash counts or layouts are compared.
 	ErrGeometryMismatch = errors.New("bloom: filter geometry mismatch")
-	// ErrInvalidGeometry is returned when a filter is created with a
-	// non-positive size or hash count.
+	// ErrInvalidGeometry is returned when a filter is created or decoded
+	// with a zero size, a hash count outside 1…MaxK or an unknown layout.
 	ErrInvalidGeometry = errors.New("bloom: invalid filter geometry")
 )
 
@@ -64,7 +64,10 @@ func (l Layout) String() string {
 // blockBits is the block size of LayoutBlocked: one 64-byte cache line.
 const blockBits = 512
 
-// Filter is a standard Bloom filter over byte-string keys.
+// Filter is a standard Bloom filter over byte-string keys. Every probe and
+// insert reads a Digest's cached positions: the key-based methods hash the
+// key into a stack digest and run the digest code, which is why no geometry
+// has more than MaxK hash functions.
 //
 // The zero value is not usable; construct filters with New, NewLayout or
 // NewForCapacity.
@@ -111,8 +114,8 @@ func NewLayout(m uint64, k uint32, layout Layout) (*Filter, error) {
 // layoutBits validates a geometry and returns the vector length a filter of
 // that layout actually gets: m itself, or m rounded up to whole blocks.
 func layoutBits(m uint64, k uint32, layout Layout) (uint64, error) {
-	if m == 0 || k == 0 {
-		return 0, fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
+	if m == 0 || k == 0 || k > MaxK {
+		return 0, fmt.Errorf("%w: m=%d k=%d (1 ≤ k ≤ %d)", ErrInvalidGeometry, m, k, MaxK)
 	}
 	switch layout {
 	case LayoutClassic:
@@ -147,13 +150,13 @@ func NewForCapacityLayout(n uint64, bitsPerItem float64, layout Layout) (*Filter
 // CapacityGeometry returns the (m, k) of the filter NewForCapacityLayout
 // builds for n items at bitsPerItem, for containers that keep same-geometry
 // bit storage of their own (see Digest.Positions). It is the one check of a
-// capacity sizing: a bitsPerItem that is not a positive finite number, or
-// one whose n·bitsPerItem bits or OptimalK hash count does not fit its
-// integer type, is ErrInvalidGeometry.
+// capacity sizing: a bitsPerItem that is not a positive finite number, one
+// whose n·bitsPerItem bits do not fit a uint64, or one whose OptimalK hash
+// count exceeds MaxK (above about 46 bits per item) is ErrInvalidGeometry.
 func CapacityGeometry(n uint64, bitsPerItem float64, layout Layout) (m uint64, k uint32, err error) {
 	bits := math.Ceil(float64(n) * bitsPerItem)
 	hashes := math.Round(bitsPerItem * math.Ln2)
-	if n == 0 || !(bitsPerItem > 0) || bits >= 0x1p64 || hashes >= 0x1p32 {
+	if n == 0 || !(bitsPerItem > 0) || bits >= 0x1p64 || hashes > MaxK {
 		return 0, 0, fmt.Errorf("%w: n=%d bits/item=%g", ErrInvalidGeometry, n, bitsPerItem)
 	}
 	k = OptimalK(bitsPerItem)
@@ -185,23 +188,19 @@ func (f *Filter) Layout() Layout { return f.layout }
 // for membership decisions.
 func (f *Filter) Count() uint64 { return atomic.LoadUint64(&f.n) }
 
-// indexOf returns the i-th probe position under the filter's layout.
-func (f *Filter) indexOf(h1, h2 uint64, i uint32) uint64 {
-	return layoutIndexAt(h1, h2, i, f.m, f.layout)
-}
-
-// Add inserts key into the filter and reports how many bits that turned on
-// (0 when every probe position was already set).
+// Add inserts key into the filter, reporting like AddDigest.
 func (f *Filter) Add(key []byte) int {
-	h1, h2 := hashPair(key)
-	return f.addPair(h1, h2, nil)
+	var d Digest
+	d.h1, d.h2 = hashPair(key)
+	return f.addDigest(&d, nil)
 }
 
 // AddString inserts a string key without copying it to a byte slice,
-// reporting like Add.
+// reporting like AddDigest.
 func (f *Filter) AddString(key string) int {
-	h1, h2 := hashPairString(key)
-	return f.addPair(h1, h2, nil)
+	var d Digest
+	d.h1, d.h2 = hashPairString(key)
+	return f.addDigest(&d, nil)
 }
 
 // AddStringXor inserts a string key and reports by how much that moved
@@ -213,28 +212,9 @@ func (f *Filter) AddStringXor(key string, ref *Filter) (int, error) {
 	if err := f.sameGeometry(ref); err != nil {
 		return 0, err
 	}
-	h1, h2 := hashPairString(key)
-	return f.addPair(h1, h2, ref), nil
-}
-
-// addPair sets the k probe bits of a hash pair and returns the signed count
-// of bits it turned on: one that ref (same geometry, may be nil) already has
-// counts −1, any other +1.
-func (f *Filter) addPair(h1, h2 uint64, ref *Filter) int {
-	moved := 0
-	for i := uint32(0); i < f.k; i++ {
-		bit := f.indexOf(h1, h2, i)
-		if !f.setBit(bit) {
-			continue
-		}
-		if ref != nil && ref.words[bit/wordBits]&(1<<(bit%wordBits)) != 0 {
-			moved--
-		} else {
-			moved++
-		}
-	}
-	atomic.AddUint64(&f.n, 1)
-	return moved
+	var d Digest
+	d.h1, d.h2 = hashPairString(key)
+	return f.addDigest(&d, ref), nil
 }
 
 // setBit turns one bit on and reports whether it was off. Writers are
@@ -251,29 +231,19 @@ func (f *Filter) setBit(bit uint64) bool {
 	return true
 }
 
-// Contains reports whether key may be in the set. False positives occur with
-// probability roughly FalsePositiveRate; false negatives never occur for keys
-// that were added and not removed (standard filters cannot remove).
+// Contains reports whether key may be in the set, like ContainsDigest.
 func (f *Filter) Contains(key []byte) bool {
-	h1, h2 := hashPair(key)
-	return f.containsPair(h1, h2)
+	var d Digest
+	d.h1, d.h2 = hashPair(key)
+	return f.ContainsDigest(&d)
 }
 
 // ContainsString reports whether a string key may be in the set, without
 // copying the key to a byte slice.
 func (f *Filter) ContainsString(key string) bool {
-	h1, h2 := hashPairString(key)
-	return f.containsPair(h1, h2)
-}
-
-func (f *Filter) containsPair(h1, h2 uint64) bool {
-	for i := uint32(0); i < f.k; i++ {
-		bit := f.indexOf(h1, h2, i)
-		if atomic.LoadUint64(&f.words[bit/wordBits])&(1<<(bit%wordBits)) == 0 {
-			return false
-		}
-	}
-	return true
+	var d Digest
+	d.h1, d.h2 = hashPairString(key)
+	return f.ContainsDigest(&d)
 }
 
 // Clone returns a deep copy of the filter.

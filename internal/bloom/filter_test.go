@@ -286,13 +286,13 @@ func TestSegmentFalsePositiveEq1(t *testing.T) {
 
 // TestAddReportsBitsTurnedOn pins what the O(k) staleness counter in mds
 // rests on: every add reports exactly the bits it turned on (PopCount after
-// minus before — repeated keys, colliding probes and the k > digestMaxK
-// fallback included), and AddStringXor reports exactly how far the add moved
+// minus before — repeated keys, colliding probes and k = MaxK included),
+// and AddStringXor reports exactly how far the add moved
 // XorBits against a reference that holds bits the filter lacks.
 func TestAddReportsBitsTurnedOn(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, layout := range []Layout{LayoutClassic, LayoutBlocked} {
-		for _, k := range []uint32{3, 11, digestMaxK + 3} {
+		for _, k := range []uint32{3, 11, MaxK} {
 			f, err := NewLayout(2048, k, layout)
 			if err != nil {
 				t.Fatal(err)

@@ -48,6 +48,13 @@ func FuzzFilterMarshal(f *testing.F) {
 	hugeK := bytes.Clone(big)
 	binary.BigEndian.PutUint32(hugeK[10:14], ^uint32(0))
 	f.Add(hugeK)
+	// The hash-count bound: 46 bits per item is k = MaxK, which decodes;
+	// the same bytes claiming k = MaxK+1 are refused.
+	atMaxK := fuzzSeedFilter(f, 64, 46, "/k/max")
+	f.Add(atMaxK)
+	overMaxK := bytes.Clone(atMaxK)
+	binary.BigEndian.PutUint32(overMaxK[10:14], MaxK+1)
+	f.Add(overMaxK)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -28,16 +28,14 @@ const (
 	magicBlockedFilter uint16 = 0xB1F2
 	headerLen                 = 2 + 8 + 4 + 8
 
-	// maxWireM and maxWireK bound decoded geometry. A filter body must
-	// match m anyway, so a huge m cannot force a huge allocation — but an
-	// unchecked m near 2^64 overflows the word-count arithmetic, and an
-	// absurd k would make every later probe of a decoded filter loop for
-	// seconds (a cheap denial of service through the prototype's RPC
-	// layer). 2^48 bits is 32 TiB of filter, and the optimal k for any
-	// realistic bits-per-item ratio is well under 64; both caps are far
-	// outside anything a peer can legitimately ship.
+	// maxWireM bounds a decoded filter's length. A filter body must match
+	// m anyway, so a huge m cannot force a huge allocation — but an
+	// unchecked m near 2^64 overflows the word-count arithmetic. 2^48 bits
+	// is 32 TiB of filter, far outside anything a peer can legitimately
+	// ship. The hash count is held to MaxK, the bound every constructor
+	// enforces, so a decoded filter is one the package could have built and
+	// its probes read a digest's cached positions.
 	maxWireM = uint64(1) << 48
-	maxWireK = uint32(512)
 )
 
 var (
@@ -81,7 +79,7 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("bloom: truncated header: %d bytes", len(data))
 	case m == 0 || k == 0:
 		return fmt.Errorf("%w: m=%d k=%d", ErrInvalidGeometry, m, k)
-	case m > maxWireM || k > maxWireK:
+	case m > maxWireM || k > MaxK:
 		return fmt.Errorf("%w: implausible wire geometry m=%d k=%d", ErrInvalidGeometry, m, k)
 	}
 	var layout Layout

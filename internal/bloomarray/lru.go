@@ -135,18 +135,11 @@ func NewLRUArrayLayout(capacity uint64, bitsPerItem float64, layout bloom.Layout
 // aged generation's is laneBits above it.
 func activeBit(lane int) uint64 { return 1 << (lane % laneBits) }
 
-// match ANDs the slab words of lane word g at the digest's probe positions:
-// a set bit is a generation of one of the 32 lanes that contains the key.
-// pos is d.Positions at the array's geometry — nil when k is beyond the
-// digest's cache, and each position is derived on the spot.
-func (l *LRUArray) match(s *lruState, d *bloom.Digest, pos []uint64, g int) uint64 {
+// match ANDs the slab words of lane word g at the probe positions pos (a
+// digest's Positions at the array's geometry): a set bit is a generation of
+// one of the 32 lanes that contains the key.
+func (s *lruState) match(pos []uint64, g int) uint64 {
 	r := ^uint64(0)
-	if pos == nil {
-		for i := uint32(0); i < l.k && r != 0; i++ {
-			r &= atomic.LoadUint64(&s.words[int(d.PositionAt(i, l.m, l.layout))*s.w+g])
-		}
-		return r
-	}
 	for _, p := range pos {
 		if r &= atomic.LoadUint64(&s.words[int(p)*s.w+g]); r == 0 {
 			break
@@ -155,15 +148,9 @@ func (l *LRUArray) match(s *lruState, d *bloom.Digest, pos []uint64, g int) uint
 	return r
 }
 
-// insert sets bit (of lane word g) at the digest's probe positions in s's
-// slab, atomically: the slab may be published and shared with other writers.
-func (l *LRUArray) insert(s *lruState, d *bloom.Digest, pos []uint64, g int, bit uint64) {
-	if pos == nil {
-		for i := uint32(0); i < l.k; i++ {
-			atomic.OrUint64(&s.words[int(d.PositionAt(i, l.m, l.layout))*s.w+g], bit)
-		}
-		return
-	}
+// insert sets bit (of lane word g) at the probe positions pos in s's slab,
+// atomically: the slab may be published and shared with other writers.
+func (s *lruState) insert(pos []uint64, g int, bit uint64) {
 	for _, p := range pos {
 		atomic.OrUint64(&s.words[int(p)*s.w+g], bit)
 	}
@@ -270,10 +257,10 @@ func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 	s := l.state.Load()
 	if lane, ok := s.lanes[homeMDS]; ok && s.gens[lane].Load()>>1 < l.capacity {
 		g, bit := lane/laneBits, activeBit(lane)
-		if l.match(s, d, pos, g)&bit != 0 {
+		if s.match(pos, g)&bit != 0 {
 			return
 		}
-		l.insert(s, d, pos, g, bit)
+		s.insert(pos, g, bit)
 		s.gens[lane].Add(1 << 1)
 		// sync/atomic is sequentially consistent: if the slab is not
 		// retired after the writes, any copy of it starts after them.
@@ -292,7 +279,7 @@ func (l *LRUArray) ObserveDigest(d *bloom.Digest, homeMDS int) {
 	if s.gens[lane].Load()>>1 >= l.capacity {
 		s = l.rotateLocked(s, lane)
 	}
-	l.insert(s, d, pos, lane/laneBits, activeBit(lane))
+	s.insert(pos, lane/laneBits, activeBit(lane))
 	s.gens[lane].Add(1 << 1)
 }
 
@@ -307,7 +294,7 @@ func (l *LRUArray) QueryDigest(d *bloom.Digest, buf []int) Result {
 	s := l.state.Load()
 	pos := d.Positions(l.m, l.k, l.layout)
 	for g := 0; g < s.w; g++ {
-		r := l.match(s, d, pos, g)
+		r := s.match(pos, g)
 		// A hit in either generation is a hit for the lane.
 		for r = uint64(uint32(r | r>>laneBits)); r != 0; r &= r - 1 {
 			// Lanes are handed out in arrival order, so a second hit is

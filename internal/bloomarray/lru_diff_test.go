@@ -127,14 +127,14 @@ func (p *lruPair) checkAccounting(step int) {
 // SizeBytes at every step. The home counts straddle the lane-word growth
 // points (a 33rd and a 65th home), forgotten homes come back (lane reuse),
 // the home IDs are sparse and arrive in shuffled order (lane order is not ID
-// order), and bitsPerItem = 64 gives k = 44, beyond the digest's position
-// cache.
+// order), and bitsPerItem = 46 gives k = bloom.MaxK, the largest hash count
+// a geometry may have.
 func TestLRUMatchesFilterPairs(t *testing.T) {
 	type geometry struct {
 		capacity    uint64
 		bitsPerItem float64
 	}
-	geometries := []geometry{{1, 16}, {16, 16}, {256, 16}, {16, 64}}
+	geometries := []geometry{{1, 16}, {16, 16}, {256, 16}, {16, 46}}
 	for _, layout := range []bloom.Layout{bloom.LayoutClassic, bloom.LayoutBlocked} {
 		for _, geo := range geometries {
 			for _, homes := range []int{1, 31, 32, 33, 65} {

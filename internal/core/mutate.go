@@ -152,30 +152,33 @@ func (c *Cluster) applyCost(node *mds.Node) time.Duration {
 // Returns the lookup result; pure mutations report Level 0, with a delete's
 // Home and Found describing the pre-delete state so replay checkpoints can
 // distinguish deletes of live paths from deletes of missing ones.
+//
+// A lookup takes no lock, like LookupAt: it walks the membership snapshot it
+// loads. Creates and deletes hold the topology read lock, which excludes
+// reconfiguration, so the fleet they load stays current until the record is
+// applied.
 func (c *Cluster) ApplyWith(rng *rand.Rand, rec trace.Record) LookupResult {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	// The read lock excludes reconfiguration, so f stays the current fleet
-	// until the record is applied.
-	f := c.fleet.Load()
-	switch rec.Op {
-	case trace.OpCreate:
-		// One draw either way: it becomes the home of a fresh path, or the
-		// entry point when creating an existing path degenerates to an
-		// open. PutIfAbsentThen is the atomic claim-and-install, so two
-		// workers racing on the same path cannot both home it, and a
-		// racing delete cannot slip between the claim and the node update.
-		id := f.Draw(rng)
-		node := f.Node(id)
-		if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, f.Holds, func() { node.AddFile(rec.Path) }); !inserted {
-			return c.lookupFleet(f, rec.Path, id, rec.At, true)
-		}
-		c.noteMutationLocked(f, id)
-		return LookupResult{Path: rec.Path, Home: id, Found: true, Level: 0}
-	case trace.OpDelete:
-		home, existed := c.deleteInnerLocked(f, rec.Path)
-		return LookupResult{Path: rec.Path, Home: home, Found: existed, Level: 0}
-	default:
+	if rec.Op != trace.OpCreate && rec.Op != trace.OpDelete {
+		f := c.fleet.Load()
 		return c.lookupFleet(f, rec.Path, f.Draw(rng), rec.At, true)
 	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	f := c.fleet.Load()
+	if rec.Op == trace.OpDelete {
+		home, existed := c.deleteInnerLocked(f, rec.Path)
+		return LookupResult{Path: rec.Path, Home: home, Found: existed, Level: 0}
+	}
+	// One draw either way: it becomes the home of a fresh path, or the entry
+	// point when creating an existing path degenerates to an open.
+	// PutIfAbsentThen is the atomic claim-and-install, so two workers racing
+	// on the same path cannot both home it, and a racing delete cannot slip
+	// between the claim and the node update.
+	id := f.Draw(rng)
+	node := f.Node(id)
+	if _, inserted := c.homes.PutIfAbsentThen(rec.Path, id, f.Holds, func() { node.AddFile(rec.Path) }); !inserted {
+		return c.lookupFleet(f, rec.Path, id, rec.At, true)
+	}
+	c.noteMutationLocked(f, id)
+	return LookupResult{Path: rec.Path, Home: id, Found: true, Level: 0}
 }

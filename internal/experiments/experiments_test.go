@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -324,6 +325,21 @@ func TestTable5MeasuredClosesOnPaper(t *testing.T) {
 	}
 	if !strings.Contains(FormatTable5(rows), "Table 5") {
 		t.Error("format missing header")
+	}
+}
+
+// refusingBackend is a backend whose bulk load fails.
+type refusingBackend struct{ ghba.Backend }
+
+func (refusingBackend) CreateAll(context.Context, []string) error { return errRefused }
+
+var errRefused = errors.New("bulk load refused")
+
+// TestPopulateNReturnsCreateAllError checks that Table 5's bulk load reports
+// a failed CreateAll instead of measuring a half-populated cluster.
+func TestPopulateNReturnsCreateAllError(t *testing.T) {
+	if err := populateN(refusingBackend{}, 10); !errors.Is(err, errRefused) {
+		t.Fatalf("populateN over a refusing backend: err = %v, want %v", err, errRefused)
 	}
 }
 

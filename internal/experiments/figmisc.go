@@ -242,8 +242,12 @@ func Table5(ns []int, filesPerMDS uint64, seed int64) ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		populateN(ghba.SimulationOver(gc, seed), totalFiles)
-		populateN(ghba.SimulationOver(hc, seed), totalFiles)
+		if err := populateN(ghba.SimulationOver(gc, seed), totalFiles); err != nil {
+			return nil, err
+		}
+		if err := populateN(ghba.SimulationOver(hc, seed), totalFiles); err != nil {
+			return nil, err
+		}
 
 		gf := gc.MeanFootprint()
 		hf := hc.Footprint(0)
@@ -273,12 +277,12 @@ func bfaBytes(n int, filesPerMDS uint64, bitsPerFile float64) (uint64, error) {
 }
 
 // populateN fills a backend with count synthetic paths.
-func populateN(sys ghba.Backend, count uint64) {
+func populateN(sys ghba.Backend, count uint64) error {
 	paths := make([]string, count)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/t5/f%d", i)
 	}
-	sys.CreateAll(context.Background(), paths)
+	return sys.CreateAll(context.Background(), paths)
 }
 
 // FormatTable5 renders measured-versus-paper overhead.

@@ -10,33 +10,20 @@ import (
 )
 
 // ApplyWith dispatches one trace record against the prototype: mutations
-// create or delete files over RPC, reads perform lookups. Entry points and
-// home placements are drawn from the caller's RNG with the draw pattern of
-// core's — one mds.Fleet.Draw per create or lookup, none per delete — so a
-// simulation and a prototype replaying the same trace with equally seeded
-// RNGs place every file on the same home MDS, and a single-worker run is
-// bit-for-bit the serial engine driven by that RNG. A path longer than the
-// wire's 65,535-byte limit is refused before the draw.
-//
-// It is a window of one: the same single draw ApplyBatch makes per record,
-// then a mutation round over the one record — walking it if it turned out to
-// be an open — or the walk over a vector of one.
+// create or delete files over RPC, reads perform lookups. It is ApplyBatch
+// over a vector of one, so entry points and home placements are drawn from
+// the caller's RNG with the draw pattern of core's — one mds.Fleet.Draw per
+// create or lookup, none per delete — and a simulation and a prototype
+// replaying the same trace with equally seeded RNGs place every file on the
+// same home MDS, while a single-worker run is bit-for-bit the serial engine
+// driven by that RNG. A path longer than the wire's 65,535-byte limit is
+// refused before the draw.
 func (c *Cluster) ApplyWith(ctx context.Context, rng *rand.Rand, rec trace.Record) (LookupResult, error) {
-	if err := checkPaths(rec.Path); err != nil {
+	res, err := c.ApplyBatch(ctx, rng, []trace.Record{rec})
+	if err != nil {
 		return LookupResult{}, err
 	}
-	draw := 0
-	if rec.Op != trace.OpDelete {
-		draw = c.fleet.Load().Draw(rng)
-	}
-	if isMutation(rec.Op) {
-		out := make([]LookupResult, 1)
-		opens, _, err := c.mutateRun(ctx, []trace.Record{rec}, []int{draw}, []int{0}, out)
-		if err != nil || len(opens) == 0 {
-			return out[0], err
-		}
-	}
-	return c.lookupVia(ctx, rec.Path, draw)
+	return res[0], nil
 }
 
 // Flush drains the coalescing ship queue: every daemon whose filter crossed
