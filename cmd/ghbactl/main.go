@@ -68,9 +68,8 @@ func run() error {
 		shipBatch = flag.Int("shipbatch", 1, "ship-queue drain batch (1 = ship at every threshold crossing)")
 		adds      = flag.Int("add", 0, "MDS insertions to perform after the sweep")
 		seed      = flag.Int64("seed", 1, "random seed")
-		memMB     = flag.Uint64("mem-mb", 0, "sim: per-MDS replica memory budget in MB (0 = unlimited; tcp refuses it, see -resident)")
-		resid     = flag.Int("resident", 0, "tcp: replicas fitting in a daemon's RAM (0 = unlimited)")
-		penalty   = flag.Duration("disk-penalty", 0, "tcp: emulated disk cost when over the resident limit")
+		memMB     = flag.Uint64("mem-mb", 0, "per-MDS memory budget in MB for the segment array (0 = unlimited)")
+		penalty   = flag.Duration("disk-penalty", 0, "tcp: emulated disk cost of a probe of a fully spilled segment array")
 		timeout   = flag.Duration("call-timeout", 0, "tcp: per-RPC deadline (0 = library default, negative = none)")
 	)
 	flag.Parse()
@@ -113,6 +112,9 @@ func run() error {
 	}
 	switch *backend {
 	case "sim":
+		if *penalty != 0 || *timeout != 0 { // the simulator would ignore them
+			return rejectf("backend", "sim takes neither -disk-penalty nor -call-timeout (tcp only)")
+		}
 		sim, err := ghba.New(cfg)
 		if err != nil {
 			return err
@@ -120,10 +122,9 @@ func run() error {
 		b = sim
 	case "tcp":
 		tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{
-			Config:               cfg,
-			ResidentReplicaLimit: *resid,
-			DiskPenalty:          *penalty,
-			CallTimeout:          *timeout,
+			Config:      cfg,
+			DiskPenalty: *penalty,
+			CallTimeout: *timeout,
 		})
 		if err != nil {
 			return err

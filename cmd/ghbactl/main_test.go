@@ -49,8 +49,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-backend", "bogus"}, "invalid config: -backend"},
 		{[]string{"-files", "1"}, "invalid config: -files"},
 		{[]string{"-rpcbatch", "0"}, "invalid config: -rpcbatch"},
-		// -mem-mb is the simulator's spill model; TCP spills by -resident.
-		{[]string{"-backend", "tcp", "-mem-mb", "8"}, "invalid config: MemoryBudgetBytes"},
+		// The simulator would silently ignore a TCP-only flag.
+		{[]string{"-backend", "sim", "-disk-penalty", "1ms"}, "invalid config: -backend: sim takes neither -disk-penalty"},
+		{[]string{"-backend", "sim", "-call-timeout", "1s"}, "invalid config: -backend: sim takes neither -disk-penalty nor -call-timeout"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			out, err := exec.Command(toolBinary, tc.args...).CombinedOutput()
@@ -82,6 +83,31 @@ func TestRunsOnBothBackends(t *testing.T) {
 				if !strings.Contains(string(out), want) {
 					t.Errorf("output missing %q:\n%s", want, out)
 				}
+			}
+		})
+	}
+}
+
+// TestMemoryBudgetOnBothBackends pins that -mem-mb is one knob for both
+// backends: each accepts a budget and ends in a clean sweep (TCP with the
+// emulated disk armed).
+func TestMemoryBudgetOnBothBackends(t *testing.T) {
+	for _, backend := range []string{"sim", "tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			if backend == "tcp" && testing.Short() {
+				t.Skip("loopback TCP daemons are not short")
+			}
+			args := []string{"-backend", backend, "-mem-mb", "8", "-n", "6", "-m", "1",
+				"-files", "400", "-ops", "200", "-workers", "2"}
+			if backend == "tcp" {
+				args = append(args, "-disk-penalty", "100us")
+			}
+			out, err := exec.Command(toolBinary, args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("run failed: %v\n%s", err, out)
+			}
+			if !strings.Contains(string(out), "0 lost, 0 wrong-home") {
+				t.Errorf("output missing a clean sweep:\n%s", out)
 			}
 		})
 	}

@@ -17,12 +17,16 @@
 // torn tail from a mid-write crash is truncated and reported. Without
 // -data the daemon is memory-only, as before.
 //
+// With -mem-mb the daemon runs the simulator's memory model: each probe of
+// its segment array sleeps -disk-penalty times the share past the budget.
+//
 // On SIGINT/SIGTERM the daemon drains: the listener closes, in-flight
 // requests finish (bounded by -drain-timeout), a final snapshot compacts
 // the WAL, and only then does the process exit.
 //
 //	mdsd -id 0 -listen 127.0.0.1:7000
 //	mdsd -id 1 -listen 127.0.0.1:7001 -files 100000 -bits 16
+//	mdsd -id 3 -listen 127.0.0.1:7003 -mem-mb 64 -disk-penalty 2ms
 //	mdsd -id 2 -listen 127.0.0.1:7002 -data /var/lib/mdsd/2 -wal-sync interval
 package main
 
@@ -45,12 +49,12 @@ func main() {
 
 func run() int {
 	var (
-		id       = flag.Int("id", 0, "MDS identifier")
-		listen   = flag.String("listen", "127.0.0.1:0", "listen address")
-		files    = flag.Uint64("files", 50_000, "expected files homed at this MDS")
-		bits     = flag.Float64("bits", 16, "Bloom filter bits per file")
-		resident = flag.Int("resident", 0, "replicas fitting in RAM (0 = unlimited)")
-		penalty  = flag.Duration("disk-penalty", 0, "emulated disk cost for spilled replica arrays")
+		id      = flag.Int("id", 0, "MDS identifier")
+		listen  = flag.String("listen", "127.0.0.1:0", "listen address")
+		files   = flag.Uint64("files", 50_000, "expected files homed at this MDS")
+		bits    = flag.Float64("bits", 16, "Bloom filter bits per file")
+		memMB   = flag.Uint64("mem-mb", 0, "memory budget in MB for the segment array (0 = unlimited)")
+		penalty = flag.Duration("disk-penalty", 0, "emulated disk cost of a probe of a fully spilled segment array")
 
 		dataDir   = flag.String("data", "", "durability directory (WAL + snapshots); empty = memory-only")
 		walSync   = flag.String("wal-sync", "always", "WAL fsync policy: always, interval or never")
@@ -74,9 +78,9 @@ func run() int {
 		LRUBitsPerFile: *bits,
 	}
 	opts := proto.NodeServerOptions{
-		ResidentReplicaLimit: *resident,
-		DiskPenalty:          *penalty,
-		SnapshotEvery:        *snapEvery,
+		MemoryBudgetBytes: *memMB << 20,
+		DiskPenalty:       *penalty,
+		SnapshotEvery:     *snapEvery,
 	}
 
 	var node *mds.Node

@@ -11,9 +11,10 @@ import (
 // FuzzNewConfig feeds New arbitrary sizing: every field a caller sets, with
 // BitsPerFile as any float64 bit pattern. New must either refuse the config
 // as a *ConfigError or return a backend that serves a lookup; it must never
-// panic. Finite geometries past 2^24 bits per filter, or a fleet whose
-// replicas would pass 2^28 bits, are skipped so a run never allocates
-// gigabytes.
+// panic. The TCP backend's validation must agree on the shared half: both
+// accept, or both refuse the same field (no daemon starts). Finite
+// geometries past 2^24 bits per filter, or a fleet whose replicas would pass
+// 2^28 bits, are skipped so a run never allocates gigabytes.
 //
 //	go test -run '^$' -fuzz FuzzNewConfig -fuzztime=10s .
 func FuzzNewConfig(f *testing.F) {
@@ -35,10 +36,14 @@ func FuzzNewConfig(f *testing.F) {
 			MemoryBudgetBytes:   budget,
 			ShipBatch:           shipBatch,
 		}
+		err := cfg.validate()
+		if perr := (PrototypeConfig{Config: cfg}).validate(); configField(perr) != configField(err) {
+			t.Fatalf("%+v: Config.validate = %v, PrototypeConfig.validate = %v", cfg, err, perr)
+		}
 		// New refuses a config validate refuses before it sizes anything, so
 		// only an accepted one can be too large to build here. Past
 		// validate, every BitsPerFile is finite and positive.
-		if cfg.validate() == nil {
+		if err == nil {
 			nc := cfg.nodeConfig()
 			filterBits := float64(nc.ExpectedFiles) * nc.BitsPerFile
 			if numMDS > 8 || filterBits > 1<<24 || float64(nc.LRUCapacity)*nc.BitsPerFile > 1<<24 ||
@@ -65,4 +70,16 @@ func FuzzNewConfig(f *testing.F) {
 			t.Fatalf("New(%+v): %v", cfg, err)
 		}
 	})
+}
+
+// configField names the field a *ConfigError rejects, "" for nil.
+func configField(err error) string {
+	var cerr *ConfigError
+	if errors.As(err, &cerr) {
+		return cerr.Field
+	}
+	if err != nil {
+		return "not a *ConfigError: " + err.Error()
+	}
+	return ""
 }

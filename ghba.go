@@ -48,10 +48,11 @@ type Config struct {
 	// LRUCapacity is the per-home-MDS generation size of the L1 LRU array.
 	// Zero derives it from ExpectedFilesPerMDS (mds.LRUCapacityFor).
 	LRUCapacity uint64
-	// MemoryBudgetBytes caps each server's replica memory; zero means
-	// unlimited. See internal/memmodel for the spill model. Simulation
-	// only: StartPrototype rejects a non-zero budget (the TCP backend
-	// spills by PrototypeConfig.ResidentReplicaLimit and DiskPenalty).
+	// MemoryBudgetBytes is each server's RAM budget for its segment array
+	// (its replicas plus its own filter), on either backend; zero means
+	// unlimited, and less than one filter is refused. internal/memmodel
+	// spills the overflow: the simulation prices a spilled probe as a disk
+	// read, a daemon sleeps PrototypeConfig.DiskPenalty times the share.
 	MemoryBudgetBytes uint64
 	// ShipBatch is the coalescing ship queue's drain batch: the number of
 	// XOR-delta threshold crossings absorbed before dirty origins' replicas

@@ -109,8 +109,9 @@ func TestStartPrototypeValidation(t *testing.T) {
 	}{
 		{"shared half", PrototypeConfig{Config: Config{NumMDS: 0}}, "NumMDS"},
 		{"unknown WAL sync policy", PrototypeConfig{Config: base, WALSync: "sometimes"}, "WALSync"},
-		// The simulator's spill model; TCP's is ResidentReplicaLimit/DiskPenalty.
-		{"memory budget", PrototypeConfig{Config: Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000, MemoryBudgetBytes: 1 << 20}}, "MemoryBudgetBytes"},
+		// The shared budget check covers TCP: 100 bytes cannot hold one
+		// 2,000-byte filter.
+		{"budget below one filter", PrototypeConfig{Config: Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000, MemoryBudgetBytes: 100}}, "MemoryBudgetBytes"},
 	}
 	for _, tc := range cases {
 		p, err := StartPrototype(tc.cfg)
@@ -128,6 +129,13 @@ func TestStartPrototypeValidation(t *testing.T) {
 			t.Errorf("%s: rejected field %q, want %q", tc.name, cerr.Field, tc.field)
 		}
 	}
+	// A budget that fits at least one filter is one knob for both backends:
+	// the daemons accept it too.
+	p, err := StartPrototype(PrototypeConfig{Config: Config{NumMDS: 2, ExpectedFilesPerMDS: 1_000, MemoryBudgetBytes: 1 << 20}})
+	if err != nil {
+		t.Fatalf("valid budget rejected: %v", err)
+	}
+	p.Close()
 }
 
 func TestDefaultsApplied(t *testing.T) {

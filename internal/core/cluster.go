@@ -105,6 +105,8 @@ type Cluster struct {
 	// while holding only the cluster read lock.
 	lru *bloomarray.LRUArray
 
+	// mem is each MDS's memory budget over its segment array; nil, an
+	// unlimited budget, keeps every filter resident.
 	mem *memmodel.Model
 
 	// rng drives the writer-side placement decisions (Populate, RemoveMDS's
@@ -144,9 +146,11 @@ func New(cfg Config) (*Cluster, error) {
 		homes: homeindex.New(),
 		ships: shipq.New(cfg.ShipBatch),
 		lru:   lru,
-		mem:   cfg.memoryModel(),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		msgs:  simnet.NewCounter(),
+	}
+	if cfg.MemoryBudgetBytes > 0 {
+		c.mem = memmodel.New(cfg.MemoryBudgetBytes)
 	}
 
 	nodes := make(map[int]*mds.Node, cfg.NumMDS)

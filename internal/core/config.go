@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"ghba/internal/mds"
-	"ghba/internal/memmodel"
 	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
@@ -97,11 +96,3 @@ func (c Config) validate() error {
 
 // LookupResult reports the outcome of one lookup or mutation.
 type LookupResult = trace.Result
-
-// memoryModel builds the memmodel for a node given the config.
-func (c Config) memoryModel() *memmodel.Model {
-	if c.MemoryBudgetBytes == 0 {
-		return memmodel.New(^uint64(0) >> 1) // effectively unlimited
-	}
-	return memmodel.New(c.MemoryBudgetBytes)
-}

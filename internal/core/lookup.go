@@ -53,24 +53,21 @@ func putScratch(s *lookupScratch) {
 	scratchPool.Put(s)
 }
 
-// replicaBytes returns the accounted memory footprint of one replica for
-// pressure purposes (virtual paper-scale size when configured, otherwise the
-// node's actual filter size).
-func (c *Cluster) replicaBytes(actual uint64) uint64 {
-	if c.cfg.VirtualReplicaBytes > 0 {
-		return c.cfg.VirtualReplicaBytes
+// segment is node's filter array the memory budget sizes (mds.Node.Segment),
+// each filter priced at VirtualReplicaBytes when that is set.
+func (c *Cluster) segment(node *mds.Node) (filters int, bytes uint64) {
+	filters, bytes = node.Segment()
+	if v := c.cfg.VirtualReplicaBytes; v > 0 {
+		bytes = uint64(filters) * v
 	}
-	return actual
+	return filters, bytes
 }
 
 // segmentProbeCost returns the service time of probing an MDS's segment
 // array (its replicas plus its own filter), charging disk penalties for the
 // spilled fraction under the memory budget.
 func (c *Cluster) segmentProbeCost(f *mds.Fleet, id int) time.Duration {
-	node := f.Node(id)
-	total := node.ReplicaCount() + 1 // replicas + own filter
-	perReplica := c.replicaBytes(node.LocalFilter().SizeBytes())
-	totalBytes := uint64(total) * perReplica
+	total, totalBytes := c.segment(f.Node(id))
 	return c.mem.ArrayProbeCost(total, totalBytes,
 		c.cfg.Cost.MemProbe, c.cfg.Cost.DiskRead, c.cfg.CacheHitRate)
 }

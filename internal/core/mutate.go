@@ -127,20 +127,21 @@ func (c *Cluster) shipOriginLocked(f *mds.Fleet, origin int) (msgs int, latency 
 }
 
 // applyCost returns the cost of rewriting one replica at a holder: a memory
-// write when the holder's replica set is resident, a disk write for the
-// spilled fraction.
+// write, plus a disk write damped by the page cache with the probability
+// that the touched replica is a spilled one.
 func (c *Cluster) applyCost(node *mds.Node) time.Duration {
-	total := node.ReplicaCount() + 1
-	perReplica := c.replicaBytes(node.LocalFilter().SizeBytes())
-	totalBytes := uint64(total) * perReplica
-	spilled := c.mem.SpilledReplicas(total, totalBytes)
-	if spilled == 0 {
+	share := c.SpilledShare(node)
+	if share == 0 {
 		return c.cfg.Cost.MemProbe
 	}
-	// Probability the touched replica is one of the spilled ones.
-	frac := float64(spilled) / float64(total)
 	return c.cfg.Cost.MemProbe +
-		time.Duration(frac*(1-c.cfg.CacheHitRate)*float64(c.cfg.Cost.DiskRead))
+		time.Duration(share*(1-c.cfg.CacheHitRate)*float64(c.cfg.Cost.DiskRead))
+}
+
+// SpilledShare returns the share of node's segment array past the memory
+// budget: the probability that one probed filter there is disk resident.
+func (c *Cluster) SpilledShare(node *mds.Node) float64 {
+	return c.mem.SpilledShare(c.segment(node))
 }
 
 // ApplyWith dispatches one trace record against the cluster: mutations

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ghba"
-	"ghba/internal/core"
 	"ghba/internal/trace"
 )
 
@@ -246,7 +245,8 @@ func TestFig14PrototypeShape(t *testing.T) {
 	cfg.Ops = 400
 	cfg.Interval = 100
 	cfg.Files = 1_000
-	cfg.ResidentReplicaLimit = 4
+	// 2 KiB holds five of this namespace's 408-byte filters.
+	cfg.MemoryBudgetBytes = 2 << 10
 	cfg.DiskPenalty = 1 * time.Millisecond
 	series, err := Fig14(cfg)
 	if err != nil {
@@ -267,8 +267,9 @@ func TestFig14PrototypeShape(t *testing.T) {
 			ghbaFinal = s.Final()
 		}
 	}
-	// HBA holds 9 replicas > limit 4 → every query pays the disk penalty;
-	// G-HBA holds ~2 → none. The prototype must show the gap.
+	// HBA's segment is 10 filters, half past the budget → every query pays
+	// half the disk penalty; G-HBA's is at most 4 → none. The prototype
+	// must show the gap.
 	if ghbaFinal >= hbaFinal {
 		t.Errorf("G-HBA (%v) not faster than overloaded HBA (%v)", ghbaFinal, hbaFinal)
 	}
@@ -356,11 +357,7 @@ func TestTables34Output(t *testing.T) {
 }
 
 func TestReplayCheckpoints(t *testing.T) {
-	gen, err := trace.NewGenerator(trace.Config{Profile: trace.HP(), TIF: 1, FilesPerSubtrace: 500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := newTestSystem(t, gen)
+	sys, gen := newTestSystem(t, trace.Config{Profile: trace.HP(), TIF: 1, FilesPerSubtrace: 500, Seed: 1})
 	points, err := Replay(context.Background(), sys, gen, 1_000, 250)
 	if err != nil {
 		t.Fatal(err)
@@ -377,23 +374,19 @@ func TestReplayCheckpoints(t *testing.T) {
 		}
 	}
 	// interval ≤ 0 falls back to a single final checkpoint.
-	gen2, _ := trace.NewGenerator(trace.Config{Profile: trace.HP(), TIF: 1, FilesPerSubtrace: 500, Seed: 2})
-	sys2 := newTestSystem(t, gen2)
+	sys2, gen2 := newTestSystem(t, trace.Config{Profile: trace.HP(), TIF: 1, FilesPerSubtrace: 500, Seed: 2})
 	if pts, err := Replay(context.Background(), sys2, gen2, 100, 0); err != nil || len(pts) != 1 {
 		t.Errorf("fallback checkpoints = %d", len(pts))
 	}
 }
 
-func newTestSystem(t *testing.T, gen *trace.Generator) ghba.Backend {
+// newTestSystem builds a populated six-server G-HBA simulation (groups of
+// three) over the trace, with the generator ready to replay.
+func newTestSystem(t *testing.T, tc trace.Config) (ghba.Backend, *trace.Generator) {
 	t.Helper()
-	ccfg := clusterConfig(6, 3, gen)
-	cluster, err := core.New(ccfg)
+	c, gen, err := simulate(tc, 6, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := ghba.SimulationOver(cluster, ccfg.Seed)
-	if err := PopulateFromGenerator(sim, gen); err != nil {
-		t.Fatal(err)
-	}
-	return sim
+	return ghba.SimulationOver(c, tc.Seed), gen
 }

@@ -10,7 +10,6 @@ import (
 	"ghba/internal/analysis"
 	"ghba/internal/core"
 	"ghba/internal/mds"
-	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
 
@@ -102,51 +101,57 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 }
 
 func fig6Run(cfg Fig6Config, m int) (time.Duration, error) {
-	gen, err := trace.NewGenerator(trace.Config{
+	c, gen, err := simulate(trace.Config{
 		Profile:          cfg.Profile,
 		TIF:              cfg.TIF,
 		FilesPerSubtrace: cfg.FilesPerSubtrace,
 		MeanInterarrival: cfg.MeanInterarrival,
 		Seed:             cfg.Seed,
+	}, cfg.N, m, func(ccfg *core.Config) {
+		ccfg.MemoryBudgetBytes = cfg.MemoryBudgetBytes
+		ccfg.VirtualReplicaBytes = cfg.VirtualReplicaBytes
 	})
 	if err != nil {
 		return 0, err
 	}
-	ccfg := clusterConfig(cfg.N, m, gen)
-	ccfg.MemoryBudgetBytes = cfg.MemoryBudgetBytes
-	ccfg.VirtualReplicaBytes = cfg.VirtualReplicaBytes
-	ccfg.Seed = cfg.Seed
-	cluster, err := core.New(ccfg)
-	if err != nil {
-		return 0, err
-	}
-	sim := ghba.SimulationOver(cluster, ccfg.Seed)
-	if err := PopulateFromGenerator(sim, gen); err != nil {
-		return 0, err
-	}
-	points, err := Replay(context.Background(), sim, gen, cfg.Ops, cfg.Ops)
+	points, err := Replay(context.Background(), ghba.SimulationOver(c, cfg.Seed), gen, cfg.Ops, cfg.Ops)
 	if err != nil {
 		return 0, err
 	}
 	return points[len(points)-1].MeanLatency, nil
 }
 
-// clusterConfig sizes a simulation cluster for a generator's namespace.
-func clusterConfig(n, m int, gen *trace.Generator) core.Config {
-	files := gen.InitialFileCount()
-	perMDS := files/uint64(n) + 1
-	cfg := core.DefaultConfig(n, m)
-	cfg.Node = mds.Config{
-		ExpectedFiles:  perMDS * 2, // headroom for created files
+// simulate builds one figure cell: a generator over tc, and a cluster of n
+// servers in groups of at most m, sized for the generator's namespace, seeded
+// like the trace, then tweaked (if tweak is non-nil) and populated. The
+// generator comes back ready to Replay.
+func simulate(tc trace.Config, n, m int, tweak func(*core.Config)) (*core.Cluster, *trace.Generator, error) {
+	gen, err := trace.NewGenerator(tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	ccfg := core.DefaultConfig(n, m)
+	ccfg.Node = mds.Config{
+		ExpectedFiles:  (gen.InitialFileCount()/uint64(n) + 1) * 2, // headroom for created files
 		BitsPerFile:    16,
 		LRUCapacity:    1024,
 		LRUBitsPerFile: 16,
 	}
-	cfg.Cost = simnet.DefaultCostModel()
 	// A probe of a spilled filter misses the page cache most of the time
 	// (k scattered bit reads per filter); 0.9 models the hot-page residue.
-	cfg.CacheHitRate = 0.9
-	return cfg
+	ccfg.CacheHitRate = 0.9
+	ccfg.Seed = tc.Seed
+	if tweak != nil {
+		tweak(&ccfg)
+	}
+	c, err := core.New(ccfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := PopulateFromGenerator(ghba.SimulationOver(c, tc.Seed), gen); err != nil {
+		return nil, nil, err
+	}
+	return c, gen, nil
 }
 
 // Fig7Config parameterizes the optimal-M-versus-N study.

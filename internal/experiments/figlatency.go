@@ -100,29 +100,20 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 	for _, memMB := range cfg.MemBudgetsMB {
 		// HBA is the same engine with groups of one.
 		for _, m := range []int{1, cfg.M} {
-			gen, err := trace.NewGenerator(trace.Config{
+			c, gen, err := simulate(trace.Config{
 				Profile:          cfg.Profile,
 				TIF:              cfg.TIF,
 				FilesPerSubtrace: cfg.FilesPerSubtrace,
 				MeanInterarrival: cfg.MeanInterarrival,
 				Seed:             cfg.Seed,
+			}, cfg.N, m, func(ccfg *core.Config) {
+				ccfg.MemoryBudgetBytes = memMB << 20
+				ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
 			})
 			if err != nil {
 				return nil, err
 			}
-			ccfg := clusterConfig(cfg.N, m, gen)
-			ccfg.MemoryBudgetBytes = memMB << 20
-			ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
-			ccfg.Seed = cfg.Seed
-
-			c, err := core.New(ccfg)
-			if err != nil {
-				return nil, err
-			}
-			sys := ghba.SimulationOver(c, ccfg.Seed)
-			if err := PopulateFromGenerator(sys, gen); err != nil {
-				return nil, err
-			}
+			sys := ghba.SimulationOver(c, cfg.Seed)
 			if cfg.Warmup > 0 {
 				if _, err := Replay(context.Background(), sys, gen, cfg.Warmup, cfg.Warmup); err != nil {
 					return nil, err
@@ -193,45 +184,26 @@ type Fig12Row struct {
 // mutates a home MDS's file set and pushes the fresh filter — to one holder
 // per group in G-HBA, to every MDS in HBA.
 func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
-	gen, err := trace.NewGenerator(trace.Config{
-		Profile:          cfg.Profile,
-		TIF:              1,
-		FilesPerSubtrace: cfg.FilesPerSubtrace,
-		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
+	// HBA is the same engine with groups of one. The budget prices the
+	// apply-side disk writes; only manual pushes ship.
+	var clusters [2]*core.Cluster // G-HBA, HBA
+	for i, m := range []int{cfg.M, 1} {
+		c, _, err := simulate(trace.Config{
+			Profile:          cfg.Profile,
+			TIF:              1,
+			FilesPerSubtrace: cfg.FilesPerSubtrace,
+			Seed:             cfg.Seed,
+		}, cfg.N, m, func(ccfg *core.Config) {
+			ccfg.MemoryBudgetBytes = cfg.MemBudgetMB << 20
+			ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
+			ccfg.UpdateThresholdBits = 1 << 30
+		})
+		if err != nil {
+			return nil, err
+		}
+		clusters[i] = c
 	}
-	ccfg := clusterConfig(cfg.N, cfg.M, gen)
-	ccfg.MemoryBudgetBytes = cfg.MemBudgetMB << 20
-	ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
-	ccfg.UpdateThresholdBits = 1 << 30 // manual pushes only
-	ccfg.Seed = cfg.Seed
-
-	ghbaCluster, err := core.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	ccfg.MaxGroupSize = 1 // HBA: groups of one
-	hbaCluster, err := core.New(ccfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := PopulateFromGenerator(ghba.SimulationOver(ghbaCluster, ccfg.Seed), gen); err != nil {
-		return nil, err
-	}
-	gen2, err := trace.NewGenerator(trace.Config{
-		Profile:          cfg.Profile,
-		TIF:              1,
-		FilesPerSubtrace: cfg.FilesPerSubtrace,
-		Seed:             cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := PopulateFromGenerator(ghba.SimulationOver(hbaCluster, ccfg.Seed), gen2); err != nil {
-		return nil, err
-	}
+	ghbaCluster, hbaCluster := clusters[0], clusters[1]
 
 	// One equally seeded RNG per scheme, so both home every update on the
 	// same server.

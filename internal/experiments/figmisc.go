@@ -152,28 +152,18 @@ type Fig13Row struct {
 func Fig13(cfg Fig13Config) ([]Fig13Row, error) {
 	rows := make([]Fig13Row, 0, len(cfg.Ns))
 	for _, n := range cfg.Ns {
-		gen, err := trace.NewGenerator(trace.Config{
+		// Realistic staleness: updates propagate only after substantial
+		// drift, so recently created files miss in remote replicas.
+		c, gen, err := simulate(trace.Config{
 			Profile:          cfg.Profile,
 			TIF:              cfg.TIF,
 			FilesPerSubtrace: cfg.FilesPerSubtrace,
 			Seed:             cfg.Seed,
-		})
+		}, n, analysis.PaperOptimalM(n), func(ccfg *core.Config) { ccfg.UpdateThresholdBits = 2048 })
 		if err != nil {
 			return nil, err
 		}
-		ccfg := clusterConfig(n, analysis.PaperOptimalM(n), gen)
-		ccfg.Seed = cfg.Seed
-		// Realistic staleness: updates propagate only after substantial
-		// drift, so recently created files miss in remote replicas.
-		ccfg.UpdateThresholdBits = 2048
-		cluster, err := core.New(ccfg)
-		if err != nil {
-			return nil, err
-		}
-		sim := ghba.SimulationOver(cluster, ccfg.Seed)
-		if err := PopulateFromGenerator(sim, gen); err != nil {
-			return nil, err
-		}
+		sim := ghba.SimulationOver(c, cfg.Seed)
 		if _, err := Replay(context.Background(), sim, gen, cfg.Ops, cfg.Ops); err != nil {
 			return nil, err
 		}

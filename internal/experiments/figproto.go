@@ -23,10 +23,10 @@ type Fig14Config struct {
 	Ops, Interval int
 	// Files sizes the namespace.
 	Files int
-	// ResidentReplicaLimit and DiskPenalty emulate HBA's memory overload
-	// (see internal/proto).
-	ResidentReplicaLimit int
-	DiskPenalty          time.Duration
+	// MemoryBudgetBytes and DiskPenalty emulate HBA's memory overload (see
+	// ghba.Config.MemoryBudgetBytes).
+	MemoryBudgetBytes uint64
+	DiskPenalty       time.Duration
 	// Workers is the number of concurrent clients (load).
 	Workers int
 	// Seed drives placement and entry choice.
@@ -35,18 +35,19 @@ type Fig14Config struct {
 
 // DefaultFig14Config returns bench defaults, scaled down from the paper's
 // 60-node cluster to keep a laptop run short; pass a larger N to approach
-// the paper's setup.
+// the paper's setup. 8 KiB holds ten of this namespace's 808-byte filters:
+// HBA's 20-filter segments spill half, G-HBA's (four at most) fit.
 func DefaultFig14Config() Fig14Config {
 	return Fig14Config{
-		N:                    20,
-		M:                    7,
-		Ops:                  2_000,
-		Interval:             500,
-		Files:                4_000,
-		ResidentReplicaLimit: 10,
-		DiskPenalty:          2 * time.Millisecond,
-		Workers:              4,
-		Seed:                 1,
+		N:                 20,
+		M:                 7,
+		Ops:               2_000,
+		Interval:          500,
+		Files:             4_000,
+		MemoryBudgetBytes: 8 << 10,
+		DiskPenalty:       2 * time.Millisecond,
+		Workers:           4,
+		Seed:              1,
 	}
 }
 
@@ -84,10 +85,10 @@ func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
 			MaxGroupSize:        m,
 			ExpectedFilesPerMDS: node.ExpectedFiles,
 			LRUCapacity:         node.LRUCapacity,
+			MemoryBudgetBytes:   cfg.MemoryBudgetBytes,
 			Seed:                cfg.Seed,
 		},
-		ResidentReplicaLimit: cfg.ResidentReplicaLimit,
-		DiskPenalty:          cfg.DiskPenalty,
+		DiskPenalty: cfg.DiskPenalty,
 	})
 	if err != nil {
 		return LatencySeries{}, err

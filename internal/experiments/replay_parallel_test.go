@@ -31,17 +31,8 @@ func replayTestTraceConfig() trace.Config {
 // newReplayTestCluster builds one populated G-HBA cluster for the trace.
 func newReplayTestCluster(t *testing.T, tcfg trace.Config) *core.Cluster {
 	t.Helper()
-	gen, err := trace.NewGenerator(tcfg)
+	cluster, _, err := simulate(tcfg, 12, 4, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ccfg := clusterConfig(12, 4, gen)
-	ccfg.Seed = tcfg.Seed
-	cluster, err := core.New(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := PopulateFromGenerator(ghba.SimulationOver(cluster, tcfg.Seed), gen); err != nil {
 		t.Fatal(err)
 	}
 	return cluster

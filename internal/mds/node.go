@@ -1,6 +1,6 @@
 // Package mds implements the state and level-local behaviour of one metadata
 // server: its authoritative metadata store, the Bloom filter summarizing its
-// local files, the L1 LRU array, the replica array (the L2 segment array in
+// local files, the replica array (the L2 segment array in
 // G-HBA, the global array in the HBA baseline), and the XOR-delta update
 // protocol of Section 3.4. Which groupmate holds which replica is not a
 // node's state: the cluster's group.Layout records it (the paper keeps an
@@ -34,9 +34,9 @@ type Config struct {
 	LRUCapacity uint64
 	// LRUBitsPerFile is the filter ratio of L1 generations.
 	LRUBitsPerFile float64
-	// Layout selects the bit layout for every filter the node creates (the
-	// local filter and L1 generations — and, transitively, every replica
-	// shipped from it). The zero value is the classic layout, which keeps
+	// Layout selects the bit layout for every filter sized from this Config
+	// (the local filter, L1 generations — and, transitively, every replica
+	// shipped from the node). The zero value is the classic layout, which keeps
 	// existing snapshots, wire traffic, and fixed-seed runs byte-identical;
 	// LayoutBlocked answers each filter probe from one cache line.
 	Layout bloom.Layout
@@ -80,7 +80,7 @@ func (c Config) validate() error {
 // the local filter is published through an atomic pointer (a rebuild swaps in
 // a freshly built filter rather than clearing in place, so readers never
 // observe a half-rebuilt filter), in-place inserts synchronize word-wise
-// inside bloom.Filter, and the LRU and replica arrays publish copy-on-write
+// inside bloom.Filter, and the replica array publishes copy-on-write
 // snapshots. mu serializes the mutators of the local filter and guards the
 // last-shipped snapshot, the distance between the two and the deletion
 // counter — the state the create/delete/ship protocol reads and writes. The
@@ -94,7 +94,6 @@ type Node struct {
 	store *metastore.Store
 	local atomic.Pointer[bloom.Filter]
 
-	lru      *bloomarray.LRUArray
 	replicas *bloomarray.Array
 
 	// lastShipped is the snapshot of the local filter most recently
@@ -128,15 +127,10 @@ func NewNode(id int, cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mds: sizing local filter: %w", err)
 	}
-	lru, err := bloomarray.NewLRUArrayLayout(cfg.LRUCapacity, cfg.LRUBitsPerFile, cfg.Layout)
-	if err != nil {
-		return nil, fmt.Errorf("mds: sizing LRU array: %w", err)
-	}
 	n := &Node{
 		id:          id,
 		cfg:         cfg,
 		store:       metastore.NewStore(),
-		lru:         lru,
 		replicas:    bloomarray.NewArray(),
 		lastShipped: local.Clone(),
 	}
@@ -146,6 +140,9 @@ func NewNode(id int, cfg Config) (*Node, error) {
 
 // ID returns the node's MDS identifier.
 func (n *Node) ID() int { return n.id }
+
+// Config returns the sizing the node was built with.
+func (n *Node) Config() Config { return n.cfg }
 
 // Store exposes the authoritative metadata store.
 func (n *Node) Store() *metastore.Store { return n.store }
@@ -325,10 +322,12 @@ func (n *Node) DropReplica(origin int) *bloom.Filter {
 // ReplicaCount returns how many remote replicas this node stores.
 func (n *Node) ReplicaCount() int { return n.replicas.Len() }
 
-// QueryL1Digest runs the L1 check — the LRU array — for a pre-hashed path,
-// appending hits into buf (which may be nil).
-func (n *Node) QueryL1Digest(d *bloom.Digest, buf []int) bloomarray.Result {
-	return n.lru.QueryDigest(d, buf)
+// Segment returns the filter array a memory budget sizes (internal/memmodel):
+// the replicas the node holds plus its own filter, each priced at the own
+// filter's bytes.
+func (n *Node) Segment() (filters int, bytes uint64) {
+	filters = n.replicas.Len() + 1
+	return filters, uint64(filters) * n.LocalFilter().SizeBytes()
 }
 
 // QueryL2Digest runs the L2 check for a pre-hashed path: the replica array
@@ -344,10 +343,4 @@ func (n *Node) QueryL2Digest(d *bloom.Digest, buf []int) bloomarray.Result {
 		r.Hits = bloomarray.InsertSorted(r.Hits, n.id)
 	}
 	return r
-}
-
-// ObserveHitDigest feeds a pre-hashed confirmed (path → home) mapping into
-// the L1 array.
-func (n *Node) ObserveHitDigest(d *bloom.Digest, home int) {
-	n.lru.ObserveDigest(d, home)
 }

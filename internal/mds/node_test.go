@@ -210,17 +210,6 @@ func TestQueryL2DigestZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestL1ObserveAndQuery(t *testing.T) {
-	n := newTestNode(t, 1)
-	if !n.QueryL1Digest(digestOf("/f"), nil).Miss() {
-		t.Error("cold L1 hit")
-	}
-	n.ObserveHitDigest(digestOf("/f"), 9)
-	if id, ok := n.QueryL1Digest(digestOf("/f"), nil).Unique(); !ok || id != 9 {
-		t.Error("L1 did not learn observation")
-	}
-}
-
 func TestNodeAccessors(t *testing.T) {
 	n := newTestNode(t, 42)
 	if n.ID() != 42 {

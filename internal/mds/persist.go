@@ -13,9 +13,9 @@ import (
 )
 
 // Snapshot wire format: everything a daemon must retain across a restart.
-// The replica array and L1 cache are deliberately absent — replicas
-// are re-fetched from their origins during rejoin (the origins stay
-// authoritative), and the L1 array is a cache that re-warms from traffic.
+// The replica array is deliberately absent — replicas are re-fetched from
+// their origins during rejoin (the origins stay authoritative) — and so is
+// the daemon's L1 array, a cache that re-warms from traffic.
 //
 //	magic   uint32  0x6D645331 ("mdS1")
 //	version uint8   1

@@ -39,6 +39,35 @@ func TestSpilledReplicas(t *testing.T) {
 	}
 }
 
+func TestSpilledShare(t *testing.T) {
+	m := New(1000)
+	if got := m.SpilledShare(0, 0); got != 0 {
+		t.Errorf("empty array share = %f, want 0", got)
+	}
+	if got := m.SpilledShare(10, 500); got != 0 {
+		t.Errorf("fits in RAM but share = %f", got)
+	}
+	if got := m.SpilledShare(20, 2000); got != 0.5 {
+		t.Errorf("half-spill share = %f, want 0.5", got)
+	}
+	if got := New(0).SpilledShare(10, 100); got != 1 {
+		t.Errorf("zero budget share = %f, want 1", got)
+	}
+}
+
+func TestNilModelIsUnlimited(t *testing.T) {
+	var m *Model
+	if got := m.ResidentFraction(1 << 40); got != 1 {
+		t.Errorf("nil model resident fraction = %f, want 1", got)
+	}
+	if got := m.SpilledShare(10, 1<<40); got != 0 {
+		t.Errorf("nil model share = %f, want 0", got)
+	}
+	if got := m.ArrayProbeCost(10, 1<<40, time.Microsecond, time.Millisecond, 0); got != 10*time.Microsecond {
+		t.Errorf("nil model cost = %v, want 10 memory probes", got)
+	}
+}
+
 func TestSpilledReplicasBounds(t *testing.T) {
 	err := quick.Check(func(budget, totalBytes uint64, total uint16) bool {
 		m := New(budget % (1 << 40))
@@ -112,11 +141,5 @@ func TestArrayProbeCostMonotonicInPressure(t *testing.T) {
 			t.Fatalf("cost increased with more memory: %v MB → %v", budgetMB, cost)
 		}
 		prev = cost
-	}
-}
-
-func TestStringReportsMB(t *testing.T) {
-	if s := New(500 << 20).String(); s != "mem=500MB" {
-		t.Errorf("String = %q", s)
 	}
 }

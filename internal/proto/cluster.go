@@ -55,10 +55,11 @@ type Options struct {
 	M int
 	// Node sizes each daemon's filter structures.
 	Node mds.Config
-	// ResidentReplicaLimit is how many replicas fit in one daemon's RAM;
-	// holdings beyond it pay DiskPenalty per query. Zero disables.
-	ResidentReplicaLimit int
-	// DiskPenalty is the emulated disk cost for over-RAM replica arrays.
+	// MemoryBudgetBytes is each daemon's RAM budget for its segment array
+	// (internal/memmodel, the simulator's model); zero means unlimited.
+	MemoryBudgetBytes uint64
+	// DiskPenalty is the emulated disk cost of one query against a fully
+	// spilled segment array; a query pays it times the spilled share.
 	DiskPenalty time.Duration
 	// Seed drives placement and entry selection.
 	Seed int64
@@ -269,11 +270,14 @@ func (cs *connSet) closeAll() {
 	cs.conns = nil
 }
 
-// nodeServerOptions maps cluster options onto one daemon's.
-func (o *Options) nodeServerOptions() NodeServerOptions {
+// nodeServerOptions maps cluster options onto one daemon's, whose WAL is l
+// (nil for a memory-only daemon).
+func (o *Options) nodeServerOptions(l *wal.Log) NodeServerOptions {
 	return NodeServerOptions{
-		ResidentReplicaLimit: o.ResidentReplicaLimit,
-		DiskPenalty:          o.DiskPenalty,
+		MemoryBudgetBytes: o.MemoryBudgetBytes,
+		DiskPenalty:       o.DiskPenalty,
+		WAL:               l,
+		SnapshotEvery:     o.SnapshotEvery,
 	}
 }
 
@@ -331,7 +335,7 @@ func (c *Cluster) launchNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 		if err != nil {
 			return nil, mds.RecoveryInfo{}, fmt.Errorf("proto: node %d: %w", id, err)
 		}
-		ns, err := StartNode(node, "127.0.0.1:0", c.opts.nodeServerOptions())
+		ns, err := StartNode(node, "127.0.0.1:0", c.opts.nodeServerOptions(nil))
 		return ns, mds.RecoveryInfo{}, err
 	}
 	ns, info, err := c.recoverNode(id)
@@ -353,10 +357,7 @@ func (c *Cluster) recoverNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	nso := c.opts.nodeServerOptions()
-	nso.WAL = l
-	nso.SnapshotEvery = c.opts.SnapshotEvery
-	ns, err := StartNode(node, "127.0.0.1:0", nso)
+	ns, err := StartNode(node, "127.0.0.1:0", c.opts.nodeServerOptions(l))
 	if err != nil {
 		_ = l.Close()
 		return nil, info, err

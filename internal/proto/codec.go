@@ -23,6 +23,9 @@
 // connection — through an rpcnet.Pool per daemon, so concurrent calls to one
 // daemon ride parallel sockets. A path vector frames each path's length as a
 // uint16, so the coordinator refuses paths over 65,535 bytes.
+//
+// Each daemon (NodeServer) owns its L1 array, and under a byte budget runs
+// the simulator's memory model (internal/memmodel) over its segment array.
 package proto
 
 import (

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"ghba/internal/bloom"
+	"ghba/internal/bloomarray"
 	"ghba/internal/mds"
+	"ghba/internal/memmodel"
 	"ghba/internal/rpcnet"
 	"ghba/internal/wal"
 )
@@ -39,12 +41,16 @@ type NodeServer struct {
 	// (appendHits copies before the buffer is reused).
 	qbuf []int
 
-	// residentLimit is the number of replicas that fit in RAM; when the
-	// node holds more, queries against the replica array pay diskPenalty —
-	// the prototype's stand-in for the disk accesses a spilled Bloom
-	// filter array incurs on real hardware.
-	residentLimit int
-	diskPenalty   time.Duration
+	// lru is the daemon's L1 array, fed by observation batches and probed
+	// first by every lookup_batch.
+	lru *bloomarray.LRUArray
+
+	// mem is the daemon's budget over its segment array, nil when there is
+	// no spill to emulate (no budget or no penalty). A probe of the array
+	// sleeps diskPenalty times the spilled share, standing in for the disk
+	// reads a spilled Bloom-filter array costs on real hardware.
+	mem         *memmodel.Model
+	diskPenalty time.Duration
 
 	// wal, when non-nil, makes the daemon durable: every mutating RPC
 	// appends its records before applying them (write-ahead), and every
@@ -67,11 +73,11 @@ type NodeServer struct {
 
 // NodeServerOptions configures one daemon beyond its mds.Node state.
 type NodeServerOptions struct {
-	// ResidentReplicaLimit is how many replicas fit in RAM; ≤ 0 means
-	// everything fits.
-	ResidentReplicaLimit int
-	// DiskPenalty is the emulated disk cost per query against an over-RAM
-	// replica array.
+	// MemoryBudgetBytes is the daemon's RAM budget for its segment array
+	// (internal/memmodel); zero means unlimited.
+	MemoryBudgetBytes uint64
+	// DiskPenalty is the emulated disk cost of one query against a fully
+	// spilled segment array; a query pays it times the spilled share.
 	DiskPenalty time.Duration
 	// WAL, when non-nil, is the daemon's open write-ahead log (typically
 	// the one mds.Recover handed back). Mutating RPCs append to it before
@@ -86,6 +92,20 @@ type NodeServerOptions struct {
 // StartNode launches a daemon for the given node on addr ("127.0.0.1:0"
 // for tests).
 func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer, error) {
+	ns, err := newNodeServer(node, opts)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := rpcnet.Serve(addr, ns.handle)
+	if err != nil {
+		return nil, fmt.Errorf("proto: starting MDS %d: %w", node.ID(), err)
+	}
+	ns.srv = srv
+	return ns, nil
+}
+
+// newNodeServer builds the daemon StartNode serves, without a listener.
+func newNodeServer(node *mds.Node, opts NodeServerOptions) (*NodeServer, error) {
 	snapEvery := uint64(0)
 	if opts.WAL != nil {
 		switch {
@@ -95,19 +115,22 @@ func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer
 			snapEvery = uint64(opts.SnapshotEvery)
 		}
 	}
+	cfg := node.Config()
+	lru, err := bloomarray.NewLRUArrayLayout(cfg.LRUCapacity, cfg.LRUBitsPerFile, cfg.Layout)
+	if err != nil {
+		return nil, fmt.Errorf("proto: sizing MDS %d's LRU array: %w", node.ID(), err)
+	}
 	ns := &NodeServer{
 		id:            node.ID(),
 		node:          node,
-		residentLimit: opts.ResidentReplicaLimit,
+		lru:           lru,
 		diskPenalty:   opts.DiskPenalty,
 		wal:           opts.WAL,
 		snapshotEvery: snapEvery,
 	}
-	srv, err := rpcnet.Serve(addr, ns.handle)
-	if err != nil {
-		return nil, fmt.Errorf("proto: starting MDS %d: %w", node.ID(), err)
+	if opts.MemoryBudgetBytes > 0 && opts.DiskPenalty > 0 {
+		ns.mem = memmodel.New(opts.MemoryBudgetBytes)
 	}
-	ns.srv = srv
 	return ns, nil
 }
 
@@ -196,19 +219,26 @@ func (ns *NodeServer) serve(incarnation uint64) {
 	ns.incarnation = incarnation
 }
 
-// spilledSleep emulates disk accesses for the over-RAM replica fraction.
-// Called with the mutex held so the penalty occupies the server, queueing
-// concurrent requests behind it exactly as a blocked disk read would.
-func (ns *NodeServer) spilledSleep() {
-	if ns.residentLimit <= 0 || ns.diskPenalty <= 0 {
-		return
+// spilledShare is the share of the daemon's segment array past its budget,
+// the share core.Cluster.SpilledShare prices; 0 without a budget.
+func (ns *NodeServer) spilledShare() float64 {
+	if ns.mem == nil {
+		return 0
 	}
-	total := ns.node.ReplicaCount()
-	if total <= ns.residentLimit {
-		return
+	return ns.mem.SpilledShare(ns.node.Segment())
+}
+
+// appendSegmentHits probes the segment array (QueryL2Digest) for d and
+// appends its hits to out. The probe first sleeps diskPenalty times the
+// spilled share, with mu held, so the penalty occupies the server and
+// queues concurrent requests behind it as a blocked disk read would.
+func (ns *NodeServer) appendSegmentHits(out []byte, d *bloom.Digest) []byte {
+	if share := ns.spilledShare(); share > 0 {
+		time.Sleep(time.Duration(share * float64(ns.diskPenalty)))
 	}
-	frac := float64(total-ns.residentLimit) / float64(total)
-	time.Sleep(time.Duration(frac * float64(ns.diskPenalty)))
+	l2 := ns.node.QueryL2Digest(d, ns.qbuf)
+	ns.qbuf = l2.Hits
+	return appendHits(out, l2.Hits)
 }
 
 // handle dispatches one RPC. A mutation batch goes to mutate, which holds
@@ -256,7 +286,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		}
 		for _, o := range obs {
 			d := bloom.NewDigestString(o.path)
-			ns.node.ObserveHitDigest(&d, o.home)
+			ns.lru.ObserveDigest(&d, o.home)
 		}
 		return nil, nil
 
@@ -273,13 +303,10 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		var out []byte
 		for _, p := range paths {
 			d := bloom.NewDigestString(p)
-			l1 := ns.node.QueryL1Digest(&d, ns.qbuf)
+			l1 := ns.lru.QueryDigest(&d, ns.qbuf)
 			out = appendHits(out, l1.Hits)
 			ns.qbuf = l1.Hits
-			ns.spilledSleep()
-			l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-			out = appendHits(out, l2.Hits)
-			ns.qbuf = l2.Hits
+			out = ns.appendSegmentHits(out, &d)
 		}
 		return out, nil
 
@@ -291,10 +318,7 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 		var out []byte
 		for _, p := range paths {
 			d := bloom.NewDigestString(p)
-			ns.spilledSleep()
-			l2 := ns.node.QueryL2Digest(&d, ns.qbuf)
-			out = appendHits(out, l2.Hits)
-			ns.qbuf = l2.Hits
+			out = ns.appendSegmentHits(out, &d)
 		}
 		return out, nil
 

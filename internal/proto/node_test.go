@@ -5,9 +5,91 @@ import (
 	"testing"
 	"time"
 
+	"ghba/internal/core"
 	"ghba/internal/mds"
 	"ghba/internal/wal"
 )
+
+// testDaemon builds the daemon StartNode would serve over node, without a
+// listener: the test calls its handle directly.
+func testDaemon(t testing.TB, node *mds.Node, opts NodeServerOptions) *NodeServer {
+	t.Helper()
+	ns, err := newNodeServer(node, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ns
+}
+
+// TestL1ObserveAndQuery pins the daemon's L1 array: a lookup_batch finds
+// nothing there cold, and names the home an observe_batch carried once the
+// daemon learned it.
+func TestL1ObserveAndQuery(t *testing.T) {
+	node, err := mds.NewNode(1, testOptions(1, 1).Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := testDaemon(t, node, NodeServerOptions{})
+	l1 := func() []int {
+		resp, err := ns.handle(opLookupBatch, encodePaths([]string{"/f"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists, err := decodeHitsVec(resp, 2) // the path's L1 hits, then its L2 hits
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lists[0]
+	}
+	if hits := l1(); len(hits) != 0 {
+		t.Errorf("cold L1 hit %v", hits)
+	}
+	if _, err := ns.handle(opObserveBatch, encodeObservations([]observation{{home: 9, path: "/f"}})); err != nil {
+		t.Fatal(err)
+	}
+	if hits := l1(); len(hits) != 1 || hits[0] != 9 {
+		t.Errorf("L1 after observing /f at 9 = %v, want [9]", hits)
+	}
+}
+
+// TestSpilledShareMatchesCore pins the one memory model: under the same
+// budget, every daemon's spilled share equals the simulator's for the same
+// MDS, on HBA (whose segments spill) and G-HBA (whose segments fit).
+func TestSpilledShareMatchesCore(t *testing.T) {
+	const budget = 10_000 // two and a half 4,000-byte filters
+	for _, m := range []int{1, 3} {
+		opts := testOptions(6, m)
+		opts.MemoryBudgetBytes = budget
+		opts.DiskPenalty = time.Millisecond
+		tcp, err := Start(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tcp.Close)
+		ccfg := core.DefaultConfig(6, m)
+		ccfg.Node = opts.Node
+		ccfg.MemoryBudgetBytes = budget
+		ccfg.Seed = opts.Seed
+		sim, err := core.New(ccfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spilled := 0
+		for id, ns := range tcp.servers {
+			got, want := ns.spilledShare(), sim.SpilledShare(sim.Node(id))
+			if got != want {
+				t.Errorf("M=%d MDS %d: daemon spills %v of its segment, simulator %v", m, id, got, want)
+			}
+			if got > 0 {
+				spilled++
+			}
+		}
+		// HBA's six-filter segments keep two resident; G-HBA's two fit.
+		if wantSpilled := map[int]int{1: 6, 3: 0}[m]; spilled != wantSpilled {
+			t.Errorf("M=%d: %d daemons spill, want %d", m, spilled, wantSpilled)
+		}
+	}
+}
 
 // TestParkedAppendBlocksNoReader parks a mutation batch right after its
 // WAL append, where an fsync would hold it, and requires a heartbeat and a
@@ -25,10 +107,11 @@ func TestParkedAppendBlocksNoReader(t *testing.T) {
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	defer free()
-	ns := &NodeServer{node: node, wal: l, afterAppend: func() {
+	ns := testDaemon(t, node, NodeServerOptions{WAL: l, SnapshotEvery: -1})
+	ns.afterAppend = func() {
 		close(parked)
 		<-release
-	}}
+	}
 
 	type answer struct {
 		resp []byte

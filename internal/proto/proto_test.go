@@ -310,14 +310,14 @@ func TestAddMDSSeriesIsSeedStable(t *testing.T) {
 }
 
 // TestDiskPenaltySlowsOverloadedNodes verifies the prototype's memory-
-// pressure emulation: HBA daemons holding more replicas than fit in RAM
-// serve queries measurably slower than unconstrained ones.
+// pressure emulation: HBA daemons whose segment arrays outgrow their byte
+// budget serve queries measurably slower than unconstrained ones.
 func TestDiskPenaltySlowsOverloadedNodes(t *testing.T) {
 	// Equally seeded, so both clusters enter every lookup at the same daemon.
 	fastRNG, slowRNG := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
 	fast := startPopulated(t, 6, 1, 100)
 	slowOpts := testOptions(6, 1)
-	slowOpts.ResidentReplicaLimit = 1
+	slowOpts.MemoryBudgetBytes = 4_000 // one 4,000-byte filter of six resident
 	slowOpts.DiskPenalty = 2 * time.Millisecond
 	slow, err := Start(slowOpts)
 	if err != nil {

@@ -15,10 +15,8 @@ import (
 type PrototypeConfig struct {
 	Config
 
-	// ResidentReplicaLimit is how many replicas fit in one daemon's RAM;
-	// holdings beyond it pay DiskPenalty per query. Zero disables.
-	ResidentReplicaLimit int
-	// DiskPenalty is the emulated disk cost for over-RAM replica arrays.
+	// DiskPenalty is the wall-clock price of probing a fully spilled segment
+	// array (Config.MemoryBudgetBytes); a probe pays it times the share.
 	DiskPenalty time.Duration
 	// CallTimeout is the per-RPC deadline. Zero selects the library
 	// default; negative disables deadlines entirely. Per-call contexts
@@ -40,16 +38,10 @@ type PrototypeConfig struct {
 
 // validate is Config.validate plus the prototype-only fields, so a bad fsync
 // policy is a *ConfigError like every other rejected field instead of an
-// untyped error from the layer below. MemoryBudgetBytes is the simulator's
-// spill model; the daemons spill by ResidentReplicaLimit and DiskPenalty, so
-// a budget here would be silently ignored and is refused instead.
+// untyped error from the layer below.
 func (c PrototypeConfig) validate() error {
 	if err := c.Config.validate(); err != nil {
 		return err
-	}
-	if c.MemoryBudgetBytes != 0 {
-		return &ConfigError{Field: "MemoryBudgetBytes",
-			Reason: "the TCP backend has no byte budget; its spill model is ResidentReplicaLimit and DiskPenalty"}
 	}
 	if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
 		return &ConfigError{Field: "WALSync", Reason: err.Error()}
@@ -79,18 +71,18 @@ func startPrototype(cfg PrototypeConfig, observeBatch int) (*Prototype, error) {
 		return nil, err
 	}
 	cluster, err := proto.Start(proto.Options{
-		N:                    cfg.NumMDS,
-		M:                    cfg.groupSize(),
-		Node:                 cfg.nodeConfig(),
-		ResidentReplicaLimit: cfg.ResidentReplicaLimit,
-		DiskPenalty:          cfg.DiskPenalty,
-		Seed:                 cfg.Seed,
-		CallTimeout:          cfg.CallTimeout,
-		ShipBatch:            cfg.ShipBatch,
-		ObserveBatch:         observeBatch,
-		DataDir:              cfg.DataDir,
-		WALSync:              cfg.WALSync,
-		SnapshotEvery:        cfg.SnapshotEvery,
+		N:                 cfg.NumMDS,
+		M:                 cfg.groupSize(),
+		Node:              cfg.nodeConfig(),
+		MemoryBudgetBytes: cfg.MemoryBudgetBytes,
+		DiskPenalty:       cfg.DiskPenalty,
+		Seed:              cfg.Seed,
+		CallTimeout:       cfg.CallTimeout,
+		ShipBatch:         cfg.ShipBatch,
+		ObserveBatch:      observeBatch,
+		DataDir:           cfg.DataDir,
+		WALSync:           cfg.WALSync,
+		SnapshotEvery:     cfg.SnapshotEvery,
 	})
 	if err != nil {
 		return nil, err
