@@ -68,7 +68,7 @@ func run() error {
 		shipBatch = flag.Int("shipbatch", 1, "ship-queue drain batch (1 = ship at every threshold crossing)")
 		adds      = flag.Int("add", 0, "MDS insertions to perform after the sweep")
 		seed      = flag.Int64("seed", 1, "random seed")
-		memMB     = flag.Uint64("mem-mb", 0, "per-MDS memory budget in MB for the segment array (0 = unlimited)")
+		memBytes  = flag.Uint64("mem-bytes", 0, "per-MDS memory budget in bytes for the segment array (0 = unlimited)")
 		penalty   = flag.Duration("disk-penalty", 0, "tcp: emulated disk cost of a probe of a fully spilled segment array")
 		timeout   = flag.Duration("call-timeout", 0, "tcp: per-RPC deadline (0 = library default, negative = none)")
 	)
@@ -99,7 +99,7 @@ func run() error {
 		MaxGroupSize: *m,
 		// Headroom for created files; -n < 1 is the facade's to reject.
 		ExpectedFilesPerMDS: uint64(*files/max(*n, 1))*2 + 16,
-		MemoryBudgetBytes:   *memMB << 20,
+		MemoryBudgetBytes:   *memBytes,
 		ShipBatch:           *shipBatch,
 		Seed:                *seed,
 	}

@@ -88,16 +88,17 @@ func TestRunsOnBothBackends(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetOnBothBackends pins that -mem-mb is one knob for both
+// TestMemoryBudgetOnBothBackends pins that -mem-bytes is one knob for both
 // backends: each accepts a budget and ends in a clean sweep (TCP with the
-// emulated disk armed).
+// emulated disk armed). The budget is below a MiB and below each HBA
+// server's segment (six 296-byte filters at this sizing), so it spills.
 func TestMemoryBudgetOnBothBackends(t *testing.T) {
 	for _, backend := range []string{"sim", "tcp"} {
 		t.Run(backend, func(t *testing.T) {
 			if backend == "tcp" && testing.Short() {
 				t.Skip("loopback TCP daemons are not short")
 			}
-			args := []string{"-backend", backend, "-mem-mb", "8", "-n", "6", "-m", "1",
+			args := []string{"-backend", backend, "-mem-bytes", "1024", "-n", "6", "-m", "1",
 				"-files", "400", "-ops", "200", "-workers", "2"}
 			if backend == "tcp" {
 				args = append(args, "-disk-penalty", "100us")

@@ -94,19 +94,26 @@ func (c Config) validate() error {
 	// bloom.CapacityGeometry is the one sizing check: first the ratio on its
 	// own (NaN, ±Inf, a hash count past uint32), then each filter it sizes.
 	nc := c.nodeConfig()
+	var filterBits uint64
 	for _, f := range []struct {
 		field string
 		n     uint64
 	}{{"BitsPerFile", 1}, {"ExpectedFilesPerMDS", nc.ExpectedFiles}, {"LRUCapacity", nc.LRUCapacity}} {
-		if _, _, err := bloom.CapacityGeometry(f.n, nc.BitsPerFile, nc.Layout); err != nil {
+		m, _, err := bloom.CapacityGeometry(f.n, nc.BitsPerFile, nc.Layout)
+		if err != nil {
 			return &ConfigError{Field: f.field, Reason: fmt.Sprintf("%d files × %g bits per file sizes no filter: %v", f.n, nc.BitsPerFile, err)}
+		}
+		if f.field == "ExpectedFilesPerMDS" {
+			filterBits = m
 		}
 	}
 	if c.MemoryBudgetBytes > 0 {
 		// A budget below one replica's footprint cannot hold even the
 		// server's own filter: every array probe would spill, which is
-		// never what a caller wants from a "budget".
-		filterBytes := uint64(float64(nc.ExpectedFiles)*nc.BitsPerFile+7) / 8
+		// never what a caller wants from a "budget". The footprint is the
+		// one the memory model prices, bloom.Filter.SizeBytes: whole
+		// 64-bit words.
+		filterBytes := (filterBits + 63) / 64 * 8
 		if c.MemoryBudgetBytes < filterBytes {
 			return &ConfigError{
 				Field: "MemoryBudgetBytes",

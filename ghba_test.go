@@ -71,6 +71,9 @@ func TestNewValidation(t *testing.T) {
 		// (50 000 files × 16 bits = 100 000 bytes).
 		{"budget below one filter", Config{NumMDS: 4, MemoryBudgetBytes: 1 << 10}, "MemoryBudgetBytes"},
 		{"budget below explicit filter", Config{NumMDS: 4, ExpectedFilesPerMDS: 10_000, BitsPerFile: 8, MemoryBudgetBytes: 100}, "MemoryBudgetBytes"},
+		// 1,001 files × 16 bits is 2,002 bytes, but the filter the model
+		// prices is whole 64-bit words: 251 of them, 2,008 bytes.
+		{"budget below word-rounded filter", Config{NumMDS: 2, ExpectedFilesPerMDS: 1001, MemoryBudgetBytes: 2004}, "MemoryBudgetBytes"},
 	}
 	for _, tc := range cases {
 		_, err := New(tc.cfg)

@@ -21,6 +21,10 @@ import (
 // victim then restarts from its write-ahead log and rejoins, and a final
 // fixed-seed verification sweep checks every path the run ever touched
 // against the coordinator's ground truth.
+//
+// The workload mix is soakMix, the daemons fsync every WAL append and
+// compact at the library's default cadence: in-process kills keep the page
+// cache, so no fsync policy changes what the verification can see.
 type SoakConfig struct {
 	// N is the daemon count, M the group size (1 is the HBA baseline).
 	N, M int
@@ -30,21 +34,12 @@ type SoakConfig struct {
 	Ops int
 	// Workers is the client goroutine count.
 	Workers int
-	// Mix is the lookup:create:delete weight ratio. Zeros select 70:20:10.
-	Mix [3]float64
 	// Kills is the number of kill → detect → failover → restart cycles.
 	// The k-th strike lands once roughly (k+1)/(Kills+1) of the workload
 	// has dispatched, so every crash is mid-replay, not before or after.
 	Kills int
 	// DataDir is the durability root (required — recovery needs a log).
 	DataDir string
-	// WALSync is the daemons' fsync policy: "always" (default),
-	// "interval" or "never". In-process kills keep the page cache, so the
-	// soak's verification holds under every policy.
-	WALSync string
-	// SnapshotEvery is the WAL compaction cadence (0 selects the library
-	// default).
-	SnapshotEvery int
 	// DetectorInterval is the heartbeat probe period. Zero selects 25ms —
 	// fast enough that a soak of a few seconds sees detection, failover
 	// and rejoin several times over.
@@ -53,6 +48,9 @@ type SoakConfig struct {
 	// chaos schedule.
 	Seed int64
 }
+
+// soakMix is the soak workload's lookup:create:delete weight ratio.
+var soakMix = [3]float64{70, 20, 10}
 
 func (cfg SoakConfig) withDefaults() SoakConfig {
 	if cfg.N == 0 {
@@ -69,9 +67,6 @@ func (cfg SoakConfig) withDefaults() SoakConfig {
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 4
-	}
-	if cfg.Mix == ([3]float64{}) {
-		cfg.Mix = [3]float64{70, 20, 10}
 	}
 	if cfg.Kills == 0 {
 		cfg.Kills = 2
@@ -135,7 +130,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	if cfg.N < 2 {
 		return SoakResult{}, fmt.Errorf("experiments: soak needs N ≥ 2 (a kill must leave survivors), got %d", cfg.N)
 	}
-	profile, err := trace.MixProfile(cfg.Mix[0], cfg.Mix[1], cfg.Mix[2])
+	profile, err := trace.MixProfile(soakMix[0], soakMix[1], soakMix[2])
 	if err != nil {
 		return SoakResult{}, err
 	}
@@ -156,9 +151,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 			LRUCapacity:         512,
 			Seed:                cfg.Seed,
 		},
-		DataDir:       cfg.DataDir,
-		WALSync:       cfg.WALSync,
-		SnapshotEvery: cfg.SnapshotEvery,
+		DataDir: cfg.DataDir,
 	})
 	if err != nil {
 		return SoakResult{}, err
@@ -279,9 +272,9 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 // FormatSoak renders the soak report like the figure banners.
 func FormatSoak(r SoakResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Kill/restart soak — %s N=%d M=%d files=%d ops=%d workers=%d kills=%d wal-sync=%s seed=%d\n",
+	fmt.Fprintf(&b, "Kill/restart soak — %s N=%d M=%d files=%d ops=%d workers=%d kills=%d wal-sync=always seed=%d\n",
 		schemeName(r.Config.M), r.Config.N, r.Config.M, r.Config.Files, r.Config.Ops,
-		r.Config.Workers, r.Config.Kills, orDefault(r.Config.WALSync, "always"), r.Config.Seed)
+		r.Config.Workers, r.Config.Kills, r.Config.Seed)
 	fmt.Fprintf(&b, "  workload       %d ops in %v (%d failed during crash windows)\n",
 		r.Ops, r.Elapsed.Round(time.Millisecond), r.OpErrors)
 	fmt.Fprintf(&b, "  failovers      %d detector-driven (kills injected: %d)\n", r.Failovers, r.Kills)
@@ -303,12 +296,4 @@ func FormatSoak(r SoakResult) string {
 		fmt.Fprintf(&b, "  verdict        FAILED\n")
 	}
 	return b.String()
-}
-
-// orDefault substitutes def for an empty string.
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }

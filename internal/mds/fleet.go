@@ -28,8 +28,9 @@ type Fleet struct {
 	// L3 multicast targets seen from that entry; the slices are the
 	// layout's, shared between co-grouped entries and never written. The
 	// seats sit in dense, indexed by ID, when the IDs are small and
-	// non-negative, as both engines number their servers; otherwise (mdsd
-	// -id takes any uint32) in sparse, which is nil in the dense case.
+	// non-negative, as both engines number their servers; otherwise (an ID
+	// far beyond the member count) in sparse, which is nil in the dense
+	// case.
 	dense  []seat
 	sparse map[int]seat
 }

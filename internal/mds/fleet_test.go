@@ -58,7 +58,7 @@ func TestFleetSnapshot(t *testing.T) {
 }
 
 // TestFleetLargeIDs pins the sparse index: an ID far beyond the member count
-// (mdsd -id takes any uint32) must resolve as the small ones do, and IDs
+// (NewNode takes any uint32) must resolve as the small ones do, and IDs
 // around it must not. The small-ID fleet of the same shape uses the dense
 // index.
 func TestFleetLargeIDs(t *testing.T) {

@@ -55,7 +55,7 @@ func DefaultConfig() Config {
 // LRUCapacityFor derives the L1 generation size for a server expected to home
 // files files: one sixteenth of them, and never fewer than 64 — the hot set
 // is a small share of the namespace, but a generation that rotates every few
-// inserts remembers nothing. The facade and cmd/mdsd both size L1 with it.
+// inserts remembers nothing. The facade sizes L1 with it.
 func LRUCapacityFor(files uint64) uint64 {
 	return max(files/16, 64)
 }

@@ -221,8 +221,8 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 // TestLRUCapacityFor pins the one L1 sizing rule (files/16, floor 64) and
-// that every capacity it yields builds a node — cmd/mdsd used to divide
-// without the floor and refuse to start below 16 files.
+// that every capacity it yields builds a node: dividing without the floor
+// refuses to build a node below 16 files.
 func TestLRUCapacityFor(t *testing.T) {
 	for _, tc := range []struct{ files, want uint64 }{
 		{1, 64}, {15, 64}, {1023, 64}, {1024, 64}, {1040, 65}, {50_000, 3_125},

@@ -77,14 +77,13 @@ type Options struct {
 	ObserveBatch int
 	// DataDir, when non-empty, makes every daemon durable: MDS i write-ahead
 	// logs its mutations under DataDir/mds-<i> and compacts the log into
-	// snapshots, so KillMDS/RestartMDS (and a standalone cmd/mdsd -data)
-	// can crash and recover it. Start refuses directories with existing
-	// state — the coordinator's ground-truth home index cannot be rebuilt
-	// from per-daemon logs, so cold recovery belongs to cmd/mdsd, and
-	// in-lifetime recovery to RestartMDS.
+	// snapshots, so KillMDS/RestartMDS can crash and recover it. Start
+	// refuses directories with existing state: the coordinator's
+	// ground-truth home index cannot be rebuilt from per-daemon logs, so
+	// the one recovery is RestartMDS, within the cluster's lifetime.
 	DataDir string
-	// WALSync selects the fsync policy for daemon WALs: "always" (default),
-	// "interval" or "never". See wal.ParseSyncPolicy.
+	// WALSync selects the fsync policy for daemon WALs: "always" (default)
+	// or "never". See wal.ParseSyncPolicy.
 	WALSync string
 	// SnapshotEvery is the WAL record count between snapshot compactions at
 	// each daemon. Zero selects 4096; negative disables automatic
@@ -270,10 +269,10 @@ func (cs *connSet) closeAll() {
 	cs.conns = nil
 }
 
-// nodeServerOptions maps cluster options onto one daemon's, whose WAL is l
+// serverOptions maps cluster options onto one daemon's, whose WAL is l
 // (nil for a memory-only daemon).
-func (o *Options) nodeServerOptions(l *wal.Log) NodeServerOptions {
-	return NodeServerOptions{
+func (o *Options) serverOptions(l *wal.Log) nodeServerOptions {
+	return nodeServerOptions{
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
 		DiskPenalty:       o.DiskPenalty,
 		WAL:               l,
@@ -326,16 +325,15 @@ func Start(opts Options) (*Cluster, error) {
 
 // launchNode builds and launches daemon id on a fresh loopback port. With
 // DataDir set the daemon gets a write-ahead log; an id whose directory
-// already holds state is refused, because only the recovery paths
-// (RestartMDS in-lifetime, cmd/mdsd standalone) reconcile recovered files
-// with the coordinator's ground-truth home index.
+// already holds state is refused, because only RestartMDS reconciles
+// recovered files with the coordinator's ground-truth home index.
 func (c *Cluster) launchNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	if c.opts.DataDir == "" {
 		node, err := mds.NewNode(id, c.opts.Node)
 		if err != nil {
 			return nil, mds.RecoveryInfo{}, fmt.Errorf("proto: node %d: %w", id, err)
 		}
-		ns, err := StartNode(node, "127.0.0.1:0", c.opts.nodeServerOptions(nil))
+		ns, err := startNode(node, c.opts.serverOptions(nil))
 		return ns, mds.RecoveryInfo{}, err
 	}
 	ns, info, err := c.recoverNode(id)
@@ -344,7 +342,7 @@ func (c *Cluster) launchNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	}
 	if info.Files > 0 || info.Replayed > 0 || info.SnapshotSeq > 0 {
 		ns.Close()
-		return nil, info, fmt.Errorf("proto: MDS %d: %s already holds state (snapshot seq %d, %d files); recover it with RestartMDS or cmd/mdsd instead of relaunching fresh",
+		return nil, info, fmt.Errorf("proto: MDS %d: %s already holds state (snapshot seq %d, %d files); recover it with RestartMDS instead of relaunching fresh",
 			id, c.opts.walDir(id), info.SnapshotSeq, info.Files)
 	}
 	return ns, info, nil
@@ -357,7 +355,7 @@ func (c *Cluster) recoverNode(id int) (*NodeServer, mds.RecoveryInfo, error) {
 	if err != nil {
 		return nil, info, err
 	}
-	ns, err := StartNode(node, "127.0.0.1:0", c.opts.nodeServerOptions(l))
+	ns, err := startNode(node, c.opts.serverOptions(l))
 	if err != nil {
 		_ = l.Close()
 		return nil, info, err

@@ -1,8 +1,10 @@
 // Package proto implements the paper's Section 5 prototype: metadata
-// servers as real TCP daemons (one rpcnet server each, loopback in tests and
-// examples, any address in cmd/mdsd), exchanging genuine socket traffic for
-// queries, verification, replica installation and reconfiguration, so lookup
-// latencies include the real network stack (Fig 14). Reconfiguration runs the
+// servers as real TCP daemons (one rpcnet server each on a loopback port),
+// exchanging genuine socket traffic for queries, verification, replica
+// installation and reconfiguration, so lookup latencies include the real
+// network stack (Fig 14). Every daemon runs in the coordinator's process:
+// Start launches them, and bulk seeding, Populate and the ground-truth
+// checks read their nodes in process rather than over the wire. Reconfiguration runs the
 // plan internal/group computes — the same plan the simulator runs — and
 // reports that plan's cost (Fig 15).
 //

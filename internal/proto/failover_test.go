@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"ghba/internal/mds"
 	"ghba/internal/trace"
+	"ghba/internal/wal"
 )
 
 // durableOptions is testOptions plus a WAL directory — the configuration
@@ -148,6 +151,56 @@ func TestKillRestartInPlace(t *testing.T) {
 			verifySweep(t, c, paths)
 		})
 	}
+}
+
+// TestRestartRefusesDamagedSnapshot pins that a damaged log directory is
+// refused, never served: the restart errors, the killed instance stays
+// dead in its membership slot, and failing it over leaves a cluster whose
+// invariants hold.
+func TestRestartRefusesDamagedSnapshot(t *testing.T) {
+	opts := durableOptions(t, 4, 2)
+	opts.SnapshotEvery = 10
+	c, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	paths := createFiles(t, c, 120)
+
+	victim := c.MDSIDs()[1]
+	if err := c.KillMDS(victim); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(opts.walDir(victim), "snap-*.snap"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("MDS %d left no snapshot to damage (err %v)", victim, err)
+	}
+	for _, snap := range snaps {
+		if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = c.RestartMDS(context.Background(), victim)
+	if !errors.Is(err, wal.ErrCorrupt) && !errors.Is(err, mds.ErrBadSnapshot) {
+		t.Fatalf("restart over a damaged snapshot: err %v, want wal.ErrCorrupt or mds.ErrBadSnapshot", err)
+	}
+	if c.NumMDS() != 4 {
+		t.Fatalf("a refused restart changed membership to %d daemons", c.NumMDS())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if _, err := c.Heartbeat(ctx, victim); err == nil {
+		t.Fatal("the refused daemon answers a heartbeat")
+	}
+
+	if _, err := c.FailMDS(context.Background(), victim); err != nil {
+		t.Fatalf("failing over the refused daemon: %v", err)
+	}
+	if c.NumMDS() != 3 {
+		t.Fatalf("membership is %d daemons after the failover, want 3", c.NumMDS())
+	}
+	checkInvariants(t, c)
+	verifySweep(t, c, paths)
 }
 
 func TestFailMDSRemovesDaemon(t *testing.T) {

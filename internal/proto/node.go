@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,9 +27,9 @@ type NodeServer struct {
 
 	// logMu orders the daemon's durable history, and is taken before mu. A
 	// mutation batch holds it from the incarnation check through the append
-	// and fsync, the apply and any compaction; serve, snapshotNow,
-	// Shutdown, Close and Kill take it first. So a snapshot never retires
-	// a record that was logged but not yet applied.
+	// and fsync, the apply and any compaction; serve, snapshotNow, Close
+	// and Kill take it first. So a snapshot never retires a record that was
+	// logged but not yet applied.
 	logMu sync.Mutex
 
 	mu   sync.Mutex
@@ -71,8 +70,8 @@ type NodeServer struct {
 	afterAppend func()
 }
 
-// NodeServerOptions configures one daemon beyond its mds.Node state.
-type NodeServerOptions struct {
+// nodeServerOptions configures one daemon beyond its mds.Node state.
+type nodeServerOptions struct {
 	// MemoryBudgetBytes is the daemon's RAM budget for its segment array
 	// (internal/memmodel); zero means unlimited.
 	MemoryBudgetBytes uint64
@@ -81,22 +80,21 @@ type NodeServerOptions struct {
 	DiskPenalty time.Duration
 	// WAL, when non-nil, is the daemon's open write-ahead log (typically
 	// the one mds.Recover handed back). Mutating RPCs append to it before
-	// applying; Shutdown compacts and closes it.
+	// applying; Close syncs and closes it.
 	WAL *wal.Log
 	// SnapshotEvery is the WAL record count between snapshot compactions.
-	// Zero selects 4096; negative disables automatic compaction (Shutdown
-	// still snapshots). Ignored without a WAL.
+	// Zero selects 4096; negative disables automatic compaction. Ignored
+	// without a WAL.
 	SnapshotEvery int
 }
 
-// StartNode launches a daemon for the given node on addr ("127.0.0.1:0"
-// for tests).
-func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer, error) {
+// startNode launches a daemon for the given node on a fresh loopback port.
+func startNode(node *mds.Node, opts nodeServerOptions) (*NodeServer, error) {
 	ns, err := newNodeServer(node, opts)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := rpcnet.Serve(addr, ns.handle)
+	srv, err := rpcnet.Serve("127.0.0.1:0", ns.handle)
 	if err != nil {
 		return nil, fmt.Errorf("proto: starting MDS %d: %w", node.ID(), err)
 	}
@@ -104,8 +102,8 @@ func StartNode(node *mds.Node, addr string, opts NodeServerOptions) (*NodeServer
 	return ns, nil
 }
 
-// newNodeServer builds the daemon StartNode serves, without a listener.
-func newNodeServer(node *mds.Node, opts NodeServerOptions) (*NodeServer, error) {
+// newNodeServer builds the daemon startNode serves, without a listener.
+func newNodeServer(node *mds.Node, opts nodeServerOptions) (*NodeServer, error) {
 	snapEvery := uint64(0)
 	if opts.WAL != nil {
 		switch {
@@ -160,22 +158,6 @@ func (ns *NodeServer) Kill() {
 	if ns.wal != nil {
 		_ = ns.wal.Abandon()
 	}
-}
-
-// Shutdown drains the daemon cleanly: the listener closes, in-flight
-// requests finish (bounded by timeout), a final snapshot compacts the WAL,
-// and the log closes. On drain timeout the WAL is left as-is — a wedged
-// handler may hold the daemon's locks, and recovery replays the tail anyway.
-func (ns *NodeServer) Shutdown(timeout time.Duration) error {
-	if err := ns.srv.Drain(timeout); err != nil {
-		return err
-	}
-	ns.logMu.Lock()
-	defer ns.logMu.Unlock()
-	if ns.wal == nil {
-		return nil
-	}
-	return errors.Join(ns.snapshot(), ns.wal.Close())
 }
 
 // snapshotNow forces a WAL compaction outside the usual cadence; bulk

@@ -10,9 +10,9 @@ import (
 	"ghba/internal/wal"
 )
 
-// testDaemon builds the daemon StartNode would serve over node, without a
+// testDaemon builds the daemon startNode would serve over node, without a
 // listener: the test calls its handle directly.
-func testDaemon(t testing.TB, node *mds.Node, opts NodeServerOptions) *NodeServer {
+func testDaemon(t testing.TB, node *mds.Node, opts nodeServerOptions) *NodeServer {
 	t.Helper()
 	ns, err := newNodeServer(node, opts)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestL1ObserveAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := testDaemon(t, node, NodeServerOptions{})
+	ns := testDaemon(t, node, nodeServerOptions{})
 	l1 := func() []int {
 		resp, err := ns.handle(opLookupBatch, encodePaths([]string{"/f"}))
 		if err != nil {
@@ -107,7 +107,7 @@ func TestParkedAppendBlocksNoReader(t *testing.T) {
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	defer free()
-	ns := testDaemon(t, node, NodeServerOptions{WAL: l, SnapshotEvery: -1})
+	ns := testDaemon(t, node, nodeServerOptions{WAL: l, SnapshotEvery: -1})
 	ns.afterAppend = func() {
 		close(parked)
 		<-release

@@ -365,7 +365,7 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			node.InstallReplica(1, replica) // what opDropReplica gives back
-			ns := testDaemon(t, node, NodeServerOptions{})
+			ns := testDaemon(t, node, nodeServerOptions{})
 			if _, err := ns.handle(uint8(op), req); err != nil {
 				t.Fatalf("fresh daemon refused a well-formed %s: %v", opName(uint8(op)), err)
 			}
@@ -379,7 +379,7 @@ func TestEveryOpcodeDispatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ns := testDaemon(t, node, NodeServerOptions{})
+			ns := testDaemon(t, node, nodeServerOptions{})
 			resp, err := ns.handle(opMutateBatch, encodeMutations(0, []wal.Record{{Op: kind.op, Path: "/p"}}))
 			if err != nil {
 				t.Fatalf("fresh daemon refused a one-record %s round: %v", kind.name, err)
@@ -404,7 +404,7 @@ func TestFetchShippedLeavesDriftAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := testDaemon(t, node, NodeServerOptions{})
+	ns := testDaemon(t, node, nodeServerOptions{})
 	shippedBefore, err := node.Shipped().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -641,7 +641,7 @@ func FuzzNodeServerRequests(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns := testDaemon(t, node, NodeServerOptions{WAL: l, SnapshotEvery: 4})
+		ns := testDaemon(t, node, nodeServerOptions{WAL: l, SnapshotEvery: 4})
 		for len(data) > 0 {
 			op, n := data[0], len(data)-1
 			if len(data) >= 3 {

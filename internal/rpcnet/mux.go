@@ -157,23 +157,14 @@ func (s *Server) serveMuxConn(conn net.Conn, br *bufio.Reader) {
 		defer close(writerDone)
 		bw := bufio.NewWriter(conn)
 		broken := false
-		// Each response carries an active-counter reference taken when its
-		// request started; the writer releases it once the response frame is
-		// flushed (or abandoned on a broken connection), so Drain's
-		// zero-active condition means every answer actually left the buffer.
-		unflushed := int64(0)
 		write := func(r muxResponse) {
 			if broken {
-				s.active.Add(-1) // drain so handlers never block on a dead writer
-				return
+				return // keep consuming so handlers never block on a dead writer
 			}
 			if writeMuxFrame(bw, r.id, r.status, r.payload) != nil {
 				broken = true
 				conn.Close()
-				s.active.Add(-1)
-				return
 			}
-			unflushed++
 		}
 		for resp := range respCh {
 			write(resp)
@@ -183,7 +174,6 @@ func (s *Server) serveMuxConn(conn net.Conn, br *bufio.Reader) {
 				case more, ok := <-respCh:
 					if !ok {
 						bw.Flush()
-						s.active.Add(-unflushed)
 						return
 					}
 					write(more)
@@ -195,8 +185,6 @@ func (s *Server) serveMuxConn(conn net.Conn, br *bufio.Reader) {
 				broken = true
 				conn.Close()
 			}
-			s.active.Add(-unflushed)
-			unflushed = 0
 		}
 	}()
 	sem := make(chan struct{}, muxServerConcurrency)
@@ -211,9 +199,6 @@ func (s *Server) serveMuxConn(conn net.Conn, br *bufio.Reader) {
 		go func(id uint64, msgType uint8, payload []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// The counter reference travels with the response into respCh;
-			// the writer goroutine releases it after the flush.
-			s.active.Add(1)
 			resp, herr := s.handler(msgType, payload)
 			status := uint8(0)
 			if herr != nil {

@@ -22,7 +22,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,10 +54,6 @@ type Handler func(msgType uint8, payload []byte) ([]byte, error)
 type Server struct {
 	ln      net.Listener
 	handler Handler
-
-	// active counts handler invocations in flight, across both protocols;
-	// Drain waits on it so a shutdown never cuts a request mid-execution.
-	active atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -127,59 +122,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // connection closed or malformed stream
 		}
-		// The request stays "active" until its response is flushed, so a
-		// Drain that sees zero active requests knows every accepted call
-		// got its answer, not just its handler run.
-		s.active.Add(1)
 		resp, herr := s.handler(msgType, payload)
 		status := uint8(0)
 		if herr != nil {
 			status = 1
 			resp = []byte(herr.Error())
 		}
-		werr := writeFrame(bw, status, resp)
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		s.active.Add(-1)
-		if werr != nil {
+		if writeFrame(bw, status, resp) != nil || bw.Flush() != nil {
 			return
 		}
 	}
-}
-
-// ActiveRequests returns the number of handler invocations in flight.
-func (s *Server) ActiveRequests() int64 { return s.active.Load() }
-
-// Drain shuts the server down without cutting requests mid-execution: it
-// stops accepting new connections, waits up to timeout for every in-flight
-// request (handler plus response write) to finish, then closes. Requests
-// that arrive on existing connections while draining still execute; the
-// bound covers them too. timeout ≤ 0 closes immediately.
-//
-// If the bound expires with requests still executing, Drain closes the
-// listener and every connection — so clients fail fast — but does NOT wait
-// for the wedged handlers: a goroutine blocked inside a handler cannot be
-// interrupted, and waiting on it would turn a bounded shutdown into an
-// unbounded one. The error reports how many requests were abandoned.
-func (s *Server) Drain(timeout time.Duration) error {
-	// Stop accepting; established connections keep serving until the close.
-	s.ln.Close()
-	deadline := time.Now().Add(timeout)
-	for s.active.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if cut := s.active.Load(); cut > 0 {
-		s.mu.Lock()
-		s.closed = true // make the eventual Close a no-op: it must not wg.Wait on wedged handlers
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		return fmt.Errorf("rpcnet: drain timed out with %d requests in flight", cut)
-	}
-	s.Close()
-	return nil
 }
 
 // Close stops accepting, closes all connections, and waits for handlers.

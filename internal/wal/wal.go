@@ -46,7 +46,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Record operations.
@@ -72,12 +71,9 @@ const (
 	// SyncAlways fsyncs after every append: nothing acknowledged is ever
 	// lost, at one disk flush per mutation.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per interval, piggybacked on the
-	// appends themselves: a machine crash loses at most the last interval's
-	// records (a process crash loses nothing — writes reach the kernel
-	// synchronously either way).
-	SyncInterval
-	// SyncNever leaves flushing to the kernel entirely.
+	// SyncNever leaves flushing to the kernel entirely: a machine crash may
+	// lose acknowledged records (a process crash loses nothing — writes
+	// reach the kernel synchronously either way).
 	SyncNever
 )
 
@@ -86,8 +82,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -95,17 +89,15 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses "always", "interval" or "never".
+// ParseSyncPolicy parses "always" (or "") and "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always", "":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("wal: unknown sync policy %q (want always, interval or never)", s)
+		return 0, fmt.Errorf("wal: unknown sync policy %q (want always or never)", s)
 	}
 }
 
@@ -113,15 +105,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Sync is the fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period; zero selects 100ms.
-	SyncEvery time.Duration
-}
-
-func (o Options) syncEvery() time.Duration {
-	if o.SyncEvery <= 0 {
-		return 100 * time.Millisecond
-	}
-	return o.SyncEvery
 }
 
 // Recovery reports what Open reconstructed from the directory.
@@ -161,7 +144,6 @@ type Log struct {
 	f             *os.File
 	seq           uint64        // sequence of the open segment
 	sinceSnapshot atomic.Uint64 // records appended (or replayed) since the last snapshot; written under mu, read without it
-	lastSync      time.Time
 	dirty         bool
 	closed        bool
 }
@@ -246,7 +228,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		}
 	}
 
-	l := &Log{dir: dir, opts: opts, lastSync: time.Now()}
+	l := &Log{dir: dir, opts: opts}
 	for i, seq := range replay {
 		last := i == len(replay)-1
 		records, goodLen, torn, err := readSegment(filepath.Join(dir, segmentName(seq)))
@@ -321,13 +303,8 @@ func (l *Log) Append(recs ...Record) error {
 	}
 	l.sinceSnapshot.Add(uint64(len(recs)))
 	l.dirty = true
-	switch l.opts.Sync {
-	case SyncAlways:
+	if l.opts.Sync == SyncAlways {
 		return l.syncLocked()
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.syncEvery() {
-			return l.syncLocked()
-		}
 	}
 	return nil
 }
@@ -340,7 +317,6 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.dirty = false
-	l.lastSync = time.Now()
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
@@ -144,10 +143,10 @@ func TestRepeatedSnapshotsPurgeOldOnes(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNever} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, _ := mustOpen(t, dir, Options{Sync: pol, SyncEvery: time.Millisecond})
+			l, _ := mustOpen(t, dir, Options{Sync: pol})
 			for i := 0; i < 20; i++ {
 				if err := l.Append(rec(OpCreate, fmt.Sprintf("/p%d", i))); err != nil {
 					t.Fatal(err)
@@ -175,8 +174,8 @@ func TestParseSyncPolicy(t *testing.T) {
 	}{
 		{"always", SyncAlways, false},
 		{"", SyncAlways, false},
-		{"interval", SyncInterval, false},
 		{"never", SyncNever, false},
+		{"interval", 0, true},
 		{"sometimes", 0, true},
 	} {
 		got, err := ParseSyncPolicy(tc.in)
@@ -184,7 +183,7 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Errorf("ParseSyncPolicy(%q) = (%v, %v), want (%v, err=%v)", tc.in, got, err, tc.want, tc.err)
 		}
 	}
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+	for _, pol := range []SyncPolicy{SyncAlways, SyncNever} {
 		back, err := ParseSyncPolicy(pol.String())
 		if err != nil || back != pol {
 			t.Errorf("policy %v did not round-trip through String", pol)

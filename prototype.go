@@ -27,8 +27,8 @@ type PrototypeConfig struct {
 	// the log into snapshots, enabling KillMDS/RestartMDS crash-recovery
 	// cycles. Empty keeps daemons memory-only, as before.
 	DataDir string
-	// WALSync selects the daemons' fsync policy: "always" (default),
-	// "interval" or "never". Only meaningful with DataDir.
+	// WALSync selects the daemons' fsync policy: "always" (default) or
+	// "never". Only meaningful with DataDir.
 	WALSync string
 	// SnapshotEvery is the WAL record count between snapshot compactions
 	// at each daemon. Zero selects 4096; negative disables automatic
