@@ -15,10 +15,12 @@ import (
 // sweeps (Figs 6–10 and 13), and compares each with the committed text. The
 // first five files were written by the commit before the stand-alone
 // baseline packages were replaced by arithmetic and before the trace
-// statistics lost the counters nothing prints; the sweeps were written before
-// the replica-location filters gave way to the group layout. A change that
-// moves a byte here changed what the paper's comparison says. CI diffs the
-// same files. Rewrite one with: go run ./cmd/ghbabench <flags> > testdata/<name>.
+// statistics lost the counters nothing prints, except Fig 12's, rewritten
+// when its per-profile rows, identical for HP, RES and INS, became one pair
+// per N; the sweeps were written before the replica-location filters gave
+// way to the group layout. A change that moves a byte here changed what the
+// paper's comparison says. CI diffs the same files. Rewrite one with:
+// go run ./cmd/ghbabench <flags> > testdata/<name>.
 func TestFiguresMatchGolden(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ghbabench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {

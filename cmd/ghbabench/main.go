@@ -133,13 +133,11 @@ func main() {
 	if run(12) {
 		var rows []experiments.Fig12Row
 		for _, nn := range pick(o.n, []int{30, 100}) {
-			for _, p := range trace.Profiles() {
-				cfg := experiments.DefaultFig12Config(p, nn)
-				cfg.Seed = o.seed
-				r, err := experiments.Fig12(cfg)
-				exitIf(err)
-				rows = append(rows, r...)
-			}
+			cfg := experiments.DefaultFig12Config(nn)
+			cfg.Seed = o.seed
+			r, err := experiments.Fig12(cfg)
+			exitIf(err)
+			rows = append(rows, r...)
 		}
 		fmt.Println(experiments.FormatFig12(rows))
 	}

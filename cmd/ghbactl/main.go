@@ -109,6 +109,7 @@ func run() error {
 	var b interface {
 		experiments.GroundTruth
 		ghba.Reconfigurer // -add
+		CheckInvariants() error
 	}
 	switch *backend {
 	case "sim":
@@ -185,6 +186,9 @@ func run() error {
 			return fmt.Errorf("-add %d of %d: %w", k+1, *adds, err)
 		}
 		fmt.Printf("ghbactl: added MDS %d (%d replicas migrated)\n", id, migrated)
+		if err := b.CheckInvariants(); err != nil {
+			return fmt.Errorf("-add %d of %d: invariants after adding MDS %d: %w", k+1, *adds, id, err)
+		}
 	}
 	return nil
 }

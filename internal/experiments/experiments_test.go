@@ -165,7 +165,7 @@ func TestFig11MigrationOrdering(t *testing.T) {
 }
 
 func TestFig12UpdateLatencyOrdering(t *testing.T) {
-	cfg := DefaultFig12Config(trace.HP(), 30)
+	cfg := DefaultFig12Config(30)
 	cfg.Updates = 20
 	cfg.FilesPerSubtrace = 1_000
 	rows, err := Fig12(cfg)
@@ -190,10 +190,10 @@ func TestFig12UpdateLatencyOrdering(t *testing.T) {
 }
 
 func TestFig12LatencyGrowsWithN(t *testing.T) {
-	small := DefaultFig12Config(trace.HP(), 10)
+	small := DefaultFig12Config(10)
 	small.Updates = 15
 	small.FilesPerSubtrace = 500
-	large := DefaultFig12Config(trace.HP(), 60)
+	large := DefaultFig12Config(60)
 	large.Updates = 15
 	large.FilesPerSubtrace = 500
 	rs, err := Fig12(small)

@@ -142,8 +142,6 @@ func FormatLatencyFig(cfg LatencyFigConfig, series []LatencySeries) string {
 
 // Fig12Config parameterizes the stale-replica update-latency comparison.
 type Fig12Config struct {
-	// Profile is the workload family.
-	Profile trace.Profile
 	// N is the MDS count, M the G-HBA group size.
 	N, M int
 	// Updates is the number of update requests measured.
@@ -157,11 +155,10 @@ type Fig12Config struct {
 	Seed int64
 }
 
-// DefaultFig12Config returns bench defaults for one (profile, N) cell of
-// Fig 12, using the paper's per-N optimal group size.
-func DefaultFig12Config(profile trace.Profile, n int) Fig12Config {
+// DefaultFig12Config returns bench defaults for the N cell of Fig 12, using
+// the paper's per-N optimal group size.
+func DefaultFig12Config(n int) Fig12Config {
 	return Fig12Config{
-		Profile:          profile,
 		N:                n,
 		M:                analysis.PaperOptimalM(n),
 		Updates:          90,
@@ -175,21 +172,23 @@ func DefaultFig12Config(profile trace.Profile, n int) Fig12Config {
 // Fig12Row is the measured mean update latency of one scheme.
 type Fig12Row struct {
 	Scheme      string
-	Profile     string
 	N, M        int
 	MeanLatency time.Duration
 }
 
 // Fig12 measures the latency of updating stale replicas: each update
 // mutates a home MDS's file set and pushes the fresh filter — to one holder
-// per group in G-HBA, to every MDS in HBA.
+// per group in G-HBA, to every MDS in HBA. An update's price is the
+// multicast plus the apply-side disk cost, and the initial namespace depends
+// on the file count alone, so the workload profile cannot move it: the
+// figure has no profile axis, and HP only builds the namespace.
 func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	// HBA is the same engine with groups of one. The budget prices the
 	// apply-side disk writes; only manual pushes ship.
 	var clusters [2]*core.Cluster // G-HBA, HBA
 	for i, m := range []int{cfg.M, 1} {
 		c, _, err := simulate(trace.Config{
-			Profile:          cfg.Profile,
+			Profile:          trace.HP(),
 			TIF:              1,
 			FilesPerSubtrace: cfg.FilesPerSubtrace,
 			Seed:             cfg.Seed,
@@ -218,18 +217,18 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	}
 	n := time.Duration(cfg.Updates)
 	return []Fig12Row{
-		{Scheme: "HBA", Profile: cfg.Profile.Name, N: cfg.N, M: cfg.M, MeanLatency: hbaSum / n},
-		{Scheme: "G-HBA", Profile: cfg.Profile.Name, N: cfg.N, M: cfg.M, MeanLatency: ghbaSum / n},
+		{Scheme: "HBA", N: cfg.N, M: cfg.M, MeanLatency: hbaSum / n},
+		{Scheme: "G-HBA", N: cfg.N, M: cfg.M, MeanLatency: ghbaSum / n},
 	}, nil
 }
 
-// FormatFig12 renders rows for several (profile, N) cells.
+// FormatFig12 renders rows for several N cells.
 func FormatFig12(rows []Fig12Row) string {
 	var b strings.Builder
 	b.WriteString("Fig 12 — latency of updating stale replicas\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6s %-4s N=%-4d M=%-3d mean=%v\n",
-			r.Scheme, r.Profile, r.N, r.M, r.MeanLatency.Round(10*time.Microsecond))
+		fmt.Fprintf(&b, "%-6s N=%-4d M=%-3d mean=%v\n",
+			r.Scheme, r.N, r.M, r.MeanLatency.Round(10*time.Microsecond))
 	}
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"ghba/internal/bloom"
-	"ghba/internal/metastore"
 	"ghba/internal/wal"
 	"ghba/internal/wire"
 )
@@ -18,20 +17,21 @@ import (
 // the daemon's L1 array, a cache that re-warms from traffic.
 //
 //	magic   uint32  0x6D645331 ("mdS1")
-//	version uint8   1
+//	version uint8   2
 //	id      uint32  owning MDS id (sanity-checked on load)
 //	deletes uint64  deletesSinceRebuild
 //	local   uint32 len | bloom filter bytes (bloom marshal format)
 //	shipped uint32 len | bloom filter bytes (lastShipped)
-//	nextIno uint64  metastore inode counter
 //	count   uint32  file records in strictly ascending path order, each:
-//	  pathLen uint16 | path | size uint64 | mode uint32 | uid uint32 |
-//	  gid uint32 | mtime int64 unix-nanos (metastore.MTimeZero = zero time) | ino uint64
+//	  pathLen uint16 | path
+//
+// Version 1 carried an inode counter and 36 bytes of file attributes per
+// record that no operation read; its blobs are refused.
 const (
 	snapshotMagic   uint32 = 0x6D645331
-	snapshotVersion uint8  = 1
+	snapshotVersion uint8  = 2
 	// snapshotRecordMin is the encoded size of a record with an empty path.
-	snapshotRecordMin = 2 + 8 + 4 + 4 + 4 + 8 + 8
+	snapshotRecordMin = 2
 )
 
 // ErrBadSnapshot marks a snapshot blob that fails structural validation.
@@ -56,11 +56,11 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 	deletes := n.deletesSinceRebuild
 	n.mu.RUnlock()
 
-	snap := n.store.Snapshot()
+	files := n.store.Paths()
 
-	size := 4 + 1 + 4 + 8 + 4 + len(localBytes) + 4 + len(shippedBytes) + 8 + 4
-	for _, md := range snap.Files {
-		size += 2 + len(md.Path) + 8 + 4 + 4 + 4 + 8 + 8
+	size := 4 + 1 + 4 + 8 + 4 + len(localBytes) + 4 + len(shippedBytes) + 4
+	for _, p := range files {
+		size += 2 + len(p)
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint32(buf, snapshotMagic)
@@ -71,19 +71,12 @@ func (n *Node) MarshalSnapshot() ([]byte, error) {
 	buf = append(buf, localBytes...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(shippedBytes)))
 	buf = append(buf, shippedBytes...)
-	buf = binary.BigEndian.AppendUint64(buf, snap.NextIno)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(snap.Files)))
-	for _, md := range snap.Files {
-		if len(md.Path) > math.MaxUint16 {
-			return nil, fmt.Errorf("mds: path %d bytes exceeds snapshot limit", len(md.Path))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(files)))
+	for _, p := range files {
+		if len(p) > math.MaxUint16 {
+			return nil, fmt.Errorf("mds: path %d bytes exceeds snapshot limit", len(p))
 		}
-		buf = wire.AppendString16(buf, md.Path)
-		buf = binary.BigEndian.AppendUint64(buf, md.Size)
-		buf = binary.BigEndian.AppendUint32(buf, md.Mode)
-		buf = binary.BigEndian.AppendUint32(buf, md.UID)
-		buf = binary.BigEndian.AppendUint32(buf, md.GID)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(metastore.MTimeNanos(md.MTime)))
-		buf = binary.BigEndian.AppendUint64(buf, md.InodeID)
+		buf = wire.AppendString16(buf, p)
 	}
 	return buf, nil
 }
@@ -105,18 +98,9 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 	var local, shipped bloom.Filter
 	localErr := local.UnmarshalBinary(r.Bytes(int(r.U32())))
 	shippedErr := shipped.UnmarshalBinary(r.Bytes(int(r.U32())))
-	nextIno := r.U64()
-	files := make([]metastore.Metadata, r.Count(snapshotRecordMin))
+	files := make([]string, r.Count(snapshotRecordMin))
 	for i := range files {
-		files[i] = metastore.Metadata{
-			Path:    r.String16(),
-			Size:    r.U64(),
-			Mode:    r.U32(),
-			UID:     r.U32(),
-			GID:     r.U32(),
-			MTime:   metastore.MTimeFromNanos(int64(r.U64())),
-			InodeID: r.U64(),
-		}
+		files[i] = r.String16()
 	}
 	if err := r.Done("snapshot"); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -133,8 +117,8 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 	// The writer emits each path once, in ascending order; anything else is
 	// a forged or damaged blob, not a store to load.
 	for i := 1; i < len(files); i++ {
-		if files[i].Path <= files[i-1].Path {
-			return fmt.Errorf("%w: record %d path %q does not follow %q", ErrBadSnapshot, i, files[i].Path, files[i-1].Path)
+		if files[i] <= files[i-1] {
+			return fmt.Errorf("%w: record %d path %q does not follow %q", ErrBadSnapshot, i, files[i], files[i-1])
 		}
 	}
 
@@ -150,7 +134,7 @@ func (n *Node) UnmarshalSnapshot(data []byte) error {
 		return fmt.Errorf("%w: local vs shipped filter: %v", ErrBadSnapshot, err)
 	}
 
-	n.store.Restore(metastore.Snapshot{NextIno: nextIno, Files: files})
+	n.store.Restore(files)
 	n.mu.Lock()
 	n.local.Store(&local)
 	n.lastShipped = &shipped

@@ -9,12 +9,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
-	"ghba/internal/metastore"
 	"ghba/internal/wal"
 )
 
@@ -28,7 +26,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.AddFile("/full")
-	n.Store().Put(metastore.Metadata{Path: "/full", Size: 42, Mode: 0o755, UID: 7, GID: 8, MTime: time.Unix(100, 200)})
 	for i := 0; i < 50; i++ {
 		n.AddFile(fmt.Sprintf("/f/%d", i))
 	}
@@ -47,16 +44,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := back.UnmarshalSnapshot(blob); err != nil {
 		t.Fatalf("UnmarshalSnapshot: %v", err)
 	}
-	if back.FileCount() != n.FileCount() {
-		t.Fatalf("file count %d, want %d", back.FileCount(), n.FileCount())
-	}
-	md, ok := back.Store().Get("/full")
-	if !ok || md.Size != 42 || md.Mode != 0o755 || md.UID != 7 || !md.MTime.Equal(time.Unix(100, 200)) {
-		t.Fatalf("metadata lost: (%+v, %v)", md, ok)
-	}
-	orig, _ := n.Store().Get("/full")
-	if md.InodeID != orig.InodeID {
-		t.Fatalf("inode changed: %d → %d", orig.InodeID, md.InodeID)
+	if got, want := back.Store().Paths(), n.Store().Paths(); !slices.Equal(got, want) {
+		t.Fatalf("restored %d paths, want the %d stored", len(got), len(want))
 	}
 	if back.DeletesSinceRebuild() != n.DeletesSinceRebuild() {
 		t.Fatalf("delete counter %d, want %d", back.DeletesSinceRebuild(), n.DeletesSinceRebuild())
@@ -72,12 +61,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Drift tracking must survive: shipped == local at snapshot time.
 	if back.DeltaBits() != n.DeltaBits() {
 		t.Fatalf("delta bits %d, want %d", back.DeltaBits(), n.DeltaBits())
-	}
-	// Put after restore must extend, not reuse, the inode sequence.
-	back.AddFile("/new")
-	nmd, _ := back.Store().Get("/new")
-	if nmd.InodeID <= md.InodeID {
-		t.Fatalf("inode %d reused after restore (existing max ≥ %d)", nmd.InodeID, md.InodeID)
 	}
 }
 
@@ -266,12 +249,6 @@ func TestRecoverReplaysLogOverSnapshot(t *testing.T) {
 			t.Errorf("HasFile(%s) = %v, want %v", probe.path, !probe.want, probe.want)
 		}
 	}
-	// Inode continuity across the crash: 41 creates happened in life 1.
-	n2.AddFile("/life2")
-	md, _ := n2.Store().Get("/life2")
-	if md.InodeID <= 40 {
-		t.Fatalf("inode %d regressed across recovery", md.InodeID)
-	}
 }
 
 func TestRecoverRejectsForeignSnapshot(t *testing.T) {
@@ -292,20 +269,22 @@ func TestRecoverRejectsForeignSnapshot(t *testing.T) {
 }
 
 // snapshotCountAt is the offset of a snapshot's file-record count: after
-// the fixed header, the two length-prefixed filters and the inode counter.
+// the fixed header and the two length-prefixed filters.
 func snapshotCountAt(blob []byte) int {
 	off := 4 + 1 + 4 + 8 // magic, version, id, deletes
 	for range 2 {
 		off += 4 + int(binary.BigEndian.Uint32(blob[off:]))
 	}
-	return off + 8
+	return off
 }
 
 // forgedSnapshots returns a valid snapshot of a node holding /a and /b,
-// and three forgeries of it: a count of 0xFFFFFFFF, which used to size an
+// and four blobs to refuse: a count of 0xFFFFFFFF, which used to size an
 // allocation before anything else was checked and killed the process out
 // of memory; /b renamed /a, a repeated path that used to load as one file;
-// and /b renamed /0, paths out of order.
+// /b renamed /0, paths out of order; and the same node in the version-1
+// layout, which also carried an inode counter and 36 attribute bytes per
+// record.
 func forgedSnapshots(t testing.TB, cfg Config) (valid []byte, forged map[string][]byte) {
 	n, err := NewNode(1, cfg)
 	if err != nil {
@@ -321,8 +300,7 @@ func forgedSnapshots(t testing.TB, cfg Config) (valid []byte, forged map[string]
 	if got := binary.BigEndian.Uint32(valid[at:]); got != 2 {
 		t.Fatalf("count field reads %d, want 2", got)
 	}
-	// Each record here is the minimum plus a 2-byte path, and a path
-	// follows its 2-byte length.
+	// Each record here is a 2-byte length and a 2-byte path.
 	second := at + 4 + (snapshotRecordMin + 2) + 2
 	if string(valid[second:second+2]) != "/b" {
 		t.Fatalf("second record's path reads %q, want /b", valid[second:second+2])
@@ -332,10 +310,29 @@ func forgedSnapshots(t testing.TB, cfg Config) (valid []byte, forged map[string]
 		copy(out[off:], b)
 		return out
 	}
+	// Version 1 wrote the same node with the inode counter before the
+	// count and each record's attributes after its path, as PutPath set
+	// them: size 0, mode 0644, uid 0, gid 0, mtime the zero time (as
+	// math.MinInt64 nanoseconds), then the inode number.
+	v1 := append([]byte{}, valid[:at]...)
+	v1[4] = 1
+	v1 = binary.BigEndian.AppendUint64(v1, 2)
+	v1 = append(v1, valid[at:at+4]...)
+	for ino, p := range []string{"/a", "/b"} {
+		v1 = binary.BigEndian.AppendUint16(v1, uint16(len(p)))
+		v1 = append(v1, p...)
+		v1 = binary.BigEndian.AppendUint64(v1, 0)
+		v1 = binary.BigEndian.AppendUint32(v1, 0o644)
+		v1 = binary.BigEndian.AppendUint32(v1, 0)
+		v1 = binary.BigEndian.AppendUint32(v1, 0)
+		v1 = binary.BigEndian.AppendUint64(v1, 1<<63)
+		v1 = binary.BigEndian.AppendUint64(v1, uint64(ino+1))
+	}
 	return valid, map[string][]byte{
 		"count 0xFFFFFFFF": patch(at, []byte{0xff, 0xff, 0xff, 0xff}),
 		"repeated path":    patch(second, []byte("/a")),
 		"descending paths": patch(second, []byte("/0")),
+		"version 1":        v1,
 	}
 }
 
@@ -493,8 +490,7 @@ func TestRecoverMixedAppendPrefix(t *testing.T) {
 }
 
 // pinnedNode builds the fixed node whose snapshot TestSnapshotFormatPinned
-// pins: every record field set, a delete and a ship behind it, a create
-// after the ship.
+// pins: a delete and a ship behind it, a create after the ship.
 func pinnedNode(t *testing.T) *Node {
 	t.Helper()
 	n, err := NewNode(3, testConfig())
@@ -502,7 +498,6 @@ func pinnedNode(t *testing.T) *Node {
 		t.Fatal(err)
 	}
 	n.AddFile("/full")
-	n.Store().Put(metastore.Metadata{Path: "/full", Size: 42, Mode: 0o755, UID: 7, GID: 8, MTime: time.Unix(100, 200)})
 	for i := 0; i < 20; i++ {
 		n.AddFile(fmt.Sprintf("/f/%d", i))
 	}
@@ -520,7 +515,7 @@ func TestSnapshotFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "30139e3e608f45169c1f83c9fac48230212b280256cd37726adf5b3319070479"
+	const want = "cc0a8f8ad06857ae667d9d7b1fcd0f7e184976d459e59aa17f6677f533e0f1f1"
 	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
 		t.Errorf("snapshot of the pinned node hashes to %s, want %s", got, want)
 	}
@@ -542,8 +537,8 @@ func TestSnapshotLoadOwnsItsBytes(t *testing.T) {
 	for i := range blob {
 		blob[i] = 0xa5
 	}
-	want, got := n.Store().Snapshot(), back.Store().Snapshot()
-	if !reflect.DeepEqual(got, want) {
+	want, got := n.Store().Paths(), back.Store().Paths()
+	if !slices.Equal(got, want) {
 		t.Errorf("restored store changed with its blob:\n got %+v\nwant %+v", got, want)
 	}
 	if !back.LocalFilter().Equal(n.LocalFilter()) || !back.Shipped().Equal(n.Shipped()) {

@@ -30,10 +30,6 @@ type PrototypeConfig struct {
 	// WALSync selects the daemons' fsync policy: "always" (default) or
 	// "never". Only meaningful with DataDir.
 	WALSync string
-	// SnapshotEvery is the WAL record count between snapshot compactions
-	// at each daemon. Zero selects 4096; negative disables automatic
-	// compaction. Only meaningful with DataDir.
-	SnapshotEvery int
 }
 
 // validate is Config.validate plus the prototype-only fields, so a bad fsync
@@ -82,7 +78,6 @@ func startPrototype(cfg PrototypeConfig, observeBatch int) (*Prototype, error) {
 		ObserveBatch:      observeBatch,
 		DataDir:           cfg.DataDir,
 		WALSync:           cfg.WALSync,
-		SnapshotEvery:     cfg.SnapshotEvery,
 	})
 	if err != nil {
 		return nil, err

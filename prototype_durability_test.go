@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ghba/internal/mds"
 	"ghba/internal/proto"
 )
 
@@ -24,8 +25,7 @@ func startDurablePrototype(t *testing.T, n int) *Prototype {
 			ExpectedFilesPerMDS: 1_000,
 			Seed:                7,
 		},
-		DataDir:       t.TempDir(),
-		SnapshotEvery: 64,
+		DataDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,9 @@ func startDurablePrototype(t *testing.T, n int) *Prototype {
 
 // TestPrototypeKillRestart drives the facade's crash/recover surface: a
 // killed daemon refuses RPCs, RestartMDS recovers its files from the WAL in
-// place, and every path still resolves to its ground-truth home.
+// place, and every path still resolves to its ground-truth home. The
+// victim's log holds one create per file it homes and no snapshot (a
+// compaction needs 4,096 records), so recovery replays exactly those.
 func TestPrototypeKillRestart(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := startDurablePrototype(t, 4)
@@ -58,6 +60,15 @@ func TestPrototypeKillRestart(t *testing.T) {
 	}
 	if rep.Rejoined {
 		t.Error("in-place restart reported a rejoin")
+	}
+	homed := 0
+	for _, path := range paths {
+		if p.HomeOf(path) == victim {
+			homed++
+		}
+	}
+	if want := (mds.RecoveryInfo{Replayed: homed, Files: homed}); homed == 0 || rep.Recovery != want {
+		t.Errorf("recovery %+v, want %+v: the victim's %d creates replayed from its log", rep.Recovery, want, homed)
 	}
 	if rep.TailLost != 0 {
 		t.Errorf("in-process kill lost %d tail files; the page cache should survive", rep.TailLost)
