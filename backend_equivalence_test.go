@@ -53,10 +53,10 @@ func runCrossBackendEquivalence(t *testing.T, cfg ghba.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The simulation learns L1 observations at every found lookup; batch
-	// size 1 makes the daemons' replicated LRU arrays follow the same
-	// per-lookup schedule.
-	tcp, err := ghba.StartPrototypeObservingEach(ghba.PrototypeConfig{Config: cfg})
+	// The simulation learns L1 observations at every found lookup; each
+	// daemon's entry leg carries every lookup confirmed before it, so its
+	// L1 array follows the same per-lookup schedule.
+	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCrossBackendReconfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := ghba.StartPrototypeObservingEach(ghba.PrototypeConfig{Config: cfg})
+	tcp, err := ghba.StartPrototype(ghba.PrototypeConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func isMutation(op trace.OpType) bool {
 type leg struct {
 	daemon int
 	slots  []int
-	body   []byte // the encoded request when the round built it once for every leg
+	body   []byte // the encoded request, when the round built it itself
 }
 
 // addLeg files slot under daemon's leg, opening the leg on first use. Legs
@@ -512,11 +512,13 @@ func (c *Cluster) lookupRun(ctx context.Context, paths []string, draws []int, id
 
 // lookupVector is the prototype's one walk of the paper's hierarchy: it
 // resolves paths[i] entering at entries[i], every level a fan-out round —
-// one opLookupBatch per distinct entry daemon (L1 + L2 hits),
-// opVerifyBatch per candidate daemon, one opQueryMemberBatch per groupmate
-// (L3), and one opHasLocalBatch scatter-gather across all daemons (L4).
-// One membership snapshot serves the whole walk, so every level filters
-// hits against, and fans out over, the same topology.
+// one opLookupBatch per distinct entry daemon (its backlog, then L1 + L2
+// hits), opVerifyBatch per candidate daemon, one opQueryMemberBatch per
+// groupmate (L3), and one opHasLocalBatch scatter-gather across all daemons
+// (L4). An entry's L1 thus sees every lookup confirmed before its vector:
+// for a vector of one, the simulator's per-lookup schedule. One membership
+// snapshot serves the whole walk, so every level filters hits against, and
+// fans out over, the same topology.
 func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []int) ([]LookupResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -542,11 +544,13 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 		return nil
 	}
 
-	// Entry leg: L1 + L2 hits for every path, one RPC per distinct entry.
+	// Entry leg: L1 + L2 hits for every path, one RPC per distinct entry,
+	// each carrying its daemon's backlog first.
 	var legs []leg
 	for i, e := range entries {
 		legs = addLeg(legs, e, i)
 	}
+	c.takeBacklogs(legs, paths)
 	l1 := make([][]int, len(paths))
 	l2 := make([][]int, len(paths))
 	err := c.scatter(ctx, opLookupBatch, "lookup batch", paths, legs, func(l leg, resp []byte) error {
@@ -647,9 +651,6 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 	}
 
 	// Finalize: tally, observe, and amortize the vector's cost per path.
-	// The whole vector's confirmed lookups feed the L1 learning pipeline as
-	// one bulk append, so a large vector multicasts at most one observation
-	// batch instead of one per ObserveBatch lookups.
 	perLat := amortized(time.Since(start), len(paths))
 	obs := make([]observation, 0, len(paths))
 	for i := range results {
@@ -659,7 +660,7 @@ func (c *Cluster) lookupVector(ctx context.Context, paths []string, entries []in
 			obs = append(obs, observation{home: results[i].Home, path: paths[i]})
 		}
 	}
-	return results, c.observeMany(ctx, snap.IDs(), obs)
+	return results, c.observe(ctx, obs)
 }
 
 // probe is one store verification: path idx, nominated for daemon by the

@@ -30,7 +30,7 @@ import (
 const DefaultCallTimeout = 10 * time.Second
 
 // maxPathBytes is the longest path the wire carries: path vectors, mutation
-// batches and observation batches all frame a path's length as a uint16.
+// batches and observations all frame a path's length as a uint16.
 const maxPathBytes = math.MaxUint16
 
 // checkPaths refuses a path the wire cannot frame. Every entry point that
@@ -70,11 +70,6 @@ type Options struct {
 	// crossings absorbed before dirty origins' replicas ship over the
 	// wire. 0 or 1 ships at every crossing (the paper's protocol).
 	ShipBatch int
-	// ObserveBatch is how many confirmed lookups accumulate before the L1
-	// observation batch is multicast to every daemon. Zero selects 64; 1
-	// multicasts immediately, matching the simulator's per-lookup L1
-	// learning (the cross-backend equivalence tests rely on this).
-	ObserveBatch int
 	// DataDir, when non-empty, makes every daemon durable: MDS i write-ahead
 	// logs its mutations under DataDir/mds-<i> and compacts the log into
 	// snapshots, so KillMDS/RestartMDS can crash and recover it. Start
@@ -182,13 +177,11 @@ type Cluster struct {
 	// mutations draw from the caller's RNG and never touch it.
 	rng *rand.Rand
 
-	// pendingObs accumulates confirmed (path → home) mappings; every
-	// obsBatch lookups the batch is multicast to all daemons, refreshing
-	// their replicated LRU arrays the way HBA piggybacks LRU replica
-	// updates.
-	obsMu      sync.Mutex
-	pendingObs []observation
-	obsBatch   int
+	// backlog holds, per member, the L1 observations (confirmed lookups)
+	// the daemon has not yet received; the next lookup_batch entering there
+	// carries them (takeBacklogs). FailMDS drops a failed daemon's.
+	obsMu   sync.Mutex
+	backlog map[int][]observation
 
 	tally        metrics.LevelTally
 	replicaShips atomic.Uint64
@@ -290,10 +283,6 @@ func Start(opts Options) (*Cluster, error) {
 	if callTimeout == 0 {
 		callTimeout = DefaultCallTimeout
 	}
-	obsBatch := opts.ObserveBatch
-	if obsBatch <= 0 {
-		obsBatch = 64
-	}
 	c := &Cluster{
 		opts:        opts,
 		servers:     make(map[int]*NodeServer),
@@ -302,7 +291,7 @@ func Start(opts Options) (*Cluster, error) {
 		ships:       shipq.New(opts.ShipBatch),
 		conns:       newConnSet(callTimeout),
 		rng:         rand.New(rand.NewSource(opts.Seed)),
-		obsBatch:    obsBatch,
+		backlog:     make(map[int][]observation),
 		nextID:      opts.N,
 	}
 	for i := 0; i < opts.N; i++ {
@@ -570,47 +559,50 @@ func (c *Cluster) LookupWith(ctx context.Context, rng *rand.Rand, path string) (
 	return c.ApplyWith(ctx, rng, trace.Record{Op: trace.OpStat, Path: path})
 }
 
-// lookupVia resolves path with the given entry MDS: the vector walk over a
-// vector of one.
-func (c *Cluster) lookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
-	if err := checkPaths(path); err != nil {
-		return LookupResult{}, err
+// maxBacklog bounds a member's backlog, which only a member the entry
+// draws keep avoiding reaches.
+const maxBacklog = 4096
+
+// takeBacklogs sets each entry leg's request: its daemon's backlog, taken
+// whole under obsMu (two lanes entering at one daemon carry disjoint parts;
+// a failed leg loses its part), then the paths its slots select.
+func (c *Cluster) takeBacklogs(legs []leg, paths []string) {
+	c.obsMu.Lock()
+	defer c.obsMu.Unlock()
+	for k, l := range legs {
+		legs[k].body = encodeLookupRequest(c.backlog[l.daemon], pick(paths, l.slots))
+		delete(c.backlog, l.daemon)
 	}
-	res, err := c.lookupVector(ctx, []string{path}, []int{entry})
-	if res == nil {
-		return LookupResult{}, err
-	}
-	return res[0], err
 }
 
-// observeMany bulk-appends a vector's worth of L1 learning records and
-// multicasts at most once: however far past ObserveBatch the append lands,
-// the whole accumulation flushes as a single batch to every daemon in ids,
-// refreshing their replicated LRU arrays, so a large lookup vector pays one
-// multicast instead of one per ObserveBatch lookups. A daemon that fails its
-// delivery does not cost the others theirs: the batch still reaches every
-// reachable daemon and the failures are reported joined.
-func (c *Cluster) observeMany(ctx context.Context, ids []int, obs []observation) error {
-	if len(obs) == 0 {
-		return nil
-	}
+// observe appends a walk's confirmed lookups to the backlog of every member
+// the fleet names when obsMu is taken, and delivers each backlog that
+// reaches maxBacklog as a path-less lookup_batch: the only place where an
+// observation can fail a walk. Failures are returned joined, by daemon.
+func (c *Cluster) observe(ctx context.Context, obs []observation) error {
+	var full []leg
 	c.obsMu.Lock()
-	c.pendingObs = append(c.pendingObs, obs...)
-	if len(c.pendingObs) < c.obsBatch {
-		c.obsMu.Unlock()
-		return nil
-	}
-	batch := c.pendingObs
-	c.pendingObs = nil
-	c.obsMu.Unlock()
-	payload := encodeObservations(batch)
-	// Multicast in parallel, like the query fan-outs: the flushing lookup
-	// pays one round-trip time, not N sequential ones.
-	errs := make([]error, len(ids))
-	fanOut(len(ids), func(k int) {
-		if _, err := c.call(ctx, ids[k], opObserveBatch, payload); err != nil {
-			errs[k] = fmt.Errorf("observe batch to MDS %d: %w", ids[k], err)
+	for _, id := range c.fleet.Load().IDs() {
+		b := append(c.backlog[id], obs...)
+		if len(b) >= maxBacklog {
+			full = append(full, leg{daemon: id, body: encodeLookupRequest(b, nil)})
+			b = nil
 		}
+		c.backlog[id] = b
+	}
+	c.obsMu.Unlock()
+	return c.scatter(ctx, opLookupBatch, "observation delivery", nil, full, func(_ leg, resp []byte) error {
+		_, err := decodeHitsVec(resp, 0)
+		return err
 	})
-	return errors.Join(errs...)
+}
+
+// dropBacklog forgets the backlog of a daemon the published fleet no longer
+// names, which no walk refills.
+func (c *Cluster) dropBacklog(id int) {
+	c.obsMu.Lock()
+	defer c.obsMu.Unlock()
+	if c.fleet.Load().Node(id) == nil {
+		delete(c.backlog, id)
+	}
 }

@@ -26,8 +26,10 @@
 // daemon ride parallel sockets. A path vector frames each path's length as a
 // uint16, so the coordinator refuses paths over 65,535 bytes.
 //
-// Each daemon (NodeServer) owns its L1 array, and under a byte budget runs
-// the simulator's memory model (internal/memmodel) over its segment array.
+// Each daemon (NodeServer) owns its L1 array, which learns lazily: the
+// coordinator keeps each daemon's backlog of confirmed lookups, carried by
+// the next lookup_batch entering there ahead of its paths. Under a byte
+// budget a daemon runs the simulator's memory model over its segment array.
 package proto
 
 import (
@@ -49,8 +51,7 @@ const (
 	opDropReplica                       // origin → filter bytes
 	opShipFilter                        // (empty) → origin's current filter, recorded as last shipped
 	opFetchShipped                      // (empty) → the filter origin last shipped; its drift tracking untouched
-	opObserveBatch                      // batched L1 observations → ack
-	opLookupBatch                       // paths → per path: L1 hits + L2 hits (entry leg)
+	opLookupBatch                       // observations, then paths → per path: L1 hits + L2 hits (entry leg)
 	opQueryMemberBatch                  // paths → per path: L2 hits (group multicast leg)
 	opVerifyBatch                       // paths → per path: 1/0 authoritative answer
 	opHasLocalBatch                     // paths → per path: 1/0 local-filter + store check (L4 leg)
@@ -69,7 +70,6 @@ var opNames = [...]string{
 	opDropReplica:      "drop_replica",
 	opShipFilter:       "ship_filter",
 	opFetchShipped:     "fetch_shipped",
-	opObserveBatch:     "observe_batch",
 	opLookupBatch:      "lookup_batch",
 	opQueryMemberBatch: "query_member_batch",
 	opVerifyBatch:      "verify_batch",
@@ -106,14 +106,21 @@ func encodePaths(paths []string) []byte {
 // frame that carries more than it declares was not written by encodePaths.
 func decodePaths(data []byte) ([]string, error) {
 	r := wire.NewReader(data)
-	paths := make([]string, r.Count(2))
-	for i := range paths {
-		paths[i] = r.String16()
-	}
+	paths := readPaths(&r)
 	if err := r.Done("path vector"); err != nil {
 		return nil, fmt.Errorf("proto: %w", err)
 	}
 	return paths, nil
+}
+
+// readPaths reads one path vector from r, refusing a count the bytes
+// cannot carry.
+func readPaths(r *wire.Reader) []string {
+	paths := make([]string, r.Count(2))
+	for i := range paths {
+		paths[i] = r.String16()
+	}
+	return paths
 }
 
 // decodeHitsVec parses exactly n consecutive hit lists (the lookup/member
@@ -258,8 +265,14 @@ type observation struct {
 	path string
 }
 
-// encodeObservations serializes a batch: count uint32, then per record
-// origin uint32 | pathLen uint16 | path.
+// encodeLookupRequest serializes an entry leg's request: the observations
+// the daemon applies to its L1 array first, then the paths it answers for.
+func encodeLookupRequest(obs []observation, paths []string) []byte {
+	return append(encodeObservations(obs), encodePaths(paths)...)
+}
+
+// encodeObservations serializes the request's prefix: count uint32, then
+// per record home uint32 | pathLen uint16 | path.
 func encodeObservations(obs []observation) []byte {
 	size := 4
 	for _, o := range obs {
@@ -272,18 +285,26 @@ func encodeObservations(obs []observation) []byte {
 	return buf
 }
 
-// decodeObservations parses a batch. Like decodePaths it refuses a count the
-// bytes cannot carry and bytes after the last record.
-func decodeObservations(data []byte) ([]observation, error) {
+// decodeLookupRequest parses an entry leg's request with one reader: the
+// observations, then the path vector. Like decodePaths it refuses a count
+// the bytes cannot carry and bytes after the last path.
+func decodeLookupRequest(data []byte) ([]observation, []string, error) {
 	r := wire.NewReader(data)
+	obs := decodeObservations(&r)
+	paths := readPaths(&r)
+	if err := r.Done("lookup request"); err != nil {
+		return nil, nil, fmt.Errorf("proto: %w", err)
+	}
+	return obs, paths, nil
+}
+
+// decodeObservations reads the request's prefix from r.
+func decodeObservations(r *wire.Reader) []observation {
 	obs := make([]observation, r.Count(6))
 	for i := range obs {
 		obs[i] = observation{home: int(r.U32()), path: r.String16()}
 	}
-	if err := r.Done("observation batch"); err != nil {
-		return nil, fmt.Errorf("proto: %w", err)
-	}
-	return obs, nil
+	return obs
 }
 
 // appendHits appends the wire form of an MDS-ID hit list to dst: count

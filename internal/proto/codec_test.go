@@ -23,11 +23,12 @@ func codecSamples() (paths []string, recs []wal.Record, obs []observation, hits 
 }
 
 // TestDecodeAllocs pins what each vector decoder allocates on a fixed body:
-// the vector, then one copy per non-empty path or hit list. The reader the
-// decoders share lives on their stacks, so it adds nothing.
+// the vector, then one copy per non-empty path or hit list — for a lookup
+// request, both of its vectors. The reader the decoders share lives on their
+// stacks, so it adds nothing.
 func TestDecodeAllocs(t *testing.T) {
 	paths, recs, obs, hits := codecSamples()
-	pathWire, recWire, obsWire := encodePaths(paths), encodeMutations(9, recs), encodeObservations(obs)
+	pathWire, recWire, lookupWire := encodePaths(paths), encodeMutations(9, recs), encodeLookupRequest(obs, paths)
 	var hitWire []byte
 	for _, h := range hits {
 		hitWire = appendHits(hitWire, h)
@@ -39,7 +40,7 @@ func TestDecodeAllocs(t *testing.T) {
 	}{
 		{"decodePaths", 4, func() error { _, err := decodePaths(pathWire); return err }},
 		{"decodeMutations", 4, func() error { _, _, err := decodeMutations(recWire); return err }},
-		{"decodeObservations", 4, func() error { _, err := decodeObservations(obsWire); return err }},
+		{"decodeLookupRequest", 8, func() error { _, _, err := decodeLookupRequest(lookupWire); return err }},
 		{"decodeHitsVec", 4, func() error { _, err := decodeHitsVec(hitWire, len(hits)); return err }},
 	} {
 		if err := tc.decode(); err != nil {
@@ -60,7 +61,7 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 			b[i] = 0xa5
 		}
 	}
-	pathWire, recWire, obsWire := encodePaths(paths), encodeMutations(9, recs), encodeObservations(obs)
+	pathWire, recWire, lookupWire := encodePaths(paths), encodeMutations(9, recs), encodeLookupRequest(obs, paths)
 	gotPaths, err := decodePaths(pathWire)
 	if err != nil {
 		t.Fatal(err)
@@ -69,44 +70,44 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotObs, err := decodeObservations(obsWire)
+	gotObs, gotLookupPaths, err := decodeLookupRequest(lookupWire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scribble(pathWire)
 	scribble(recWire)
-	scribble(obsWire)
+	scribble(lookupWire)
 	if !reflect.DeepEqual(gotPaths, paths) {
 		t.Errorf("paths changed with their frame: %q", gotPaths)
 	}
 	if !reflect.DeepEqual(gotRecs, recs) {
 		t.Errorf("mutations changed with their frame: %q", gotRecs)
 	}
-	if !reflect.DeepEqual(gotObs, obs) {
-		t.Errorf("observations changed with their frame: %v", gotObs)
+	if !reflect.DeepEqual(gotObs, obs) || !reflect.DeepEqual(gotLookupPaths, paths) {
+		t.Errorf("lookup request changed with its frame: %v, %q", gotObs, gotLookupPaths)
 	}
 }
 
-// FuzzObservationBatch drives the observe_batch request decoder: arbitrary
-// bytes must never panic it, and since it refuses counts the bytes cannot
-// carry and trailing bytes, anything it accepts must re-encode to exactly
-// the bytes it was given.
+// FuzzObservationBatch drives the lookup_batch request decoder, whose
+// observation batch comes first: arbitrary bytes must never panic it, and
+// since it refuses counts the bytes cannot carry and trailing bytes,
+// anything it accepts must re-encode to exactly the bytes it was given.
 func FuzzObservationBatch(f *testing.F) {
-	_, _, obs, _ := codecSamples()
-	two := encodeObservations(obs[:2])
+	paths, _, obs, _ := codecSamples()
+	two := encodeLookupRequest(obs[:2], paths[1:2])
 	f.Add([]byte{})
-	f.Add(encodeObservations(nil))              // zero count
-	f.Add(two)                                  // two records, one of the empty path
-	f.Add(two[:len(two)-1])                     // one byte short
-	f.Add(append(two[:len(two):len(two)], 0))   // one byte long
-	f.Add([]byte{0, 0, 0xff, 0xff})             // count 0xFFFF with no records behind it
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 2}) // a path length past the end
+	f.Add(encodeLookupRequest(nil, nil))                    // zero counts
+	f.Add(two)                                              // two records, one of the empty path, and one path
+	f.Add(two[:len(two)-1])                                 // one byte short
+	f.Add(append(two[:len(two):len(two)], 0))               // one byte long
+	f.Add([]byte{0, 0, 0xff, 0xff})                         // count 0xFFFF with no records behind it
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0}) // a path length past the end
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeObservations(data)
+		obs, paths, err := decodeLookupRequest(data)
 		if err != nil {
 			return
 		}
-		if again := encodeObservations(got); !bytes.Equal(again, data) {
+		if again := encodeLookupRequest(obs, paths); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, which re-encodes as %x", data, again)
 		}
 	})

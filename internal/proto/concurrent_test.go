@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,14 +131,10 @@ func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
 			}
 		}
 	}
-	// Lookups that stay inside the healthy group still resolve. Stay
-	// under c.obsBatch total so the observation flush (which would
-	// multicast into the dead daemon) never fires here.
-	checked := 0
-	for i := 0; i < 100 && checked < c.obsBatch-1; i++ {
+	// Lookups that stay inside the healthy group still resolve.
+	for i := 0; i < 100; i++ {
 		p := "/p/f" + strconv.Itoa(i)
 		if home := c.HomeOf(p); home >= 0 && home <= 3 {
-			checked++
 			res, err := c.lookupVia(context.Background(), p, 0)
 			if err != nil {
 				t.Fatalf("post-rollback lookup %s: %v", p, err)
@@ -151,51 +146,41 @@ func TestAddMDSFailureRollsBackCoordinatorState(t *testing.T) {
 	}
 }
 
-// TestObserveBatchSurvivesDeadDaemon pins the multicast-failure fix: when
-// one daemon is unreachable at flush time, the LRU observation batch still
-// reaches every other daemon (their next lookups answer at L1) and the
-// failure is reported rather than silently dropping the batch.
-func TestObserveBatchSurvivesDeadDaemon(t *testing.T) {
-	c := startPopulated(t, 4, 2, 80)
-	// Pick a path homed anywhere but daemon 3, and kill daemon 3. Groups
-	// are {0,1} and {2,3}, so lookups entering at 0 never consult 3
-	// before resolving at L2/L3.
-	hot := ""
-	for i := 0; i < 80; i++ {
-		p := "/p/f" + strconv.Itoa(i)
-		if c.HomeOf(p) != 3 {
-			hot = p
-			break
-		}
-	}
-	if hot == "" {
-		t.Fatal("all files homed at daemon 3")
-	}
+// TestLookupsSurviveDeadDaemon pins that a dead daemon costs only the
+// lookups that need it: its L1 observations wait in its backlog until a leg
+// enters there. With daemon 3 closed, 128 lookups entering at 0 for paths
+// homed elsewhere — groups are {0,1} and {2,3}, so none of them asks 3 — all
+// return without error, and every survivor then serves the last of them at
+// L1.
+func TestLookupsSurviveDeadDaemon(t *testing.T) {
+	c := startPopulated(t, 4, 2, 300)
 	c.servers[3].Close()
-
-	var flushErr error
-	for i := 0; i < c.obsBatch; i++ {
-		res, err := c.lookupVia(context.Background(), hot, 0)
+	ctx := context.Background()
+	hot := ""
+	for i, sent := 0, 0; sent < 128; i++ {
+		p := "/p/f" + strconv.Itoa(i)
+		home := c.HomeOf(p)
+		if home == 3 {
+			continue
+		}
+		res, err := c.lookupVia(ctx, p, 0)
 		if err != nil {
-			flushErr = err
+			t.Fatalf("lookup %d (%s) with daemon 3 dead: %v", sent, p, err)
 		}
-		if !res.Found {
-			t.Fatalf("lookup %d of %s not found", i, hot)
+		if !res.Found || res.Home != home {
+			t.Fatalf("lookup %s = %+v, ground truth home %d", p, res, home)
 		}
+		hot = p
+		sent++
 	}
-	if flushErr == nil {
-		t.Fatal("flush against dead daemon reported no error")
-	}
-	if !strings.Contains(flushErr.Error(), "MDS 3") {
-		t.Errorf("flush error does not name the dead daemon: %v", flushErr)
-	}
-	// The surviving daemons received the batch despite the failure.
-	res, err := c.lookupVia(context.Background(), hot, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != 1 {
-		t.Errorf("post-flush lookup served at level %d, want 1 (batch lost?)", res.Level)
+	for _, id := range []int{0, 1, 2} {
+		res, err := c.lookupVia(ctx, hot, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Level != 1 {
+			t.Errorf("%s entering at survivor %d served at level %d, want 1", hot, id, res.Level)
+		}
 	}
 }
 
@@ -262,4 +247,106 @@ func TestLockFreeAccessorsUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 	checkInvariants(t, c)
+}
+
+// TestNoObservationLostAcrossLanes runs lookup vectors from two goroutines
+// on one cluster, so their entry legs take parts of the same backlogs while
+// their walks append to them, and then looks up every path they found once
+// through each daemon as entry: each must be served at L1, so no observation
+// was lost between the lanes. Of 120 lookups, a multicast every 64 would
+// leave the last 45 to 56 undelivered. Run under -race.
+func TestNoObservationLostAcrossLanes(t *testing.T) {
+	c := startPopulated(t, 6, 3, 300)
+	ctx := context.Background()
+	const lanes, vectors, width = 2, 4, 15
+	found := make([][]string, lanes)
+	errs := make([]error, lanes)
+	var wg sync.WaitGroup
+	for w := 0; w < lanes; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(trace.DispatchSeed(3, w)))
+			for v := 0; v < vectors; v++ {
+				recs := make([]trace.Record, width)
+				for k := range recs {
+					recs[k] = trace.Record{Op: trace.OpStat, Path: "/p/f" + strconv.Itoa((w*vectors+v)*width+k)}
+				}
+				res, err := c.ApplyBatch(ctx, rng, recs)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				for _, r := range res {
+					if r.Found {
+						found[w] = append(found[w], r.Path)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("lane %d: %v", w, err)
+		}
+	}
+	paths := slices.Concat(found...)
+	if len(paths) != lanes*vectors*width {
+		t.Fatalf("the lanes found %d of %d populated paths", len(paths), lanes*vectors*width)
+	}
+	// One vector per entry daemon: its L1 answers before it learns what the
+	// vector itself confirms.
+	for _, id := range c.MDSIDs() {
+		res, err := c.lookupVector(ctx, paths, slices.Repeat([]int{id}, len(paths)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Level != 1 {
+				t.Fatalf("%s entering at %d served at level %d, want 1: an observation was lost", r.Path, id, r.Level)
+			}
+		}
+	}
+}
+
+// TestFullBacklogIsDelivered pins the backlog bound: a walk that leaves a
+// member's backlog at maxBacklog delivers it at once, as a path-less
+// lookup_batch, and that member then serves the walk's paths at L1 before
+// any leg of its own carried them.
+func TestFullBacklogIsDelivered(t *testing.T) {
+	c := startPopulated(t, 3, 3, maxBacklog)
+	ctx := context.Background()
+	paths := make([]string, maxBacklog)
+	entries := make([]int, maxBacklog)
+	for i := range paths {
+		paths[i] = "/p/f" + strconv.Itoa(i)
+	}
+	before := c.RPCCounts()["lookup_batch"]
+	if _, err := c.lookupVector(ctx, paths, entries); err != nil {
+		t.Fatal(err)
+	}
+	// One entry leg, then one delivery per member: every backlog filled.
+	if got := c.RPCCounts()["lookup_batch"] - before; got != 1+3 {
+		t.Fatalf("%d lookup_batch RPCs, want the entry leg and 3 deliveries", got)
+	}
+	c.obsMu.Lock()
+	for id, b := range c.backlog {
+		if len(b) != 0 {
+			t.Errorf("MDS %d kept a backlog of %d", id, len(b))
+		}
+	}
+	c.obsMu.Unlock()
+	last := paths[len(paths)-1]
+	resp, err := c.call(ctx, 2, opLookupBatch, encodeLookupRequest(nil, []string{last}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := decodeHitsVec(resp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if home := c.HomeOf(last); !slices.Equal(lists[0], []int{home}) {
+		t.Errorf("MDS 2's L1 names %v for %s, want [%d]", lists[0], last, home)
+	}
 }

@@ -30,6 +30,7 @@ type FailoverReport struct {
 // operators may call it directly. The survivor-side RPCs are best-effort
 // (see runPlan).
 func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
+	defer c.dropBacklog(id) // runs after the unlock, once the fleet is out
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ns, ok := c.servers[id]

@@ -247,27 +247,40 @@ func TestFailMDSRemovesDaemon(t *testing.T) {
 // TestLookupBatchAfterFailover pins that the vector walk filters hits against
 // live membership exactly as the serial walk does: after a failover the L1
 // generations and replica bits still name the dead daemon for the files it
-// homed, and a verify sent there would fail the whole vector. ObserveBatch=1
-// plus a full sweep makes every survivor's L1 remember every home first.
+// homed, and a verify sent there would fail the whole vector. A full sweep
+// leaves every home in each survivor's backlog, which the survivor learns on
+// its next entry leg. FailMDS drops the victim's own backlog, and no later
+// walk refills it.
 func TestLookupBatchAfterFailover(t *testing.T) {
-	opts := testOptions(4, 2)
-	opts.ObserveBatch = 1
-	c, err := Start(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := startPopulated(t, 4, 2, 150)
 	paths := make([]string, 150)
 	for i := range paths {
 		paths[i] = "/p/f" + strconv.Itoa(i)
 	}
-	c.Populate(paths)
 	verifySweep(t, c, paths)
 	victim := c.MDSIDs()[0]
+	if _, err := c.lookupVia(context.Background(), paths[0], c.MDSIDs()[1]); err != nil {
+		t.Fatal(err)
+	}
+	backlog := func() (int, bool) {
+		c.obsMu.Lock()
+		defer c.obsMu.Unlock()
+		b, ok := c.backlog[victim]
+		return len(b), ok
+	}
+	if n, _ := backlog(); n == 0 {
+		t.Fatal("setup: the victim has no backlog to drop")
+	}
 	if _, err := c.FailMDS(context.Background(), victim); err != nil {
 		t.Fatalf("FailMDS: %v", err)
 	}
+	if n, ok := backlog(); ok {
+		t.Fatalf("FailMDS left the failed daemon a backlog of %d", n)
+	}
 	verifySweep(t, c, paths)
+	if n, ok := backlog(); ok {
+		t.Fatalf("walks after FailMDS refilled the failed daemon's backlog to %d", n)
+	}
 
 	check := func(what string, path string, res LookupResult) {
 		t.Helper()

@@ -40,8 +40,8 @@ type NodeServer struct {
 	// (appendHits copies before the buffer is reused).
 	qbuf []int
 
-	// lru is the daemon's L1 array, fed by observation batches and probed
-	// first by every lookup_batch.
+	// lru is the daemon's L1 array, fed by the observations a lookup_batch
+	// carries ahead of the paths it then probes.
 	lru *bloomarray.LRUArray
 
 	// mem is the daemon's budget over its segment array, nil when there is
@@ -261,26 +261,18 @@ func (ns *NodeServer) handle(msgType uint8, payload []byte) ([]byte, error) {
 	case opFetchShipped:
 		return ns.node.Shipped().MarshalBinary()
 
-	case opObserveBatch:
-		obs, err := decodeObservations(payload)
+	case opLookupBatch:
+		// The entry leg of a lookup: the observations come first, so L1
+		// sees every lookup confirmed before the leg left. Each path is
+		// hashed once for its L1 generations and every L2 replica, and the
+		// whole vector's hits travel in one response.
+		obs, paths, err := decodeLookupRequest(payload)
 		if err != nil {
 			return nil, err
 		}
 		for _, o := range obs {
 			d := bloom.NewDigestString(o.path)
 			ns.lru.ObserveDigest(&d, o.home)
-		}
-		return nil, nil
-
-	case opLookupBatch:
-		// The entry leg of a lookup: each path is hashed once — its L1
-		// generations and every L2 replica replay the digest's probe
-		// positions — and the L1 and L2 hits of the whole vector travel in one
-		// response, so the per-frame costs (syscall, header, lock) amortize
-		// across it.
-		paths, err := decodePaths(payload)
-		if err != nil {
-			return nil, err
 		}
 		var out []byte
 		for _, p := range paths {

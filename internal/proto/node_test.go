@@ -1,12 +1,15 @@
 package proto
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ghba/internal/core"
 	"ghba/internal/mds"
+	"ghba/internal/rpcnet"
 	"ghba/internal/wal"
 )
 
@@ -22,16 +25,19 @@ func testDaemon(t testing.TB, node *mds.Node, opts nodeServerOptions) *NodeServe
 }
 
 // TestL1ObserveAndQuery pins the daemon's L1 array: a lookup_batch finds
-// nothing there cold, and names the home an observe_batch carried once the
-// daemon learned it.
+// nothing there cold, and one whose observations carry a home names that
+// home for the path in the same answer — the observations are learned
+// before the paths are probed — and in every later one. A path-less request,
+// the form a full backlog is delivered in, is learned too; a malformed one
+// teaches nothing.
 func TestL1ObserveAndQuery(t *testing.T) {
 	node, err := mds.NewNode(1, testOptions(1, 1).Node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ns := testDaemon(t, node, nodeServerOptions{})
-	l1 := func() []int {
-		resp, err := ns.handle(opLookupBatch, encodePaths([]string{"/f"}))
+	l1 := func(path string, obs ...observation) []int {
+		resp, err := ns.handle(opLookupBatch, encodeLookupRequest(obs, []string{path}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,14 +47,75 @@ func TestL1ObserveAndQuery(t *testing.T) {
 		}
 		return lists[0]
 	}
-	if hits := l1(); len(hits) != 0 {
+	if hits := l1("/f"); len(hits) != 0 {
 		t.Errorf("cold L1 hit %v", hits)
 	}
-	if _, err := ns.handle(opObserveBatch, encodeObservations([]observation{{home: 9, path: "/f"}})); err != nil {
+	if hits := l1("/f", observation{home: 9, path: "/f"}); !slices.Equal(hits, []int{9}) {
+		t.Errorf("L1 of the request observing /f at 9 = %v, want [9]", hits)
+	}
+	if hits := l1("/f"); !slices.Equal(hits, []int{9}) {
+		t.Errorf("L1 after observing /f at 9 = %v, want [9]", hits)
+	}
+
+	resp, err := ns.handle(opLookupBatch, encodeLookupRequest([]observation{{home: 4, path: "/g"}}, nil))
+	if err != nil || len(resp) != 0 {
+		t.Fatalf("path-less lookup_batch answered %x, %v; want nothing", resp, err)
+	}
+	if hits := l1("/g"); !slices.Equal(hits, []int{4}) {
+		t.Errorf("L1 after a path-less request observing /g at 4 = %v, want [4]", hits)
+	}
+
+	bad := encodeLookupRequest([]observation{{home: 5, path: "/h"}}, []string{"/f"})
+	if _, err := ns.handle(opLookupBatch, bad[:len(bad)-1]); err == nil {
+		t.Fatal("a truncated lookup_batch was accepted")
+	}
+	if hits := l1("/h"); len(hits) != 0 {
+		t.Errorf("a refused request taught L1 %v for /h", hits)
+	}
+}
+
+// TestDaemonLeavesNoGoroutine starts a daemon, sends a heartbeat on each of
+// four pooled connections and closes it: the goroutine count must return to
+// what it was before the daemon started, so neither the accept loop nor a
+// connection handler outlives Close.
+func TestDaemonLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	node, err := mds.NewNode(0, testOptions(1, 1).Node)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hits := l1(); len(hits) != 1 || hits[0] != 9 {
-		t.Errorf("L1 after observing /f at 9 = %v, want [9]", hits)
+	ns, err := startNode(node, nodeServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := rpcnet.NewPool(ns.Addr(), rpcnet.PoolOptions{})
+	defer pool.Close()
+	var conns []*rpcnet.Client
+	for i := 0; i < 4; i++ {
+		cl, err := pool.Get() // none is idle yet, so each dials
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, cl)
+	}
+	for _, cl := range conns {
+		if _, err := cl.Call(opHeartbeat, nil); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(cl)
+	}
+	if idle := pool.IdleConns(); idle != 4 {
+		t.Fatalf("%d idle connections after four calls, want 4", idle)
+	}
+	ns.Close()
+	// Goroutines of earlier tests may still be winding down, so wait for
+	// the count to settle at or below its start rather than read it once.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the daemon started", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -47,6 +47,19 @@ func startPopulated(t *testing.T, n, m, files int) *Cluster {
 	return c
 }
 
+// lookupVia resolves path with the given entry MDS: the vector walk over a
+// vector of one.
+func (c *Cluster) lookupVia(ctx context.Context, path string, entry int) (LookupResult, error) {
+	if err := checkPaths(path); err != nil {
+		return LookupResult{}, err
+	}
+	res, err := c.lookupVector(ctx, []string{path}, []int{entry})
+	if res == nil {
+		return LookupResult{}, err
+	}
+	return res[0], err
+}
+
 // createFile and deleteFile issue one create or delete the way every driver
 // does — through ApplyWith, drawing from the caller's RNG — and unpack the
 // result the tests assert on: the create's home, whether the deleted path

@@ -108,17 +108,19 @@ func TestWireRoundTrip(t *testing.T) {
 			// The same wire form as opShipFilter; what differs is the daemon's
 			// side effect, pinned by TestFetchShippedLeavesDriftAlone.
 		}},
-		{opObserveBatch, func(t *testing.T) {
+		{opLookupBatch, func(t *testing.T) {
+			paths := pathsTrip(t)
+			// Request: observations, then the path vector, in one body.
 			obs := []observation{{home: 2, path: "/a"}, {home: 9, path: ""}, {home: 1 << 20, path: "/b/c"}}
-			wire := encodeObservations(obs)
-			got, err := decodeObservations(wire)
+			wire := encodeLookupRequest(obs, paths)
+			gotObs, gotPaths, err := decodeLookupRequest(wire)
 			if err != nil {
-				t.Fatalf("decodeObservations: %v", err)
+				t.Fatalf("decodeLookupRequest: %v", err)
 			}
-			if !reflect.DeepEqual(got, obs) {
-				t.Fatalf("observations: got %v, want %v", got, obs)
+			if !reflect.DeepEqual(gotObs, obs) || !reflect.DeepEqual(gotPaths, paths) {
+				t.Fatalf("lookup request: got %v, %q; want %v, %q", gotObs, gotPaths, obs, paths)
 			}
-			// The count is a uint32 in the first four bytes.
+			// The observation count is a uint32 in the first four bytes.
 			countLong, countShort := bytes.Clone(wire), bytes.Clone(wire)
 			countLong[3]++
 			countShort[3]--
@@ -127,14 +129,12 @@ func TestWireRoundTrip(t *testing.T) {
 				"count one short": countShort,
 				"trailing byte":   append(bytes.Clone(wire), 0),
 				"truncated":       wire[:len(wire)-1],
+				"no path vector":  encodeObservations(obs),
 			} {
-				if got, err := decodeObservations(bad); err == nil {
-					t.Errorf("%s: decoded as %v", name, got)
+				if gotObs, gotPaths, err := decodeLookupRequest(bad); err == nil {
+					t.Errorf("%s: decoded as %v, %q", name, gotObs, gotPaths)
 				}
 			}
-		}},
-		{opLookupBatch, func(t *testing.T) {
-			paths := pathsTrip(t)
 			// Response: two hit lists per path (L1 then L2).
 			var lists [][]int
 			for range paths {
@@ -338,8 +338,7 @@ func minimalRequests(tb testing.TB) (map[uint8][]byte, *bloom.Filter) {
 		opDropReplica:      encodeOriginPayload(1, nil),
 		opShipFilter:       nil,
 		opFetchShipped:     nil,
-		opObserveBatch:     encodeObservations([]observation{{home: 1, path: "/p"}}),
-		opLookupBatch:      paths,
+		opLookupBatch:      encodeLookupRequest([]observation{{home: 1, path: "/p"}}, []string{"/p"}),
 		opQueryMemberBatch: paths,
 		opVerifyBatch:      paths,
 		opHasLocalBatch:    paths,
@@ -448,7 +447,6 @@ func TestEveryOpcodeIsSent(t *testing.T) {
 	ctx := context.Background()
 	opts := testOptions(5, 3)
 	opts.ShipBatch = 1
-	opts.ObserveBatch = 1
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -548,23 +546,23 @@ func FuzzPathVectorRoundTrip(f *testing.F) {
 	})
 }
 
-// TestObservationBatchBeyondUint16 pins that an L1 observation batch keeps
-// every record past 65,535: one vector's found lookups flush as one batch,
-// however many there are.
+// TestObservationBatchBeyondUint16 pins that a lookup request's observation
+// batch keeps every record past 65,535: a backlog travels whole, however many
+// lookups it holds.
 func TestObservationBatchBeyondUint16(t *testing.T) {
 	obs := make([]observation, 70_000)
 	for i := range obs {
 		obs[i] = observation{home: i % 12, path: "/o/f" + strconv.Itoa(i)}
 	}
-	got, err := decodeObservations(encodeObservations(obs))
+	got, paths, err := decodeLookupRequest(encodeLookupRequest(obs, []string{"/p"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(obs) {
 		t.Fatalf("%d observations decoded as %d", len(obs), len(got))
 	}
-	if !reflect.DeepEqual(got, obs) {
-		t.Fatal("observations changed across the round trip")
+	if !reflect.DeepEqual(got, obs) || !reflect.DeepEqual(paths, []string{"/p"}) {
+		t.Fatal("the request changed across the round trip")
 	}
 }
 
@@ -598,7 +596,8 @@ func FuzzNodeServerRequests(f *testing.F) {
 		r := request{op, minimal[op]}
 		all = append(all, r)
 		f.Add(requestStream(r))
-		// A length one short and one long.
+		// A length one short — for lookup_batch, a valid observation
+		// prefix followed by a path vector one byte short — and one long.
 		if n := len(r.payload); n > 0 {
 			f.Add(requestStream(request{op, r.payload[:n-1]}))
 		}
@@ -606,14 +605,29 @@ func FuzzNodeServerRequests(f *testing.F) {
 	}
 	f.Add(requestStream(all...))
 	// Zero counts, and counts of 0xFFFF and 0xFFFFFFFF with nothing behind
-	// them, for every vector a daemon decodes.
+	// them, for every vector a daemon decodes — a lookup request's
+	// observation count among them.
 	inc := make([]byte, 8) // incarnation 0
 	for _, count := range [][]byte{{0, 0, 0, 0}, {0, 0, 0xff, 0xff}, {0xff, 0xff, 0xff, 0xff}} {
-		for _, op := range []uint8{opObserveBatch, opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch} {
+		for _, op := range []uint8{opLookupBatch, opQueryMemberBatch, opVerifyBatch, opHasLocalBatch} {
 			f.Add(requestStream(request{op, count}))
 		}
 		f.Add(requestStream(request{opMutateBatch, append(inc[:8:8], count...)}))
 	}
+	// A lookup request's other degenerate forms: a valid observation prefix
+	// with no path vector, or with a path count of 0xFFFF or 0xFFFFFFFF and
+	// nothing behind it; an observation whose path length overruns; the
+	// empty request; and a path-less delivery followed by a lookup of the
+	// path it taught.
+	prefix := encodeObservations([]observation{{home: 1, path: "/p"}})
+	f.Add(requestStream(request{opLookupBatch, prefix}))
+	f.Add(requestStream(request{opLookupBatch, append(bytes.Clone(prefix), 0, 0, 0xff, 0xff)}))
+	f.Add(requestStream(request{opLookupBatch, append(bytes.Clone(prefix), 0xff, 0xff, 0xff, 0xff)}))
+	f.Add(requestStream(request{opLookupBatch, []byte{0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff}}))
+	f.Add(requestStream(request{opLookupBatch, encodeLookupRequest(nil, nil)}))
+	f.Add(requestStream(
+		request{opLookupBatch, encodeLookupRequest([]observation{{home: 2, path: "/q"}, {home: 3, path: "/r"}}, nil)},
+		request{opLookupBatch, encodeLookupRequest(nil, []string{"/q"})}))
 	// Mutations across the compaction cadence, an install and a drop of a
 	// replica, and a mutation claimed under an incarnation the daemon does
 	// not serve.

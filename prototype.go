@@ -56,13 +56,6 @@ type Prototype struct {
 
 // StartPrototype boots a TCP cluster from cfg. Callers must Close it.
 func StartPrototype(cfg PrototypeConfig) (*Prototype, error) {
-	return startPrototype(cfg, 0)
-}
-
-// startPrototype is StartPrototype with the daemons' L1 observation batch:
-// how many confirmed lookups accumulate before they are multicast to every
-// daemon. Zero selects proto's default.
-func startPrototype(cfg PrototypeConfig, observeBatch int) (*Prototype, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -75,7 +68,6 @@ func startPrototype(cfg PrototypeConfig, observeBatch int) (*Prototype, error) {
 		Seed:              cfg.Seed,
 		CallTimeout:       cfg.CallTimeout,
 		ShipBatch:         cfg.ShipBatch,
-		ObserveBatch:      observeBatch,
 		DataDir:           cfg.DataDir,
 		WALSync:           cfg.WALSync,
 	})
