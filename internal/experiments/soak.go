@@ -23,7 +23,7 @@ import (
 // against the coordinator's ground truth.
 //
 // The workload mix is soakMix, the daemons fsync every WAL append and
-// compact at the library's default cadence: in-process kills keep the page
+// compact at the library's one cadence: in-process kills keep the page
 // cache, so no fsync policy changes what the verification can see.
 type SoakConfig struct {
 	// N is the daemon count, M the group size (1 is the HBA baseline).
@@ -40,10 +40,6 @@ type SoakConfig struct {
 	Kills int
 	// DataDir is the durability root (required — recovery needs a log).
 	DataDir string
-	// DetectorInterval is the heartbeat probe period. Zero selects 25ms —
-	// fast enough that a soak of a few seconds sees detection, failover
-	// and rejoin several times over.
-	DetectorInterval time.Duration
 	// Seed drives placement, workload generation, entry choice and the
 	// chaos schedule.
 	Seed int64
@@ -70,9 +66,6 @@ func (cfg SoakConfig) withDefaults() SoakConfig {
 	}
 	if cfg.Kills == 0 {
 		cfg.Kills = 2
-	}
-	if cfg.DetectorInterval <= 0 {
-		cfg.DetectorInterval = 25 * time.Millisecond
 	}
 	return cfg
 }
@@ -176,11 +169,7 @@ func Soak(cfg SoakConfig) (SoakResult, error) {
 	}
 
 	res := SoakResult{Config: cfg, Ops: cfg.Ops, Kills: cfg.Kills}
-	det := tcp.StartDetector(proto.DetectorOptions{
-		Interval:     cfg.DetectorInterval,
-		SuspectAfter: 2,
-		DeadAfter:    4,
-	})
+	det := tcp.StartDetector()
 	var (
 		dispatched atomic.Int64
 		opErrors   atomic.Int64

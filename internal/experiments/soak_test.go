@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestSoakKillRestart is the acceptance soak: a durable TCP cluster under a
@@ -14,15 +13,14 @@ import (
 // stay -race-friendly on a small CI runner.
 func TestSoakKillRestart(t *testing.T) {
 	res, err := Soak(SoakConfig{
-		N:                5,
-		M:                2,
-		Files:            400,
-		Ops:              2_000,
-		Workers:          4,
-		Kills:            2,
-		DataDir:          t.TempDir(),
-		DetectorInterval: 15 * time.Millisecond,
-		Seed:             1,
+		N:       5,
+		M:       2,
+		Files:   400,
+		Ops:     2_000,
+		Workers: 4,
+		Kills:   2,
+		DataDir: t.TempDir(),
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

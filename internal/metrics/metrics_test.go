@@ -3,85 +3,7 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-	if _, err := NewHistogram([]time.Duration{5, 5}); err == nil {
-		t.Error("non-ascending bounds accepted")
-	}
-	if _, err := NewHistogram([]time.Duration{10, 5}); err == nil {
-		t.Error("descending bounds accepted")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile non-zero")
-	}
-	// 100 samples at ~1.5ms (bucket (1ms, 2ms]).
-	for i := 0; i < 100; i++ {
-		h.Observe(1500 * time.Microsecond)
-	}
-	q50 := h.Quantile(0.5)
-	if q50 < time.Millisecond || q50 > 2*time.Millisecond {
-		t.Errorf("q50 = %v, want within (1ms, 2ms]", q50)
-	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
-	}
-}
-
-func TestHistogramQuantileClamps(t *testing.T) {
-	h := DefaultLatencyHistogram()
-	h.Observe(3 * time.Millisecond)
-	if h.Quantile(-1) != h.Quantile(0) {
-		t.Error("q<0 not clamped")
-	}
-	if h.Quantile(2) != h.Quantile(1) {
-		t.Error("q>1 not clamped")
-	}
-}
-
-func TestHistogramOverflowBucket(t *testing.T) {
-	h, err := NewHistogram([]time.Duration{time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Observe(time.Hour) // overflow
-	if got := h.Quantile(1); got != time.Millisecond {
-		t.Errorf("overflow quantile = %v, want clamp to last bound", got)
-	}
-}
-
-func TestHistogramOrderedQuantiles(t *testing.T) {
-	h := DefaultLatencyHistogram()
-	for _, d := range []time.Duration{
-		5 * time.Microsecond, 50 * time.Microsecond, 500 * time.Microsecond,
-		5 * time.Millisecond, 50 * time.Millisecond,
-	} {
-		for i := 0; i < 20; i++ {
-			h.Observe(d)
-		}
-	}
-	prev := time.Duration(-1)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		cur := h.Quantile(q)
-		if cur < prev {
-			t.Fatalf("quantiles not monotone: q=%v → %v < %v", q, cur, prev)
-		}
-		prev = cur
-	}
-}
 
 func TestLevelTally(t *testing.T) {
 	var lt LevelTally

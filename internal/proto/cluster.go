@@ -80,10 +80,6 @@ type Options struct {
 	// WALSync selects the fsync policy for daemon WALs: "always" (default)
 	// or "never". See wal.ParseSyncPolicy.
 	WALSync string
-	// SnapshotEvery is the WAL record count between snapshot compactions at
-	// each daemon. Zero selects 4096; negative disables automatic
-	// compaction.
-	SnapshotEvery int
 }
 
 func (o *Options) validate() error {
@@ -269,7 +265,6 @@ func (o *Options) serverOptions(l *wal.Log) nodeServerOptions {
 		MemoryBudgetBytes: o.MemoryBudgetBytes,
 		DiskPenalty:       o.DiskPenalty,
 		WAL:               l,
-		SnapshotEvery:     o.SnapshotEvery,
 	}
 }
 

@@ -26,8 +26,8 @@ type FailoverReport struct {
 // group drops its replica of the dead daemon, its own group fetches again
 // what it held (each survivor receiving what the origin last shipped), and
 // groups merge while a union fits within M, exactly as in the simulator. The
-// heartbeat detector invokes this automatically on a Dead verdict; tests and
-// operators may call it directly. The survivor-side RPCs are best-effort
+// heartbeat detector invokes this automatically on a daemon that misses
+// deadAfter rounds in a row; tests and operators may call it directly. The survivor-side RPCs are best-effort
 // (see runPlan).
 func (c *Cluster) FailMDS(ctx context.Context, id int) (FailoverReport, error) {
 	defer c.dropBacklog(id) // runs after the unlock, once the fleet is out

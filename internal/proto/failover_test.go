@@ -6,9 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,7 +23,6 @@ func durableOptions(t *testing.T, n, m int) Options {
 	t.Helper()
 	o := testOptions(n, m)
 	o.DataDir = t.TempDir()
-	o.SnapshotEvery = 50
 	return o
 }
 
@@ -159,13 +158,19 @@ func TestKillRestartInPlace(t *testing.T) {
 // invariants hold.
 func TestRestartRefusesDamagedSnapshot(t *testing.T) {
 	opts := durableOptions(t, 4, 2)
-	opts.SnapshotEvery = 10
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	paths := createFiles(t, c, 120)
+	var paths []string
+	for i := 0; i < 120; i++ {
+		paths = append(paths, "/snap/f"+strconv.Itoa(i))
+	}
+	if err := c.Populate(paths); err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, createFiles(t, c, 40)...)
 
 	victim := c.MDSIDs()[1]
 	if err := c.KillMDS(victim); err != nil {
@@ -548,6 +553,18 @@ func TestMutationAcrossRecoveryLeavesNoPhantom(t *testing.T) {
 	})
 }
 
+// rounds runs n detector rounds.
+func rounds(d *Detector, n int) {
+	for range n {
+		d.round()
+	}
+}
+
+// TestDetectorDrivesFailover kills one daemon and drives the detector round
+// by round: the victim survives deadAfter−1 missed rounds, is failed over at
+// round deadAfter, and nothing else is failed over in the rounds after. The
+// failover wipes the victim's count: rejoined and killed again, it is spared
+// for another deadAfter−1 rounds.
 func TestDetectorDrivesFailover(t *testing.T) {
 	c, err := Start(durableOptions(t, 4, 2))
 	if err != nil {
@@ -555,61 +572,118 @@ func TestDetectorDrivesFailover(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 	paths := createFiles(t, c, 80)
-
-	var mu sync.Mutex
-	var seen []transition
-	d := c.StartDetector(DetectorOptions{
-		Interval:     20 * time.Millisecond,
-		SuspectAfter: 2,
-		DeadAfter:    4,
-		OnTransition: func(id int, from, to Health) {
-			mu.Lock()
-			seen = append(seen, transition{id, from, to})
-			mu.Unlock()
-		},
-	})
-	t.Cleanup(d.Stop)
+	d := newDetector(c)
 
 	victim := c.MDSIDs()[3]
 	if err := c.KillMDS(victim); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for d.Failovers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("detector never failed MDS %d over; state=%v", victim, d.State(victim))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := d.State(victim); got != HealthDead {
-		t.Fatalf("victim state = %v, want dead", got)
-	}
-	if c.NumMDS() != 3 {
-		t.Fatalf("membership = %d after automatic failover", c.NumMDS())
-	}
-	mu.Lock()
-	var victimStates []Health
-	for _, tr := range seen {
-		if tr.id == victim {
-			victimStates = append(victimStates, tr.to)
+	for r := 1; r < deadAfter; r++ {
+		d.round()
+		if d.Failovers() != 0 || c.NumMDS() != 4 {
+			t.Fatalf("round %d: %d failovers, %d daemons; want none before round %d", r, d.Failovers(), c.NumMDS(), deadAfter)
 		}
 	}
-	mu.Unlock()
-	if len(victimStates) < 2 || victimStates[0] != HealthSuspect || victimStates[len(victimStates)-1] != HealthDead {
-		t.Fatalf("victim escalated %v, want suspect then dead", victimStates)
+	d.round()
+	if d.Failovers() != 1 || slices.Contains(c.MDSIDs(), victim) || c.NumMDS() != 3 {
+		t.Fatalf("round %d: %d failovers, members %v; want MDS %d failed over alone", deadAfter, d.Failovers(), c.MDSIDs(), victim)
 	}
-	// Healthy daemons never left Alive.
-	for _, id := range c.MDSIDs() {
-		if got := d.State(id); got != HealthAlive {
-			t.Fatalf("live MDS %d reported %v", id, got)
-		}
+	rounds(d, 2*deadAfter)
+	if d.Failovers() != 1 || c.NumMDS() != 3 {
+		t.Fatalf("%d more rounds: %d failovers, %d daemons; want the one failover", 2*deadAfter, d.Failovers(), c.NumMDS())
 	}
 	verifySweep(t, c, paths)
+
+	if _, err := c.RestartMDS(context.Background(), victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillMDS(victim); err != nil {
+		t.Fatal(err)
+	}
+	rounds(d, deadAfter-1)
+	if d.Failovers() != 1 || !slices.Contains(c.MDSIDs(), victim) {
+		t.Fatalf("rejoined MDS %d failed over within %d rounds of its second kill (%d failovers)", victim, deadAfter-1, d.Failovers())
+	}
+}
+
+// TestDetectorRetriesRefusedFailover kills both daemons of a two-daemon
+// cluster: the round that reaches deadAfter fails one over, and the last
+// daemon's failover is refused then and in every round after — until the
+// failed-over daemon rejoins, when the very next round fails the other over.
+func TestDetectorRetriesRefusedFailover(t *testing.T) {
+	c, err := Start(durableOptions(t, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	d := newDetector(c)
+	for _, id := range c.MDSIDs() {
+		if err := c.KillMDS(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds(d, deadAfter)
+	for r := 0; r <= deadAfter; r++ {
+		if d.Failovers() != 1 || c.NumMDS() != 1 {
+			t.Fatalf("round %d: %d failovers, %d daemons; want one failover and the last daemon kept", deadAfter+r, d.Failovers(), c.NumMDS())
+		}
+		d.round()
+	}
+
+	last := c.MDSIDs()[0]
+	gone := 1 - last
+	if _, err := c.RestartMDS(context.Background(), gone); err != nil {
+		t.Fatal(err)
+	}
+	d.round()
+	if d.Failovers() != 2 || !slices.Equal(c.MDSIDs(), []int{gone}) {
+		t.Fatalf("round after MDS %d rejoined: %d failovers, members %v; want MDS %d failed over", gone, d.Failovers(), c.MDSIDs(), last)
+	}
+}
+
+// TestDetectorSparesRestartedDaemon restarts a killed daemon in place one
+// round short of its failover: its answer clears the misses, so deadAfter−1
+// more rounds leave it a member, and after a second kill it again takes
+// deadAfter missed rounds to be failed over.
+func TestDetectorSparesRestartedDaemon(t *testing.T) {
+	c, err := Start(durableOptions(t, 3, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	paths := createFiles(t, c, 40)
+	d := newDetector(c)
+
+	victim := c.MDSIDs()[1]
+	if err := c.KillMDS(victim); err != nil {
+		t.Fatal(err)
+	}
+	rounds(d, deadAfter-1)
+	if _, err := c.RestartMDS(context.Background(), victim); err != nil {
+		t.Fatal(err)
+	}
+	rounds(d, deadAfter-1)
+	if d.Failovers() != 0 || !slices.Contains(c.MDSIDs(), victim) {
+		t.Fatalf("%d failovers, members %v; want restarted MDS %d spared", d.Failovers(), c.MDSIDs(), victim)
+	}
+	verifySweep(t, c, paths)
+
+	if err := c.KillMDS(victim); err != nil {
+		t.Fatal(err)
+	}
+	rounds(d, deadAfter-1)
+	if d.Failovers() != 0 {
+		t.Fatalf("MDS %d failed over %d rounds after its second kill, want %d", victim, deadAfter-1, deadAfter)
+	}
+	d.round()
+	if d.Failovers() != 1 || slices.Contains(c.MDSIDs(), victim) {
+		t.Fatalf("%d failovers, members %v; want MDS %d failed over at round %d after its second kill", d.Failovers(), c.MDSIDs(), victim, deadAfter)
+	}
 }
 
 func TestDetectorStopIdempotent(t *testing.T) {
 	c := startPopulated(t, 2, 2, 10)
-	d := c.StartDetector(DetectorOptions{Interval: 10 * time.Millisecond})
+	d := c.StartDetector()
 	d.Stop()
 	d.Stop()
 	if d.Failovers() != 0 {
@@ -617,44 +691,38 @@ func TestDetectorStopIdempotent(t *testing.T) {
 	}
 }
 
-func TestHealthString(t *testing.T) {
-	for h, want := range map[Health]string{HealthAlive: "alive", HealthSuspect: "suspect", HealthDead: "dead", Health(9): "unknown"} {
-		if h.String() != want {
-			t.Fatalf("Health(%d).String() = %q, want %q", int(h), h.String(), want)
-		}
-	}
-}
-
-// TestWALSnapshotCadence drives enough mutations through one daemon to
-// cross SnapshotEvery and checks the heartbeat's WAL counter resets —
-// compaction happened inside the request path.
+// TestWALSnapshotCadence sends one daemon a mutation batch that crosses
+// snapshotEvery and checks the heartbeat's WAL counter: compaction ran
+// inside the request path, and the log counts afresh after it.
 func TestWALSnapshotCadence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	opts := durableOptions(t, 1, 1)
-	opts.SnapshotEvery = 25
-	c, err := Start(opts)
+	c, err := Start(durableOptions(t, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	maxSeen := uint64(0)
-	for i := 0; i < 120; i++ {
-		if _, err := createFile(context.Background(), c, rng, "/cadence/"+strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
-		}
+	recs := make([]trace.Record, snapshotEvery+100)
+	for i := range recs {
+		recs[i] = trace.Record{Op: trace.OpCreate, Path: "/cadence/" + strconv.Itoa(i)}
+	}
+	if _, err := c.ApplyBatch(context.Background(), rng, recs); err != nil {
+		t.Fatal(err)
+	}
+	records := func() uint64 {
 		info, err := c.Heartbeat(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.WALRecords > maxSeen {
-			maxSeen = info.WALRecords
-		}
-		if info.WALRecords > 25 {
-			t.Fatalf("WAL grew to %d records; compaction cadence 25 never fired", info.WALRecords)
-		}
+		return info.WALRecords
 	}
-	if maxSeen == 0 {
-		t.Fatal("heartbeat never reported WAL growth; is the WAL wired in?")
+	if n := records(); n != 0 {
+		t.Fatalf("WAL holds %d records after a batch of %d; the cadence of %d never compacted", n, len(recs), snapshotEvery)
+	}
+	if _, err := createFile(context.Background(), c, rng, "/cadence/last"); err != nil {
+		t.Fatal(err)
+	}
+	if n := records(); n != 1 {
+		t.Fatalf("WAL holds %d records after one create past the compaction, want 1", n)
 	}
 }
 

@@ -56,8 +56,7 @@ type NodeServer struct {
 	// snapshotEvery records the log compacts into a snapshot. Appends,
 	// snapshots and closing happen under logMu; the heartbeat reads its
 	// record count under mu alone (the count takes no lock).
-	wal           *wal.Log
-	snapshotEvery uint64
+	wal *wal.Log
 
 	// incarnation is the coordinator incarnation this instance serves
 	// (Cluster.incarnation): a mutation batch claimed against another is
@@ -82,11 +81,11 @@ type nodeServerOptions struct {
 	// the one mds.Recover handed back). Mutating RPCs append to it before
 	// applying; Close syncs and closes it.
 	WAL *wal.Log
-	// SnapshotEvery is the WAL record count between snapshot compactions.
-	// Zero selects 4096; negative disables automatic compaction. Ignored
-	// without a WAL.
-	SnapshotEvery int
 }
+
+// snapshotEvery is the WAL record count between a durable daemon's
+// snapshot compactions.
+const snapshotEvery = 4096
 
 // startNode launches a daemon for the given node on a fresh loopback port.
 func startNode(node *mds.Node, opts nodeServerOptions) (*NodeServer, error) {
@@ -104,27 +103,17 @@ func startNode(node *mds.Node, opts nodeServerOptions) (*NodeServer, error) {
 
 // newNodeServer builds the daemon startNode serves, without a listener.
 func newNodeServer(node *mds.Node, opts nodeServerOptions) (*NodeServer, error) {
-	snapEvery := uint64(0)
-	if opts.WAL != nil {
-		switch {
-		case opts.SnapshotEvery == 0:
-			snapEvery = 4096
-		case opts.SnapshotEvery > 0:
-			snapEvery = uint64(opts.SnapshotEvery)
-		}
-	}
 	cfg := node.Config()
 	lru, err := bloomarray.NewLRUArrayLayout(cfg.LRUCapacity, cfg.LRUBitsPerFile, cfg.Layout)
 	if err != nil {
 		return nil, fmt.Errorf("proto: sizing MDS %d's LRU array: %w", node.ID(), err)
 	}
 	ns := &NodeServer{
-		id:            node.ID(),
-		node:          node,
-		lru:           lru,
-		diskPenalty:   opts.DiskPenalty,
-		wal:           opts.WAL,
-		snapshotEvery: snapEvery,
+		id:          node.ID(),
+		node:        node,
+		lru:         lru,
+		diskPenalty: opts.DiskPenalty,
+		wal:         opts.WAL,
 	}
 	if opts.MemoryBudgetBytes > 0 && opts.DiskPenalty > 0 {
 		ns.mem = memmodel.New(opts.MemoryBudgetBytes)
@@ -188,7 +177,7 @@ func (ns *NodeServer) snapshot() error {
 // holds logMu, after the mutation applied, so the snapshot always includes
 // the records it retires.
 func (ns *NodeServer) maybeCompact() error {
-	if ns.wal == nil || ns.snapshotEvery == 0 || ns.wal.RecordsSinceSnapshot() < ns.snapshotEvery {
+	if ns.wal == nil || ns.wal.RecordsSinceSnapshot() < snapshotEvery {
 		return nil
 	}
 	return ns.snapshot()

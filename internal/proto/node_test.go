@@ -174,7 +174,7 @@ func TestParkedAppendBlocksNoReader(t *testing.T) {
 	var once sync.Once
 	free := func() { once.Do(func() { close(release) }) }
 	defer free()
-	ns := testDaemon(t, node, nodeServerOptions{WAL: l, SnapshotEvery: -1})
+	ns := testDaemon(t, node, nodeServerOptions{WAL: l})
 	ns.afterAppend = func() {
 		close(parked)
 		<-release

@@ -655,8 +655,8 @@ func FuzzNodeServerRequests(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ns := testDaemon(t, node, nodeServerOptions{WAL: l, SnapshotEvery: 4})
-		for len(data) > 0 {
+		ns := testDaemon(t, node, nodeServerOptions{WAL: l})
+		for sent := 1; len(data) > 0; sent++ {
 			op, n := data[0], len(data)-1
 			if len(data) >= 3 {
 				n = min(int(binary.BigEndian.Uint16(data[1:])), len(data)-3)
@@ -668,6 +668,12 @@ func FuzzNodeServerRequests(f *testing.F) {
 			// requests leave behind matters here.
 			_, _ = ns.handle(op, data[:n])
 			data = data[n:]
+			// Compaction interleaves with the stream, every fourth request.
+			if sent%4 == 0 {
+				if err := ns.snapshotNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		live := node.Store().Paths()
 		if err := l.Close(); err != nil {

@@ -176,7 +176,7 @@ func (p *Prototype) RemoveMDS(context.Context, int) error { return ErrUnsupporte
 // survivors repair their replica placement over real RPCs, and the files it
 // homed leave the namespace. Returns how many files were lost. The cluster's
 // heartbeat detector (StartDetector) invokes the same path automatically on
-// a Dead verdict.
+// a daemon that misses four heartbeat rounds in a row.
 func (p *Prototype) FailMDS(ctx context.Context, id int) (int, error) {
 	rep, err := p.cluster.FailMDS(ctx, id)
 	return rep.FilesLost, err
@@ -196,9 +196,9 @@ func (p *Prototype) RestartMDS(ctx context.Context, id int) (proto.RestartReport
 	return p.cluster.RestartMDS(ctx, id)
 }
 
-// StartDetector launches the heartbeat failure detector against the
-// cluster: probes on a cadence, Alive→Suspect→Dead escalation, automatic
-// failover on Dead. Callers must Stop it before Close.
-func (p *Prototype) StartDetector(opts proto.DetectorOptions) *proto.Detector {
-	return p.cluster.StartDetector(opts)
+// StartDetector launches the heartbeat failure detector: a round to every
+// daemon every 15 ms, and FailMDS on a daemon that misses four rounds in a
+// row. Callers must Stop it before Close.
+func (p *Prototype) StartDetector() *proto.Detector {
+	return p.cluster.StartDetector()
 }
