@@ -1,6 +1,6 @@
 // Command ghbavet runs the repo's custom static-analysis suite (see
-// internal/vet): detrand, lockorder and snapcheck. It has the
-// two entry points CI uses:
+// internal/vet): detrand and lockorder. It has the two entry points CI
+// uses:
 //
 //	go vet -vettool=$(which ghbavet) ./...   go vet drives the analyzers
 //	                                         package by package over the

@@ -74,7 +74,6 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 	fixtures := map[string]string{ // analyzer → fixture under its testdata/src
 		"detrand":   "core",
 		"lockorder": "lockorder1",
-		"snapcheck": "snapcheck1",
 	}
 	if len(fixtures) != len(vet.Analyzers) {
 		t.Fatalf("%d fixtures for %d analyzers: give the new analyzer one here", len(fixtures), len(vet.Analyzers))
@@ -140,16 +139,15 @@ func TestAnalyzersFireUnderGoVet(t *testing.T) {
 	}
 }
 
-// TestAnalyzersFireOnRealTree answers whether lockorder and snapcheck would
-// notice their bug classes — a lock-order inversion, a *Locked call without
-// the lock, an in-place edit of a published snapshot — in the engine itself
-// rather than in a fixture. It copies the module (vendor/ included) aside,
-// runs `go vet -vettool` on one package to show it is clean, plants one
-// textual mutation, and requires the analyzer's diagnostic on the mutated
-// line.
+// TestAnalyzersFireOnRealTree answers whether lockorder would notice its bug
+// classes — a lock-order inversion, a *Locked call without the lock — in the
+// engine itself rather than in a fixture. It copies the module (vendor/
+// included) aside, runs `go vet -vettool` on one package to show it is
+// clean, plants one textual mutation, and requires the analyzer's
+// diagnostic on the mutated line.
 func TestAnalyzersFireOnRealTree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("copies the module and vets it six times")
+		t.Skip("copies the module and vets it four times")
 	}
 	mod := t.TempDir()
 	root := filepath.Join("..", "..")
@@ -178,14 +176,6 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 		old, mutant               string
 		want                      []string
 	}{
-		{
-			// A writer that edits the published slice in place instead of
-			// copying it: readers of the old snapshot see the new filter.
-			name: "snapcheck", analyzer: "snapcheck", pkg: "./internal/bloomarray", file: "internal/bloomarray/array.go",
-			old:    "\t\tout := make([]entry, len(entries))\n\t\tcopy(out, entries)\n\t\tout[i].f = f\n\t\treturn out\n",
-			mutant: "\t\tentries[i].f = f\n\t\treturn entries\n",
-			want:   []string{"array.go:", "published snapshot", "copy-on-write"},
-		},
 		{
 			// FileCount takes Cluster.mu; under queueMu that inverts the
 			// order every reconfiguration takes the two in.

@@ -31,8 +31,8 @@ func TestBlockedContainsDigestMatchesContains(t *testing.T) {
 	for _, set := range [][]string{members, randomKeys("out", 5000)} {
 		for _, k := range set {
 			d := NewDigestString(k)
-			if got, want := f.ContainsDigest(&d), f.ContainsString(k); got != want {
-				t.Fatalf("ContainsDigest(%q) = %v, ContainsString = %v", k, got, want)
+			if got, want := f.ContainsDigest(&d), f.Contains([]byte(k)); got != want {
+				t.Fatalf("ContainsDigest(%q) = %v, Contains = %v", k, got, want)
 			}
 		}
 	}
@@ -59,12 +59,12 @@ func TestBlockedNoFalseNegatives(t *testing.T) {
 		b.AddDigest(&d)
 	}
 	for _, k := range aKeys {
-		if !a.ContainsString(k) {
+		if d := NewDigestString(k); !a.ContainsDigest(&d) {
 			t.Fatalf("false negative for %q after AddString", k)
 		}
 	}
 	for _, k := range bKeys {
-		if !b.ContainsString(k) {
+		if d := NewDigestString(k); !b.ContainsDigest(&d) {
 			t.Fatalf("false negative for %q after AddDigest", k)
 		}
 	}
@@ -103,7 +103,7 @@ func TestBlockedXorDeltaShip(t *testing.T) {
 		t.Fatal("shipped snapshot differs from origin")
 	}
 	for _, k := range append(base, extra...) {
-		if !old.ContainsString(k) {
+		if d := NewDigestString(k); !old.ContainsDigest(&d) {
 			t.Fatalf("false negative for %q after ship", k)
 		}
 	}
@@ -153,7 +153,7 @@ func TestBlockedFPRWithinBound(t *testing.T) {
 		}
 		fp := 0
 		for _, k := range randomKeys("probe", probes) {
-			if f.ContainsString(k) {
+			if d := NewDigestString(k); f.ContainsDigest(&d) {
 				fp++
 			}
 		}

@@ -166,8 +166,8 @@ func TestDigestResetString(t *testing.T) {
 			if got, want := pooled.Positions(m, k, layout), refPositions(f, []byte(key)); !slices.Equal(got, want) {
 				t.Fatalf("m=%d k=%d %v key=%q: reset digest probes %v, reference %v", m, k, layout, key, got, want)
 			}
-			if got, want := f.ContainsDigest(&pooled), f.ContainsString(key); got != want {
-				t.Fatalf("m=%d k=%d %v key=%q: reset ContainsDigest=%v ContainsString=%v", m, k, layout, key, got, want)
+			if got, want := f.ContainsDigest(&pooled), f.ContainsDigest(&fresh); got != want {
+				t.Fatalf("m=%d k=%d %v key=%q: reset digest answers %v, fresh %v", m, k, layout, key, got, want)
 			}
 		}
 	}
@@ -176,7 +176,7 @@ func TestDigestResetString(t *testing.T) {
 // TestContainsDigestZeroAlloc pins the headline property: the digest
 // operations the lookup walk runs — re-keying a pooled digest, materializing
 // its positions at either layout, probing and inserting — perform no heap
-// allocation, and neither does the string-keyed Contains.
+// allocation, and neither does the byte-keyed Contains.
 func TestContainsDigestZeroAlloc(t *testing.T) {
 	f, err := NewForCapacity(10_000, 16)
 	if err != nil {
@@ -190,6 +190,7 @@ func TestContainsDigestZeroAlloc(t *testing.T) {
 		f.AddString(fmt.Sprintf("/alloc/file%d", i))
 	}
 	d := NewDigestString("/alloc/file7")
+	key := []byte("/alloc/file7")
 	for _, tc := range []struct {
 		name string
 		op   func()
@@ -199,8 +200,8 @@ func TestContainsDigestZeroAlloc(t *testing.T) {
 				t.Fatal("added key not found")
 			}
 		}},
-		{"ContainsString", func() {
-			if !f.ContainsString("/alloc/file7") {
+		{"Contains", func() {
+			if !f.Contains(key) {
 				t.Fatal("added key not found")
 			}
 		}},

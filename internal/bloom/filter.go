@@ -238,14 +238,6 @@ func (f *Filter) Contains(key []byte) bool {
 	return f.ContainsDigest(&d)
 }
 
-// ContainsString reports whether a string key may be in the set, without
-// copying the key to a byte slice.
-func (f *Filter) ContainsString(key string) bool {
-	var d Digest
-	d.h1, d.h2 = hashPairString(key)
-	return f.ContainsDigest(&d)
-}
-
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {
 	w := make([]uint64, len(f.words))

@@ -96,7 +96,7 @@ func TestAddContains(t *testing.T) {
 		f.AddString(k)
 	}
 	for _, k := range keys {
-		if !f.ContainsString(k) {
+		if d := NewDigestString(k); !f.ContainsDigest(&d) {
 			t.Errorf("Contains(%q) = false after Add", k)
 		}
 	}
@@ -116,7 +116,7 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 func TestEmptyFilterContainsNothing(t *testing.T) {
 	f := mustNew(t, 1<<16, 7)
 	for i := 0; i < 1000; i++ {
-		if f.ContainsString("key" + strconv.Itoa(i)) {
+		if d := NewDigestString("key" + strconv.Itoa(i)); f.ContainsDigest(&d) {
 			t.Fatalf("empty filter claims membership of key%d", i)
 		}
 	}
@@ -135,7 +135,7 @@ func TestFalsePositiveRateNearTheory(t *testing.T) {
 	fp := 0
 	const probes = 50000
 	for i := 0; i < probes; i++ {
-		if f.ContainsString("nonmember-" + strconv.Itoa(i)) {
+		if d := NewDigestString("nonmember-" + strconv.Itoa(i)); f.ContainsDigest(&d) {
 			fp++
 		}
 	}
@@ -157,7 +157,7 @@ func TestCloneIndependence(t *testing.T) {
 	if f.Equal(g) && f.PopCount() == g.PopCount() {
 		t.Error("mutation of clone affected original")
 	}
-	if !f.ContainsString("a") {
+	if d := NewDigestString("a"); !f.ContainsDigest(&d) {
 		t.Error("original lost key after clone mutation")
 	}
 }

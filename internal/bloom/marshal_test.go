@@ -34,7 +34,7 @@ func TestFilterMarshalRoundTrip(t *testing.T) {
 			t.Errorf("%v: round trip count %d, want %d", layout, g.Count(), f.Count())
 		}
 		for i := 0; i < 500; i++ {
-			if !g.ContainsString("file" + strconv.Itoa(i)) {
+			if d := NewDigestString("file" + strconv.Itoa(i)); !g.ContainsDigest(&d) {
 				t.Fatalf("%v: false negative after round trip", layout)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ghba/internal/bloom"
 	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
@@ -97,7 +98,7 @@ func TestHBACreateDeleteAndUpdatePropagation(t *testing.T) {
 		if id == home {
 			continue
 		}
-		if f := c.Node(id).Replicas().Get(home); !f.ContainsString("/new") {
+		if d := bloom.NewDigestString("/new"); !c.Node(id).Replicas().Get(home).ContainsDigest(&d) {
 			t.Errorf("MDS %d replica of %d stale after push", id, home)
 		}
 	}

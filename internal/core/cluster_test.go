@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ghba/internal/bloom"
 	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
@@ -275,7 +276,7 @@ func TestPushUpdateRefreshesReplicas(t *testing.T) {
 			t.Fatalf("group %d lost replica of %d", g.ID, origin)
 		}
 		f := c.Node(holder).Replicas().Get(origin)
-		if !f.ContainsString("/pushed/file") {
+		if d := bloom.NewDigestString("/pushed/file"); !f.ContainsDigest(&d) {
 			t.Errorf("group %d replica stale after push", g.ID)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ghba/internal/bloom"
 	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
@@ -74,7 +75,7 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 			}
 			rep := c.Node(holder).Replicas().Get(origin)
 			for _, p := range paths {
-				if !rep.ContainsString(p) {
+				if d := bloom.NewDigestString(p); !rep.ContainsDigest(&d) {
 					t.Fatalf("group %d replica of %d stale after flush: missing %s", g.ID, origin, p)
 				}
 			}
@@ -107,7 +108,7 @@ func TestShipQueueAutoDrainsAtBatch(t *testing.T) {
 		}
 		holder, _ := g.Holder(first)
 		rep := c.Node(holder).Replicas().Get(first)
-		if !rep.ContainsString("/auto/f0") {
+		if d := bloom.NewDigestString("/auto/f0"); !rep.ContainsDigest(&d) {
 			t.Fatalf("group %d replica of %d stale after batch drain", g.ID, first)
 		}
 	}

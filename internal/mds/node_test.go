@@ -1,7 +1,10 @@
 package mds
 
 import (
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ghba/internal/bloom"
@@ -99,6 +102,65 @@ func TestRebuildClearsStaleBits(t *testing.T) {
 	}
 }
 
+// TestLocalProbesRacingRebuild races lock-free L4 probes against every
+// writer of the published local filter: an insert, a delete and a rebuild
+// per round, each round begun only after the probers have read the filter
+// since the last. A rebuild must swap in a complete filter, never edit the
+// one the probes loaded, so a file that stays present answers positively
+// throughout; run under -race, an in-place edit also reports a data race.
+func TestLocalProbesRacingRebuild(t *testing.T) {
+	n := newTestNode(t, 1)
+	const kept, probers, rounds = 64, 2, 200
+	for i := 0; i < kept; i++ {
+		n.AddFile("/kept/" + strconv.Itoa(i))
+	}
+	stop := make(chan struct{})
+	var passes, misses atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < probers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A digest caches its positions, so each prober keys its own.
+			digests := make([]*bloom.Digest, kept)
+			for i := range digests {
+				digests[i] = digestOf("/kept/" + strconv.Itoa(i))
+			}
+			for {
+				for _, d := range digests {
+					if !n.LocalPositiveDigest(d) {
+						misses.Add(1)
+					}
+				}
+				passes.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	for r := 0; r < rounds; r++ {
+		for seen := passes.Load(); passes.Load() < seen+probers; {
+			runtime.Gosched()
+		}
+		p := "/churn/" + strconv.Itoa(r)
+		n.AddFile(p)
+		n.DeleteFile(p)
+		if !n.RebuildIfStale(1) {
+			t.Errorf("round %d: no rebuild after a delete", r)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if m := misses.Load(); m != 0 {
+		t.Errorf("%d probes missed a file that stayed present", m)
+	}
+}
+
 func TestShipAndDeltaBits(t *testing.T) {
 	n := newTestNode(t, 1)
 	if n.DeltaBits() != 0 {
@@ -112,7 +174,7 @@ func TestShipAndDeltaBits(t *testing.T) {
 		t.Error("NeedsShip(1) false after mutation")
 	}
 	snap := n.Ship()
-	if !snap.ContainsString("/x") {
+	if !snap.ContainsDigest(digestOf("/x")) {
 		t.Error("shipped snapshot missing file")
 	}
 	if n.DeltaBits() != 0 {
@@ -123,7 +185,7 @@ func TestShipAndDeltaBits(t *testing.T) {
 	}
 	// Shipped snapshot is independent of future mutations.
 	n.AddFile("/y")
-	if snap.ContainsString("/y") && snap.Count() > 1 {
+	if snap.ContainsDigest(digestOf("/y")) && snap.Count() > 1 {
 		t.Error("snapshot aliases live filter")
 	}
 }

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"runtime"
 	"slices"
 	"sync"
@@ -99,7 +100,7 @@ func TestDaemonLeavesNoGoroutine(t *testing.T) {
 		conns = append(conns, cl)
 	}
 	for _, cl := range conns {
-		if _, err := cl.Call(opHeartbeat, nil); err != nil {
+		if _, err := cl.CallContext(context.Background(), opHeartbeat, nil); err != nil {
 			t.Fatal(err)
 		}
 		pool.Put(cl)

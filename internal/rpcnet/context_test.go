@@ -14,7 +14,7 @@ import (
 func TestPoolCloseIdempotent(t *testing.T) {
 	s := stallServer(t)
 	p := NewPool(s.Addr(), PoolOptions{})
-	if _, err := p.Call(1, []byte("warm")); err != nil {
+	if _, err := p.CallContext(context.Background(), 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	if p.IdleConns() != 1 {
@@ -53,13 +53,13 @@ func TestPoolGetAfterClose(t *testing.T) {
 	if _, err := p.Get(); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Get after Close = %v, want ErrPoolClosed", err)
 	}
-	if _, err := p.Call(1, []byte("x")); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.CallContext(context.Background(), 1, []byte("x")); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("Call after Close = %v, want ErrPoolClosed", err)
 	}
 
 	// The in-flight connection still completes its call and its return
 	// must not panic or resurrect the idle list.
-	resp, err := inFlight.Call(1, []byte("late"))
+	resp, err := inFlight.CallContext(context.Background(), 1, []byte("late"))
 	if err != nil || !bytes.Equal(resp, []byte("late")) {
 		t.Fatalf("in-flight call after pool close: %v %q", err, resp)
 	}
@@ -68,7 +68,7 @@ func TestPoolGetAfterClose(t *testing.T) {
 		t.Errorf("closed pool retained a returned connection")
 	}
 	// The returned connection was closed by Put.
-	if _, err := inFlight.Call(1, []byte("dead")); err == nil {
+	if _, err := inFlight.CallContext(context.Background(), 1, []byte("dead")); err == nil {
 		t.Error("connection returned to a closed pool still usable")
 	}
 	p.Put(nil) // nil return is a no-op, not a panic
@@ -79,7 +79,7 @@ func TestPoolGetAfterClose(t *testing.T) {
 // context.Canceled, and poisons the connection.
 func TestCallContextCancellation(t *testing.T) {
 	s := stallServer(t)
-	cl, err := Dial(s.Addr())
+	cl, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCallContextCancellation(t *testing.T) {
 		t.Fatalf("cancellation took %v, call was not interrupted", elapsed)
 	}
 	// The stream position is unknown: the connection is poisoned.
-	if _, err := cl.Call(1, []byte("x")); err == nil {
+	if _, err := cl.CallContext(context.Background(), 1, []byte("x")); err == nil {
 		t.Error("poisoned connection still usable")
 	}
 }
@@ -127,7 +127,7 @@ func TestCallContextDeadline(t *testing.T) {
 // context never writes a frame, so the connection stays clean and usable.
 func TestCallContextPreCancelled(t *testing.T) {
 	s := stallServer(t)
-	cl, err := Dial(s.Addr())
+	cl, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCallContextPreCancelled(t *testing.T) {
 		t.Fatalf("pre-cancelled call returned %v", err)
 	}
 	// No frame was written: the next call still works.
-	resp, err := cl.Call(1, []byte("clean"))
+	resp, err := cl.CallContext(context.Background(), 1, []byte("clean"))
 	if err != nil || !bytes.Equal(resp, []byte("clean")) {
 		t.Fatalf("connection dirtied by pre-cancelled call: %v %q", err, resp)
 	}
@@ -158,7 +158,7 @@ func TestPoolCallContextDiscardsCancelled(t *testing.T) {
 		t.Errorf("cancelled connection returned to the pool")
 	}
 	// The pool dials fresh and recovers.
-	resp, err := p.Call(1, []byte("next"))
+	resp, err := p.CallContext(context.Background(), 1, []byte("next"))
 	if err != nil || !bytes.Equal(resp, []byte("next")) {
 		t.Fatalf("pool did not recover after cancellation: %v %q", err, resp)
 	}
@@ -171,7 +171,7 @@ func TestPoolKeepsConnAfterPreCancelled(t *testing.T) {
 	s := stallServer(t)
 	p := NewPool(s.Addr(), PoolOptions{})
 	t.Cleanup(p.Close)
-	if _, err := p.Call(1, []byte("warm")); err != nil {
+	if _, err := p.CallContext(context.Background(), 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -183,7 +183,7 @@ func TestPoolKeepsConnAfterPreCancelled(t *testing.T) {
 		t.Fatalf("idle = %d after a pre-cancelled call, want 1", p.IdleConns())
 	}
 	kept := p.idle[0]
-	resp, err := p.Call(1, []byte("next"))
+	resp, err := p.CallContext(context.Background(), 1, []byte("next"))
 	if err != nil || !bytes.Equal(resp, []byte("next")) {
 		t.Fatalf("call after pre-cancelled call: %v %q", err, resp)
 	}
@@ -197,7 +197,7 @@ func TestPoolKeepsConnAfterPreCancelled(t *testing.T) {
 // calls on one client is followed by a cancel, and the next call succeeds.
 func TestCallContextCancelAfterReturn(t *testing.T) {
 	s := stallServer(t)
-	cl, err := Dial(s.Addr())
+	cl, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func TestMuxClientCloseIsTerminal(t *testing.T) {
 // server socket serves an old-style client and a mux client concurrently.
 func TestClassicAndMuxShareOnePort(t *testing.T) {
 	s := muxEchoServer(t)
-	classic, err := Dial(s.Addr())
+	classic, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestClassicAndMuxShareOnePort(t *testing.T) {
 	defer mux.Close()
 	for i := 0; i < 20; i++ {
 		msg := []byte(fmt.Sprintf("interleaved-%d", i))
-		if resp, err := classic.Call(1, msg); err != nil || !bytes.Equal(resp, msg) {
+		if resp, err := classic.CallContext(context.Background(), 1, msg); err != nil || !bytes.Equal(resp, msg) {
 			t.Fatalf("classic call %d: %q, %v", i, resp, err)
 		}
 		if resp, err := mux.Call(1, msg); err != nil || !bytes.Equal(resp, msg) {

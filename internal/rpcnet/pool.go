@@ -25,9 +25,9 @@ type PoolOptions struct {
 }
 
 // Pool is a concurrency-safe pool of connections to one server. Callers
-// invoke Call from any number of goroutines; each call checks out an idle
-// connection (dialing when none is free), so independent calls proceed in
-// parallel instead of serializing on a single socket. Connections that hit
+// invoke CallContext from any number of goroutines; each call checks out an
+// idle connection (dialing when none is free), so independent calls proceed
+// in parallel instead of serializing on a single socket. Connections that hit
 // a transport error or timeout are discarded, and the next call dials
 // fresh — one hung or crashed daemon costs failed calls, never a wedged
 // pool.
@@ -41,20 +41,15 @@ type Pool struct {
 }
 
 // NewPool builds a pool for addr. No connection is dialed until the first
-// Call.
+// CallContext.
 func NewPool(addr string, opts PoolOptions) *Pool {
 	return &Pool{addr: addr, opts: opts}
 }
 
-// Call checks out a connection, performs one RPC, and returns the
+// CallContext checks out a connection, performs one RPC, and returns the
 // connection to the pool. Application errors (*RemoteError) leave the
-// connection reusable; transport errors discard it (see Put).
-func (p *Pool) Call(msgType uint8, payload []byte) ([]byte, error) {
-	return p.CallContext(context.Background(), msgType, payload)
-}
-
-// CallContext is Call with per-call cancellation and deadline control; see
-// Client.CallContext for the deadline-merging and poisoning semantics. A
+// connection reusable; transport errors discard it (see Put). See
+// Client.CallContext for the deadline-merging and poisoning semantics: a
 // call cancelled mid-flight poisons its connection, which Put then drops;
 // one refused before a byte was written leaves it clean and pooled.
 func (p *Pool) CallContext(ctx context.Context, msgType uint8, payload []byte) ([]byte, error) {

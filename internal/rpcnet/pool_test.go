@@ -45,7 +45,7 @@ func TestCallDeadlineOnStalledServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Call(opStall, []byte("wedge me"))
+	_, err = c.CallContext(context.Background(), opStall, []byte("wedge me"))
 	if err == nil {
 		t.Fatal("call against stalled handler returned")
 	}
@@ -58,7 +58,7 @@ func TestCallDeadlineOnStalledServer(t *testing.T) {
 	}
 	// The stream position is unknown after a timeout: the connection is
 	// poisoned and later calls fail fast instead of reading stale frames.
-	if _, err := c.Call(1, []byte("after")); !errors.Is(err, ErrServerClosed) {
+	if _, err := c.CallContext(context.Background(), 1, []byte("after")); !errors.Is(err, ErrServerClosed) {
 		t.Errorf("call on poisoned connection = %v, want ErrServerClosed", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestClientWithoutTimeoutStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(1, []byte("no deadline"))
+	resp, err := c.CallContext(context.Background(), 1, []byte("no deadline"))
 	if err != nil || !bytes.Equal(resp, []byte("no deadline")) {
 		t.Fatalf("call = %q, %v", resp, err)
 	}
@@ -80,12 +80,12 @@ func TestPoolRecoversAfterTimeout(t *testing.T) {
 	s := stallServer(t)
 	p := NewPool(s.Addr(), PoolOptions{CallTimeout: 100 * time.Millisecond})
 	defer p.Close()
-	if _, err := p.Call(opStall, nil); err == nil {
+	if _, err := p.CallContext(context.Background(), opStall, nil); err == nil {
 		t.Fatal("stalled call returned")
 	}
 	// The timed-out connection was discarded; the next call dials fresh
 	// and succeeds against the still-healthy server.
-	resp, err := p.Call(1, []byte("alive"))
+	resp, err := p.CallContext(context.Background(), 1, []byte("alive"))
 	if err != nil {
 		t.Fatalf("pool did not recover: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
 	s := stallServer(t)
 	p := NewPool(s.Addr(), PoolOptions{CallTimeout: time.Second})
 	defer p.Close()
-	_, err := p.Call(2, nil)
+	_, err := p.CallContext(context.Background(), 2, nil)
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Msg != "boom" {
 		t.Fatalf("err = %v, want RemoteError boom", err)
@@ -109,7 +109,7 @@ func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
 	if p.IdleConns() != 1 {
 		t.Errorf("idle = %d after app error, want 1 (connection kept)", p.IdleConns())
 	}
-	if _, err := p.Call(1, []byte("ok")); err != nil {
+	if _, err := p.CallContext(context.Background(), 1, []byte("ok")); err != nil {
 		t.Errorf("call after app error: %v", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestPoolConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				msg := []byte(fmt.Sprintf("w%d-%d", w, i))
-				resp, err := p.Call(1, msg)
+				resp, err := p.CallContext(context.Background(), 1, msg)
 				if err != nil {
 					errs <- err
 					return
@@ -174,7 +174,7 @@ func TestPoolPutDropsPoisonedConnection(t *testing.T) {
 		t.Fatalf("idle = %d after putting a poisoned connection, want 0", p.IdleConns())
 	}
 	// The next checkout dials fresh and works.
-	resp, err := p.Call(1, []byte("fresh"))
+	resp, err := p.CallContext(context.Background(), 1, []byte("fresh"))
 	if err != nil {
 		t.Fatalf("call after dropped poison: %v", err)
 	}
@@ -186,12 +186,12 @@ func TestPoolPutDropsPoisonedConnection(t *testing.T) {
 func TestPoolCallAfterClose(t *testing.T) {
 	s := stallServer(t)
 	p := NewPool(s.Addr(), PoolOptions{})
-	if _, err := p.Call(1, nil); err != nil {
+	if _, err := p.CallContext(context.Background(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
 	p.Close() // idempotent
-	if _, err := p.Call(1, nil); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.CallContext(context.Background(), 1, nil); !errors.Is(err, ErrPoolClosed) {
 		t.Errorf("call after close = %v, want ErrPoolClosed", err)
 	}
 }

@@ -220,11 +220,6 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to a server with no call deadline.
-func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0, 0)
-}
-
 // DialTimeout connects with a bound on the dial itself and a per-call
 // deadline covering each request/response round trip. Zero disables either
 // bound. A call that exceeds callTimeout returns a net.Error whose
@@ -243,14 +238,9 @@ func DialTimeout(addr string, dialTimeout, callTimeout time.Duration) (*Client, 
 	}, nil
 }
 
-// Call sends one request and waits for its response. An application error
-// from the handler is returned as a *RemoteError with the server's message;
-// any other error means the connection is now closed.
-func (c *Client) Call(msgType uint8, payload []byte) ([]byte, error) {
-	return c.CallContext(context.Background(), msgType, payload)
-}
-
-// CallContext is Call with per-call cancellation and deadline control. The
+// CallContext sends one request and waits for its response. An application
+// error from the handler is returned as a *RemoteError with the server's
+// message; any other error means the connection is now closed. The
 // effective deadline is the earlier of the client's configured call timeout
 // and the context's deadline; cancelling the context interrupts an in-flight
 // round trip. Because interruption leaves the frame boundary unknown, a

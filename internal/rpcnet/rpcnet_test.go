@@ -3,6 +3,7 @@ package rpcnet
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -104,13 +105,13 @@ func TestServeRejectsNilHandler(t *testing.T) {
 
 func TestEchoRoundTrip(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	payload := []byte("/some/path with spaces and \x00 bytes")
-	resp, err := c.Call(1, payload)
+	resp, err := c.CallContext(context.Background(), 1, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +122,12 @@ func TestEchoRoundTrip(t *testing.T) {
 
 func TestEmptyPayload(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(1, nil)
+	resp, err := c.CallContext(context.Background(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,30 +138,30 @@ func TestEmptyPayload(t *testing.T) {
 
 func TestApplicationError(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(2, nil); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := c.CallContext(context.Background(), 2, nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("err = %v, want remote boom", err)
 	}
 	// Connection survives application errors.
-	if _, err := c.Call(1, []byte("still alive")); err != nil {
+	if _, err := c.CallContext(context.Background(), 1, []byte("still alive")); err != nil {
 		t.Errorf("connection dead after app error: %v", err)
 	}
 }
 
 func TestSequentialCallsOnOneConnection(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 200; i++ {
 		msg := []byte(fmt.Sprintf("msg-%d", i))
-		resp, err := c.Call(3, msg)
+		resp, err := c.CallContext(context.Background(), 3, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(s.Addr())
+			c, err := DialTimeout(s.Addr(), 0, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -186,7 +187,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < 100; i++ {
 				msg := []byte(fmt.Sprintf("w%d-%d", w, i))
-				resp, err := c.Call(1, msg)
+				resp, err := c.CallContext(context.Background(), 1, msg)
 				if err != nil {
 					errs <- err
 					return
@@ -207,7 +208,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestLargePayload(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 31)
 	}
-	resp, err := c.Call(1, big)
+	resp, err := c.CallContext(context.Background(), 1, big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +228,12 @@ func TestLargePayload(t *testing.T) {
 
 func TestCallAfterClientClose(t *testing.T) {
 	s := echoServer(t)
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Call(1, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), 1, nil); err == nil {
 		t.Error("call after close succeeded")
 	}
 	c.Close() // double close is safe
@@ -243,20 +244,20 @@ func TestCallAfterServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(s.Addr())
+	c, err := DialTimeout(s.Addr(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	s.Close()
 	s.Close() // idempotent
-	if _, err := c.Call(1, nil); err == nil {
+	if _, err := c.CallContext(context.Background(), 1, nil); err == nil {
 		t.Error("call against closed server succeeded")
 	}
 }
 
 func TestDialUnreachable(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialTimeout("127.0.0.1:1", 0, 0); err == nil {
 		t.Error("dial to closed port succeeded")
 	}
 }

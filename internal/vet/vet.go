@@ -6,7 +6,7 @@
 //   - detrand: engines draw randomness only from caller-supplied
 //     *rand.Rand values; no clock seeding; no map-order-dependent output
 //
-// Two fact-based analyzers see across package boundaries:
+// One fact-based analyzer sees across package boundaries:
 //
 //   - lockorder: assembles the global lock-acquisition graph from
 //     per-package facts and reports cycles (potential deadlocks) with
@@ -14,13 +14,13 @@
 //     held-lock walk also enforces the *Locked suffix contract (callers
 //     hold mu; helpers never re-acquire it; defer pairing; no re-lock of
 //     a held mutex) and writer-side atomic.Pointer publication
-//   - snapcheck: enforces the epoch/COW discipline — memory published
-//     through an atomic.Pointer is immutable, readers never write
-//     through a loaded snapshot
 //
-// Allocation-freedom of the lookup walk is not modelled here: each package's
-// tests measure it with testing.AllocsPerRun, which sees what escape
-// analysis actually decides.
+// Two properties are tests, not analyzers, because the tests see what the
+// program does: allocation-freedom of the lookup walk (each package
+// measures it with testing.AllocsPerRun, which sees what escape analysis
+// actually decides), and the immutability of what the five atomic.Pointer
+// fields publish (tests that race readers against each publisher, run
+// under -race).
 //
 // Run them via cmd/ghbavet: `go vet -vettool=$(which ghbavet) ./...`.
 package vet
@@ -30,12 +30,10 @@ import (
 
 	"ghba/internal/vet/detrand"
 	"ghba/internal/vet/lockorder"
-	"ghba/internal/vet/snapcheck"
 )
 
 // Analyzers is the full ghbavet suite, in the order findings print.
 var Analyzers = []*analysis.Analyzer{
 	detrand.Analyzer,
 	lockorder.Analyzer,
-	snapcheck.Analyzer,
 }

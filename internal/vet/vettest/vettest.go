@@ -10,11 +10,10 @@
 // may import each other GOPATH-style — package "b/inner" lives in
 // testdata/src/b/inner — and facts exported while analyzing a dependency
 // are visible while analyzing its dependents, which is what the
-// cross-package analyzers (lockorder, snapcheck) exercise.
+// cross-package analyzer, lockorder, exercises.
 package vettest
 
 import (
-	"fmt"
 	"go/token"
 	"regexp"
 	"strings"
@@ -57,8 +56,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 // all of them. List dependencies before dependents — diagnostics are
 // collected in listed order, and a package analyzed early as a mere
 // dependency of another reports nothing. This is the harness for
-// cross-package fact scenarios (a lock cycle spanning two packages, a
-// snapshot published in one package and mutated in another).
+// cross-package fact scenarios (a lock cycle spanning two packages).
 func RunMulti(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
 	runPackages(t, testdata, a, pkgs...)
@@ -137,15 +135,4 @@ func checkExpectations(t *testing.T, fset *token.FileSet, pkgs []*srcload.Packag
 			t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.pattern)
 		}
 	}
-}
-
-// Fprint is a debugging aid: it dumps the diagnostics a fixture produces,
-// formatted as want comments, to ease authoring new fixtures.
-func Fprint(fset *token.FileSet, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d: %s\n", pos.Filename, pos.Line, d.Message)
-	}
-	return b.String()
 }
