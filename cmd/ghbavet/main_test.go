@@ -177,11 +177,12 @@ func TestAnalyzersFireOnRealTree(t *testing.T) {
 		want                      []string
 	}{
 		{
-			// FileCount takes Cluster.mu; under queueMu that inverts the
-			// order every reconfiguration takes the two in.
+			// FileCount takes Cluster.mu; under queueMu (here where a queued
+			// lookup's entry books its service time) that inverts the order
+			// every reconfiguration takes the two in.
 			name: "lockorder", analyzer: "lockorder", pkg: "./internal/core", file: "internal/core/lookup.go",
-			old:    "\tdefer c.queueMu.Unlock()\n\tclear(c.queue)\n",
-			mutant: "\tdefer c.queueMu.Unlock()\n\t_ = c.FileCount()\n\tclear(c.queue)\n",
+			old:    "\t\t\tc.queueMu.Lock()\n\t\t\tlatency += c.occupy(entry, arrival, server) - server\n",
+			mutant: "\t\t\tc.queueMu.Lock()\n\t\t\t_ = c.FileCount()\n\t\t\tlatency += c.occupy(entry, arrival, server) - server\n",
 			want:   []string{"lookup.go:", "Cluster.mu", "Cluster.queueMu", "cycle"},
 		},
 		{

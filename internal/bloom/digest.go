@@ -15,7 +15,7 @@ import "sync/atomic"
 // A Digest is mutable scratch state (the position cache re-materializes when
 // the probed geometry changes) and must not be shared between goroutines;
 // each lookup computes its own. The zero value is not meaningful; construct
-// digests with NewDigest or NewDigestString, or re-key a pooled one in place
+// digests with NewDigestString, or re-key a pooled one in place
 // with ResetString.
 type Digest struct {
 	h1, h2 uint64
@@ -38,15 +38,9 @@ type Digest struct {
 // and 16 (k = 6 and 11).
 const MaxK = 32
 
-// NewDigest hashes a byte-string key into a digest.
-func NewDigest(key []byte) Digest {
-	h1, h2 := hashPair(key)
-	return Digest{h1: h1, h2: h2}
-}
-
 // NewDigestString hashes a string key into a digest without copying the key
-// to a byte slice; it produces bit-for-bit the same digest as NewDigest on
-// the key's bytes.
+// to a byte slice; it produces bit-for-bit the same digest as the key-based
+// Filter methods derive from the key's bytes.
 func NewDigestString(key string) Digest {
 	h1, h2 := hashPairString(key)
 	return Digest{h1: h1, h2: h2}

@@ -72,15 +72,16 @@ const blockBits = 512
 // The zero value is not usable; construct filters with New, NewLayout or
 // NewForCapacity.
 //
-// Concurrency: mutation (Add, AddDigest, UnmarshalBinary) requires external
-// serialization at the layer that owns the filter — the MDS layer in this
-// repository serializes writers behind per-node locks. Membership probes
-// (Contains, ContainsDigest) are safe to run lock-free concurrently with a
-// serialized writer: probes load words atomically and writers publish them
-// atomically, so the epoch-snapshot read path never takes a lock to query a
-// live filter. A probe racing an in-flight Add may miss that key until the
-// add completes — the same transient miss the paper's asynchronous replica
-// propagation already tolerates — but never corrupts the vector.
+// Concurrency: mutation (AddString, AddDigest, UnmarshalBinary) requires
+// external serialization at the layer that owns the filter — the MDS layer
+// in this repository serializes writers behind per-node locks. Membership
+// probes (Contains, ContainsDigest) are safe to run lock-free concurrently
+// with a serialized writer: probes load words atomically and writers
+// publish them atomically, so the epoch-snapshot read path never takes a
+// lock to query a live filter. A probe racing an in-flight add may miss
+// that key until the add completes — the same transient miss the paper's
+// asynchronous replica propagation already tolerates — but never corrupts
+// the vector.
 type Filter struct {
 	m      uint64 // number of bits
 	k      uint32 // number of hash functions
@@ -180,20 +181,10 @@ func (f *Filter) M() uint64 { return f.m }
 // K returns the number of hash functions.
 func (f *Filter) K() uint32 { return f.k }
 
-// Layout returns the filter's bit layout.
-func (f *Filter) Layout() Layout { return f.layout }
-
 // Count returns the number of insertions since creation. It over-counts
 // re-insertions of the same key and is used only for load accounting, never
 // for membership decisions.
 func (f *Filter) Count() uint64 { return atomic.LoadUint64(&f.n) }
-
-// Add inserts key into the filter, reporting like AddDigest.
-func (f *Filter) Add(key []byte) int {
-	var d Digest
-	d.h1, d.h2 = hashPair(key)
-	return f.addDigest(&d, nil)
-}
 
 // AddString inserts a string key without copying it to a byte slice,
 // reporting like AddDigest.
@@ -245,31 +236,9 @@ func (f *Filter) Clone() *Filter {
 	return &Filter{m: f.m, k: f.k, n: f.Count(), layout: f.layout, words: w}
 }
 
-// PopCount returns the number of set bits.
-func (f *Filter) PopCount() uint64 {
-	var c uint64
-	for _, w := range f.words {
-		c += uint64(bits.OnesCount64(w))
-	}
-	return c
-}
-
 // SizeBytes returns the in-memory size of the bit vector in bytes. This is
 // the unit the memory model (internal/memmodel) budgets against.
 func (f *Filter) SizeBytes() uint64 { return uint64(len(f.words)) * 8 }
-
-// Equal reports whether two filters have identical geometry and bit vectors.
-func (f *Filter) Equal(g *Filter) bool {
-	if f.m != g.m || f.k != g.k || f.layout != g.layout {
-		return false
-	}
-	for i, w := range f.words {
-		if g.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
 
 // sameGeometry verifies that g can be compared with f.
 func (f *Filter) sameGeometry(g *Filter) error {

@@ -61,13 +61,6 @@ func InsertSorted(xs []int, v int) []int {
 	return append(xs, v)
 }
 
-// Miss reports whether no filter responded.
-func (r Result) Miss() bool { return len(r.Hits) == 0 }
-
-// Multiple reports whether more than one filter responded, which forces the
-// same escalation as a miss (the array cannot disambiguate).
-func (r Result) Multiple() bool { return len(r.Hits) > 1 }
-
 // entry pairs a replica with the ID of the MDS whose file set it summarizes.
 type entry struct {
 	id int
@@ -166,12 +159,6 @@ func (a *Array) Remove(mdsID int) *bloom.Filter {
 	next = append(next, entries[i+1:]...)
 	a.entries.Store(&next)
 	return f
-}
-
-// Has reports whether the array holds a replica for mdsID.
-func (a *Array) Has(mdsID int) bool {
-	_, ok := search(a.snapshot(), mdsID)
-	return ok
 }
 
 // Len returns the number of replicas held.

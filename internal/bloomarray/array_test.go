@@ -73,15 +73,16 @@ func TestInsertSorted(t *testing.T) {
 	}
 }
 
+// TestResultMissMultiple pins Unique on the two results that escalate: a
+// miss and a multi-hit both answer -1 and false, never MDS 0.
 func TestResultMissMultiple(t *testing.T) {
-	if !(Result{}).Miss() {
-		t.Error("empty result not a miss")
+	for _, r := range []Result{{}, {Hits: []int{0, 2}}} {
+		if id, ok := r.Unique(); ok || id != -1 {
+			t.Errorf("Unique(%v) = %d, %v; want -1, false", r.Hits, id, ok)
+		}
 	}
-	if (Result{Hits: []int{1}}).Miss() || (Result{Hits: []int{1}}).Multiple() {
-		t.Error("single hit misclassified")
-	}
-	if !(Result{Hits: []int{1, 2}}).Multiple() {
-		t.Error("two hits not multiple")
+	if id, ok := (Result{Hits: []int{0}}).Unique(); !ok || id != 0 {
+		t.Errorf("Unique([0]) = %d, %v; want 0, true", id, ok)
 	}
 }
 
@@ -89,13 +90,13 @@ func TestArrayPutGetRemove(t *testing.T) {
 	a := NewArray()
 	f := filterWith(t, "x")
 	a.Put(3, f)
-	if !a.Has(3) || a.Get(3) != f || a.Len() != 1 {
-		t.Fatal("Put/Get/Has inconsistent")
+	if a.Get(3) != f || a.Len() != 1 {
+		t.Fatal("Put/Get inconsistent")
 	}
 	if got := a.Remove(3); got != f {
 		t.Error("Remove returned wrong filter")
 	}
-	if a.Has(3) || a.Len() != 0 {
+	if a.Get(3) != nil || a.Len() != 0 {
 		t.Error("Remove did not delete entry")
 	}
 	if a.Remove(99) != nil {
@@ -113,7 +114,7 @@ func TestArrayQueryUniqueHit(t *testing.T) {
 	if !ok || id != 2 {
 		t.Errorf("Query(/d/beta) = %v, want unique hit on 2", r.Hits)
 	}
-	if !a.QueryDigest(digestOf("/d/nothere"), nil).Miss() {
+	if len(a.QueryDigest(digestOf("/d/nothere"), nil).Hits) != 0 {
 		t.Error("absent key did not miss")
 	}
 }
@@ -123,7 +124,7 @@ func TestArrayQueryMultipleHits(t *testing.T) {
 	a.Put(1, filterWith(t, "shared"))
 	a.Put(2, filterWith(t, "shared"))
 	r := a.QueryDigest(digestOf("shared"), nil)
-	if !r.Multiple() {
+	if len(r.Hits) < 2 {
 		t.Errorf("Query(shared) = %v, want multiple", r.Hits)
 	}
 	if len(r.Hits) != 2 || r.Hits[0] != 1 || r.Hits[1] != 2 {

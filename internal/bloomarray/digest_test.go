@@ -83,32 +83,34 @@ func TestLRUQueryDigestEquivalence(t *testing.T) {
 	}
 }
 
-// TestObserveDigestMatchesObserve checks that observing through a string
-// digest leaves the array in exactly the state the byte-key digest would:
-// same hits for every key, same rotation points.
+// TestObserveDigestMatchesObserve checks that observing through one pooled
+// digest, re-keyed in place for every path as the engine's lookups do,
+// leaves the array in exactly the state fresh digests would: same hits for
+// every key, same rotation points.
 func TestObserveDigestMatchesObserve(t *testing.T) {
-	byKey, err := NewLRUArray(16, 16)
+	byPooled, err := NewLRUArray(16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDigest, err := NewLRUArray(16, 16)
+	byFresh, err := NewLRUArray(16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
+	var pooled bloom.Digest
 	for i := 0; i < 300; i++ {
 		p := "/obs/f" + strconv.Itoa(rng.Intn(100))
 		home := rng.Intn(5)
-		dk := bloom.NewDigest([]byte(p))
-		byKey.ObserveDigest(&dk, home)
+		pooled.ResetString(p)
+		byPooled.ObserveDigest(&pooled, home)
 		d := bloom.NewDigestString(p)
-		byDigest.ObserveDigest(&d, home)
+		byFresh.ObserveDigest(&d, home)
 	}
 	for i := 0; i < 100; i++ {
 		p := "/obs/f" + strconv.Itoa(i)
-		a, b := byKey.QueryDigest(digestOf(p), nil), byDigest.QueryDigest(digestOf(p), nil)
+		a, b := byPooled.QueryDigest(digestOf(p), nil), byFresh.QueryDigest(digestOf(p), nil)
 		if !slices.Equal(a.Hits, b.Hits) {
-			t.Fatalf("path %s: key-observed=%v digest-observed=%v", p, a.Hits, b.Hits)
+			t.Fatalf("path %s: pooled-observed=%v fresh-observed=%v", p, a.Hits, b.Hits)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func TestLRUObserveQuery(t *testing.T) {
 	if id, ok := r.Unique(); !ok || id != 3 {
 		t.Errorf("Query(file1) = %v, want unique 3", r.Hits)
 	}
-	if !l.QueryDigest(digestOf("/a/unseen"), nil).Miss() {
+	if len(l.QueryDigest(digestOf("/a/unseen"), nil).Hits) != 0 {
 		t.Error("unseen key hit the LRU array")
 	}
 	if l.Entries() != 2 {
@@ -45,14 +45,14 @@ func TestLRUAgingKeepsRecentDropsOld(t *testing.T) {
 	}
 	// The most recent insertion must always be present.
 	last := "old" + strconv.Itoa(3*capacity-1)
-	if l.QueryDigest(digestOf(last), nil).Miss() {
+	if len(l.QueryDigest(digestOf(last), nil).Hits) == 0 {
 		t.Error("most recent observation evicted")
 	}
 	// The very first insertions (older than two generations) must be gone,
 	// modulo Bloom false positives; check a batch and require most missing.
 	evicted := 0
 	for i := 0; i < capacity; i++ {
-		if l.QueryDigest(digestOf("old"+strconv.Itoa(i)), nil).Miss() {
+		if len(l.QueryDigest(digestOf("old"+strconv.Itoa(i)), nil).Hits) == 0 {
 			evicted++
 		}
 	}
@@ -72,7 +72,7 @@ func TestLRUSlidingWindowRetainsPreviousGeneration(t *testing.T) {
 	}
 	// Keys from the immediately previous generation are still queryable.
 	for i := capacity - 5; i < capacity; i++ {
-		if l.QueryDigest(digestOf("w"+strconv.Itoa(i)), nil).Miss() {
+		if len(l.QueryDigest(digestOf("w"+strconv.Itoa(i)), nil).Hits) == 0 {
 			t.Errorf("previous-generation key w%d already evicted", i)
 		}
 	}
@@ -85,7 +85,7 @@ func TestLRUForget(t *testing.T) {
 	}
 	l.ObserveDigest(digestOf("f"), 4)
 	l.Forget(4)
-	if !l.QueryDigest(digestOf("f"), nil).Miss() {
+	if len(l.QueryDigest(digestOf("f"), nil).Hits) != 0 {
 		t.Error("Forget left entry queryable")
 	}
 	if l.Entries() != 0 {
@@ -103,7 +103,7 @@ func TestLRUMultipleHitsAcrossMDSs(t *testing.T) {
 	l.ObserveDigest(digestOf("moved"), 1)
 	l.ObserveDigest(digestOf("moved"), 2)
 	r := l.QueryDigest(digestOf("moved"), nil)
-	if !r.Multiple() {
+	if len(r.Hits) < 2 {
 		t.Errorf("expected multiple hits, got %v", r.Hits)
 	}
 }

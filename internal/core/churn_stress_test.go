@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ghba/internal/simnet"
 	"ghba/internal/trace"
 )
 
@@ -90,8 +91,17 @@ func TestApplyParallelChurnStress(t *testing.T) {
 			t.Fatalf("round %d: invariants before flush: %v", round, err)
 		}
 		c.Flush()
-		if got := c.PendingShips(); got != 0 {
-			t.Fatalf("round %d: %d origins still pending after flush", round, got)
+		// Every origin that crossed the ship threshold has shipped, so a
+		// second flush finds nothing to ship.
+		for _, id := range c.MDSIDs() {
+			if c.Node(id).NeedsShip(cfg.UpdateThresholdBits) {
+				t.Fatalf("round %d: MDS %d is past the ship threshold after flush", round, id)
+			}
+		}
+		shipped := c.Messages().Get(simnet.MsgReplicaUpdate)
+		c.Flush()
+		if again := c.Messages().Get(simnet.MsgReplicaUpdate); again != shipped {
+			t.Fatalf("round %d: a second flush shipped %d more replica updates", round, again-shipped)
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: invariants after flush: %v", round, err)

@@ -22,7 +22,7 @@ import (
 //
 // Concurrency model: the read path is lock-free, the write path is locked.
 //
-// Lookups (LookupWith, LookupAt) take no lock to read: they load the
+// Lookups (LookupWith, ApplyWith) take no lock to read: they load the
 // current fleet — an immutable membership snapshot (mds.Fleet) published
 // through an atomic pointer — and walk the four-level hierarchy against it.
 // Filter probes along the way are word-wise atomic; the replica
@@ -120,8 +120,8 @@ type Cluster struct {
 
 	// queue holds each MDS's next-free time, indexed by MDS ID, for the
 	// open-loop queuing model used by the latency-versus-load experiments.
-	// queueMu guards it so queued lookups (LookupAt, ApplyWith) can run under
-	// the topology read lock alongside other workers. IDs are never reused,
+	// queueMu guards it so queued lookups (ApplyWith) can run under the
+	// topology read lock alongside other workers. IDs are never reused,
 	// so publishLocked keeps it nextMDSID long and the lookup walk
 	// indexes it without growing it.
 	queueMu sync.Mutex

@@ -133,20 +133,6 @@ func (c *Cluster) LookupWith(rng *rand.Rand, path string, entry int) LookupResul
 	return c.lookupFleet(f, path, entry, 0, false)
 }
 
-// LookupAt replays a lookup arriving at the given offset through the
-// open-loop queuing model: the request waits for the entry MDS to drain its
-// queue, multicast probes occupy the members they land on, and the returned
-// latency includes all queueing delays. An entry that is not a member is
-// re-drawn from rng, as in LookupWith. Queue state synchronizes on its own
-// mutex, so queued lookups run concurrently with other workers.
-func (c *Cluster) LookupAt(rng *rand.Rand, path string, entry int, arrival time.Duration) LookupResult {
-	f := c.fleet.Load()
-	if f.Node(entry) == nil {
-		entry = f.Draw(rng)
-	}
-	return c.lookupFleet(f, path, entry, arrival, true)
-}
-
 // lookupFleet walks the four-level hierarchy against one membership snapshot,
 // reading everything lock-free. The hot path mutates nothing except
 // internally synchronized state — the tallies and message counter (in the
@@ -331,11 +317,4 @@ func (c *Cluster) lookupFleet(f *mds.Fleet, path string, entry int, arrival time
 	// false positives were refuted by disk checks, charged here).
 	latency += c.cfg.Cost.DiskRead
 	return finish(LookupResult{Home: -1, Found: false, Level: 4})
-}
-
-// ResetQueues clears the queuing state between experiment runs.
-func (c *Cluster) ResetQueues() {
-	c.queueMu.Lock()
-	defer c.queueMu.Unlock()
-	clear(c.queue)
 }

@@ -81,10 +81,6 @@ func (c *Cluster) Flush() {
 	c.shipBatchLocked(c.fleet.Load(), c.ships.Drain())
 }
 
-// PendingShips returns how many origins have crossed the ship threshold but
-// not yet drained — observability for the coalescing queue.
-func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
-
 // shipOriginLocked distributes origin's current filter snapshot to the one
 // replica holder in every other group of f — the cluster's only caller of
 // mds.Node.Ship. f's layout names each holder, so the multicast costs one
@@ -154,7 +150,7 @@ func (c *Cluster) SpilledShare(node *mds.Node) float64 {
 // Home and Found describing the pre-delete state so replay checkpoints can
 // distinguish deletes of live paths from deletes of missing ones.
 //
-// A lookup takes no lock, like LookupAt: it walks the membership snapshot it
+// A lookup takes no lock, like LookupWith: it walks the membership snapshot it
 // loads. Creates and deletes hold the topology read lock, which excludes
 // reconfiguration, so the fleet they load stays current until the record is
 // applied.

@@ -49,20 +49,31 @@ func TestShipQueueCoalescesAndFlushes(t *testing.T) {
 	}
 	c.Populate(func(fn func(string) bool) { fn("/seed") })
 
+	updates := func() uint64 { return c.Messages().Get(simnet.MsgReplicaUpdate) }
+	before := updates()
 	homes := make(map[int][]string)
 	for i := 0; i < 40; i++ {
 		p := "/coal/f" + strconv.Itoa(i)
 		home := c.ApplyWith(rng, trace.Record{Op: trace.OpCreate, Path: p}).Home
 		homes[home] = append(homes[home], p)
 	}
-	if c.PendingShips() == 0 {
-		t.Fatal("no origins pending despite threshold 1")
+	// Replicas are stale until the flush (staleness is the point): no
+	// update goes out before it, some do with it, and a second flush finds
+	// nothing left to ship.
+	if got := updates(); got != before {
+		t.Fatalf("%d replica updates shipped before the flush", got-before)
 	}
-	// Replicas are stale until the flush: a created file must be missing
-	// from at least its origin's remote replicas (staleness is the point).
 	c.Flush()
-	if got := c.PendingShips(); got != 0 {
-		t.Fatalf("flush left %d origins pending", got)
+	flushed := updates()
+	if flushed == before {
+		t.Fatal("flush shipped no replica update despite threshold 1")
+	}
+	c.Flush()
+	if again := updates(); again != flushed {
+		t.Fatalf("a second flush shipped %d more replica updates", again-flushed)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after flush: %v", err)
 	}
 	for origin, paths := range homes {
 		for _, g := range c.Layout().Groups() {

@@ -24,24 +24,22 @@ type Fig6Config struct {
 	Ms []int
 	// Ops is the number of operations replayed per candidate M.
 	Ops int
-	// TIF and FilesPerSubtrace size the workload.
-	TIF              int
+	// FilesPerSubtrace sizes the workload's figTIF sub-traces.
 	FilesPerSubtrace uint64
-	// MemoryBudgetBytes and VirtualReplicaBytes induce the disk spill that
-	// penalizes small M (many replicas per MDS).
-	MemoryBudgetBytes   uint64
-	VirtualReplicaBytes uint64
-	// MeanInterarrival sets the load; high load makes over-large groups
-	// pay for their multicast fan-out in queueing delay.
-	MeanInterarrival time.Duration
 	// Seed drives all randomness.
 	Seed int64
 }
 
+// figTIF is the sub-trace count of the workloads of Figs 6–10 and 13.
+const figTIF = 2
+
+// fig6MemoryBudget is Fig 6's per-MDS memory budget. It admits about seven
+// memory-resident replicas per MDS, so candidate group sizes below N/7
+// (many replicas per MDS) pay disk penalties.
+const fig6MemoryBudget = 280 << 20
+
 // DefaultFig6Config returns the laptop-scale defaults used by the bench
-// harness. The memory budget admits about seven memory-resident replicas
-// per MDS, so candidate group sizes below N/7 pay disk penalties, while the
-// arrival rate makes group multicast fan-out expensive above the optimum.
+// harness.
 func DefaultFig6Config(profile trace.Profile, n int) Fig6Config {
 	ms := make([]int, 0, 15)
 	for m := 1; m <= 15; m++ {
@@ -52,21 +50,7 @@ func DefaultFig6Config(profile trace.Profile, n int) Fig6Config {
 		N:                n,
 		Ms:               ms,
 		Ops:              20_000,
-		TIF:              2,
 		FilesPerSubtrace: 10_000,
-		// The replica working set is a fixed metadata population spread
-		// over N servers, so the accounted per-replica size shrinks with
-		// N; with this budget, groups below roughly the paper's optimum
-		// spill to disk.
-		MemoryBudgetBytes:   280 << 20,
-		VirtualReplicaBytes: uint64(1200/n+8) << 20,
-		// High enough aggregate load (scaling with the server count) that
-		// the per-message CPU of group multicasts saturates members as M
-		// grows — the paper's "higher network overheads and longer query
-		// delays" penalty for over-large groups. Together with the disk
-		// spill at small M this centers the Γ optimum in the paper's 5–9
-		// range.
-		MeanInterarrival: time.Duration(100_000/n) * time.Nanosecond,
 		Seed:             1,
 	}
 }
@@ -103,13 +87,23 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 func fig6Run(cfg Fig6Config, m int) (time.Duration, error) {
 	c, gen, err := simulate(trace.Config{
 		Profile:          cfg.Profile,
-		TIF:              cfg.TIF,
+		TIF:              figTIF,
 		FilesPerSubtrace: cfg.FilesPerSubtrace,
-		MeanInterarrival: cfg.MeanInterarrival,
+		// High enough aggregate load (scaling with the server count) that
+		// the per-message CPU of group multicasts saturates members as M
+		// grows — the paper's "higher network overheads and longer query
+		// delays" penalty for over-large groups. Together with the disk
+		// spill at small M this centers the Γ optimum in the paper's 5–9
+		// range.
+		MeanInterarrival: time.Duration(100_000/cfg.N) * time.Nanosecond,
 		Seed:             cfg.Seed,
 	}, cfg.N, m, func(ccfg *core.Config) {
-		ccfg.MemoryBudgetBytes = cfg.MemoryBudgetBytes
-		ccfg.VirtualReplicaBytes = cfg.VirtualReplicaBytes
+		ccfg.MemoryBudgetBytes = fig6MemoryBudget
+		// The replica working set is a fixed metadata population spread
+		// over N servers, so the accounted per-replica size shrinks with
+		// N; with the budget, groups below roughly the paper's optimum
+		// spill to disk.
+		ccfg.VirtualReplicaBytes = uint64(1200/cfg.N+8) << 20
 	})
 	if err != nil {
 		return 0, err

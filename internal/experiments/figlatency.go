@@ -30,18 +30,24 @@ type LatencyFigConfig struct {
 	VirtualReplicaMB uint64
 	// Ops and Interval shape the checkpoint series.
 	Ops, Interval int
-	// Warmup operations are replayed before measurement starts, so the
-	// L1 arrays begin warm (the paper's traces are mid-stream snapshots,
-	// not cold starts).
-	Warmup int
-	// TIF and FilesPerSubtrace size the workload.
-	TIF              int
+	// FilesPerSubtrace sizes the workload's figTIF sub-traces.
 	FilesPerSubtrace uint64
-	// MeanInterarrival sets the load.
-	MeanInterarrival time.Duration
 	// Seed drives all randomness.
 	Seed int64
 }
+
+const (
+	// latencyFigWarmup operations are replayed before measurement starts,
+	// so the L1 arrays begin warm (the paper's traces are mid-stream
+	// snapshots, not cold starts).
+	latencyFigWarmup = 15_000
+	// latencyFigInterarrival sets the load of Figs 8–10, slightly above the
+	// service rate of a heavily spilled HBA array: the smallest-memory HBA
+	// configuration saturates and its average latency climbs with operation
+	// count, as in the paper's curves, while the larger budgets and G-HBA
+	// stay comfortably stable.
+	latencyFigInterarrival = 25 * time.Microsecond
+)
 
 // DefaultLatencyFigConfig returns bench defaults for the given figure
 // number (8, 9 or 10), using the paper's memory ladder for that trace.
@@ -53,14 +59,7 @@ func DefaultLatencyFigConfig(figure int) LatencyFigConfig {
 		VirtualReplicaMB: 16,
 		Ops:              60_000,
 		Interval:         10_000,
-		Warmup:           15_000,
-		TIF:              2,
 		FilesPerSubtrace: 10_000,
-		// Slightly above the service rate of a heavily spilled HBA array:
-		// the smallest-memory HBA configuration saturates and its average
-		// latency climbs with operation count, as in the paper's curves,
-		// while the larger budgets and G-HBA stay comfortably stable.
-		MeanInterarrival: 25 * time.Microsecond,
 		Seed:             1,
 	}
 	switch figure {
@@ -85,14 +84,6 @@ type LatencySeries struct {
 	Points      []Checkpoint
 }
 
-// Final returns the last checkpoint's mean latency (zero when empty).
-func (s LatencySeries) Final() time.Duration {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].MeanLatency
-}
-
 // LatencyFig runs one of Figs 8–10: for every memory budget, both schemes
 // replay the same intensified workload and report running mean latency.
 func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
@@ -102,9 +93,9 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 		for _, m := range []int{1, cfg.M} {
 			c, gen, err := simulate(trace.Config{
 				Profile:          cfg.Profile,
-				TIF:              cfg.TIF,
+				TIF:              figTIF,
 				FilesPerSubtrace: cfg.FilesPerSubtrace,
-				MeanInterarrival: cfg.MeanInterarrival,
+				MeanInterarrival: latencyFigInterarrival,
 				Seed:             cfg.Seed,
 			}, cfg.N, m, func(ccfg *core.Config) {
 				ccfg.MemoryBudgetBytes = memMB << 20
@@ -114,10 +105,8 @@ func LatencyFig(cfg LatencyFigConfig) ([]LatencySeries, error) {
 				return nil, err
 			}
 			sys := ghba.SimulationOver(c, cfg.Seed)
-			if cfg.Warmup > 0 {
-				if _, err := Replay(context.Background(), sys, gen, cfg.Warmup, cfg.Warmup); err != nil {
-					return nil, err
-				}
+			if _, err := Replay(context.Background(), sys, gen, latencyFigWarmup, latencyFigWarmup); err != nil {
+				return nil, err
 			}
 			points, err := Replay(context.Background(), sys, gen, cfg.Ops, cfg.Interval)
 			if err != nil {
@@ -141,29 +130,31 @@ func FormatLatencyFig(cfg LatencyFigConfig, series []LatencySeries) string {
 }
 
 // Fig12Config parameterizes the stale-replica update-latency comparison.
+// G-HBA runs at the paper's optimal group size for N,
+// analysis.PaperOptimalM(N).
 type Fig12Config struct {
-	// N is the MDS count, M the G-HBA group size.
-	N, M int
+	// N is the MDS count.
+	N int
 	// Updates is the number of update requests measured.
 	Updates int
-	// MemBudgetMB and VirtualReplicaMB control apply-side disk costs.
-	MemBudgetMB      uint64
-	VirtualReplicaMB uint64
 	// FilesPerSubtrace sizes the namespace.
 	FilesPerSubtrace uint64
 	// Seed drives all randomness.
 	Seed int64
 }
 
-// DefaultFig12Config returns bench defaults for the N cell of Fig 12, using
-// the paper's per-N optimal group size.
+// Fig 12's per-MDS memory budget and the accounted size of one replica,
+// which price the apply-side disk writes of an update.
+const (
+	fig12MemoryBudget   = 500 << 20
+	fig12VirtualReplica = 16 << 20
+)
+
+// DefaultFig12Config returns bench defaults for the N cell of Fig 12.
 func DefaultFig12Config(n int) Fig12Config {
 	return Fig12Config{
 		N:                n,
-		M:                analysis.PaperOptimalM(n),
 		Updates:          90,
-		MemBudgetMB:      500,
-		VirtualReplicaMB: 16,
 		FilesPerSubtrace: 5_000,
 		Seed:             1,
 	}
@@ -185,16 +176,17 @@ type Fig12Row struct {
 func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	// HBA is the same engine with groups of one. The budget prices the
 	// apply-side disk writes; only manual pushes ship.
+	ghbaM := analysis.PaperOptimalM(cfg.N)
 	var clusters [2]*core.Cluster // G-HBA, HBA
-	for i, m := range []int{cfg.M, 1} {
+	for i, m := range []int{ghbaM, 1} {
 		c, _, err := simulate(trace.Config{
 			Profile:          trace.HP(),
 			TIF:              1,
 			FilesPerSubtrace: cfg.FilesPerSubtrace,
 			Seed:             cfg.Seed,
 		}, cfg.N, m, func(ccfg *core.Config) {
-			ccfg.MemoryBudgetBytes = cfg.MemBudgetMB << 20
-			ccfg.VirtualReplicaBytes = cfg.VirtualReplicaMB << 20
+			ccfg.MemoryBudgetBytes = fig12MemoryBudget
+			ccfg.VirtualReplicaBytes = fig12VirtualReplica
 			ccfg.UpdateThresholdBits = 1 << 30
 		})
 		if err != nil {
@@ -217,8 +209,8 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, error) {
 	}
 	n := time.Duration(cfg.Updates)
 	return []Fig12Row{
-		{Scheme: "HBA", N: cfg.N, M: cfg.M, MeanLatency: hbaSum / n},
-		{Scheme: "G-HBA", N: cfg.N, M: cfg.M, MeanLatency: ghbaSum / n},
+		{Scheme: "HBA", N: cfg.N, M: ghbaM, MeanLatency: hbaSum / n},
+		{Scheme: "G-HBA", N: cfg.N, M: ghbaM, MeanLatency: ghbaSum / n},
 	}, nil
 }
 

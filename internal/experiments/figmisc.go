@@ -117,8 +117,7 @@ type Fig13Config struct {
 	Ns []int
 	// Ops per system size.
 	Ops int
-	// TIF and FilesPerSubtrace size the workload.
-	TIF              int
+	// FilesPerSubtrace sizes the workload's figTIF sub-traces.
 	FilesPerSubtrace uint64
 	// Seed drives all randomness.
 	Seed int64
@@ -130,7 +129,6 @@ func DefaultFig13Config() Fig13Config {
 		Profile:          trace.HP(),
 		Ns:               []int{10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
 		Ops:              15_000,
-		TIF:              2,
 		FilesPerSubtrace: 5_000,
 		Seed:             1,
 	}
@@ -156,7 +154,7 @@ func Fig13(cfg Fig13Config) ([]Fig13Row, error) {
 		// drift, so recently created files miss in remote replicas.
 		c, gen, err := simulate(trace.Config{
 			Profile:          cfg.Profile,
-			TIF:              cfg.TIF,
+			TIF:              figTIF,
 			FilesPerSubtrace: cfg.FilesPerSubtrace,
 			Seed:             cfg.Seed,
 		}, n, analysis.PaperOptimalM(n), func(ccfg *core.Config) { ccfg.UpdateThresholdBits = 2048 })

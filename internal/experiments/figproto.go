@@ -27,11 +27,12 @@ type Fig14Config struct {
 	// ghba.Config.MemoryBudgetBytes).
 	MemoryBudgetBytes uint64
 	DiskPenalty       time.Duration
-	// Workers is the number of concurrent clients (load).
-	Workers int
 	// Seed drives placement and entry choice.
 	Seed int64
 }
+
+// fig14Workers is the number of concurrent clients (the load) of Fig 14.
+const fig14Workers = 4
 
 // DefaultFig14Config returns bench defaults, scaled down from the paper's
 // 60-node cluster to keep a laptop run short; pass a larger N to approach
@@ -46,7 +47,6 @@ func DefaultFig14Config() Fig14Config {
 		Files:             4_000,
 		MemoryBudgetBytes: 8 << 10,
 		DiskPenalty:       2 * time.Millisecond,
-		Workers:           4,
 		Seed:              1,
 	}
 }
@@ -108,9 +108,9 @@ func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
 	// the skew the HP workload exhibits (repeat-heavy). LookupParallel hands
 	// worker w the w-th contiguous chunk of the batch, so the chunks are laid
 	// out one client after another.
-	perWorker := cfg.Ops / cfg.Workers
-	batch := make([]string, 0, perWorker*cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	perWorker := cfg.Ops / fig14Workers
+	batch := make([]string, 0, perWorker*fig14Workers)
+	for w := 0; w < fig14Workers; w++ {
 		for i := 0; i < perWorker; i++ {
 			// Zipf-ish reuse: favor low indices.
 			idx := (i * (w + 7)) % len(paths)
@@ -120,7 +120,7 @@ func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
 			batch = append(batch, paths[idx])
 		}
 	}
-	results, err := ghba.LookupParallel(ctx, tcp, batch, cfg.Workers)
+	results, err := ghba.LookupParallel(ctx, tcp, batch, fig14Workers)
 	if err != nil {
 		return LatencySeries{}, err
 	}
@@ -136,7 +136,7 @@ func fig14Run(cfg Fig14Config, m int) (LatencySeries, error) {
 		interval = len(results)
 	}
 	for i := 0; i < perWorker; i++ {
-		for w := 0; w < cfg.Workers; w++ {
+		for w := 0; w < fig14Workers; w++ {
 			sum += float64(results[w*perWorker+i].Latency)
 			count++
 			if count%interval == 0 || count == len(results) {
@@ -160,7 +160,7 @@ func schemeName(m int) string {
 func FormatFig14(cfg Fig14Config, series []LatencySeries) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 14 — prototype query latency (N=%d, M=%d, %d workers, real TCP)\n",
-		cfg.N, cfg.M, cfg.Workers)
+		cfg.N, cfg.M, fig14Workers)
 	for _, s := range series {
 		fmt.Fprintf(&b, "%-6s: %s\n", s.Scheme, formatSeries(s.Points))
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -63,14 +62,10 @@ func fingerprintCluster(c *core.Cluster, tcfg trace.Config, createdSpan uint64) 
 	for l := 1; l <= 4; l++ {
 		mix("L" + strconv.Itoa(l) + "=" + strconv.FormatUint(c.Tally().Count(l), 10) + ";")
 	}
-	snap := c.Messages().Snapshot()
-	types := make([]int, 0, len(snap))
-	for typ := range snap {
-		types = append(types, int(typ))
-	}
-	sort.Ints(types)
-	for _, typ := range types {
-		mix("M" + strconv.Itoa(typ) + "=" + strconv.FormatUint(snap[simnet.MsgType(typ)], 10) + ";")
+	for typ := simnet.MsgQueryUnicast; typ <= simnet.MsgMembership; typ++ {
+		if n := c.Messages().Get(typ); n > 0 {
+			mix("M" + strconv.Itoa(int(typ)) + "=" + strconv.FormatUint(n, 10) + ";")
+		}
 	}
 	return fp
 }
@@ -122,13 +117,9 @@ func TestReplayParallelSingleWorkerMatchesSerial(t *testing.T) {
 			t.Errorf("L%d tally diverged: %d vs %d", l, serial.Tally().Count(l), parallel.Tally().Count(l))
 		}
 	}
-	sm, pm := serial.Messages().Snapshot(), parallel.Messages().Snapshot()
-	if len(sm) != len(pm) {
-		t.Errorf("message type sets diverged: %v vs %v", sm, pm)
-	}
-	for typ, n := range sm {
-		if pm[typ] != n {
-			t.Errorf("message count %v diverged: %d vs %d", typ, n, pm[typ])
+	for typ := simnet.MsgQueryUnicast; typ <= simnet.MsgMembership; typ++ {
+		if s, p := serial.Messages().Get(typ), parallel.Messages().Get(typ); s != p {
+			t.Errorf("message type %d count diverged: %d vs %d", typ, s, p)
 		}
 	}
 	if got := points[len(points)-1].MeanLatency; got != stats.MeanLookupLatency {
@@ -253,8 +244,12 @@ func TestReplayParallelManyWorkersProperties(t *testing.T) {
 	if want := uint64(stats.Lookups); tallied != want {
 		t.Errorf("tallies account for %d lookups, want %d", tallied, want)
 	}
-	if cluster.PendingShips() != 0 {
-		t.Error("ReplayParallel returned with pending ships (missing flush)")
+	// ReplayParallel flushes before it returns, so a second flush ships
+	// nothing.
+	shipped := cluster.Messages().Get(simnet.MsgReplicaUpdate)
+	cluster.Flush()
+	if again := cluster.Messages().Get(simnet.MsgReplicaUpdate); again != shipped {
+		t.Errorf("a flush after ReplayParallel shipped %d replica updates (missing flush)", again-shipped)
 	}
 }
 

@@ -208,14 +208,6 @@ func (n *Node) LocalPositiveDigest(d *bloom.Digest) bool {
 	return n.local.Load().ContainsDigest(d)
 }
 
-// DeletesSinceRebuild returns how many deletions the local filter has not
-// yet absorbed; schemes use it to schedule rebuilds.
-func (n *Node) DeletesSinceRebuild() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.deletesSinceRebuild
-}
-
 // rebuildLocked regenerates the local filter from the store, clearing the
 // stale bits deletions left, and publishes it with a pointer swap. Building
 // aside (rather than clearing and re-adding in place) keeps the rebuild

@@ -47,8 +47,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got, want := back.Store().Paths(), n.Store().Paths(); !slices.Equal(got, want) {
 		t.Fatalf("restored %d paths, want the %d stored", len(got), len(want))
 	}
-	if back.DeletesSinceRebuild() != n.DeletesSinceRebuild() {
-		t.Fatalf("delete counter %d, want %d", back.DeletesSinceRebuild(), n.DeletesSinceRebuild())
+	if back.deletesSinceRebuild != n.deletesSinceRebuild {
+		t.Fatalf("delete counter %d, want %d", back.deletesSinceRebuild, n.deletesSinceRebuild)
 	}
 	// The deleted path's bits are still in the filter (no rebuild yet) but
 	// the store is authoritative either way.
@@ -541,8 +541,11 @@ func TestSnapshotLoadOwnsItsBytes(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("restored store changed with its blob:\n got %+v\nwant %+v", got, want)
 	}
-	if !back.LocalFilter().Equal(n.LocalFilter()) || !back.Shipped().Equal(n.Shipped()) {
-		t.Error("restored filters changed with their blob")
+	if d, err := back.LocalFilter().XorBits(n.LocalFilter()); err != nil || d != 0 {
+		t.Errorf("restored local filter changed with its blob: %d bits apart (%v)", d, err)
+	}
+	if d, err := back.Shipped().XorBits(n.Shipped()); err != nil || d != 0 {
+		t.Errorf("restored shipped filter changed with its blob: %d bits apart (%v)", d, err)
 	}
 }
 

@@ -33,10 +33,6 @@ func (c *Cluster) Flush(ctx context.Context) error {
 	return c.shipBatch(ctx, c.ships.Drain())
 }
 
-// PendingShips returns how many origins have crossed the ship threshold but
-// not yet drained.
-func (c *Cluster) PendingShips() int { return c.ships.PendingCount() }
-
 // shipBatch ships every origin in the batch (nil is a no-op), in the
 // ascending order the queue hands back — the same order core drains in.
 func (c *Cluster) shipBatch(ctx context.Context, origins []int) error {

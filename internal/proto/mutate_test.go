@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ghba/internal/mds"
 	"ghba/internal/trace"
 )
 
@@ -87,12 +88,18 @@ func TestCreateShipsReplicaUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.ReplicaUpdates() == 0 {
+	shipped := c.ReplicaUpdates()
+	if shipped == 0 {
 		t.Fatal("120 creates shipped no replica updates")
 	}
-	if c.PendingShips() != 0 && opts.ShipBatch == 1 {
-		t.Errorf("ship-at-every-crossing left %d pending", c.PendingShips())
+	// Ship-at-every-crossing leaves nothing for a flush to drain.
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
+	if got := c.ReplicaUpdates(); got != shipped {
+		t.Errorf("flush after ship-at-every-crossing shipped %d more updates", got-shipped)
+	}
+	checkInvariants(t, c)
 }
 
 // TestShipBatchCoalesces pins the coalescing queue semantics on the wire:
@@ -117,18 +124,20 @@ func TestShipBatchCoalesces(t *testing.T) {
 	if c.ReplicaUpdates() != 0 {
 		t.Fatalf("coalescing queue shipped %d updates before flush", c.ReplicaUpdates())
 	}
-	if c.PendingShips() == 0 {
-		t.Fatal("no origins marked dirty after 120 creates")
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	flushed := c.ReplicaUpdates()
+	if flushed == 0 {
+		t.Fatal("flush shipped nothing after 120 creates")
 	}
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.ReplicaUpdates() == 0 {
-		t.Fatal("flush shipped nothing")
+	if got := c.ReplicaUpdates(); got != flushed {
+		t.Errorf("a second flush shipped %d more updates", got-flushed)
 	}
-	if c.PendingShips() != 0 {
-		t.Errorf("flush left %d pending", c.PendingShips())
-	}
+	checkInvariants(t, c)
 }
 
 // TestApplyWithMixedWorkload pins Apply's record semantics over RPC: creates
@@ -232,8 +241,20 @@ func TestConcurrentMutationsAndLookups(t *testing.T) {
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.PendingShips() != 0 {
-		t.Error("pending ships after flush")
+	// Every daemon that crossed the ship threshold has shipped, so a second
+	// flush finds nothing to ship.
+	f := c.fleet.Load()
+	for _, id := range f.IDs() {
+		if f.Node(id).NeedsShip(mds.DefaultUpdateThresholdBits) {
+			t.Errorf("MDS %d is past the ship threshold after flush", id)
+		}
+	}
+	flushed := c.ReplicaUpdates()
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ReplicaUpdates(); got != flushed {
+		t.Errorf("a second flush shipped %d more updates", got-flushed)
 	}
 	checkInvariants(t, c)
 }

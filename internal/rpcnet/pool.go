@@ -105,13 +105,6 @@ func (p *Pool) Put(cl *Client) {
 	cl.Close()
 }
 
-// IdleConns reports the connections currently checked in.
-func (p *Pool) IdleConns() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
 // Close closes all idle connections and fails subsequent Gets with
 // ErrPoolClosed. It is idempotent, and connections checked out by in-flight
 // calls are closed as they return.

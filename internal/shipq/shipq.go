@@ -77,10 +77,3 @@ func (q *Queue) Forget(origin int) {
 	delete(q.pending, origin)
 	q.mu.Unlock()
 }
-
-// PendingCount returns the number of dirty origins awaiting a drain.
-func (q *Queue) PendingCount() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}

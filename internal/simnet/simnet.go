@@ -81,29 +81,11 @@ const (
 	msgTypeCount // sentinel
 )
 
-// String returns a human-readable label.
-func (m MsgType) String() string {
-	switch m {
-	case MsgQueryUnicast:
-		return "query-unicast"
-	case MsgQueryMulticast:
-		return "query-multicast"
-	case MsgReplicaMigration:
-		return "replica-migration"
-	case MsgReplicaUpdate:
-		return "replica-update"
-	case MsgMembership:
-		return "membership"
-	default:
-		return fmt.Sprintf("msgtype(%d)", int(m))
-	}
-}
-
 // Counter tallies messages by type. It is safe for concurrent use — every
 // simulator lookup adds to the cluster's one instance — and lock-free: each
 // type is an atomic cell in each of a few stripes, every stripe on cache
 // lines of its own, so writers that add to different stripes (AddAt) never
-// write the same line. Get, Total and Snapshot sum the stripes cell by cell
+// write the same line. Get and Total sum the stripes cell by cell
 // and are exact once the writers have stopped.
 type Counter struct {
 	stripes [counterStripes]counterStripe
@@ -155,15 +137,4 @@ func (c *Counter) Total() uint64 {
 		sum += c.Get(t)
 	}
 	return sum
-}
-
-// Snapshot returns a copy of all non-zero counts keyed by type.
-func (c *Counter) Snapshot() map[MsgType]uint64 {
-	out := make(map[MsgType]uint64)
-	for t := MsgType(1); t < msgTypeCount; t++ {
-		if n := c.Get(t); n > 0 {
-			out[t] = n
-		}
-	}
-	return out
 }

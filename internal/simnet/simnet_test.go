@@ -62,24 +62,6 @@ func TestMulticastMonotonic(t *testing.T) {
 	}
 }
 
-func TestMsgTypeString(t *testing.T) {
-	names := map[MsgType]string{
-		MsgQueryUnicast:     "query-unicast",
-		MsgQueryMulticast:   "query-multicast",
-		MsgReplicaMigration: "replica-migration",
-		MsgReplicaUpdate:    "replica-update",
-		MsgMembership:       "membership",
-	}
-	for typ, want := range names {
-		if typ.String() != want {
-			t.Errorf("%d.String() = %q, want %q", typ, typ.String(), want)
-		}
-	}
-	if MsgType(99).String() == "" {
-		t.Error("unknown type produced empty string")
-	}
-}
-
 func TestCounterBasics(t *testing.T) {
 	c := NewCounter()
 	c.Add(MsgReplicaMigration, 5)
@@ -91,9 +73,8 @@ func TestCounterBasics(t *testing.T) {
 	if got := c.Total(); got != 8 {
 		t.Errorf("Total = %d, want 8", got)
 	}
-	snap := c.Snapshot()
-	if len(snap) != 2 || snap[MsgReplicaMigration] != 7 {
-		t.Errorf("Snapshot = %v", snap)
+	if got := c.Get(MsgMembership); got != 0 {
+		t.Errorf("Get(membership) = %d, want 0", got)
 	}
 }
 
@@ -155,8 +136,5 @@ func TestCounterStripesSum(t *testing.T) {
 	}
 	if got := c.Total(); got != writers*per+7+want {
 		t.Errorf("Total = %d, want %d", got, writers*per+7+want)
-	}
-	if snap := c.Snapshot(); len(snap) != 2 || snap[MsgQueryMulticast] != want {
-		t.Errorf("Snapshot = %v", snap)
 	}
 }

@@ -322,13 +322,3 @@ func (g *Generator) Next() Record {
 		User:     sub*usersPerSub + g.rng.Intn(usersPerSub),
 	}
 }
-
-// Take returns the next n records as a slice; a convenience for tests and
-// small experiments.
-func (g *Generator) Take(n int) []Record {
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}

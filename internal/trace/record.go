@@ -15,10 +15,7 @@
 // this repository is reproducible bit for bit.
 package trace
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // OpType identifies a metadata operation. Data-path reads and writes are
 // filtered out, as in the paper ("we filter out requests, such as read and
@@ -33,24 +30,6 @@ const (
 	OpCreate
 	OpDelete
 )
-
-// String returns the conventional syscall name.
-func (o OpType) String() string {
-	switch o {
-	case OpOpen:
-		return "open"
-	case OpClose:
-		return "close"
-	case OpStat:
-		return "stat"
-	case OpCreate:
-		return "create"
-	case OpDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
-}
 
 // Record is one trace event.
 type Record struct {

@@ -28,7 +28,7 @@ func TestSplitOneLaneMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := serial.Take(2_000), lanes[0].Take(2_000)
+	a, b := take(serial, 2_000), take(lanes[0], 2_000)
 	if !reflect.DeepEqual(a, b) {
 		for i := range a {
 			if a[i] != b[i] {
@@ -80,12 +80,12 @@ func TestSplitLanesAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := range a {
-		ra, rb := a[w].Take(500), b[w].Take(500)
+		ra, rb := take(a[w], 500), take(b[w], 500)
 		if !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("lane %d not reproducible", w)
 		}
 	}
-	if reflect.DeepEqual(a[0].Take(100), a[1].Take(100)) {
+	if reflect.DeepEqual(take(a[0], 100), take(a[1], 100)) {
 		t.Error("lanes 0 and 1 drew identical streams")
 	}
 }

@@ -8,21 +8,6 @@ import (
 	"time"
 )
 
-func TestOpTypeString(t *testing.T) {
-	want := map[OpType]string{
-		OpOpen: "open", OpClose: "close", OpStat: "stat",
-		OpCreate: "create", OpDelete: "delete",
-	}
-	for op, name := range want {
-		if op.String() != name {
-			t.Errorf("%d.String() = %q, want %q", op, op.String(), name)
-		}
-	}
-	if !strings.Contains(OpType(99).String(), "99") {
-		t.Error("unknown op string unhelpful")
-	}
-}
-
 func TestProfileWeightsNormalized(t *testing.T) {
 	for _, p := range Profiles() {
 		var sum float64
@@ -123,7 +108,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g.Take(500)
+		return take(g, 500)
 	}
 	a, b := mk(), mk()
 	for i := range a {
@@ -137,7 +122,7 @@ func TestGeneratorSeedsDiffer(t *testing.T) {
 	g1, _ := NewGenerator(Config{Profile: RES(), TIF: 1, Seed: 1})
 	g2, _ := NewGenerator(Config{Profile: RES(), TIF: 1, Seed: 2})
 	same := 0
-	a, b := g1.Take(200), g2.Take(200)
+	a, b := take(g1, 200), take(g2, 200)
 	for i := range a {
 		if a[i].Path == b[i].Path && a[i].Op == b[i].Op {
 			same++
@@ -166,7 +151,7 @@ func TestGeneratorMonotonicTimeAndSeq(t *testing.T) {
 
 func TestGeneratorNamespacesDisjoint(t *testing.T) {
 	g, _ := NewGenerator(Config{Profile: HP(), TIF: 4, Seed: 9, FilesPerSubtrace: 100})
-	for _, r := range g.Take(2000) {
+	for _, r := range take(g, 2000) {
 		if !strings.HasPrefix(r.Path, "/sub") {
 			t.Fatalf("path %q lacks subtrace prefix", r.Path)
 		}
@@ -207,7 +192,7 @@ func (*badPathError) Error() string { return "bad path" }
 func TestGeneratorHostUserDisjointAcrossSubtraces(t *testing.T) {
 	g, _ := NewGenerator(Config{Profile: RES(), TIF: 3, Seed: 11})
 	base := RES().Base
-	for _, r := range g.Take(3000) {
+	for _, r := range take(g, 3000) {
 		if r.Host/base.Hosts != r.Subtrace {
 			t.Fatalf("host %d not in subtrace %d's range", r.Host, r.Subtrace)
 		}
@@ -231,7 +216,7 @@ func TestGeneratorOpMixMatchesProfile(t *testing.T) {
 		for i, op := range []OpType{OpOpen, OpClose, OpStat, OpCreate, OpDelete} {
 			got := ms.OpFraction(op)
 			if math.Abs(got-w[i]) > 0.02 {
-				t.Errorf("%s %s fraction = %.3f, want %.3f ± 0.02", p.Name, op, got, w[i])
+				t.Errorf("%s op %d fraction = %.3f, want %.3f ± 0.02", p.Name, op, got, w[i])
 			}
 		}
 	}

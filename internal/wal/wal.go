@@ -77,18 +77,6 @@ const (
 	SyncNever
 )
 
-// String names the policy with the spelling ParseSyncPolicy accepts.
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("syncpolicy(%d)", int(p))
-	}
-}
-
 // ParseSyncPolicy parses "always" (or "") and "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
